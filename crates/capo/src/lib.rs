@@ -31,6 +31,7 @@ pub mod overhead;
 pub mod recording;
 pub mod session;
 pub mod sphere;
+pub mod timeline;
 
 pub use format::{FormatManifest, RecordingVersion, PARTIAL_ORDER_FORMAT_VERSION, RECORDING_FORMAT_VERSION};
 pub use input_log::{InputEvent, InputLog, InputSalvage};
@@ -42,3 +43,4 @@ pub use recording::{
 };
 pub use session::{record, RecordingSession};
 pub use sphere::ReplaySphere;
+pub use timeline::{TimelineEntry, TimelineEvent};

@@ -1,6 +1,7 @@
 //! Recording configuration and the recording artifact.
 
-use crate::input_log::{InputEvent, InputLog, InputSalvage};
+use crate::input_log::{InputLog, InputSalvage};
+use crate::timeline::TimelineEvent;
 use crate::overhead::{OverheadBreakdown, OverheadModel};
 use qr_common::frame::{self, PayloadKind};
 use qr_common::{QrError, Result};
@@ -299,7 +300,7 @@ impl Recording {
     }
 
     /// Derives the partial-order log of this recording from its
-    /// timestamp-merged timeline: chunk footprints give conflict edges,
+    /// [`Recording::timeline`]: footprints give conflict edges,
     /// successful `SYS_SPAWN` records give spawn edges, and input events
     /// chain the global injection order. The timestamps are consumed
     /// here and stripped — the resulting log is timestamp-free.
@@ -311,54 +312,19 @@ impl Recording {
     /// [`QrError::LogDecode`] for an ambiguous timeline (duplicate
     /// timestamps).
     pub fn derive_order(&self) -> Result<(OrderLog, DeriveStats)> {
-        let footprints = self.footprints.as_ref().ok_or_else(|| {
-            QrError::InvalidConfig(
+        if self.footprints.is_none() {
+            return Err(QrError::InvalidConfig(
                 "partial-order derivation needs the footprint sidecar".into(),
-            )
-        })?;
-        let schedule = self.chunks.replay_schedule()?;
-        let mut raw: Vec<(u64, PoEvent)> = Vec::with_capacity(
-            schedule.len() + self.inputs.events().len(),
-        );
-        for packet in &schedule {
-            raw.push((
-                packet.timestamp.0,
-                PoEvent {
-                    tid: packet.tid,
-                    footprint: footprints.get(packet.timestamp),
-                    is_input: false,
-                    spawns: None,
-                },
             ));
         }
-        for event in self.inputs.events() {
-            let spawns = match event {
-                InputEvent::Syscall { record, .. }
-                    if record.number == qr_isa::abi::SYS_SPAWN
-                        && record.result != qr_os::kernel::EFAULT =>
-                {
-                    Some(qr_common::ThreadId(record.result))
-                }
-                _ => None,
-            };
-            raw.push((
-                event.ts().0,
-                PoEvent {
-                    tid: event.tid(),
-                    footprint: footprints.get(event.ts()),
-                    is_input: true,
-                    spawns,
-                },
-            ));
-        }
-        raw.sort_by_key(|&(ts, _)| ts);
-        if let Some(pair) = raw.windows(2).find(|pair| pair[0].0 == pair[1].0) {
-            return Err(QrError::LogDecode(format!(
-                "duplicate timeline timestamp {} — ordering is ambiguous",
-                pair[0].0
-            )));
-        }
-        let events: Vec<PoEvent> = raw.into_iter().map(|(_, ev)| ev).collect();
+        let events: Vec<PoEvent> = (self.timeline()?.iter())
+            .map(|entry| PoEvent {
+                tid: entry.event.tid(),
+                footprint: entry.footprint,
+                is_input: matches!(entry.event, TimelineEvent::Input(_)),
+                spawns: entry.event.spawned_child(),
+            })
+            .collect();
         po::derive(&events)
     }
 

@@ -456,7 +456,7 @@ impl RecordingSession {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use qr_isa::{abi, Asm, Reg};
 
@@ -468,7 +468,7 @@ mod tests {
 
     /// Two threads incrementing a shared counter under a spinlock built
     /// on cas + futex.
-    fn racy_program() -> Program {
+    pub(crate) fn racy_program() -> Program {
         let mut a = Asm::new();
         a.data_word("counter", &[0]);
         a.align_data_line();

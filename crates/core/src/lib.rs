@@ -37,6 +37,7 @@ pub mod cmem;
 pub mod config;
 pub mod encoding;
 pub mod footprint;
+pub mod hb;
 pub mod log;
 pub mod mrr;
 mod obs;

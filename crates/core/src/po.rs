@@ -13,8 +13,8 @@
 //!   the thread produced them.
 //! - **Conflict edges** (RAW/WAW/WAR) between cross-thread timeline
 //!   nodes whose cache-line footprints intersect with at least one
-//!   write — the same evidence the parallel replayer's dependency DAG
-//!   is built from.
+//!   write — the cross-thread pairs of [`crate::hb::ConflictSweep`],
+//!   whose every pair the parallel replayer's dependency DAG takes.
 //! - **Spawn edges** from a successful `SYS_SPAWN` record to the child
 //!   thread's first node.
 //! - **Input edges** chaining consecutive cross-thread input events,
@@ -28,12 +28,13 @@
 //! actually happened instead of growing with the chunk count.
 //!
 //! A node is identified as `(tid, seq)` — no timestamp appears anywhere
-//! in the log. At replay, [`linearize`] runs a deterministic,
-//! timestamp-free topological sort (Kahn's algorithm with a
-//! `(tid, seq)` min-heap tie-break) to reconstruct *a* legal total
-//! order; any legal order is conflict-equivalent to the recorded one
-//! and produces a byte-identical fingerprint, which the equivalence
-//! test battery checks.
+//! in the log. Ordered replay schedules the logged edges directly as a
+//! dependency DAG; [`linearize`] reconstructs *a* legal total order
+//! from the log alone with a deterministic, timestamp-free topological
+//! sort (Kahn's algorithm with a `(tid, seq)` min-heap tie-break). Any
+//! legal order is conflict-equivalent to the recorded one and produces
+//! a byte-identical fingerprint, which the equivalence test battery
+//! checks.
 //!
 //! The log serializes to the `order.qrp` sidecar as a framed container
 //! of kind [`PayloadKind::OrderLog`]: record 0 commits the per-thread
@@ -42,6 +43,7 @@
 //! salvages to its longest clean edge prefix.
 
 use crate::footprint::ChunkFootprint;
+use crate::hb::{ConflictSweep, VectorClock};
 use qr_common::frame::{self, PayloadKind};
 use qr_common::{varint, QrError, Result, ThreadId};
 use std::collections::{BTreeMap, HashMap};
@@ -520,9 +522,9 @@ impl DeriveStats {
 /// Derives the partial-order log of a recorded execution from its
 /// timeline in recorded global order.
 ///
-/// Candidate edges come from the same sweep the parallel replayer's
-/// dependency DAG uses (per-line last-writer / readers-since
-/// bookkeeping), plus spawn and input-chain edges; candidates already
+/// Candidate edges are the cross-thread pairs of the shared
+/// [`ConflictSweep`] (the one the parallel replayer's dependency DAG is
+/// built from), plus spawn and input-chain edges; candidates already
 /// dominated by the destination's vector clock — after merging nearer
 /// predecessors first — are dropped (transitive reduction).
 ///
@@ -550,13 +552,10 @@ pub fn derive(events: &[PoEvent]) -> Result<(OrderLog, DeriveStats)> {
         counts[d] += 1;
     }
 
-    // Candidate sweep: same bookkeeping as the parallel replayer's DAG
-    // (a node "reads" its reads ∪ writes for RAW purposes, a writer
-    // re-registers as a reader of the new value for later WAR edges),
-    // restricted to cross-thread pairs — same-thread ordering is
-    // program order and always dominated.
-    let mut last_writer: HashMap<u32, usize> = HashMap::new();
-    let mut readers_since: HashMap<u32, Vec<usize>> = HashMap::new();
+    // Candidates: every cross-thread conflict the shared sweep reports
+    // (same-thread ordering is program order and always dominated),
+    // plus the structural spawn and input-chain edges.
+    let mut sweep = ConflictSweep::new();
     let mut pending_spawn: HashMap<u32, usize> = HashMap::new();
     let mut last_input: Option<usize> = None;
     let mut candidates: Vec<Vec<(usize, EdgeKind)>> = Vec::with_capacity(events.len());
@@ -584,26 +583,11 @@ pub fn derive(events: &[PoEvent]) -> Result<(OrderLog, DeriveStats)> {
             last_input = Some(idx);
         }
         if let Some(fp) = ev.footprint {
-            for line in fp.reads.iter().chain(fp.writes.iter()) {
-                if let Some(&w) = last_writer.get(&line.0) {
-                    if w != idx && events[w].tid != ev.tid {
-                        add(w, EdgeKind::Conflict);
-                    }
+            sweep.visit(idx, fp, |src| {
+                if events[src].tid != ev.tid {
+                    add(src, EdgeKind::Conflict);
                 }
-                readers_since.entry(line.0).or_default().push(idx);
-            }
-            for line in &fp.writes {
-                if let Some(since) = readers_since.get(&line.0) {
-                    for &r in since {
-                        if r != idx && events[r].tid != ev.tid {
-                            add(r, EdgeKind::Conflict);
-                        }
-                    }
-                }
-                last_writer.insert(line.0, idx);
-                readers_since.remove(&line.0);
-                readers_since.entry(line.0).or_default().push(idx);
-            }
+            });
         }
         if let Some(child) = ev.spawns {
             pending_spawn.insert(child.0, idx);
@@ -616,20 +600,19 @@ pub fn derive(events: &[PoEvent]) -> Result<(OrderLog, DeriveStats)> {
     // start from the program predecessor's clock, then try candidates
     // nearest-first (descending source index) — each merge can dominate
     // earlier candidates, which are then skipped instead of logged.
-    let mut clocks: Vec<Vec<u32>> = Vec::with_capacity(events.len());
+    let mut clocks: Vec<VectorClock> = Vec::with_capacity(events.len());
     let mut last_of_thread: Vec<Option<usize>> = vec![None; nthreads];
     let mut edges: Vec<OrderEdge> = Vec::new();
     for (idx, ev) in events.iter().enumerate() {
         let d = dense[&ev.tid];
         let mut vc = match last_of_thread[d] {
             Some(prev) => clocks[prev].clone(),
-            None => vec![0; nthreads],
+            None => VectorClock::new(nthreads),
         };
         let mut cand = std::mem::take(&mut candidates[idx]);
         cand.sort_unstable_by(|a, b| b.0.cmp(&a.0));
         for (src, kind) in cand {
-            let sd = dense[&events[src].tid];
-            if vc[sd] >= seqs[src] + 1 {
+            if vc.covers(dense[&events[src].tid], seqs[src] + 1) {
                 continue; // already happens-before via a nearer edge
             }
             edges.push(OrderEdge {
@@ -642,11 +625,9 @@ pub fn derive(events: &[PoEvent]) -> Result<(OrderLog, DeriveStats)> {
                 EdgeKind::Spawn => stats.spawn_edges += 1,
                 EdgeKind::Input => stats.input_edges += 1,
             }
-            for (slot, &s) in vc.iter_mut().zip(&clocks[src]) {
-                *slot = (*slot).max(s);
-            }
+            vc.join(&clocks[src]);
         }
-        vc[d] = seqs[idx] + 1;
+        vc.set(d, seqs[idx] + 1);
         clocks.push(vc);
         last_of_thread[d] = Some(idx);
     }

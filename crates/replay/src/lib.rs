@@ -7,7 +7,8 @@
 //! recording:
 //!
 //! - **Chunk ordering.** Chunk packets and timestamped input events are
-//!   merged into one timeline by their global timestamps. Chunks execute
+//!   merged into one timeline by their global timestamps
+//!   ([`qr_capo::Recording::timeline`]). Chunks execute
 //!   to completion (exactly `icount` instructions) in that order; every
 //!   cross-thread dependency forced its source chunk to terminate — and
 //!   be stamped — before the dependent access committed, so timestamp
@@ -27,9 +28,22 @@
 //!   re-applied from the replayed thread's own registers. `rdtsc` and
 //!   `rdrand` values come from per-thread FIFO queues.
 //!
+//! Those three rules are written once, in the crate's event executor
+//! (chunk execution, syscall injection and signal delivery over a
+//! machine, a core and one thread's replay state). Every mode is a
+//! schedule of the one timeline through it: [`Replayer`] runs it in
+//! timestamp order on one machine (and is what salvage, checkpoints and
+//! time-travel queries drive); [`ParallelReplayer`] relaxes it to the
+//! conflict DAG that [`quickrec_core::hb::ConflictSweep`] yields and
+//! runs per-thread lanes on a worker pool; [`replay_ordered`] schedules
+//! the same lanes under a recorded `order.qrp` edge set instead.
+//!
 //! [`replay`] returns a [`ReplayOutcome`]; [`replay_and_verify`] also
-//! checks the fingerprint, console and exit code against the recording.
+//! checks the fingerprint, console and exit code against the recording
+//! — the *recorder's* fingerprint, so the modes sharing an executor
+//! does not make them each other's oracle.
 
+mod exec;
 mod obs;
 pub mod order;
 pub mod outcome;
@@ -37,6 +51,8 @@ pub mod parallel;
 pub mod races;
 pub mod replayer;
 pub mod salvage;
+#[cfg(test)]
+mod testutil;
 pub mod timetravel;
 
 pub use order::{replay_ordered, replay_ordered_and_verify};

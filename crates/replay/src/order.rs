@@ -13,10 +13,10 @@
 //! timeline: walking timeline events in timestamp order, a thread's
 //! `n`-th event is its node `seq = n`. Program order (consecutive nodes
 //! of one thread) is implicit in the log and added here; every logged
-//! edge becomes a DAG edge. The log is linearized first
-//! ([`quickrec_core::po::linearize`]) so a corrupt-but-CRC-valid edge
-//! set that forms a cycle is rejected with a structured error instead
-//! of deadlocking the scheduler.
+//! edge becomes a DAG edge. The DAG the scheduler is about to run is
+//! then checked once: a corrupt-but-CRC-valid edge set that names a
+//! missing node or forms a cycle is rejected with a structured error
+//! instead of deadlocking the scheduler.
 //!
 //! Any legal execution of this DAG is conflict-equivalent to the
 //! recorded run (every conflicting pair is ordered by a recorded edge),
@@ -29,14 +29,15 @@
 //! log still carries its global timestamps, which remain a legal total
 //! order. Missing data costs parallelism, never correctness.
 
+use crate::exec::check_program;
 use crate::outcome::ReplayOutcome;
-use crate::parallel::{build_timeline_nodes, Dag, Runtime};
+use crate::parallel::{timeline_nodes, Dag, Runtime};
 use crate::replayer::Replayer;
 use qr_capo::Recording;
-use qr_common::{QrError, Result};
+use qr_common::{QrError, Result, ThreadId};
 use qr_isa::Program;
-use quickrec_core::po;
-use std::collections::{BTreeSet, HashMap};
+use quickrec_core::PoNode;
+use std::collections::BTreeMap;
 
 /// Replays `recording` under its recorded partial order on up to `jobs`
 /// workers and verifies the outcome against the recording.
@@ -74,71 +75,49 @@ pub fn replay_ordered(
     if jobs == 0 {
         return Err(QrError::InvalidConfig("replay needs at least one job".into()));
     }
-    if program.fingerprint() != recording.meta.program_fingerprint {
-        return Err(QrError::ReplayDivergence(
-            "program image does not match the recording".into(),
-        ));
-    }
+    check_program(program, recording)?;
     let Some(order) = &recording.order else {
         return Err(QrError::InvalidConfig(
             "recording has no order.qrp sidecar (recorded in total-order mode?)".into(),
         ));
     };
     let started = std::time::Instant::now();
-    // Proves the edge set is acyclic and every endpoint exists before
-    // the scheduler commits to it.
-    po::linearize(order)?;
-    let nodes = match build_timeline_nodes(recording)? {
+    let nodes = match timeline_nodes(recording)? {
         Ok(nodes) => nodes,
         // Incomplete footprint coverage: the chunk timestamps are still
         // present and remain a legal total order.
         Err(_reason) => return Replayer::new(program, recording)?.run(),
     };
     // Node identity: a thread's n-th timeline event is its (tid, seq=n)
-    // order-log node.
-    let mut next_seq: HashMap<u32, u32> = HashMap::new();
-    let mut index: HashMap<(u32, u32), usize> = HashMap::with_capacity(nodes.len());
+    // order-log node. Program order is implicit in the log; materialize
+    // it here.
+    let mut of_thread: BTreeMap<ThreadId, Vec<usize>> = BTreeMap::new();
     let mut preds: Vec<Vec<usize>> = Vec::with_capacity(nodes.len());
-    let mut last_of_tid: HashMap<u32, usize> = HashMap::new();
     for (idx, node) in nodes.iter().enumerate() {
-        let seq = next_seq.entry(node.tid.0).or_insert(0);
-        index.insert((node.tid.0, *seq), idx);
-        *seq += 1;
-        // Program order is implicit in the log; materialize it here.
-        let mut p = BTreeSet::new();
-        if let Some(&prev) = last_of_tid.get(&node.tid.0) {
-            p.insert(prev);
-        }
-        last_of_tid.insert(node.tid.0, idx);
-        preds.push(p.into_iter().collect());
+        let events = of_thread.entry(node.event.tid()).or_default();
+        preds.push(events.last().copied().into_iter().collect());
+        events.push(idx);
     }
     // The log and the timeline must describe the same execution:
     // identical thread sets and per-thread event counts.
-    if order.threads().len() != next_seq.len()
-        || order
-            .threads()
-            .iter()
-            .any(|(tid, &count)| next_seq.get(&tid.0) != Some(&count))
-    {
+    let timeline_shape = of_thread.iter().map(|(&tid, events)| (tid, events.len()));
+    if !order.threads().iter().map(|(&tid, &count)| (tid, count as usize)).eq(timeline_shape) {
         return Err(QrError::ReplayDivergence(format!(
             "order log covers {} nodes across {} threads but the timeline has {} events across {} threads",
             order.node_count(),
             order.threads().len(),
             nodes.len(),
-            next_seq.len()
+            of_thread.len()
         )));
     }
+    let corrupt = |detail: String| QrError::Corrupt { what: "order log".into(), offset: 0, detail };
+    let index_of = |node: PoNode| {
+        (of_thread.get(&node.tid).and_then(|events| events.get(node.seq as usize)).copied())
+            .ok_or_else(|| corrupt(format!("edge endpoint {node} is not a node")))
+    };
     // Every recorded happens-before edge becomes a scheduler edge.
     for edge in order.edges() {
-        let (Some(&from), Some(&to)) = (
-            index.get(&(edge.from.tid.0, edge.from.seq)),
-            index.get(&(edge.to.tid.0, edge.to.seq)),
-        ) else {
-            return Err(QrError::ReplayDivergence(format!(
-                "order edge {} -> {} names a node outside the timeline",
-                edge.from, edge.to
-            )));
-        };
+        let (from, to) = (index_of(edge.from)?, index_of(edge.to)?);
         if from != to && !preds[to].contains(&from) {
             preds[to].push(from);
         }
@@ -146,8 +125,16 @@ pub fn replay_ordered(
     for p in &mut preds {
         p.sort_unstable();
     }
-    let mut dag = Dag { nodes, preds, succs: Vec::new() };
-    dag.link_succs();
+    let dag = Dag::new(nodes, preds);
+    // Recorded edges, unlike derived ones, need not follow timestamp
+    // order: prove the scheduler can finish before committing to them.
+    let orderable = dag.orderable_nodes();
+    if orderable != dag.nodes.len() {
+        return Err(corrupt(format!(
+            "happens-before edges form a cycle ({orderable} of {} nodes orderable)",
+            dag.nodes.len()
+        )));
+    }
     crate::obs::order_reconstructed(started);
     Runtime::new(program, recording, dag, jobs)?.run()
 }
@@ -156,63 +143,9 @@ pub fn replay_ordered(
 mod tests {
     use super::*;
     use crate::replayer::replay;
+    use crate::testutil::racy_program;
     use qr_capo::{record, RecordingConfig};
-    use qr_isa::{abi, Asm, Reg};
     use quickrec_core::OrderMode;
-
-    fn sys(a: &mut Asm, number: u32, set_args: impl FnOnce(&mut Asm)) {
-        a.movi_u(Reg::R0, number);
-        set_args(a);
-        a.syscall();
-    }
-
-    /// The parallel replayer tests' locked-counter program.
-    fn racy_program() -> qr_isa::Program {
-        let mut a = Asm::new();
-        a.data_word("counter", &[0]);
-        a.align_data_line();
-        a.data_word("lock", &[0]);
-        sys(&mut a, abi::SYS_SPAWN, |a| {
-            a.movi_sym(Reg::R1, "work");
-            a.movi(Reg::R2, 0);
-        });
-        a.mov(Reg::R6, Reg::R0);
-        a.call("work_body");
-        sys(&mut a, abi::SYS_JOIN, |a| {
-            a.mov(Reg::R1, Reg::R6);
-        });
-        sys(&mut a, abi::SYS_EXIT, |a| {
-            a.movi_sym(Reg::R2, "counter");
-            a.ld(Reg::R1, Reg::R2, 0);
-        });
-        a.label("work");
-        a.call("work_body");
-        sys(&mut a, abi::SYS_EXIT, |a| {
-            a.movi(Reg::R1, 0);
-        });
-        a.label("work_body");
-        a.movi(Reg::R8, 40);
-        a.label("iter");
-        a.movi_sym(Reg::R2, "lock");
-        a.label("acquire");
-        a.movi(Reg::R3, 0);
-        a.movi(Reg::R4, 1);
-        a.cas(Reg::R3, Reg::R2, Reg::R4);
-        a.beqz(Reg::R3, "locked");
-        a.pause();
-        a.jmp("acquire");
-        a.label("locked");
-        a.movi_sym(Reg::R5, "counter");
-        a.ld(Reg::R7, Reg::R5, 0);
-        a.addi(Reg::R7, Reg::R7, 1);
-        a.st(Reg::R5, 0, Reg::R7);
-        a.movi(Reg::R3, 0);
-        a.xchg(Reg::R3, Reg::R2);
-        a.addi(Reg::R8, Reg::R8, -1);
-        a.bnez(Reg::R8, "iter");
-        a.ret();
-        a.finish().unwrap()
-    }
 
     fn partial_config(cores: usize) -> RecordingConfig {
         let mut cfg = RecordingConfig::with_cores(cores);
@@ -272,6 +205,32 @@ mod tests {
             replay_ordered(&program, &recording, 2),
             Err(QrError::ReplayDivergence(_))
         ));
+    }
+
+    #[test]
+    fn cyclic_and_dangling_order_logs_are_corrupt_not_scheduled() {
+        use quickrec_core::{OrderEdge, OrderLog};
+        let program = racy_program();
+        let mut recording = record(program.clone(), partial_config(2)).unwrap();
+        let order = recording.order.clone().unwrap();
+        let forged = |extra: OrderEdge| {
+            let mut edges = order.edges().to_vec();
+            edges.push(extra);
+            Some(OrderLog::new(order.threads().clone(), edges))
+        };
+        let first = order.edges()[0];
+        // Reversing a recorded edge closes a two-node cycle.
+        recording.order = forged(OrderEdge { from: first.to, to: first.from, ..first });
+        match replay_ordered(&program, &recording, 2) {
+            Err(QrError::Corrupt { detail, .. }) => assert!(detail.contains("cycle"), "{detail}"),
+            other => panic!("{other:?}"),
+        }
+        let beyond = PoNode { seq: order.threads()[&first.from.tid], ..first.from };
+        recording.order = forged(OrderEdge { from: beyond, ..first });
+        match replay_ordered(&program, &recording, 2) {
+            Err(QrError::Corrupt { detail, .. }) => assert!(detail.contains("is not a node"), "{detail}"),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

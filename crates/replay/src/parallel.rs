@@ -13,21 +13,20 @@
 //!
 //! # Dependency DAG
 //!
-//! Nodes are the merged timeline events (chunk packets plus input
-//! events), in timestamp order. Edges, always from earlier to later
-//! timestamps (hence acyclic):
+//! Nodes are the events of [`Recording::timeline`] (chunk packets plus
+//! input events), in timestamp order. Edges, always from earlier to
+//! later timestamps (hence acyclic):
 //!
 //! - **Program order**: consecutive nodes of the same thread.
-//! - **Conflicts**: walking nodes in timestamp order with per-line
-//!   last-writer / readers-since bookkeeping, a node reading line `L`
-//!   depends on `L`'s last writer, and a node writing `L` depends on
-//!   `L`'s last writer and every reader since (RAW, WAW, WAR edges at
-//!   cache-line granularity — the same granularity the recording
-//!   hardware detects conflicts at).
+//! - **Conflicts**: every pair [`quickrec_core::hb::ConflictSweep`]
+//!   reports — a node reading line `L` depends on `L`'s last writer,
+//!   and a node writing `L` depends on `L`'s last writer and every
+//!   reader since (RAW, WAW, WAR edges at cache-line granularity). The
+//!   partial-order recorder reduces the same pairs into `order.qrp`.
 //! - **Spawn**: a successful `SYS_SPAWN` record precedes the child
 //!   thread's first node.
 //!
-//! Chunk footprints come from the recording's optional
+//! Footprints come from the recording's optional
 //! [`quickrec_core::FootprintLog`] sidecar. Recordings without complete
 //! footprint coverage (legacy logs, salvaged prefixes) fall back to the
 //! serial [`Replayer`] — missing footprints cost parallelism, never
@@ -38,15 +37,17 @@
 //! Every thread gets a private single-core *lane* machine (own store
 //! buffer, so TSO reproduction stays exact) whose memory is fully
 //! mapped. A shared *canonical* machine carries the authoritative memory
-//! image and mirrors the serial replayer's region mapping operations
-//! (data segment, stacks, `sbrk` growth) so its fingerprint hashes the
+//! image; the stack and `sbrk` mappings that serial replay applies to
+//! its one machine are applied to it, so its fingerprint hashes the
 //! same region list. A worker executing a node:
 //!
 //! 1. **pulls** the node's footprint lines from canonical memory into
 //!    the lane (clipped to canonical's mapped regions),
-//! 2. **executes** the node on the lane exactly like serial replay
-//!    (instruction-exact chunk execution, boundary drains, RSW checks,
-//!    input injection), and
+//! 2. **executes** the node on the lane through the event executor
+//!    serial replay uses (`exec`: instruction-exact chunk execution,
+//!    boundary drains, RSW checks, input injection), applying the
+//!    effect it returns (spawn, mapping, console bytes) to the shared
+//!    state, and
 //! 3. **pushes** the node's write-set lines back to canonical memory.
 //!
 //! Because every conflicting predecessor pushed before this node pulls
@@ -62,18 +63,16 @@
 //! recording and `jobs`, never on host scheduling, keeping experiment
 //! output byte-stable.
 
+use crate::exec::{self, Effect, ReplayThread};
 use crate::outcome::ReplayOutcome;
-use crate::replayer::Replayer;
-use qr_capo::{InputEvent, Recording};
+use crate::replayer::{replay_cpu_config, Replayer};
+use qr_capo::{Recording, TimelineEvent};
 use qr_common::ids::CACHE_LINE_SHIFT;
 use qr_common::{CoreId, LineAddr, QrError, Result, ThreadId, VirtAddr};
-use qr_cpu::{CpuConfig, CpuContext, Machine, NondetKind, StepOutcome};
-use qr_isa::program::STACK_TOP;
-use qr_isa::{abi, Program, Reg};
-use qr_mem::TsoMode;
-use qr_os::kernel::EFAULT;
-use qr_os::SyscallRecord;
-use quickrec_core::{ChunkPacket, TerminationReason};
+use qr_cpu::{CpuConfig, Machine};
+use qr_isa::Program;
+use quickrec_core::hb::ConflictSweep;
+use quickrec_core::ChunkFootprint;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -108,40 +107,60 @@ pub fn replay_parallel(program: &Program, recording: &Recording, jobs: usize) ->
 
 /// One timeline node of the dependency DAG.
 #[derive(Debug)]
-pub(crate) struct Node {
-    pub(crate) kind: NodeKind,
-    pub(crate) tid: ThreadId,
-    /// Lines to copy canonical → lane before executing (reads ∪ writes).
-    pub(crate) pull: Vec<LineAddr>,
-    /// Lines to copy lane → canonical after executing (writes).
-    pub(crate) push: Vec<LineAddr>,
+pub(crate) struct Node<'a> {
+    pub(crate) event: TimelineEvent<'a>,
+    /// Lines the node reads and writes (`None` for signal deliveries,
+    /// which touch registers only: program order suffices).
+    footprint: Option<&'a ChunkFootprint>,
+    /// Lines to copy canonical → lane before executing (reads ∪ writes);
+    /// the footprint's writes go back lane → canonical afterwards.
+    pull: Vec<LineAddr>,
 }
 
-#[derive(Debug)]
-pub(crate) enum NodeKind {
-    Chunk(ChunkPacket),
-    Input(InputEvent),
+impl Node<'_> {
+    fn push(&self) -> &[LineAddr] {
+        self.footprint.map_or(&[], |fp| &fp.writes)
+    }
 }
 
 /// The dependency DAG over the merged timeline.
 #[derive(Debug)]
-pub(crate) struct Dag {
-    pub(crate) nodes: Vec<Node>,
+pub(crate) struct Dag<'a> {
+    pub(crate) nodes: Vec<Node<'a>>,
     /// Direct predecessors of each node (deduplicated, ascending).
-    pub(crate) preds: Vec<Vec<usize>>,
+    preds: Vec<Vec<usize>>,
     /// Direct successors of each node.
-    pub(crate) succs: Vec<Vec<usize>>,
+    succs: Vec<Vec<usize>>,
 }
 
-impl Dag {
-    /// Fills the successor lists from the predecessor lists.
-    pub(crate) fn link_succs(&mut self) {
-        self.succs = vec![Vec::new(); self.nodes.len()];
-        for (idx, p) in self.preds.iter().enumerate() {
+impl<'a> Dag<'a> {
+    /// Links `nodes` under the given predecessor lists.
+    pub(crate) fn new(nodes: Vec<Node<'a>>, preds: Vec<Vec<usize>>) -> Dag<'a> {
+        let mut succs = vec![Vec::new(); nodes.len()];
+        for (idx, p) in preds.iter().enumerate() {
             for &pred in p {
-                self.succs[pred].push(idx);
+                succs[pred].push(idx);
             }
         }
+        Dag { nodes, preds, succs }
+    }
+
+    /// How many nodes a topological order reaches — all of them exactly
+    /// when the edges are acyclic, i.e. when the scheduler cannot wedge.
+    pub(crate) fn orderable_nodes(&self) -> usize {
+        let mut indegree: Vec<usize> = self.preds.iter().map(Vec::len).collect();
+        let mut ready: Vec<usize> = (0..indegree.len()).filter(|&i| indegree[i] == 0).collect();
+        let mut ordered = 0;
+        while let Some(idx) = ready.pop() {
+            ordered += 1;
+            for &succ in &self.succs[idx] {
+                indegree[succ] -= 1;
+                if indegree[succ] == 0 {
+                    ready.push(succ);
+                }
+            }
+        }
+        ordered
     }
 }
 
@@ -157,7 +176,7 @@ pub struct ParallelReplayer<'a> {
     program: &'a Program,
     recording: &'a Recording,
     jobs: usize,
-    dag: Option<Dag>,
+    dag: Option<Dag<'a>>,
     fallback: Option<String>,
 }
 
@@ -173,13 +192,9 @@ impl<'a> ParallelReplayer<'a> {
         if jobs == 0 {
             return Err(QrError::InvalidConfig("replay needs at least one job".into()));
         }
-        if program.fingerprint() != recording.meta.program_fingerprint {
-            return Err(QrError::ReplayDivergence(
-                "program image does not match the recording".into(),
-            ));
-        }
-        let (dag, fallback) = match build_dag(recording)? {
-            Ok(dag) => (Some(dag), None),
+        exec::check_program(program, recording)?;
+        let (dag, fallback) = match timeline_nodes(recording)? {
+            Ok(nodes) => (Some(build_dag(nodes)), None),
             Err(reason) => (None, Some(reason)),
         };
         Ok(ParallelReplayer { program, recording, jobs, dag, fallback })
@@ -215,146 +230,80 @@ impl<'a> ParallelReplayer<'a> {
     }
 }
 
-/// Builds the merged timestamp-ordered timeline as DAG nodes with their
-/// footprint pull/push sets, or explains why serial fallback is needed
-/// (no footprint sidecar, or incomplete coverage). Shared by the
-/// conflict-derived DAG below and the recorded-order DAG in
-/// [`crate::order`].
+/// Turns the recording's timeline into DAG nodes with their footprint
+/// pull sets, or explains why serial fallback is needed (no footprint
+/// sidecar, or incomplete coverage). Shared by the conflict-derived DAG
+/// below and the recorded-order DAG in [`crate::order`].
 #[allow(clippy::type_complexity)]
-pub(crate) fn build_timeline_nodes(
+pub(crate) fn timeline_nodes(
     recording: &Recording,
-) -> Result<std::result::Result<Vec<Node>, String>> {
-    let Some(footprints) = &recording.footprints else {
+) -> Result<std::result::Result<Vec<Node<'_>>, String>> {
+    if recording.footprints.is_none() {
         return Ok(Err("recording carries no footprint sidecar".into()));
-    };
-    // Merge chunks and inputs into the same timestamp-ordered timeline
-    // the serial replayer executes.
-    let schedule = recording.chunks.replay_schedule()?;
-    let mut timeline: Vec<(u64, NodeKind)> = schedule
-        .into_iter()
-        .map(|p| (p.timestamp.0, NodeKind::Chunk(p)))
-        .chain(recording.inputs.events().iter().map(|e| (e.ts().0, NodeKind::Input(e.clone()))))
-        .collect();
-    timeline.sort_by_key(|(ts, _)| *ts);
-    for window in timeline.windows(2) {
-        if window[0].0 == window[1].0 {
-            return Err(QrError::ReplayDivergence(format!(
-                "duplicate timeline timestamp {}",
-                window[0].0
-            )));
-        }
     }
+    let timeline = recording.timeline()?;
     let mut nodes = Vec::with_capacity(timeline.len());
-    for (ts, kind) in timeline {
-        let (tid, needs_footprint) = match &kind {
-            NodeKind::Chunk(p) => (p.tid, true),
-            NodeKind::Input(InputEvent::Syscall { record, .. }) => (record.tid, true),
-            // Signal delivery manipulates registers only; program order
-            // suffices and no footprint is recorded for it.
-            NodeKind::Input(InputEvent::Signal { tid, .. }) => (*tid, false),
-        };
-        let (pull, push) = if needs_footprint {
-            let Some(fp) = footprints.get(qr_common::Cycle(ts)) else {
+    for entry in timeline {
+        use qr_capo::InputEvent::Signal;
+        let (footprint, pull) = if matches!(entry.event, TimelineEvent::Input(Signal { .. })) {
+            (None, Vec::new())
+        } else {
+            let Some(fp) = entry.footprint else {
+                let ts = entry.event.ts().0;
                 return Ok(Err(format!("no footprint for timeline timestamp {ts}")));
             };
-            let mut pull: Vec<LineAddr> = fp.reads.iter().chain(fp.writes.iter()).copied().collect();
+            let mut pull: Vec<LineAddr> = fp.reads.iter().chain(&fp.writes).copied().collect();
             pull.sort_unstable();
             pull.dedup();
-            (pull, fp.writes.clone())
-        } else {
-            (Vec::new(), Vec::new())
+            (Some(fp), pull)
         };
-        nodes.push(Node { kind, tid, pull, push });
+        nodes.push(Node { event: entry.event, footprint, pull });
     }
     Ok(Ok(nodes))
 }
 
-/// Builds the dependency DAG, or explains why serial fallback is needed.
-#[allow(clippy::type_complexity)]
-fn build_dag(recording: &Recording) -> Result<std::result::Result<Dag, String>> {
-    let nodes = match build_timeline_nodes(recording)? {
-        Ok(nodes) => nodes,
-        Err(reason) => return Ok(Err(reason)),
-    };
-
-    // Edge construction: one timestamp-ordered sweep with per-line
-    // last-writer / readers-since bookkeeping plus per-thread program
-    // order and spawn edges.
+/// Builds the dependency DAG: per-thread program order, spawn edges and
+/// every conflicting pair the shared sweep reports.
+fn build_dag(nodes: Vec<Node<'_>>) -> Dag<'_> {
     let mut preds: Vec<Vec<usize>> = Vec::with_capacity(nodes.len());
-    let mut last_writer: HashMap<u32, usize> = HashMap::new();
-    let mut readers_since: HashMap<u32, Vec<usize>> = HashMap::new();
+    let mut sweep = ConflictSweep::new();
     let mut last_of_tid: HashMap<u32, usize> = HashMap::new();
     let mut pending_spawn: HashMap<u32, usize> = HashMap::new();
     for (idx, node) in nodes.iter().enumerate() {
         let mut p: BTreeSet<usize> = BTreeSet::new();
-        match last_of_tid.get(&node.tid.0) {
-            Some(&prev) => {
-                p.insert(prev);
-            }
-            None => {
-                if let Some(&spawner) = pending_spawn.get(&node.tid.0) {
-                    p.insert(spawner);
-                }
-            }
+        let tid = node.event.tid().0;
+        match last_of_tid.insert(tid, idx) {
+            Some(prev) => p.insert(prev),
+            None => pending_spawn.get(&tid).is_some_and(|&spawner| p.insert(spawner)),
+        };
+        if let Some(fp) = node.footprint {
+            sweep.visit(idx, fp, |pred| {
+                p.insert(pred);
+            });
         }
-        last_of_tid.insert(node.tid.0, idx);
-        // Reads and writes are disjointly derivable from pull/push: the
-        // push set is the writes; reads-only lines are pull minus push.
-        for line in &node.pull {
-            if let Some(&w) = last_writer.get(&line.0) {
-                if w != idx {
-                    p.insert(w);
-                }
-            }
-            readers_since.entry(line.0).or_default().push(idx);
-        }
-        for line in &node.push {
-            if let Some(since) = readers_since.get(&line.0) {
-                p.extend(since.iter().copied().filter(|&r| r != idx));
-            }
-            if let Some(&w) = last_writer.get(&line.0) {
-                if w != idx {
-                    p.insert(w);
-                }
-            }
-            last_writer.insert(line.0, idx);
-            readers_since.remove(&line.0);
-            // The writer itself still counts as a reader of the line's
-            // new value for subsequent writers' WAR edges.
-            readers_since.entry(line.0).or_default().push(idx);
-        }
-        if let NodeKind::Input(InputEvent::Syscall { record, .. }) = &node.kind {
-            if record.number == abi::SYS_SPAWN && record.result != EFAULT {
-                pending_spawn.insert(record.result, idx);
-            }
+        if let Some(child) = node.event.spawned_child() {
+            pending_spawn.insert(child.0, idx);
         }
         preds.push(p.into_iter().collect());
     }
-    let mut dag = Dag { nodes, preds, succs: Vec::new() };
-    dag.link_succs();
-    Ok(Ok(dag))
+    Dag::new(nodes, preds)
 }
 
-/// Per-thread replay lane: a private single-core machine plus the same
-/// per-thread state the serial replayer tracks.
+/// Per-thread replay lane: the thread's replay state on a private
+/// single-core machine.
 #[derive(Debug)]
 struct Lane {
     machine: Machine,
-    created: bool,
-    exit_code: Option<u32>,
-    handler: Option<VirtAddr>,
-    signal_saved: Option<CpuContext>,
-    nondet: VecDeque<(NondetKind, u32)>,
-    last_reason: Option<TerminationReason>,
+    thread: ReplayThread,
 }
 
 /// Shared state of one parallel replay run.
 pub(crate) struct Runtime<'a> {
     recording: &'a Recording,
-    dag: Dag,
+    dag: Dag<'a>,
     jobs: usize,
     lanes: Vec<Mutex<Lane>>,
-    /// The authoritative memory image; its mapped-region list mirrors
+    /// The authoritative memory image; its mapped-region list follows
     /// the serial replayer's mapping operations exactly (fingerprints
     /// hash region metadata as well as contents).
     canonical: Mutex<Machine>,
@@ -370,20 +319,48 @@ pub(crate) struct Runtime<'a> {
     consoles: Mutex<BTreeMap<usize, Vec<u8>>>,
 }
 
+/// Copies `lines` from `src` to `dst`, clipped to the regions `mapped`
+/// has mapped (the canonical image — lanes are fully mapped). Returns
+/// the first line with no mapped part at all, if any.
+fn copy_lines(src: &Machine, dst: &mut Machine, mapped: &[(u64, u64)], lines: &[LineAddr]) -> Option<LineAddr> {
+    let mut unmapped = None;
+    for &line in lines {
+        let start = u64::from(line.0) << CACHE_LINE_SHIFT;
+        let end = start + (1 << CACHE_LINE_SHIFT);
+        let mut copied = false;
+        for &(s, e) in mapped {
+            let (lo, hi) = (start.max(s), end.min(e));
+            if lo < hi {
+                let mut line_buf = [0u8; 1 << CACHE_LINE_SHIFT];
+                let buf = &mut line_buf[..(hi - lo) as usize];
+                let addr = VirtAddr(lo as u32);
+                src.mem().memory().read_bytes(addr, buf).expect("clipped to mapped region");
+                dst.mem_mut().memory_mut().write_bytes(addr, buf).expect("clipped to mapped region");
+                copied = true;
+            }
+        }
+        if !copied {
+            unmapped = unmapped.or(Some(line));
+        }
+    }
+    unmapped
+}
+
+/// The mapped regions of `machine`'s memory as `[start, end)` pairs.
+fn mapped_regions(machine: &Machine) -> Vec<(u64, u64)> {
+    (machine.mem().memory().regions())
+        .map(|(b, l)| (u64::from(b.0), u64::from(b.0) + u64::from(l)))
+        .collect()
+}
+
 impl<'a> Runtime<'a> {
     pub(crate) fn new(
         program: &Program,
         recording: &'a Recording,
-        dag: Dag,
+        dag: Dag<'a>,
         jobs: usize,
     ) -> Result<Runtime<'a>> {
-        let max_tid = dag.nodes.iter().map(|n| n.tid.0).max().unwrap_or(0);
-        let num_threads = max_tid as usize + 1;
-        if num_threads > 250 {
-            return Err(QrError::Unsupported(format!(
-                "replay supports at most 250 threads, recording has {num_threads}"
-            )));
-        }
+        let num_threads = replay_cpu_config(recording)?.num_cores;
         let lane_cpu = CpuConfig {
             num_cores: 1,
             drain_interval: recording.meta.cpu.drain_interval,
@@ -396,15 +373,8 @@ impl<'a> Runtime<'a> {
             // canonical's regions, and recorded programs contain no wild
             // accesses (they would have faulted during recording).
             machine.mem_mut().map_region(VirtAddr(0), u32::MAX)?;
-            lanes.push(Mutex::new(Lane {
-                machine,
-                created: false,
-                exit_code: None,
-                handler: None,
-                signal_saved: None,
-                nondet: recording.inputs.nondet_for(ThreadId(tid as u32)).iter().copied().collect(),
-                last_reason: None,
-            }));
+            let thread = ReplayThread::new(recording, ThreadId(tid as u32));
+            lanes.push(Mutex::new(Lane { machine, thread }));
         }
         let canonical = Machine::new(program.clone(), lane_cpu)?;
         let indegree = dag.preds.iter().map(|p| AtomicUsize::new(p.len())).collect();
@@ -431,21 +401,8 @@ impl<'a> Runtime<'a> {
         Ok(runtime)
     }
 
-    fn diverged(&self, msg: impl Into<String>) -> QrError {
-        QrError::ReplayDivergence(msg.into())
-    }
-
-    /// The stack the kernel gave thread `tid` (same pure function of the
-    /// tid the serial replayer uses).
-    fn stack_range(&self, tid: ThreadId) -> (VirtAddr, VirtAddr) {
-        let os = &self.recording.meta.os;
-        let stride = os.stack_bytes + os.stack_guard_bytes;
-        let top = STACK_TOP - tid.0 * stride;
-        (VirtAddr(top - os.stack_bytes), VirtAddr(top))
-    }
-
     /// Creates thread `tid`: context on its lane, stack region mapped in
-    /// the canonical image (mirroring serial replay's mapping op).
+    /// the canonical image.
     fn create_thread(&self, tid: ThreadId, entry: VirtAddr, arg: u32) -> Result<()> {
         let mut lane = self
             .lanes
@@ -453,296 +410,60 @@ impl<'a> Runtime<'a> {
             .ok_or_else(|| QrError::ReplayDivergence(format!("spawn of unknown thread {tid}")))?
             .lock()
             .unwrap();
-        if lane.created {
-            return Err(self.diverged(format!("{tid} created twice")));
-        }
-        lane.created = true;
-        let (base, top) = self.stack_range(tid);
-        self.canonical.lock().unwrap().mem_mut().map_region(base, top.0 - base.0)?;
-        let mut ctx = CpuContext::new(entry);
-        ctx.set_reg(Reg::SP, top.0);
-        ctx.set_reg(Reg::R1, arg);
+        let (ctx, (base, len)) = lane.thread.create(self.recording, tid, entry, arg)?;
+        self.canonical.lock().unwrap().mem_mut().map_region(base, len)?;
         lane.machine.core_mut(CoreId(0)).swap_context(Some(ctx));
         Ok(())
     }
 
-    /// Copies the mapped parts of `lines` out of canonical memory.
-    fn pull_lines(&self, lines: &[LineAddr]) -> Vec<(VirtAddr, Vec<u8>)> {
-        if lines.is_empty() {
-            return Vec::new();
+    /// Executes one timeline node on its thread's lane: pull, replay
+    /// the event, apply its effect to the canonical image, push.
+    fn exec_node(&self, idx: usize) -> Result<()> {
+        let node = &self.dag.nodes[idx];
+        crate::obs::lines_pulled(node.pull.len());
+        crate::obs::lines_pushed(node.push().len());
+        let mut guard = self.lanes[node.event.tid().index()].lock().unwrap();
+        let lane = &mut *guard;
+        if !node.pull.is_empty() {
+            let canonical = self.canonical.lock().unwrap();
+            copy_lines(&canonical, &mut lane.machine, &mapped_regions(&canonical), &node.pull);
         }
-        let canonical = self.canonical.lock().unwrap();
-        let mem = canonical.mem().memory();
-        let regions: Vec<(u64, u64)> =
-            mem.regions().map(|(b, l)| (u64::from(b.0), u64::from(b.0) + u64::from(l))).collect();
-        let mut out = Vec::new();
-        for &line in lines {
-            let start = u64::from(line.0) << CACHE_LINE_SHIFT;
-            let end = start + (1 << CACHE_LINE_SHIFT);
-            for &(s, e) in &regions {
-                let (lo, hi) = (start.max(s), end.min(e));
-                if lo < hi {
-                    let mut buf = vec![0u8; (hi - lo) as usize];
-                    // Inside a mapped region by construction.
-                    mem.read_bytes(VirtAddr(lo as u32), &mut buf).expect("clipped to mapped region");
-                    out.push((VirtAddr(lo as u32), buf));
-                }
+        let before = lane.machine.core(CoreId(0)).cycles();
+        let mut retired = 0;
+        let effect = exec::exec_event(
+            &mut lane.machine,
+            CoreId(0),
+            &mut lane.thread,
+            &node.event,
+            self.recording.meta.tso_mode,
+            &mut retired,
+            None,
+        )?;
+        self.instructions.fetch_add(retired, Ordering::Relaxed);
+        match effect {
+            Effect::None => {}
+            Effect::Spawn { child, entry, arg } => self.create_thread(child, entry, arg)?,
+            Effect::Map { base, len } => {
+                self.canonical.lock().unwrap().mem_mut().map_region(base, len)?;
+            }
+            Effect::Console(bytes) => {
+                self.consoles.lock().unwrap().insert(idx, bytes);
             }
         }
-        out
-    }
-
-    /// Copies the mapped parts of `lines` from `lane` into canonical
-    /// memory. A write line with no mapped overlap at all is a
-    /// divergence: serial replay would have faulted on that store.
-    fn push_lines(&self, lane: &Lane, lines: &[LineAddr]) -> Result<()> {
-        if lines.is_empty() {
-            return Ok(());
-        }
-        let mut canonical = self.canonical.lock().unwrap();
-        let regions: Vec<(u64, u64)> = canonical
-            .mem()
-            .memory()
-            .regions()
-            .map(|(b, l)| (u64::from(b.0), u64::from(b.0) + u64::from(l)))
-            .collect();
-        for &line in lines {
-            let start = u64::from(line.0) << CACHE_LINE_SHIFT;
-            let end = start + (1 << CACHE_LINE_SHIFT);
-            let mut copied = false;
-            for &(s, e) in &regions {
-                let (lo, hi) = (start.max(s), end.min(e));
-                if lo < hi {
-                    let mut buf = vec![0u8; (hi - lo) as usize];
-                    lane.machine
-                        .mem()
-                        .memory()
-                        .read_bytes(VirtAddr(lo as u32), &mut buf)
-                        .expect("lane memory is fully mapped");
-                    canonical
-                        .mem_mut()
-                        .memory_mut()
-                        .write_bytes(VirtAddr(lo as u32), &buf)
-                        .expect("clipped to mapped region");
-                    copied = true;
-                }
-            }
-            if !copied {
-                return Err(self.diverged(format!(
+        let cost = lane.machine.core(CoreId(0)).cycles() - before;
+        if !node.push().is_empty() {
+            let mut canonical = self.canonical.lock().unwrap();
+            let mapped = mapped_regions(&canonical);
+            // Serial replay would have faulted on a store to a line no
+            // region maps.
+            if let Some(line) = copy_lines(&lane.machine, &mut canonical, &mapped, node.push()) {
+                return Err(QrError::ReplayDivergence(format!(
                     "chunk wrote line {:#x} outside every mapped region",
                     u64::from(line.0) << CACHE_LINE_SHIFT
                 )));
             }
         }
-        Ok(())
-    }
-
-    /// Executes one timeline node on its thread's lane.
-    fn exec_node(&self, idx: usize) -> Result<()> {
-        let node = &self.dag.nodes[idx];
-        crate::obs::lines_pulled(node.pull.len());
-        crate::obs::lines_pushed(node.push.len());
-        let mut lane = self.lanes[node.tid.index()].lock().unwrap();
-        for (addr, bytes) in self.pull_lines(&node.pull) {
-            lane.machine
-                .mem_mut()
-                .memory_mut()
-                .write_bytes(addr, &bytes)
-                .expect("lane memory is fully mapped");
-        }
-        let before = lane.machine.core(CoreId(0)).cycles();
-        match &node.kind {
-            NodeKind::Chunk(packet) => self.exec_chunk(&mut lane, packet)?,
-            NodeKind::Input(InputEvent::Syscall { record, .. }) => {
-                if let Some(fragment) = self.apply_syscall(&mut lane, record)? {
-                    self.consoles.lock().unwrap().insert(idx, fragment);
-                }
-            }
-            NodeKind::Input(InputEvent::Signal { tid, .. }) => self.deliver_signal(&mut lane, *tid)?,
-        }
-        let cost = lane.machine.core(CoreId(0)).cycles() - before;
-        self.push_lines(&lane, &node.push)?;
         self.costs[idx].store(cost, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// Instruction-exact chunk execution — the lane-local mirror of the
-    /// serial replayer's chunk loop (same nondet injection, boundary
-    /// drain rule and RSW cross-check).
-    fn exec_chunk(&self, lane: &mut Lane, packet: &ChunkPacket) -> Result<()> {
-        let tid = packet.tid;
-        let core = CoreId(0);
-        if !lane.created {
-            return Err(self.diverged(format!("chunk for never-created {tid}")));
-        }
-        if lane.exit_code.is_some() {
-            return Err(self.diverged(format!("chunk for exited {tid}")));
-        }
-        let mut retired = 0u64;
-        for i in 0..packet.icount {
-            let last = i + 1 == packet.icount;
-            let step = lane.machine.step(core);
-            if step.instruction_retired() {
-                retired += 1;
-            }
-            match step.outcome {
-                StepOutcome::Retired => {}
-                StepOutcome::Nondet { kind, rd } => {
-                    let (rec_kind, value) = lane.nondet.pop_front().ok_or_else(|| {
-                        QrError::ReplayDivergence(format!("{tid} ran out of nondet values"))
-                    })?;
-                    if rec_kind != kind {
-                        return Err(self.diverged(format!(
-                            "{tid} nondet kind mismatch: replayed {kind:?}, recorded {rec_kind:?}"
-                        )));
-                    }
-                    lane.machine.write_reg(core, rd, value);
-                }
-                StepOutcome::Syscall => {
-                    if !(last && packet.reason == TerminationReason::Syscall) {
-                        return Err(self.diverged(format!(
-                            "{tid} trapped into a syscall mid-chunk (instruction {i} of {})",
-                            packet.icount
-                        )));
-                    }
-                }
-                StepOutcome::Halt => {
-                    if !(last && packet.reason == TerminationReason::SphereEnd) {
-                        return Err(self.diverged(format!("{tid} halted mid-chunk")));
-                    }
-                }
-                StepOutcome::Fault(err) => {
-                    return Err(self.diverged(format!("{tid} faulted during replay: {err}")));
-                }
-                StepOutcome::Idle => {
-                    return Err(self.diverged(format!("{tid} has no context during its chunk")));
-                }
-            }
-        }
-        let drains = match packet.reason {
-            TerminationReason::Syscall
-            | TerminationReason::Trap
-            | TerminationReason::ContextSwitch
-            | TerminationReason::SphereEnd => true,
-            TerminationReason::IcOverflow | TerminationReason::SigSaturation => {
-                self.recording.meta.tso_mode == TsoMode::DrainAtChunk
-            }
-            TerminationReason::ConflictRaw
-            | TerminationReason::ConflictWar
-            | TerminationReason::ConflictWaw => false,
-        };
-        if drains {
-            crate::obs::store_buffer_drain();
-            lane.machine.drain_store_buffer(core)?;
-        }
-        let pending = lane.machine.mem().pending_stores(core).min(u8::MAX as usize) as u8;
-        if pending != packet.rsw {
-            return Err(self.diverged(format!(
-                "{tid} pending-store count {pending} != recorded rsw {}",
-                packet.rsw
-            )));
-        }
-        lane.last_reason = Some(packet.reason);
-        self.instructions.fetch_add(retired, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// Injects one recorded syscall, returning the console fragment a
-    /// successful `SYS_WRITE` reproduces.
-    fn apply_syscall(&self, lane: &mut Lane, record: &SyscallRecord) -> Result<Option<Vec<u8>>> {
-        let tid = record.tid;
-        let core = CoreId(0);
-        if !lane.created {
-            return Err(self.diverged(format!("syscall record for never-created {tid}")));
-        }
-        if lane.last_reason == Some(TerminationReason::Syscall) {
-            let replayed_number = lane.machine.read_reg(core, Reg::R0);
-            if replayed_number != record.number {
-                return Err(self.diverged(format!(
-                    "{tid} invoked syscall {replayed_number} but the log records {}",
-                    record.number
-                )));
-            }
-            if record.number == abi::SYS_EXIT {
-                let replayed_code = lane.machine.read_reg(core, Reg::R1);
-                if replayed_code != record.result {
-                    return Err(self.diverged(format!(
-                        "{tid} exited with {replayed_code} but the log records {}",
-                        record.result
-                    )));
-                }
-            }
-        }
-        for (addr, data) in &record.writes {
-            lane.machine
-                .mem_mut()
-                .memory_mut()
-                .write_bytes(*addr, data)
-                .map_err(|e| self.diverged(format!("kernel write during replay faulted: {e}")))?;
-        }
-        match record.number {
-            abi::SYS_EXIT => {
-                lane.exit_code = Some(record.result);
-                lane.machine.core_mut(core).swap_context(None);
-                return Ok(None);
-            }
-            abi::SYS_SIGRETURN => {
-                let saved = lane
-                    .signal_saved
-                    .take()
-                    .ok_or_else(|| QrError::ReplayDivergence(format!("{tid} sigreturn without a frame")))?;
-                lane.machine.core_mut(core).swap_context(Some(saved));
-                return Ok(None);
-            }
-            _ => {}
-        }
-        let a1 = lane.machine.read_reg(core, Reg::R1);
-        let a2 = lane.machine.read_reg(core, Reg::R2);
-        let mut fragment = None;
-        match record.number {
-            abi::SYS_SPAWN if record.result != EFAULT => {
-                self.create_thread(ThreadId(record.result), VirtAddr(a1), a2)?;
-            }
-            abi::SYS_SBRK if record.result != EFAULT => {
-                let grow = a1.div_ceil(64) * 64;
-                if grow > 0 {
-                    self.canonical.lock().unwrap().mem_mut().map_region(VirtAddr(record.result), grow)?;
-                }
-            }
-            abi::SYS_WRITE if record.result != EFAULT => {
-                let mut buf = vec![0u8; record.result as usize];
-                lane.machine
-                    .mem()
-                    .memory()
-                    .read_bytes(VirtAddr(a1), &mut buf)
-                    .map_err(|e| self.diverged(format!("console read during replay faulted: {e}")))?;
-                fragment = Some(buf);
-            }
-            abi::SYS_SIGACTION => {
-                lane.handler = (a1 != 0).then_some(VirtAddr(a1));
-            }
-            _ => {}
-        }
-        lane.machine.write_reg(core, Reg::R0, record.result);
-        Ok(fragment)
-    }
-
-    /// Redirects the lane to its signal handler (registers only, exactly
-    /// like the kernel's delivery path).
-    fn deliver_signal(&self, lane: &mut Lane, tid: ThreadId) -> Result<()> {
-        let handler = lane
-            .handler
-            .ok_or_else(|| QrError::ReplayDivergence(format!("signal for {tid} without a handler")))?;
-        let current = lane
-            .machine
-            .core_mut(CoreId(0))
-            .swap_context(None)
-            .ok_or_else(|| QrError::ReplayDivergence(format!("signal for contextless {tid}")))?;
-        let mut frame = current.clone();
-        lane.signal_saved = Some(current);
-        frame.set_pc(handler);
-        frame.set_reg(Reg::R1, 1);
-        lane.machine.core_mut(CoreId(0)).swap_context(Some(frame));
         Ok(())
     }
 
@@ -847,22 +568,10 @@ impl<'a> Runtime<'a> {
                 ),
             });
         }
-        let mut exit_codes = Vec::with_capacity(self.lanes.len());
-        let mut chunks_replayed = 0;
-        let mut inputs_injected = 0;
-        for node in &self.dag.nodes {
-            match node.kind {
-                NodeKind::Chunk(_) => chunks_replayed += 1,
-                NodeKind::Input(_) => inputs_injected += 1,
-            }
-        }
-        for (i, lane) in self.lanes.iter().enumerate() {
-            let lane = lane.lock().unwrap();
-            if lane.created && lane.exit_code.is_none() {
-                return Err(self.diverged(format!("tid{i} never exited during replay")));
-            }
-            exit_codes.push(lane.exit_code);
-        }
+        let chunks_replayed =
+            self.dag.nodes.iter().filter(|n| matches!(n.event, TimelineEvent::Chunk(_))).count();
+        let lanes: Vec<_> = self.lanes.iter().map(|lane| lane.lock().unwrap()).collect();
+        let exit_codes = exec::final_exit_codes(lanes.iter().map(|lane| &lane.thread))?;
         let mut console = Vec::new();
         for fragment in self.consoles.lock().unwrap().values() {
             console.extend_from_slice(fragment);
@@ -877,17 +586,8 @@ impl<'a> Runtime<'a> {
             cycles,
             instructions: self.instructions.load(Ordering::Relaxed),
             chunks_replayed,
-            inputs_injected,
+            inputs_injected: total - chunks_replayed,
         })
-    }
-}
-
-impl std::fmt::Debug for Runtime<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Runtime")
-            .field("nodes", &self.dag.nodes.len())
-            .field("jobs", &self.jobs)
-            .finish_non_exhaustive()
     }
 }
 
@@ -895,62 +595,10 @@ impl std::fmt::Debug for Runtime<'_> {
 mod tests {
     use super::*;
     use crate::replayer::replay;
+    use crate::testutil::racy_program;
     use qr_capo::{record, RecordingConfig};
     use qr_isa::Asm;
-
-    fn sys(a: &mut Asm, number: u32, set_args: impl FnOnce(&mut Asm)) {
-        a.movi_u(Reg::R0, number);
-        set_args(a);
-        a.syscall();
-    }
-
-    /// The serial replayer tests' locked-counter program.
-    fn racy_program() -> Program {
-        let mut a = Asm::new();
-        a.data_word("counter", &[0]);
-        a.align_data_line();
-        a.data_word("lock", &[0]);
-        sys(&mut a, abi::SYS_SPAWN, |a| {
-            a.movi_sym(Reg::R1, "work");
-            a.movi(Reg::R2, 0);
-        });
-        a.mov(Reg::R6, Reg::R0);
-        a.call("work_body");
-        sys(&mut a, abi::SYS_JOIN, |a| {
-            a.mov(Reg::R1, Reg::R6);
-        });
-        sys(&mut a, abi::SYS_EXIT, |a| {
-            a.movi_sym(Reg::R2, "counter");
-            a.ld(Reg::R1, Reg::R2, 0);
-        });
-        a.label("work");
-        a.call("work_body");
-        sys(&mut a, abi::SYS_EXIT, |a| {
-            a.movi(Reg::R1, 0);
-        });
-        a.label("work_body");
-        a.movi(Reg::R8, 40);
-        a.label("iter");
-        a.movi_sym(Reg::R2, "lock");
-        a.label("acquire");
-        a.movi(Reg::R3, 0);
-        a.movi(Reg::R4, 1);
-        a.cas(Reg::R3, Reg::R2, Reg::R4);
-        a.beqz(Reg::R3, "locked");
-        a.pause();
-        a.jmp("acquire");
-        a.label("locked");
-        a.movi_sym(Reg::R5, "counter");
-        a.ld(Reg::R7, Reg::R5, 0);
-        a.addi(Reg::R7, Reg::R7, 1);
-        a.st(Reg::R5, 0, Reg::R7);
-        a.movi(Reg::R3, 0);
-        a.xchg(Reg::R3, Reg::R2);
-        a.addi(Reg::R8, Reg::R8, -1);
-        a.bnez(Reg::R8, "iter");
-        a.ret();
-        a.finish().unwrap()
-    }
+    use qr_mem::TsoMode;
 
     #[test]
     fn parallel_matches_serial_on_the_racy_counter() {

@@ -26,39 +26,9 @@
 //! equivalent to checking them at issue.
 
 use qr_common::{ThreadId, VirtAddr};
+use quickrec_core::hb::VectorClock;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-
-/// A vector clock over thread ids.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct VectorClock {
-    ticks: Vec<u32>,
-}
-
-impl VectorClock {
-    fn of(n: usize) -> VectorClock {
-        VectorClock { ticks: vec![0; n] }
-    }
-
-    fn get(&self, t: ThreadId) -> u32 {
-        self.ticks.get(t.index()).copied().unwrap_or(0)
-    }
-
-    fn tick(&mut self, t: ThreadId) {
-        self.ticks[t.index()] += 1;
-    }
-
-    fn join(&mut self, other: &VectorClock) {
-        for (a, &b) in self.ticks.iter_mut().zip(&other.ticks) {
-            *a = (*a).max(b);
-        }
-    }
-
-    /// Whether the epoch `(t, c)` happened before this clock.
-    fn covers(&self, t: ThreadId, c: u32) -> bool {
-        c <= self.get(t)
-    }
-}
 
 /// Which kind of access participated in a race.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -159,14 +129,14 @@ impl RaceDetector {
             // vacuously covered by every clock).
             clocks: (0..num_threads)
                 .map(|i| {
-                    let mut vc = VectorClock::of(num_threads);
-                    vc.tick(ThreadId(i as u32));
+                    let mut vc = VectorClock::new(num_threads);
+                    vc.tick(i);
                     vc
                 })
                 .collect(),
             sync: HashMap::new(),
             exits: vec![None; num_threads],
-            signal_sync: (0..num_threads).map(|_| VectorClock::of(num_threads)).collect(),
+            signal_sync: (0..num_threads).map(|_| VectorClock::new(num_threads)).collect(),
             shadow: HashMap::new(),
             reported: HashMap::new(),
             races: Vec::new(),
@@ -198,16 +168,16 @@ impl RaceDetector {
             let mut conflict = None;
             let shadow = self.shadow.entry(word).or_default();
             if let Some((wt, wc, wk)) = shadow.last_write {
-                if wt != t && !clock.covers(wt, wc) && !(atomic && wk == AccessKind::Atomic) {
+                if wt != t && !clock.covers(wt.index(), wc) && !(atomic && wk == AccessKind::Atomic) {
                     conflict = Some(((wt, wk), (t, kind)));
                 }
             }
-            shadow.reads.insert(t, (self.clocks[t.index()].get(t), kind));
+            shadow.reads.insert(t, (self.clocks[t.index()].get(t.index()), kind));
             if let Some((first, second)) = conflict {
                 self.report(word, first, second);
             }
         }
-        self.clocks[t.index()].tick(t);
+        self.clocks[t.index()].tick(t.index());
     }
 
     /// Processes a write by `t` (plain drain or the write half of an
@@ -216,16 +186,16 @@ impl RaceDetector {
         let kind = if atomic { AccessKind::Atomic } else { AccessKind::Write };
         for word in Self::words(addr, width) {
             let clock = self.clocks[t.index()].clone();
-            let epoch = clock.get(t);
+            let epoch = clock.get(t.index());
             let shadow = self.shadow.entry(word).or_default();
             let mut conflicts = Vec::new();
             if let Some((wt, wc, wk)) = shadow.last_write {
-                if wt != t && !clock.covers(wt, wc) && !(atomic && wk == AccessKind::Atomic) {
+                if wt != t && !clock.covers(wt.index(), wc) && !(atomic && wk == AccessKind::Atomic) {
                     conflicts.push(((wt, wk), (t, kind)));
                 }
             }
             for (&rt, &(rc, rk)) in &shadow.reads {
-                if rt != t && !clock.covers(rt, rc) && !(atomic && rk == AccessKind::Atomic) {
+                if rt != t && !clock.covers(rt.index(), rc) && !(atomic && rk == AccessKind::Atomic) {
                     conflicts.push(((rt, rk), (t, kind)));
                 }
             }
@@ -238,10 +208,10 @@ impl RaceDetector {
         if atomic {
             // Release after the access: publish everything up to and
             // including this write.
-            self.clocks[t.index()].tick(t);
+            self.clocks[t.index()].tick(t.index());
             self.release(t, addr);
         } else {
-            self.clocks[t.index()].tick(t);
+            self.clocks[t.index()].tick(t.index());
         }
     }
 
@@ -256,7 +226,7 @@ impl RaceDetector {
         let entry = self
             .sync
             .entry(addr.0 & !3)
-            .or_insert_with(|| VectorClock::of(self.num_threads));
+            .or_insert_with(|| VectorClock::new(self.num_threads));
         entry.join(&self.clocks[t.index()]);
     }
 
@@ -264,7 +234,7 @@ impl RaceDetector {
     pub fn on_spawn(&mut self, parent: ThreadId, child: ThreadId) {
         let parent_clock = self.clocks[parent.index()].clone();
         self.clocks[child.index()].join(&parent_clock);
-        self.clocks[parent.index()].tick(parent);
+        self.clocks[parent.index()].tick(parent.index());
     }
 
     /// Exit edge: capture the thread's final clock for joiners.
@@ -282,7 +252,7 @@ impl RaceDetector {
     /// Futex-wake edge: release the waker's clock to the futex word.
     pub fn on_futex_wake(&mut self, waker: ThreadId, addr: VirtAddr) {
         self.release(waker, addr);
-        self.clocks[waker.index()].tick(waker);
+        self.clocks[waker.index()].tick(waker.index());
     }
 
     /// Futex-wait-return edge: acquire from the futex word.
@@ -295,7 +265,7 @@ impl RaceDetector {
     pub fn on_kill(&mut self, sender: ThreadId, target: ThreadId) {
         let clock = self.clocks[sender.index()].clone();
         self.signal_sync[target.index()].join(&clock);
-        self.clocks[sender.index()].tick(sender);
+        self.clocks[sender.index()].tick(sender.index());
     }
 
     /// Signal-delivery edge: the handler observes the sender.

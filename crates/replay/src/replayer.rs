@@ -1,16 +1,13 @@
 //! The chunk-ordered replayer.
 
+use crate::exec::{self, Effect, ReplayThread};
 use crate::outcome::ReplayOutcome;
 use crate::races::{RaceDetector, RaceReport};
-use qr_capo::{InputEvent, Recording};
+use qr_capo::{Recording, TimelineEntry, TimelineEvent};
 use qr_common::{CoreId, Cycle, QrError, Result, ThreadId, VirtAddr};
-use qr_cpu::{CpuConfig, CpuContext, Machine, NondetKind, StepOutcome};
-use qr_isa::program::STACK_TOP;
-use qr_isa::{abi, Program, Reg};
-use qr_mem::{MemEvent, TsoMode};
-use qr_os::kernel::EFAULT;
-use qr_os::SyscallRecord;
-use quickrec_core::{ChunkPacket, TerminationReason};
+use qr_cpu::{CpuConfig, CpuContext, Machine, NondetKind};
+use qr_isa::Program;
+use quickrec_core::TerminationReason;
 use std::collections::VecDeque;
 
 /// Replays `recording` of `program` and verifies the outcome matches.
@@ -54,18 +51,6 @@ pub fn replay_with_race_detection(
     Ok((outcome, report))
 }
 
-#[derive(Debug, Clone)]
-struct ReplayThread {
-    created: bool,
-    exit_code: Option<u32>,
-    handler: Option<VirtAddr>,
-    signal_saved: Option<CpuContext>,
-    nondet: VecDeque<(NondetKind, u32)>,
-    /// Reason of the thread's most recently replayed chunk, used to
-    /// cross-check syscall records against the replayed register state.
-    last_reason: Option<TerminationReason>,
-}
-
 /// One replay in progress.
 #[derive(Debug)]
 pub struct Replayer<'a> {
@@ -77,7 +62,7 @@ pub struct Replayer<'a> {
     chunks_replayed: usize,
     inputs_injected: usize,
     timeline_pos: usize,
-    timeline: Vec<TimelineEvent>,
+    timeline: Vec<TimelineEntry<'a>>,
     detector: Option<RaceDetector>,
 }
 
@@ -304,39 +289,6 @@ pub(crate) fn replay_cpu_config(recording: &Recording) -> Result<CpuConfig> {
     })
 }
 
-/// Builds the merged, timestamp-ordered timeline of chunks and input
-/// events for `recording` — the event sequence every replay (full,
-/// checkpointed, or seeked) steps through.
-///
-/// # Errors
-///
-/// Returns [`QrError::ReplayDivergence`] for duplicate timestamps, or
-/// log-decode errors from the chunk schedule.
-pub(crate) fn merged_timeline(recording: &Recording) -> Result<Vec<TimelineEvent>> {
-    let schedule = recording.chunks.replay_schedule()?;
-    let mut timeline: Vec<(Cycle, TimelineEvent)> = schedule
-        .into_iter()
-        .map(|p| (p.timestamp, TimelineEvent::Chunk(p)))
-        .chain(
-            recording
-                .inputs
-                .events()
-                .iter()
-                .map(|e| (e.ts(), TimelineEvent::Input(e.clone()))),
-        )
-        .collect();
-    timeline.sort_by_key(|(ts, _)| *ts);
-    for window in timeline.windows(2) {
-        if window[0].0 == window[1].0 {
-            return Err(QrError::ReplayDivergence(format!(
-                "duplicate timeline timestamp {}",
-                window[0].0
-            )));
-        }
-    }
-    Ok(timeline.into_iter().map(|(_, e)| e).collect())
-}
-
 impl<'a> Replayer<'a> {
     /// Prepares a replay: builds a machine with one virtual core per
     /// recorded thread (each thread keeps its own store buffer, which is
@@ -348,37 +300,22 @@ impl<'a> Replayer<'a> {
     /// match the recording, or [`QrError::Unsupported`] for recordings
     /// with more than 250 threads.
     pub fn new(program: &Program, recording: &'a Recording) -> Result<Replayer<'a>> {
-        if program.fingerprint() != recording.meta.program_fingerprint {
-            return Err(QrError::ReplayDivergence(
-                "program image does not match the recording".into(),
-            ));
-        }
+        exec::check_program(program, recording)?;
         let cpu = replay_cpu_config(recording)?;
-        let num_threads = cpu.num_cores;
-        let machine = Machine::new(program.clone(), cpu)?;
-        let threads = (0..num_threads)
-            .map(|i| ReplayThread {
-                created: false,
-                exit_code: None,
-                handler: None,
-                signal_saved: None,
-                nondet: recording.inputs.nondet_for(ThreadId(i as u32)).iter().copied().collect(),
-                last_reason: None,
-            })
-            .collect();
+        let threads =
+            (0..cpu.num_cores).map(|i| ReplayThread::new(recording, ThreadId(i as u32))).collect();
         let mut replayer = Replayer {
             recording,
-            machine,
+            machine: Machine::new(program.clone(), cpu)?,
             threads,
             console: Vec::new(),
             instructions: 0,
             chunks_replayed: 0,
             inputs_injected: 0,
             timeline_pos: 0,
-            timeline: Vec::new(),
+            timeline: recording.timeline()?,
             detector: None,
         };
-        replayer.timeline = replayer.build_timeline()?;
         replayer.create_thread(ThreadId(0), program.entry(), 0)?;
         Ok(replayer)
     }
@@ -388,33 +325,14 @@ impl<'a> Replayer<'a> {
         self.detector = Some(RaceDetector::new(self.threads.len()));
     }
 
-    fn diverged(&self, msg: impl Into<String>) -> QrError {
-        QrError::ReplayDivergence(msg.into())
-    }
-
-    /// The stack the kernel gave thread `tid` (allocation is sequential
-    /// in tid order, so the address is a pure function of the tid).
-    fn stack_range(&self, tid: ThreadId) -> (VirtAddr, VirtAddr) {
-        let os = &self.recording.meta.os;
-        let stride = os.stack_bytes + os.stack_guard_bytes;
-        let top = STACK_TOP - tid.0 * stride;
-        (VirtAddr(top - os.stack_bytes), VirtAddr(top))
-    }
-
+    /// Creates thread `tid`: context on its core, stack mapped.
     fn create_thread(&mut self, tid: ThreadId, entry: VirtAddr, arg: u32) -> Result<()> {
         let slot = self
             .threads
             .get_mut(tid.index())
             .ok_or_else(|| QrError::ReplayDivergence(format!("spawn of unknown thread {tid}")))?;
-        if slot.created {
-            return Err(QrError::ReplayDivergence(format!("{tid} created twice")));
-        }
-        slot.created = true;
-        let (base, top) = self.stack_range(tid);
-        self.machine.mem_mut().map_region(base, top.0 - base.0)?;
-        let mut ctx = CpuContext::new(entry);
-        ctx.set_reg(Reg::SP, top.0);
-        ctx.set_reg(Reg::R1, arg);
+        let (ctx, (base, len)) = slot.create(self.recording, tid, entry, arg)?;
+        self.machine.mem_mut().map_region(base, len)?;
         self.machine.core_mut(CoreId(tid.0 as u8)).swap_context(Some(ctx));
         Ok(())
     }
@@ -458,7 +376,7 @@ impl<'a> Replayer<'a> {
         if self.timeline_pos >= self.timeline.len() {
             return Ok(false);
         }
-        let event = self.timeline[self.timeline_pos].clone();
+        let event = self.timeline[self.timeline_pos].event;
         self.timeline_pos += 1;
         self.process_event(&event)?;
         Ok(true)
@@ -476,10 +394,7 @@ impl<'a> Replayer<'a> {
 
     /// The global timestamp of the next event to replay, if any.
     pub fn next_timestamp(&self) -> Option<Cycle> {
-        self.timeline.get(self.timeline_pos).map(|e| match e {
-            TimelineEvent::Chunk(p) => p.timestamp,
-            TimelineEvent::Input(ev) => ev.ts(),
-        })
+        self.timeline.get(self.timeline_pos).map(|e| e.event.ts())
     }
 
     /// Reads replayed guest memory at the current position.
@@ -534,13 +449,7 @@ impl<'a> Replayer<'a> {
 
     /// Validates terminal state and produces the outcome.
     fn finish(mut self) -> Result<(ReplayOutcome, RaceReport)> {
-        // Every created thread must have exited.
-        for (i, t) in self.threads.iter().enumerate() {
-            if t.created && t.exit_code.is_none() {
-                return Err(self.diverged(format!("tid{i} never exited during replay")));
-            }
-        }
-        let exit_codes: Vec<Option<u32>> = self.threads.iter().map(|t| t.exit_code).collect();
+        let exit_codes = exec::final_exit_codes(self.threads.iter())?;
         let fingerprint = qr_os::native::fingerprint_of(&self.machine, &self.console, &exit_codes);
         let cycles = (0..self.machine.num_cores())
             .map(|i| self.machine.core(CoreId(i as u8)).cycles())
@@ -560,23 +469,28 @@ impl<'a> Replayer<'a> {
         ))
     }
 
-    /// Builds the merged, timestamp-ordered timeline of chunks and
-    /// input events.
-    fn build_timeline(&self) -> Result<Vec<TimelineEvent>> {
-        merged_timeline(self.recording)
-    }
-
+    /// Replays one event on its thread's core and applies its effect to
+    /// this replay's one machine.
     fn process_event(&mut self, event: &TimelineEvent) -> Result<()> {
+        let tid = event.tid();
+        let effect = exec::exec_event(
+            &mut self.machine,
+            CoreId(tid.0 as u8),
+            &mut self.threads[tid.index()],
+            event,
+            self.recording.meta.tso_mode,
+            &mut self.instructions,
+            self.detector.as_mut(),
+        )?;
+        match effect {
+            Effect::None => {}
+            Effect::Spawn { child, entry, arg } => self.create_thread(child, entry, arg)?,
+            Effect::Map { base, len } => self.machine.mem_mut().map_region(base, len)?,
+            Effect::Console(bytes) => self.console.extend_from_slice(&bytes),
+        }
         match event {
-            TimelineEvent::Chunk(packet) => self.exec_chunk(packet)?,
-            TimelineEvent::Input(InputEvent::Syscall { record, .. }) => {
-                self.apply_syscall(record)?;
-                self.inputs_injected += 1;
-            }
-            TimelineEvent::Input(InputEvent::Signal { tid, .. }) => {
-                self.deliver_signal(*tid)?;
-                self.inputs_injected += 1;
-            }
+            TimelineEvent::Chunk(_) => self.chunks_replayed += 1,
+            TimelineEvent::Input(_) => self.inputs_injected += 1,
         }
         Ok(())
     }
@@ -647,7 +561,7 @@ impl<'a> Replayer<'a> {
                 "checkpoint does not belong to this program/recording".into(),
             ));
         }
-        let mut replayer = Replayer {
+        Ok(Replayer {
             recording,
             machine: checkpoint.machine,
             threads: checkpoint.threads,
@@ -656,308 +570,20 @@ impl<'a> Replayer<'a> {
             chunks_replayed: checkpoint.chunks_replayed,
             inputs_injected: checkpoint.inputs_injected,
             timeline_pos: checkpoint.timeline_pos,
-            timeline: Vec::new(),
+            timeline: recording.timeline()?,
             detector: None,
-        };
-        replayer.timeline = replayer.build_timeline()?;
-        Ok(replayer)
+        })
     }
-
-    fn exec_chunk(&mut self, packet: &ChunkPacket) -> Result<()> {
-        let tid = packet.tid;
-        let core = CoreId(tid.0 as u8);
-        if !self.threads[tid.index()].created {
-            return Err(self.diverged(format!("chunk for never-created {tid}")));
-        }
-        if self.threads[tid.index()].exit_code.is_some() {
-            return Err(self.diverged(format!("chunk for exited {tid}")));
-        }
-        for i in 0..packet.icount {
-            let last = i + 1 == packet.icount;
-            let step = self.machine.step(core);
-            if step.instruction_retired() {
-                self.instructions += 1;
-            }
-            if let Some(detector) = &mut self.detector {
-                for event in &step.events {
-                    match *event {
-                        MemEvent::LocalRead { addr, width, atomic, .. } => {
-                            detector.on_read(tid, addr, width, atomic);
-                        }
-                        MemEvent::LocalWrite { addr, width, atomic, .. } => {
-                            detector.on_write(tid, addr, width, atomic);
-                        }
-                        _ => {}
-                    }
-                }
-            }
-            match step.outcome {
-                StepOutcome::Retired => {}
-                StepOutcome::Nondet { kind, rd } => {
-                    let (rec_kind, value) = self.threads[tid.index()]
-                        .nondet
-                        .pop_front()
-                        .ok_or_else(|| {
-                            QrError::ReplayDivergence(format!("{tid} ran out of nondet values"))
-                        })?;
-                    if rec_kind != kind {
-                        return Err(self.diverged(format!(
-                            "{tid} nondet kind mismatch: replayed {kind:?}, recorded {rec_kind:?}"
-                        )));
-                    }
-                    self.machine.write_reg(core, rd, value);
-                }
-                StepOutcome::Syscall => {
-                    if !(last && packet.reason == TerminationReason::Syscall) {
-                        return Err(self.diverged(format!(
-                            "{tid} trapped into a syscall mid-chunk (instruction {i} of {})",
-                            packet.icount
-                        )));
-                    }
-                }
-                StepOutcome::Halt => {
-                    if !(last && packet.reason == TerminationReason::SphereEnd) {
-                        return Err(self.diverged(format!("{tid} halted mid-chunk")));
-                    }
-                }
-                StepOutcome::Fault(err) => {
-                    return Err(self.diverged(format!("{tid} faulted during replay: {err}")));
-                }
-                StepOutcome::Idle => {
-                    return Err(self.diverged(format!("{tid} has no context during its chunk")));
-                }
-            }
-        }
-        // Boundary drain: same rule the recorder applied.
-        let drains = match packet.reason {
-            TerminationReason::Syscall
-            | TerminationReason::Trap
-            | TerminationReason::ContextSwitch
-            | TerminationReason::SphereEnd => true,
-            TerminationReason::IcOverflow | TerminationReason::SigSaturation => {
-                self.recording.meta.tso_mode == TsoMode::DrainAtChunk
-            }
-            TerminationReason::ConflictRaw
-            | TerminationReason::ConflictWar
-            | TerminationReason::ConflictWaw => false,
-        };
-        if drains {
-            crate::obs::store_buffer_drain();
-            let access = self.machine.drain_store_buffer(core)?;
-            if let Some(detector) = &mut self.detector {
-                for event in &access.events {
-                    if let MemEvent::LocalWrite { addr, width, atomic, .. } = *event {
-                        detector.on_write(tid, addr, width, atomic);
-                    }
-                }
-            }
-        }
-        let pending = self.machine.mem().pending_stores(core).min(u8::MAX as usize) as u8;
-        if pending != packet.rsw {
-            return Err(self.diverged(format!(
-                "{tid} pending-store count {pending} != recorded rsw {}",
-                packet.rsw
-            )));
-        }
-        self.threads[tid.index()].last_reason = Some(packet.reason);
-        self.chunks_replayed += 1;
-        Ok(())
-    }
-
-    fn apply_syscall(&mut self, record: &SyscallRecord) -> Result<()> {
-        let tid = record.tid;
-        let core = CoreId(tid.0 as u8);
-        if !self.threads[tid.index()].created {
-            return Err(self.diverged(format!("syscall record for never-created {tid}")));
-        }
-        // Cross-check the record against the replayed register state: the
-        // thread stopped right after its syscall instruction, so `R0`
-        // still holds the syscall number it actually invoked. A mismatch
-        // means the log was reordered or tampered with.
-        if self.threads[tid.index()].last_reason == Some(TerminationReason::Syscall) {
-            let replayed_number = self.machine.read_reg(core, Reg::R0);
-            if replayed_number != record.number {
-                return Err(self.diverged(format!(
-                    "{tid} invoked syscall {replayed_number} but the log records {}",
-                    record.number
-                )));
-            }
-            // An explicit exit's code comes from the replayed R1; the
-            // injected result must agree.
-            if record.number == abi::SYS_EXIT {
-                let replayed_code = self.machine.read_reg(core, Reg::R1);
-                if replayed_code != record.result {
-                    return Err(self.diverged(format!(
-                        "{tid} exited with {replayed_code} but the log records {}",
-                        record.result
-                    )));
-                }
-            }
-        }
-        // Kernel writes into user memory (read payloads) land first, at
-        // this timeline position.
-        for (addr, data) in &record.writes {
-            self.machine.mem_mut().memory_mut().write_bytes(*addr, data)?;
-        }
-        match record.number {
-            abi::SYS_EXIT => {
-                if let Some(detector) = &mut self.detector {
-                    detector.on_exit(tid);
-                }
-                self.threads[tid.index()].exit_code = Some(record.result);
-                self.machine.core_mut(core).swap_context(None);
-                return Ok(());
-            }
-            abi::SYS_SIGRETURN => {
-                let saved = self.threads[tid.index()]
-                    .signal_saved
-                    .take()
-                    .ok_or_else(|| QrError::ReplayDivergence(format!("{tid} sigreturn without a frame")))?;
-                self.machine.core_mut(core).swap_context(Some(saved));
-                return Ok(());
-            }
-            _ => {}
-        }
-        // Structural effects read the caller's argument registers, which
-        // replay has reproduced.
-        let a1 = self.machine.read_reg(core, Reg::R1);
-        let a2 = self.machine.read_reg(core, Reg::R2);
-        // Happens-before edges for the race detector.
-        if let Some(detector) = &mut self.detector {
-            match record.number {
-                abi::SYS_SPAWN if record.result != EFAULT => {
-                    detector.on_spawn(tid, ThreadId(record.result));
-                }
-                abi::SYS_JOIN if record.result != EFAULT => {
-                    detector.on_join(tid, ThreadId(a1));
-                }
-                abi::SYS_FUTEX_WAKE => detector.on_futex_wake(tid, VirtAddr(a1)),
-                abi::SYS_FUTEX_WAIT => detector.on_futex_wait(tid, VirtAddr(a1)),
-                abi::SYS_KILL if record.result != EFAULT => {
-                    detector.on_kill(tid, ThreadId(a1));
-                }
-                abi::SYS_WRITE if record.result != EFAULT => {
-                    detector.on_kernel_read(tid, VirtAddr(a1), record.result as usize);
-                }
-                abi::SYS_READ if record.result != EFAULT => {
-                    for (addr, data) in &record.writes {
-                        detector.on_kernel_write(tid, *addr, data.len());
-                    }
-                }
-                _ => {}
-            }
-        }
-        match record.number {
-            abi::SYS_SPAWN if record.result != EFAULT => {
-                self.create_thread(ThreadId(record.result), VirtAddr(a1), a2)?;
-            }
-            abi::SYS_SBRK if record.result != EFAULT => {
-                let grow = a1.div_ceil(64) * 64;
-                if grow > 0 {
-                    self.machine.mem_mut().map_region(VirtAddr(record.result), grow)?;
-                }
-            }
-            abi::SYS_WRITE if record.result != EFAULT => {
-                let mut buf = vec![0u8; record.result as usize];
-                self.machine.mem().memory().read_bytes(VirtAddr(a1), &mut buf)?;
-                self.console.extend_from_slice(&buf);
-            }
-            abi::SYS_SIGACTION => {
-                self.threads[tid.index()].handler = (a1 != 0).then_some(VirtAddr(a1));
-            }
-            _ => {}
-        }
-        self.machine.write_reg(core, Reg::R0, record.result);
-        Ok(())
-    }
-
-    fn deliver_signal(&mut self, tid: ThreadId) -> Result<()> {
-        if let Some(detector) = &mut self.detector {
-            detector.on_signal_delivery(tid);
-        }
-        let core = CoreId(tid.0 as u8);
-        let handler = self.threads[tid.index()]
-            .handler
-            .ok_or_else(|| QrError::ReplayDivergence(format!("signal for {tid} without a handler")))?;
-        let current = self
-            .machine
-            .core_mut(core)
-            .swap_context(None)
-            .ok_or_else(|| QrError::ReplayDivergence(format!("signal for contextless {tid}")))?;
-        let mut frame = current.clone();
-        self.threads[tid.index()].signal_saved = Some(current);
-        frame.set_pc(handler);
-        frame.set_reg(Reg::R1, 1);
-        self.machine.core_mut(core).swap_context(Some(frame));
-        Ok(())
-    }
-}
-
-#[derive(Debug, Clone)]
-pub(crate) enum TimelineEvent {
-    Chunk(ChunkPacket),
-    Input(InputEvent),
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::{racy_program, sys};
     use qr_capo::{record, RecordingConfig};
-    use qr_isa::Asm;
-
-    fn sys(a: &mut Asm, number: u32, set_args: impl FnOnce(&mut Asm)) {
-        a.movi_u(Reg::R0, number);
-        set_args(a);
-        a.syscall();
-    }
-
-    /// Locked-counter program with two threads (same as the capo test).
-    fn racy_program() -> Program {
-        let mut a = Asm::new();
-        a.data_word("counter", &[0]);
-        a.align_data_line();
-        a.data_word("lock", &[0]);
-        sys(&mut a, abi::SYS_SPAWN, |a| {
-            a.movi_sym(Reg::R1, "work");
-            a.movi(Reg::R2, 0);
-        });
-        a.mov(Reg::R6, Reg::R0);
-        a.call("work_body");
-        sys(&mut a, abi::SYS_JOIN, |a| {
-            a.mov(Reg::R1, Reg::R6);
-        });
-        sys(&mut a, abi::SYS_EXIT, |a| {
-            a.movi_sym(Reg::R2, "counter");
-            a.ld(Reg::R1, Reg::R2, 0);
-        });
-        a.label("work");
-        a.call("work_body");
-        sys(&mut a, abi::SYS_EXIT, |a| {
-            a.movi(Reg::R1, 0);
-        });
-        a.label("work_body");
-        a.movi(Reg::R8, 40);
-        a.label("iter");
-        a.movi_sym(Reg::R2, "lock");
-        a.label("acquire");
-        a.movi(Reg::R3, 0);
-        a.movi(Reg::R4, 1);
-        a.cas(Reg::R3, Reg::R2, Reg::R4);
-        a.beqz(Reg::R3, "locked");
-        a.pause();
-        a.jmp("acquire");
-        a.label("locked");
-        a.movi_sym(Reg::R5, "counter");
-        a.ld(Reg::R7, Reg::R5, 0);
-        a.addi(Reg::R7, Reg::R7, 1);
-        a.st(Reg::R5, 0, Reg::R7);
-        a.movi(Reg::R3, 0);
-        a.xchg(Reg::R3, Reg::R2);
-        a.addi(Reg::R8, Reg::R8, -1);
-        a.bnez(Reg::R8, "iter");
-        a.ret();
-        a.finish().unwrap()
-    }
+    use qr_isa::{abi, Asm, Reg};
+    use qr_mem::TsoMode;
+    use quickrec_core::ChunkPacket;
 
     #[test]
     fn racy_recording_replays_exactly() {

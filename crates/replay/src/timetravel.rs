@@ -23,8 +23,8 @@
 //! because the index is a cache of replay state, never a source of
 //! truth.
 
-use crate::replayer::{merged_timeline, replay_cpu_config, ReplayCheckpoint, Replayer, TimelineEvent};
-use qr_capo::{InputEvent, Recording};
+use crate::replayer::{replay_cpu_config, ReplayCheckpoint, Replayer};
+use qr_capo::{InputEvent, Recording, TimelineEvent};
 use qr_common::cursor::ByteReader;
 use qr_common::frame::{self, PayloadKind};
 use qr_common::varint::write_u64;
@@ -101,34 +101,23 @@ pub struct EventDescriptor {
 /// Propagates timeline construction errors (duplicate timestamps,
 /// malformed chunk schedules).
 pub fn timeline_descriptors(recording: &Recording) -> Result<Vec<EventDescriptor>> {
-    Ok(merged_timeline(recording)?
-        .into_iter()
-        .enumerate()
-        .map(|(pos, event)| match event {
-            TimelineEvent::Chunk(p) => EventDescriptor {
+    Ok((recording.timeline()?.iter().enumerate())
+        .map(|(pos, entry)| {
+            let (kind, icount, detail) = match entry.event {
+                TimelineEvent::Chunk(p) => (EventKind::Chunk, p.icount, u32::from(p.reason.code())),
+                TimelineEvent::Input(InputEvent::Syscall { record, .. }) => {
+                    (EventKind::Syscall, 0, record.number)
+                }
+                TimelineEvent::Input(InputEvent::Signal { .. }) => (EventKind::Signal, 0, 0),
+            };
+            EventDescriptor {
                 pos: pos as u64,
-                kind: EventKind::Chunk,
-                tid: p.tid,
-                timestamp: p.timestamp,
-                icount: p.icount,
-                detail: u32::from(p.reason.code()),
-            },
-            TimelineEvent::Input(InputEvent::Syscall { ts, record }) => EventDescriptor {
-                pos: pos as u64,
-                kind: EventKind::Syscall,
-                tid: record.tid,
-                timestamp: ts,
-                icount: 0,
-                detail: record.number,
-            },
-            TimelineEvent::Input(InputEvent::Signal { ts, tid }) => EventDescriptor {
-                pos: pos as u64,
-                kind: EventKind::Signal,
-                tid,
-                timestamp: ts,
-                icount: 0,
-                detail: 0,
-            },
+                kind,
+                tid: entry.event.tid(),
+                timestamp: entry.event.ts(),
+                icount,
+                detail,
+            }
         })
         .collect())
 }

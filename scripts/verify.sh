@@ -282,4 +282,11 @@ if [ -e "$e16_dir/qd.sock" ]; then
 fi
 echo "128 multiplexed connections served by the live daemon; fetches byte-identical"
 
+echo "== end-to-end benchmark smoke: bench/ builds against these crates, every workload correct =="
+# bench/ is its own package depending on the workspace crates by path;
+# nothing above builds it. run.sh exits non-zero on a build failure or
+# on any wrong output ("failed": 0 on every workload, traced and not).
+bash bench/run.sh --quick > /dev/null
+echo "qr-e2e built from source; all workloads ran with zero failed operations"
+
 echo "== verify OK =="
