@@ -148,8 +148,13 @@ impl RecordingSession {
                 // Invariant 1: count retirement before processing events.
                 overflow = self.bank.unit_mut(core).note_retired();
             }
-            self.note_footprint(&step.events);
-            self.process_mem_events(&step.events)?;
+            // Processing re-enters the machine (terminate drains store
+            // buffers), so borrow the step's events by moving the buffer
+            // out and back rather than copying them.
+            let events = self.machine.take_events();
+            self.note_footprint(&events);
+            self.process_mem_events(&events)?;
+            self.machine.restore_events(events);
             // An overflow that coincides with a syscall or halt yields to
             // that boundary's own termination (reason Syscall/SphereEnd),
             // so the packet's reason always tells the replayer what the
@@ -208,8 +213,7 @@ impl RecordingSession {
                     let out = self.kernel.handle_halt(&mut self.machine, core);
                     self.apply_outcome(core, out)?;
                 }
-                StepOutcome::Fault(ref err) => {
-                    let err = err.clone();
+                StepOutcome::Fault(err) => {
                     let drain = self.machine.drain_store_buffer(core)?;
                     self.note_footprint(&drain.events);
                     self.process_mem_events(&drain.events)?;

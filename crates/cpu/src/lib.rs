@@ -12,9 +12,16 @@
 //!   orchestrator instead of being handled internally, which is what makes
 //!   record and replay symmetric — the environment supplies the values,
 //!
-//! - every step reports the retired instruction's memory events so the
+//! - every step leaves the retired instruction's memory events in one
+//!   buffer the machine owns ([`machine::Machine::events`]) so the
 //!   recording hardware can grow its chunk signatures and detect
-//!   conflicts,
+//!   conflicts. The slice is valid until the next `step` on that machine
+//!   and empty after a fault or an idle step; the buffer is reused, so a
+//!   warmed-up `step` never allocates, and it is scratch, not state —
+//!   `save_state`/`restore_state` never see it. An orchestrator that must
+//!   call back into the machine while walking the events moves the buffer
+//!   out and back ([`machine::Machine::take_events`] /
+//!   [`machine::Machine::restore_events`]),
 //!
 //! - faults are reported as outcomes (the kernel kills the thread), not
 //!   simulator errors.

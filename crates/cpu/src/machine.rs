@@ -7,7 +7,7 @@ use qr_common::{CoreId, QrError, Result, VirtAddr};
 use qr_isa::instr::{AluOp, Instr};
 use qr_isa::program::{Program, DATA_BASE, INSTR_BYTES};
 use qr_isa::Reg;
-use qr_mem::{Access, MemConfig, MemorySystem};
+use qr_mem::{Access, MemConfig, MemEvent, MemorySystem};
 
 /// Machine-level configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,6 +59,10 @@ pub struct Machine {
     program: Program,
     cores: Vec<Core>,
     mem: MemorySystem,
+    /// Memory events of the most recent [`Machine::step`]. Scratch, not
+    /// state: reused so the retire path never allocates, and invisible to
+    /// [`Machine::save_state`].
+    events: Vec<MemEvent>,
 }
 
 impl Machine {
@@ -76,7 +80,13 @@ impl Machine {
             mem.map_region(VirtAddr(DATA_BASE), program.data().len() as u32)?;
             mem.memory_mut().write_bytes(VirtAddr(DATA_BASE), program.data())?;
         }
-        Ok(Machine { cores: (0..cfg.num_cores).map(|_| Core::new()).collect(), program, mem, cfg })
+        Ok(Machine {
+            cores: (0..cfg.num_cores).map(|_| Core::new()).collect(),
+            program,
+            mem,
+            cfg,
+            events: Vec::new(),
+        })
     }
 
     /// The loaded program.
@@ -203,235 +213,217 @@ impl Machine {
         self.mem.restore_state(r)
     }
 
-    /// Steps one instruction on `core`.
+    /// Memory events the most recent [`Machine::step`] produced, in
+    /// occurrence order. Valid until the next `step` on this machine;
+    /// empty after a faulting or idle step.
+    pub fn events(&self) -> &[MemEvent] {
+        &self.events
+    }
+
+    /// Moves the event buffer out, so an orchestrator can walk the last
+    /// step's events while calling back into the machine. Hand it back
+    /// with [`Machine::restore_events`] to keep stepping allocation-free.
+    pub fn take_events(&mut self) -> Vec<MemEvent> {
+        std::mem::take(&mut self.events)
+    }
+
+    /// Returns a buffer taken with [`Machine::take_events`].
+    pub fn restore_events(&mut self, events: Vec<MemEvent>) {
+        self.events = events;
+    }
+
+    /// Steps one instruction on `core`. The step's memory events are
+    /// left in [`Machine::events`].
     pub fn step(&mut self, core_id: CoreId) -> StepResult {
-        let idx = core_id.index();
-        if self.cores[idx].is_idle() {
-            self.cores[idx].add_cycles(1);
-            return StepResult { outcome: StepOutcome::Idle, cycles: 1, events: Vec::new() };
-        }
-        let pc = self.cores[idx].context().expect("busy core has context").pc();
-        let Some(instr) = self.program.instr_at(pc) else {
-            return StepResult {
-                outcome: StepOutcome::Fault(QrError::Execution {
-                    detail: format!("bad program counter {pc}"),
-                }),
-                cycles: 1,
-                events: Vec::new(),
-            };
+        let Machine { cfg, program, cores, mem, events } = self;
+        events.clear();
+        let core = &mut cores[core_id.index()];
+        let Some(ctx) = core.context_mut() else {
+            core.add_cycles(1);
+            return StepResult { outcome: StepOutcome::Idle, cycles: 1 };
         };
-        let mut result = match self.execute(core_id, pc, instr) {
-            Ok(r) => r,
-            Err(fault) => StepResult {
-                outcome: StepOutcome::Fault(fault),
-                cycles: 1,
-                events: Vec::new(),
-            },
+        let pc = ctx.pc();
+        let Some(instr) = program.instr_at(pc) else {
+            return StepResult::fault(QrError::Execution {
+                detail: format!("bad program counter {pc}"),
+            });
+        };
+        let mut result = match execute(ctx, mem, events, core_id, pc, instr) {
+            Ok((outcome, cycles)) => StepResult { outcome, cycles },
+            Err(fault) => {
+                // Whatever the instruction did before faulting (a forced
+                // drain, say) is not reported.
+                events.clear();
+                StepResult::fault(fault)
+            }
         };
         if result.instruction_retired() {
-            self.cores[idx].count_retired();
-            let thread_retired = {
-                let ctx = self.cores[idx].context_mut().expect("busy core has context");
-                ctx.count_retired();
-                ctx.retired()
-            };
+            ctx.count_retired();
+            let thread_retired = ctx.retired();
+            core.count_retired();
             // Background store-buffer drain, keyed on the *context's*
             // retired count so drain points are a deterministic function
             // of the thread's instruction stream (replay reproduces them
             // even though threads migrate between cores).
-            if thread_retired % self.cfg.drain_interval == 0 {
-                match self.mem.drain_one(core_id) {
-                    Ok(access) => {
-                        result.cycles += access.cycles;
-                        result.events.extend(access.events);
-                    }
-                    Err(fault) => result.outcome = StepOutcome::Fault(fault),
+            if thread_retired % cfg.drain_interval == 0 {
+                match mem.drain_one_into(core_id, events) {
+                    Ok(cycles) => result.cycles += cycles,
+                    Err(fault) => result.outcome = StepOutcome::Fault(Box::new(fault)),
                 }
             }
         }
-        self.cores[idx].add_cycles(result.cycles);
+        core.add_cycles(result.cycles);
         result
     }
+}
 
-    /// Executes one decoded instruction. Register/PC state is only
-    /// committed after every fallible memory operation has succeeded, so
-    /// a fault leaves the context at the faulting instruction.
-    fn execute(&mut self, core: CoreId, pc: VirtAddr, instr: Instr) -> Result<StepResult> {
-        let next_pc = pc.wrapping_add(INSTR_BYTES);
-        fn ctx(cores: &[Core], core: CoreId) -> &CpuContext {
-            cores[core.index()].context().expect("busy core has context")
-        }
-        let mut cycles = 1u64;
-        let mut events = Vec::new();
-        let mut outcome = StepOutcome::Retired;
+/// Executes one decoded instruction on the context `ctx` running on
+/// `core`, appending its memory events to `events`. Register/PC state is
+/// only committed after every fallible memory operation has succeeded, so
+/// a fault leaves the context at the faulting instruction.
+#[inline]
+fn execute(
+    ctx: &mut CpuContext,
+    mem: &mut MemorySystem,
+    events: &mut Vec<MemEvent>,
+    core: CoreId,
+    pc: VirtAddr,
+    instr: Instr,
+) -> Result<(StepOutcome, u64)> {
+    let next_pc = pc.wrapping_add(INSTR_BYTES);
+    let mut cycles = 1u64;
+    let mut outcome = StepOutcome::Retired;
 
-        macro_rules! set {
-            ($r:expr, $v:expr) => {
-                self.cores[core.index()]
-                    .context_mut()
-                    .expect("busy core has context")
-                    .set_reg($r, $v)
-            };
-        }
-        macro_rules! setpc {
-            ($v:expr) => {
-                self.cores[core.index()]
-                    .context_mut()
-                    .expect("busy core has context")
-                    .set_pc($v)
-            };
-        }
-
-        match instr {
-            Instr::Nop | Instr::Pause => {
-                setpc!(next_pc);
-            }
-            Instr::Movi { rd, imm } => {
-                set!(rd, imm);
-                setpc!(next_pc);
-            }
-            Instr::Mov { rd, rs } => {
-                let v = ctx(&self.cores, core).reg(rs);
-                set!(rd, v);
-                setpc!(next_pc);
-            }
-            Instr::Alu { op, rd, rs1, rs2 } => {
-                let (a, b) = (ctx(&self.cores, core).reg(rs1), ctx(&self.cores, core).reg(rs2));
-                let v = alu(op, a, b)?;
-                set!(rd, v);
-                setpc!(next_pc);
-            }
-            Instr::AluImm { op, rd, rs1, imm } => {
-                let a = ctx(&self.cores, core).reg(rs1);
-                let v = alu(op, a, imm)?;
-                set!(rd, v);
-                setpc!(next_pc);
-            }
-            Instr::Ld { rd, base, offset, width } => {
-                let addr = VirtAddr(ctx(&self.cores, core).reg(base).wrapping_add(offset as u32));
-                let access = self.mem.read(core, addr, width.bytes())?;
-                cycles += access.cycles;
-                events.extend(access.events);
-                set!(rd, access.value);
-                setpc!(next_pc);
-            }
-            Instr::St { src, base, offset, width } => {
-                let addr = VirtAddr(ctx(&self.cores, core).reg(base).wrapping_add(offset as u32));
-                let value = ctx(&self.cores, core).reg(src);
-                let access = self.mem.write(core, addr, width.bytes(), value)?;
-                cycles += access.cycles;
-                events.extend(access.events);
-                setpc!(next_pc);
-            }
-            Instr::Cas { rd, addr, src } => {
-                let target = VirtAddr(ctx(&self.cores, core).reg(addr));
-                let expected = ctx(&self.cores, core).reg(rd);
-                let new = ctx(&self.cores, core).reg(src);
-                let access = self
-                    .mem
-                    .atomic_rmw(core, target, |old| if old == expected { new } else { old })?;
-                cycles += access.cycles;
-                events.extend(access.events);
-                set!(rd, access.value);
-                setpc!(next_pc);
-            }
-            Instr::Xchg { rd, addr } => {
-                let target = VirtAddr(ctx(&self.cores, core).reg(addr));
-                let new = ctx(&self.cores, core).reg(rd);
-                let access = self.mem.atomic_rmw(core, target, |_| new)?;
-                cycles += access.cycles;
-                events.extend(access.events);
-                set!(rd, access.value);
-                setpc!(next_pc);
-            }
-            Instr::FetchAdd { rd, addr, src } => {
-                let target = VirtAddr(ctx(&self.cores, core).reg(addr));
-                let delta = ctx(&self.cores, core).reg(src);
-                let access = self.mem.atomic_rmw(core, target, |old| old.wrapping_add(delta))?;
-                cycles += access.cycles;
-                events.extend(access.events);
-                set!(rd, access.value);
-                setpc!(next_pc);
-            }
-            Instr::Fence => {
-                let access = self.mem.fence(core)?;
-                cycles += access.cycles;
-                events.extend(access.events);
-                setpc!(next_pc);
-            }
-            Instr::Jmp { target } => {
-                setpc!(VirtAddr(target));
-            }
-            Instr::Jr { rs } => {
-                let target = ctx(&self.cores, core).reg(rs);
-                setpc!(VirtAddr(target));
-            }
-            Instr::Br { cond, rs1, rs2, target } => {
-                let (a, b) = (ctx(&self.cores, core).reg(rs1), ctx(&self.cores, core).reg(rs2));
-                setpc!(if cond.eval(a, b) { VirtAddr(target) } else { next_pc });
-            }
-            Instr::Call { target } => {
-                let sp = ctx(&self.cores, core).reg(Reg::SP).wrapping_sub(4);
-                let access = self.mem.write(core, VirtAddr(sp), 4, next_pc.0)?;
-                cycles += access.cycles;
-                events.extend(access.events);
-                set!(Reg::SP, sp);
-                setpc!(VirtAddr(target));
-            }
-            Instr::CallR { rs } => {
-                let target = ctx(&self.cores, core).reg(rs);
-                let sp = ctx(&self.cores, core).reg(Reg::SP).wrapping_sub(4);
-                let access = self.mem.write(core, VirtAddr(sp), 4, next_pc.0)?;
-                cycles += access.cycles;
-                events.extend(access.events);
-                set!(Reg::SP, sp);
-                setpc!(VirtAddr(target));
-            }
-            Instr::Ret => {
-                let sp = ctx(&self.cores, core).reg(Reg::SP);
-                let access = self.mem.read(core, VirtAddr(sp), 4)?;
-                cycles += access.cycles;
-                events.extend(access.events);
-                set!(Reg::SP, sp.wrapping_add(4));
-                setpc!(VirtAddr(access.value));
-            }
-            Instr::Push { rs } => {
-                let sp = ctx(&self.cores, core).reg(Reg::SP).wrapping_sub(4);
-                let value = ctx(&self.cores, core).reg(rs);
-                let access = self.mem.write(core, VirtAddr(sp), 4, value)?;
-                cycles += access.cycles;
-                events.extend(access.events);
-                set!(Reg::SP, sp);
-                setpc!(next_pc);
-            }
-            Instr::Pop { rd } => {
-                let sp = ctx(&self.cores, core).reg(Reg::SP);
-                let access = self.mem.read(core, VirtAddr(sp), 4)?;
-                cycles += access.cycles;
-                events.extend(access.events);
-                set!(rd, access.value);
-                set!(Reg::SP, sp.wrapping_add(4));
-                setpc!(next_pc);
-            }
-            Instr::Syscall => {
-                setpc!(next_pc);
-                outcome = StepOutcome::Syscall;
-            }
-            Instr::Rdtsc { rd } => {
-                setpc!(next_pc);
-                outcome = StepOutcome::Nondet { kind: NondetKind::Rdtsc, rd };
-            }
-            Instr::Rdrand { rd } => {
-                setpc!(next_pc);
-                outcome = StepOutcome::Nondet { kind: NondetKind::Rdrand, rd };
-            }
-            Instr::Halt => {
-                setpc!(next_pc);
-                outcome = StepOutcome::Halt;
-            }
-        }
-        Ok(StepResult { outcome, cycles, events })
+    // The memory operations, each adding its extra cycles.
+    macro_rules! load {
+        ($addr:expr, $width:expr) => {{
+            let (value, extra) = mem.read_into(core, $addr, $width, events)?;
+            cycles += extra;
+            value
+        }};
     }
+    macro_rules! store {
+        ($addr:expr, $width:expr, $value:expr) => {
+            cycles += mem.write_into(core, $addr, $width, $value, events)?
+        };
+    }
+    macro_rules! rmw {
+        ($addr:expr, $f:expr) => {{
+            let (old, extra) = mem.atomic_rmw_into(core, $addr, $f, events)?;
+            cycles += extra;
+            old
+        }};
+    }
+
+    match instr {
+        Instr::Nop | Instr::Pause => ctx.set_pc(next_pc),
+        Instr::Movi { rd, imm } => {
+            ctx.set_reg(rd, imm);
+            ctx.set_pc(next_pc);
+        }
+        Instr::Mov { rd, rs } => {
+            ctx.set_reg(rd, ctx.reg(rs));
+            ctx.set_pc(next_pc);
+        }
+        Instr::Alu { op, rd, rs1, rs2 } => {
+            let v = alu(op, ctx.reg(rs1), ctx.reg(rs2))?;
+            ctx.set_reg(rd, v);
+            ctx.set_pc(next_pc);
+        }
+        Instr::AluImm { op, rd, rs1, imm } => {
+            let v = alu(op, ctx.reg(rs1), imm)?;
+            ctx.set_reg(rd, v);
+            ctx.set_pc(next_pc);
+        }
+        Instr::Ld { rd, base, offset, width } => {
+            let addr = VirtAddr(ctx.reg(base).wrapping_add(offset as u32));
+            let value = load!(addr, width.bytes());
+            ctx.set_reg(rd, value);
+            ctx.set_pc(next_pc);
+        }
+        Instr::St { src, base, offset, width } => {
+            let addr = VirtAddr(ctx.reg(base).wrapping_add(offset as u32));
+            store!(addr, width.bytes(), ctx.reg(src));
+            ctx.set_pc(next_pc);
+        }
+        Instr::Cas { rd, addr, src } => {
+            let (expected, new) = (ctx.reg(rd), ctx.reg(src));
+            let old = rmw!(VirtAddr(ctx.reg(addr)), |old| if old == expected { new } else { old });
+            ctx.set_reg(rd, old);
+            ctx.set_pc(next_pc);
+        }
+        Instr::Xchg { rd, addr } => {
+            let new = ctx.reg(rd);
+            let old = rmw!(VirtAddr(ctx.reg(addr)), |_| new);
+            ctx.set_reg(rd, old);
+            ctx.set_pc(next_pc);
+        }
+        Instr::FetchAdd { rd, addr, src } => {
+            let delta = ctx.reg(src);
+            let old = rmw!(VirtAddr(ctx.reg(addr)), |old| old.wrapping_add(delta));
+            ctx.set_reg(rd, old);
+            ctx.set_pc(next_pc);
+        }
+        Instr::Fence => {
+            cycles += mem.fence_into(core, events)?;
+            ctx.set_pc(next_pc);
+        }
+        Instr::Jmp { target } => ctx.set_pc(VirtAddr(target)),
+        Instr::Jr { rs } => ctx.set_pc(VirtAddr(ctx.reg(rs))),
+        Instr::Br { cond, rs1, rs2, target } => {
+            let taken = cond.eval(ctx.reg(rs1), ctx.reg(rs2));
+            ctx.set_pc(if taken { VirtAddr(target) } else { next_pc });
+        }
+        Instr::Call { target } => {
+            let sp = ctx.reg(Reg::SP).wrapping_sub(4);
+            store!(VirtAddr(sp), 4, next_pc.0);
+            ctx.set_reg(Reg::SP, sp);
+            ctx.set_pc(VirtAddr(target));
+        }
+        Instr::CallR { rs } => {
+            let target = ctx.reg(rs);
+            let sp = ctx.reg(Reg::SP).wrapping_sub(4);
+            store!(VirtAddr(sp), 4, next_pc.0);
+            ctx.set_reg(Reg::SP, sp);
+            ctx.set_pc(VirtAddr(target));
+        }
+        Instr::Ret => {
+            let sp = ctx.reg(Reg::SP);
+            let target = load!(VirtAddr(sp), 4);
+            ctx.set_reg(Reg::SP, sp.wrapping_add(4));
+            ctx.set_pc(VirtAddr(target));
+        }
+        Instr::Push { rs } => {
+            let sp = ctx.reg(Reg::SP).wrapping_sub(4);
+            store!(VirtAddr(sp), 4, ctx.reg(rs));
+            ctx.set_reg(Reg::SP, sp);
+            ctx.set_pc(next_pc);
+        }
+        Instr::Pop { rd } => {
+            let sp = ctx.reg(Reg::SP);
+            let value = load!(VirtAddr(sp), 4);
+            ctx.set_reg(rd, value);
+            ctx.set_reg(Reg::SP, sp.wrapping_add(4));
+            ctx.set_pc(next_pc);
+        }
+        Instr::Syscall => {
+            ctx.set_pc(next_pc);
+            outcome = StepOutcome::Syscall;
+        }
+        Instr::Rdtsc { rd } => {
+            ctx.set_pc(next_pc);
+            outcome = StepOutcome::Nondet { kind: NondetKind::Rdtsc, rd };
+        }
+        Instr::Rdrand { rd } => {
+            ctx.set_pc(next_pc);
+            outcome = StepOutcome::Nondet { kind: NondetKind::Rdrand, rd };
+        }
+        Instr::Halt => {
+            ctx.set_pc(next_pc);
+            outcome = StepOutcome::Halt;
+        }
+    }
+    Ok((outcome, cycles))
 }
 
 fn alu(op: AluOp, a: u32, b: u32) -> Result<u32> {
@@ -583,9 +575,10 @@ mod tests {
         m.step(C0);
         let r = m.step(C0);
         match r.outcome {
-            StepOutcome::Fault(QrError::MemoryFault { addr, .. }) => {
-                assert_eq!(addr, 0x8000_0000)
-            }
+            StepOutcome::Fault(err) => match *err {
+                QrError::MemoryFault { addr, .. } => assert_eq!(addr, 0x8000_0000),
+                other => panic!("{other:?}"),
+            },
             other => panic!("{other:?}"),
         }
     }

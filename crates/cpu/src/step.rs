@@ -2,7 +2,6 @@
 
 use qr_common::QrError;
 use qr_isa::Reg;
-use qr_mem::MemEvent;
 
 /// Which nondeterministic-read instruction trapped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,27 +34,33 @@ pub enum StepOutcome {
     Halt,
     /// The instruction faulted (unmapped access, misalignment, division
     /// by zero, bad PC). The PC still points at the faulting instruction;
-    /// the kernel kills or signals the thread.
-    Fault(QrError),
+    /// the kernel kills or signals the thread. Boxed so the common
+    /// outcomes keep [`StepResult`] at three words.
+    Fault(Box<QrError>),
     /// The core has no context to run.
     Idle,
 }
 
-/// Full result of one step.
+/// Result of one step. The memory events the step produced are not
+/// part of it: they stay in the machine's reusable buffer, see
+/// [`crate::Machine::events`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StepResult {
     /// What happened.
     pub outcome: StepOutcome,
     /// Cycles the step consumed on this core.
     pub cycles: u64,
-    /// Memory events the step produced, in order.
-    pub events: Vec<MemEvent>,
 }
 
 impl StepResult {
-    /// A step that retired normally with no memory traffic.
+    /// A step that retired normally.
     pub fn retired(cycles: u64) -> StepResult {
-        StepResult { outcome: StepOutcome::Retired, cycles, events: Vec::new() }
+        StepResult { outcome: StepOutcome::Retired, cycles }
+    }
+
+    /// A step whose instruction faulted (one cycle, nothing retired).
+    pub(crate) fn fault(err: QrError) -> StepResult {
+        StepResult { outcome: StepOutcome::Fault(Box::new(err)), cycles: 1 }
     }
 
     /// Whether an instruction actually retired (anything but `Idle` and
@@ -72,15 +77,16 @@ mod tests {
     #[test]
     fn retirement_classification() {
         assert!(StepResult::retired(1).instruction_retired());
-        let halt = StepResult { outcome: StepOutcome::Halt, cycles: 1, events: vec![] };
+        let halt = StepResult { outcome: StepOutcome::Halt, cycles: 1 };
         assert!(halt.instruction_retired(), "halt is a retired instruction");
-        let idle = StepResult { outcome: StepOutcome::Idle, cycles: 1, events: vec![] };
+        let idle = StepResult { outcome: StepOutcome::Idle, cycles: 1 };
         assert!(!idle.instruction_retired());
-        let fault = StepResult {
-            outcome: StepOutcome::Fault(QrError::Execution { detail: "x".into() }),
-            cycles: 1,
-            events: vec![],
-        };
+        let fault = StepResult::fault(QrError::Execution { detail: "x".into() });
         assert!(!fault.instruction_retired());
+    }
+
+    #[test]
+    fn step_result_is_three_words() {
+        assert!(std::mem::size_of::<StepResult>() <= 24, "{}", std::mem::size_of::<StepResult>());
     }
 }

@@ -229,7 +229,7 @@ impl Cache {
                     code => {
                         return Err(qr_common::QrError::Corrupt {
                             what: "checkpoint cache state".into(),
-                            offset: 0,
+                            offset: r.pos() as u64,
                             detail: format!("unknown MESI code {code}"),
                         })
                     }
@@ -347,6 +347,28 @@ mod tests {
         // Line 2 collides with line 0 (same parity).
         let ev = c.fill(line(2), MesiState::Exclusive).unwrap();
         assert_eq!(ev.line, line(0));
+    }
+
+    #[test]
+    fn unknown_mesi_code_in_snapshot_reports_its_offset() {
+        let mut c = Cache::new(2, 1);
+        c.fill(line(0), MesiState::Modified);
+        c.fill(line(1), MesiState::Shared);
+        let mut bytes = Vec::new();
+        c.save_state(&mut bytes);
+        // use_counter, then per set: len, line (4 bytes), MESI code, lru.
+        // The second set's code byte sits at 1 + 7 + 1 + 4.
+        let code_at = 13;
+        assert_eq!(bytes[code_at], 2, "Shared");
+        bytes[code_at] = 9;
+        let mut r = qr_common::cursor::ByteReader::new(&bytes, "snapshot");
+        match Cache::load_state(&mut r, 2, 1) {
+            Err(qr_common::QrError::Corrupt { offset, detail, .. }) => {
+                assert_eq!(offset, code_at as u64 + 1, "{detail}");
+                assert!(detail.contains("unknown MESI code 9"), "{detail}");
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
     }
 
     #[test]

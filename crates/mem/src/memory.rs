@@ -162,13 +162,30 @@ impl PagedMemory {
     ///
     /// # Errors
     ///
-    /// Returns [`QrError::Corrupt`] on truncated or implausible bytes.
+    /// Returns [`QrError::Corrupt`] on truncated or implausible bytes,
+    /// including regions that are empty, inverted, out of order or
+    /// overlapping — `save_state` writes the coalesced, sorted list, and
+    /// everything that walks `regions` computes `end - start`.
     pub(crate) fn load_state(r: &mut qr_common::cursor::ByteReader<'_>) -> Result<PagedMemory> {
         let mut mem = PagedMemory::new();
         let regions = r.count(1 << 20)?;
         for _ in 0..regions {
             let s = r.u32()?;
             let e = r.u32()?;
+            let problem = if s >= e {
+                Some("is empty or inverted")
+            } else if mem.regions.last().is_some_and(|&(_, prev_end)| s < prev_end) {
+                Some("is out of order or overlaps its predecessor")
+            } else {
+                None
+            };
+            if let Some(problem) = problem {
+                return Err(QrError::Corrupt {
+                    what: "checkpoint memory regions".into(),
+                    offset: r.pos() as u64,
+                    detail: format!("region [{s:#x}, {e:#x}) {problem}"),
+                });
+            }
             mem.regions.push((s, e));
         }
         let pages = r.count(1 << 20)?;
@@ -271,6 +288,67 @@ mod tests {
         let mut m = PagedMemory::new();
         assert!(m.map_region(VirtAddr(0xffff_fff0), 0x20).is_err());
         assert!(!m.is_mapped(VirtAddr(0xffff_fff0), 0x20));
+    }
+
+    /// A snapshot holding exactly `regions` and no pages.
+    fn snapshot_of(regions: &[(u32, u32)]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        qr_common::varint::write_u64(&mut bytes, regions.len() as u64);
+        for &(s, e) in regions {
+            bytes.extend_from_slice(&s.to_le_bytes());
+            bytes.extend_from_slice(&e.to_le_bytes());
+        }
+        qr_common::varint::write_u64(&mut bytes, 0);
+        bytes
+    }
+
+    fn load(bytes: &[u8]) -> Result<PagedMemory> {
+        PagedMemory::load_state(&mut qr_common::cursor::ByteReader::new(bytes, "snapshot"))
+    }
+
+    /// Asserts a structured rejection whose offset is where the reader
+    /// stood after the offending (last) region.
+    fn assert_rejected(regions: &[(u32, u32)], needle: &str) {
+        match load(&snapshot_of(regions)) {
+            Err(QrError::Corrupt { offset, detail, .. }) => {
+                assert_eq!(offset, 1 + 8 * regions.len() as u64, "{detail}");
+                assert!(detail.contains(needle), "{detail}");
+            }
+            other => panic!("{regions:x?}: expected Corrupt, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn saved_regions_load_back() {
+        let mut m = mapped();
+        m.map_region(VirtAddr(0x4000), 0x100).unwrap();
+        let mut bytes = Vec::new();
+        m.save_state(&mut bytes);
+        let back = load(&bytes).unwrap();
+        assert_eq!(back.regions().collect::<Vec<_>>(), m.regions().collect::<Vec<_>>());
+        // Adjacent regions are not what `save_state` writes, but harmless.
+        assert!(load(&snapshot_of(&[(0x1000, 0x2000), (0x2000, 0x3000)])).is_ok());
+    }
+
+    #[test]
+    fn inverted_region_in_snapshot_is_rejected() {
+        // `end - start` would overflow (debug) or wrap to ~4 GiB (release).
+        assert_rejected(&[(0x1000, 0x2000), (0x5000, 0x4000)], "inverted");
+    }
+
+    #[test]
+    fn empty_region_in_snapshot_is_rejected() {
+        assert_rejected(&[(0x1000, 0x1000)], "empty");
+    }
+
+    #[test]
+    fn out_of_order_regions_in_snapshot_are_rejected() {
+        assert_rejected(&[(0x4000, 0x5000), (0x1000, 0x2000)], "out of order");
+    }
+
+    #[test]
+    fn overlapping_regions_in_snapshot_are_rejected() {
+        assert_rejected(&[(0x1000, 0x3000), (0x2000, 0x4000)], "overlaps");
     }
 
     #[test]

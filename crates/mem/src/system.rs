@@ -30,8 +30,12 @@ use crate::stats::MemStats;
 use crate::store_buffer::{ForwardResult, PendingStore, StoreBuffer};
 use qr_common::{CoreId, Cycle, LineAddr, QrError, Result, VirtAddr};
 
-/// Outcome of one memory operation.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Owned outcome of one memory operation, as returned by the
+/// convenience wrappers ([`MemorySystem::read`] and friends) that
+/// boundary drains, kernel copies and tests call. The per-instruction
+/// path never builds one: it calls the `*_into` methods, which append
+/// events to a buffer the caller reuses.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Access {
     /// Loaded or pre-modification value (0 for pure stores/fences).
     pub value: u32,
@@ -42,9 +46,11 @@ pub struct Access {
 }
 
 impl Access {
-    fn merge(&mut self, other: Access) {
-        self.cycles += other.cycles;
-        self.events.extend(other.events);
+    /// Runs a sink-based operation against a fresh buffer.
+    fn collect(op: impl FnOnce(&mut Vec<MemEvent>) -> Result<(u32, u64)>) -> Result<Access> {
+        let mut events = Vec::new();
+        let (value, cycles) = op(&mut events)?;
+        Ok(Access { value, cycles, events })
     }
 }
 
@@ -138,55 +144,62 @@ impl MemorySystem {
         Ok(())
     }
 
-    /// Performs a load.
+    /// Performs a load, appending its events to `events`. Returns the
+    /// loaded value and the extra cycles.
+    ///
+    /// Every `*_into` method appends to `events` without clearing it
+    /// and, on `Err`, may already have appended the events of work done
+    /// before the fault; callers that report a fault discard them.
     ///
     /// # Errors
     ///
     /// Faults on misaligned or unmapped accesses.
-    pub fn read(&mut self, core: CoreId, addr: VirtAddr, width: u32) -> Result<Access> {
+    pub fn read_into(
+        &mut self,
+        core: CoreId,
+        addr: VirtAddr,
+        width: u32,
+        events: &mut Vec<MemEvent>,
+    ) -> Result<(u32, u64)> {
         Self::check_alignment(addr, width, "load")?;
-        let mut access = Access::default();
+        let local_read =
+            MemEvent::LocalRead { core, line: addr.line(), addr, width: width as u8, atomic: false };
+        let mut cycles = 0;
         self.stats.cores[core.index()].loads += 1;
         match self.buffers[core.index()].forward(addr, width) {
             ForwardResult::Forward(value) => {
                 self.stats.cores[core.index()].load_forwards += 1;
-                access.value = value;
-                access.cycles = self.cfg.hit_cycles;
-                access.events.push(MemEvent::LocalRead {
-                    core,
-                    line: addr.line(),
-                    addr,
-                    width: width as u8,
-                    atomic: false,
-                });
-                return Ok(access);
+                events.push(local_read);
+                return Ok((value, self.cfg.hit_cycles));
             }
             ForwardResult::PartialOverlap => {
                 self.stats.cores[core.index()].forced_drains += 1;
-                access.merge(self.drain_all(core)?);
+                cycles += self.drain_all_into(core, events)?;
             }
             ForwardResult::NoMatch => {}
         }
-        access.merge(self.cached_access(core, addr.line(), false)?);
-        access.value = self.mem.read_uint(addr, width)?;
-        access.events.push(MemEvent::LocalRead {
-            core,
-            line: addr.line(),
-            addr,
-            width: width as u8,
-            atomic: false,
-        });
-        Ok(access)
+        cycles += self.cached_access(core, addr.line(), false, events);
+        let value = self.mem.read_uint(addr, width)?;
+        events.push(local_read);
+        Ok((value, cycles))
     }
 
-    /// Issues a store into the core's store buffer. The store becomes
-    /// visible when it drains.
+    /// Issues a store into the core's store buffer, appending to
+    /// `events` the drain a full buffer forces. The store becomes
+    /// visible when it drains. Returns the extra cycles.
     ///
     /// # Errors
     ///
     /// Faults on misaligned or unmapped targets (checked at issue so the
     /// fault is attributed to the storing instruction).
-    pub fn write(&mut self, core: CoreId, addr: VirtAddr, width: u32, value: u32) -> Result<Access> {
+    pub fn write_into(
+        &mut self,
+        core: CoreId,
+        addr: VirtAddr,
+        width: u32,
+        value: u32,
+        events: &mut Vec<MemEvent>,
+    ) -> Result<u64> {
         Self::check_alignment(addr, width, "store")?;
         if !self.mem.is_mapped(addr, width) {
             return Err(QrError::MemoryFault {
@@ -194,60 +207,140 @@ impl MemorySystem {
                 detail: format!("store of {width} bytes touches unmapped memory"),
             });
         }
-        let mut access = Access::default();
+        let mut cycles = 0;
         if self.buffers[core.index()].is_full() {
-            access.merge(self.drain_one(core)?);
+            cycles = self.drain_one_into(core, events)?;
         }
         self.buffers[core.index()].push(PendingStore { addr, width, value });
         self.stats.cores[core.index()].stores += 1;
-        Ok(access)
+        Ok(cycles)
     }
 
-    /// Drains the oldest pending store, if any (called once per retired
-    /// instruction to model drain bandwidth, and when the buffer fills).
+    /// Drains the oldest pending store, if any (called once per
+    /// `drain_interval` retired instructions to model drain bandwidth,
+    /// and when the buffer fills). Returns the extra cycles.
     ///
     /// # Errors
     ///
     /// Propagates memory faults (cannot happen for stores validated at
     /// issue unless mappings change).
-    pub fn drain_one(&mut self, core: CoreId) -> Result<Access> {
-        let Some(store) = self.buffers[core.index()].pop_oldest() else {
-            return Ok(Access::default());
-        };
-        self.commit_store(core, store)
+    pub fn drain_one_into(&mut self, core: CoreId, events: &mut Vec<MemEvent>) -> Result<u64> {
+        match self.buffers[core.index()].pop_oldest() {
+            Some(store) => self.commit_store(core, store, events),
+            None => Ok(0),
+        }
     }
 
     /// Drains the core's entire store buffer (fences, atomics, syscalls,
-    /// chunk boundaries in `DrainAtChunk` mode).
+    /// chunk boundaries in `DrainAtChunk` mode). Returns the extra
+    /// cycles.
     ///
     /// # Errors
     ///
     /// Propagates memory faults.
-    pub fn drain_all(&mut self, core: CoreId) -> Result<Access> {
-        let mut access = Access::default();
+    pub fn drain_all_into(&mut self, core: CoreId, events: &mut Vec<MemEvent>) -> Result<u64> {
+        let mut cycles = 0;
         while let Some(store) = self.buffers[core.index()].pop_oldest() {
-            access.merge(self.commit_store(core, store)?);
+            cycles += self.commit_store(core, store, events)?;
         }
-        Ok(access)
+        Ok(cycles)
     }
 
-    fn commit_store(&mut self, core: CoreId, store: PendingStore) -> Result<Access> {
+    fn commit_store(
+        &mut self,
+        core: CoreId,
+        store: PendingStore,
+        events: &mut Vec<MemEvent>,
+    ) -> Result<u64> {
         self.stats.cores[core.index()].drains += 1;
-        let mut access = self.cached_access(core, store.addr.line(), true)?;
+        let cycles = self.cached_access(core, store.addr.line(), true, events);
         self.mem.write_uint(store.addr, store.width, store.value)?;
-        access.events.push(MemEvent::LocalWrite {
+        events.push(MemEvent::LocalWrite {
             core,
             line: store.addr.line(),
             addr: store.addr,
             width: store.width as u8,
             atomic: false,
         });
-        Ok(access)
+        Ok(cycles)
     }
 
     /// Executes an atomic read-modify-write with full-barrier semantics:
     /// drains the store buffer, takes ownership of the line, applies `f`
-    /// to the old value and writes the result. Returns the old value.
+    /// to the old value and writes the result. Returns the old value and
+    /// the extra cycles.
+    ///
+    /// # Errors
+    ///
+    /// Faults on misaligned or unmapped targets.
+    pub fn atomic_rmw_into(
+        &mut self,
+        core: CoreId,
+        addr: VirtAddr,
+        f: impl FnOnce(u32) -> u32,
+        events: &mut Vec<MemEvent>,
+    ) -> Result<(u32, u64)> {
+        Self::check_alignment(addr, 4, "atomic")?;
+        let mut cycles = self.drain_all_into(core, events)?;
+        self.stats.cores[core.index()].forced_drains += 1;
+        self.stats.cores[core.index()].atomics += 1;
+        cycles += self.cached_access(core, addr.line(), true, events);
+        let old = self.mem.read_uint(addr, 4)?;
+        let new = f(old);
+        self.mem.write_uint(addr, 4, new)?;
+        cycles += 2; // bus-lock overhead beyond the miss path
+        events.push(MemEvent::LocalRead { core, line: addr.line(), addr, width: 4, atomic: true });
+        events.push(MemEvent::LocalWrite { core, line: addr.line(), addr, width: 4, atomic: true });
+        Ok((old, cycles))
+    }
+
+    /// Full fence: drains the store buffer. Returns the extra cycles.
+    ///
+    /// # Errors
+    ///
+    /// Propagates memory faults.
+    pub fn fence_into(&mut self, core: CoreId, events: &mut Vec<MemEvent>) -> Result<u64> {
+        self.stats.cores[core.index()].forced_drains += 1;
+        self.drain_all_into(core, events)
+    }
+
+    /// [`MemorySystem::read_into`] with the events returned by value.
+    ///
+    /// # Errors
+    ///
+    /// Faults on misaligned or unmapped accesses.
+    pub fn read(&mut self, core: CoreId, addr: VirtAddr, width: u32) -> Result<Access> {
+        Access::collect(|events| self.read_into(core, addr, width, events))
+    }
+
+    /// [`MemorySystem::write_into`] with the events returned by value.
+    ///
+    /// # Errors
+    ///
+    /// Faults on misaligned or unmapped targets.
+    pub fn write(&mut self, core: CoreId, addr: VirtAddr, width: u32, value: u32) -> Result<Access> {
+        Access::collect(|events| Ok((0, self.write_into(core, addr, width, value, events)?)))
+    }
+
+    /// [`MemorySystem::drain_one_into`] with the events returned by value.
+    ///
+    /// # Errors
+    ///
+    /// Propagates memory faults.
+    pub fn drain_one(&mut self, core: CoreId) -> Result<Access> {
+        Access::collect(|events| Ok((0, self.drain_one_into(core, events)?)))
+    }
+
+    /// [`MemorySystem::drain_all_into`] with the events returned by value.
+    ///
+    /// # Errors
+    ///
+    /// Propagates memory faults.
+    pub fn drain_all(&mut self, core: CoreId) -> Result<Access> {
+        Access::collect(|events| Ok((0, self.drain_all_into(core, events)?)))
+    }
+
+    /// [`MemorySystem::atomic_rmw_into`] with the events returned by value.
     ///
     /// # Errors
     ///
@@ -258,57 +351,39 @@ impl MemorySystem {
         addr: VirtAddr,
         f: impl FnOnce(u32) -> u32,
     ) -> Result<Access> {
-        Self::check_alignment(addr, 4, "atomic")?;
-        let mut access = self.drain_all(core)?;
-        self.stats.cores[core.index()].forced_drains += 1;
-        self.stats.cores[core.index()].atomics += 1;
-        access.merge(self.cached_access(core, addr.line(), true)?);
-        let old = self.mem.read_uint(addr, 4)?;
-        let new = f(old);
-        self.mem.write_uint(addr, 4, new)?;
-        access.value = old;
-        access.cycles += 2; // bus-lock overhead beyond the miss path
-        access.events.push(MemEvent::LocalRead {
-            core,
-            line: addr.line(),
-            addr,
-            width: 4,
-            atomic: true,
-        });
-        access.events.push(MemEvent::LocalWrite {
-            core,
-            line: addr.line(),
-            addr,
-            width: 4,
-            atomic: true,
-        });
-        Ok(access)
+        Access::collect(|events| self.atomic_rmw_into(core, addr, f, events))
     }
 
-    /// Full fence: drains the store buffer.
+    /// [`MemorySystem::fence_into`] with the events returned by value.
     ///
     /// # Errors
     ///
     /// Propagates memory faults.
     pub fn fence(&mut self, core: CoreId) -> Result<Access> {
-        self.stats.cores[core.index()].forced_drains += 1;
-        self.drain_all(core)
+        Access::collect(|events| Ok((0, self.fence_into(core, events)?)))
     }
 
     /// The local cache side of an access: classifies hit/upgrade/miss,
     /// performs the bus transaction and snoops, updates stats and timing.
-    fn cached_access(&mut self, core: CoreId, line: LineAddr, is_write: bool) -> Result<Access> {
-        let mut access = Access::default();
+    /// Returns the extra cycles.
+    fn cached_access(
+        &mut self,
+        core: CoreId,
+        line: LineAddr,
+        is_write: bool,
+        events: &mut Vec<MemEvent>,
+    ) -> u64 {
         match self.caches[core.index()].lookup(line, is_write) {
             LookupResult::Hit => {
                 self.caches[core.index()].touch(line, is_write);
-                access.cycles = self.cfg.hit_cycles;
+                self.cfg.hit_cycles
             }
             LookupResult::NeedsUpgrade => {
                 self.stats.cores[core.index()].upgrades += 1;
-                access.merge(self.bus_transaction(core, line, BusKind::BusUpgr));
+                let cycles = self.bus_transaction(core, line, BusKind::BusUpgr, events);
                 self.caches[core.index()].upgrade(line);
                 self.caches[core.index()].touch(line, is_write);
+                cycles
             }
             LookupResult::Miss => {
                 if is_write {
@@ -318,8 +393,8 @@ impl MemorySystem {
                 }
                 let kind = if is_write { BusKind::BusRdX } else { BusKind::BusRd };
                 let others_share = self.line_cached_elsewhere(core, line);
-                access.merge(self.bus_transaction(core, line, kind));
-                access.cycles += self.cfg.miss_penalty;
+                let mut cycles = self.bus_transaction(core, line, kind, events);
+                cycles += self.cfg.miss_penalty;
                 let state = match (is_write, others_share) {
                     (true, _) => MesiState::Modified,
                     (false, true) => MesiState::Shared,
@@ -327,15 +402,15 @@ impl MemorySystem {
                 };
                 if let Some(ev) = self.caches[core.index()].fill(line, state) {
                     self.stats.cores[core.index()].evictions += 1;
-                    access.events.push(MemEvent::Eviction { core, line: ev.line, dirty: ev.dirty });
+                    events.push(MemEvent::Eviction { core, line: ev.line, dirty: ev.dirty });
                     if ev.dirty {
                         self.stats.cores[core.index()].writebacks += 1;
-                        access.merge(self.bus_transaction(core, ev.line, BusKind::Writeback));
+                        cycles += self.bus_transaction(core, ev.line, BusKind::Writeback, events);
                     }
                 }
+                cycles
             }
         }
-        Ok(access)
     }
 
     fn line_cached_elsewhere(&self, core: CoreId, line: LineAddr) -> bool {
@@ -346,11 +421,17 @@ impl MemorySystem {
     }
 
     /// Puts a transaction on the bus: advances global time, snoops every
-    /// other cache, records intervention latency and stats.
-    fn bus_transaction(&mut self, from: CoreId, line: LineAddr, kind: BusKind) -> Access {
+    /// other cache, records stats. Returns the intervention latency.
+    fn bus_transaction(
+        &mut self,
+        from: CoreId,
+        line: LineAddr,
+        kind: BusKind,
+        events: &mut Vec<MemEvent>,
+    ) -> u64 {
         self.clock.tick();
         self.stats.bus_txns[MemStats::bus_slot(kind)] += 1;
-        let mut access = Access::default();
+        let mut cycles = 0;
         if kind != BusKind::Writeback {
             for i in 0..self.caches.len() {
                 if i == from.index() {
@@ -358,12 +439,12 @@ impl MemorySystem {
                 }
                 if self.caches[i].snoop(line, kind) {
                     self.stats.cores[i].interventions += 1;
-                    access.cycles += self.cfg.intervention_penalty;
+                    cycles += self.cfg.intervention_penalty;
                 }
             }
         }
-        access.events.push(MemEvent::BusTxn { from, line, kind });
-        access
+        events.push(MemEvent::BusTxn { from, line, kind });
+        cycles
     }
 
     // ----- kernel (Capo3) access paths ---------------------------------
@@ -379,7 +460,7 @@ impl MemorySystem {
         // calling thread's own pending stores are visible to it.
         let mut access = self.drain_all(core)?;
         for line in lines_touched(addr, len) {
-            access.merge(self.bus_transaction(core, line, BusKind::BusRd));
+            access.cycles += self.bus_transaction(core, line, BusKind::BusRd, &mut access.events);
         }
         let mut buf = vec![0u8; len as usize];
         self.mem.read_bytes(addr, &mut buf)?;
@@ -399,7 +480,7 @@ impl MemorySystem {
             // Invalidate the writer's own cached copy as well: kernel
             // writes are uncached in this model.
             self.caches[core.index()].snoop(line, BusKind::BusRdX);
-            access.merge(self.bus_transaction(core, line, BusKind::BusRdX));
+            access.cycles += self.bus_transaction(core, line, BusKind::BusRdX, &mut access.events);
         }
         self.mem.write_bytes(addr, data)?;
         Ok(access)

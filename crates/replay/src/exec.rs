@@ -153,7 +153,7 @@ fn exec_chunk(
             *instructions += 1;
         }
         if let Some(detector) = detector.as_deref_mut() {
-            for event in &step.events {
+            for event in machine.events() {
                 match *event {
                     MemEvent::LocalRead { addr, width, atomic, .. } => {
                         detector.on_read(tid, addr, width, atomic);

@@ -14,7 +14,7 @@ use qr_common::SplitMix64;
 use quickrec::workloads::{find, suite, Scale};
 use quickrec::{
     record, CheckpointIndex, Encoding, Program, QueryEngine, Recording, RecordingConfig,
-    ReplayQuery, ThreadId,
+    ReplayCheckpoint, ReplayQuery, ThreadId,
 };
 
 const THREADS: usize = 3;
@@ -226,6 +226,27 @@ fn mutated_indexes_are_structured_errors_and_degrade_to_scratch() {
         }
     }
     assert!(degraded >= 40, "the sweep must actually exercise mutations");
+
+    // Damage the framing cannot see: the snapshot the seek lands on has
+    // one memory region's start and end swapped, and `to_bytes` stamps
+    // fresh CRCs over it. The index decodes and attaches; only the
+    // region check in the restore path can refuse the snapshot, and the
+    // seek must then replay from scratch to the same answer (an inverted
+    // region used to overflow, or hash ~4 GiB, in the state fingerprint).
+    let seek_target = scratch.timeline_len() - 3;
+    let chosen = pristine.keys.iter().rposition(|k| k.position as usize <= seek_target)
+        .expect("a checkpoint precedes the reverse-step target");
+    let mut inverted = pristine.clone();
+    inverted.snapshots[chosen] = invert_a_region(&program, &recording, &pristine.snapshots[chosen]);
+    let mut engine = QueryEngine::new(&program, &recording).expect("engine");
+    assert!(engine.attach_index_bytes(&inverted.to_bytes()), "re-stamped index must attach");
+    let before_seek = index_corrupt_count();
+    let answer = engine
+        .execute(ReplayQuery::ReverseStep { events: 3 }, None)
+        .expect("a refused snapshot falls back to from-scratch replay");
+    assert_eq!(answer.to_bytes(), baseline, "inverted-region snapshot changed the answer");
+    assert!(index_corrupt_count() > before_seek, "the refused snapshot was not counted");
+
     let corrupt_after = index_corrupt_count();
     qr_obs::set_enabled(was_enabled);
     assert!(
@@ -233,6 +254,31 @@ fn mutated_indexes_are_structured_errors_and_degrade_to_scratch() {
         "every rejected attach increments qr_replay_index_corrupt_total \
          ({corrupt_before} -> {corrupt_after}, {degraded} rejects)"
     );
+}
+
+/// Returns `snapshot` (a serialized `ReplayCheckpoint`) with the start
+/// and end of its first mapped memory region swapped. The region table
+/// is found by trying every occurrence of the data segment's base
+/// address and keeping the swap that the region check itself rejects.
+fn invert_a_region(program: &Program, recording: &Recording, snapshot: &[u8]) -> Vec<u8> {
+    let needle = qr_isa::program::DATA_BASE.to_le_bytes();
+    for at in 0..snapshot.len() - 8 {
+        if snapshot[at..at + 4] != needle {
+            continue;
+        }
+        let mut bad = snapshot.to_vec();
+        bad[at..at + 4].copy_from_slice(&snapshot[at + 4..at + 8]);
+        bad[at + 4..at + 8].copy_from_slice(&snapshot[at..at + 4]);
+        match ReplayCheckpoint::from_bytes(program, recording, &bad) {
+            Err(quickrec::QrError::Corrupt { what, detail, .. })
+                if what == "checkpoint memory regions" && detail.contains("inverted") =>
+            {
+                return bad;
+            }
+            _ => {}
+        }
+    }
+    panic!("no region starting at the data base found in the snapshot");
 }
 
 /// Current value of the `qr_replay_index_corrupt_total` counter, read
