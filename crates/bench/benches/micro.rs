@@ -58,11 +58,11 @@ fn bench_encoding(b: &mut Bench) {
     let ps = packets(4096);
     for enc in Encoding::ALL {
         b.run_throughput(&format!("encoding/encode/{}", enc.name()), ps.len() as u64, || {
-            enc.encode_stream(black_box(&ps))
+            enc.encode_framed_stream(black_box(&ps))
         });
-        let bytes = enc.encode_stream(&ps);
+        let bytes = enc.encode_framed_stream(&ps);
         b.run_throughput(&format!("encoding/decode/{}", enc.name()), ps.len() as u64, || {
-            Encoding::decode_stream(black_box(&bytes)).expect("valid stream")
+            Encoding::decode_framed_stream(black_box(&bytes)).expect("valid stream")
         });
     }
 }

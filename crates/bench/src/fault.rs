@@ -26,7 +26,6 @@ use qr_common::{frame, Fingerprint, QrError, Result, SplitMix64};
 use qr_isa::Program;
 use qr_workloads::{Scale, WorkloadSpec};
 use quickrec_core::{ChunkLog, Encoding, OrderLog, OrderMode, SalvagedPackets};
-use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Default total mutated-recording cases for a full `repro r1` run.
@@ -104,7 +103,7 @@ impl Mutator {
                 bytes[pos] ^= 1 << rng.below(8);
             }
             Mutator::DuplicateRecord => {
-                let spans = record_spans(&bytes);
+                let spans = frame::record_spans(&bytes);
                 if spans.is_empty() {
                     bytes.truncate(len / 2);
                 } else {
@@ -118,7 +117,7 @@ impl Mutator {
                 }
             }
             Mutator::ReorderRecords => {
-                let spans = record_spans(&bytes);
+                let spans = frame::record_spans(&bytes);
                 if spans.len() < 2 {
                     bytes.truncate(len / 2);
                 } else {
@@ -142,25 +141,6 @@ impl Mutator {
         }
         bytes
     }
-}
-
-/// Byte ranges of the complete frame records in `buf` (each including
-/// its length prefix and checksum trailer). Tolerant: stops at the
-/// first structurally incomplete record.
-fn record_spans(buf: &[u8]) -> Vec<Range<usize>> {
-    let mut spans = Vec::new();
-    let mut off = frame::HEADER_LEN;
-    while off + frame::RECORD_OVERHEAD <= buf.len() {
-        let len =
-            u32::from_le_bytes([buf[off], buf[off + 1], buf[off + 2], buf[off + 3]]) as usize;
-        let Some(end) = off.checked_add(frame::RECORD_OVERHEAD + len) else { break };
-        if end > buf.len() {
-            break;
-        }
-        spans.push(off..end);
-        off = end;
-    }
-    spans
 }
 
 /// Derives a job's RNG seed from its stable identity so fuzz streams
@@ -232,7 +212,7 @@ fn clean_input_salvage() -> InputSalvage {
 /// Any contract violation — a salvaged replay whose console is not a
 /// prefix of the clean run's, counters exceeding the clean run's, an
 /// internally inconsistent prefix, strict decode disagreeing with
-/// salvage on a framed-routed buffer, or an accepted mutant whose full
+/// salvage, or an accepted mutant whose full
 /// replay neither verifies exactly nor errors structurally — is an
 /// error. Panics inside decode or replay propagate and fail the
 /// harness, which is the "never panics" half of the contract.
@@ -255,8 +235,7 @@ fn check_order_case(
     let strict = OrderLog::from_bytes(mutated);
     let rejected = strict.is_err();
 
-    // Salvage: never fails, and strict/salvage verdicts always agree
-    // (the order log has no legacy routing).
+    // Salvage: never fails, and strict/salvage verdicts always agree.
     let (salvaged, info) = OrderLog::salvage_from_bytes(mutated);
     if rejected != info.corruption.is_some() {
         return Err(violation(format!(
@@ -328,16 +307,6 @@ fn check_case(
     let rejected = strict_chunks.as_ref().map_or(false, |r| r.is_err())
         || strict_inputs.as_ref().map_or(false, |r| r.is_err());
 
-    // A mutation that destroys the frame magic can make the buffer look
-    // like a pre-framing legacy log, sending strict decode down a
-    // different path than the (framed-only) salvage scanner; the two
-    // verdicts are only required to agree when both saw a framed buffer.
-    let routed_legacy = if target_chunks {
-        matches!(mutated.first(), Some(0..=2))
-    } else {
-        !frame::is_framed(mutated)
-    };
-
     // Salvage path: substitute the mutated log, replay the prefix.
     let mut damaged = recording.clone();
     let recovery = if target_chunks {
@@ -349,8 +318,10 @@ fn check_case(
         damaged.inputs = inputs;
         RecoveryInfo { chunks: clean_chunk_salvage(), inputs: info, order: None }
     };
+    // Strict decode is the salvage walk failing on corruption, for every
+    // byte string: the two verdicts always agree.
     let flagged = recovery.chunks.corruption.is_some() || recovery.inputs.corruption.is_some();
-    if !routed_legacy && rejected != flagged {
+    if rejected != flagged {
         return Err(violation(format!(
             "strict decode ({}) and salvage ({}) disagree",
             if rejected { "rejected" } else { "accepted" },
@@ -361,8 +332,7 @@ fn check_case(
     // Whatever strict decode *accepted* must not mis-replay: a full
     // verified replay of the accepted content either errors structurally
     // or reproduces the clean outcome exactly (benign mutations like
-    // swapped same-timestamp records, and legacy misroutes that happen
-    // to parse, both land here).
+    // swapped same-timestamp records land here).
     if !rejected && mutated != original {
         let mut accepted = recording.clone();
         if let Some(Ok(chunks)) = strict_chunks {
@@ -508,19 +478,6 @@ mod tests {
     }
 
     #[test]
-    fn record_spans_tile_the_container_exactly() {
-        let buf = container(&[b"header", b"alpha", b"", b"a-longer-record"]);
-        let spans = record_spans(&buf);
-        assert_eq!(spans.len(), 4);
-        assert_eq!(spans[0].start, frame::HEADER_LEN);
-        for pair in spans.windows(2) {
-            assert_eq!(pair[0].end, pair[1].start);
-        }
-        assert_eq!(spans.last().unwrap().end, buf.len());
-        assert_eq!(spans[1].len(), frame::RECORD_OVERHEAD + 5);
-    }
-
-    #[test]
     fn mutators_are_deterministic() {
         let buf = container(&[b"header", b"payload-one", b"payload-two"]);
         for m in Mutator::ALL {
@@ -558,7 +515,7 @@ mod tests {
     #[test]
     fn reorder_swaps_whole_records() {
         let buf = container(&[b"header", b"payload-one", b"payload-two"]);
-        let spans = record_spans(&buf);
+        let spans = frame::record_spans(&buf);
         // Wait for a draw that swaps the last two records and check the
         // swap is exact (records 1 and 2 have equal lengths here).
         let mut rng = SplitMix64::new(3);

@@ -13,7 +13,7 @@
 //!
 //! | Version | Shape |
 //! |---|---|
-//! | v1 | legacy: bare `QRM1` meta blob, unframed tag-prefixed logs, no footprints |
+//! | v1 | bare `QRM1` meta blob, unframed tag-prefixed logs, no footprints ([`crate::migrate`] input only) |
 //! | v2 | all files framed (`QRCF`), optional footprint sidecar, no `format.qrv` |
 //! | v3 | v2 plus this manifest (the default generation) |
 //! | v4 | v3 plus the `order.qrp` partial-order sidecar (`--order partial` only) |
@@ -26,6 +26,7 @@
 //!           | payload-count varint | payload-kind-code u8 ...
 //! ```
 
+use qr_common::cursor::ByteReader;
 use qr_common::frame::{self, PayloadKind};
 use qr_common::{varint, QrError, Result};
 use quickrec_core::Encoding;
@@ -70,6 +71,19 @@ impl RecordingVersion {
             RecordingVersion::V2Framed
         } else {
             RecordingVersion::V1Legacy
+        }
+    }
+
+    /// The refusal every reader but [`crate::migrate`] gives a v1 file
+    /// set: v1 has no checksums, so it is upgraded once, strictly, and
+    /// never decoded in place.
+    pub(crate) fn refuse_unmigrated(self) -> Result<()> {
+        match self {
+            RecordingVersion::V1Legacy => Err(QrError::Unsupported(format!(
+                "recording format {self} (bare `QRM1` meta, unframed logs) is read only by the \
+                 migrator: run `quickrec migrate <dir>` to upgrade the recording in place"
+            ))),
+            _ => Ok(()),
         }
     }
 
@@ -170,16 +184,8 @@ impl FormatManifest {
                 detail: format!("expected exactly 1 record, found {}", records.len()),
             });
         };
-        let base = frame::HEADER_LEN + 4;
-        let corrupt = |off: usize, detail: String| QrError::Corrupt {
-            what: what.into(),
-            offset: (base + off) as u64,
-            detail,
-        };
-        let mut off = 0usize;
-        let (version, n) =
-            varint::read_u64(payload).map_err(|e| corrupt(off, e.to_string()))?;
-        off += n;
+        let mut r = ByteReader::at(payload, what, frame::HEADER_LEN + 4);
+        let version = r.varint()?;
         if version > PARTIAL_ORDER_FORMAT_VERSION {
             return Err(QrError::Unsupported(format!(
                 "recording format version {version} (newest supported {PARTIAL_ORDER_FORMAT_VERSION})"
@@ -188,48 +194,42 @@ impl FormatManifest {
         if version < RECORDING_FORMAT_VERSION {
             // v1/v2 recordings have no format.qrv at all, so a manifest
             // claiming an older generation is self-contradictory.
-            return Err(corrupt(0, format!("implausible format version {version}")));
+            return Err(r.corrupt_at(0, format!("implausible format version {version}")));
         }
-        let &container = payload.get(off).ok_or_else(|| corrupt(off, "truncated manifest".into()))?;
+        let container = r.u8().map_err(|_| r.corrupt("truncated manifest"))?;
         if container != frame::VERSION {
-            return Err(corrupt(
-                off,
+            return Err(r.corrupt_at(
+                r.pos() - 1,
                 format!("container version {container} does not match frame v{}", frame::VERSION),
             ));
         }
-        off += 1;
-        let &tag = payload.get(off).ok_or_else(|| corrupt(off, "truncated manifest".into()))?;
-        let encoding = Encoding::ALL
-            .into_iter()
-            .find(|e| e.tag() == tag)
-            .ok_or_else(|| corrupt(off, format!("unknown encoding tag {tag}")))?;
-        off += 1;
-        let (count, n) =
-            varint::read_u64(&payload[off..]).map_err(|e| corrupt(off, e.to_string()))?;
-        off += n;
+        let tag = r.u8().map_err(|_| r.corrupt("truncated manifest"))?;
+        let encoding = Encoding::from_tag(tag)
+            .ok_or_else(|| r.corrupt_at(r.pos() - 1, format!("unknown encoding tag {tag}")))?;
+        let count = r.varint()?;
         if count as usize > PayloadKind::ALL.len() {
-            return Err(corrupt(off, format!("implausible payload count {count}")));
+            return Err(r.corrupt(format!("implausible payload count {count}")));
         }
         let mut payloads = Vec::with_capacity(count as usize);
         for _ in 0..count {
-            let &code =
-                payload.get(off).ok_or_else(|| corrupt(off, "truncated payload list".into()))?;
+            let code = r.u8().map_err(|_| r.corrupt("truncated payload list"))?;
             let kind = PayloadKind::from_code(code)
-                .ok_or_else(|| corrupt(off, format!("unknown payload kind {code}")))?;
+                .ok_or_else(|| r.corrupt_at(r.pos() - 1, format!("unknown payload kind {code}")))?;
             if payloads.contains(&kind) {
-                return Err(corrupt(off, format!("duplicate payload kind {}", kind.name())));
+                return Err(
+                    r.corrupt_at(r.pos() - 1, format!("duplicate payload kind {}", kind.name()))
+                );
             }
             payloads.push(kind);
-            off += 1;
         }
-        if off != payload.len() {
-            return Err(corrupt(off, format!("{} trailing bytes", payload.len() - off)));
+        if r.remaining() != 0 {
+            return Err(r.corrupt(format!("{} trailing bytes", r.remaining())));
         }
         // The version and the payload list must agree: v4 is *defined*
         // by the presence of the ordering sidecar.
         let has_order = payloads.contains(&PayloadKind::OrderLog);
         if (version == PARTIAL_ORDER_FORMAT_VERSION) != has_order {
-            return Err(corrupt(
+            return Err(r.corrupt_at(
                 0,
                 format!(
                     "format version {version} contradicts its payload list ({} order log)",

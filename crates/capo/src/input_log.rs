@@ -8,6 +8,7 @@
 //! them into one timeline; per-thread-local values (`rdtsc`, `rdrand`)
 //! are plain FIFO queues.
 
+use qr_common::cursor::ByteReader;
 use qr_common::frame::{self, PayloadKind};
 use qr_common::{varint, Cycle, QrError, Result, ThreadId, VirtAddr};
 use qr_cpu::NondetKind;
@@ -62,8 +63,8 @@ impl InputEvent {
 /// All recorded inputs of one execution.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct InputLog {
-    events: Vec<InputEvent>,
-    nondet: BTreeMap<ThreadId, Vec<(NondetKind, u32)>>,
+    pub(crate) events: Vec<InputEvent>,
+    pub(crate) nondet: BTreeMap<ThreadId, Vec<(NondetKind, u32)>>,
 }
 
 impl InputLog {
@@ -141,30 +142,6 @@ impl InputLog {
         w.finish()
     }
 
-    /// Serializes the log in the **legacy** (unframed, checksum-free)
-    /// layout written by pre-framing recorders. Kept so the legacy read
-    /// path stays testable.
-    pub fn to_legacy_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        varint::write_u64(&mut out, self.events.len() as u64);
-        for ev in &self.events {
-            Self::encode_event(ev, &mut out);
-        }
-        varint::write_u64(&mut out, self.nondet.len() as u64);
-        for (tid, values) in &self.nondet {
-            varint::write_u64(&mut out, tid.0 as u64);
-            varint::write_u64(&mut out, values.len() as u64);
-            for (kind, value) in values {
-                out.push(match kind {
-                    NondetKind::Rdtsc => 0,
-                    NondetKind::Rdrand => 1,
-                });
-                varint::write_u64(&mut out, *value as u64);
-            }
-        }
-        out
-    }
-
     fn encode_event(ev: &InputEvent, out: &mut Vec<u8>) {
         match ev {
             InputEvent::Syscall { ts, record } => {
@@ -188,59 +165,17 @@ impl InputLog {
         }
     }
 
-    /// Deserializes a log produced by [`InputLog::to_bytes`] (framed) or
-    /// by a pre-framing recorder (legacy unframed). A valid legacy log
-    /// can never start with the framed magic — its second byte would
-    /// have to be `b'R'`, which is not a legal event tag — so routing on
-    /// the magic is unambiguous.
+    /// Deserializes a log produced by [`InputLog::to_bytes`], strictly:
+    /// [`InputLog::salvage_from_bytes`], failing on any corruption.
     ///
     /// # Errors
     ///
     /// Returns [`QrError::Corrupt`] with byte-offset context on
-    /// malformed input.
+    /// malformed input — including an unframed v1 log, which only
+    /// `quickrec migrate` reads.
     pub fn from_bytes(buf: &[u8]) -> Result<InputLog> {
-        if !frame::is_framed(buf) {
-            return InputLog::from_legacy_bytes(buf);
-        }
         let (log, salvage) = InputLog::salvage_from_bytes(buf);
-        match salvage.corruption {
-            Some(err) => Err(err),
-            None => Ok(log),
-        }
-    }
-
-    /// Deserializes a **legacy** (unframed) log. Explicit compatibility
-    /// path for logs written before the framed container existed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QrError::Corrupt`] on malformed input.
-    pub fn from_legacy_bytes(buf: &[u8]) -> Result<InputLog> {
-        let corrupt = |off: usize, detail: String| QrError::Corrupt {
-            what: "legacy input log".into(),
-            offset: off as u64,
-            detail,
-        };
-        let mut off = 0usize;
-        let mut log = InputLog::new();
-        let num_events = read_u64_at(buf, &mut off, "input log")?;
-        for _ in 0..num_events {
-            let ev = decode_event(buf, &mut off, 0)?;
-            log.events.push(ev);
-        }
-        let num_threads = read_u64_at(buf, &mut off, "input log")?;
-        // Each nondet section needs at least 2 bytes (tid + count).
-        if num_threads > (buf.len() - off.min(buf.len())) as u64 {
-            return Err(corrupt(off, format!("implausible nondet thread count {num_threads}")));
-        }
-        for _ in 0..num_threads {
-            let (tid, values) = decode_nondet_section(buf, &mut off, 0)?;
-            log.nondet.insert(tid, values);
-        }
-        if off != buf.len() {
-            return Err(corrupt(off, format!("{} trailing bytes", buf.len() - off)));
-        }
-        Ok(log)
+        salvage.corruption.map_or(Ok(log), Err)
     }
 
     /// Tolerantly deserializes a framed log, recovering the longest
@@ -248,105 +183,33 @@ impl InputLog {
     /// Never fails: corruption is *described* in the returned
     /// [`InputSalvage`], not fatal.
     pub fn salvage_from_bytes(buf: &[u8]) -> (InputLog, InputSalvage) {
-        let what = "input log";
         let mut log = InputLog::new();
-        let gone = |err: QrError| InputSalvage {
-            expected_events: None,
-            expected_threads: None,
-            bytes_dropped: buf.len(),
-            corruption: Some(err),
-        };
-        let scanned = frame::scan(buf);
-        match scanned.kind {
-            Some(PayloadKind::InputLog) => {}
-            Some(other) => {
-                return (
-                    log,
-                    gone(QrError::Corrupt {
-                        what: what.into(),
-                        offset: 5,
-                        detail: format!(
-                            "container holds a {}, expected an input log",
-                            other.name()
-                        ),
-                    }),
-                )
-            }
-            None => {
-                let fault = scanned.fault.expect("scan without kind always faults");
-                return (log, gone(fault.to_error(what)));
-            }
-        }
-        let Some((header, rest)) = scanned.records.split_first() else {
-            let err = match scanned.fault {
-                Some(fault) => fault.to_error(what),
-                None => QrError::Corrupt {
-                    what: what.into(),
-                    offset: frame::HEADER_LEN as u64,
-                    detail: "missing input-log header record".into(),
-                },
-            };
-            return (log, gone(err));
-        };
-        // Parse the header record: committed event + nondet-thread counts.
-        let header_base = frame::HEADER_LEN + 4;
-        let parse_header = |h: &[u8]| -> std::result::Result<(u64, u64), String> {
-            let mut hoff = 0usize;
-            let (events, n) = varint::read_u64(h).map_err(|e| e.to_string())?;
-            hoff += n;
-            let (threads, n) = varint::read_u64(&h[hoff..]).map_err(|e| e.to_string())?;
-            hoff += n;
-            if hoff != h.len() {
-                return Err(format!("{} trailing bytes in header record", h.len() - hoff));
-            }
-            Ok((events, threads))
-        };
-        let (expected_events, expected_threads) = match parse_header(header) {
-            Ok(pair) => pair,
-            Err(detail) => {
-                return (
-                    log,
-                    gone(QrError::Corrupt {
-                        what: what.into(),
-                        offset: header_base as u64,
-                        detail,
-                    }),
-                )
-            }
-        };
-        let mut corruption = None;
-        let mut payload_base = header_base + header.len() + 4 + 4;
-        let mut consumed = frame::HEADER_LEN + header.len() + frame::RECORD_OVERHEAD;
-        for payload in rest {
-            if let Err(err) = decode_record(&mut log, payload, payload_base) {
-                corruption = Some(err);
-                break;
-            }
-            consumed += payload.len() + frame::RECORD_OVERHEAD;
-            payload_base += payload.len() + frame::RECORD_OVERHEAD;
-        }
-        if corruption.is_none() {
-            if let Some(fault) = scanned.fault {
-                corruption = Some(fault.to_error(what));
-            } else if log.events.len() as u64 != expected_events
-                || log.nondet.len() as u64 != expected_threads
-            {
-                corruption = Some(QrError::Corrupt {
-                    what: what.into(),
+        let walked = frame::walk(
+            buf,
+            PayloadKind::InputLog,
+            "an input log",
+            parse_header,
+            |_, payload, base| decode_record(&mut log, payload, base),
+        );
+        let (expected_events, expected_threads) = walked.header.unzip();
+        let held = (log.events.len() as u64, log.nondet.len() as u64);
+        let corruption = walked.corruption.or_else(|| {
+            walked.header.filter(|&committed| committed != held).map(|(events, threads)| {
+                QrError::Corrupt {
+                    what: "input log".into(),
                     offset: buf.len() as u64,
                     detail: format!(
-                        "header commits {expected_events} events / {expected_threads} nondet \
-                         threads but records hold {} / {}",
-                        log.events.len(),
-                        log.nondet.len()
+                        "header commits {events} events / {threads} nondet threads but records \
+                         hold {} / {}",
+                        held.0, held.1
                     ),
-                });
-            }
-        }
+                }
+            })
+        });
         let salvage = InputSalvage {
-            expected_events: Some(expected_events),
-            expected_threads: Some(expected_threads),
-            bytes_dropped: buf.len().saturating_sub(consumed.min(buf.len())),
+            expected_events,
+            expected_threads,
+            bytes_dropped: walked.bytes_dropped,
             corruption,
         };
         (log, salvage)
@@ -367,16 +230,14 @@ pub struct InputSalvage {
     pub corruption: Option<QrError>,
 }
 
-/// Reads one varint at `*off`, advancing it, with byte-offset error
-/// context.
-fn read_u64_at(buf: &[u8], off: &mut usize, what: &str) -> Result<u64> {
-    let (v, n) = varint::read_u64(buf.get(*off..).unwrap_or(&[])).map_err(|e| QrError::Corrupt {
-        what: what.into(),
-        offset: *off as u64,
-        detail: e.to_string(),
-    })?;
-    *off += n;
-    Ok(v)
+/// Parses the header record: committed event + nondet-thread counts.
+fn parse_header(header: &[u8], base: usize) -> Result<(u64, u64)> {
+    let mut r = ByteReader::at(header, "input log", base);
+    let committed = (r.varint()?, r.varint()?);
+    if r.remaining() != 0 {
+        return Err(r.corrupt(format!("{} trailing bytes in header record", r.remaining())));
+    }
+    Ok(committed)
 }
 
 /// Decodes one framed record payload into `log`. `base` is the payload's
@@ -387,21 +248,21 @@ fn decode_record(log: &mut InputLog, payload: &[u8], base: usize) -> Result<()> 
         offset: (base + off) as u64,
         detail,
     };
-    let Some(&kind) = payload.first() else {
+    let Some((&kind, body)) = payload.split_first() else {
         return Err(corrupt(0, "empty record".into()));
     };
-    let mut off = 1usize;
     match kind {
         REC_EVENTS => {
-            while off < payload.len() {
-                let ev = decode_event(payload, &mut off, base)?;
-                log.events.push(ev);
+            let mut r = ByteReader::at(body, "input event", base + 1);
+            while r.remaining() != 0 {
+                log.events.push(decode_event(&mut r)?);
             }
         }
         REC_NONDET => {
-            let (tid, values) = decode_nondet_section(payload, &mut off, base)?;
-            if off != payload.len() {
-                return Err(corrupt(off, format!("{} trailing bytes", payload.len() - off)));
+            let mut r = ByteReader::at(body, "nondet section", base + 1);
+            let (tid, values) = decode_nondet_section(&mut r)?;
+            if r.remaining() != 0 {
+                return Err(corrupt(1 + r.pos(), format!("{} trailing bytes", r.remaining())));
             }
             if log.nondet.insert(tid, values).is_some() {
                 return Err(corrupt(1, format!("duplicate nondet section for {tid}")));
@@ -412,80 +273,62 @@ fn decode_record(log: &mut InputLog, payload: &[u8], base: usize) -> Result<()> 
     Ok(())
 }
 
-/// Decodes one timestamped event at `*off`, advancing it. `base` offsets
-/// error positions into the surrounding container.
-fn decode_event(buf: &[u8], off: &mut usize, base: usize) -> Result<InputEvent> {
-    let corrupt = |off: usize, detail: String| QrError::Corrupt {
-        what: "input event".into(),
-        offset: (base + off) as u64,
-        detail,
-    };
-    let tag = *buf.get(*off).ok_or_else(|| corrupt(*off, "truncated event".into()))?;
-    *off += 1;
+/// Decodes one timestamped event at the reader's position (the event
+/// layout is the same in a framed record and in a v1 log).
+pub(crate) fn decode_event(r: &mut ByteReader<'_>) -> Result<InputEvent> {
+    let tag = r.u8().map_err(|_| r.corrupt("truncated event"))?;
     match tag {
         0 => {
-            let ts = Cycle(read_u64_at(buf, off, "input event")?);
-            let tid = ThreadId(read_u64_at(buf, off, "input event")? as u32);
-            let number = read_u64_at(buf, off, "input event")? as u32;
-            let result = read_u64_at(buf, off, "input event")? as u32;
-            let num_writes = read_u64_at(buf, off, "input event")?;
+            let ts = Cycle(r.varint()?);
+            let tid = ThreadId(r.varint()? as u32);
+            let number = r.varint()? as u32;
+            let result = r.varint()? as u32;
+            let num_writes = r.varint()?;
             // Each write needs at least 2 bytes (addr + len varints), so
             // an implausible count is rejected before it can size an
             // allocation.
-            let remaining = buf.len().saturating_sub(*off) as u64;
-            if num_writes > remaining {
-                return Err(corrupt(*off, format!("implausible write count {num_writes}")));
+            if num_writes > r.remaining() as u64 {
+                return Err(r.corrupt(format!("implausible write count {num_writes}")));
             }
             let mut writes = Vec::with_capacity(num_writes as usize);
             for _ in 0..num_writes {
-                let addr = VirtAddr(read_u64_at(buf, off, "input event")? as u32);
-                let len = read_u64_at(buf, off, "input event")? as usize;
-                let end = off
-                    .checked_add(len)
-                    .filter(|&e| e <= buf.len())
-                    .ok_or_else(|| corrupt(*off, "truncated write payload".into()))?;
-                writes.push((addr, buf[*off..end].to_vec()));
-                *off = end;
+                let addr = VirtAddr(r.varint()? as u32);
+                let len = r.varint()?;
+                if len > r.remaining() as u64 {
+                    return Err(r.corrupt("truncated write payload"));
+                }
+                writes.push((addr, r.bytes(len as usize)?.to_vec()));
             }
             Ok(InputEvent::Syscall { ts, record: SyscallRecord { tid, number, result, writes } })
         }
         1 => {
-            let ts = Cycle(read_u64_at(buf, off, "input event")?);
-            let tid = ThreadId(read_u64_at(buf, off, "input event")? as u32);
+            let ts = Cycle(r.varint()?);
+            let tid = ThreadId(r.varint()? as u32);
             Ok(InputEvent::Signal { ts, tid })
         }
-        other => Err(corrupt(*off - 1, format!("unknown input event tag {other}"))),
+        other => Err(r.corrupt_at(r.pos() - 1, format!("unknown input event tag {other}"))),
     }
 }
 
-/// Decodes one thread's nondet section (tid, count, values) at `*off`.
-fn decode_nondet_section(
-    buf: &[u8],
-    off: &mut usize,
-    base: usize,
+/// Decodes one thread's nondet section (tid, count, values) at the
+/// reader's position.
+pub(crate) fn decode_nondet_section(
+    r: &mut ByteReader<'_>,
 ) -> Result<(ThreadId, Vec<(NondetKind, u32)>)> {
-    let corrupt = |off: usize, detail: String| QrError::Corrupt {
-        what: "nondet section".into(),
-        offset: (base + off) as u64,
-        detail,
-    };
-    let tid = ThreadId(read_u64_at(buf, off, "nondet section")? as u32);
-    let count = read_u64_at(buf, off, "nondet section")?;
+    let tid = ThreadId(r.varint()? as u32);
+    let count = r.varint()?;
     // Each value needs at least 2 bytes (kind tag + value varint).
-    let remaining = buf.len().saturating_sub(*off) as u64;
-    if count > remaining {
-        return Err(corrupt(*off, format!("implausible nondet count {count}")));
+    if count > r.remaining() as u64 {
+        return Err(r.corrupt(format!("implausible nondet count {count}")));
     }
     let mut values = Vec::with_capacity(count as usize);
     for _ in 0..count {
-        let tag = *buf.get(*off).ok_or_else(|| corrupt(*off, "truncated nondet".into()))?;
-        *off += 1;
-        let kind = match tag {
+        let kind = match r.u8().map_err(|_| r.corrupt("truncated nondet"))? {
             0 => NondetKind::Rdtsc,
             1 => NondetKind::Rdrand,
-            other => return Err(corrupt(*off - 1, format!("unknown nondet tag {other}"))),
+            other => return Err(r.corrupt_at(r.pos() - 1, format!("unknown nondet tag {other}"))),
         };
-        values.push((kind, read_u64_at(buf, off, "nondet section")? as u32));
+        values.push((kind, r.varint()? as u32));
     }
     Ok((tid, values))
 }
@@ -526,58 +369,37 @@ mod tests {
     }
 
     #[test]
-    fn legacy_layout_round_trips() {
-        let log = sample();
-        let legacy = log.to_legacy_bytes();
-        assert!(!frame::is_framed(&legacy));
-        assert_eq!(InputLog::from_legacy_bytes(&legacy).unwrap(), log);
-        // The auto-detecting path routes legacy bytes correctly too.
-        assert_eq!(InputLog::from_bytes(&legacy).unwrap(), log);
-    }
-
-    #[test]
-    fn truncation_is_detected_at_every_offset() {
-        let bytes = sample().to_bytes();
-        for cut in 0..bytes.len() {
-            let err = InputLog::from_bytes(&bytes[..cut])
-                .expect_err(&format!("cut {cut} must error"));
-            assert!(matches!(err, QrError::Corrupt { .. }), "cut {cut}: {err}");
-        }
-    }
-
-    #[test]
-    fn single_bit_flip_at_every_byte_is_rejected() {
-        let bytes = sample().to_bytes();
-        for pos in 0..bytes.len() {
-            for bit in 0..8 {
-                let mut bad = bytes.clone();
-                bad[pos] ^= 1 << bit;
-                assert!(
-                    InputLog::from_bytes(&bad).is_err(),
-                    "flip at byte {pos} bit {bit} must be rejected"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn salvage_recovers_event_prefix_of_torn_log() {
+    fn torn_or_flipped_logs_are_rejected_and_salvage_an_event_prefix() {
+        // The walk itself is exercised in `qr_common::frame`; this checks
+        // what the header and record decoders make of it.
         let log = sample();
         let bytes = log.to_bytes();
         let (whole, report) = InputLog::salvage_from_bytes(&bytes);
         assert_eq!(whole, log);
         assert!(report.corruption.is_none());
         assert_eq!(report.expected_events, Some(log.events().len() as u64));
-        // Tear off the tail: the event prefix must survive exactly.
-        for cut in 0..bytes.len() {
-            let (torn, report) = InputLog::salvage_from_bytes(&bytes[..cut]);
-            assert!(report.corruption.is_some(), "cut {cut}");
-            assert_eq!(
-                torn.events(),
-                &log.events()[..torn.events().len()],
-                "cut {cut} salvaged a non-prefix"
-            );
+        let damaged = (0..bytes.len()).map(|cut| bytes[..cut].to_vec()).chain(
+            (0..bytes.len() * 8).map(|bit| {
+                let mut bad = bytes.clone();
+                bad[bit / 8] ^= 1 << (bit % 8);
+                bad
+            }),
+        );
+        for (case, bad) in damaged.enumerate() {
+            let err = InputLog::from_bytes(&bad).expect_err(&format!("case {case} must error"));
+            assert!(matches!(err, QrError::Corrupt { .. }), "case {case}: {err}");
+            let (torn, report) = InputLog::salvage_from_bytes(&bad);
+            assert_eq!(report.corruption, Some(err), "case {case}");
+            assert!(log.events().starts_with(torn.events()), "case {case} salvaged a non-prefix");
         }
+    }
+
+    #[test]
+    fn unframed_bytes_are_bad_magic_and_name_the_migrator() {
+        // What a v1 log of two events would open with.
+        let err = InputLog::from_bytes(&[2, 0, 10, 0, 11, 16, 0, 1, 20, 1]).unwrap_err();
+        assert!(err.to_string().contains("bad-magic"), "{err}");
+        assert!(err.to_string().contains("quickrec migrate"), "{err}");
     }
 
     #[test]
@@ -598,21 +420,22 @@ mod tests {
 
     #[test]
     fn implausible_counts_error_instead_of_allocating() {
-        // A legacy log claiming u64::MAX nondet threads must be rejected
-        // cheaply, not drive a huge allocation.
-        let mut bytes = Vec::new();
-        varint::write_u64(&mut bytes, 0); // events
-        varint::write_u64(&mut bytes, u64::MAX); // nondet threads
-        assert!(InputLog::from_legacy_bytes(&bytes).is_err());
-        // Same for a syscall event claiming an absurd write count.
-        let mut ev = Vec::new();
-        varint::write_u64(&mut ev, 1); // one event
-        ev.push(0); // syscall
+        // An event claiming an absurd write count, or a section claiming
+        // an absurd value count, must be rejected cheaply, not drive a
+        // huge allocation.
+        let mut ev = vec![0]; // syscall
         for _ in 0..4 {
             varint::write_u64(&mut ev, 1); // ts, tid, number, result
         }
         varint::write_u64(&mut ev, u64::MAX); // writes
-        assert!(InputLog::from_legacy_bytes(&ev).is_err());
+        let err = decode_event(&mut ByteReader::new(&ev, "input event")).unwrap_err();
+        assert!(err.to_string().contains("implausible write count"), "{err}");
+        let mut section = Vec::new();
+        varint::write_u64(&mut section, 3); // tid
+        varint::write_u64(&mut section, u64::MAX); // values
+        let mut r = ByteReader::new(&section, "nondet section");
+        let err = decode_nondet_section(&mut r).unwrap_err();
+        assert!(err.to_string().contains("implausible nondet count"), "{err}");
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! In-place upgrade of saved recordings to the current format.
 //!
-//! `quickrec migrate <dir>` brings a v1 (legacy unframed) or v2 (framed,
-//! no manifest) recording up to the current v3 layout. The upgrade is
+//! `quickrec migrate <dir>` brings a v1 (unframed, checksum-free) or v2
+//! (framed, no manifest) recording up to the current v3 layout. It is the
+//! only code that reads v1 — the private [`v1`] module — and every other
+//! reader refuses a v1 file set by naming this command. The upgrade is
 //! **crash-consistent**, using the same staging-dir + atomic-rename
 //! commit protocol as the `qr-store` repository: the upgraded recording
 //! is fully written into a hidden sibling staging directory, then swapped
@@ -19,6 +21,8 @@ use crate::recording::{Recording, RecordingParts};
 use qr_common::{QrError, Result};
 use quickrec_core::Encoding;
 use std::path::{Path, PathBuf};
+
+mod v1;
 
 /// Prefix of the staging directory a migrate writes the upgraded
 /// recording into (sibling of the target).
@@ -144,8 +148,9 @@ pub fn recover(dir: &Path) -> Result<bool> {
 ///
 /// Returns [`QrError::Execution`] for I/O failures and whatever
 /// structured error strict decoding of the source recording produces —
-/// a recording that cannot be fully decoded is not migrated (salvage it
-/// first).
+/// a recording that cannot be fully decoded is not migrated. (A torn v2+
+/// recording can be salvage-replayed instead; a torn v1 recording has no
+/// checksums to salvage by.)
 pub fn migrate(dir: &Path) -> Result<MigrateReport> {
     migrate_with_crash(dir, None)
 }
@@ -164,8 +169,21 @@ pub fn migrate_with_crash(dir: &Path, crash: Option<CrashPoint>) -> Result<Migra
     let parts = RecordingParts::read(dir)?;
     let from = RecordingVersion::detect(&parts);
     // Strict decode: migration refuses recordings it cannot fully and
-    // faithfully re-encode.
-    let recording = Recording::from_parts(&parts)?;
+    // faithfully re-encode. The source's chunk encoding is preserved
+    // across the upgrade.
+    let (recording, encoding) = match from {
+        RecordingVersion::V1Legacy => v1::read(&parts)?,
+        _ => {
+            let recording = Recording::from_parts(&parts)?;
+            let encoding =
+                Encoding::sniff_container(&parts.chunks).ok_or_else(|| QrError::Corrupt {
+                    what: "chunk log".into(),
+                    offset: 0,
+                    detail: "cannot identify chunk encoding".into(),
+                })?;
+            (recording, encoding)
+        }
+    };
     if matches!(from, RecordingVersion::V3 | RecordingVersion::V4) {
         // Both current generations (v4 is v3 plus the partial-order
         // sidecar) verify in place without touching a byte.
@@ -184,12 +202,6 @@ pub fn migrate_with_crash(dir: &Path, crash: Option<CrashPoint>) -> Result<Migra
             fingerprint: recording.fingerprint,
         });
     }
-    // Preserve the source's chunk encoding across the upgrade.
-    let encoding = Encoding::sniff_container(&parts.chunks).ok_or_else(|| QrError::Corrupt {
-        what: "chunk log".into(),
-        offset: 0,
-        detail: "cannot identify chunk encoding".into(),
-    })?;
     let upgraded = recording.to_parts(encoding);
     // Prove the upgrade decodes to the same execution before committing.
     let reread = Recording::from_parts(&upgraded)?;
@@ -227,15 +239,25 @@ pub fn migrate_with_crash(dir: &Path, crash: Option<CrashPoint>) -> Result<Migra
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::input_log::InputLog;
     use crate::recording::RecordingMeta;
-    use qr_common::frame::{self, PayloadKind};
     use qr_mem::TsoMode;
     use quickrec_core::{ChunkLog, ChunkPacket, TerminationReason};
     use qr_common::{CoreId, Cycle, ThreadId};
     use std::path::PathBuf;
+
+    /// The replay fingerprint `tests/golden/MANIFEST.toml` pins for the
+    /// `hello` fixtures.
+    pub(crate) const HELLO_FINGERPRINT: u64 = 0xe806_56d6_4147_7956;
+
+    /// A committed golden recording. `tests/golden/v1/*` are the only v1
+    /// bytes there are — nothing writes that format any more.
+    pub(crate) fn golden(generation: &str, name: &str) -> RecordingParts {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden");
+        RecordingParts::read(&dir.join(generation).join(name)).expect("golden fixture")
+    }
 
     fn scratch(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir()
@@ -283,23 +305,6 @@ mod tests {
         }
     }
 
-    /// Derives the v1 (legacy unframed) file images of a recording from
-    /// its modern parts: bare `QRM1` meta blob, tag-prefixed logs.
-    fn legacy_parts(rec: &Recording, encoding: Encoding) -> RecordingParts {
-        let modern = rec.to_parts(encoding);
-        let meta_records =
-            frame::read(&modern.meta, PayloadKind::Meta, "recording meta").unwrap();
-        RecordingParts {
-            meta: meta_records[0].to_vec(),
-            chunks: encoding.encode_stream(rec.chunks.packets()),
-            inputs: rec.inputs.to_legacy_bytes(),
-            footprints: None,
-            format: None,
-            checkpoints: None,
-            order: None,
-        }
-    }
-
     /// The v2 shape: modern parts minus the format manifest.
     fn v2_parts(rec: &Recording, encoding: Encoding) -> RecordingParts {
         RecordingParts { format: None, ..rec.to_parts(encoding) }
@@ -321,20 +326,25 @@ mod tests {
     fn v1_and_v2_upgrade_to_v3_preserving_fingerprint() {
         let rec = sample();
         for encoding in Encoding::ALL {
-            for (label, parts) in [
-                ("v1", legacy_parts(&rec, encoding)),
-                ("v2", v2_parts(&rec, encoding)),
-            ] {
+            let name = format!("hello-{}", encoding.name());
+            let v1 = golden("v1", &name);
+            let v1_twin =
+                Recording::from_parts(&golden("v3", &name)).expect("v3 twin of the v1 fixture");
+            for (label, parts, want) in
+                [("v1", v1, &v1_twin), ("v2", v2_parts(&rec, encoding), &rec)]
+            {
                 let dir = scratch(&format!("up-{label}-{}", encoding.name()));
                 parts.save(&dir).unwrap();
                 let report = migrate(&dir).unwrap();
                 assert!(report.changed, "{label} {encoding:?}");
+                assert_eq!(report.from.to_string(), label);
                 assert_eq!(report.to, RecordingVersion::V3);
                 assert_eq!(report.encoding, encoding);
-                assert_eq!(report.fingerprint, rec.fingerprint);
+                assert_eq!(report.fingerprint, want.fingerprint);
                 let loaded = Recording::load(&dir).unwrap();
-                assert_eq!(loaded.fingerprint, rec.fingerprint);
-                assert_eq!(loaded.chunks, rec.chunks);
+                assert_eq!(loaded.fingerprint, want.fingerprint);
+                assert_eq!(loaded.chunks, want.chunks);
+                assert_eq!(loaded.inputs, want.inputs);
                 assert!(dir.join(Recording::FORMAT_FILE).exists());
                 std::fs::remove_dir_all(&dir).unwrap();
             }
@@ -361,9 +371,8 @@ mod tests {
 
     #[test]
     fn migrate_twice_is_a_byte_level_no_op() {
-        let rec = sample();
         let dir = scratch("idempotent");
-        legacy_parts(&rec, Encoding::Packed).save(&dir).unwrap();
+        golden("v1", "hello-packed").save(&dir).unwrap();
         migrate(&dir).unwrap();
         let first = read_all_files(&dir);
         let report = migrate(&dir).unwrap();
@@ -375,18 +384,17 @@ mod tests {
 
     #[test]
     fn every_crash_point_recovers_to_a_consistent_recording() {
-        let rec = sample();
         for crash in [CrashPoint::AfterStage, CrashPoint::AfterBackup, CrashPoint::AfterSwap] {
             let dir = scratch(&format!("crash-{crash:?}"));
-            legacy_parts(&rec, Encoding::Delta).save(&dir).unwrap();
+            golden("v1", "hello-delta").save(&dir).unwrap();
             let err = migrate_with_crash(&dir, Some(crash)).unwrap_err();
             assert!(err.to_string().contains("injected crash"), "{crash:?}: {err}");
             // Re-running migrate must recover and complete the upgrade.
             let report = migrate(&dir).unwrap();
             assert_eq!(report.to, RecordingVersion::V3);
-            assert_eq!(report.fingerprint, rec.fingerprint);
+            assert_eq!(report.fingerprint, HELLO_FINGERPRINT);
             let loaded = Recording::load(&dir).unwrap();
-            assert_eq!(loaded.fingerprint, rec.fingerprint);
+            assert_eq!(loaded.fingerprint, HELLO_FINGERPRINT);
             // No protocol litter survives.
             let (staging, backup) = protocol_paths(&dir).unwrap();
             assert!(!staging.exists(), "{crash:?} left staging");
@@ -400,12 +408,11 @@ mod tests {
         // AfterSwap is special: the new recording is already in place, so
         // recovery just removes the backup and the second migrate is a
         // no-op.
-        let rec = sample();
         let dir = scratch("crash-swap-committed");
-        legacy_parts(&rec, Encoding::Raw).save(&dir).unwrap();
+        golden("v1", "hello-raw").save(&dir).unwrap();
         migrate_with_crash(&dir, Some(CrashPoint::AfterSwap)).unwrap_err();
         let loaded = Recording::load(&dir).unwrap();
-        assert_eq!(loaded.fingerprint, rec.fingerprint);
+        assert_eq!(loaded.fingerprint, HELLO_FINGERPRINT);
         let report = migrate(&dir).unwrap();
         assert!(!report.changed);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -413,14 +420,30 @@ mod tests {
 
     #[test]
     fn corrupt_source_is_refused_without_touching_the_directory() {
-        let rec = sample();
         let dir = scratch("corrupt-source");
-        let mut parts = legacy_parts(&rec, Encoding::Delta);
+        let mut parts = golden("v1", "hello-delta");
         parts.chunks.truncate(parts.chunks.len() - 3);
         parts.save(&dir).unwrap();
         let before = read_all_files(&dir);
         assert!(migrate(&dir).is_err());
         assert_eq!(read_all_files(&dir), before, "failed migrate modified the source");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_directory_mixing_generations_is_neither_loaded_nor_migrated() {
+        // No recorder ever wrote one; a v1 chunk stream beside framed
+        // files is refused by the loaders (as v1) and by the v1 reader
+        // (whose meta is not a bare `QRM1` blob).
+        let dir = scratch("mixed");
+        let mut parts = v2_parts(&sample(), Encoding::Raw);
+        parts.chunks = golden("v1", "hello-raw").chunks;
+        parts.save(&dir).unwrap();
+        let err = Recording::load(&dir).unwrap_err();
+        assert!(matches!(err, QrError::Unsupported(_)), "{err}");
+        assert!(err.to_string().contains("quickrec migrate"), "{err}");
+        let err = migrate(&dir).unwrap_err();
+        assert!(err.to_string().contains("bad recording-meta magic"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,8 +1,10 @@
 //! Recording configuration and the recording artifact.
 
+use crate::format::{FormatManifest, RecordingVersion};
 use crate::input_log::{InputLog, InputSalvage};
 use crate::timeline::TimelineEvent;
 use crate::overhead::{OverheadBreakdown, OverheadModel};
+use qr_common::cursor::ByteReader;
 use qr_common::frame::{self, PayloadKind};
 use qr_common::{QrError, Result};
 use qr_cpu::CpuConfig;
@@ -91,8 +93,9 @@ pub struct Recording {
     /// The input log.
     pub inputs: InputLog,
     /// Per-chunk read/write footprints (parallel replay's dependency
-    /// evidence). `None` for legacy recordings and unsalvageable
-    /// sidecars; parallel replay then falls back to the serial path.
+    /// evidence). `None` for recordings migrated from v1 and
+    /// unsalvageable sidecars; parallel replay then falls back to the
+    /// serial path.
     pub footprints: Option<FootprintLog>,
     /// Provenance and platform metadata.
     pub meta: RecordingMeta,
@@ -122,7 +125,7 @@ impl RecordingMeta {
 
     /// Serializes the metadata (plus the scalar outcome fields passed in)
     /// as a framed container holding one CRC-32-protected record (the
-    /// `QRM1` blob pre-framing recorders wrote bare).
+    /// `QRM1` blob a v1 recording holds bare).
     fn to_bytes(&self, outcome: &RecordingOutcomeFields) -> Vec<u8> {
         let mut w = frame::Writer::new(PayloadKind::Meta);
         w.record(&self.to_inner_bytes(outcome));
@@ -130,7 +133,7 @@ impl RecordingMeta {
     }
 
     /// The inner `QRM1` metadata blob (the framed record's payload, and
-    /// the whole file in the legacy layout).
+    /// the whole file in a v1 recording).
     fn to_inner_bytes(&self, outcome: &RecordingOutcomeFields) -> Vec<u8> {
         use qr_common::varint::write_u64 as w;
         let mut out = Vec::new();
@@ -168,12 +171,8 @@ impl RecordingMeta {
         out
     }
 
-    /// Deserializes metadata written by [`RecordingMeta::to_bytes`]
-    /// (framed) or by a pre-framing recorder (bare `QRM1` blob).
+    /// Deserializes metadata written by [`RecordingMeta::to_bytes`].
     fn from_bytes(buf: &[u8]) -> Result<(RecordingMeta, RecordingOutcomeFields)> {
-        if !frame::is_framed(buf) {
-            return Self::from_inner_bytes(buf, 0);
-        }
         let records = frame::read(buf, PayloadKind::Meta, "recording meta")?;
         let [payload] = records[..] else {
             return Err(QrError::Corrupt {
@@ -185,68 +184,54 @@ impl RecordingMeta {
         Self::from_inner_bytes(payload, frame::HEADER_LEN + 4)
     }
 
+    /// Decodes the `QRM1` blob, which starts `base` bytes into its file.
     // Sequential field-by-field decode reads clearer than a giant
     // struct literal here.
     #[allow(clippy::field_reassign_with_default)]
-    fn from_inner_bytes(
+    pub(crate) fn from_inner_bytes(
         buf: &[u8],
         base: usize,
     ) -> Result<(RecordingMeta, RecordingOutcomeFields)> {
-        use qr_common::varint::read_u64;
-        let corrupt = |off: usize, detail: String| QrError::Corrupt {
-            what: "recording meta".into(),
-            offset: (base + off) as u64,
-            detail,
-        };
-        if buf.len() < 4 || &buf[..4] != Self::MAGIC {
-            return Err(corrupt(0, "bad recording-meta magic".into()));
+        let mut r = ByteReader::at(buf, "recording meta", base);
+        if r.bytes(4).ok() != Some(&Self::MAGIC[..]) {
+            return Err(r.corrupt_at(0, "bad recording-meta magic"));
         }
-        let mut off = 4usize;
-        let next = |buf: &[u8], off: &mut usize| -> Result<u64> {
-            let (v, n) =
-                read_u64(buf.get(*off..).unwrap_or(&[])).map_err(|e| corrupt(*off, e.to_string()))?;
-            *off += n;
-            Ok(v)
+        let program_fingerprint = r.varint()?;
+        let tso_at = r.pos();
+        let tso_mode = match r.u8() {
+            Ok(0) => TsoMode::DrainAtChunk,
+            Ok(1) => TsoMode::Rsw,
+            _ => return Err(r.corrupt_at(tso_at, "bad tso mode")),
         };
-        let program_fingerprint = next(buf, &mut off)?;
-        let tso_mode = match buf.get(off) {
-            Some(0) => TsoMode::DrainAtChunk,
-            Some(1) => TsoMode::Rsw,
-            _ => return Err(corrupt(off, "bad tso mode".into())),
-        };
-        off += 1;
         let mut cpu = CpuConfig::default();
-        cpu.num_cores = next(buf, &mut off)? as usize;
-        cpu.drain_interval = next(buf, &mut off)?;
+        cpu.num_cores = r.varint()? as usize;
+        cpu.drain_interval = r.varint()?;
         cpu.mem.tso_mode = tso_mode;
-        cpu.mem.l1_sets = next(buf, &mut off)? as u32;
-        cpu.mem.l1_ways = next(buf, &mut off)? as u32;
-        cpu.mem.store_buffer_entries = next(buf, &mut off)? as usize;
-        cpu.mem.miss_penalty = next(buf, &mut off)?;
-        cpu.mem.intervention_penalty = next(buf, &mut off)?;
-        cpu.mem.hit_cycles = next(buf, &mut off)?;
+        cpu.mem.l1_sets = r.varint()? as u32;
+        cpu.mem.l1_ways = r.varint()? as u32;
+        cpu.mem.store_buffer_entries = r.varint()? as usize;
+        cpu.mem.miss_penalty = r.varint()?;
+        cpu.mem.intervention_penalty = r.varint()?;
+        cpu.mem.hit_cycles = r.varint()?;
         let mut os = OsConfig::default();
-        os.quantum_cycles = next(buf, &mut off)?;
-        os.stack_bytes = next(buf, &mut off)? as u32;
-        os.stack_guard_bytes = next(buf, &mut off)? as u32;
-        os.syscall_base_cycles = next(buf, &mut off)?;
-        os.copy_cycles_per_byte = next(buf, &mut off)?;
-        os.context_switch_cycles = next(buf, &mut off)?;
-        os.input_seed = next(buf, &mut off)?;
-        os.max_instructions = next(buf, &mut off)?;
-        let cycles = next(buf, &mut off)?;
-        let instructions = next(buf, &mut off)?;
-        let exit_code = next(buf, &mut off)? as u32;
-        let fingerprint = next(buf, &mut off)?;
-        let console_len = next(buf, &mut off)? as usize;
-        let end = off
-            .checked_add(console_len)
-            .filter(|&e| e <= buf.len())
-            .ok_or_else(|| corrupt(off, "truncated console".into()))?;
-        let console = buf[off..end].to_vec();
-        if end != buf.len() {
-            return Err(corrupt(end, format!("{} trailing bytes", buf.len() - end)));
+        os.quantum_cycles = r.varint()?;
+        os.stack_bytes = r.varint()? as u32;
+        os.stack_guard_bytes = r.varint()? as u32;
+        os.syscall_base_cycles = r.varint()?;
+        os.copy_cycles_per_byte = r.varint()?;
+        os.context_switch_cycles = r.varint()?;
+        os.input_seed = r.varint()?;
+        os.max_instructions = r.varint()?;
+        let cycles = r.varint()?;
+        let instructions = r.varint()?;
+        let exit_code = r.varint()? as u32;
+        let fingerprint = r.varint()?;
+        let console_len = r.varint()?;
+        if console_len > r.remaining() as u64 {
+            return Err(r.corrupt("truncated console"));
         }
+        let console = r.bytes(console_len as usize)?.to_vec();
+        r.finish()?;
         Ok((
             RecordingMeta { program_fingerprint, tso_mode, cpu, os },
             RecordingOutcomeFields { cycles, instructions, exit_code, fingerprint, console },
@@ -255,7 +240,7 @@ impl RecordingMeta {
 }
 
 /// Scalar outcome fields persisted alongside the metadata.
-struct RecordingOutcomeFields {
+pub(crate) struct RecordingOutcomeFields {
     cycles: u64,
     instructions: u64,
     exit_code: u32,
@@ -280,7 +265,7 @@ impl Recording {
     pub const CHUNKS_FILE: &'static str = "chunks.qrl";
     /// Input-log file name.
     pub const INPUTS_FILE: &'static str = "inputs.qrl";
-    /// Footprint-log file name (absent in legacy recordings).
+    /// Footprint-log file name (an optional sidecar).
     pub const FOOTPRINTS_FILE: &'static str = "footprints.qrl";
     /// Format-manifest file name (absent in v1/v2 recordings; see
     /// [`crate::format`]).
@@ -356,20 +341,48 @@ impl Recording {
         }
     }
 
+    /// Puts a recording together from its decoded files. Recorder
+    /// statistics and the overhead breakdown are measurement artifacts
+    /// that are never persisted, so they come back zeroed.
+    pub(crate) fn assemble(
+        (meta, outcome): (RecordingMeta, RecordingOutcomeFields),
+        chunks: ChunkLog,
+        inputs: InputLog,
+        footprints: Option<FootprintLog>,
+        order: Option<OrderLog>,
+    ) -> Recording {
+        Recording {
+            chunks,
+            inputs,
+            footprints,
+            meta,
+            cycles: outcome.cycles,
+            instructions: outcome.instructions,
+            console: outcome.console,
+            exit_code: outcome.exit_code,
+            fingerprint: outcome.fingerprint,
+            recorder_stats: RecorderStats::default(),
+            overhead: OverheadBreakdown::default(),
+            order,
+        }
+    }
+
     /// Reconstructs a recording from per-file byte images (the inverse
     /// of [`Recording::to_parts`], and what [`Recording::load`] does
     /// after reading the files).
     ///
     /// # Errors
     ///
-    /// Returns [`QrError::Corrupt`] with byte-offset context for
-    /// malformed or version-mismatched images, [`QrError::LogDecode`]
-    /// for internally inconsistent ones.
+    /// Returns [`QrError::Unsupported`] for a v1 file set (only
+    /// `quickrec migrate` reads those), [`QrError::Corrupt`] with
+    /// byte-offset context for malformed or version-mismatched images,
+    /// [`QrError::LogDecode`] for internally inconsistent ones.
     pub fn from_parts(parts: &RecordingParts) -> Result<Recording> {
+        RecordingVersion::detect(parts).refuse_unmigrated()?;
         // A present format manifest must decode and agree with the chunk
-        // log's actual encoding; its absence is legal (v1/v2 layouts).
+        // log's actual encoding; its absence is legal (the v2 layout).
         if let Some(buf) = &parts.format {
-            let manifest = crate::format::FormatManifest::from_bytes(buf)?;
+            let manifest = FormatManifest::from_bytes(buf)?;
             if let Some(actual) = quickrec_core::Encoding::sniff_container(&parts.chunks) {
                 if actual != manifest.encoding {
                     return Err(QrError::LogDecode(format!(
@@ -390,31 +403,13 @@ impl Recording {
                 }));
             }
         }
-        let (meta, outcome) = RecordingMeta::from_bytes(&parts.meta)?;
-        let chunks = ChunkLog::from_bytes(&parts.chunks)?;
-        let inputs = InputLog::from_bytes(&parts.inputs)?;
-        let footprints = match &parts.footprints {
-            Some(buf) => Some(FootprintLog::from_bytes(buf)?),
-            None => None,
-        };
-        let order = match &parts.order {
-            Some(buf) => Some(OrderLog::from_bytes(buf)?),
-            None => None,
-        };
-        let recording = Recording {
-            chunks,
-            inputs,
-            footprints,
-            meta,
-            cycles: outcome.cycles,
-            instructions: outcome.instructions,
-            console: outcome.console,
-            exit_code: outcome.exit_code,
-            fingerprint: outcome.fingerprint,
-            recorder_stats: RecorderStats::default(),
-            overhead: crate::overhead::OverheadBreakdown::default(),
-            order,
-        };
+        let recording = Recording::assemble(
+            RecordingMeta::from_bytes(&parts.meta)?,
+            ChunkLog::from_bytes(&parts.chunks)?,
+            InputLog::from_bytes(&parts.inputs)?,
+            parts.footprints.as_deref().map(FootprintLog::from_bytes).transpose()?,
+            parts.order.as_deref().map(OrderLog::from_bytes).transpose()?,
+        );
         recording.check_consistency()?;
         Ok(recording)
     }
@@ -458,7 +453,9 @@ impl Recording {
     /// # Errors
     ///
     /// Returns an error only when the metadata file is unreadable — a
-    /// recording without its platform metadata cannot anchor a replay.
+    /// recording without its platform metadata cannot anchor a replay —
+    /// or the file set is a v1 recording (which has no checksums to
+    /// salvage by; `quickrec migrate` reads it strictly or not at all).
     pub fn load_salvaged(dir: &std::path::Path) -> Result<(Recording, RecoveryInfo)> {
         Self::salvage_from_parts(&RecordingParts::read(dir)?)
     }
@@ -470,87 +467,57 @@ impl Recording {
     ///
     /// # Errors
     ///
-    /// Returns an error only when the metadata image is undecodable.
+    /// As [`Recording::load_salvaged`].
     pub fn salvage_from_parts(parts: &RecordingParts) -> Result<(Recording, RecoveryInfo)> {
-        let (meta, outcome) = RecordingMeta::from_bytes(&parts.meta)?;
+        RecordingVersion::detect(parts).refuse_unmigrated()?;
+        let meta = RecordingMeta::from_bytes(&parts.meta)?;
         let (chunks, chunk_salvage) = ChunkLog::salvage_from_bytes(&parts.chunks);
         let (inputs, input_salvage) = InputLog::salvage_from_bytes(&parts.inputs);
         // A torn footprint sidecar salvages to a (possibly partial)
         // prefix; parallel replay checks coverage before relying on it.
-        let footprints =
-            parts.footprints.as_ref().map(|buf| FootprintLog::salvage_from_bytes(buf));
+        let footprints = parts.footprints.as_deref().map(FootprintLog::salvage_from_bytes);
         // A torn ordering sidecar degrades to its longest clean edge
         // prefix — replay still honours every edge that survived.
-        let (order, order_salvage) = match &parts.order {
-            Some(buf) => {
-                let (log, salvage) = OrderLog::salvage_from_bytes(buf);
-                (Some(log), Some(salvage))
-            }
-            None => (None, None),
-        };
-        let recording = Recording {
-            chunks,
-            inputs,
-            footprints,
-            meta,
-            cycles: outcome.cycles,
-            instructions: outcome.instructions,
-            console: outcome.console,
-            exit_code: outcome.exit_code,
-            fingerprint: outcome.fingerprint,
-            recorder_stats: RecorderStats::default(),
-            overhead: crate::overhead::OverheadBreakdown::default(),
-            order,
-        };
+        let (order, order_salvage) =
+            parts.order.as_deref().map(OrderLog::salvage_from_bytes).unzip();
         Ok((
-            recording,
+            Recording::assemble(meta, chunks, inputs, footprints, order),
             RecoveryInfo { chunks: chunk_salvage, inputs: input_salvage, order: order_salvage },
         ))
     }
 
-    /// Integrity-checks every file of a saved recording without building
-    /// one: full strict decode of metadata, chunk log and input log,
-    /// reporting per-file size, format and the first fault (if any).
-    pub fn verify_dir(dir: &std::path::Path) -> VerifyReport {
-        let mut files = Vec::new();
-        files.push(FileCheck::run(dir, Self::META_FILE, |buf| {
-            RecordingMeta::from_bytes(buf).map(|_| ())
-        }));
-        files.push(FileCheck::run(dir, Self::CHUNKS_FILE, |buf| {
-            ChunkLog::from_bytes(buf).map(|_| ())
-        }));
-        files.push(FileCheck::run(dir, Self::INPUTS_FILE, |buf| {
-            InputLog::from_bytes(buf).map(|_| ())
-        }));
-        // The footprint sidecar is optional: legacy recordings without
-        // one still verify clean, but a present-and-corrupt one fails.
-        if dir.join(Self::FOOTPRINTS_FILE).exists() {
-            files.push(FileCheck::run(dir, Self::FOOTPRINTS_FILE, |buf| {
-                FootprintLog::from_bytes(buf).map(|_| ())
-            }));
-        }
-        // Same contract for the format manifest (v1/v2 layouts lack it).
-        if dir.join(Self::FORMAT_FILE).exists() {
-            files.push(FileCheck::run(dir, Self::FORMAT_FILE, |buf| {
-                crate::format::FormatManifest::from_bytes(buf).map(|_| ())
-            }));
-        }
-        // The checkpoint index is a replay cache: optional, and checked
-        // here at the container level only (the replayer owns its inner
-        // layout and regenerates it when absent).
-        if dir.join(Self::CHECKPOINTS_FILE).exists() {
-            files.push(FileCheck::run(dir, Self::CHECKPOINTS_FILE, |buf| {
-                frame::read(buf, PayloadKind::CheckpointIndex, "checkpoint index").map(|_| ())
-            }));
-        }
-        // The ordering sidecar only exists for partial-order recordings;
-        // when present it must decode strictly end to end.
-        if dir.join(Self::ORDER_FILE).exists() {
-            files.push(FileCheck::run(dir, Self::ORDER_FILE, |buf| {
-                OrderLog::from_bytes(buf).map(|_| ())
-            }));
+    /// Integrity-checks every file image of a recording without building
+    /// one: full strict decode of each, reporting per-file size, format
+    /// and the first fault (if any). The sidecars are optional (absent
+    /// ones are simply not listed) but a present-and-corrupt one fails.
+    /// A v1 file set is refused file by file: nothing here reads it.
+    pub fn verify_parts(parts: &RecordingParts) -> VerifyReport {
+        let mut files: Vec<FileCheck> =
+            parts.files().into_iter().map(|(name, buf)| FileCheck::run(name, buf)).collect();
+        if let Err(refusal) = RecordingVersion::detect(parts).refuse_unmigrated() {
+            for file in files.iter_mut().filter(|f| f.version.is_none()) {
+                file.error = Some(refusal.clone());
+            }
         }
         VerifyReport { files }
+    }
+
+    /// [`Recording::verify_parts`] over a saved recording. A missing
+    /// required file is one failed entry of the report, not an error for
+    /// the directory as a whole.
+    pub fn verify_dir(dir: &std::path::Path) -> VerifyReport {
+        match RecordingParts::read(dir) {
+            Ok(parts) => Self::verify_parts(&parts),
+            Err(_) => VerifyReport {
+                files: [Self::META_FILE, Self::CHUNKS_FILE, Self::INPUTS_FILE]
+                    .into_iter()
+                    .map(|name| match read_file(dir, name) {
+                        Ok(buf) => FileCheck::run(name, &buf),
+                        Err(e) => FileCheck::unreadable(name, e),
+                    })
+                    .collect(),
+            },
+        }
     }
 
     /// Validates internal consistency (chunk instruction counts vs. the
@@ -590,9 +557,9 @@ pub struct RecordingParts {
     pub chunks: Vec<u8>,
     /// `inputs.qrl` image.
     pub inputs: Vec<u8>,
-    /// `footprints.qrl` image (`None` for legacy recordings).
+    /// `footprints.qrl` image (an optional sidecar).
     pub footprints: Option<Vec<u8>>,
-    /// `format.qrv` image (`None` for v1/v2 recordings; see
+    /// `format.qrv` image (`None` for v2 recordings; see
     /// [`crate::format`]).
     pub format: Option<Vec<u8>>,
     /// `checkpoints.qrc` image (`None` until a checkpoint index is
@@ -774,49 +741,52 @@ pub struct FileCheck {
     pub name: String,
     /// File size in bytes (`None` when unreadable).
     pub bytes: Option<u64>,
-    /// Container format version (`None` for legacy unframed files or
-    /// unreadable ones).
+    /// Container format version (`None` for files that are not framed
+    /// containers, and unreadable ones).
     pub version: Option<u8>,
-    /// CRC-32-protected records in the framed container.
+    /// Structurally complete records in the framed container.
     pub records: usize,
-    /// Whether the file is in the legacy (unframed, checksum-free)
-    /// layout.
-    pub legacy: bool,
     /// The first fault found, if any.
     pub error: Option<QrError>,
 }
 
 impl FileCheck {
-    /// Reads `name` in `dir` and runs the strict decoder over it.
-    fn run(
-        dir: &std::path::Path,
-        name: &str,
-        decode: impl FnOnce(&[u8]) -> Result<()>,
-    ) -> FileCheck {
-        let mut check = FileCheck {
+    /// Runs the strict decoder for the recording file `name` over its
+    /// image.
+    fn run(name: &str, buf: &[u8]) -> FileCheck {
+        let decoded = match name {
+            Recording::META_FILE => RecordingMeta::from_bytes(buf).map(drop),
+            Recording::CHUNKS_FILE => ChunkLog::from_bytes(buf).map(drop),
+            Recording::INPUTS_FILE => InputLog::from_bytes(buf).map(drop),
+            Recording::FOOTPRINTS_FILE => FootprintLog::from_bytes(buf).map(drop),
+            Recording::FORMAT_FILE => FormatManifest::from_bytes(buf).map(drop),
+            Recording::ORDER_FILE => OrderLog::from_bytes(buf).map(drop),
+            // The checkpoint index is a replay cache, checked here at
+            // the container level only: the replayer owns its inner
+            // layout and regenerates it when absent.
+            _ => frame::read(buf, PayloadKind::CheckpointIndex, "checkpoint index").map(drop),
+        };
+        let framed = frame::is_framed(buf);
+        FileCheck {
+            name: name.to_string(),
+            bytes: Some(buf.len() as u64),
+            version: buf.get(4).copied().filter(|_| framed),
+            // The decoder above checksummed every record; this only
+            // counts them.
+            records: if framed { frame::record_spans(buf).len() } else { 0 },
+            error: decoded.err(),
+        }
+    }
+
+    /// The entry for a file that could not be read at all.
+    fn unreadable(name: &str, error: QrError) -> FileCheck {
+        FileCheck {
             name: name.to_string(),
             bytes: None,
             version: None,
             records: 0,
-            legacy: false,
-            error: None,
-        };
-        let buf = match read_file(dir, name) {
-            Ok(buf) => buf,
-            Err(e) => {
-                check.error = Some(e);
-                return check;
-            }
-        };
-        check.bytes = Some(buf.len() as u64);
-        if frame::is_framed(&buf) {
-            check.version = buf.get(4).copied();
-            check.records = frame::scan(&buf).records.len();
-        } else {
-            check.legacy = true;
+            error: Some(error),
         }
-        check.error = decode(&buf).err();
-        check
     }
 
     /// One-line human-readable status for reports.
@@ -825,12 +795,9 @@ impl FileCheck {
             Some(b) => format!("{b} bytes"),
             None => "unreadable".to_string(),
         };
-        let format = if self.legacy {
-            "legacy".to_string()
-        } else if let Some(v) = self.version {
-            format!("framed v{v}, {} records", self.records)
-        } else {
-            "unknown format".to_string()
+        let format = match self.version {
+            Some(v) => format!("framed v{v}, {} records", self.records),
+            None => "not framed".to_string(),
         };
         match &self.error {
             Some(e) => format!("{}: {size}, {format} — FAIL: {e}", self.name),

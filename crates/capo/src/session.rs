@@ -36,7 +36,7 @@ use crate::sphere::ReplaySphere;
 use qr_common::{CoreId, LineAddr, QrError, Result};
 use qr_cpu::{Machine, StepOutcome};
 use qr_isa::Program;
-use qr_mem::{BusKind, MemEvent, TsoMode};
+use qr_mem::{BusKind, MemEvent};
 use qr_os::{Kernel, SchedEvent, SyscallOutcome};
 use quickrec_core::{ChunkFootprint, FootprintLog, RecorderBank, TerminationReason};
 use std::collections::BTreeSet;
@@ -310,22 +310,7 @@ impl RecordingSession {
         if !self.bank.unit(core).is_recording() || self.bank.unit(core).chunk_icount() == 0 {
             return Ok(());
         }
-        let drains = match reason {
-            // Kernel/serialization boundaries always drain.
-            TerminationReason::Syscall
-            | TerminationReason::Trap
-            | TerminationReason::ContextSwitch
-            | TerminationReason::SphereEnd => true,
-            // Hardware chunk closings drain only in DrainAtChunk mode.
-            TerminationReason::IcOverflow | TerminationReason::SigSaturation => {
-                self.cfg.cpu.mem.tso_mode == TsoMode::DrainAtChunk
-            }
-            // Conflict victims never drain (visibility-time attribution).
-            TerminationReason::ConflictRaw
-            | TerminationReason::ConflictWar
-            | TerminationReason::ConflictWaw => false,
-        };
-        if drains {
+        if reason.drains_store_buffer(self.cfg.cpu.mem.tso_mode) {
             let drain = self.machine.drain_store_buffer(core)?;
             self.note_footprint(&drain.events);
             self.process_mem_events(&drain.events)?;

@@ -19,13 +19,21 @@ pub struct ByteReader<'a> {
     buf: &'a [u8],
     pos: usize,
     what: &'a str,
+    base: usize,
 }
 
 impl<'a> ByteReader<'a> {
     /// Starts reading `buf` from the front; `what` names the artifact
     /// being decoded in error messages.
     pub fn new(buf: &'a [u8], what: &'a str) -> ByteReader<'a> {
-        ByteReader { buf, pos: 0, what }
+        ByteReader::at(buf, what, 0)
+    }
+
+    /// Like [`ByteReader::new`] for a `buf` that starts `base` bytes into
+    /// an enclosing file (a frame record's payload): error offsets are
+    /// reported in the file's coordinates.
+    pub fn at(buf: &'a [u8], what: &'a str, base: usize) -> ByteReader<'a> {
+        ByteReader { buf, pos: 0, what, base }
     }
 
     /// Current byte offset.
@@ -38,10 +46,18 @@ impl<'a> ByteReader<'a> {
         self.buf.len() - self.pos
     }
 
-    fn corrupt(&self, detail: impl Into<String>) -> QrError {
+    /// A [`QrError::Corrupt`] located at the current position, for
+    /// callers' own field checks.
+    pub fn corrupt(&self, detail: impl Into<String>) -> QrError {
+        self.corrupt_at(self.pos, detail)
+    }
+
+    /// A [`QrError::Corrupt`] located at `pos` (an earlier
+    /// [`ByteReader::pos`]).
+    pub fn corrupt_at(&self, pos: usize, detail: impl Into<String>) -> QrError {
         QrError::Corrupt {
             what: self.what.to_string(),
-            offset: self.pos as u64,
+            offset: (self.base + pos) as u64,
             detail: detail.into(),
         }
     }
@@ -114,11 +130,7 @@ impl<'a> ByteReader<'a> {
         let at = self.pos;
         let value = self.varint()?;
         if value > max {
-            return Err(QrError::Corrupt {
-                what: self.what.to_string(),
-                offset: at as u64,
-                detail: format!("implausible count {value} (max {max})"),
-            });
+            return Err(self.corrupt_at(at, format!("implausible count {value} (max {max})")));
         }
         Ok(value as usize)
     }
@@ -168,6 +180,27 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn based_reader_reports_offsets_in_the_enclosing_file() {
+        let mut r = ByteReader::at(&[9u8], "record", 100);
+        assert_eq!(r.u8().unwrap(), 9);
+        let cases = [
+            (r.u8().unwrap_err(), 101),
+            (r.corrupt("field check"), 101),
+            (r.corrupt_at(0, "earlier"), 100),
+        ];
+        for (err, want) in cases {
+            match err {
+                QrError::Corrupt { what, offset, .. } => {
+                    assert_eq!(what, "record");
+                    assert_eq!(offset, want);
+                }
+                other => panic!("{other:?}"),
+            }
+        }
+        assert_eq!(r.pos(), 1, "pos stays buffer-relative");
     }
 
     #[test]

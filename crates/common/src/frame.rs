@@ -20,15 +20,16 @@
 //! [`read`] is the strict decoder (any fault is a
 //! [`QrError::Corrupt`] with byte offset); [`scan`] is the tolerant
 //! decoder used by salvage, which returns the valid prefix plus a
-//! [`FrameFault`] describing what stopped it.
+//! [`FrameFault`] describing what stopped it. [`walk`] is the one
+//! reader of *header-committed* logs (record 0 commits what the rest of
+//! the file must hold): the chunk, input and order logs are each a
+//! header parser and a record decoder handed to it.
 
 use crate::crc32;
 use crate::error::{QrError, Result};
 
-/// Container magic. The first byte (`0x51`) is chosen so that no
-/// single-bit flip of it collides with a legacy encoding tag (`0..=2`):
-/// a framed file with a damaged magic is reported as corrupt rather than
-/// silently mis-parsed as a legacy stream.
+/// Container magic. Nothing but a framed container is ever decoded: a
+/// file without it is [`FaultKind::BadMagic`], whatever else it holds.
 pub const MAGIC: [u8; 4] = *b"QRCF";
 
 /// Current container format version.
@@ -190,6 +191,11 @@ impl FaultKind {
             FaultKind::BadVersion { found } => {
                 format!("bad-version (found v{found}, newest supported v{VERSION})")
             }
+            // The one unframed shape that exists in the wild is a v1
+            // recording, so name the way out of it.
+            FaultKind::BadMagic => "bad-magic (not a framed container; pre-framing v1 recording \
+                                    files are read only by `quickrec migrate <dir>`)"
+                .to_string(),
             other => other.label().to_string(),
         }
     }
@@ -323,8 +329,8 @@ impl Scan<'_> {
     }
 }
 
-/// Whether `buf` starts with the framed-container magic (used by
-/// decoders to route between the framed and legacy formats).
+/// Whether `buf` starts with the framed-container magic (how a v1 file
+/// is told from a framed one when naming a recording's generation).
 pub fn is_framed(buf: &[u8]) -> bool {
     buf.len() >= MAGIC.len() && buf[..MAGIC.len()] == MAGIC
 }
@@ -418,6 +424,104 @@ pub fn read<'a>(buf: &'a [u8], expected: PayloadKind, what: &str) -> Result<Vec<
             detail: format!("container holds a {}, expected a {}", kind.name(), expected.name()),
         }),
         None => unreachable!("fault-free scan always has a kind"),
+    }
+}
+
+/// Byte ranges of the structurally complete records in `buf` (each
+/// including its length prefix and checksum trailer), by length prefix
+/// alone: no checksum is computed, and the walk stops at the first
+/// record that runs past the buffer.
+pub fn record_spans(buf: &[u8]) -> Vec<std::ops::Range<usize>> {
+    let mut spans = Vec::new();
+    let mut off = HEADER_LEN;
+    while off + RECORD_OVERHEAD <= buf.len() {
+        let len = u32::from_le_bytes([buf[off], buf[off + 1], buf[off + 2], buf[off + 3]]) as usize;
+        let Some(end) = off.checked_add(RECORD_OVERHEAD + len).filter(|&e| e <= buf.len()) else {
+            break;
+        };
+        spans.push(off..end);
+        off = end;
+    }
+    spans
+}
+
+/// What [`walk`] recovered from a header-committed log.
+#[derive(Debug)]
+pub struct Walk<H> {
+    /// The parsed header record, if it survived.
+    pub header: Option<H>,
+    /// Container bytes not covered by the header and the decoded records.
+    pub bytes_dropped: usize,
+    /// What stopped the walk (`None`: every record decoded and the
+    /// container is fault-free).
+    pub corruption: Option<QrError>,
+}
+
+/// Tolerantly decodes a header-committed log: a container of `kind`
+/// whose record 0 is a header and whose remaining records each decode on
+/// their own. Records are decoded front to back until one fails or the
+/// checksum-valid prefix ends, so whatever `decode_record` accumulated is
+/// an exact prefix of what was written. Never fails: the first fault is
+/// *described* in [`Walk::corruption`].
+///
+/// `noun` is the expected payload with its article ("a chunk log").
+/// Both callbacks get the payload and its byte offset within `buf` for
+/// error context. What the header *commits to* (a packet or edge count)
+/// is the caller's to compare once the walk comes back clean; strict
+/// decode is this walk plus that check, failing on any corruption.
+pub fn walk<H>(
+    buf: &[u8],
+    kind: PayloadKind,
+    noun: &str,
+    parse_header: impl FnOnce(&[u8], usize) -> Result<H>,
+    mut decode_record: impl FnMut(&H, &[u8], usize) -> Result<()>,
+) -> Walk<H> {
+    let what = kind.name();
+    let gone =
+        |err: QrError| Walk { header: None, bytes_dropped: buf.len(), corruption: Some(err) };
+    let corrupt = |offset: usize, detail: String| QrError::Corrupt {
+        what: what.to_string(),
+        offset: offset as u64,
+        detail,
+    };
+    let scanned = scan(buf);
+    match scanned.kind {
+        Some(found) if found == kind => {}
+        Some(found) => {
+            return gone(corrupt(5, format!("container holds a {}, expected {noun}", found.name())))
+        }
+        None => {
+            let fault = scanned.fault.expect("scan without kind always faults");
+            return gone(fault.to_error(what));
+        }
+    }
+    let Some((first, rest)) = scanned.records.split_first() else {
+        // No complete header record: report the frame fault that ate it,
+        // or the absence itself for a bare container.
+        return gone(match scanned.fault {
+            Some(fault) => fault.to_error(what),
+            None => corrupt(HEADER_LEN, format!("missing {what} header record")),
+        });
+    };
+    let header = match parse_header(first, HEADER_LEN + 4) {
+        Ok(header) => header,
+        Err(err) => return gone(err),
+    };
+    // Bytes of `buf` covered so far; the next record's payload starts
+    // just past its length prefix.
+    let mut consumed = HEADER_LEN + first.len() + RECORD_OVERHEAD;
+    let mut corruption = None;
+    for payload in rest {
+        if let Err(err) = decode_record(&header, payload, consumed + 4) {
+            corruption = Some(err);
+            break;
+        }
+        consumed += payload.len() + RECORD_OVERHEAD;
+    }
+    Walk {
+        header: Some(header),
+        bytes_dropped: buf.len() - consumed,
+        corruption: corruption.or_else(|| scanned.fault.map(|fault| fault.to_error(what))),
     }
 }
 
@@ -604,14 +708,18 @@ mod tests {
     }
 
     #[test]
-    fn magic_flips_never_alias_legacy_tags() {
-        // The legacy chunk-log format starts with an encoding tag in
-        // 0..=2; a single-bit flip of the framed magic's first byte must
-        // never produce one, or a damaged framed log would be mis-parsed
-        // as legacy.
-        for bit in 0..8 {
-            assert!(MAGIC[0] ^ (1 << bit) > 2, "bit {bit}");
+    fn record_spans_tile_the_container_and_stop_at_a_torn_record() {
+        let buf = container(&[b"header", b"alpha", b"", b"a-longer-record"]);
+        let spans = record_spans(&buf);
+        assert_eq!(spans.len(), 4);
+        assert_eq!(spans[0].start, HEADER_LEN);
+        for pair in spans.windows(2) {
+            assert_eq!(pair[0].end, pair[1].start);
         }
+        assert_eq!(spans.last().unwrap().end, buf.len());
+        assert_eq!(spans[1].len(), RECORD_OVERHEAD + 5);
+        assert_eq!(record_spans(&buf[..buf.len() - 1]), spans[..3]);
+        assert!(record_spans(&buf[..HEADER_LEN - 1]).is_empty());
     }
 
     #[test]
@@ -644,5 +752,170 @@ mod tests {
         buf[HEADER_LEN..HEADER_LEN + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         let scanned = scan(&buf);
         assert_eq!(scanned.fault.unwrap().kind, FaultKind::TruncatedRecord);
+    }
+}
+
+#[cfg(test)]
+mod walk_battery {
+    //! The one salvage walk, driven over a toy header-committed log: the
+    //! header commits a record count and record `i` is `[i, noise...]`
+    //! (never a well-formed header), so a duplicated or reordered record
+    //! is the decoder's to refuse.
+    use super::*;
+    use crate::{varint, SplitMix64};
+
+    type Items = Vec<Vec<u8>>;
+
+    fn toy_log(rng: &mut SplitMix64, records: u8) -> (Vec<u8>, Items) {
+        let mut w = Writer::new(PayloadKind::OrderLog);
+        let mut header = Vec::new();
+        varint::write_u64(&mut header, records as u64);
+        w.record(&header);
+        let items: Items = (0..records)
+            .map(|i| {
+                let noise = (0..=rng.below(40)).map(|_| rng.next_u64() as u8);
+                std::iter::once(i).chain(noise).collect()
+            })
+            .collect();
+        for item in &items {
+            w.record(item);
+        }
+        (w.finish(), items)
+    }
+
+    fn salvage(buf: &[u8]) -> (Items, Walk<u64>) {
+        let mut items = Items::new();
+        let mut walked = walk(
+            buf,
+            PayloadKind::OrderLog,
+            "a toy log",
+            |header, base| {
+                let mut r = crate::cursor::ByteReader::at(header, "toy header", base);
+                let count = r.varint()?;
+                r.finish().map(|()| count)
+            },
+            |_, payload, base| {
+                if payload.first().map(|&i| i as usize) != Some(items.len()) {
+                    return Err(QrError::Corrupt {
+                        what: "toy record".into(),
+                        offset: base as u64,
+                        detail: format!("record out of sequence, expected {}", items.len()),
+                    });
+                }
+                items.push(payload.to_vec());
+                Ok(())
+            },
+        );
+        if let (None, Some(count)) = (&walked.corruption, walked.header) {
+            if count != items.len() as u64 {
+                walked.corruption = Some(QrError::Corrupt {
+                    what: "toy log".into(),
+                    offset: buf.len() as u64,
+                    detail: format!("header commits {count} records but {} decoded", items.len()),
+                });
+            }
+        }
+        (items, walked)
+    }
+
+    /// Strict decode is the same walk, failing on any corruption.
+    fn strict(buf: &[u8]) -> Result<Items> {
+        let (items, walked) = salvage(buf);
+        walked.corruption.map_or(Ok(items), Err)
+    }
+
+    /// The salvage contract on one (possibly damaged) image of `clean`.
+    fn check(buf: &[u8], clean: &Items, damaged: bool, label: &str) {
+        let (items, walked) = salvage(buf);
+        assert!(clean.starts_with(&items), "{label}: salvaged a non-prefix");
+        assert_eq!(walked.corruption.is_some(), damaged, "{label}: {:?}", walked.corruption);
+        assert_eq!(strict(buf).is_err(), damaged, "{label}: strict and salvage disagree");
+        let covered = match walked.header {
+            Some(_) => record_spans(buf)[..=items.len()].last().expect("header span").end,
+            None => {
+                assert!(items.is_empty(), "{label}: records decoded without a header");
+                0
+            }
+        };
+        assert_eq!(walked.bytes_dropped + covered, buf.len(), "{label}");
+        if let Some(QrError::Corrupt { offset, .. }) = walked.corruption {
+            assert!(offset as usize <= buf.len(), "{label}: offset {offset} outside the buffer");
+        }
+    }
+
+    #[test]
+    fn intact_logs_walk_clean() {
+        let mut rng = SplitMix64::new(0xf4a3_0001);
+        for records in [0u8, 1, 2, 9] {
+            let (buf, items) = toy_log(&mut rng, records);
+            check(&buf, &items, false, &format!("{records} records"));
+            assert_eq!(strict(&buf).unwrap(), items);
+        }
+    }
+
+    #[test]
+    fn truncation_at_every_byte_salvages_an_exact_prefix() {
+        let mut rng = SplitMix64::new(0xf4a3_0002);
+        let (buf, items) = toy_log(&mut rng, 6);
+        for cut in 0..buf.len() {
+            check(&buf[..cut], &items, true, &format!("cut {cut}"));
+        }
+        // A cut on a record boundary leaves a fault-free container: only
+        // the header's commitment exposes it.
+        let boundary = record_spans(&buf)[3].end;
+        let (kept, walked) = salvage(&buf[..boundary]);
+        assert_eq!(kept, items[..3]);
+        assert!(walked.corruption.unwrap().to_string().contains("header commits 6"));
+    }
+
+    #[test]
+    fn every_bit_flip_in_the_header_and_first_records_is_caught() {
+        let mut rng = SplitMix64::new(0xf4a3_0003);
+        let (buf, items) = toy_log(&mut rng, 6);
+        let through = record_spans(&buf)[2].end; // header record + two more
+        for pos in 0..through {
+            for bit in 0..8 {
+                let mut bad = buf.clone();
+                bad[pos] ^= 1 << bit;
+                check(&bad, &items, true, &format!("flip {pos}.{bit}"));
+            }
+        }
+    }
+
+    #[test]
+    fn duplicated_and_reordered_records_stop_the_walk_where_they_sit() {
+        let mut rng = SplitMix64::new(0xf4a3_0004);
+        let (buf, items) = toy_log(&mut rng, 6);
+        let spans = record_spans(&buf);
+        for i in 0..spans.len() {
+            let mut dup = buf[..spans[i].end].to_vec();
+            dup.extend_from_slice(&buf[spans[i].clone()]);
+            dup.extend_from_slice(&buf[spans[i].end..]);
+            check(&dup, &items, true, &format!("duplicate record {i}"));
+            for j in i + 1..spans.len() {
+                let mut swapped = buf[..spans[i].start].to_vec();
+                swapped.extend_from_slice(&buf[spans[j].clone()]);
+                swapped.extend_from_slice(&buf[spans[i].end..spans[j].start]);
+                swapped.extend_from_slice(&buf[spans[i].clone()]);
+                swapped.extend_from_slice(&buf[spans[j].end..]);
+                let label = format!("swap records {i} and {j}");
+                check(&swapped, &items, true, &label);
+                // Records before the first displaced one still decode.
+                assert_eq!(salvage(&swapped).0.len(), i.saturating_sub(1), "{label}");
+            }
+        }
+    }
+
+    #[test]
+    fn foreign_and_headerless_containers_are_described_not_decoded() {
+        let mut w = Writer::new(PayloadKind::InputLog);
+        w.record(&[0]);
+        let (items, walked) = salvage(&w.finish());
+        assert!(items.is_empty());
+        let err = walked.corruption.unwrap().to_string();
+        assert!(err.contains("container holds a input log, expected a toy log"), "{err}");
+        let bare = Writer::new(PayloadKind::OrderLog).finish();
+        let err = salvage(&bare).1.corruption.unwrap().to_string();
+        assert!(err.contains("missing order log header record"), "{err}");
     }
 }

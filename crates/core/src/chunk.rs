@@ -62,6 +62,29 @@ impl TerminationReason {
         )
     }
 
+    /// The boundary-drain rule: whether a chunk closed for this reason
+    /// drains the core's store buffer before it is stamped. The recorder
+    /// applies it when it terminates a chunk and the replayer when it
+    /// re-executes one; replay is only sound while both ask here.
+    #[inline]
+    pub fn drains_store_buffer(self, tso_mode: qr_mem::TsoMode) -> bool {
+        match self {
+            // Kernel/serialization boundaries always drain.
+            TerminationReason::Syscall
+            | TerminationReason::Trap
+            | TerminationReason::ContextSwitch
+            | TerminationReason::SphereEnd => true,
+            // Hardware chunk closings drain only in DrainAtChunk mode.
+            TerminationReason::IcOverflow | TerminationReason::SigSaturation => {
+                tso_mode == qr_mem::TsoMode::DrainAtChunk
+            }
+            // Conflict victims never drain (visibility-time attribution).
+            TerminationReason::ConflictRaw
+            | TerminationReason::ConflictWar
+            | TerminationReason::ConflictWaw => false,
+        }
+    }
+
     /// Short label used in experiment output.
     pub fn label(self) -> &'static str {
         match self {
@@ -126,6 +149,21 @@ mod tests {
             assert_eq!(TerminationReason::from_code(r.code()), Some(r));
         }
         assert_eq!(TerminationReason::from_code(200), None);
+    }
+
+    #[test]
+    fn boundary_drain_rule() {
+        use qr_mem::TsoMode::{DrainAtChunk, Rsw};
+        for r in TerminationReason::ALL {
+            let (at_chunk, rsw) = (r.drains_store_buffer(DrainAtChunk), r.drains_store_buffer(Rsw));
+            match r {
+                TerminationReason::IcOverflow | TerminationReason::SigSaturation => {
+                    assert!(at_chunk && !rsw, "{r:?} drains only under DrainAtChunk");
+                }
+                r if r.is_conflict() => assert!(!at_chunk && !rsw, "{r:?} never drains"),
+                _ => assert!(at_chunk && rsw, "{r:?} always drains"),
+            }
+        }
     }
 
     #[test]

@@ -10,20 +10,18 @@
 //! | `Packed` | all fields as LEB128 varints |
 //! | `Delta`  | like `Packed` but the timestamp is a zigzag delta against the previous packet in the stream |
 //!
-//! Two container layouts exist:
-//!
-//! - **Framed** (current, written by [`Encoding::encode_framed_stream`]):
-//!   a crash-consistent [`qr_common::frame`] container. Record 0 is the
-//!   stream header (encoding tag + committed total packet count); each
-//!   following record is a *packet group* of up to
-//!   [`FRAME_GROUP_PACKETS`] packets, CRC-32-protected and independently
-//!   decodable (`Delta` restarts its timestamp baseline per group). A
-//!   log torn mid-write salvages at group granularity.
-//! - **Legacy** (unframed, read-only compatibility): byte 0 is the
-//!   encoding tag, then a varint packet count, then the packets, with no
-//!   checksums.
+//! On disk a chunk log is a crash-consistent [`qr_common::frame`]
+//! container (written by [`Encoding::encode_framed_stream`]): record 0
+//! is the stream header (encoding tag + committed total packet count);
+//! each following record is a *packet group* of up to
+//! [`FRAME_GROUP_PACKETS`] packets, CRC-32-protected and independently
+//! decodable (`Delta` restarts its timestamp baseline per group). A log
+//! torn mid-write salvages at group granularity. (The unframed v1 stream
+//! — tag, count, packets, no checksums — is read only by
+//! `qr_capo::migrate`.)
 
 use crate::chunk::{ChunkPacket, TerminationReason};
+use qr_common::cursor::ByteReader;
 use qr_common::frame::{self, PayloadKind};
 use qr_common::{varint, CoreId, Cycle, QrError, Result, ThreadId};
 
@@ -60,7 +58,8 @@ impl Encoding {
         }
     }
 
-    fn from_tag(tag: u8) -> Option<Encoding> {
+    /// Inverse of [`Encoding::tag`].
+    pub fn from_tag(tag: u8) -> Option<Encoding> {
         Encoding::ALL.into_iter().find(|e| e.tag() == tag)
     }
 
@@ -180,147 +179,16 @@ impl Encoding {
         }
     }
 
-    /// Encodes a whole **legacy** (unframed) stream: tag + count +
-    /// packets, in the given order. New logs are written framed; this
-    /// remains the per-group payload codec and the legacy-compatibility
-    /// writer used by tests.
-    pub fn encode_stream(self, packets: &[ChunkPacket]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(packets.len() * 8 + 8);
-        out.push(self.tag());
-        varint::write_u64(&mut out, packets.len() as u64);
-        let mut prev = Cycle(0);
-        for p in packets {
-            self.encode_packet(p, prev, &mut out);
-            prev = p.timestamp;
-        }
-        out
-    }
-
-    /// Decodes a **legacy** (unframed) stream produced by
-    /// [`Encoding::encode_stream`] (of any encoding — the tag selects
-    /// the codec).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QrError::Corrupt`] with byte-offset context on
-    /// malformed input.
-    pub fn decode_stream(buf: &[u8]) -> Result<Vec<ChunkPacket>> {
-        let corrupt = |offset: usize, detail: String| QrError::Corrupt {
-            what: "legacy chunk stream".into(),
-            offset: offset as u64,
-            detail,
-        };
-        let Some(&tag) = buf.first() else {
-            return Err(corrupt(0, "empty stream".into()));
-        };
-        let encoding = Encoding::from_tag(tag)
-            .ok_or_else(|| corrupt(0, format!("unknown encoding tag {tag}")))?;
-        let mut off = 1usize;
-        let (count, n) =
-            varint::read_u64(&buf[off..]).map_err(|e| corrupt(off, e.to_string()))?;
-        off += n;
-        if count > buf.len() as u64 * 2 {
-            return Err(corrupt(1, format!("implausible packet count {count}")));
-        }
-        let mut packets = Vec::with_capacity(count as usize);
-        let mut prev = Cycle(0);
-        for _ in 0..count {
-            let (p, n) =
-                encoding.decode_packet(&buf[off..], prev).map_err(|e| corrupt(off, e.to_string()))?;
-            off += n;
-            prev = p.timestamp;
-            packets.push(p);
-        }
-        // A real legacy stream ends exactly at its last packet; trailing
-        // bytes mean the buffer is not what the tag claims (e.g. a framed
-        // container whose leading magic byte was destroyed).
-        if off != buf.len() {
-            return Err(corrupt(
-                off,
-                format!("{} trailing bytes after {count} packets", buf.len() - off),
-            ));
-        }
-        Ok(packets)
-    }
-
-    /// Tolerantly decodes a **legacy** (unframed) stream, recovering the
-    /// longest cleanly-decodable packet prefix of a truncated or
-    /// corrupted log. The legacy format has no checksums, so "clean"
-    /// here means structurally decodable — a tear mid-packet stops the
-    /// salvage at the last whole packet. Never fails or panics:
-    /// corruption is *described*, not fatal.
-    pub fn salvage_stream(buf: &[u8]) -> SalvagedPackets {
-        let corrupt = |offset: usize, detail: String| QrError::Corrupt {
-            what: "legacy chunk stream".into(),
-            offset: offset as u64,
-            detail,
-        };
-        let gone = |err: QrError| SalvagedPackets {
-            packets: Vec::new(),
-            expected: None,
-            bytes_dropped: buf.len(),
-            corruption: Some(err),
-        };
-        let Some(&tag) = buf.first() else {
-            return gone(corrupt(0, "empty stream".into()));
-        };
-        let Some(encoding) = Encoding::from_tag(tag) else {
-            return gone(corrupt(0, format!("unknown encoding tag {tag}")));
-        };
-        let mut off = 1usize;
-        let (count, n) = match varint::read_u64(&buf[off..]) {
-            Ok(pair) => pair,
-            Err(e) => return gone(corrupt(off, e.to_string())),
-        };
-        off += n;
-        if count > buf.len() as u64 * 2 {
-            return gone(corrupt(1, format!("implausible packet count {count}")));
-        }
-        let mut packets = Vec::new();
-        let mut corruption = None;
-        let mut prev = Cycle(0);
-        for _ in 0..count {
-            match encoding.decode_packet(&buf[off..], prev) {
-                Ok((p, n)) => {
-                    off += n;
-                    prev = p.timestamp;
-                    packets.push(p);
-                }
-                Err(e) => {
-                    corruption = Some(corrupt(off, e.to_string()));
-                    break;
-                }
-            }
-        }
-        if corruption.is_none() && off != buf.len() {
-            corruption = Some(corrupt(
-                off,
-                format!("{} trailing bytes after {count} packets", buf.len() - off),
-            ));
-        }
-        SalvagedPackets {
-            packets,
-            expected: Some(count),
-            bytes_dropped: buf.len() - off.min(buf.len()),
-            corruption,
-        }
-    }
-
-    /// Identifies the packet encoding of a serialized chunk log without
-    /// fully decoding it — works on both the framed container (reads the
-    /// stream-header record's tag) and a legacy unframed stream (reads
-    /// the leading tag byte). Returns `None` when the bytes are not a
-    /// recognizable chunk log of either shape.
+    /// Identifies the packet encoding of a serialized chunk log from its
+    /// stream-header record, without decoding the packets. Returns `None`
+    /// when the bytes are not a recognizable chunk log.
     pub fn sniff_container(buf: &[u8]) -> Option<Encoding> {
-        if let Some(&tag @ 0..=2) = buf.first() {
-            return Encoding::from_tag(tag);
-        }
         let scanned = frame::scan(buf);
         if scanned.kind != Some(PayloadKind::ChunkLog) {
             return None;
         }
         let header = scanned.records.first()?;
-        Encoding::parse_stream_header(header).ok().map(|(encoding, _)| encoding)
+        Encoding::parse_stream_header(header, 0).ok().map(|(encoding, _)| encoding)
     }
 
     /// Encodes a **framed** stream: a crash-consistent container whose
@@ -367,101 +235,39 @@ impl Encoding {
     /// complete, checksum-valid packet prefix of a torn or corrupted
     /// log. Never fails: corruption is *described*, not fatal.
     pub fn salvage_framed_stream(buf: &[u8]) -> SalvagedPackets {
-        let what = "chunk log";
-        let scanned = frame::scan(buf);
-        let gone = |err: QrError| SalvagedPackets {
-            packets: Vec::new(),
-            expected: None,
-            bytes_dropped: buf.len(),
-            corruption: Some(err),
-        };
-        match scanned.kind {
-            Some(PayloadKind::ChunkLog) => {}
-            Some(other) => {
-                return gone(QrError::Corrupt {
-                    what: what.into(),
-                    offset: 5,
-                    detail: format!("container holds a {}, expected a chunk log", other.name()),
-                })
-            }
-            None => {
-                let fault = scanned.fault.expect("scan without kind always faults");
-                return gone(fault.to_error(what));
-            }
-        }
-        let Some((header, groups)) = scanned.records.split_first() else {
-            // No complete header record: report the frame fault that ate
-            // it, or the absence itself for a bare container.
-            let err = match scanned.fault {
-                Some(fault) => fault.to_error(what),
-                None => QrError::Corrupt {
-                    what: what.into(),
-                    offset: frame::HEADER_LEN as u64,
-                    detail: "missing stream header record".into(),
-                },
-            };
-            return gone(err);
-        };
-        // Parse the header record: encoding tag + committed packet count.
-        let header_base = frame::HEADER_LEN + 4;
-        let (encoding, expected) = match Encoding::parse_stream_header(header) {
-            Ok(pair) => pair,
-            Err(detail) => {
-                return gone(QrError::Corrupt {
-                    what: what.into(),
-                    offset: header_base as u64,
-                    detail,
-                })
-            }
-        };
         let mut packets = Vec::new();
-        let mut corruption = None;
-        // Byte offset of the current record's payload within `buf`.
-        let mut payload_base = header_base + header.len() + 4 + 4;
-        let mut consumed = frame::HEADER_LEN + header.len() + frame::RECORD_OVERHEAD;
-        for group in groups {
-            match encoding.decode_group(group, payload_base) {
-                Ok(mut decoded) => packets.append(&mut decoded),
-                Err(err) => {
-                    corruption = Some(err);
-                    break;
-                }
-            }
-            consumed += group.len() + frame::RECORD_OVERHEAD;
-            payload_base += group.len() + frame::RECORD_OVERHEAD;
-        }
-        if corruption.is_none() {
-            if let Some(fault) = scanned.fault {
-                corruption = Some(fault.to_error(what));
-            } else if packets.len() as u64 != expected {
-                corruption = Some(QrError::Corrupt {
-                    what: what.into(),
-                    offset: buf.len() as u64,
-                    detail: format!(
-                        "header commits {expected} packets but records hold {}",
-                        packets.len()
-                    ),
-                });
-            }
-        }
-        SalvagedPackets {
-            packets,
-            expected: Some(expected),
-            bytes_dropped: buf.len().saturating_sub(consumed.min(buf.len())),
-            corruption,
-        }
+        let walked = frame::walk(
+            buf,
+            PayloadKind::ChunkLog,
+            "a chunk log",
+            Encoding::parse_stream_header,
+            |&(encoding, _), group, base| {
+                packets.append(&mut encoding.decode_group(group, base)?);
+                Ok(())
+            },
+        );
+        let expected = walked.header.map(|(_, count)| count);
+        let corruption = walked.corruption.or_else(|| {
+            let held = packets.len() as u64;
+            expected.filter(|&count| count != held).map(|count| QrError::Corrupt {
+                what: "chunk log".into(),
+                offset: buf.len() as u64,
+                detail: format!("header commits {count} packets but records hold {held}"),
+            })
+        });
+        SalvagedPackets { packets, expected, bytes_dropped: walked.bytes_dropped, corruption }
     }
 
-    /// Parses a framed stream's header record (tag + committed count).
-    fn parse_stream_header(header: &[u8]) -> std::result::Result<(Encoding, u64), String> {
-        let Some(&tag) = header.first() else {
-            return Err("empty stream header record".into());
-        };
-        let encoding =
-            Encoding::from_tag(tag).ok_or_else(|| format!("unknown encoding tag {tag}"))?;
-        let (count, n) = varint::read_u64(&header[1..]).map_err(|e| e.to_string())?;
-        if 1 + n != header.len() {
-            return Err(format!("{} trailing bytes in stream header", header.len() - 1 - n));
+    /// Parses a framed stream's header record (tag + committed count);
+    /// `base` is its byte offset within the container.
+    fn parse_stream_header(header: &[u8], base: usize) -> Result<(Encoding, u64)> {
+        let mut r = ByteReader::at(header, "chunk log", base);
+        let tag = r.u8().map_err(|_| r.corrupt("empty stream header record"))?;
+        let encoding = Encoding::from_tag(tag)
+            .ok_or_else(|| r.corrupt_at(0, format!("unknown encoding tag {tag}")))?;
+        let count = r.varint()?;
+        if r.remaining() != 0 {
+            return Err(r.corrupt(format!("{} trailing bytes in stream header", r.remaining())));
         }
         Ok((encoding, count))
     }
@@ -524,32 +330,34 @@ mod tests {
         out
     }
 
+    /// One packet group's payload bytes (what a framed record carries).
+    fn group_bytes(enc: Encoding, ps: &[ChunkPacket]) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut prev = Cycle(0);
+        for p in ps {
+            enc.encode_packet(p, prev, &mut out);
+            prev = p.timestamp;
+        }
+        out
+    }
+
     #[test]
     fn all_encodings_round_trip() {
         let ps = packets();
         for enc in Encoding::ALL {
-            let buf = enc.encode_stream(&ps);
-            let back = Encoding::decode_stream(&buf).unwrap();
-            assert_eq!(back, ps, "{enc:?} failed");
+            assert_eq!(enc.decode_group(&group_bytes(enc, &ps), 0).unwrap(), ps, "{enc:?} failed");
         }
     }
 
     #[test]
     fn delta_beats_packed_beats_raw_on_monotonic_streams() {
         let ps = packets();
-        let raw = Encoding::Raw.encode_stream(&ps).len();
-        let packed = Encoding::Packed.encode_stream(&ps).len();
-        let delta = Encoding::Delta.encode_stream(&ps).len();
+        let raw = group_bytes(Encoding::Raw, &ps).len();
+        let packed = group_bytes(Encoding::Packed, &ps).len();
+        let delta = group_bytes(Encoding::Delta, &ps).len();
+        assert_eq!(raw, 24 * ps.len(), "raw is exactly 24 bytes per packet");
         assert!(packed < raw, "packed {packed} < raw {raw}");
         assert!(delta < packed, "delta {delta} < packed {packed}");
-    }
-
-    #[test]
-    fn raw_is_exactly_24_bytes_per_packet() {
-        let ps = packets();
-        let buf = Encoding::Raw.encode_stream(&ps);
-        let header = 1 + qr_common::varint::encoded_len(ps.len() as u64);
-        assert_eq!(buf.len(), header + 24 * ps.len());
     }
 
     #[test]
@@ -566,38 +374,23 @@ mod tests {
                 reason: TerminationReason::ALL[0],
             }];
             for enc in Encoding::ALL {
-                let buf = enc.encode_stream(&ps);
-                let back = Encoding::decode_stream(&buf).unwrap();
+                let buf = enc.encode_framed_stream(&ps);
+                let back = Encoding::decode_framed_stream(&buf).unwrap();
                 assert_eq!(back, ps, "{enc:?} corrupted icount {icount:#x}");
             }
         }
     }
 
     #[test]
-    fn truncated_streams_error() {
+    fn truncated_groups_and_bad_reason_codes_error() {
         let ps = packets();
         for enc in Encoding::ALL {
-            let buf = enc.encode_stream(&ps);
-            for cut in [1usize, 2, buf.len() / 2, buf.len() - 1] {
-                assert!(Encoding::decode_stream(&buf[..cut]).is_err(), "{enc:?} cut {cut}");
-            }
+            let buf = group_bytes(enc, &ps);
+            assert!(enc.decode_group(&buf[..buf.len() - 1], 0).is_err(), "{enc:?}");
         }
-    }
-
-    #[test]
-    fn unknown_tag_and_bad_reason_error() {
-        assert!(Encoding::decode_stream(&[99, 0]).is_err());
-        let mut buf = Encoding::Raw.encode_stream(&packets()[..1]);
-        buf[2 + 5] = 77; // corrupt the reason byte of the first packet
-        assert!(Encoding::decode_stream(&buf).is_err());
-    }
-
-    #[test]
-    fn empty_stream_round_trips() {
-        for enc in Encoding::ALL {
-            let buf = enc.encode_stream(&[]);
-            assert_eq!(Encoding::decode_stream(&buf).unwrap(), vec![]);
-        }
+        let mut buf = group_bytes(Encoding::Raw, &ps[..1]);
+        buf[5] = 77; // the reason byte of the first packet
+        assert!(Encoding::Raw.decode_group(&buf, 0).is_err());
     }
 
     /// Enough packets to span several framed groups.
@@ -640,133 +433,50 @@ mod tests {
     }
 
     #[test]
-    fn framed_truncation_at_every_offset_errors_and_salvages_a_prefix() {
+    fn torn_or_flipped_streams_are_rejected_and_salvage_whole_leading_groups() {
+        // The walk itself is exercised in `qr_common::frame`; this checks
+        // what the stream-header parser and the group decoder make of it:
+        // strict decode refuses every damaged image, salvage keeps an
+        // exact packet prefix in whole groups.
         let ps = many_packets();
         for enc in Encoding::ALL {
             let buf = enc.encode_framed_stream(&ps);
-            for cut in 0..buf.len() {
-                // Strict decode must reject every truncation — including
-                // cuts at exact record boundaries, which the header's
-                // committed packet count catches.
-                let err = Encoding::decode_framed_stream(&buf[..cut])
-                    .expect_err(&format!("{enc:?} cut {cut} must error"));
-                assert!(matches!(err, QrError::Corrupt { .. }), "{enc:?} cut {cut}: {err}");
-                // Salvage must recover an exact packet prefix.
-                let salvaged = Encoding::salvage_framed_stream(&buf[..cut]);
-                assert!(salvaged.corruption.is_some(), "{enc:?} cut {cut}");
-                assert_eq!(
-                    salvaged.packets,
-                    ps[..salvaged.packets.len()],
-                    "{enc:?} cut {cut} salvaged a non-prefix"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn framed_single_bit_flip_at_every_byte_is_rejected() {
-        // Satellite requirement: a flipped bit anywhere in a framed log
-        // must produce a structured error — never silently-wrong packets.
-        let ps = many_packets();
-        for enc in Encoding::ALL {
-            let buf = enc.encode_framed_stream(&ps);
-            for pos in 0..buf.len() {
-                for bit in 0..8 {
+            let damaged = (0..buf.len()).map(|cut| buf[..cut].to_vec()).chain(
+                (0..buf.len()).map(|pos| {
                     let mut bad = buf.clone();
-                    bad[pos] ^= 1 << bit;
-                    let err = Encoding::decode_framed_stream(&bad)
-                        .expect_err(&format!("{enc:?} flip byte {pos} bit {bit}"));
-                    assert!(matches!(err, QrError::Corrupt { .. }));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn framed_bit_flip_salvage_yields_exact_packet_prefix() {
-        let ps = many_packets();
-        for enc in Encoding::ALL {
-            let buf = enc.encode_framed_stream(&ps);
-            for pos in (0..buf.len()).step_by(7) {
-                let mut bad = buf.clone();
-                bad[pos] ^= 0x40;
+                    bad[pos] ^= 1 << (pos % 8);
+                    bad
+                }),
+            );
+            for (case, bad) in damaged.enumerate() {
+                let err = Encoding::decode_framed_stream(&bad)
+                    .expect_err(&format!("{enc:?} case {case} must error"));
+                assert!(matches!(err, QrError::Corrupt { .. }), "{enc:?} case {case}: {err}");
                 let salvaged = Encoding::salvage_framed_stream(&bad);
-                assert!(salvaged.corruption.is_some(), "{enc:?} pos {pos}");
-                assert_eq!(
-                    salvaged.packets,
-                    ps[..salvaged.packets.len()],
-                    "{enc:?} pos {pos} salvaged a non-prefix"
+                assert_eq!(salvaged.corruption, Some(err), "{enc:?} case {case}");
+                assert!(ps.starts_with(&salvaged.packets), "{enc:?} case {case}: non-prefix");
+                assert!(
+                    salvaged.packets.len().is_multiple_of(FRAME_GROUP_PACKETS),
+                    "{enc:?} case {case}: a partial group survived"
                 );
-                // A flip past the header keeps whole leading groups.
-                if pos >= buf.len() - 4 {
-                    assert!(salvaged.packets.len() >= FRAME_GROUP_PACKETS);
-                }
             }
+            // Damage in the last record keeps every group before it.
+            let mut bad = buf.clone();
+            *bad.last_mut().unwrap() ^= 0x40;
+            let kept = Encoding::salvage_framed_stream(&bad).packets.len();
+            assert_eq!(kept, FRAME_GROUP_PACKETS * 3, "{enc:?}");
         }
     }
 
     #[test]
-    fn legacy_salvage_recovers_longest_clean_prefix_of_truncations() {
+    fn sniff_container_reads_the_stream_header() {
         let ps = packets();
         for enc in Encoding::ALL {
-            let buf = enc.encode_stream(&ps);
-            for cut in 0..buf.len() {
-                let salvaged = Encoding::salvage_stream(&buf[..cut]);
-                assert!(salvaged.corruption.is_some(), "{enc:?} cut {cut}");
-                assert_eq!(
-                    salvaged.packets,
-                    ps[..salvaged.packets.len()],
-                    "{enc:?} cut {cut} salvaged a non-prefix"
-                );
-                // When the header survives (and the committed count is
-                // still plausible against the truncated length), the
-                // expected total is reported faithfully.
-                if let Some(expected) = salvaged.expected {
-                    assert_eq!(expected, ps.len() as u64, "{enc:?} cut {cut}");
-                }
-            }
-            // The intact stream salvages completely.
-            let whole = Encoding::salvage_stream(&buf);
-            assert!(whole.corruption.is_none());
-            assert_eq!(whole.packets, ps);
-            assert_eq!(whole.bytes_dropped, 0);
-        }
-    }
-
-    #[test]
-    fn legacy_salvage_reports_trailing_bytes_but_keeps_packets() {
-        let ps = packets();
-        let mut buf = Encoding::Delta.encode_stream(&ps);
-        buf.extend_from_slice(&[0xAA; 5]);
-        let salvaged = Encoding::salvage_stream(&buf);
-        assert_eq!(salvaged.packets, ps);
-        assert_eq!(salvaged.bytes_dropped, 5);
-        let err = salvaged.corruption.expect("trailing bytes must be reported");
-        assert!(err.to_string().contains("trailing bytes"), "{err}");
-    }
-
-    #[test]
-    fn legacy_salvage_handles_garbage_without_panicking() {
-        assert!(Encoding::salvage_stream(&[]).corruption.is_some());
-        assert!(Encoding::salvage_stream(&[9]).corruption.is_some());
-        // Valid tag, implausible count.
-        let mut buf = vec![Encoding::Raw.tag()];
-        varint::write_u64(&mut buf, u64::MAX / 2);
-        let salvaged = Encoding::salvage_stream(&buf);
-        assert!(salvaged.packets.is_empty());
-        assert!(salvaged.corruption.unwrap().to_string().contains("implausible"));
-    }
-
-    #[test]
-    fn sniff_container_identifies_both_shapes() {
-        let ps = packets();
-        for enc in Encoding::ALL {
-            assert_eq!(Encoding::sniff_container(&enc.encode_stream(&ps)), Some(enc));
             assert_eq!(Encoding::sniff_container(&enc.encode_framed_stream(&ps)), Some(enc));
             assert_eq!(Encoding::sniff_container(&enc.encode_framed_stream(&[])), Some(enc));
         }
         assert_eq!(Encoding::sniff_container(&[]), None);
-        assert_eq!(Encoding::sniff_container(&[9, 1, 2]), None);
+        assert_eq!(Encoding::sniff_container(&[Encoding::Delta.tag(), 1, 2]), None);
         // A framed container of the wrong payload kind is not a chunk log.
         let mut w = frame::Writer::new(PayloadKind::InputLog);
         w.record(&[Encoding::Delta.tag(), 0]);
@@ -780,6 +490,17 @@ mod tests {
         let buf = w.finish();
         let err = Encoding::decode_framed_stream(&buf).unwrap_err();
         assert!(err.to_string().contains("input log"), "{err}");
+        assert!(err.to_string().contains("expected a chunk log"), "{err}");
+    }
+
+    #[test]
+    fn unframed_bytes_are_bad_magic_whatever_their_first_byte() {
+        // A v1 stream opens with an encoding tag; nothing routes on it.
+        for first in 0..=3u8 {
+            let err = Encoding::decode_framed_stream(&[first, 1, 0, 0, 0, 0, 0, 0]).unwrap_err();
+            assert!(err.to_string().contains("bad-magic"), "{err}");
+            assert!(err.to_string().contains("quickrec migrate"), "{err}");
+        }
     }
 }
 
@@ -809,31 +530,11 @@ mod randomized {
     fn streams_round_trip() {
         let mut rng = SplitMix64::new(0xc0de_0001);
         for _ in 0..256 {
-            let n = rng.below(64) as usize;
+            let n = rng.below(2 * FRAME_GROUP_PACKETS as u64) as usize;
             let ps: Vec<ChunkPacket> = (0..n).map(|_| random_packet(&mut rng)).collect();
             for enc in Encoding::ALL {
-                let buf = enc.encode_stream(&ps);
-                assert_eq!(Encoding::decode_stream(&buf).unwrap(), ps.clone());
-            }
-        }
-    }
-
-    #[test]
-    fn decode_never_panics() {
-        let mut rng = SplitMix64::new(0xc0de_0002);
-        for _ in 0..4096 {
-            let len = rng.below(256) as usize;
-            let mut bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
-            let _ = Encoding::decode_stream(&bytes);
-            let _ = Encoding::salvage_stream(&bytes);
-            let _ = Encoding::sniff_container(&bytes);
-            // Bias toward plausible streams: valid tag byte, random rest.
-            if let Some(first) = bytes.first_mut() {
-                *first = rng.below(3) as u8;
-                let _ = Encoding::decode_stream(&bytes);
-                let salvaged = Encoding::salvage_stream(&bytes);
-                // Salvage of a mutated stream still yields decodable data.
-                let _ = salvaged.packets;
+                let buf = enc.encode_framed_stream(&ps);
+                assert_eq!(Encoding::decode_framed_stream(&buf).unwrap(), ps);
             }
         }
     }
@@ -845,12 +546,16 @@ mod randomized {
             let len = rng.below(256) as usize;
             let mut bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
             let _ = Encoding::decode_framed_stream(&bytes);
-            let _ = Encoding::salvage_framed_stream(&bytes);
+            let _ = Encoding::sniff_container(&bytes);
             // Bias toward plausible containers: valid magic, random rest.
             if bytes.len() >= 4 {
                 bytes[..4].copy_from_slice(&qr_common::frame::MAGIC);
                 let _ = Encoding::decode_framed_stream(&bytes);
-                let _ = Encoding::salvage_framed_stream(&bytes);
+                let _ = Encoding::sniff_container(&bytes);
+            }
+            // And toward plausible packet groups under every codec.
+            for enc in Encoding::ALL {
+                let _ = enc.decode_group(&bytes, 0);
             }
         }
     }

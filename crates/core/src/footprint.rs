@@ -12,9 +12,9 @@
 //! actually conflict (write/write or read/write on a shared line) — the
 //! conflict-equivalence relaxation of the recorded total order.
 //!
-//! The footprint log is an *optional* sidecar: legacy recordings and
-//! salvaged prefixes may lack it (or hold only a prefix), in which case
-//! parallel replay falls back to the serial path. Missing footprints
+//! The footprint log is an *optional* sidecar: recordings migrated from
+//! v1 and salvaged prefixes may lack it (or hold only a prefix), in which
+//! case parallel replay falls back to the serial path. Missing footprints
 //! never affect correctness, only replay-time parallelism.
 
 use qr_common::frame::{self, PayloadKind};

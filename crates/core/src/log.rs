@@ -107,45 +107,23 @@ impl ChunkLog {
         bytes
     }
 
-    /// Deserializes a log produced by [`ChunkLog::to_bytes`] (framed) or
-    /// by a pre-framing recorder (legacy unframed, detected by its
-    /// leading encoding tag — the framed magic's first byte never
-    /// aliases one, even under single-bit flips).
+    /// Deserializes a log produced by [`ChunkLog::to_bytes`], strictly:
+    /// [`ChunkLog::salvage_from_bytes`], failing on any corruption.
     ///
     /// # Errors
     ///
     /// Returns [`QrError::Corrupt`] with byte-offset context on
-    /// malformed input.
+    /// malformed input — including an unframed v1 stream, which only
+    /// `quickrec migrate` reads.
     pub fn from_bytes(bytes: &[u8]) -> Result<ChunkLog> {
-        if matches!(bytes.first(), Some(0..=2)) {
-            return ChunkLog::from_legacy_bytes(bytes);
-        }
         Ok(ChunkLog { packets: Encoding::decode_framed_stream(bytes)? })
     }
 
-    /// Deserializes a **legacy** (unframed, checksum-free) log. Explicit
-    /// compatibility path for logs written before the framed container
-    /// existed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QrError::Corrupt`] on malformed input.
-    pub fn from_legacy_bytes(bytes: &[u8]) -> Result<ChunkLog> {
-        Ok(ChunkLog { packets: Encoding::decode_stream(bytes)? })
-    }
-
     /// Tolerantly deserializes a log, recovering the longest complete,
-    /// cleanly-decodable packet prefix of a torn or corrupted file.
-    /// Framed logs salvage at checksum-verified group granularity (see
-    /// [`Encoding::salvage_framed_stream`]); legacy unframed logs (same
-    /// leading-tag detection as [`ChunkLog::from_bytes`]) salvage at
-    /// packet granularity via [`Encoding::salvage_stream`].
+    /// checksum-verified packet prefix of a torn or corrupted file at
+    /// group granularity (see [`Encoding::salvage_framed_stream`]).
     pub fn salvage_from_bytes(bytes: &[u8]) -> (ChunkLog, SalvagedPackets) {
-        let mut salvaged = if matches!(bytes.first(), Some(0..=2)) {
-            Encoding::salvage_stream(bytes)
-        } else {
-            Encoding::salvage_framed_stream(bytes)
-        };
+        let mut salvaged = Encoding::salvage_framed_stream(bytes);
         let log = ChunkLog { packets: std::mem::take(&mut salvaged.packets) };
         (log, salvaged)
     }
@@ -226,17 +204,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_unframed_logs_still_load() {
-        let l = log();
-        for enc in Encoding::ALL {
-            let legacy = enc.encode_stream(l.packets());
-            assert_eq!(ChunkLog::from_legacy_bytes(&legacy).unwrap(), l, "{enc:?}");
-            // And the auto-detecting path routes them correctly too.
-            assert_eq!(ChunkLog::from_bytes(&legacy).unwrap(), l, "{enc:?}");
-        }
-    }
-
-    #[test]
     fn salvage_recovers_prefix_of_torn_log() {
         let l = log();
         let bytes = l.to_bytes(Encoding::Delta);
@@ -246,32 +213,6 @@ mod tests {
         let (torn, report) = ChunkLog::salvage_from_bytes(&bytes[..bytes.len() - 1]);
         assert!(report.corruption.is_some());
         assert_eq!(torn.packets(), &l.packets()[..torn.len()]);
-    }
-
-    #[test]
-    fn salvage_recovers_prefix_of_truncated_legacy_log() {
-        // Satellite coverage: the legacy-unframed compatibility path under
-        // salvage. A truncated legacy stream must yield the longest clean
-        // packet prefix with an honest report — and never panic.
-        let l = log();
-        for enc in Encoding::ALL {
-            let legacy = enc.encode_stream(l.packets());
-            // Intact stream salvages fully.
-            let (whole, report) = ChunkLog::salvage_from_bytes(&legacy);
-            assert_eq!(whole, l, "{enc:?}");
-            assert!(report.corruption.is_none(), "{enc:?}");
-            assert_eq!(report.expected, Some(l.len() as u64));
-            // Every truncation yields a clean prefix and a report.
-            for cut in 0..legacy.len() {
-                let (torn, report) = ChunkLog::salvage_from_bytes(&legacy[..cut]);
-                assert!(report.corruption.is_some(), "{enc:?} cut {cut}");
-                assert_eq!(
-                    torn.packets(),
-                    &l.packets()[..torn.len()],
-                    "{enc:?} cut {cut} salvaged a non-prefix"
-                );
-            }
-        }
     }
 
     #[test]

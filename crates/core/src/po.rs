@@ -44,6 +44,7 @@
 
 use crate::footprint::ChunkFootprint;
 use crate::hb::{ConflictSweep, VectorClock};
+use qr_common::cursor::ByteReader;
 use qr_common::frame::{self, PayloadKind};
 use qr_common::{varint, QrError, Result, ThreadId};
 use std::collections::{BTreeMap, HashMap};
@@ -273,89 +274,28 @@ impl OrderLog {
     /// sources, because the header's node counts are committed before
     /// any edge.
     pub fn salvage_from_bytes(buf: &[u8]) -> (OrderLog, OrderSalvage) {
-        let (log, salvage) = OrderLog::salvage_inner(buf);
-        if salvage.corruption.is_some() {
+        let mut edges = Vec::new();
+        let walked = frame::walk(
+            buf,
+            PayloadKind::OrderLog,
+            "an order log",
+            decode_header,
+            |(threads, _), payload, base| decode_edge_record(threads, &mut edges, payload, base),
+        );
+        let (threads, expected_edges) = walked.header.unzip();
+        let corruption = walked.corruption.or_else(|| {
+            let held = edges.len() as u64;
+            expected_edges.filter(|&count| count != held).map(|count| QrError::Corrupt {
+                what: "order log".into(),
+                offset: buf.len() as u64,
+                detail: format!("header commits {count} edges but records hold {held}"),
+            })
+        });
+        if corruption.is_some() {
             crate::obs::order_rejected();
         }
-        (log, salvage)
-    }
-
-    fn salvage_inner(buf: &[u8]) -> (OrderLog, OrderSalvage) {
-        let what = "order log";
-        let mut log = OrderLog::default();
-        let gone = |err: QrError| OrderSalvage {
-            expected_edges: None,
-            bytes_dropped: buf.len(),
-            corruption: Some(err),
-        };
-        let scanned = frame::scan(buf);
-        match scanned.kind {
-            Some(PayloadKind::OrderLog) => {}
-            Some(other) => {
-                return (
-                    log,
-                    gone(QrError::Corrupt {
-                        what: what.into(),
-                        offset: 5,
-                        detail: format!(
-                            "container holds a {}, expected an order log",
-                            other.name()
-                        ),
-                    }),
-                )
-            }
-            None => {
-                let fault = scanned.fault.expect("scan without kind always faults");
-                return (log, gone(fault.to_error(what)));
-            }
-        }
-        let Some((header, rest)) = scanned.records.split_first() else {
-            let err = match scanned.fault {
-                Some(fault) => fault.to_error(what),
-                None => QrError::Corrupt {
-                    what: what.into(),
-                    offset: frame::HEADER_LEN as u64,
-                    detail: "missing order-log header record".into(),
-                },
-            };
-            return (log, gone(err));
-        };
-        let header_base = frame::HEADER_LEN + 4;
-        let expected_edges = match decode_header(&mut log, header, header_base) {
-            Ok(edges) => edges,
-            Err(err) => return (OrderLog::default(), gone(err)),
-        };
-        let mut corruption = None;
-        let mut payload_base = header_base + header.len() + 4 + 4;
-        let mut consumed = frame::HEADER_LEN + header.len() + frame::RECORD_OVERHEAD;
-        for payload in rest {
-            if let Err(err) = decode_edge_record(&mut log, payload, payload_base) {
-                corruption = Some(err);
-                break;
-            }
-            consumed += payload.len() + frame::RECORD_OVERHEAD;
-            payload_base += payload.len() + frame::RECORD_OVERHEAD;
-        }
-        if corruption.is_none() {
-            if let Some(fault) = scanned.fault {
-                corruption = Some(fault.to_error(what));
-            } else if log.edges.len() as u64 != expected_edges {
-                corruption = Some(QrError::Corrupt {
-                    what: what.into(),
-                    offset: buf.len() as u64,
-                    detail: format!(
-                        "header commits {expected_edges} edges but records hold {}",
-                        log.edges.len()
-                    ),
-                });
-            }
-        }
-        let salvage = OrderSalvage {
-            expected_edges: Some(expected_edges),
-            bytes_dropped: buf.len().saturating_sub(consumed.min(buf.len())),
-            corruption,
-        };
-        (log, salvage)
+        let log = OrderLog { threads: threads.unwrap_or_default(), edges };
+        (log, OrderSalvage { expected_edges, bytes_dropped: walked.bytes_dropped, corruption })
     }
 }
 
@@ -371,88 +311,63 @@ pub struct OrderSalvage {
     pub corruption: Option<QrError>,
 }
 
-/// Decodes the header record, filling `log.threads`; returns the
+/// Decodes the header record: the per-thread node counts and the
 /// committed edge count.
-fn decode_header(log: &mut OrderLog, payload: &[u8], base: usize) -> Result<u64> {
-    let corrupt = |off: usize, detail: String| QrError::Corrupt {
-        what: "order log".into(),
-        offset: (base + off) as u64,
-        detail,
-    };
-    let mut off = 0usize;
-    let next = |off: &mut usize| -> Result<u64> {
-        let (v, n) = varint::read_u64(payload.get(*off..).unwrap_or(&[]))
-            .map_err(|e| corrupt(*off, e.to_string()))?;
-        *off += n;
-        Ok(v)
-    };
-    let thread_count = next(&mut off)?;
+fn decode_header(payload: &[u8], base: usize) -> Result<(BTreeMap<ThreadId, u32>, u64)> {
+    let mut r = ByteReader::at(payload, "order log", base);
+    let thread_count = r.varint()?;
     // Each thread entry needs at least 2 bytes (tid + count varints).
     if thread_count > payload.len() as u64 {
-        return Err(corrupt(off, format!("implausible thread count {thread_count}")));
+        return Err(r.corrupt(format!("implausible thread count {thread_count}")));
     }
+    let mut threads = BTreeMap::new();
     let mut prev_tid: Option<u64> = None;
     for _ in 0..thread_count {
-        let tid = next(&mut off)?;
+        let tid = r.varint()?;
         if tid > u32::MAX as u64 || prev_tid.is_some_and(|p| p >= tid) {
-            return Err(corrupt(off, format!("thread ids must strictly ascend, got {tid}")));
+            return Err(r.corrupt(format!("thread ids must strictly ascend, got {tid}")));
         }
         prev_tid = Some(tid);
-        let count = next(&mut off)?;
+        let count = r.varint()?;
         if count == 0 || count > u32::MAX as u64 {
-            return Err(corrupt(off, format!("implausible node count {count} for tid{tid}")));
+            return Err(r.corrupt(format!("implausible node count {count} for tid{tid}")));
         }
-        log.threads.insert(ThreadId(tid as u32), count as u32);
+        threads.insert(ThreadId(tid as u32), count as u32);
     }
-    let edges = next(&mut off)?;
-    if off != payload.len() {
-        return Err(corrupt(off, format!("{} trailing bytes in header record", payload.len() - off)));
+    let edges = r.varint()?;
+    if r.remaining() != 0 {
+        return Err(r.corrupt(format!("{} trailing bytes in header record", r.remaining())));
     }
-    Ok(edges)
+    Ok((threads, edges))
 }
 
-/// Decodes one edge-group record, appending to `log.edges` with full
+/// Decodes one edge-group record, appending to `edges` with full
 /// validation (known endpoints, cross-thread, canonical order).
-fn decode_edge_record(log: &mut OrderLog, payload: &[u8], base: usize) -> Result<()> {
-    let corrupt = |off: usize, detail: String| QrError::Corrupt {
-        what: "order log record".into(),
-        offset: (base + off) as u64,
-        detail,
-    };
-    let mut off = 0usize;
+fn decode_edge_record(
+    threads: &BTreeMap<ThreadId, u32>,
+    edges: &mut Vec<OrderEdge>,
+    payload: &[u8],
+    base: usize,
+) -> Result<()> {
+    let mut r = ByteReader::at(payload, "order log record", base);
     let (mut prev_tid, mut prev_seq) = (0u32, 0u32);
-    while off < payload.len() {
-        let kind = EdgeKind::from_code(payload[off])
-            .ok_or_else(|| corrupt(off, format!("unknown edge kind {}", payload[off])))?;
-        off += 1;
-        let next = |off: &mut usize| -> Result<u64> {
-            let (v, n) = varint::read_u64(payload.get(*off..).unwrap_or(&[]))
-                .map_err(|e| corrupt(*off, e.to_string()))?;
-            *off += n;
-            Ok(v)
-        };
-        let dt = next(&mut off)?;
-        let ds = next(&mut off)?;
-        let from_tid = next(&mut off)?;
-        let from_seq = next(&mut off)?;
+    while r.remaining() != 0 {
+        let code = r.u8()?;
+        let kind = EdgeKind::from_code(code)
+            .ok_or_else(|| r.corrupt_at(r.pos() - 1, format!("unknown edge kind {code}")))?;
+        let dt = r.varint()?;
+        let ds = r.varint()?;
+        let from_tid = r.varint()?;
+        let from_seq = r.varint()?;
         let to_tid = (prev_tid as u64)
             .checked_add(dt)
             .filter(|&t| t <= u32::MAX as u64)
-            .ok_or_else(|| corrupt(off, "edge destination tid overflows".into()))? as u32;
-        let to_seq = if dt == 0 {
-            (prev_seq as u64)
-                .checked_add(ds)
-                .filter(|&s| s <= u32::MAX as u64)
-                .ok_or_else(|| corrupt(off, "edge destination seq overflows".into()))?
-                as u32
-        } else {
-            if ds > u32::MAX as u64 {
-                return Err(corrupt(off, "edge destination seq overflows".into()));
-            }
-            ds as u32
-        };
+            .ok_or_else(|| r.corrupt("edge destination tid overflows"))? as u32;
+        let to_seq = if dt == 0 { (prev_seq as u64).checked_add(ds) } else { Some(ds) }
+            .filter(|&s| s <= u32::MAX as u64)
+            .ok_or_else(|| r.corrupt("edge destination seq overflows"))? as u32;
         if from_tid > u32::MAX as u64 || from_seq > u32::MAX as u64 {
-            return Err(corrupt(off, "edge source out of range".into()));
+            return Err(r.corrupt("edge source out of range"));
         }
         let edge = OrderEdge {
             from: PoNode { tid: ThreadId(from_tid as u32), seq: from_seq as u32 },
@@ -460,18 +375,21 @@ fn decode_edge_record(log: &mut OrderLog, payload: &[u8], base: usize) -> Result
             kind,
         };
         for node in [edge.from, edge.to] {
-            match log.threads.get(&node.tid) {
+            match threads.get(&node.tid) {
                 Some(&count) if node.seq < count => {}
-                _ => return Err(corrupt(off, format!("edge endpoint {node} is not a node"))),
+                _ => return Err(r.corrupt(format!("edge endpoint {node} is not a node"))),
             }
         }
         if edge.from.tid == edge.to.tid {
-            return Err(corrupt(off, format!("same-thread edge {} -> {}", edge.from, edge.to)));
+            return Err(r.corrupt(format!("same-thread edge {} -> {}", edge.from, edge.to)));
         }
-        if log.edges.last().is_some_and(|last| last.key() >= edge.key()) {
-            return Err(corrupt(off, format!("edge {} -> {} out of canonical order", edge.from, edge.to)));
+        if edges.last().is_some_and(|last| last.key() >= edge.key()) {
+            return Err(r.corrupt(format!(
+                "edge {} -> {} out of canonical order",
+                edge.from, edge.to
+            )));
         }
-        log.edges.push(edge);
+        edges.push(edge);
         (prev_tid, prev_seq) = (edge.to.tid.0, edge.to.seq);
     }
     Ok(())
@@ -775,46 +693,29 @@ mod tests {
     }
 
     #[test]
-    fn truncation_is_detected_at_every_offset() {
-        let bytes = sample().to_bytes();
-        for cut in 0..bytes.len() {
-            let err =
-                OrderLog::from_bytes(&bytes[..cut]).expect_err(&format!("cut {cut} must error"));
-            assert!(matches!(err, QrError::Corrupt { .. }), "cut {cut}: {err}");
-        }
-    }
-
-    #[test]
-    fn single_bit_flip_at_every_byte_is_rejected() {
-        let bytes = sample().to_bytes();
-        for pos in 0..bytes.len() {
-            for bit in 0..8 {
-                let mut bad = bytes.clone();
-                bad[pos] ^= 1 << bit;
-                assert!(
-                    OrderLog::from_bytes(&bad).is_err(),
-                    "flip at byte {pos} bit {bit} must be rejected"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn salvage_recovers_edge_prefix_of_torn_log() {
+    fn torn_or_flipped_logs_are_rejected_and_salvage_an_edge_prefix() {
+        // The walk itself is exercised in `qr_common::frame`; this checks
+        // what the header and edge-record decoders make of it.
         let log = sample();
         let bytes = log.to_bytes();
         let (whole, report) = OrderLog::salvage_from_bytes(&bytes);
         assert_eq!(whole, log);
         assert!(report.corruption.is_none());
         assert_eq!(report.expected_edges, Some(log.edges().len() as u64));
-        for cut in 0..bytes.len() {
-            let (torn, report) = OrderLog::salvage_from_bytes(&bytes[..cut]);
-            assert!(report.corruption.is_some(), "cut {cut}");
-            assert_eq!(
-                torn.edges(),
-                &log.edges()[..torn.edges().len()],
-                "cut {cut} salvaged a non-prefix"
-            );
+        let damaged = (0..bytes.len()).map(|cut| bytes[..cut].to_vec()).chain(
+            (0..bytes.len() * 8).map(|bit| {
+                let mut bad = bytes.clone();
+                bad[bit / 8] ^= 1 << (bit % 8);
+                bad
+            }),
+        );
+        for (case, bad) in damaged.enumerate() {
+            let err = OrderLog::from_bytes(&bad).expect_err(&format!("case {case} must error"));
+            assert!(matches!(err, QrError::Corrupt { .. }), "case {case}: {err}");
+            let (torn, report) = OrderLog::salvage_from_bytes(&bad);
+            assert_eq!(report.corruption, Some(err), "case {case}");
+            assert!(log.edges().starts_with(torn.edges()), "case {case} salvaged a non-prefix");
+            assert!(torn.threads().is_empty() || torn.threads() == log.threads(), "case {case}");
         }
     }
 

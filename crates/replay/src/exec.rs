@@ -200,20 +200,7 @@ fn exec_chunk(
             }
         }
     }
-    // Boundary drain: same rule the recorder applied.
-    let drains = match packet.reason {
-        TerminationReason::Syscall
-        | TerminationReason::Trap
-        | TerminationReason::ContextSwitch
-        | TerminationReason::SphereEnd => true,
-        TerminationReason::IcOverflow | TerminationReason::SigSaturation => {
-            tso_mode == TsoMode::DrainAtChunk
-        }
-        TerminationReason::ConflictRaw
-        | TerminationReason::ConflictWar
-        | TerminationReason::ConflictWaw => false,
-    };
-    if drains {
+    if packet.reason.drains_store_buffer(tso_mode) {
         crate::obs::store_buffer_drain();
         let access = machine.drain_store_buffer(core)?;
         if let Some(detector) = detector {

@@ -28,9 +28,9 @@
 //!
 //! Footprints come from the recording's optional
 //! [`quickrec_core::FootprintLog`] sidecar. Recordings without complete
-//! footprint coverage (legacy logs, salvaged prefixes) fall back to the
-//! serial [`Replayer`] — missing footprints cost parallelism, never
-//! correctness.
+//! footprint coverage (recordings migrated from v1, salvaged prefixes)
+//! fall back to the serial [`Replayer`] — missing footprints cost
+//! parallelism, never correctness.
 //!
 //! # Execution model
 //!

@@ -202,6 +202,13 @@ fn parse_index(payload: &[u8]) -> Result<BlockIndex> {
 ///
 /// Returns [`QrError::Corrupt`] for any container or index damage.
 pub fn read_index(buf: &[u8]) -> Result<BlockIndex> {
+    read_container(buf).map(|(index, _)| index)
+}
+
+/// Strictly parses a container in one pass over its bytes: the index
+/// plus the block records it describes, count and stored lengths checked
+/// against each other.
+fn read_container(buf: &[u8]) -> Result<(BlockIndex, Vec<&[u8]>)> {
     let records = frame::read(buf, PayloadKind::CompressedLog, "compressed log")?;
     let Some((index_payload, blocks)) = records.split_first() else {
         return Err(corrupt(frame::HEADER_LEN as u64, "missing index record".into()));
@@ -221,7 +228,7 @@ pub fn read_index(buf: &[u8]) -> Result<BlockIndex> {
             ));
         }
     }
-    Ok(index)
+    Ok((index, blocks.to_vec()))
 }
 
 /// Decompresses one block record payload (method byte + data).
@@ -256,10 +263,9 @@ fn decompress_block(payload: &[u8], entry: &BlockEntry, i: usize) -> Result<Vec<
 /// Returns [`QrError::Corrupt`] for any frame, index or block damage.
 pub fn decompress(buf: &[u8]) -> Result<Vec<u8>> {
     let start = crate::obs::clock();
-    let index = read_index(buf)?;
-    let records = frame::read(buf, PayloadKind::CompressedLog, "compressed log")?;
+    let (index, blocks) = read_container(buf)?;
     let mut out = Vec::with_capacity(index.total_len as usize);
-    for (i, (entry, rec)) in index.blocks.iter().zip(&records[1..]).enumerate() {
+    for (i, (entry, rec)) in index.blocks.iter().zip(&blocks).enumerate() {
         out.extend_from_slice(&decompress_block(rec, entry, i)?);
     }
     crate::obs::decoded(start);
@@ -276,15 +282,14 @@ pub fn decompress(buf: &[u8]) -> Result<Vec<u8>> {
 /// Returns [`QrError::Corrupt`] for container damage or an
 /// out-of-bounds range.
 pub fn read_range(buf: &[u8], start: u64, len: u64) -> Result<(Vec<u8>, usize)> {
-    let index = read_index(buf)?;
-    let records = frame::read(buf, PayloadKind::CompressedLog, "compressed log")?;
+    let (index, blocks) = read_container(buf)?;
     let (first, last, skip) = index.covering(start, len)?;
     let mut out = Vec::with_capacity(len as usize);
     let mut touched = 0usize;
     if len > 0 {
-        for i in first..=last {
-            let entry = &index.blocks[i];
-            out.extend_from_slice(&decompress_block(records[i + 1], entry, i)?);
+        let covering = index.blocks.iter().zip(&blocks).enumerate();
+        for (i, (entry, rec)) in covering.take(last + 1).skip(first) {
+            out.extend_from_slice(&decompress_block(rec, entry, i)?);
             touched += 1;
         }
         out.drain(..skip);

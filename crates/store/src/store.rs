@@ -294,30 +294,22 @@ impl RecordingStore {
     /// [`VerifyReport`], not as an error.
     pub fn verify(&self, id: u64) -> Result<VerifyReport> {
         let manifest = self.manifest(id)?;
-        let (_, parts) = match self.fetch_parts(id) {
-            Ok(ok) => ok,
-            Err(e) => {
-                // Damage before decompression: report it against the
-                // entry as a whole.
-                return Ok(VerifyReport {
-                    files: vec![qr_capo::FileCheck {
-                        name: format!("rec-{id:08}"),
-                        bytes: Some(manifest.compressed_bytes()),
-                        version: None,
-                        records: manifest.files.len(),
-                        legacy: false,
-                        error: Some(e),
-                    }],
-                });
-            }
-        };
-        // Images recovered; run the same per-file strict decode the
-        // directory verifier uses, against a scratch-free in-memory path.
-        let scratch = self.entry_dir(id).join(".verify");
-        parts.save(&scratch)?;
-        let report = Recording::verify_dir(&scratch);
-        let _ = std::fs::remove_dir_all(&scratch);
-        Ok(report)
+        Ok(match self.fetch_parts(id) {
+            // Images recovered; run the same per-file strict decode the
+            // directory verifier uses, in memory.
+            Ok((_, parts)) => Recording::verify_parts(&parts),
+            // Damage before decompression: report it against the entry
+            // as a whole.
+            Err(e) => VerifyReport {
+                files: vec![qr_capo::FileCheck {
+                    name: format!("rec-{id:08}"),
+                    bytes: Some(manifest.compressed_bytes()),
+                    version: None,
+                    records: manifest.files.len(),
+                    error: Some(e),
+                }],
+            },
+        })
     }
 }
 

@@ -147,3 +147,47 @@ fn interrupted_puts_leave_staging_dirs_that_reopening_sweeps_away() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn concurrent_verifies_of_one_entry_do_not_disturb_each_other() {
+    // The daemon runs VERIFY follow-ups on pool workers, so one entry is
+    // verified from several threads at once. Verification is in-memory:
+    // there is no shared scratch path to race on, and nothing is ever
+    // written into the entry.
+    let dir = scratch("concurrent-verify");
+    let (_, recording) = recorded_workload(2);
+    let store = RecordingStore::open(&dir.join("store")).expect("open store");
+    let id = store.put("fft", &recording, Encoding::Delta).expect("store put");
+    let entry_files = || {
+        let mut names: Vec<_> = std::fs::read_dir(store.entry_dir(id))
+            .expect("entry dir")
+            .map(|e| e.expect("dir entry").file_name())
+            .collect();
+        names.sort();
+        names
+    };
+    let before = entry_files();
+
+    const THREADS: usize = 4;
+    const ROUNDS: usize = 200;
+    let start = std::sync::Barrier::new(THREADS);
+    let bad: usize = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..THREADS)
+            .map(|_| {
+                scope.spawn(|| {
+                    start.wait();
+                    (0..ROUNDS)
+                        .filter(|_| !store.verify(id).is_ok_and(|report| report.all_ok()))
+                        .count()
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().expect("verify worker")).sum()
+    });
+    assert_eq!(bad, 0, "{bad} of {} concurrent verifies reported damage", THREADS * ROUNDS);
+    assert_eq!(entry_files(), before, "verify wrote into the entry directory");
+    assert!(!store.entry_dir(id).join(".verify").exists());
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+

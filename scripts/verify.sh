@@ -17,25 +17,57 @@ cargo test -q --workspace
 echo "== golden conformance: pinned fixtures must replay to their pins =="
 cargo test -q --test golden_conformance
 
-echo "== migrate smoke: legacy golden fixture upgrades and verifies =="
+echo "== migrate smoke: v1 golden fixture is refused until migrated, then verifies and replays =="
 migrate_dir=$(mktemp -d)
 cp tests/golden/v1/hello-delta/* "$migrate_dir"
+# The program the hello fixtures were recorded from (tests/cli.rs PROGRAM).
+cat > "$migrate_dir.pasm" <<'PASM'
+.entry main
+.text
+main:
+    movi r0, 2        ; SYS_WRITE
+    movi r1, msg
+    movi r2, 6
+    syscall
+    movi r0, 1        ; SYS_EXIT
+    movi r1, 0
+    syscall
+.data
+msg: .byte 0x68 0x65 0x6c 0x6c 0x6f 0x0a
+PASM
 # Capture-then-grep everywhere a command feeds grep -q: under pipefail
 # an early-exiting grep breaks the writer's pipe mid-print and fails
 # the pipeline even though the match succeeded.
+# Before migrating, nothing but `migrate` reads v1: verify and replay
+# must exit nonzero and name the way out.
+for refused in "verify $migrate_dir" "replay $migrate_dir.pasm $migrate_dir"; do
+  if refusal_out=$(./target/release/quickrec $refused 2>&1); then
+    echo "quickrec ${refused%% *} accepted an unmigrated v1 recording" >&2
+    exit 1
+  fi
+  grep -q 'quickrec migrate' <<< "$refusal_out" || {
+    echo "quickrec ${refused%% *} refused a v1 recording without naming quickrec migrate" >&2
+    exit 1
+  }
+done
 migrate_out=$(./target/release/quickrec migrate "$migrate_dir")
 grep -q 'migrated v1 -> v3' <<< "$migrate_out" || {
   echo "migrate did not report a v1 -> v3 upgrade" >&2
   exit 1
 }
 ./target/release/quickrec verify "$migrate_dir" > /dev/null
+replay_out=$(./target/release/quickrec replay "$migrate_dir.pasm" "$migrate_dir")
+grep -q 'verified exact' <<< "$replay_out" || {
+  echo "migrated v1 recording did not replay to its recorded outcome" >&2
+  exit 1
+}
 migrate_out=$(./target/release/quickrec migrate "$migrate_dir")
 grep -q 'nothing to do' <<< "$migrate_out" || {
   echo "second migrate was not a no-op" >&2
   exit 1
 }
-rm -rf "$migrate_dir"
-echo "legacy recording migrated in place, verified, and re-migrate is a no-op"
+rm -rf "$migrate_dir" "$migrate_dir.pasm"
+echo "v1 recording refused by verify/replay, migrated in place, verified, replayed; re-migrate is a no-op"
 
 echo "== repro smoke: serial vs parallel must match byte-for-byte =="
 serial=$(mktemp)

@@ -26,6 +26,22 @@ fn quickrec(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_quickrec")).args(args).output().expect("spawn quickrec")
 }
 
+/// A committed v1 golden fixture, recorded from [`PROGRAM`] on 2 cores.
+/// The `tests/golden/v1` tree is the only source of v1 bytes: nothing
+/// writes that format any more.
+fn golden_v1(name: &str) -> PathBuf {
+    PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/v1")).join(name)
+}
+
+/// Copies a golden v1 fixture's files to `to` (created if missing).
+fn copy_v1(name: &str, to: &std::path::Path) {
+    std::fs::create_dir_all(to).expect("create copy target");
+    for entry in std::fs::read_dir(golden_v1(name)).expect("read v1 fixture") {
+        let entry = entry.expect("dir entry");
+        std::fs::copy(entry.path(), to.join(entry.file_name())).expect("copy v1 file");
+    }
+}
+
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("quickrec-cli-{tag}-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
@@ -127,43 +143,146 @@ fn verify_handles_directories_mixing_framed_and_legacy_logs() {
     let dir = scratch("mixed");
     let (prog, logs) = recorded(&dir);
 
-    // Rewrite the chunk log in the legacy unframed layout, as a
-    // pre-framing recorder would have left it; the other files keep the
-    // framed container. One directory, two generations of format.
+    // Replace the chunk log with an unframed v1 stream; the other files
+    // keep the framed container. No recorder ever wrote such a
+    // directory, and nothing reads an unframed log in place: every
+    // command refuses it and names the migrator.
     let logs_path = PathBuf::from(&logs);
-    let recording = quickrec::Recording::load(&logs_path).expect("load recording");
-    let legacy = quickrec::Encoding::Raw.encode_stream(recording.chunks.packets());
-    std::fs::write(logs_path.join("chunks.qrl"), &legacy).expect("rewrite chunk log");
+    std::fs::copy(golden_v1("hello-raw").join("chunks.qrl"), logs_path.join("chunks.qrl"))
+        .expect("plant v1 chunk stream");
 
-    // With the format manifest still claiming the original encoding, the
-    // mismatch is diagnosed instead of silently accepted.
+    // With the format manifest still present the directory claims to be
+    // current, so the unframed file is plain corruption (bad magic)...
     let out = quickrec(&["replay", &prog, &logs]);
-    assert!(!out.status.success(), "stale format manifest must be rejected");
+    assert!(!out.status.success(), "unframed chunk log must not replay");
     let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("format manifest"), "mismatch diagnosed: {err}");
-    // A genuinely old file set has no manifest at all; drop it.
+    assert!(err.contains("bad-magic") && err.contains("quickrec migrate"), "diagnosed: {err}");
+    // ...and without one (a genuinely old file set has none) it is
+    // refused as a v1 recording.
     std::fs::remove_file(logs_path.join("format.qrv")).expect("drop format manifest");
 
     let out = quickrec(&["verify", &logs]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(!out.status.success(), "a directory holding a v1 log must fail verification");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("legacy"), "legacy format named: {stdout}");
+    assert!(stdout.contains("chunks.qrl") && stdout.contains("not framed"), "per file: {stdout}");
+    assert!(stdout.contains("quickrec migrate"), "migrator named: {stdout}");
     assert!(stdout.contains("framed v1"), "framed files still reported: {stdout}");
 
-    // The mixed directory still replays — serially and in parallel (the
-    // footprint sidecar is framed and intact).
-    for extra in [&[][..], &["--jobs", "2"][..]] {
+    for extra in [&[][..], &["--jobs", "2"][..], &["--salvage"][..]] {
         let mut args = vec!["replay", &prog, &logs];
         args.extend_from_slice(extra);
         let out = quickrec(&args);
-        assert!(
-            out.status.success(),
-            "replay {extra:?} on mixed dir: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        assert!(stdout.contains("verified exact"), "replay {extra:?}: {stdout}");
+        assert!(!out.status.success(), "replay {extra:?} must refuse a v1 log");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("quickrec migrate"), "replay {extra:?}: {err}");
     }
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn v1_recordings_are_refused_by_every_reader_but_migrate() {
+    use quickrec::{ChunkLog, InputLog, Recording, RecordingParts};
+
+    let dir = scratch("refusals");
+    let v1_dir = dir.join("v1");
+    copy_v1("hello-delta", &v1_dir);
+    let v1 = v1_dir.to_str().unwrap().to_string();
+    let parts = RecordingParts::read(&v1_dir).expect("read v1 fixture");
+    let prog = dir.join("prog.pasm");
+    std::fs::write(&prog, PROGRAM).expect("write program");
+    let prog = prog.to_str().unwrap().to_string();
+    let store = qr_store::RecordingStore::open(&dir.join("store")).expect("open store");
+    let stored = store
+        .put_parts("v1", &parts, quickrec::Encoding::Delta, 0)
+        .expect("the store keeps bytes, whatever they hold");
+
+    // Each entry yields the refusal text, or Err(what it wrongly produced).
+    type Refusal = Result<String, String>;
+    type Entry<'a> = (&'a str, Box<dyn Fn() -> Refusal + 'a>);
+    let refused = |r: quickrec::Result<()>| -> Refusal {
+        match r {
+            Err(e) => Ok(format!("{e:?} / {e}")),
+            Ok(()) => Err("a Recording".to_string()),
+        }
+    };
+    let report = |r: qr_capo::VerifyReport| -> Refusal {
+        if r.all_ok() {
+            return Err("a clean verify report".to_string());
+        }
+        Ok(r.files.iter().map(|f| f.describe()).collect::<Vec<_>>().join("\n"))
+    };
+    let cli = |args: &[&str]| -> Refusal {
+        let out = quickrec(args);
+        if out.status.success() {
+            return Err("exit 0".to_string());
+        }
+        Ok(format!(
+            "{}{}",
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr)
+        ))
+    };
+    let table: Vec<Entry<'_>> = vec![
+        ("Recording::from_parts", Box::new(|| refused(Recording::from_parts(&parts).map(drop)))),
+        ("Recording::load", Box::new(|| refused(Recording::load(&v1_dir).map(drop)))),
+        (
+            "Recording::salvage_from_parts",
+            Box::new(|| refused(Recording::salvage_from_parts(&parts).map(drop))),
+        ),
+        (
+            "Recording::load_salvaged",
+            Box::new(|| refused(Recording::load_salvaged(&v1_dir).map(drop))),
+        ),
+        ("Recording::verify_parts", Box::new(|| report(Recording::verify_parts(&parts)))),
+        ("Recording::verify_dir", Box::new(|| report(Recording::verify_dir(&v1_dir)))),
+        (
+            "ChunkLog::from_bytes",
+            Box::new(|| refused(ChunkLog::from_bytes(&parts.chunks).map(drop))),
+        ),
+        (
+            "InputLog::from_bytes",
+            Box::new(|| refused(InputLog::from_bytes(&parts.inputs).map(drop))),
+        ),
+        ("RecordingStore::fetch", Box::new(|| refused(store.fetch(stored).map(drop)))),
+        (
+            "RecordingStore::fetch_salvaged",
+            Box::new(|| refused(store.fetch_salvaged(stored).map(drop))),
+        ),
+        (
+            "RecordingStore::verify",
+            Box::new(|| report(store.verify(stored).expect("entry exists"))),
+        ),
+        ("quickrec replay", Box::new(|| cli(&["replay", &prog, &v1]))),
+        ("quickrec replay --salvage", Box::new(|| cli(&["replay", &prog, &v1, "--salvage"]))),
+        ("quickrec verify", Box::new(|| cli(&["verify", &v1]))),
+        ("quickrec analyze", Box::new(|| cli(&["analyze", &v1]))),
+    ];
+    for (entry, run) in &table {
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+            .unwrap_or_else(|_| panic!("{entry} panicked on a v1 recording"));
+        match outcome {
+            Err(produced) => panic!("{entry} did not refuse a v1 recording: returned {produced}"),
+            Ok(text) => {
+                assert!(text.contains("quickrec migrate"), "{entry} does not name migrate: {text}")
+            }
+        }
+    }
+    // Whole-recording entries refuse with the one structured error that
+    // names the generation.
+    let err = Recording::from_parts(&parts).unwrap_err();
+    assert!(matches!(err, quickrec::QrError::Unsupported(_)), "{err:?}");
+    assert!(err.to_string().contains("recording format v1"), "{err}");
+
+    // The way out works: after `migrate`, the same directory verifies
+    // and replays.
+    drop(table);
+    let out = quickrec(&["migrate", &v1]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(quickrec(&["verify", &v1]).status.success());
+    let out = quickrec(&["replay", &prog, &v1]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("verified exact"));
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -171,25 +290,14 @@ fn verify_handles_directories_mixing_framed_and_legacy_logs() {
 #[test]
 fn migrate_upgrades_legacy_recordings_and_is_idempotent() {
     let dir = scratch("migrate");
-    let (prog, logs) = recorded(&dir);
-    let logs_path = PathBuf::from(&logs);
-
-    // Downgrade the fresh recording to the v1 legacy shape: bare QRM1
-    // meta blob, unframed tag-prefixed logs, no sidecar, no manifest.
-    let recording = quickrec::Recording::load(&logs_path).expect("load recording");
-    let parts = quickrec::RecordingParts::read(&logs_path).expect("read parts");
-    let meta_records =
-        qr_common::frame::read(&parts.meta, qr_common::frame::PayloadKind::Meta, "meta")
-            .expect("unwrap meta frame");
-    std::fs::write(logs_path.join("meta.qrm"), meta_records[0]).unwrap();
-    std::fs::write(
-        logs_path.join("chunks.qrl"),
-        quickrec::Encoding::Delta.encode_stream(recording.chunks.packets()),
-    )
-    .unwrap();
-    std::fs::write(logs_path.join("inputs.qrl"), recording.inputs.to_legacy_bytes()).unwrap();
-    std::fs::remove_file(logs_path.join("footprints.qrl")).unwrap();
-    std::fs::remove_file(logs_path.join("format.qrv")).unwrap();
+    let prog = dir.join("prog.pasm");
+    std::fs::write(&prog, PROGRAM).expect("write program");
+    let prog = prog.to_str().unwrap().to_string();
+    // A v1 recording of PROGRAM: bare QRM1 meta blob, unframed
+    // tag-prefixed logs, no sidecar, no manifest.
+    let logs_path = dir.join("rec");
+    copy_v1("hello-delta", &logs_path);
+    let logs = logs_path.to_str().unwrap().to_string();
 
     // Migrate upgrades in place and names both generations.
     let out = quickrec(&["migrate", &logs]);

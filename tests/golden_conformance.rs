@@ -1,12 +1,15 @@
 //! Golden-trace conformance battery.
 //!
 //! `tests/golden/` holds small canonical recordings — every encoding in
-//! both the current (v3, framed + format manifest) and legacy (v1, bare
-//! meta + unframed logs) shapes — plus a committed store, a trace
-//! journal, a wire-protocol capture, and a registry of intentionally
-//! rejected artifacts. `MANIFEST.toml` pins replay fingerprints, file
-//! CRCs and salvage outcomes; `KNOWN_FAILURES.toml` pins the structured
-//! error each unsupported shape must produce.
+//! both the current (v3, framed + format manifest) and v1 (bare meta +
+//! unframed logs) shapes — plus a committed store, a trace journal, a
+//! wire-protocol capture, and a registry of intentionally rejected
+//! artifacts. The `v1/` tree is a frozen input: nothing writes that
+//! format any more, only `quickrec migrate` reads it, and regeneration
+//! leaves it (and its `[[legacy]]` manifest entries) alone.
+//! `MANIFEST.toml` pins replay fingerprints, file CRCs and salvage
+//! outcomes; `KNOWN_FAILURES.toml` pins the structured error each
+//! unsupported shape must produce.
 //!
 //! Regenerate the fixture tree (after an intentional format change)
 //! with:
@@ -120,22 +123,6 @@ fn order_recording() -> &'static Recording {
         cfg.order = OrderMode::PartialOrder;
         record(generator_program(ORDER_GENERATOR), cfg).expect("partial-order recording")
     })
-}
-
-/// Downgrades a recording to the v1 (legacy) on-disk shape: bare `QRM1`
-/// meta, unframed chunk stream, legacy input log, no sidecars.
-fn legacy_parts(rec: &Recording, encoding: Encoding) -> RecordingParts {
-    let v3 = rec.to_parts(encoding);
-    let meta = frame::read(&v3.meta, PayloadKind::Meta, "meta").expect("framed meta")[0].to_vec();
-    RecordingParts {
-        meta,
-        chunks: encoding.encode_stream(rec.chunks.packets()),
-        inputs: rec.inputs.to_legacy_bytes(),
-        footprints: None,
-        format: None,
-        checkpoints: None,
-        order: None,
-    }
 }
 
 /// Checkpoint-index fixtures: (generator, encoding, checkpoint interval).
@@ -322,7 +309,7 @@ fn reject_fixtures() -> Vec<Reject> {
         Reject {
             name: "legacy-unknown-tag",
             file: "rejects/legacy-tag9.qrl",
-            decoder: "chunk-log-legacy",
+            decoder: "migrate-v1-chunks",
             error_contains: "unknown encoding tag 9".to_string(),
             reason: "legacy streams with an unassigned encoding tag are refused up front",
             bytes: vec![9],
@@ -397,7 +384,16 @@ fn reject_fixtures() -> Vec<Reject> {
 fn run_decoder(decoder: &str, bytes: &[u8]) -> std::result::Result<(), QrError> {
     match decoder {
         "chunk-log" => ChunkLog::from_bytes(bytes).map(|_| ()),
-        "chunk-log-legacy" => ChunkLog::from_legacy_bytes(bytes).map(|_| ()),
+        "migrate-v1-chunks" => {
+            // Only `migrate` reads v1: the reject file replaces the chunk
+            // stream of an otherwise-good v1 recording.
+            let dir = scratch("reject-v1");
+            copy_dir(&golden_root().join("v1/hello-raw"), &dir);
+            std::fs::write(dir.join("chunks.qrl"), bytes).expect("plant reject");
+            let result = quickrec::migrate::migrate(&dir).map(|_| ());
+            std::fs::remove_dir_all(&dir).ok();
+            result
+        }
         "format-manifest" => FormatManifest::from_bytes(bytes).map(|_| ()),
         "store-manifest" => qr_store::Manifest::from_bytes(bytes).map(|_| ()),
         "trace" => qr_obs::trace::from_bytes(bytes).map(|_| ()),
@@ -433,7 +429,17 @@ fn maybe_regen() {
 
 fn regenerate() {
     let root = golden_root();
-    for sub in ["v3", "v1", "order", "checkpoints", "store", "trace", "wire", "rejects"] {
+    // `[[legacy]]` entries are carried over verbatim with the frozen
+    // `v1/` tree they describe.
+    let frozen = std::fs::read_to_string(root.join("MANIFEST.toml")).expect("existing manifest");
+    let legacy_entry = |name: &str| {
+        frozen
+            .split("\n[[")
+            .find(|block| block.starts_with(&format!("legacy]]\nname = \"{name}\"\n")))
+            .map(|block| format!("\n[[{}\n", block.trim_end()))
+            .unwrap_or_else(|| panic!("no frozen [[legacy]] entry for {name}"))
+    };
+    for sub in ["v3", "order", "checkpoints", "store", "trace", "wire", "rejects"] {
         let dir = root.join(sub);
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).expect("create fixture subdir");
@@ -476,21 +482,7 @@ fn regenerate() {
                 crcs.join(", ")
             ));
 
-            let v1 = legacy_parts(rec, encoding);
-            let v1_dir = root.join("v1").join(&name);
-            std::fs::create_dir_all(&v1_dir).expect("create v1 dir");
-            for (file, bytes) in v1.files() {
-                std::fs::write(v1_dir.join(file), bytes).expect("write v1 file");
-            }
-            let cut = salvage_cut(&v1.chunks);
-            manifest.push_str(&format!(
-                "\n[[legacy]]\nname = \"{name}\"\ngenerator = \"{gen}\"\n\
-                 encoding = \"{}\"\npath = \"v1/{name}\"\nfingerprint = \"0x{:016x}\"\n\
-                 salvage_cut = {cut}\nsalvage_chunks = {}\n",
-                encoding.name(),
-                rec.fingerprint,
-                salvage_count(&v1.chunks, cut),
-            ));
+            manifest.push_str(&legacy_entry(&name));
         }
     }
 
@@ -704,23 +696,43 @@ fn regenerating_fixtures_is_byte_identical() {
 #[test]
 fn salvage_outcomes_match_pins() {
     let doc = manifest_doc();
-    let mut checked = 0;
-    for section in ["fixture", "legacy"] {
-        for fx in doc.sections_named(section) {
-            let name = fx.require_str("name").unwrap();
-            let dir = golden_root().join(fx.require_str("path").unwrap());
-            let chunks = std::fs::read(dir.join("chunks.qrl")).expect("read chunk log");
-            let cut = fx.require_int("salvage_cut").unwrap() as usize;
-            let (log, _report) = ChunkLog::salvage_from_bytes(&chunks[..cut]);
-            assert_eq!(
-                log.packets().len() as i64,
-                fx.require_int("salvage_chunks").unwrap(),
-                "salvage of {section}/{name} cut at {cut} drifted from its pin"
-            );
-            checked += 1;
-        }
+    let fixtures = doc.sections_named("fixture");
+    assert_eq!(fixtures.len(), GENERATORS.len() * Encoding::ALL.len());
+    for fx in fixtures {
+        let name = fx.require_str("name").unwrap();
+        let dir = golden_root().join(fx.require_str("path").unwrap());
+        let chunks = std::fs::read(dir.join("chunks.qrl")).expect("read chunk log");
+        let cut = fx.require_int("salvage_cut").unwrap() as usize;
+        let (log, _report) = ChunkLog::salvage_from_bytes(&chunks[..cut]);
+        assert_eq!(
+            log.packets().len() as i64,
+            fx.require_int("salvage_chunks").unwrap(),
+            "salvage of {name} cut at {cut} drifted from its pin"
+        );
     }
-    assert_eq!(checked, 2 * GENERATORS.len() * Encoding::ALL.len());
+    // v1 has no checksums to salvage by. The same cut of a v1 fixture is
+    // refused by the salvaging loader (as v1) and by `migrate` (as
+    // undecodable), which leaves the torn directory as it found it; the
+    // `salvage_chunks` a `[[legacy]]` entry still carries is what the
+    // removed v1 salvager used to recover.
+    let tmp = scratch("v1-torn");
+    let legacy = doc.sections_named("legacy");
+    assert_eq!(legacy.len(), GENERATORS.len() * Encoding::ALL.len());
+    for fx in legacy {
+        let name = fx.require_str("name").unwrap();
+        let dir = tmp.join(name);
+        copy_dir(&golden_root().join(fx.require_str("path").unwrap()), &dir);
+        let chunks = std::fs::read(dir.join("chunks.qrl")).expect("read chunk stream");
+        let cut = fx.require_int("salvage_cut").unwrap() as usize;
+        std::fs::write(dir.join("chunks.qrl"), &chunks[..cut]).expect("tear chunk stream");
+        let before = dir_snapshot(&dir);
+        let err = Recording::load_salvaged(&dir).expect_err("torn v1 must not salvage");
+        assert!(matches!(err, QrError::Unsupported(_)), "{name}: {err}");
+        let err = quickrec::migrate::migrate(&dir).expect_err("torn v1 must not migrate");
+        assert!(matches!(err, QrError::Corrupt { .. }), "{name}: {err}");
+        assert_eq!(dir_snapshot(&dir), before, "{name}: refused migrate touched the directory");
+    }
+    std::fs::remove_dir_all(&tmp).ok();
 }
 
 #[test]
@@ -739,6 +751,33 @@ fn version_matrix_migrates_every_generation_to_current() {
         assert!(report.changed, "{name}: v1 migrate must rewrite");
         assert_eq!((report.from.number(), report.to.number()), (1, 3), "{name}");
         assert_eq!(report.fingerprint, pinned, "{name}: migrate changed the execution");
+
+        // What `migrate` read through the one v1 reader loads, replays to
+        // the pin, and re-encodes to the very bytes the v3 fixture pins
+        // for the same execution; v1 never had the footprint sidecar, so
+        // the upgrade has none and its manifest says so.
+        let rec = Recording::load(&dir).expect("load migrated v1");
+        let program = generator_program(fx.require_str("generator").unwrap());
+        let outcome = replay_and_verify(&program, &rec).expect("replay migrated v1");
+        assert_eq!(outcome.fingerprint, pinned, "{name}");
+        let v3_pins = doc.sections_named("fixture");
+        let v3_pins = v3_pins.iter().find(|f| f.require_str("name").unwrap() == name).unwrap();
+        assert_eq!(rec.chunks.packets().len() as i64, v3_pins.require_int("chunks").unwrap());
+        let files = v3_pins.get("files").and_then(|v| v.as_array()).expect("files array");
+        let crcs = v3_pins.get("crcs").and_then(|v| v.as_array()).expect("crcs array");
+        for (file, crc) in files.iter().zip(crcs) {
+            let file = file.as_str().expect("file name");
+            if matches!(file, "meta.qrm" | "chunks.qrl" | "inputs.qrl") {
+                let bytes = std::fs::read(dir.join(file)).expect("read upgraded file");
+                let pin = parse_hex(crc.as_str().expect("crc string")) as u32;
+                assert_eq!(crc32::checksum(&bytes), pin, "{name}: upgraded {file} off its v3 pin");
+            }
+        }
+        assert!(!dir.join("footprints.qrl").exists(), "{name}");
+        let manifest = FormatManifest::from_bytes(&std::fs::read(dir.join("format.qrv")).unwrap())
+            .expect("upgraded manifest");
+        assert_eq!(manifest.encoding, encoding_named(fx.require_str("encoding").unwrap()));
+        assert!(!manifest.payloads.contains(&PayloadKind::FootprintLog), "{name}");
 
         // v2 (v3 minus the format manifest) → v3 must land byte-identical
         // to the committed v3 fixture.
