@@ -5,6 +5,7 @@
 //! ```text
 //! cargo run --release -p qr-bench --bin repro -- all
 //! cargo run --release -p qr-bench --bin repro -- e5
+//! cargo run --release -p qr-bench --bin repro -- e9b e14 e15
 //! cargo run --release -p qr-bench --bin repro -- all --serial
 //! cargo run --release -p qr-bench --bin repro -- all --jobs 4
 //! cargo run --release -p qr-bench --bin repro -- r1 --fuzz-iters 200
@@ -16,15 +17,18 @@
 //! order, so the output is byte-identical whichever mode runs it.
 //! `--serial` runs the jobs on this thread; `--jobs N` sets the worker
 //! count (default: the host's available cores).
+//!
+//! `repro` owns no clock: every number it prints is seed-deterministic.
+//! Host speed is measured by `bench/` alone (see `BENCHMARK.json`).
 
-use qr_bench::experiments::{render_experiments, ALL_IDS, WALL_CLOCK_IDS};
+use qr_bench::experiments::{render_experiments, ALL_IDS, EXPLICIT_ONLY_IDS};
 use qr_bench::runner::ExecMode;
 use std::io::Write;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut mode = ExecMode::parallel_default();
-    let mut what: Option<String> = None;
+    let mut selected: Vec<&'static str> = Vec::new();
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
@@ -55,28 +59,22 @@ fn main() {
                 eprintln!("unknown flag `{other}`; flags: --serial, --jobs N, --fuzz-iters N");
                 std::process::exit(2);
             }
-            other => what = Some(other.to_string()),
+            "all" => selected.extend(ALL_IDS),
+            other => match ALL_IDS.iter().chain(&EXPLICIT_ONLY_IDS).find(|&&id| id == other) {
+                Some(&id) => selected.push(id),
+                None => {
+                    eprintln!(
+                        "unknown experiment `{other}`; known: {ALL_IDS:?}, \
+                         explicit only: {EXPLICIT_ONLY_IDS:?}, or `all`"
+                    );
+                    std::process::exit(2);
+                }
+            },
         }
     }
-    let what = what.unwrap_or_else(|| "all".to_string());
-    let selected: Vec<&str> = if what == "all" {
-        // Wall-clock experiments (WALL_CLOCK_IDS) are deliberately
-        // excluded: their timings differ run to run, which would break
-        // the byte-identical serial/parallel guarantee below.
-        ALL_IDS.to_vec()
-    } else if let Some(&id) = ALL_IDS
-        .iter()
-        .chain(WALL_CLOCK_IDS.iter())
-        .find(|&&id| id == what)
-    {
-        vec![id]
-    } else {
-        eprintln!(
-            "unknown experiment `{what}`; known: {ALL_IDS:?}, \
-             wall-clock (explicit only): {WALL_CLOCK_IDS:?}, or `all`"
-        );
-        std::process::exit(2);
-    };
+    if selected.is_empty() {
+        selected.extend(ALL_IDS);
+    }
 
     let (output, failure) = render_experiments(&selected, mode);
     print!("{output}");

@@ -16,17 +16,19 @@ use qr_mem::TsoMode;
 use qr_workloads::{suite, Scale, WorkloadSpec};
 use quickrec_core::{Encoding, MrrConfig, OrderMode, TerminationReason};
 
-/// Every deterministic experiment id, in report order (`repro all`).
-pub const ALL_IDS: [&str; 22] = [
+/// Every experiment `repro all` runs, in report order. Each prints only
+/// seed-deterministic numbers, so the whole report is byte-identical
+/// run to run and across execution modes.
+pub const ALL_IDS: [&str; 24] = [
     "t1", "t2", "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e9b", "e10", "e11", "e12",
-    "a1", "a2", "a3", "a5", "a6", "r1", "v1",
+    "e14", "e15", "a1", "a2", "a3", "a5", "a6", "r1", "v1",
 ];
 
-/// Experiments that report host wall-clock time. They are excluded from
-/// `repro all` — their numbers vary run to run, so including them would
-/// break the harness guarantee that parallel output is byte-identical
-/// to `--serial` — and must be invoked explicitly (like `cargo bench`).
-pub const WALL_CLOCK_IDS: [&str; 5] = ["e10b", "e13", "e14", "e15", "e16"];
+/// Experiments that must be named explicitly. E16 prints deterministic
+/// bytes like the rest, but it needs ≈2 200 file descriptors (or a live
+/// daemon behind `QR_E16_SOCKET`), which `repro all` should not demand
+/// of every host.
+pub const EXPLICIT_ONLY_IDS: [&str; 1] = ["e16"];
 
 /// What an experiment prints after its table.
 enum Footer {
@@ -36,6 +38,8 @@ enum Footer {
     Static(&'static str),
     /// A line computed from the mean of the jobs' footer statistics.
     MeanStat(fn(f64) -> String),
+    /// A line computed from the sum of the jobs' footer statistics.
+    SumStat(fn(f64) -> String),
 }
 
 /// One experiment: identity, table shape, and its job list.
@@ -69,10 +73,8 @@ pub fn plan(id: &str) -> Option<Experiment> {
         "e9" => e9(),
         "e9b" => e9b(),
         "e10" => e10(),
-        "e10b" => e10b(),
         "e11" => e11(),
         "e12" => e12(),
-        "e13" => e13(),
         "e14" => e14(),
         "e15" => e15(),
         "e16" => e16(),
@@ -144,6 +146,10 @@ pub fn render_experiments(
             Footer::MeanStat(fmt) => {
                 let mean = stats.iter().sum::<f64>() / stats.len() as f64;
                 out.push_str(&fmt(mean));
+                out.push('\n');
+            }
+            Footer::SumStat(fmt) => {
+                out.push_str(&fmt(stats.iter().sum()));
                 out.push('\n');
             }
         }
@@ -556,98 +562,6 @@ fn e10() -> Experiment {
     }
 }
 
-/// E10b — `quickrecd` service throughput, serial vs sharded.
-///
-/// One job measures all three configurations back to back so the rows
-/// never contend with each other for host cores (the harness may run
-/// unrelated jobs concurrently, but the serial-vs-sharded comparison
-/// shares whatever ambient load exists).
-fn e10b() -> Experiment {
-    let job: Job = Box::new(|_cache: &BuildCache| {
-        use qr_server::proto::{Endpoint, Request, Response};
-        let names = ["fft", "lu", "radix", "ocean", "water", "barnes", "fmm", "raytrace",
-            "cholesky", "volrend", "radiosity", "fft", "lu", "radix", "ocean", "water"];
-        let mut out = JobOutput::default();
-        let mut serial_secs = None;
-        for workers in [1usize, 2, 4] {
-            let dir = std::env::temp_dir()
-                .join(format!("qr-e10b-{workers}w-{}", std::process::id()));
-            std::fs::remove_dir_all(&dir).ok();
-            let endpoint = Endpoint::Unix(dir.join("qd.sock"));
-            let config = qr_server::ServerConfig {
-                workers,
-                shards: workers,
-                queue_capacity: 64,
-                store_root: dir.join("store"),
-                event_workers: 2,
-                max_connections: 4096,
-            };
-            let handle = qr_server::Server::start(&endpoint, &config)?;
-            let mut client = qr_server::Client::connect(handle.endpoint())?;
-            let started = std::time::Instant::now();
-            let mut ids = Vec::new();
-            for name in names {
-                match client.call(&Request::SubmitWorkload {
-                    name: name.into(),
-                    workload: name.into(),
-                    threads: 2,
-                    scale: Scale::Small,
-                    encoding: Encoding::Delta,
-                    order: OrderMode::TotalOrder,
-                })? {
-                    Response::Submitted { id } => ids.push(id),
-                    other => {
-                        return Err(QrError::Execution {
-                            detail: format!("{name}: unexpected response {other:?}"),
-                        })
-                    }
-                }
-            }
-            for id in ids {
-                client.wait_for(id, std::time::Duration::from_secs(300))?;
-            }
-            let elapsed = started.elapsed();
-            match client.call(&Request::Shutdown)? {
-                Response::ShuttingDown => {}
-                other => {
-                    return Err(QrError::Execution {
-                        detail: format!("shutdown: unexpected response {other:?}"),
-                    })
-                }
-            }
-            drop(client);
-            handle.wait();
-            std::fs::remove_dir_all(&dir).ok();
-            let secs = elapsed.as_secs_f64();
-            let speedup = *serial_secs.get_or_insert(secs) / secs.max(f64::MIN_POSITIVE);
-            out.rows.push(vec![
-                workers.to_string(),
-                workers.to_string(),
-                names.len().to_string(),
-                format!("{:.0}", secs * 1000.0),
-                format!("{:.1}", names.len() as f64 / secs),
-                format!("{speedup:.2}x"),
-            ]);
-        }
-        Ok(out)
-    });
-    Experiment {
-        id: "e10b",
-        title: "quickrecd service throughput, serial vs sharded",
-        note: "16 RECORD submissions against one daemon per row; wall-clock, so the shape \
-         depends on host cores — sharded rows pull ahead only with cores to spare, and a \
-         single-core host showing speedup ~1.0x at unchanged totals is the correct result \
-         (concurrency without overhead)",
-        header: vec!["workers".into(), "shards".into(), "jobs".into(), "wall ms".into(),
-            "jobs/s".into(), "speedup".into()],
-        jobs: vec![job],
-        footer: Footer::Static(
-            "(worker pool and registry shards scale together; RECORD jobs are embarrassingly \
-             parallel until the store serializes commits)",
-        ),
-    }
-}
-
 /// V1 — determinism validation across the suite.
 fn v1() -> Experiment {
     Experiment {
@@ -779,423 +693,102 @@ fn e12() -> Experiment {
     }
 }
 
-/// E13 — hot-path raw speed: slice-by-8 CRC-32 vs the scalar reference,
-/// hash-chain LZ vs the greedy reference, wide-copy decompression, store
-/// ratio per encoding, and simulator instruction rate.
+/// E14 — the time-travel index is exact at every checkpoint interval,
+/// and what each interval costs: checkpoints persisted, `checkpoints.qrc`
+/// bytes, and the events a seek re-executes past its checkpoint.
 ///
-/// Wall-clock (see [`WALL_CLOCK_IDS`]), so it is excluded from
-/// `repro all` and invoked explicitly. Besides printing the table it
-/// writes a machine-readable summary to `BENCH_hotpath.json` (path
-/// overridable via `QR_BENCH_JSON`, measurement window via
-/// `QR_BENCH_MS`). The run *fails* only on differential drift — a fast
-/// path disagreeing with its reference path on real recording bytes —
-/// never on a speedup threshold, so CI stays immune to host-load flake.
-fn e13() -> Experiment {
-    let job: Job = Box::new(|cache: &BuildCache| {
-        use qr_common::crc32;
-        use qr_store::{block, lz};
-
-        let ms = std::env::var("QR_BENCH_MS")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(400)
-            .max(1);
-        let window = std::time::Duration::from_millis(ms);
-
-        // Corpus: real framed recording bytes (meta + chunk logs +
-        // inputs + footprints across all three encodings) from four
-        // workloads, so every rate below reflects the byte patterns the
-        // hot paths actually see.
-        let names = ["fft", "lu", "radix", "water"];
-        let mut recordings = Vec::new();
-        let mut corpus: Vec<u8> = Vec::new();
-        for name in names {
-            let spec = qr_workloads::suite::find(name).expect("suite member");
-            let r = record_workload_with(cache, &spec, 4, Scale::Small, full_cfg(4))?;
-            for encoding in Encoding::ALL {
-                for (_, bytes) in r.to_parts(encoding).files() {
-                    corpus.extend_from_slice(bytes);
-                }
-            }
-            recordings.push((name, r));
-        }
-
-        // Differential drift gate: the fast paths must agree with their
-        // reference paths on every file of every recording × encoding.
-        let mut cases = 0u64;
-        let mut drift = 0u64;
-        let mut first_drift = String::new();
-        let note_drift = |what: String, first: &mut String| {
-            if first.is_empty() {
-                *first = what;
-            }
-        };
-        for (name, r) in &recordings {
-            for encoding in Encoding::ALL {
-                let parts = r.to_parts(encoding);
-                for (file, bytes) in parts.files() {
-                    cases += 1;
-                    let mut bad = false;
-                    if crc32::checksum(bytes) != crc32::checksum_scalar(bytes) {
-                        bad = true;
-                        note_drift(
-                            format!("{name}/{encoding:?}/{file}: slice-by-8 CRC != scalar CRC"),
-                            &mut first_drift,
-                        );
-                    }
-                    let fast = lz::decompress(&lz::compress(bytes), bytes.len())?;
-                    let greedy = lz::decompress(&lz::compress_greedy(bytes), bytes.len())?;
-                    if fast != bytes || greedy != bytes {
-                        bad = true;
-                        note_drift(
-                            format!("{name}/{encoding:?}/{file}: LZ round trip diverged"),
-                            &mut first_drift,
-                        );
-                    }
-                    if block::decompress(&block::compress(bytes))? != bytes {
-                        bad = true;
-                        note_drift(
-                            format!("{name}/{encoding:?}/{file}: block round trip diverged"),
-                            &mut first_drift,
-                        );
-                    }
-                    drift += bad as u64;
-                }
-            }
-        }
-
-        // Throughput measurements (fixed window, quarter-window warmup).
-        let mbs = |bytes_per_sec: f64| bytes_per_sec / (1024.0 * 1024.0);
-        let crc_fast = mbs(crate::timing::bytes_per_sec(window, corpus.len(), || {
-            crc32::checksum(&corpus)
-        }));
-        let crc_scalar = mbs(crate::timing::bytes_per_sec(window, corpus.len(), || {
-            crc32::checksum_scalar(&corpus)
-        }));
-        let lz_fast = mbs(crate::timing::bytes_per_sec(window, corpus.len(), || {
-            lz::compress(&corpus)
-        }));
-        let lz_greedy = mbs(crate::timing::bytes_per_sec(window, corpus.len(), || {
-            lz::compress_greedy(&corpus)
-        }));
-        let packed = lz::compress(&corpus);
-        let lz_dec = mbs(crate::timing::bytes_per_sec(window, corpus.len(), || {
-            lz::decompress(&packed, corpus.len()).expect("benchmark corpus decompresses")
-        }));
-        let lz_dec_scalar = mbs(crate::timing::bytes_per_sec(window, corpus.len(), || {
-            lz::decompress_scalar(&packed, corpus.len()).expect("benchmark corpus decompresses")
-        }));
-        let corpus_ratio = packed.len() as f64 / corpus.len().max(1) as f64;
-
-        // Store ratio per chunk-log encoding, summed across workloads
-        // (compressed/uncompressed of the framed chunk logs, as e10
-        // reports per workload).
-        let mut encoding_ratios = Vec::new();
-        for encoding in Encoding::ALL {
-            let (mut raw, mut stored) = (0usize, 0usize);
-            for (_, r) in &recordings {
-                let parts = r.to_parts(encoding);
-                raw += parts.chunks.len();
-                stored += block::compress(&parts.chunks).len();
-            }
-            encoding_ratios.push((encoding, stored as f64 / raw.max(1) as f64));
-        }
-
-        // Simulator rate: repeated full recordings of fft (4 threads,
-        // small scale), using the recordings' own instruction counts.
-        let sim_spec = qr_workloads::suite::find("fft").expect("suite member");
-        let sim_started = std::time::Instant::now();
-        let mut sim_instr = 0u64;
-        let mut sim_runs = 0u64;
-        loop {
-            let r = record_workload_with(cache, &sim_spec, 4, Scale::Small, full_cfg(4))?;
-            sim_instr += r.instructions;
-            sim_runs += 1;
-            if sim_started.elapsed() >= window {
-                break;
-            }
-        }
-        let sim_rate = sim_instr as f64 / sim_started.elapsed().as_secs_f64() / 1e6;
-
-        let mut out = JobOutput::default();
-        out.rows.push(vec![
-            "crc32 MB/s".into(),
-            format!("{crc_fast:.0}"),
-            format!("{crc_scalar:.0}"),
-            format!("{:.2}x", crc_fast / crc_scalar.max(f64::MIN_POSITIVE)),
-        ]);
-        out.rows.push(vec![
-            "lz compress MB/s".into(),
-            format!("{lz_fast:.0}"),
-            format!("{lz_greedy:.0}"),
-            format!("{:.2}x", lz_fast / lz_greedy.max(f64::MIN_POSITIVE)),
-        ]);
-        out.rows.push(vec![
-            "lz decompress MB/s".into(),
-            format!("{lz_dec:.0}"),
-            format!("{lz_dec_scalar:.0}"),
-            format!("{:.2}x", lz_dec / lz_dec_scalar.max(f64::MIN_POSITIVE)),
-        ]);
-        out.rows.push(vec![
-            "lz corpus ratio".into(),
-            format!("{corpus_ratio:.3}"),
-            "-".into(),
-            "-".into(),
-        ]);
-        for (encoding, ratio) in &encoding_ratios {
-            out.rows.push(vec![
-                format!("store ratio ({encoding:?})"),
-                format!("{ratio:.3}"),
-                "-".into(),
-                "-".into(),
-            ]);
-        }
-        out.rows.push(vec![
-            "simulator Minstr/s".into(),
-            format!("{sim_rate:.1}"),
-            format!("({sim_runs} runs)"),
-            "-".into(),
-        ]);
-        out.rows.push(vec![
-            "differential".into(),
-            format!("{cases} cases"),
-            format!("{drift} drift"),
-            if drift == 0 { "PASS".into() } else { "FAIL".into() },
-        ]);
-
-        // Machine-readable summary, hand-rolled JSON (no external crates).
-        let json_path = std::env::var("QR_BENCH_JSON")
-            .unwrap_or_else(|_| "BENCH_hotpath.json".into());
-        let ratio_fields = encoding_ratios
-            .iter()
-            .map(|(e, r)| format!("    \"{}\": {r:.4}", format!("{e:?}").to_lowercase()))
-            .collect::<Vec<_>>()
-            .join(",\n");
-        let json = format!(
-            "{{\n  \"experiment\": \"e13\",\n  \"bench_ms\": {ms},\n  \"corpus_bytes\": {},\n\
-             \x20 \"crc32\": {{\n    \"slice8_mb_s\": {crc_fast:.1},\n    \"scalar_mb_s\": \
-             {crc_scalar:.1},\n    \"speedup\": {:.3}\n  }},\n  \"lz\": {{\n    \
-             \"hash_chain_mb_s\": {lz_fast:.1},\n    \"greedy_mb_s\": {lz_greedy:.1},\n    \
-             \"speedup\": {:.3},\n    \"decompress_mb_s\": {lz_dec:.1},\n    \
-             \"decompress_scalar_mb_s\": {lz_dec_scalar:.1},\n    \"decompress_speedup\": \
-             {:.3},\n    \"corpus_ratio\": \
-             {corpus_ratio:.4}\n  }},\n  \"store_ratio\": {{\n{ratio_fields}\n  }},\n  \
-             \"simulator\": {{\n    \"workload\": \"fft\",\n    \"threads\": 4,\n    \
-             \"minstr_per_s\": {sim_rate:.2},\n    \"runs\": {sim_runs}\n  }},\n  \
-             \"differential\": {{\n    \"cases\": {cases},\n    \"drift\": {drift}\n  }}\n}}\n",
-            corpus.len(),
-            crc_fast / crc_scalar.max(f64::MIN_POSITIVE),
-            lz_fast / lz_greedy.max(f64::MIN_POSITIVE),
-            lz_dec / lz_dec_scalar.max(f64::MIN_POSITIVE),
-        );
-        std::fs::write(&json_path, json).map_err(|e| QrError::Execution {
-            detail: format!("writing {json_path}: {e}"),
-        })?;
-
-        if drift > 0 {
-            return Err(QrError::Execution {
-                detail: format!("hot-path differential drift ({drift}/{cases}): {first_drift}"),
-            });
-        }
-        Ok(out)
-    });
-    Experiment {
-        id: "e13",
-        title: "hot-path throughput: fast paths vs reference paths",
-        note: "wall-clock rates vary with the host; the differential column is the only \
-         pass/fail signal — fast and reference paths must agree byte-for-byte on every \
-         recording file (summary written to BENCH_hotpath.json, QR_BENCH_JSON to override)",
-        header: vec!["metric".into(), "fast".into(), "reference".into(), "ratio".into()],
-        jobs: vec![job],
-        footer: Footer::Static(
-            "(slice-by-8 CRC and the hash-chain matcher are the production paths; the scalar \
-             CRC and greedy matcher exist as references for this differential gate)",
-        ),
-    }
-}
-
-/// E14 — time-travel seek latency versus checkpoint interval: how fast
-/// the persisted `checkpoints.qrc` index lands a replayer on an
-/// arbitrary timeline event, compared to replaying from scratch.
-///
-/// Wall-clock (see [`WALL_CLOCK_IDS`]), invoked explicitly. Writes a
-/// machine-readable summary to `BENCH_seek.json` (path overridable via
-/// `QR_BENCH_JSON`, measurement window via `QR_BENCH_MS`). Like e13,
-/// the run *fails* only on differential drift — an indexed seek or
-/// query disagreeing with the from-scratch answer — never on a latency
-/// threshold, so CI stays immune to host-load flake.
+/// Every indexed seek and query must match the from-scratch engine; the
+/// first one that does not fails the experiment. Seek *latency* per
+/// interval is `replay.seek_us_p50/p95` on the `time_travel` workload of
+/// `BENCHMARK.json`.
 fn e14() -> Experiment {
-    let job: Job = Box::new(|cache: &BuildCache| {
-        use qr_replay::{CheckpointIndex, QueryEngine, ReplayQuery};
+    use qr_replay::{CheckpointIndex, QueryEngine, ReplayQuery};
+    const THREADS: usize = 3;
+    let jobs = ["fft", "lu", "radix"]
+        .into_iter()
+        .map(|name| {
+            Box::new(move |cache: &BuildCache| {
+                let spec = qr_workloads::suite::find(name).expect("suite member");
+                let program = cache.program(&spec, THREADS, Scale::Test)?;
+                let recording =
+                    record_workload_with(cache, &spec, THREADS, Scale::Test, full_cfg(THREADS))?;
+                let scratch = QueryEngine::new(&program, &recording)?;
+                let len = scratch.timeline_len();
+                // Seek targets: the boundary positions plus a seeded spread.
+                let mut rng = qr_common::SplitMix64::new(0x5EEC_0DE);
+                let mut targets = vec![0, len / 2, len.saturating_sub(1)];
+                targets.extend((0..8).map(|_| rng.below(len as u64) as usize));
+                let query = ReplayQuery::ReverseStep { events: (len as u64 / 3).max(1) };
+                // What an answer must agree on, and the from-scratch
+                // answers every interval is held to.
+                let landing = |r: &qr_replay::Replayer| {
+                    (r.partial_fingerprint(), r.instructions_so_far(), r.console_so_far().to_vec())
+                };
+                let mut expected = Vec::with_capacity(targets.len());
+                for &target in &targets {
+                    expected.push(landing(&scratch.seek(target)?));
+                }
+                let expected_answer = scratch.execute(query, None)?.to_bytes();
+                let drift = |interval: usize, what: String| QrError::Execution {
+                    detail: format!("{name}/interval {interval}: {what} diverged from scratch"),
+                };
 
-        let ms = std::env::var("QR_BENCH_MS")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(400)
-            .max(1);
-        let window = std::time::Duration::from_millis(ms);
-        const INTERVALS: [usize; 4] = [4, 8, 16, 32];
-        const THREADS: usize = 3;
-
-        // Deterministic seek targets for a timeline: the boundary
-        // positions plus a seeded spread. The same targets feed both
-        // the drift gate and the latency loop, so the two always talk
-        // about the same work.
-        let targets_for = |len: usize, seed: u64| -> Vec<usize> {
-            let mut rng = qr_common::SplitMix64::new(seed);
-            let mut targets = vec![0, len / 2, len.saturating_sub(1)];
-            targets.extend((0..8).map(|_| rng.below(len as u64) as usize));
-            targets
-        };
-        // Events an indexed seek to `target` re-executes: the gap back
-        // to the nearest checkpoint at or before the target.
-        let reexec = |index: &CheckpointIndex, target: usize| -> u64 {
-            let floor = index
-                .keys
-                .iter()
-                .take_while(|k| k.position <= target as u64)
-                .last()
-                .map_or(0, |k| k.position);
-            target as u64 - floor
-        };
-
-        // Differential drift gate, deterministic and windowless: every
-        // indexed seek and query must match the from-scratch engine on
-        // several workloads across every interval.
-        let mut cases = 0u64;
-        let mut drift = 0u64;
-        let mut first_drift = String::new();
-        for (w, name) in ["fft", "lu", "radix"].iter().enumerate() {
-            let spec = qr_workloads::suite::find(name).expect("suite member");
-            let program = cache.program(&spec, THREADS, Scale::Test)?;
-            let recording = record_workload_with(cache, &spec, THREADS, Scale::Test,
-                full_cfg(THREADS))?;
-            let scratch = QueryEngine::new(&program, &recording)?;
-            let len = scratch.timeline_len();
-            for interval in INTERVALS {
-                let index = CheckpointIndex::build(&program, &recording, interval)?;
-                let mut indexed = QueryEngine::new(&program, &recording)?;
-                indexed.attach_index(index)?;
-                for target in targets_for(len, 0x5EEC_0DE + w as u64) {
-                    cases += 1;
-                    let a = indexed.seek(target)?;
-                    let b = scratch.seek(target)?;
-                    if a.partial_fingerprint() != b.partial_fingerprint()
-                        || a.instructions_so_far() != b.instructions_so_far()
-                        || a.console_so_far() != b.console_so_far()
-                    {
-                        drift += 1;
-                        if first_drift.is_empty() {
-                            first_drift =
-                                format!("{name}/interval {interval}: seek {target} diverged");
+                let mut out = JobOutput::default();
+                for interval in [4usize, 8, 16, 32] {
+                    let index = CheckpointIndex::build(&program, &recording, interval)?;
+                    let checkpoints = index.keys.len();
+                    let index_bytes = index.to_bytes().len();
+                    // An indexed seek re-executes the gap back to the
+                    // nearest checkpoint at or before its target.
+                    let reexec: u64 = targets
+                        .iter()
+                        .map(|&target| {
+                            let floor = index
+                                .keys
+                                .iter()
+                                .take_while(|k| k.position <= target as u64)
+                                .last()
+                                .map_or(0, |k| k.position);
+                            target as u64 - floor
+                        })
+                        .sum();
+                    let mut indexed = QueryEngine::new(&program, &recording)?;
+                    indexed.attach_index(index)?;
+                    for (&target, expected) in targets.iter().zip(&expected) {
+                        if landing(&indexed.seek(target)?) != *expected {
+                            return Err(drift(interval, format!("seek {target}")));
                         }
                     }
-                }
-                cases += 1;
-                let query = ReplayQuery::ReverseStep { events: (len as u64 / 3).max(1) };
-                if indexed.execute(query, None)?.to_bytes()
-                    != scratch.execute(query, None)?.to_bytes()
-                {
-                    drift += 1;
-                    if first_drift.is_empty() {
-                        first_drift = format!("{name}/interval {interval}: {query} diverged");
+                    if indexed.execute(query, None)?.to_bytes() != expected_answer {
+                        return Err(drift(interval, query.to_string()));
                     }
+                    out.rows.push(vec![
+                        name.to_string(),
+                        interval.to_string(),
+                        checkpoints.to_string(),
+                        index_bytes.to_string(),
+                        format!("{:.2}", reexec as f64 / targets.len() as f64),
+                    ]);
                 }
-            }
-        }
-
-        // Latency measurement on one workload: mean seek time over the
-        // rotating target set, from scratch and through each interval.
-        let spec = qr_workloads::suite::find("lu").expect("suite member");
-        let program = cache.program(&spec, THREADS, Scale::Test)?;
-        let recording =
-            record_workload_with(cache, &spec, THREADS, Scale::Test, full_cfg(THREADS))?;
-        let scratch = QueryEngine::new(&program, &recording)?;
-        let len = scratch.timeline_len();
-        let targets = targets_for(len, 0x5EEC_0DE);
-        let mean_us = |engine: &QueryEngine| {
-            let mut next = 0usize;
-            let (iters, elapsed) = crate::timing::measure(window, || {
-                let target = targets[next % targets.len()];
-                next += 1;
-                engine.seek(target).expect("benchmark seek")
-            });
-            elapsed.as_secs_f64() * 1e6 / iters.max(1) as f64
-        };
-
-        let scratch_us = mean_us(&scratch);
-        let mut out = JobOutput::default();
-        out.rows.push(vec![
-            "from scratch".into(),
-            format!("{scratch_us:.1}"),
-            format!("{:.1}", targets.iter().map(|&t| t as f64).sum::<f64>()
-                / targets.len() as f64),
-            "1.00x".into(),
-        ]);
-        let mut interval_fields = Vec::new();
-        for interval in INTERVALS {
-            let index = CheckpointIndex::build(&program, &recording, interval)?;
-            let index_bytes = index.to_bytes().len();
-            let mean_reexec = targets.iter().map(|&t| reexec(&index, t) as f64).sum::<f64>()
-                / targets.len() as f64;
-            let mut indexed = QueryEngine::new(&program, &recording)?;
-            indexed.attach_index(index)?;
-            let us = mean_us(&indexed);
-            out.rows.push(vec![
-                format!("interval {interval}"),
-                format!("{us:.1}"),
-                format!("{mean_reexec:.1}"),
-                format!("{:.2}x", scratch_us / us.max(f64::MIN_POSITIVE)),
-            ]);
-            interval_fields.push(format!(
-                "    {{ \"interval\": {interval}, \"mean_seek_us\": {us:.2}, \
-                 \"mean_reexec_events\": {mean_reexec:.2}, \"index_bytes\": {index_bytes} }}"
-            ));
-        }
-        out.rows.push(vec![
-            "differential".into(),
-            format!("{cases} cases"),
-            format!("{drift} drift"),
-            if drift == 0 { "PASS".into() } else { "FAIL".into() },
-        ]);
-
-        let json_path =
-            std::env::var("QR_BENCH_JSON").unwrap_or_else(|_| "BENCH_seek.json".into());
-        let json = format!(
-            "{{\n  \"experiment\": \"e14\",\n  \"bench_ms\": {ms},\n  \"workload\": \"lu\",\n\
-             \x20 \"threads\": {THREADS},\n  \"timeline_len\": {len},\n  \
-             \"scratch_seek_us\": {scratch_us:.2},\n  \"intervals\": [\n{}\n  ],\n  \
-             \"differential\": {{\n    \"cases\": {cases},\n    \"drift\": {drift}\n  }}\n}}\n",
-            interval_fields.join(",\n"),
-        );
-        std::fs::write(&json_path, json).map_err(|e| QrError::Execution {
-            detail: format!("writing {json_path}: {e}"),
-        })?;
-
-        if drift > 0 {
-            return Err(QrError::Execution {
-                detail: format!("time-travel seek drift ({drift}/{cases}): {first_drift}"),
-            });
-        }
-        Ok(out)
-    });
+                let cases = out.rows.len() * (targets.len() + 1);
+                Ok(out.with_stat(cases as f64))
+            }) as Job
+        })
+        .collect();
     Experiment {
         id: "e14",
-        title: "time-travel seek latency vs checkpoint interval",
-        note: "wall-clock latencies vary with the host; the differential row is the only \
-         pass/fail signal — indexed seeks and queries must match the from-scratch engine \
-         (summary written to BENCH_seek.json, QR_BENCH_JSON to override)",
-        header: vec![
-            "configuration".into(),
-            "mean seek us".into(),
-            "mean reexec events".into(),
-            "speedup".into(),
-        ],
-        jobs: vec![job],
-        footer: Footer::Static(
-            "(the interval trades sidecar bytes for seek latency: smaller intervals re-execute \
-             fewer events per seek but persist more snapshots — see DESIGN.md, decision 12)",
-        ),
+        title: "time-travel index: exactness and cost per checkpoint interval",
+        note: "3 threads, test scale; behind every row, 11 seeded seeks and one reverse-step \
+         query answered through the persisted index matched the from-scratch engine",
+        header: vec!["workload".into(), "interval".into(), "checkpoints".into(),
+            "index bytes".into(), "mean reexec events".into()],
+        jobs,
+        footer: Footer::SumStat(|cases| {
+            format!(
+                "differential: {cases:.0} cases, 0 drift (the interval trades sidecar bytes for \
+                 re-executed events: see DESIGN.md, decision 12)"
+            )
+        }),
     }
 }
 
@@ -1210,62 +803,37 @@ fn e14() -> Experiment {
 /// the program's actual communication, which core count does not
 /// change.
 ///
-/// Wall-clock (see [`WALL_CLOCK_IDS`]) because it also reports record
-/// wall time, so it is invoked explicitly. Writes a machine-readable
-/// summary to `BENCH_order.json` (path overridable via
-/// `QR_BENCH_JSON`). Like e13/e14, the run *fails* only on
-/// deterministic gates — a partial-order replay fingerprint diverging
-/// from the total-order replay of the same seeded execution, or the
-/// partial-order bytes/instr growing 2→16 cores at least as fast as
-/// the total-order bytes/instr — never on a time threshold, so CI
-/// stays immune to host-load flake.
+/// Fails on either deterministic gate: a partial-order replay
+/// fingerprint diverging from the total-order replay of the same seeded
+/// execution, or the partial-order bytes/instr growing 2→16 cores at
+/// least as fast as the total-order bytes/instr. What deriving the
+/// order costs in host time is `core.po_derive_ms` on the
+/// `pipeline_sharing` workload of `BENCHMARK.json`.
 fn e15() -> Experiment {
     let job: Job = Box::new(|cache: &BuildCache| {
         use qr_common::varint;
 
-        let core_counts = [2usize, 4, 8, 16];
         let threads = 16usize;
-        let names = ["fft", "lu", "radix"];
-
         struct Point {
             cores: usize,
             instructions: u64,
             total_bytes: usize,
             partial_bytes: usize,
             edges: usize,
-            total_ms: f64,
-            partial_ms: f64,
-            drift: u64,
         }
         let mut points = Vec::new();
-        let mut cases = 0u64;
-        let mut first_drift = String::new();
 
-        for cores in core_counts {
-            let mut point = Point {
-                cores,
-                instructions: 0,
-                total_bytes: 0,
-                partial_bytes: 0,
-                edges: 0,
-                total_ms: 0.0,
-                partial_ms: 0.0,
-                drift: 0,
-            };
-            for name in names {
+        for cores in [2usize, 4, 8, 16] {
+            let mut point =
+                Point { cores, instructions: 0, total_bytes: 0, partial_bytes: 0, edges: 0 };
+            for name in ["fft", "lu", "radix"] {
                 let spec = qr_workloads::suite::find(name).expect("suite member");
                 let program = cache.program(&spec, threads, Scale::Small)?;
-
-                let started = std::time::Instant::now();
-                let total =
-                    record_workload_with(cache, &spec, threads, Scale::Small, RecordingConfig::with_cores(cores))?;
-                point.total_ms += started.elapsed().as_secs_f64() * 1e3;
-
+                let total = record_workload_with(
+                    cache, &spec, threads, Scale::Small, RecordingConfig::with_cores(cores))?;
                 let mut cfg = RecordingConfig::with_cores(cores);
                 cfg.order = OrderMode::PartialOrder;
-                let started = std::time::Instant::now();
                 let partial = record_workload_with(cache, &spec, threads, Scale::Small, cfg)?;
-                point.partial_ms += started.elapsed().as_secs_f64() * 1e3;
 
                 // Total-order ordering bytes: the global timestamps in
                 // schedule order, delta-varint coded.
@@ -1283,37 +851,23 @@ fn e15() -> Experiment {
 
                 // Drift gate: the partial-order replay must land on the
                 // total-order fingerprint of the same seeded execution.
-                cases += 1;
                 let serial = qr_replay::replay(&program, &total)?;
-                match qr_replay::replay_ordered_and_verify(&program, &partial, 2) {
-                    Ok(outcome) if outcome.fingerprint == serial.fingerprint => {}
-                    Ok(outcome) => {
-                        point.drift += 1;
-                        if first_drift.is_empty() {
-                            first_drift = format!(
-                                "{name}@{cores}c: ordered fingerprint {:#018x} != total {:#018x}",
-                                outcome.fingerprint, serial.fingerprint
-                            );
-                        }
-                    }
-                    Err(e) => {
-                        point.drift += 1;
-                        if first_drift.is_empty() {
-                            first_drift = format!("{name}@{cores}c: ordered replay failed: {e}");
-                        }
-                    }
+                let ordered = qr_replay::replay_ordered_and_verify(&program, &partial, 2)?;
+                if ordered.fingerprint != serial.fingerprint {
+                    return Err(QrError::Execution {
+                        detail: format!(
+                            "{name}@{cores}c: ordered fingerprint {:#018x} != total {:#018x}",
+                            ordered.fingerprint, serial.fingerprint
+                        ),
+                    });
                 }
             }
             points.push(point);
         }
 
-        let per_kinstr = |bytes: usize, instr: u64| 1e3 * bytes as f64 / instr.max(1) as f64;
-        let drift: u64 = points.iter().map(|p| p.drift).sum();
-
         // Growth gate: scaling 2→16 cores must cost partial order
-        // strictly less relative byte growth than total order. Both
-        // series are deterministic (seeded executions), so this gate is
-        // as replayable as the fingerprint one.
+        // strictly less relative byte growth than total order.
+        let per_kinstr = |bytes: usize, instr: u64| 1e3 * bytes as f64 / instr.max(1) as f64;
         let growth = |bytes: fn(&Point) -> usize| {
             let lo = &points[0];
             let hi = &points[points.len() - 1];
@@ -1321,7 +875,14 @@ fn e15() -> Experiment {
         };
         let total_growth = growth(|p| p.total_bytes);
         let partial_growth = growth(|p| p.partial_bytes);
-        let growth_ok = partial_growth < total_growth;
+        if partial_growth >= total_growth {
+            return Err(QrError::Execution {
+                detail: format!(
+                    "partial-order bytes/instr grew {partial_growth:.2}x from 2 to 16 cores, \
+                     total order only {total_growth:.2}x"
+                ),
+            });
+        }
 
         let mut out = JobOutput::default();
         for p in &points {
@@ -1331,8 +892,7 @@ fn e15() -> Experiment {
                 format!("{} ({:.2})", p.partial_bytes, per_kinstr(p.partial_bytes, p.instructions)),
                 p.edges.to_string(),
                 format!("{:.2}x", p.partial_bytes as f64 / p.total_bytes.max(1) as f64),
-                format!("{:.0}/{:.0}", p.total_ms, p.partial_ms),
-                if p.drift == 0 { "PASS".into() } else { format!("{} DRIFT", p.drift) },
+                "PASS".into(),
             ]);
         }
         out.rows.push(vec![
@@ -1341,72 +901,18 @@ fn e15() -> Experiment {
             format!("{partial_growth:.2}x"),
             "-".into(),
             "-".into(),
-            "-".into(),
-            if growth_ok { "PASS".into() } else { "FAIL".into() },
+            "PASS".into(),
         ]);
-
-        // Machine-readable summary, hand-rolled JSON (no external crates).
-        let json_path =
-            std::env::var("QR_BENCH_JSON").unwrap_or_else(|_| "BENCH_order.json".into());
-        let point_fields = points
-            .iter()
-            .map(|p| {
-                format!(
-                    "    {{\n      \"cores\": {},\n      \"instructions\": {},\n      \
-                     \"total_order_bytes\": {},\n      \"total_order_bytes_per_kinstr\": \
-                     {:.4},\n      \"partial_order_bytes\": {},\n      \
-                     \"partial_order_bytes_per_kinstr\": {:.4},\n      \"edges\": {},\n      \
-                     \"record_ms_total_order\": {:.1},\n      \"record_ms_partial_order\": \
-                     {:.1},\n      \"drift\": {}\n    }}",
-                    p.cores,
-                    p.instructions,
-                    p.total_bytes,
-                    per_kinstr(p.total_bytes, p.instructions),
-                    p.partial_bytes,
-                    per_kinstr(p.partial_bytes, p.instructions),
-                    p.edges,
-                    p.total_ms,
-                    p.partial_ms,
-                    p.drift,
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        let json = format!(
-            "{{\n  \"experiment\": \"e15\",\n  \"workloads\": [\"fft\", \"lu\", \"radix\"],\n  \
-             \"threads\": 16,\n  \
-             \"core_counts\": [2, 4, 8, 16],\n  \"points\": [\n{point_fields}\n  ],\n  \
-             \"growth_2_to_16\": {{\n    \"total_order\": {total_growth:.4},\n    \
-             \"partial_order\": {partial_growth:.4},\n    \"partial_grows_slower\": {growth_ok}\n  \
-             }},\n  \"drift\": {{\n    \"cases\": {cases},\n    \"drift\": {drift}\n  }}\n}}\n",
-        );
-        std::fs::write(&json_path, json).map_err(|e| QrError::Execution {
-            detail: format!("writing {json_path}: {e}"),
-        })?;
-
-        if drift > 0 {
-            return Err(QrError::Execution {
-                detail: format!("ordering drift ({drift}/{cases}): {first_drift}"),
-            });
-        }
-        if !growth_ok {
-            return Err(QrError::Execution {
-                detail: format!(
-                    "partial-order bytes/instr grew {partial_growth:.2}x from 2 to 16 cores, \
-                     total order only {total_growth:.2}x"
-                ),
-            });
-        }
         Ok(out)
     });
     Experiment {
         id: "e15",
         title: "ordering-log bytes vs core count: total order vs partial order",
-        note: "bytes column shows total (bytes/kinstr); wall times vary with the host; the \
-         drift and growth columns are the only pass/fail signals (summary written to \
-         BENCH_order.json, QR_BENCH_JSON to override)",
+        note: "fft, lu and radix at 16 threads, small scale; bytes columns show total \
+         (bytes/kinstr); the gate column is fingerprint drift per core count (3 ordered \
+         replays each) and, on the last row, partial order growing slower than total order",
         header: vec!["cores".into(), "total-order B".into(), "partial-order B".into(),
-            "edges".into(), "partial/total".into(), "rec ms t/p".into(), "gate".into()],
+            "edges".into(), "partial/total".into(), "gate".into()],
         jobs: vec![job],
         footer: Footer::Static(
             "(total order serializes every chunk's global timestamp; partial order only the \
@@ -1420,6 +926,11 @@ fn e15() -> Experiment {
 /// live connections on a handful of event workers, with Busy
 /// backpressure under saturation and fetch results byte-identical to a
 /// sequential local recording.
+///
+/// Every row is a gate that either holds or fails the experiment, so
+/// the table reads the same on every run; how *fast* the daemon connects,
+/// answers and drains is `server.*` on the `daemon_sessions` workload of
+/// `BENCHMARK.json`.
 fn e16() -> Experiment {
     let job: Job = Box::new(|cache: &BuildCache| {
         use qr_server::proto::{Endpoint, Request, Response};
@@ -1462,27 +973,22 @@ fn e16() -> Experiment {
         };
 
         // Phase 1: open the whole fleet and keep every stream alive.
-        let started = std::time::Instant::now();
         let mut clients = Vec::with_capacity(conns);
         clients.push(Client::connect_with_retry(&endpoint, std::time::Duration::from_secs(10))?);
         for _ in 1..conns {
             clients.push(Client::connect(&endpoint)?);
         }
-        let connect_ms = started.elapsed().as_secs_f64() * 1e3;
 
         // Phase 2: one PING round trip on every open connection — each
         // must answer while all the others stay connected.
-        let started = std::time::Instant::now();
         for (i, client) in clients.iter_mut().enumerate() {
             client.ping().map_err(|e| QrError::Execution {
                 detail: format!("ping on connection {i} of {conns}: {e}"),
             })?;
         }
-        let ping_ms = started.elapsed().as_secs_f64() * 1e3;
 
         // Phase 3: burst RECORD submissions over distinct connections.
         // Every one gets a framed answer: Submitted or a clean Busy.
-        let started = std::time::Instant::now();
         let mut accepted = Vec::new();
         let mut busy = 0usize;
         for i in 0..jobs {
@@ -1512,7 +1018,8 @@ fn e16() -> Experiment {
                 ),
             });
         }
-        if external.is_none() && jobs > queue_capacity + workers && busy == 0 {
+        let busy_required = external.is_none() && jobs > queue_capacity + workers;
+        if busy_required && busy == 0 {
             return Err(QrError::Execution {
                 detail: format!(
                     "a {jobs}-burst against a {queue_capacity}-deep queue never saw Busy"
@@ -1522,7 +1029,6 @@ fn e16() -> Experiment {
         for &id in &accepted {
             clients[0].wait_for(id, std::time::Duration::from_secs(600))?;
         }
-        let jobs_ms = started.elapsed().as_secs_f64() * 1e3;
 
         // Phase 4: fidelity gate. A sample of the daemon's recordings
         // must be byte-identical to one sequential local recording of
@@ -1547,41 +1053,25 @@ fn e16() -> Experiment {
             ref_files.push((name, bytes));
         }
 
-        let mut cases = 0u64;
-        let mut drift = 0u64;
-        let mut first_drift = String::new();
-        let mut note_drift = |detail: String, drift: &mut u64| {
-            *drift += 1;
-            if first_drift.is_empty() {
-                first_drift = detail;
-            }
+        let drift = |id: u64, what: String| QrError::Execution {
+            detail: format!("fetch drift: session {id}: {what}"),
         };
-        for &id in accepted.iter().take(8) {
-            cases += 1;
+        let sample = &accepted[..accepted.len().min(8)];
+        for &id in sample {
             let Response::Fetched { files, fingerprint } =
                 clients[0].call(&Request::Fetch { id })?
             else {
-                note_drift(format!("session {id}: fetch refused"), &mut drift);
-                continue;
+                return Err(drift(id, "fetch refused".into()));
             };
             if fingerprint != reference.fingerprint {
-                note_drift(
-                    format!(
-                        "session {id}: fingerprint {fingerprint:#018x} != local \
-                         {:#018x}",
-                        reference.fingerprint
-                    ),
-                    &mut drift,
-                );
-                continue;
+                return Err(drift(
+                    id,
+                    format!("fingerprint {fingerprint:#018x} != local {:#018x}", reference.fingerprint),
+                ));
             }
             for (name, bytes) in &ref_files {
-                let fetched = match files.iter().find(|(n, _)| n == name) {
-                    Some((_, fetched)) => fetched,
-                    None => {
-                        note_drift(format!("session {id}: {name} missing"), &mut drift);
-                        continue;
-                    }
+                let Some((_, fetched)) = files.iter().find(|(n, _)| n == name) else {
+                    return Err(drift(id, format!("{name} missing")));
                 };
                 // The daemon legitimately rewrites the format manifest
                 // to list its checkpoint sidecar; every other file must
@@ -1594,16 +1084,10 @@ fn e16() -> Experiment {
                         expected.payloads.sort_by_key(|k| k.code());
                     }
                     if fetched != &expected.to_bytes() && fetched != bytes {
-                        note_drift(
-                            format!("session {id}: {name} differs beyond the sidecar entry"),
-                            &mut drift,
-                        );
+                        return Err(drift(id, format!("{name} differs beyond the sidecar entry")));
                     }
                 } else if fetched != bytes {
-                    note_drift(
-                        format!("session {id}: {name} differs from the local bytes"),
-                        &mut drift,
-                    );
+                    return Err(drift(id, format!("{name} differs from the local bytes")));
                 }
             }
         }
@@ -1660,6 +1144,8 @@ fn e16() -> Experiment {
             handle.wait();
         }
 
+        std::fs::remove_dir_all(&dir).ok();
+
         let mut out = JobOutput::default();
         out.rows.push(vec![
             "connections".into(),
@@ -1667,24 +1153,24 @@ fn e16() -> Experiment {
             "held open concurrently on one daemon".into(),
         ]);
         out.rows.push(vec![
-            "connect".into(),
-            format!("{connect_ms:.0} ms"),
-            format!("{:.0} conns/s", conns as f64 / (connect_ms / 1e3).max(1e-9)),
-        ]);
-        out.rows.push(vec![
             "ping sweep".into(),
-            format!("{ping_ms:.0} ms"),
-            format!("every one of {conns} connections answered"),
+            conns.to_string(),
+            "every connection answered while all the others stayed open".into(),
         ]);
+        // How the burst splits into Submitted and Busy depends on how
+        // fast the pool drains, so only what every schedule shares is
+        // printed: each submission was answered in a frame, and Busy was
+        // among the answers where the queue is sized to overflow.
+        let answered = accepted.len() + busy;
         out.rows.push(vec![
             "submissions".into(),
             jobs.to_string(),
-            format!("{} accepted, {busy} busy (all framed)", accepted.len()),
-        ]);
-        out.rows.push(vec![
-            "jobs drained".into(),
-            format!("{jobs_ms:.0} ms"),
-            format!("{} RECORD jobs to Done", accepted.len()),
+            if busy_required {
+                format!("{answered} answered, all framed; Busy seen past the \
+                         {queue_capacity}-deep queue")
+            } else {
+                format!("{answered} answered, all framed (Submitted or Busy)")
+            },
         ]);
         out.rows.push(vec![
             "overload probe".into(),
@@ -1697,46 +1183,17 @@ fn e16() -> Experiment {
         ]);
         out.rows.push(vec![
             "fidelity".into(),
-            format!("{cases} sessions"),
-            if drift == 0 { "PASS (byte-identical to local)".into() }
-            else { format!("{drift} DRIFT") },
+            format!("{} sessions", sample.len()),
+            "PASS (byte-identical to local)".into(),
         ]);
-
-        // Machine-readable summary, hand-rolled JSON (no external crates).
-        let json_path =
-            std::env::var("QR_BENCH_JSON").unwrap_or_else(|_| "BENCH_daemon.json".into());
-        let json = format!(
-            "{{\n  \"experiment\": \"e16\",\n  \"connections\": {conns},\n  \
-             \"event_workers\": 2,\n  \"external_daemon\": {},\n  \
-             \"connect_ms\": {connect_ms:.1},\n  \
-             \"connects_per_sec\": {:.1},\n  \"ping_sweep_ms\": {ping_ms:.1},\n  \
-             \"submissions\": {jobs},\n  \"accepted\": {},\n  \"busy\": {busy},\n  \
-             \"refused_at_accept\": {refused},\n  \"jobs_wall_ms\": {jobs_ms:.1},\n  \
-             \"fidelity\": {{\n    \"cases\": {cases},\n    \"drift\": {drift}\n  }}\n}}\n",
-            external.is_some(),
-            conns as f64 / (connect_ms / 1e3).max(1e-9),
-            accepted.len(),
-        );
-        std::fs::write(&json_path, json).map_err(|e| QrError::Execution {
-            detail: format!("writing {json_path}: {e}"),
-        })?;
-        std::fs::remove_dir_all(&dir).ok();
-
-        if drift > 0 {
-            return Err(QrError::Execution {
-                detail: format!("fetch drift ({drift} in {cases} sessions): {first_drift}"),
-            });
-        }
         Ok(out)
     });
     Experiment {
         id: "e16",
         title: "daemon concurrency: multiplexed sessions on the event-driven listener",
         note: "QR_BENCH_CONNS connections (default 1100) and QR_BENCH_JOBS submissions \
-         (default 64) against one daemon; wall times vary with the host — the fidelity \
-         drift, framed-answer and accounting gates are the pass/fail signals (summary \
-         written to BENCH_daemon.json, QR_BENCH_JSON to override; QR_E16_SOCKET points \
-         at an externally spawned daemon)",
+         (default 64) against one daemon, in-process unless QR_E16_SOCKET points at a \
+         live one; every row is a gate — a row that does not hold fails the experiment",
         header: vec!["metric".into(), "value".into(), "detail".into()],
         jobs: vec![job],
         footer: Footer::Static(

@@ -10,7 +10,6 @@
 pub mod experiments;
 pub mod fault;
 pub mod runner;
-pub mod timing;
 
 use qr_capo::{record, Recording, RecordingConfig, RecordingMode};
 use qr_common::Result;

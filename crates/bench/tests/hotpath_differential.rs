@@ -3,9 +3,9 @@
 //! indistinguishable from their scalar reference implementations on every
 //! artifact the workload suite can produce — and the byte-level codecs
 //! must stay panic-free and prefix-honest when those artifacts are
-//! damaged. `repro e13` runs the same differential gate before it prints
-//! a single throughput number; this battery is the debug-mode tier-1
-//! version of that gate.
+//! damaged. This battery is the only fast-vs-reference gate; how fast
+//! the fast paths are is `common.crc32_mb_s` and
+//! `store.lz_{compress,decompress}_mb_s` in `BENCHMARK.json`.
 
 use qr_bench::runner::BuildCache;
 use qr_bench::{full_cfg, record_workload_with};

@@ -2,7 +2,7 @@
 //! experiment selection, parallel execution renders the exact bytes the
 //! serial fallback renders.
 
-use qr_bench::experiments::render_experiments;
+use qr_bench::experiments::{render_experiments, ALL_IDS, EXPLICIT_ONLY_IDS};
 use qr_bench::runner::ExecMode;
 
 /// Renders the given experiments, asserting success.
@@ -16,15 +16,23 @@ fn render(ids: &[&str], mode: ExecMode) -> String {
 
 #[test]
 fn parallel_output_is_byte_identical_to_serial() {
-    // Two full experiment tables (the CBUF and scheduling-quantum
-    // ablations): cheap enough for a debug-mode test, and their job
-    // lists exercise multi-workload fan-out, the shared build cache,
-    // and footer-free rendering.
-    let ids = ["a2", "a6"];
+    // Three full experiment tables (the CBUF and scheduling-quantum
+    // ablations and the time-travel index gate): cheap enough for a
+    // debug-mode test, and their job lists exercise multi-workload
+    // fan-out, the shared build cache, multi-row jobs, and rendering
+    // with and without a computed footer.
+    let ids = ["a2", "a6", "e14"];
     let serial = render(&ids, ExecMode::Serial);
     for workers in [2, 4, 16] {
         let parallel = render(&ids, ExecMode::Parallel { workers });
         assert_eq!(serial, parallel, "{workers}-worker output diverged from serial");
+    }
+}
+
+#[test]
+fn explicit_only_ids_stay_out_of_repro_all() {
+    for id in EXPLICIT_ONLY_IDS {
+        assert!(!ALL_IDS.contains(&id), "`{id}` is both explicit-only and in `repro all`");
     }
 }
 

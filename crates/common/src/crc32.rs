@@ -16,8 +16,9 @@
 //! tables, built at compile time, fold eight input bytes into the state
 //! per step instead of one. The classic one-table byte loop is kept as
 //! [`Hasher::update_scalar`]/[`checksum_scalar`] — it is the reference
-//! path the differential battery (and the `repro e13` benchmark) checks
-//! the fast path against, and it handles the under-8-byte tail.
+//! path the differential battery (`hotpath_differential.rs` in
+//! `qr-bench`) checks the fast path against, and it handles the
+//! under-8-byte tail.
 //!
 //! # Example
 //!

@@ -1,6 +1,7 @@
 //! Regression gates for the event-driven connection layer: a flood of
 //! connections far beyond the worker count is served without
-//! per-connection threads and with balanced connection accounting, and
+//! per-connection threads and with balanced connection accounting, a
+//! connection past `max_connections` is refused at accept, and
 //! byte-at-a-time ("slow loris") peers cannot starve other clients.
 
 use qr_server::proto::{self, Endpoint, JobState, Request, Response};
@@ -58,14 +59,15 @@ fn connection_flood_gets_responses_without_thread_per_connection() {
     let dir = scratch("flood");
     let endpoint = Endpoint::Unix(dir.join("qd.sock"));
     // One job worker, one queue slot: a 48-submission burst must
-    // overflow into Busy, never into a hang or an unframed error.
+    // overflow into Busy, never into a hang or an unframed error. The
+    // connection cap is exactly the fleet, so connection 49 is over it.
     let config = ServerConfig {
         workers: 1,
         shards: 1,
         queue_capacity: 1,
         store_root: dir.join("store"),
         event_workers: 2,
-        max_connections: 256,
+        max_connections: CONNS,
     };
     let handle = Server::start(&endpoint, &config).expect("start server");
 
@@ -86,6 +88,29 @@ fn connection_flood_gets_responses_without_thread_per_connection() {
         "thread count grew {before} -> {during} with {CONNS} open connections: \
          that is thread-per-connection, not an event loop"
     );
+
+    // One more connection is refused at accept: a framed Busy when the
+    // daemon's best-effort write lands, a hang-up otherwise — promptly,
+    // and never an answer to the request.
+    let mut extra = UnixStream::connect(dir.join("qd.sock")).expect("listener still accepts");
+    extra.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+    let refused_at = Instant::now();
+    let _ = proto::write_stream_header(&mut extra).and_then(|()| {
+        proto::write_message(&mut extra, &proto::encode_request(&Request::Ping))
+    });
+    let answer =
+        proto::read_stream_header(&mut extra).and_then(|()| proto::read_message(&mut extra));
+    assert!(
+        refused_at.elapsed() < Duration::from_secs(5),
+        "connection {} past max_connections={CONNS} hung instead of being refused",
+        CONNS + 1
+    );
+    if let Ok(Some(payload)) = answer {
+        match proto::decode_response(&payload) {
+            Ok(Response::Busy { .. }) => {}
+            other => panic!("over-limit connection was answered {other:?}, not refused"),
+        }
+    }
 
     // Burst one submission per connection: every client gets a framed
     // answer, and the overflow is a clean Busy.

@@ -37,8 +37,9 @@
 //! matcher's speed deficit a naive chain walk would pay. The original
 //! single-candidate greedy matcher survives as [`compress_greedy`], and
 //! the byte-copy decompressor as [`decompress_scalar`]: they are the
-//! reference paths the differential battery and `repro e13` check the
-//! fast paths against (identical decoded payloads, byte-for-byte).
+//! reference paths the differential battery (`hotpath_differential.rs`
+//! in `qr-bench`) checks the fast paths against (identical decoded
+//! payloads, byte-for-byte).
 
 use qr_common::varint;
 use qr_common::{QrError, Result};
@@ -259,9 +260,9 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
 }
 
 /// The original single-candidate greedy matcher, kept as the reference
-/// path for the fast-vs-slow differential battery (`repro e13` and the
-/// codec tests): both matchers must produce streams that decompress to
-/// the identical payload.
+/// path for the fast-vs-slow differential battery and the codec tests:
+/// both matchers must produce streams that decompress to the identical
+/// payload.
 pub fn compress_greedy(input: &[u8]) -> Vec<u8> {
     assert!(input.len() <= MAX_INPUT, "input {} exceeds lz::MAX_INPUT {MAX_INPUT}", input.len());
     let mut out = Vec::with_capacity(input.len() / 2 + 16);
@@ -324,8 +325,8 @@ pub fn decompress(input: &[u8], expected_len: usize) -> Result<Vec<u8>> {
 }
 
 /// [`decompress`] with the original byte-at-a-time match copies — the
-/// reference path the differential battery and `repro e13` check the
-/// wide-copy decompressor against. Accepts and rejects exactly the same
+/// reference path the differential battery checks the wide-copy
+/// decompressor against. Accepts and rejects exactly the same
 /// streams, byte-identical output.
 pub fn decompress_scalar(input: &[u8], expected_len: usize) -> Result<Vec<u8>> {
     decompress_impl(input, expected_len, false)

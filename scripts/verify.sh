@@ -84,29 +84,13 @@ cargo test -q --test parallel_replay_equivalence
 echo "== time travel: indexed-vs-scratch query equivalence battery =="
 cargo test -q --test time_travel_equivalence
 
-echo "== parallel replay smoke: E9b speedups, fingerprints byte-identical =="
-./target/release/repro e9b > /dev/null
-echo "parallel replay verified against serial on the whole suite"
-
-echo "== hot-path differential smoke: fast paths vs reference paths (E13) =="
-hotpath_json=$(mktemp)
-QR_BENCH_MS=50 QR_BENCH_JSON="$hotpath_json" ./target/release/repro e13 > /dev/null
-grep -q '"drift": 0' "$hotpath_json" || {
-  echo "E13 reported codec drift or wrote no summary" >&2
-  exit 1
-}
-rm -f "$hotpath_json"
-echo "fast and reference codec paths byte-identical on every suite artifact"
-
-echo "== time-travel seek differential smoke: indexed vs scratch (E14) =="
-seek_json=$(mktemp)
-QR_BENCH_MS=50 QR_BENCH_JSON="$seek_json" ./target/release/repro e14 > /dev/null
-grep -q '"drift": 0' "$seek_json" || {
-  echo "E14 reported seek drift or wrote no summary" >&2
-  exit 1
-}
-rm -f "$seek_json"
-echo "indexed seeks and queries byte-identical to from-scratch replay at every interval"
+echo "== deterministic gates: E9b parallel replay, E12 observer effects, E14 indexed seeks, E15 ordering drift and growth =="
+# Each experiment fails by exit code on its own gate: a parallel or
+# ordered replay fingerprint off its serial one, a recording that moves
+# with metrics on, an indexed seek or query off the from-scratch answer,
+# partial-order bytes growing no slower than total order.
+./target/release/repro e9b e12 e14 e15 > /dev/null
+echo "parallel, ordered and indexed replay all byte-identical to serial; observability free"
 
 echo "== partial order: total-order equivalence battery =="
 cargo test -q --test order_equivalence
@@ -191,20 +175,6 @@ grep -q 'partial-order replay' <<< "$replay_out" || {
 rm -rf "$order_dir"
 echo "partial-order recording round-trips through disk and replays under its edges"
 
-echo "== ordering-cost differential smoke: fingerprint drift gate (E15) =="
-order_json=$(mktemp)
-QR_BENCH_MS=50 QR_BENCH_JSON="$order_json" ./target/release/repro e15 > /dev/null
-grep -q '"drift": 0' "$order_json" || {
-  echo "E15 reported ordering drift or wrote no summary" >&2
-  exit 1
-}
-grep -q '"partial_grows_slower": true' "$order_json" || {
-  echo "E15: partial-order bytes/instr no longer grows slower than total order" >&2
-  exit 1
-}
-rm -f "$order_json"
-echo "partial-order replay fingerprints identical to total order; byte growth stays slower"
-
 echo "== fault-injection smoke: bounded mutated-recording campaign =="
 ./target/release/repro r1 --fuzz-iters 200 > /dev/null
 echo "fault-injection contract holds (200 cases, no panics, prefixes verified)"
@@ -276,8 +246,7 @@ echo "daemon round trip verified (recorded via the service, fetched, verified lo
 
 echo "== daemon concurrency smoke: E16 quick mode against a live daemon =="
 e16_dir=$(mktemp -d)
-e16_json=$(mktemp)
-trap 'rm -f "$serial" "$parallel" "$e16_json"; rm -rf "$smoke_dir" "$e16_dir"' EXIT
+trap 'rm -f "$serial" "$parallel"; rm -rf "$smoke_dir" "$e16_dir"' EXIT
 ./target/release/quickrec serve --socket "$e16_dir/qd.sock" --store "$e16_dir/store" \
   --workers 2 --event-workers 2 --max-conns 512 > "$e16_dir/serve.log" 2>&1 &
 e16_pid=$!
@@ -290,12 +259,10 @@ if ! [ -S "$e16_dir/qd.sock" ]; then
   cat "$e16_dir/serve.log" >&2
   exit 1
 fi
+# E16 exits nonzero on an unanswered or unframed request or on a fetch
+# that differs from the local recording.
 QR_BENCH_CONNS=128 QR_BENCH_JOBS=8 QR_E16_SOCKET="$e16_dir/qd.sock" \
-  QR_BENCH_JSON="$e16_json" ./target/release/repro e16 > /dev/null
-grep -q '"drift": 0' "$e16_json" || {
-  echo "E16 reported fetch drift against a live daemon, or wrote no summary" >&2
-  exit 1
-}
+  ./target/release/repro e16 > /dev/null
 # The event loop's own families must be live on the daemon the fleet
 # just exercised.
 ./target/release/quickrec stats --socket "$e16_dir/qd.sock" --metrics > "$e16_dir/metrics.txt"
