@@ -959,7 +959,6 @@ fn e16() -> Experiment {
                 let endpoint = Endpoint::Unix(dir.join("qd.sock"));
                 let config = qr_server::ServerConfig {
                     workers,
-                    shards: workers,
                     queue_capacity,
                     store_root: dir.join("store"),
                     event_workers: 2,

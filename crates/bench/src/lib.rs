@@ -14,7 +14,6 @@ pub mod runner;
 use qr_capo::{record, Recording, RecordingConfig, RecordingMode};
 use qr_common::Result;
 use qr_cpu::{CpuConfig, Machine};
-use qr_isa::Program;
 use qr_os::{run_native, OsConfig, RunOutcome};
 use qr_workloads::{Scale, WorkloadSpec};
 use runner::BuildCache;
@@ -23,18 +22,9 @@ use runner::BuildCache;
 /// experiment reports rates (the QuickIA FPGA cores ran at 60 MHz).
 pub const CORE_HZ: f64 = 60_000_000.0;
 
-/// Runs a workload natively (no recording).
-///
-/// # Errors
-///
-/// Propagates build and execution errors.
-pub fn run_native_workload(spec: &WorkloadSpec, threads: usize, scale: Scale) -> Result<RunOutcome> {
-    run_native_program((spec.build)(threads, scale)?, threads)
-}
-
-/// Like [`run_native_workload`], but sourcing the program from a shared
-/// [`BuildCache`] so concurrent experiment jobs build each (workload,
-/// threads, scale) key once.
+/// Runs a workload natively (no recording), sourcing the program from
+/// a shared [`BuildCache`] so concurrent experiment jobs build each
+/// (workload, threads, scale) key once.
 ///
 /// # Errors
 ///
@@ -45,32 +35,14 @@ pub fn run_native_workload_with(
     threads: usize,
     scale: Scale,
 ) -> Result<RunOutcome> {
-    run_native_program(cache.program(spec, threads, scale)?, threads)
-}
-
-fn run_native_program(program: Program, threads: usize) -> Result<RunOutcome> {
+    let program = cache.program(spec, threads, scale)?;
     let mut machine =
         Machine::new(program, CpuConfig { num_cores: threads, ..CpuConfig::default() })?;
     run_native(&mut machine, OsConfig::default())
 }
 
-/// Records a workload with the given configuration.
-///
-/// # Errors
-///
-/// Propagates build and recording errors; also checks the workload's
-/// self-validation checksum.
-pub fn record_workload(
-    spec: &WorkloadSpec,
-    threads: usize,
-    scale: Scale,
-    cfg: RecordingConfig,
-) -> Result<Recording> {
-    record_program(spec, (spec.build)(threads, scale)?, threads, scale, cfg)
-}
-
-/// Like [`record_workload`], but sourcing the program from a shared
-/// [`BuildCache`].
+/// Records a workload with the given configuration, sourcing the
+/// program from a shared [`BuildCache`].
 ///
 /// # Errors
 ///
@@ -83,17 +55,7 @@ pub fn record_workload_with(
     scale: Scale,
     cfg: RecordingConfig,
 ) -> Result<Recording> {
-    record_program(spec, cache.program(spec, threads, scale)?, threads, scale, cfg)
-}
-
-fn record_program(
-    spec: &WorkloadSpec,
-    program: Program,
-    threads: usize,
-    scale: Scale,
-    cfg: RecordingConfig,
-) -> Result<Recording> {
-    let recording = record(program, cfg)?;
+    let recording = record(cache.program(spec, threads, scale)?, cfg)?;
     let expected = (spec.expected)(threads, scale);
     if recording.exit_code != expected {
         return Err(qr_common::QrError::Execution {

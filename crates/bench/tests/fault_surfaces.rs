@@ -6,71 +6,20 @@
 //! uncompressed log.
 
 use qr_bench::fault::{job_seed, Mutator};
+use qr_common::frame::{self, PayloadKind};
 use qr_common::{QrError, SplitMix64};
-use qr_server::proto::{self, Request, Response};
-use quickrec_core::{Encoding, OrderMode};
-use std::io::Cursor;
+use qr_server::proto::{self, MessageAssembler};
 
 const CASES_PER_SURFACE: usize = 400;
 
-/// Clean wire messages covering every request and response shape.
+/// Clean wire messages covering every request and response shape: the
+/// payloads of the golden capture (each record is a direction byte and
+/// a payload). `tests/golden_conformance.rs` owns its sample list and
+/// the `qr-server` codec tests assert it holds every variant.
 fn wire_corpus() -> Vec<Vec<u8>> {
-    let requests = [
-        Request::Ping,
-        Request::SubmitWorkload {
-            name: "fft".into(),
-            workload: "fft".into(),
-            threads: 4,
-            scale: qr_workloads::Scale::Small,
-            encoding: Encoding::Delta,
-            order: OrderMode::TotalOrder,
-        },
-        Request::SubmitProgram {
-            name: "prog".into(),
-            source: ".entry main\n.text\nmain: movi r0, 1\nsyscall\n".into(),
-            cores: 2,
-            encoding: Encoding::Packed,
-            order: OrderMode::TotalOrder,
-        },
-        Request::Jobs,
-        Request::Stats,
-        Request::Fetch { id: 7 },
-        Request::Replay { id: 7 },
-        Request::Verify { id: 7 },
-        Request::Races { id: 7 },
-        Request::Shutdown,
-    ];
-    let responses = [
-        Response::Pong,
-        Response::Submitted { id: 42 },
-        Response::Busy { queued: 3 },
-        Response::JobList(vec![proto::JobInfo {
-            id: 1,
-            name: "fft".into(),
-            workload: "fft/2t".into(),
-            kind: "record".into(),
-            state: proto::JobState::Failed("checksum mismatch".into()),
-            fingerprint: 0xdead_beef,
-        }]),
-        Response::Stats(proto::StatsReport {
-            accepted: 4,
-            completed: 3,
-            sessions: vec![proto::SessionStats { id: 1, records: 1, ..Default::default() }],
-            ..Default::default()
-        }),
-        Response::Fetched {
-            files: vec![("meta.qrm".into(), vec![0xAB; 60])],
-            fingerprint: 99,
-        },
-        Response::Queued,
-        Response::ShuttingDown,
-        Response::Error { message: "no such session".into() },
-    ];
-    requests
-        .iter()
-        .map(proto::encode_request)
-        .chain(responses.iter().map(proto::encode_response))
-        .collect()
+    let capture = include_bytes!("../../../tests/golden/wire/messages.qrw");
+    let records = frame::read(capture, PayloadKind::Wire, "wire capture").expect("golden capture");
+    records.into_iter().map(|record| record[1..].to_vec()).collect()
 }
 
 #[test]
@@ -112,27 +61,25 @@ fn mutated_wire_streams_read_to_structured_errors_never_panics() {
         let mut rng = SplitMix64::new(job_seed(&["wire-stream", mutator.name()]));
         for _ in 0..CASES_PER_SURFACE {
             let mutated = mutator.apply(&clean, &mut rng);
-            let mut cursor = Cursor::new(mutated.as_slice());
-            if proto::read_stream_header(&mut cursor).is_err() {
-                continue;
-            }
-            // Drain messages until clean EOF or the first structured
-            // fault; decodes along the way must not panic either.
-            loop {
-                match proto::read_message(&mut cursor) {
-                    Ok(Some(payload)) => {
-                        let _ = proto::decode_request(&payload);
-                        let _ = proto::decode_response(&payload);
-                    }
-                    Ok(None) => break,
-                    Err(e) => {
-                        assert!(
-                            matches!(e, QrError::Corrupt { .. } | QrError::Execution { .. }),
-                            "stream fault must be structured: {e}"
-                        );
-                        break;
-                    }
+            // Through the reader the daemon and the client run, in
+            // pieces as `read(2)` would deliver them: messages surface
+            // until the stream ends or the first structured fault
+            // poisons it, and none may panic the decoders either.
+            let mut assembler = MessageAssembler::new();
+            let mut payloads = Vec::new();
+            let step = 1 + rng.below(4096) as usize;
+            for piece in mutated.chunks(step) {
+                if let Err(e) = assembler.feed(piece, &mut payloads) {
+                    assert!(
+                        matches!(e, QrError::Corrupt { .. }),
+                        "stream fault must be structured: {e}"
+                    );
+                    break;
                 }
+            }
+            for payload in &payloads {
+                let _ = proto::decode_request(payload);
+                let _ = proto::decode_response(payload);
             }
         }
     }

@@ -120,6 +120,17 @@ impl<'a> ByteReader<'a> {
         Ok(value)
     }
 
+    /// Reads a varint length and takes that many raw bytes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QrError::Corrupt`] if the length is malformed or
+    /// exceeds what remains.
+    pub fn prefixed(&mut self) -> Result<&'a [u8]> {
+        let len = self.varint()?;
+        self.bytes(usize::try_from(len).unwrap_or(usize::MAX))
+    }
+
     /// Reads a varint and checks it fits a `usize` count bounded by
     /// `max` (guards against implausible lengths driving allocations).
     ///
@@ -127,10 +138,32 @@ impl<'a> ByteReader<'a> {
     ///
     /// Returns [`QrError::Corrupt`] if the value exceeds `max`.
     pub fn count(&mut self, max: u64) -> Result<usize> {
+        self.list_count(max, 0)
+    }
+
+    /// Reads the element count of a list whose elements each encode to
+    /// at least `min_elem` bytes: besides the `max` bound of
+    /// [`ByteReader::count`], the elements must be able to fit in what
+    /// remains of the buffer, so a caller reserving `count` slots never
+    /// reserves more than the input it was handed justifies.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QrError::Corrupt`] naming the implausible count.
+    pub fn list_count(&mut self, max: u64, min_elem: usize) -> Result<usize> {
         let at = self.pos;
         let value = self.varint()?;
         if value > max {
             return Err(self.corrupt_at(at, format!("implausible count {value} (max {max})")));
+        }
+        if value.saturating_mul(min_elem as u64) > self.remaining() as u64 {
+            return Err(self.corrupt_at(
+                at,
+                format!(
+                    "implausible count {value}: {} bytes remain, elements take at least {min_elem} each",
+                    self.remaining()
+                ),
+            ));
         }
         Ok(value as usize)
     }
@@ -218,5 +251,26 @@ mod tests {
         let mut r = ByteReader::new(&buf, "test");
         let err = r.count(1000).unwrap_err();
         assert!(err.to_string().contains("implausible count"), "{err}");
+    }
+
+    #[test]
+    fn list_counts_must_fit_in_what_remains() {
+        // Three elements of at least two bytes each need six bytes.
+        let buf = [3u8, 0, 0, 0, 0, 0];
+        let err = ByteReader::new(&buf, "test").list_count(1 << 30, 2).unwrap_err();
+        assert!(err.to_string().contains("implausible count 3: 5 bytes remain"), "{err}");
+        assert_eq!(ByteReader::new(&buf, "test").list_count(1 << 30, 1).unwrap(), 3);
+        // A count near u64::MAX must not wrap its way past the check.
+        let mut huge = Vec::new();
+        varint::write_u64(&mut huge, u64::MAX);
+        assert!(ByteReader::new(&huge, "test").list_count(u64::MAX, 16).is_err());
+    }
+
+    #[test]
+    fn prefixed_slices_are_bounded_by_the_buffer() {
+        let mut r = ByteReader::new(&[2, 7, 8, 200, 1], "test");
+        assert_eq!(r.prefixed().unwrap(), &[7, 8]);
+        let err = r.prefixed().unwrap_err();
+        assert!(err.to_string().contains("need 200 bytes, 0 remain"), "{err}");
     }
 }

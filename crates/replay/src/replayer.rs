@@ -201,7 +201,8 @@ impl ReplayCheckpoint {
                 0 => None,
                 _ => Some(CpuContext::load_state(&mut r)?),
             };
-            let nondet_len = r.count(1 << 24)?;
+            // kind byte + u32 value per entry.
+            let nondet_len = r.list_count(1 << 24, 5)?;
             let mut nondet = VecDeque::with_capacity(nondet_len);
             for _ in 0..nondet_len {
                 let kind = match r.u8()? {
@@ -593,6 +594,24 @@ mod tests {
         assert_eq!(outcome.exit_code, 80);
         assert_eq!(outcome.chunks_replayed, recording.chunks.len());
         assert!(outcome.inputs_injected >= recording.inputs.events().len());
+    }
+
+    #[test]
+    fn hostile_nondet_count_is_corrupt_before_anything_is_reserved() {
+        let program = racy_program();
+        let recording = record(program.clone(), RecordingConfig::with_cores(2)).unwrap();
+        let (_, checkpoints) =
+            Replayer::new(&program, &recording).unwrap().run_with_checkpoints(4).unwrap();
+        let bytes = checkpoints[0].to_bytes();
+        // Keep the machine image; follow it with one thread record that
+        // claims 2^24 nondet entries and ends there.
+        let mut r = qr_common::cursor::ByteReader::new(&bytes, "snapshot");
+        r.prefixed().unwrap();
+        let mut hostile = bytes[..r.pos()].to_vec();
+        hostile.extend_from_slice(&[1, 1, 0, 0, 0]); // 1 thread: created, no exit/handler/signal
+        qr_common::varint::write_u64(&mut hostile, 1 << 24);
+        let err = ReplayCheckpoint::from_bytes(&program, &recording, &hostile).unwrap_err();
+        assert!(err.to_string().contains("implausible count 16777216"), "{err}");
     }
 
     #[test]

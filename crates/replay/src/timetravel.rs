@@ -605,7 +605,8 @@ impl QueryResult {
         let query = ReplayQuery::read_from(&mut r)?;
         let start = r.varint()?;
         let end = r.varint()?;
-        let num_events = r.count(1 << 30)?;
+        // pos, kind, tid, timestamp, icount, detail: 12 bytes at least.
+        let num_events = r.list_count(1 << 30, 12)?;
         let mut events = Vec::with_capacity(num_events);
         for _ in 0..num_events {
             let pos = r.varint()?;
@@ -1103,6 +1104,15 @@ mod tests {
             diverged: Some("replay diverged: tid1 rsw mismatch".into()),
         };
         assert_eq!(QueryResult::from_bytes(&result.to_bytes()).unwrap(), result);
+    }
+
+    #[test]
+    fn hostile_event_count_is_corrupt_not_a_forty_gigabyte_reservation() {
+        // ReverseStep 1, start 0, end 0, then an event count of 2^30
+        // with nothing behind it.
+        let err = QueryResult::from_bytes(&[4, 1, 0, 0, 0x80, 0x80, 0x80, 0x80, 4]).unwrap_err();
+        assert!(matches!(err, QrError::Corrupt { .. }), "{err:?}");
+        assert!(err.to_string().contains("implausible count 1073741824"), "{err}");
     }
 
     #[test]

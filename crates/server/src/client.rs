@@ -1,45 +1,22 @@
 //! A blocking wire-protocol client for `quickrecd`.
 
-use crate::proto::{self, Endpoint, JobInfo, JobState, Request, Response};
+use crate::event::NbStream;
+use crate::proto::{self, Endpoint, JobInfo, JobState, MessageAssembler, Request, Response};
 use qr_common::{QrError, Result};
-use std::io::{Read, Write};
+use std::io::ErrorKind;
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::time::{Duration, Instant};
 
-enum Stream {
-    Unix(UnixStream),
-    Tcp(TcpStream),
-}
-
-impl Read for Stream {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            Stream::Unix(s) => s.read(buf),
-            Stream::Tcp(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Stream {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            Stream::Unix(s) => s.write(buf),
-            Stream::Tcp(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            Stream::Unix(s) => s.flush(),
-            Stream::Tcp(s) => s.flush(),
-        }
-    }
-}
-
 /// One connection to a `quickrecd` server.
 pub struct Client {
-    stream: Stream,
+    /// Either socket family, in blocking mode here (the trait only
+    /// unifies the two; the daemon switches its end to nonblocking).
+    stream: Box<dyn NbStream>,
+    /// The same framing reader the daemon runs, fed by blocking reads.
+    reader: MessageAssembler,
+    /// Reassembled payloads not yet handed to a `call`.
+    replies: Vec<Vec<u8>>,
 }
 
 impl Client {
@@ -53,19 +30,37 @@ impl Client {
         let io = |e: std::io::Error| QrError::Execution {
             detail: format!("connecting to {}: {e}", endpoint.describe()),
         };
-        let stream = match endpoint {
-            Endpoint::Unix(path) => Stream::Unix(UnixStream::connect(path).map_err(io)?),
+        let stream: Box<dyn NbStream> = match endpoint {
+            Endpoint::Unix(path) => Box::new(UnixStream::connect(path).map_err(io)?),
             Endpoint::Tcp(addr) => {
                 let stream = TcpStream::connect(addr).map_err(io)?;
                 // One request per round trip: Nagle only adds latency.
                 let _ = stream.set_nodelay(true);
-                Stream::Tcp(stream)
+                Box::new(stream)
             }
         };
-        let mut client = Client { stream };
+        let mut client = Client { stream, reader: MessageAssembler::new(), replies: Vec::new() };
         proto::write_stream_header(&mut client.stream)?;
-        proto::read_stream_header(&mut client.stream)?;
+        while !client.reader.header_done() {
+            client.fill()?;
+        }
         Ok(client)
+    }
+
+    /// Blocks for one `read(2)` and feeds the assembler — the client's
+    /// only read path, behind the handshake and every `call`.
+    fn fill(&mut self) -> Result<()> {
+        let mut scratch = [0u8; 16 * 1024];
+        match self.stream.read(&mut scratch) {
+            Ok(0) => Err(QrError::Corrupt {
+                what: "wire message".into(),
+                offset: 0,
+                detail: "server closed the connection mid-exchange".into(),
+            }),
+            Ok(n) => self.reader.feed(&scratch[..n], &mut self.replies),
+            Err(e) if e.kind() == ErrorKind::Interrupted => Ok(()),
+            Err(e) => Err(QrError::Execution { detail: format!("reading message: {e}") }),
+        }
     }
 
     /// Connects, retrying until the server accepts or `timeout`
@@ -109,14 +104,10 @@ impl Client {
     /// hanging up mid-exchange).
     pub fn call(&mut self, request: &Request) -> Result<Response> {
         proto::write_message(&mut self.stream, &proto::encode_request(request))?;
-        match proto::read_message(&mut self.stream)? {
-            Some(payload) => proto::decode_response(&payload),
-            None => Err(QrError::Corrupt {
-                what: "wire message".into(),
-                offset: 0,
-                detail: "server closed the connection mid-exchange".into(),
-            }),
+        while self.replies.is_empty() {
+            self.fill()?;
         }
+        proto::decode_response(&self.replies.remove(0))
     }
 
     /// Round-trips a PING.

@@ -13,7 +13,6 @@ options:
   --tcp ADDR         listen on a TCP address (host:port; port 0 picks one)
   --store DIR        recording-store root           [default: ./qr-store]
   --workers N        job worker threads             [default: 2]
-  --shards N         session-registry shards        [default: workers]
   --queue N          bounded job-queue capacity     [default: 64]
   --event-workers N  connection event-loop threads  [default: 2]
   --max-conns N      open-connection cap (past it,
@@ -48,10 +47,8 @@ pub fn parse_args(args: &[String]) -> Result<(Endpoint, ServerConfig), String> {
         (Some(_), Some(_)) => return Err("pass --socket or --tcp, not both".into()),
         (None, None) => return Err("an endpoint is required: --socket PATH or --tcp ADDR".into()),
     };
-    let workers = parse_count(args, "--workers", 2)?;
     let cfg = ServerConfig {
-        workers,
-        shards: parse_count(args, "--shards", workers)?,
+        workers: parse_count(args, "--workers", 2)?,
         queue_capacity: parse_count(args, "--queue", 64)?,
         store_root: PathBuf::from(
             flag_value(args, "--store").unwrap_or_else(|| "qr-store".into()),
@@ -75,11 +72,9 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let (endpoint, cfg) = parse_args(args)?;
     let handle = Server::start(&endpoint, &cfg).map_err(|e| e.to_string())?;
     println!(
-        "quickrecd listening on {} (workers={} shards={} queue={} event-workers={} \
-         max-conns={} store={})",
+        "quickrecd listening on {} (workers={} queue={} event-workers={} max-conns={} store={})",
         handle.endpoint().describe(),
         cfg.workers,
-        cfg.shards,
         cfg.queue_capacity,
         cfg.event_workers,
         cfg.max_connections,

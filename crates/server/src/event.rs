@@ -31,7 +31,7 @@
 
 use crate::pool::WorkerPool;
 use crate::proto::{self, MessageAssembler, Request, Response};
-use crate::server::{handle_request, request_shutdown, Shared};
+use crate::server::{busy, handle_request, request_shutdown, Shared};
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::os::fd::{AsRawFd, RawFd};
@@ -100,7 +100,8 @@ fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> std::io::Result<usize> {
 
 // ---- transport -------------------------------------------------------
 
-/// One accepted socket in nonblocking mode: both families, unified.
+/// One stream socket of either family, unified: nonblocking on the
+/// daemon's accepted end, blocking in [`crate::Client`].
 pub(crate) trait NbStream: Read + Write + Send {
     /// The raw fd for the poll set.
     fn fd(&self) -> RawFd;
@@ -330,8 +331,7 @@ fn pump(conn_id: u64, conn: &mut Conn, ctx: &Ctx) {
 }
 
 fn dispatch(conn_id: u64, conn: &mut Conn, request: Request, ctx: &Ctx) {
-    let kind = crate::obs::request_index(&request);
-    let label = crate::obs::kind_label(&request);
+    let (kind, label) = (request.tag(), request.label());
     let start = crate::obs::clock();
     match request {
         Request::Shutdown => {
@@ -357,11 +357,7 @@ fn dispatch(conn_id: u64, conn: &mut Conn, request: Request, ctx: &Ctx) {
             }));
             match submitted {
                 Ok(()) => conn.in_flight = true,
-                Err((_task, queued)) => {
-                    ctx.shared.counters.rejected_busy.fetch_add(1, Ordering::SeqCst);
-                    crate::obs::busy_rejection();
-                    conn.queue_response(&Response::Busy { queued: queued as u32 });
-                }
+                Err((_task, queued)) => conn.queue_response(&busy(ctx.shared, queued)),
             }
         }
         request => {
@@ -388,8 +384,7 @@ fn handle_readable(conn_id: u64, conn: &mut Conn, ctx: &Ctx) {
                 conn.read_eof = true;
                 if conn.assembler.header_done() && !conn.assembler.at_message_boundary() {
                     // The peer died mid-message: a torn stream, not a
-                    // clean close (same classification as the blocking
-                    // read_message fix).
+                    // clean close.
                     conn.queue_response(&Response::Error {
                         message: "truncated message on the wire".into(),
                     });

@@ -11,49 +11,12 @@ use qr_obs::{Counter, Gauge, Histogram, LATENCY_US};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-/// Wire-request kinds, indexed by the position returned by
-/// [`kind_index`]. One label value per [`Request`] variant.
-const KINDS: [&str; 12] = [
-    "ping",
-    "submit_workload",
-    "submit_program",
-    "jobs",
-    "stats",
-    "fetch",
-    "replay",
-    "verify",
-    "races",
-    "shutdown",
-    "metrics",
-    "query",
-];
-
-fn kind_index(request: &Request) -> usize {
-    match request {
-        Request::Ping => 0,
-        Request::SubmitWorkload { .. } => 1,
-        Request::SubmitProgram { .. } => 2,
-        Request::Jobs => 3,
-        Request::Stats => 4,
-        Request::Fetch { .. } => 5,
-        Request::Replay { .. } => 6,
-        Request::Verify { .. } => 7,
-        Request::Races { .. } => 8,
-        Request::Shutdown => 9,
-        Request::Metrics => 10,
-        Request::Query { .. } => 11,
-    }
-}
-
-/// The request kind's metric label (also used by trace spans).
-pub(crate) fn kind_label(request: &Request) -> &'static str {
-    KINDS[kind_index(request)]
-}
-
-fn request_counters() -> &'static [Arc<Counter>; 12] {
-    static CELL: OnceLock<[Arc<Counter>; 12]> = OnceLock::new();
+/// One series per [`Request`] variant, indexed by wire tag and labelled
+/// from the protocol's own declaration.
+fn request_counters() -> &'static [Arc<Counter>; Request::KINDS.len()] {
+    static CELL: OnceLock<[Arc<Counter>; Request::KINDS.len()]> = OnceLock::new();
     CELL.get_or_init(|| {
-        KINDS.map(|kind| {
+        Request::KINDS.map(|kind| {
             qr_obs::global().counter(
                 "qr_server_requests_total",
                 "Wire requests handled, by request kind.",
@@ -63,10 +26,10 @@ fn request_counters() -> &'static [Arc<Counter>; 12] {
     })
 }
 
-fn latency_histograms() -> &'static [Arc<Histogram>; 12] {
-    static CELL: OnceLock<[Arc<Histogram>; 12]> = OnceLock::new();
+fn latency_histograms() -> &'static [Arc<Histogram>; Request::KINDS.len()] {
+    static CELL: OnceLock<[Arc<Histogram>; Request::KINDS.len()]> = OnceLock::new();
     CELL.get_or_init(|| {
-        KINDS.map(|kind| {
+        Request::KINDS.map(|kind| {
             qr_obs::global().histogram(
                 "qr_server_request_latency_us",
                 "Wire request handling latency in microseconds, by request kind.",
@@ -194,18 +157,13 @@ pub(crate) fn clock() -> Option<Instant> {
     qr_obs::enabled().then(Instant::now)
 }
 
-/// Records one handled request: count + latency by kind.
-pub(crate) fn request_handled(kind: usize, start: Option<Instant>) {
+/// Records one handled request — count + latency — under the kind
+/// with wire tag `tag` (taken before the handler consumes the request).
+pub(crate) fn request_handled(tag: u8, start: Option<Instant>) {
     if let Some(start) = start {
-        request_counters()[kind].inc();
-        latency_histograms()[kind].observe_since(start);
+        request_counters()[usize::from(tag)].inc();
+        latency_histograms()[usize::from(tag)].observe_since(start);
     }
-}
-
-/// The request's index for [`request_handled`] (computed before the
-/// request value is consumed by the handler).
-pub(crate) fn request_index(request: &Request) -> usize {
-    kind_index(request)
 }
 
 /// Tracks the worker-pool queue depth after a push or pop.

@@ -10,18 +10,36 @@
 //! message   := len(u32 LE)  payload(len)  crc32(u32 LE, of payload)
 //! ```
 //!
+//! [`MessageAssembler`] is the only reader of that framing: the daemon's
+//! event loop and the blocking [`crate::Client`] both feed it whatever
+//! `read(2)` returned, so header validation, the length limit and the
+//! CRC check exist once.
+//!
 //! Message payloads are tag-byte + varint documents ([`Request`],
 //! [`Response`]). Every decoder in this module is panic-free on
 //! arbitrary bytes and reports damage as [`QrError::Corrupt`] — the
 //! fault-injection suite drives both the stream layer and the payload
 //! decoders through the same mutators as the on-disk logs.
+//!
+//! Every message and nested type is declared exactly once, through
+//! `wire_enum!` / `wire_struct!`: tag, kind label, doc comments and the
+//! fields in wire order. The type, its encoder and decoder, `tag()`,
+//! `label()` and `KINDS` all come from that declaration, and a field's
+//! encoding is its type's `Wire` impl (`docs/TRACE_FORMAT.md` §10 is the
+//! same table in prose). To add a message, append one variant with the
+//! next free tag (the tag space is append-only; an old peer answers an
+//! unknown tag with a framed error), add one sample of it to
+//! `golden_wire_messages()` in `tests/golden_conformance.rs`, regenerate
+//! `tests/golden/wire/messages.qrw` and add its row to §10 — metrics
+//! labels, codec tests and mutation sweeps follow from those two.
 
+use qr_common::cursor::ByteReader;
 use qr_common::frame::{self, PayloadKind};
 use qr_common::{crc32, varint, QrError, Result};
 use qr_replay::ReplayQuery;
 use quickrec_core::{Encoding, OrderMode};
 use qr_workloads::Scale;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::PathBuf;
 
 /// Upper bound on one message payload (a fetched reference-scale
@@ -62,46 +80,8 @@ impl Endpoint {
 ///
 /// Returns [`QrError::Execution`] wrapping I/O failures.
 pub fn write_stream_header<W: Write + ?Sized>(w: &mut W) -> Result<()> {
-    let mut header = Vec::with_capacity(frame::HEADER_LEN);
-    header.extend_from_slice(&frame::MAGIC);
-    header.push(frame::VERSION);
-    header.push(PayloadKind::Wire.code());
+    let header = frame::Writer::new(PayloadKind::Wire).finish();
     w.write_all(&header).map_err(|e| io_err("writing stream header", e))
-}
-
-/// Reads and validates the peer's stream header.
-///
-/// # Errors
-///
-/// Returns [`QrError::Corrupt`] for a wrong magic, version or kind,
-/// [`QrError::Execution`] for I/O failures.
-pub fn read_stream_header<R: Read + ?Sized>(r: &mut R) -> Result<()> {
-    let mut header = [0u8; frame::HEADER_LEN];
-    r.read_exact(&mut header).map_err(|e| match e.kind() {
-        std::io::ErrorKind::UnexpectedEof => corrupt(0, "truncated stream header".into()),
-        _ => io_err("reading stream header", e),
-    })?;
-    validate_stream_header(&header)
-}
-
-/// Validates an already-read 6-byte stream header (shared by the
-/// blocking reader and the nonblocking [`MessageAssembler`]).
-///
-/// # Errors
-///
-/// Returns [`QrError::Corrupt`] for a wrong magic, version or kind.
-pub fn validate_stream_header(header: &[u8; frame::HEADER_LEN]) -> Result<()> {
-    if header[..4] != frame::MAGIC {
-        return Err(corrupt(0, "bad stream magic".into()));
-    }
-    if header[4] != frame::VERSION {
-        return Err(corrupt(4, format!("unsupported protocol version {}", header[4])));
-    }
-    if header[5] != PayloadKind::Wire.code() {
-        let name = PayloadKind::from_code(header[5]).map_or("unknown payload", PayloadKind::name);
-        return Err(corrupt(5, format!("stream carries a {name}, expected a wire message stream")));
-    }
-    Ok(())
 }
 
 /// Writes one length-prefixed, CRC-trailed message.
@@ -124,72 +104,15 @@ pub fn write_message<W: Write + ?Sized>(w: &mut W, payload: &[u8]) -> Result<()>
     w.flush().map_err(|e| io_err("flushing message", e))
 }
 
-/// Reads one message payload; `Ok(None)` on clean end-of-stream (the
-/// peer closed between messages).
+/// Incremental wire-stream reassembler: the one reader of the framing,
+/// on both ends of the socket.
 ///
-/// # Errors
-///
-/// Returns [`QrError::Corrupt`] for truncation inside a message or its
-/// length prefix, an oversized length prefix or a CRC mismatch;
-/// [`QrError::Execution`] for other I/O failures.
-pub fn read_message<R: Read + ?Sized>(r: &mut R) -> Result<Option<Vec<u8>>> {
-    // Fill the 4-byte length prefix by hand: only a stream that ends
-    // *before* the first prefix byte is a clean close. A peer that dies
-    // after 1-3 prefix bytes left a torn message, which `read_exact`'s
-    // blanket UnexpectedEof would silently swallow.
-    let mut len_bytes = [0u8; 4];
-    let mut filled = 0;
-    while filled < len_bytes.len() {
-        match r.read(&mut len_bytes[filled..]) {
-            Ok(0) => {
-                if filled == 0 {
-                    return Ok(None);
-                }
-                return Err(corrupt(
-                    filled as u64,
-                    format!("truncated message length ({filled} of 4 prefix bytes)"),
-                ));
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
-                if filled == 0 {
-                    return Ok(None);
-                }
-                return Err(corrupt(
-                    filled as u64,
-                    format!("truncated message length ({filled} of 4 prefix bytes)"),
-                ));
-            }
-            Err(e) => return Err(io_err("reading message length", e)),
-        }
-    }
-    let len = u32::from_le_bytes(len_bytes);
-    if len > MAX_MESSAGE {
-        return Err(corrupt(0, format!("message length {len} exceeds the wire limit")));
-    }
-    let mut body = vec![0u8; len as usize + 4];
-    r.read_exact(&mut body).map_err(|e| match e.kind() {
-        std::io::ErrorKind::UnexpectedEof => corrupt(4, "truncated message".into()),
-        _ => io_err("reading message", e),
-    })?;
-    let crc_bytes: [u8; 4] = body[len as usize..].try_into().expect("4 trailer bytes");
-    body.truncate(len as usize);
-    if crc32::checksum(&body) != u32::from_le_bytes(crc_bytes) {
-        return Err(corrupt(4, "message checksum mismatch".into()));
-    }
-    Ok(Some(body))
-}
-
-/// Incremental wire-stream reassembler for the nonblocking connection
-/// layer.
-///
-/// The event loop hands it whatever bytes `read(2)` produced; the
-/// assembler buffers them, validates the 6-byte stream header once,
-/// and yields complete CRC-checked message payloads as they close.
-/// It never blocks and never over-reads: a torn message simply stays
-/// pending until more bytes arrive (or [`at_message_boundary`] says
-/// the peer hung up mid-message).
+/// The daemon's event loop and the blocking client hand it whatever
+/// bytes `read(2)` produced; the assembler buffers them, validates the
+/// 6-byte stream header once, and yields complete CRC-checked message
+/// payloads as they close. It never blocks and never over-reads: a torn
+/// message simply stays pending until more bytes arrive (or
+/// [`at_message_boundary`] says the peer hung up mid-message).
 ///
 /// [`at_message_boundary`]: MessageAssembler::at_message_boundary
 #[derive(Debug, Default)]
@@ -244,9 +167,9 @@ impl MessageAssembler {
             if self.pending().len() < frame::HEADER_LEN {
                 return Ok(());
             }
-            let header: [u8; frame::HEADER_LEN] =
-                self.pending()[..frame::HEADER_LEN].try_into().expect("6 header bytes");
-            validate_stream_header(&header)?;
+            // The stream header is a frame container header: magic,
+            // version, and the `Wire` kind, with no records behind it.
+            frame::read(&self.pending()[..frame::HEADER_LEN], PayloadKind::Wire, "wire message")?;
             self.pos += frame::HEADER_LEN;
             self.header_done = true;
         }
@@ -277,395 +200,522 @@ impl MessageAssembler {
     }
 }
 
-/// A client-to-server command.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Request {
-    /// Liveness check.
-    Ping,
-    /// Record a named suite workload; the RECORD job is queued and the
-    /// assigned session id returned immediately.
-    SubmitWorkload {
-        /// Session label.
-        name: String,
-        /// Suite workload name (`fft`, `lu`, ...).
-        workload: String,
-        /// Worker threads (= cores).
-        threads: u32,
-        /// Problem-size scale.
-        scale: Scale,
-        /// Chunk-log encoding to store with.
-        encoding: Encoding,
-        /// Ordering mode to record under. Encoded as an optional
-        /// trailing byte — total-order submissions stay byte-identical
-        /// to the pre-ordering wire format.
-        order: OrderMode,
-    },
-    /// Record a client-supplied PIA assembly program.
-    SubmitProgram {
-        /// Session label.
-        name: String,
-        /// PIA assembly source text.
-        source: String,
-        /// Cores to record on.
-        cores: u32,
-        /// Chunk-log encoding to store with.
-        encoding: Encoding,
-        /// Ordering mode to record under (optional trailing byte; see
-        /// [`Request::SubmitWorkload`]).
-        order: OrderMode,
-    },
-    /// List all sessions.
-    Jobs,
-    /// Server and per-session counters.
-    Stats,
-    /// Download a completed session's recording files.
-    Fetch {
-        /// Session id.
-        id: u64,
-    },
-    /// Queue a REPLAY job for a completed session.
-    Replay {
-        /// Session id.
-        id: u64,
-    },
-    /// Queue a VERIFY job (store-entry integrity check).
-    Verify {
-        /// Session id.
-        id: u64,
-    },
-    /// Queue a RACES job (replay-time race detection).
-    Races {
-        /// Session id.
-        id: u64,
-    },
-    /// Drain in-flight jobs and stop the server.
-    Shutdown,
-    /// The server's `qr-obs` metrics registry, rendered as text
-    /// exposition.
-    Metrics,
-    /// Run a time-travel query against a completed session's recording
-    /// (synchronously — queries are reads, not jobs).
-    Query {
-        /// Session id.
-        id: u64,
-        /// What slice of the timeline to materialize.
-        query: ReplayQuery,
-        /// Plan only: answer with the [`qr_replay::QueryPlan`] bytes
-        /// instead of executing the replay.
-        dry_run: bool,
-        /// Refuse queries that would re-execute more than this many
-        /// timeline events (0 = unlimited).
-        max_events: u64,
-        /// Client-chosen idempotence key: a repeated non-zero id
-        /// returns the cached result without re-executing (0 = no
-        /// deduplication).
-        replay_id: u64,
-    },
+// ---- the schema ------------------------------------------------------
+
+/// One field type's wire form. The declaration macros below compose
+/// these in field order; nothing else in the crate encodes or decodes a
+/// payload byte.
+trait Wire: Sized {
+    /// Fewest bytes any value encodes to: what a list's claimed length
+    /// is checked against before anything is reserved for it.
+    const MIN: usize = 1;
+    /// Most elements a `Vec<Self>` field may claim.
+    const LIST_MAX: u64 = 1 << 20;
+    fn put(&self, out: &mut Vec<u8>);
+    fn get(r: &mut ByteReader<'_>) -> Result<Self>;
 }
 
-/// Lifecycle of one session's current/last job.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum JobState {
-    /// Waiting in the worker pool.
-    Queued,
-    /// Executing on a worker.
-    Running,
-    /// Finished successfully.
-    Done,
-    /// Finished with an error.
-    Failed(String),
+/// Decodes one field, naming it in the error if it is damaged.
+fn field<T: Wire>(r: &mut ByteReader<'_>, name: &str) -> Result<T> {
+    T::get(r).map_err(|e| match e {
+        QrError::Corrupt { what, offset, detail } => {
+            QrError::Corrupt { what, offset, detail: format!("{name}: {detail}") }
+        }
+        other => other,
+    })
 }
 
-impl JobState {
-    /// Short label for tables.
-    pub fn label(&self) -> &'static str {
-        match self {
-            JobState::Queued => "queued",
-            JobState::Running => "running",
-            JobState::Done => "done",
-            JobState::Failed(_) => "failed",
+/// Reads one tag byte and maps it through `pick`; `None` means the tag
+/// is unassigned.
+fn tag_byte<T>(
+    r: &mut ByteReader<'_>,
+    what: &str,
+    pick: impl FnOnce(u8) -> Option<T>,
+) -> Result<T> {
+    let at = r.pos();
+    let tag = r.u8()?;
+    pick(tag).ok_or_else(|| r.corrupt_at(at, format!("unknown {what} {tag}")))
+}
+
+fn put_prefixed(out: &mut Vec<u8>, bytes: &[u8]) {
+    varint::write_u64(out, bytes.len() as u64);
+    out.extend_from_slice(bytes);
+}
+
+/// Integers are LEB128 varints.
+impl Wire for u64 {
+    fn put(&self, out: &mut Vec<u8>) {
+        varint::write_u64(out, *self);
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<u64> {
+        r.varint()
+    }
+}
+
+impl Wire for u32 {
+    fn put(&self, out: &mut Vec<u8>) {
+        varint::write_u64(out, u64::from(*self));
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<u32> {
+        let at = r.pos();
+        let value = r.varint()?;
+        u32::try_from(value).map_err(|_| r.corrupt_at(at, format!("{value} is out of range")))
+    }
+}
+
+/// A flag is one byte, strictly 0 or 1.
+impl Wire for bool {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(u8::from(*self));
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<bool> {
+        tag_byte(r, "flag byte", |tag| [false, true].get(usize::from(tag)).copied())
+    }
+}
+
+/// Strings are length-prefixed UTF-8.
+impl Wire for String {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_prefixed(out, self.as_bytes());
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<String> {
+        let at = r.pos();
+        String::from_utf8(r.prefixed()?.to_vec()).map_err(|_| r.corrupt_at(at, "not utf-8"))
+    }
+}
+
+/// Blobs are length-prefixed raw bytes.
+impl Wire for Vec<u8> {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_prefixed(out, self);
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Vec<u8>> {
+        Ok(r.prefixed()?.to_vec())
+    }
+}
+
+/// One fetched file image, `(name, bytes)`; a recording has a handful.
+impl Wire for (String, Vec<u8>) {
+    const MIN: usize = 2;
+    const LIST_MAX: u64 = 16;
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+        self.1.put(out);
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<(String, Vec<u8>)> {
+        Ok((field(r, "file name")?, field(r, "file bytes")?))
+    }
+}
+
+/// Lists are a count bounded by `T::LIST_MAX` and by what the rest of
+/// the payload could possibly hold, then the elements.
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        varint::write_u64(out, self.len() as u64);
+        self.iter().for_each(|item| item.put(out));
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Vec<T>> {
+        let count = r.list_count(T::LIST_MAX, T::MIN)?;
+        let mut items = Vec::with_capacity(count);
+        for _ in 0..count {
+            items.push(T::get(r)?);
+        }
+        Ok(items)
+    }
+}
+
+/// A query travels as its own length-prefixed document.
+impl Wire for ReplayQuery {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_prefixed(out, &self.to_bytes());
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<ReplayQuery> {
+        ReplayQuery::from_bytes(r.prefixed()?)
+    }
+}
+
+/// Scale tags, by position.
+const SCALES: [Scale; 3] = [Scale::Test, Scale::Small, Scale::Reference];
+
+impl Wire for Scale {
+    fn put(&self, out: &mut Vec<u8>) {
+        let tag = SCALES.iter().position(|s| s == self).expect("every scale has a tag");
+        out.push(tag as u8);
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Scale> {
+        tag_byte(r, "scale tag", |tag| SCALES.get(usize::from(tag)).copied())
+    }
+}
+
+impl Wire for Encoding {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(self.tag());
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Encoding> {
+        tag_byte(r, "encoding tag", Encoding::from_tag)
+    }
+}
+
+/// The order mode is an optional *trailing* byte, so it can only be a
+/// message's last field: absent means total order (submissions stay
+/// byte-identical to the pre-ordering format and old clients keep
+/// working), and only partial order writes its `1`.
+impl Wire for OrderMode {
+    const MIN: usize = 0;
+    fn put(&self, out: &mut Vec<u8>) {
+        if *self == OrderMode::PartialOrder {
+            out.push(1);
         }
     }
-}
-
-/// One session as reported by JOBS.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JobInfo {
-    /// Session id (also the store entry id once recorded).
-    pub id: u64,
-    /// Session label.
-    pub name: String,
-    /// Workload name or `program` for submitted sources.
-    pub workload: String,
-    /// Current/last job kind (`record`, `replay`, ...).
-    pub kind: String,
-    /// Job lifecycle state.
-    pub state: JobState,
-    /// Outcome fingerprint (0 until the recording completes).
-    pub fingerprint: u64,
-}
-
-/// Per-session operation counters, surfaced by STATS.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SessionStats {
-    /// Session id.
-    pub id: u64,
-    /// RECORD jobs completed.
-    pub records: u64,
-    /// REPLAY jobs completed.
-    pub replays: u64,
-    /// VERIFY jobs completed.
-    pub verifies: u64,
-    /// RACES jobs completed.
-    pub races: u64,
-    /// Uncompressed bytes of the stored recording.
-    pub bytes_raw: u64,
-    /// Compressed bytes of the stored recording.
-    pub bytes_stored: u64,
-    /// Simulated instructions executed for this session.
-    pub instructions: u64,
-    /// Whether the session records under `--order partial` (an
-    /// `order.qrp` sidecar is part of the stored recording).
-    pub partial_order: bool,
-}
-
-/// Server-wide counters, surfaced by STATS.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct StatsReport {
-    /// Sessions accepted.
-    pub accepted: u64,
-    /// Submissions rejected by backpressure.
-    pub rejected_busy: u64,
-    /// Jobs completed successfully.
-    pub completed: u64,
-    /// Jobs failed.
-    pub failed: u64,
-    /// Connections served.
-    pub connections: u64,
-    /// Registry shard count.
-    pub shards: u32,
-    /// Worker-pool size.
-    pub workers: u32,
-    /// Per-session counters, ordered by id.
-    pub sessions: Vec<SessionStats>,
-}
-
-/// A server-to-client reply.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Response {
-    /// Reply to [`Request::Ping`].
-    Pong,
-    /// The submission was queued under this session id.
-    Submitted {
-        /// Assigned session id.
-        id: u64,
-    },
-    /// Backpressure: the worker queue is full; retry later.
-    Busy {
-        /// Jobs currently queued.
-        queued: u32,
-    },
-    /// Reply to [`Request::Jobs`].
-    JobList(Vec<JobInfo>),
-    /// Reply to [`Request::Stats`].
-    Stats(StatsReport),
-    /// Reply to [`Request::Fetch`]: the recording's file images.
-    Fetched {
-        /// `(file name, bytes)` in save-layout order.
-        files: Vec<(String, Vec<u8>)>,
-        /// The recording's outcome fingerprint.
-        fingerprint: u64,
-    },
-    /// The requested job was queued.
-    Queued,
-    /// Reply to [`Request::Shutdown`].
-    ShuttingDown,
-    /// Any failure (unknown session, bad workload, job error, ...).
-    Error {
-        /// Human-readable cause.
-        message: String,
-    },
-    /// Reply to [`Request::Metrics`].
-    Metrics {
-        /// Prometheus-style text exposition of the server's registry.
-        text: String,
-    },
-    /// Reply to [`Request::Query`].
-    QueryAnswer {
-        /// True when a repeated `replay_id` was answered from the
-        /// session's idempotence cache without re-executing.
-        cached: bool,
-        /// [`qr_replay::QueryPlan`] bytes for a dry run, otherwise
-        /// [`qr_replay::QueryResult`] bytes.
-        payload: Vec<u8>,
-    },
-}
-
-// ---- payload encoding ------------------------------------------------
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    varint::write_u64(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    varint::write_u64(out, b.len() as u64);
-    out.extend_from_slice(b);
-}
-
-fn scale_tag(scale: Scale) -> u8 {
-    match scale {
-        Scale::Test => 0,
-        Scale::Small => 1,
-        Scale::Reference => 2,
-    }
-}
-
-struct Decoder<'a> {
-    buf: &'a [u8],
-    off: usize,
-}
-
-impl<'a> Decoder<'a> {
-    fn new(buf: &'a [u8]) -> Decoder<'a> {
-        Decoder { buf, off: 0 }
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64> {
-        let (v, n) = varint::read_u64(self.buf.get(self.off..).unwrap_or(&[]))
-            .map_err(|e| corrupt(self.off as u64, format!("{what}: {e}")))?;
-        self.off += n;
-        Ok(v)
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32> {
-        u32::try_from(self.u64(what)?)
-            .map_err(|_| corrupt(self.off as u64, format!("{what} out of range")))
-    }
-
-    fn byte(&mut self, what: &str) -> Result<u8> {
-        let b = *self
-            .buf
-            .get(self.off)
-            .ok_or_else(|| corrupt(self.off as u64, format!("truncated {what}")))?;
-        self.off += 1;
-        Ok(b)
-    }
-
-    fn bytes(&mut self, what: &str) -> Result<Vec<u8>> {
-        let len = self.u64(what)? as usize;
-        let data = self
-            .buf
-            .get(self.off..self.off.checked_add(len).unwrap_or(usize::MAX))
-            .ok_or_else(|| corrupt(self.off as u64, format!("truncated {what}")))?;
-        self.off += len;
-        Ok(data.to_vec())
-    }
-
-    fn string(&mut self, what: &str) -> Result<String> {
-        String::from_utf8(self.bytes(what)?)
-            .map_err(|_| corrupt(self.off as u64, format!("{what} is not utf-8")))
-    }
-
-    fn encoding(&mut self) -> Result<Encoding> {
-        let tag = self.byte("encoding tag")?;
-        Encoding::ALL
-            .into_iter()
-            .find(|e| e.tag() == tag)
-            .ok_or_else(|| corrupt(self.off as u64 - 1, format!("unknown encoding tag {tag}")))
-    }
-
-    fn scale(&mut self) -> Result<Scale> {
-        match self.byte("scale tag")? {
-            0 => Ok(Scale::Test),
-            1 => Ok(Scale::Small),
-            2 => Ok(Scale::Reference),
-            t => Err(corrupt(self.off as u64 - 1, format!("unknown scale tag {t}"))),
-        }
-    }
-
-    /// Optional trailing order-mode byte: absence means total order
-    /// (the pre-ordering wire format), so old clients keep working.
-    fn order_mode(&mut self) -> Result<OrderMode> {
-        if self.off == self.buf.len() {
+    fn get(r: &mut ByteReader<'_>) -> Result<OrderMode> {
+        if r.remaining() == 0 {
             return Ok(OrderMode::TotalOrder);
         }
-        match self.byte("order mode")? {
-            0 => Ok(OrderMode::TotalOrder),
-            1 => Ok(OrderMode::PartialOrder),
-            t => Err(corrupt(self.off as u64 - 1, format!("unknown order mode {t}"))),
-        }
+        let modes = [OrderMode::TotalOrder, OrderMode::PartialOrder];
+        tag_byte(r, "order mode", |tag| modes.get(usize::from(tag)).copied())
     }
+}
 
-    fn finish(self) -> Result<()> {
-        if self.off != self.buf.len() {
-            return Err(corrupt(
-                self.off as u64,
-                format!("{} trailing bytes", self.buf.len() - self.off),
-            ));
+/// Declares a struct whose fields are encoded back to back, in
+/// declaration order.
+macro_rules! wire_struct {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $( $(#[$fmeta:meta])* pub $field:ident: $fty:ty, )*
         }
-        Ok(())
+    ) => {
+        $(#[$meta])*
+        pub struct $name {
+            $( $(#[$fmeta])* pub $field: $fty, )*
+        }
+
+        impl Wire for $name {
+            const MIN: usize = 0 $( + <$fty as Wire>::MIN )*;
+            fn put(&self, out: &mut Vec<u8>) {
+                $( self.$field.put(out); )*
+            }
+            fn get(r: &mut ByteReader<'_>) -> Result<$name> {
+                Ok($name { $( $field: field(r, stringify!($field))?, )* })
+            }
+        }
+    };
+}
+
+/// Declares an enum encoded as one tag byte followed by the variant's
+/// fields in declaration order. Each variant line reads
+/// `tag "label" Name`, then `{ field: Type, .. }` or `(name: Type)` if
+/// it carries data (the name of a tuple payload only labels decode
+/// errors). `$what` names the enum in the unknown-tag error.
+macro_rules! wire_enum {
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident as $what:literal {
+            $(
+                $(#[$vmeta:meta])*
+                $tag:literal $label:literal $variant:ident
+                $( { $( $(#[$fmeta:meta])* $field:ident: $fty:ty, )* } )?
+                $( ( $inner:ident: $ity:ty ) )?,
+            )*
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum $name {
+            $(
+                $(#[$vmeta])*
+                $variant $( { $( $(#[$fmeta])* $field: $fty, )* } )? $( ( $ity ) )?,
+            )*
+        }
+
+        impl $name {
+            /// Every variant's label, indexed by wire tag (a gap or a
+            /// tag past the end fails to compile).
+            pub const KINDS: [&'static str; [$($tag),*].len()] = {
+                let mut kinds = [""; [$($tag),*].len()];
+                $( kinds[$tag] = $label; )*
+                kinds
+            };
+
+            /// The variant's wire tag: the first byte of its encoding.
+            pub fn tag(&self) -> u8 {
+                match self {
+                    $( $name::$variant { .. } => $tag, )*
+                }
+            }
+
+            /// Short label for tables and metrics.
+            pub fn label(&self) -> &'static str {
+                Self::KINDS[usize::from(self.tag())]
+            }
+        }
+
+        impl Wire for $name {
+            fn put(&self, out: &mut Vec<u8>) {
+                out.push(self.tag());
+                match self {
+                    $(
+                        $name::$variant $( { $($field,)* } )? $( ($inner) )? => {
+                            $( $( $field.put(out); )* )?
+                            $( $inner.put(out); )?
+                        }
+                    )*
+                }
+            }
+            fn get(r: &mut ByteReader<'_>) -> Result<$name> {
+                let at = r.pos();
+                match r.u8()? {
+                    $(
+                        $tag => Ok($name::$variant
+                            $( { $( $field: field(r, stringify!($field))?, )* } )?
+                            $( (field(r, stringify!($inner))?) )?),
+                    )*
+                    tag => Err(r.corrupt_at(at, format!("unknown {} tag {tag}", $what))),
+                }
+            }
+        }
+    };
+}
+
+wire_enum! {
+    /// A client-to-server command.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum Request as "request" {
+        /// Liveness check.
+        0 "ping" Ping,
+        /// Record a named suite workload; the RECORD job is queued and the
+        /// assigned session id returned immediately.
+        1 "submit_workload" SubmitWorkload {
+            /// Session label.
+            name: String,
+            /// Suite workload name (`fft`, `lu`, ...).
+            workload: String,
+            /// Worker threads (= cores).
+            threads: u32,
+            /// Problem-size scale.
+            scale: Scale,
+            /// Chunk-log encoding to store with.
+            encoding: Encoding,
+            /// Ordering mode to record under. Encoded as an optional
+            /// trailing byte — total-order submissions stay byte-identical
+            /// to the pre-ordering wire format.
+            order: OrderMode,
+        },
+        /// Record a client-supplied PIA assembly program.
+        2 "submit_program" SubmitProgram {
+            /// Session label.
+            name: String,
+            /// PIA assembly source text.
+            source: String,
+            /// Cores to record on.
+            cores: u32,
+            /// Chunk-log encoding to store with.
+            encoding: Encoding,
+            /// Ordering mode to record under (optional trailing byte; see
+            /// [`Request::SubmitWorkload`]).
+            order: OrderMode,
+        },
+        /// List all sessions.
+        3 "jobs" Jobs,
+        /// Server and per-session counters.
+        4 "stats" Stats,
+        /// Download a completed session's recording files.
+        5 "fetch" Fetch {
+            /// Session id.
+            id: u64,
+        },
+        /// Queue a REPLAY job for a completed session.
+        6 "replay" Replay {
+            /// Session id.
+            id: u64,
+        },
+        /// Queue a VERIFY job (store-entry integrity check).
+        7 "verify" Verify {
+            /// Session id.
+            id: u64,
+        },
+        /// Queue a RACES job (replay-time race detection).
+        8 "races" Races {
+            /// Session id.
+            id: u64,
+        },
+        /// Drain in-flight jobs and stop the server.
+        9 "shutdown" Shutdown,
+        /// The server's `qr-obs` metrics registry, rendered as text
+        /// exposition.
+        10 "metrics" Metrics,
+        /// Run a time-travel query against a completed session's recording
+        /// (synchronously — queries are reads, not jobs).
+        11 "query" Query {
+            /// Session id.
+            id: u64,
+            /// What slice of the timeline to materialize.
+            query: ReplayQuery,
+            /// Plan only: answer with the [`qr_replay::QueryPlan`] bytes
+            /// instead of executing the replay.
+            dry_run: bool,
+            /// Refuse queries that would re-execute more than this many
+            /// timeline events (0 = unlimited).
+            max_events: u64,
+            /// Client-chosen idempotence key: a repeated non-zero id
+            /// returns the cached result without re-executing (0 = no
+            /// deduplication).
+            replay_id: u64,
+        },
     }
+}
+
+wire_enum! {
+    /// Lifecycle of one session's current/last job.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum JobState as "job state" {
+        /// Waiting in the worker pool.
+        0 "queued" Queued,
+        /// Executing on a worker.
+        1 "running" Running,
+        /// Finished successfully.
+        2 "done" Done,
+        /// Finished with an error.
+        3 "failed" Failed(message: String),
+    }
+}
+
+wire_struct! {
+    /// One session as reported by JOBS.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct JobInfo {
+        /// Session id (also the store entry id once recorded).
+        pub id: u64,
+        /// Session label.
+        pub name: String,
+        /// Workload name or `program` for submitted sources.
+        pub workload: String,
+        /// Current/last job kind (`record`, `replay`, ...).
+        pub kind: String,
+        /// Job lifecycle state.
+        pub state: JobState,
+        /// Outcome fingerprint (0 until the recording completes).
+        pub fingerprint: u64,
+    }
+}
+
+wire_struct! {
+    /// Per-session operation counters, surfaced by STATS.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct SessionStats {
+        /// Session id.
+        pub id: u64,
+        /// RECORD jobs completed.
+        pub records: u64,
+        /// REPLAY jobs completed.
+        pub replays: u64,
+        /// VERIFY jobs completed.
+        pub verifies: u64,
+        /// RACES jobs completed.
+        pub races: u64,
+        /// Uncompressed bytes of the stored recording.
+        pub bytes_raw: u64,
+        /// Compressed bytes of the stored recording.
+        pub bytes_stored: u64,
+        /// Simulated instructions executed for this session.
+        pub instructions: u64,
+        /// Whether the session records under `--order partial` (an
+        /// `order.qrp` sidecar is part of the stored recording).
+        pub partial_order: bool,
+    }
+}
+
+wire_struct! {
+    /// Server-wide counters, surfaced by STATS.
+    #[derive(Debug, Clone, PartialEq, Eq, Default)]
+    pub struct StatsReport {
+        /// Sessions accepted.
+        pub accepted: u64,
+        /// Submissions rejected by backpressure.
+        pub rejected_busy: u64,
+        /// Jobs completed successfully.
+        pub completed: u64,
+        /// Jobs failed.
+        pub failed: u64,
+        /// Connections served.
+        pub connections: u64,
+        /// Registry shard count.
+        pub shards: u32,
+        /// Worker-pool size.
+        pub workers: u32,
+        /// Per-session counters, ordered by id.
+        pub sessions: Vec<SessionStats>,
+    }
+}
+
+wire_enum! {
+    /// A server-to-client reply.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum Response as "response" {
+        /// Reply to [`Request::Ping`].
+        0 "pong" Pong,
+        /// The submission was queued under this session id.
+        1 "submitted" Submitted {
+            /// Assigned session id.
+            id: u64,
+        },
+        /// Backpressure: the worker queue is full; retry later.
+        2 "busy" Busy {
+            /// Jobs currently queued.
+            queued: u32,
+        },
+        /// Reply to [`Request::Jobs`].
+        3 "job_list" JobList(jobs: Vec<JobInfo>),
+        /// Reply to [`Request::Stats`].
+        4 "stats" Stats(report: StatsReport),
+        /// Reply to [`Request::Fetch`]: the recording's file images.
+        5 "fetched" Fetched {
+            /// The recording's outcome fingerprint.
+            fingerprint: u64,
+            /// `(file name, bytes)` in save-layout order.
+            files: Vec<(String, Vec<u8>)>,
+        },
+        /// The requested job was queued.
+        6 "queued" Queued,
+        /// Reply to [`Request::Shutdown`].
+        7 "shutting_down" ShuttingDown,
+        /// Any failure (unknown session, bad workload, job error, ...).
+        8 "error" Error {
+            /// Human-readable cause.
+            message: String,
+        },
+        /// Reply to [`Request::Metrics`].
+        9 "metrics" Metrics {
+            /// Prometheus-style text exposition of the server's registry.
+            text: String,
+        },
+        /// Reply to [`Request::Query`].
+        10 "query_answer" QueryAnswer {
+            /// True when a repeated `replay_id` was answered from the
+            /// session's idempotence cache without re-executing.
+            cached: bool,
+            /// [`qr_replay::QueryPlan`] bytes for a dry run, otherwise
+            /// [`qr_replay::QueryResult`] bytes.
+            payload: Vec<u8>,
+        },
+    }
+}
+
+fn encode<T: Wire>(message: &T) -> Vec<u8> {
+    let mut out = Vec::new();
+    message.put(&mut out);
+    out
+}
+
+fn decode<T: Wire>(payload: &[u8]) -> Result<T> {
+    let mut r = ByteReader::new(payload, "wire message");
+    let message = T::get(&mut r)?;
+    r.finish()?;
+    Ok(message)
 }
 
 /// Serializes a request payload.
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    let mut out = Vec::new();
-    match req {
-        Request::Ping => out.push(0),
-        Request::SubmitWorkload { name, workload, threads, scale, encoding, order } => {
-            out.push(1);
-            put_str(&mut out, name);
-            put_str(&mut out, workload);
-            varint::write_u64(&mut out, u64::from(*threads));
-            out.push(scale_tag(*scale));
-            out.push(encoding.tag());
-            // Only partial order adds a byte, keeping default-mode
-            // submissions byte-identical to the pre-ordering format.
-            if *order == OrderMode::PartialOrder {
-                out.push(1);
-            }
-        }
-        Request::SubmitProgram { name, source, cores, encoding, order } => {
-            out.push(2);
-            put_str(&mut out, name);
-            put_str(&mut out, source);
-            varint::write_u64(&mut out, u64::from(*cores));
-            out.push(encoding.tag());
-            if *order == OrderMode::PartialOrder {
-                out.push(1);
-            }
-        }
-        Request::Jobs => out.push(3),
-        Request::Stats => out.push(4),
-        Request::Fetch { id } => {
-            out.push(5);
-            varint::write_u64(&mut out, *id);
-        }
-        Request::Replay { id } => {
-            out.push(6);
-            varint::write_u64(&mut out, *id);
-        }
-        Request::Verify { id } => {
-            out.push(7);
-            varint::write_u64(&mut out, *id);
-        }
-        Request::Races { id } => {
-            out.push(8);
-            varint::write_u64(&mut out, *id);
-        }
-        Request::Shutdown => out.push(9),
-        Request::Metrics => out.push(10),
-        Request::Query { id, query, dry_run, max_events, replay_id } => {
-            out.push(11);
-            varint::write_u64(&mut out, *id);
-            put_bytes(&mut out, &query.to_bytes());
-            out.push(u8::from(*dry_run));
-            varint::write_u64(&mut out, *max_events);
-            varint::write_u64(&mut out, *replay_id);
-        }
-    }
-    out
+    encode(req)
 }
 
 /// Parses a request payload. Panic-free; structural damage is
@@ -676,137 +726,12 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
 /// Returns [`QrError::Corrupt`] for unknown tags, truncation or
 /// trailing bytes.
 pub fn decode_request(payload: &[u8]) -> Result<Request> {
-    let mut d = Decoder::new(payload);
-    let req = match d.byte("request tag")? {
-        0 => Request::Ping,
-        1 => Request::SubmitWorkload {
-            name: d.string("session name")?,
-            workload: d.string("workload name")?,
-            threads: d.u32("thread count")?,
-            scale: d.scale()?,
-            encoding: d.encoding()?,
-            order: d.order_mode()?,
-        },
-        2 => Request::SubmitProgram {
-            name: d.string("session name")?,
-            source: d.string("program source")?,
-            cores: d.u32("core count")?,
-            encoding: d.encoding()?,
-            order: d.order_mode()?,
-        },
-        3 => Request::Jobs,
-        4 => Request::Stats,
-        5 => Request::Fetch { id: d.u64("session id")? },
-        6 => Request::Replay { id: d.u64("session id")? },
-        7 => Request::Verify { id: d.u64("session id")? },
-        8 => Request::Races { id: d.u64("session id")? },
-        9 => Request::Shutdown,
-        10 => Request::Metrics,
-        11 => {
-            let id = d.u64("session id")?;
-            let query = ReplayQuery::from_bytes(&d.bytes("query bytes")?)?;
-            let dry_run = match d.byte("dry-run flag")? {
-                0 => false,
-                1 => true,
-                t => return Err(corrupt(d.off as u64 - 1, format!("unknown dry-run flag {t}"))),
-            };
-            Request::Query {
-                id,
-                query,
-                dry_run,
-                max_events: d.u64("max events")?,
-                replay_id: d.u64("replay id")?,
-            }
-        }
-        t => return Err(corrupt(0, format!("unknown request tag {t}"))),
-    };
-    d.finish()?;
-    Ok(req)
+    decode(payload)
 }
 
 /// Serializes a response payload.
 pub fn encode_response(resp: &Response) -> Vec<u8> {
-    let mut out = Vec::new();
-    match resp {
-        Response::Pong => out.push(0),
-        Response::Submitted { id } => {
-            out.push(1);
-            varint::write_u64(&mut out, *id);
-        }
-        Response::Busy { queued } => {
-            out.push(2);
-            varint::write_u64(&mut out, u64::from(*queued));
-        }
-        Response::JobList(jobs) => {
-            out.push(3);
-            varint::write_u64(&mut out, jobs.len() as u64);
-            for j in jobs {
-                varint::write_u64(&mut out, j.id);
-                put_str(&mut out, &j.name);
-                put_str(&mut out, &j.workload);
-                put_str(&mut out, &j.kind);
-                match &j.state {
-                    JobState::Queued => out.push(0),
-                    JobState::Running => out.push(1),
-                    JobState::Done => out.push(2),
-                    JobState::Failed(msg) => {
-                        out.push(3);
-                        put_str(&mut out, msg);
-                    }
-                }
-                varint::write_u64(&mut out, j.fingerprint);
-            }
-        }
-        Response::Stats(s) => {
-            out.push(4);
-            for v in [s.accepted, s.rejected_busy, s.completed, s.failed, s.connections] {
-                varint::write_u64(&mut out, v);
-            }
-            varint::write_u64(&mut out, u64::from(s.shards));
-            varint::write_u64(&mut out, u64::from(s.workers));
-            varint::write_u64(&mut out, s.sessions.len() as u64);
-            for sess in &s.sessions {
-                for v in [
-                    sess.id,
-                    sess.records,
-                    sess.replays,
-                    sess.verifies,
-                    sess.races,
-                    sess.bytes_raw,
-                    sess.bytes_stored,
-                    sess.instructions,
-                    u64::from(sess.partial_order),
-                ] {
-                    varint::write_u64(&mut out, v);
-                }
-            }
-        }
-        Response::Fetched { files, fingerprint } => {
-            out.push(5);
-            varint::write_u64(&mut out, *fingerprint);
-            varint::write_u64(&mut out, files.len() as u64);
-            for (name, bytes) in files {
-                put_str(&mut out, name);
-                put_bytes(&mut out, bytes);
-            }
-        }
-        Response::Queued => out.push(6),
-        Response::ShuttingDown => out.push(7),
-        Response::Error { message } => {
-            out.push(8);
-            put_str(&mut out, message);
-        }
-        Response::Metrics { text } => {
-            out.push(9);
-            put_str(&mut out, text);
-        }
-        Response::QueryAnswer { cached, payload } => {
-            out.push(10);
-            out.push(u8::from(*cached));
-            put_bytes(&mut out, payload);
-        }
-    }
-    out
+    encode(resp)
 }
 
 /// Parses a response payload. Panic-free; structural damage is
@@ -817,342 +742,133 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
 /// Returns [`QrError::Corrupt`] for unknown tags, truncation or
 /// trailing bytes.
 pub fn decode_response(payload: &[u8]) -> Result<Response> {
-    let mut d = Decoder::new(payload);
-    let resp = match d.byte("response tag")? {
-        0 => Response::Pong,
-        1 => Response::Submitted { id: d.u64("session id")? },
-        2 => Response::Busy { queued: d.u32("queue length")? },
-        3 => {
-            let count = d.u64("job count")?;
-            if count > 1 << 20 {
-                return Err(corrupt(0, format!("implausible job count {count}")));
-            }
-            let mut jobs = Vec::with_capacity(count as usize);
-            for _ in 0..count {
-                let id = d.u64("session id")?;
-                let name = d.string("session name")?;
-                let workload = d.string("workload name")?;
-                let kind = d.string("job kind")?;
-                let state = match d.byte("job state")? {
-                    0 => JobState::Queued,
-                    1 => JobState::Running,
-                    2 => JobState::Done,
-                    3 => JobState::Failed(d.string("failure message")?),
-                    t => return Err(corrupt(d.off as u64 - 1, format!("unknown job state {t}"))),
-                };
-                let fingerprint = d.u64("fingerprint")?;
-                jobs.push(JobInfo { id, name, workload, kind, state, fingerprint });
-            }
-            Response::JobList(jobs)
-        }
-        4 => {
-            let accepted = d.u64("accepted")?;
-            let rejected_busy = d.u64("rejected")?;
-            let completed = d.u64("completed")?;
-            let failed = d.u64("failed")?;
-            let connections = d.u64("connections")?;
-            let shards = d.u32("shards")?;
-            let workers = d.u32("workers")?;
-            let count = d.u64("session count")?;
-            if count > 1 << 20 {
-                return Err(corrupt(0, format!("implausible session count {count}")));
-            }
-            let mut sessions = Vec::with_capacity(count as usize);
-            for _ in 0..count {
-                sessions.push(SessionStats {
-                    id: d.u64("session id")?,
-                    records: d.u64("records")?,
-                    replays: d.u64("replays")?,
-                    verifies: d.u64("verifies")?,
-                    races: d.u64("races")?,
-                    bytes_raw: d.u64("raw bytes")?,
-                    bytes_stored: d.u64("stored bytes")?,
-                    instructions: d.u64("instructions")?,
-                    partial_order: d.u64("order mode")? != 0,
-                });
-            }
-            Response::Stats(StatsReport {
-                accepted,
-                rejected_busy,
-                completed,
-                failed,
-                connections,
-                shards,
-                workers,
-                sessions,
-            })
-        }
-        5 => {
-            let fingerprint = d.u64("fingerprint")?;
-            let count = d.u64("file count")?;
-            if count > 16 {
-                return Err(corrupt(0, format!("implausible file count {count}")));
-            }
-            let mut files = Vec::with_capacity(count as usize);
-            for _ in 0..count {
-                let name = d.string("file name")?;
-                let bytes = d.bytes("file bytes")?;
-                files.push((name, bytes));
-            }
-            Response::Fetched { files, fingerprint }
-        }
-        6 => Response::Queued,
-        7 => Response::ShuttingDown,
-        8 => Response::Error { message: d.string("error message")? },
-        9 => Response::Metrics { text: d.string("metrics text")? },
-        10 => {
-            let cached = match d.byte("cached flag")? {
-                0 => false,
-                1 => true,
-                t => return Err(corrupt(d.off as u64 - 1, format!("unknown cached flag {t}"))),
-            };
-            Response::QueryAnswer { cached, payload: d.bytes("answer payload")? }
-        }
-        t => return Err(corrupt(0, format!("unknown response tag {t}"))),
-    };
-    d.finish()?;
-    Ok(resp)
+    decode(payload)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn all_requests() -> Vec<Request> {
-        vec![
-            Request::Ping,
-            Request::SubmitWorkload {
-                name: "s1".into(),
-                workload: "fft".into(),
-                threads: 4,
-                scale: Scale::Small,
-                encoding: Encoding::Delta,
-                order: OrderMode::TotalOrder,
-            },
-            Request::SubmitWorkload {
-                name: "s1p".into(),
-                workload: "lu".into(),
-                threads: 8,
-                scale: Scale::Test,
-                encoding: Encoding::Packed,
-                order: OrderMode::PartialOrder,
-            },
-            Request::SubmitProgram {
-                name: "s2".into(),
-                source: "MOV r0, 1\nEXIT".into(),
-                cores: 2,
-                encoding: Encoding::Raw,
-                order: OrderMode::TotalOrder,
-            },
-            Request::SubmitProgram {
-                name: "s2p".into(),
-                source: "HALT".into(),
-                cores: 1,
-                encoding: Encoding::Delta,
-                order: OrderMode::PartialOrder,
-            },
-            Request::Jobs,
-            Request::Stats,
-            Request::Fetch { id: 9 },
-            Request::Replay { id: 1 },
-            Request::Verify { id: u64::MAX },
-            Request::Races { id: 3 },
-            Request::Shutdown,
-            Request::Metrics,
-            Request::Query {
-                id: 4,
-                query: ReplayQuery::Range { start: 2, end: 9 },
-                dry_run: false,
-                max_events: 0,
-                replay_id: 0,
-            },
-            Request::Query {
-                id: 5,
-                query: ReplayQuery::ReverseStep { events: 3 },
-                dry_run: true,
-                max_events: 1000,
-                replay_id: 0xDEAD_BEEF,
-            },
-        ]
+    /// The `(request, response)` payloads of `tests/golden/wire/messages.qrw`:
+    /// a sample of every variant, written from the one hand-made list in
+    /// `tests/golden_conformance.rs`. Each record is a direction byte
+    /// (0 = request) and the payload.
+    fn golden() -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
+        let capture = include_bytes!("../../../tests/golden/wire/messages.qrw");
+        let records = frame::read(capture, PayloadKind::Wire, "wire capture").unwrap();
+        let (requests, responses): (Vec<_>, Vec<_>) = records.into_iter().partition(|r| r[0] == 0);
+        let strip = |records: Vec<&[u8]>| records.into_iter().map(|r| r[1..].to_vec()).collect();
+        (strip(requests), strip(responses))
     }
 
-    fn all_responses() -> Vec<Response> {
-        vec![
-            Response::Pong,
-            Response::Submitted { id: 12 },
-            Response::Busy { queued: 7 },
-            Response::JobList(vec![
-                JobInfo {
-                    id: 1,
-                    name: "a".into(),
-                    workload: "fft".into(),
-                    kind: "record".into(),
-                    state: JobState::Done,
-                    fingerprint: 0xFEED,
-                },
-                JobInfo {
-                    id: 2,
-                    name: "b".into(),
-                    workload: "program".into(),
-                    kind: "record".into(),
-                    state: JobState::Failed("boom".into()),
-                    fingerprint: 0,
-                },
-            ]),
-            Response::Stats(StatsReport {
-                accepted: 5,
-                rejected_busy: 1,
-                completed: 4,
-                failed: 1,
-                connections: 9,
-                shards: 4,
-                workers: 2,
-                sessions: vec![SessionStats {
-                    id: 1,
-                    records: 1,
-                    replays: 2,
-                    verifies: 0,
-                    races: 1,
-                    bytes_raw: 4096,
-                    bytes_stored: 1024,
-                    instructions: 1_000_000,
-                    partial_order: true,
-                }],
-            }),
-            Response::Fetched {
-                files: vec![("meta.qrm".into(), vec![1, 2, 3]), ("chunks.qrl".into(), vec![])],
-                fingerprint: 77,
-            },
-            Response::Queued,
-            Response::ShuttingDown,
-            Response::Error { message: "no such session".into() },
-            Response::Metrics {
-                text: "# TYPE qr_server_requests_total counter\nqr_server_requests_total{kind=\"ping\"} 1\n"
-                    .into(),
-            },
-            Response::QueryAnswer { cached: true, payload: vec![0xAB, 0, 7] },
-        ]
-    }
-
-    #[test]
-    fn requests_roundtrip() {
-        for req in all_requests() {
-            assert_eq!(decode_request(&encode_request(&req)).unwrap(), req, "{req:?}");
-        }
-    }
-
-    #[test]
-    fn responses_roundtrip() {
-        for resp in all_responses() {
-            assert_eq!(decode_response(&encode_response(&resp)).unwrap(), resp, "{resp:?}");
-        }
-    }
-
-    #[test]
-    fn stream_roundtrip_over_a_buffer() {
+    /// A clean stream: header, then every golden request.
+    fn golden_stream() -> (Vec<u8>, Vec<Vec<u8>>) {
+        let requests = golden().0;
         let mut wire = Vec::new();
         write_stream_header(&mut wire).unwrap();
-        for req in all_requests() {
-            write_message(&mut wire, &encode_request(&req)).unwrap();
+        for payload in &requests {
+            write_message(&mut wire, payload).unwrap();
         }
-        let mut cursor = std::io::Cursor::new(wire);
-        read_stream_header(&mut cursor).unwrap();
-        let mut seen = Vec::new();
-        while let Some(payload) = read_message(&mut cursor).unwrap() {
-            seen.push(decode_request(&payload).unwrap());
+        (wire, requests)
+    }
+
+    #[test]
+    fn golden_capture_reencodes_exactly_and_covers_every_tag() {
+        // A message added to the schema cannot skip pinning: the fixture
+        // must hold every tag, and every record must survive decode →
+        // encode byte for byte.
+        let (requests, responses) = golden();
+        let mut request_tags = Vec::new();
+        for payload in &requests {
+            let request = decode_request(payload).unwrap();
+            assert_eq!(&encode_request(&request), payload, "{request:?}");
+            assert_eq!(request.label(), Request::KINDS[usize::from(payload[0])]);
+            request_tags.push(request.tag());
         }
-        assert_eq!(seen, all_requests());
-    }
-
-    #[test]
-    fn header_of_wrong_kind_is_rejected() {
-        let mut wire = Vec::new();
-        wire.extend_from_slice(&frame::MAGIC);
-        wire.push(frame::VERSION);
-        wire.push(PayloadKind::ChunkLog.code());
-        let err = read_stream_header(&mut std::io::Cursor::new(wire)).unwrap_err();
-        assert!(err.to_string().contains("chunk log"), "{err}");
-    }
-
-    #[test]
-    fn oversized_length_prefix_is_corrupt_not_oom() {
-        let mut wire = Vec::new();
-        wire.extend_from_slice(&u32::MAX.to_le_bytes());
-        let err = read_message(&mut std::io::Cursor::new(wire)).unwrap_err();
-        assert!(matches!(err, QrError::Corrupt { .. }), "{err}");
-    }
-
-    #[test]
-    fn clean_close_between_messages_is_none() {
-        let empty: &[u8] = &[];
-        assert!(read_message(&mut std::io::Cursor::new(empty)).unwrap().is_none());
-    }
-
-    #[test]
-    fn torn_length_prefix_is_corrupt_not_clean_eof() {
-        // A peer that died after 1-3 prefix bytes must NOT read as a
-        // clean close: that would silently drop the torn message.
-        for cut in 1..4usize {
-            let full = 8u32.to_le_bytes();
-            let err = read_message(&mut std::io::Cursor::new(&full[..cut])).unwrap_err();
-            assert!(matches!(err, QrError::Corrupt { .. }), "cut={cut}: {err}");
-            assert!(err.to_string().contains("truncated message length"), "cut={cut}: {err}");
+        let mut response_tags = Vec::new();
+        for payload in &responses {
+            let response = decode_response(payload).unwrap();
+            assert_eq!(&encode_response(&response), payload, "{response:?}");
+            response_tags.push(response.tag());
+        }
+        let pinned = [(request_tags, Request::KINDS.len()), (response_tags, Response::KINDS.len())];
+        for (mut tags, kinds) in pinned {
+            tags.sort_unstable();
+            tags.dedup();
+            assert_eq!(tags, (0..kinds as u8).collect::<Vec<_>>(), "fixture misses a variant");
         }
     }
 
     #[test]
-    fn assembler_reassembles_byte_at_a_time() {
-        let mut wire = Vec::new();
-        write_stream_header(&mut wire).unwrap();
-        for req in all_requests() {
-            write_message(&mut wire, &encode_request(&req)).unwrap();
+    fn trace_format_section_10_lists_every_message() {
+        let doc = include_str!("../../../docs/TRACE_FORMAT.md");
+        let section = doc.split("\n## 10. Wire protocol").nth(1).expect("§10");
+        let section = section.split("\n## ").next().expect("§10 body");
+        let requests = section.split("\n### Requests").nth(1).expect("request table");
+        let (requests, responses) = requests.split_once("\n### Responses").expect("response table");
+        for (table, kinds) in [(requests, &Request::KINDS[..]), (responses, &Response::KINDS[..])] {
+            for (tag, label) in kinds.iter().enumerate() {
+                let row = format!("\n| {tag} | `{label}` |");
+                assert!(table.contains(&row), "§10 lacks {tag} `{label}`");
+            }
         }
-        let mut asm = MessageAssembler::new();
-        let mut payloads = Vec::new();
-        for &b in &wire {
-            asm.feed(&[b], &mut payloads).unwrap();
-        }
-        assert!(asm.header_done());
-        assert!(asm.at_message_boundary(), "stream ends exactly between messages");
-        let seen: Vec<Request> =
-            payloads.iter().map(|p| decode_request(p).unwrap()).collect();
-        assert_eq!(seen, all_requests());
     }
 
     #[test]
-    fn assembler_flags_torn_tails_and_bad_streams() {
-        // Torn mid-message: not at a boundary, no payload surfaced.
-        let mut wire = Vec::new();
-        write_stream_header(&mut wire).unwrap();
-        write_message(&mut wire, &encode_request(&Request::Ping)).unwrap();
-        wire.truncate(wire.len() - 3);
-        let mut asm = MessageAssembler::new();
-        let mut payloads = Vec::new();
-        asm.feed(&wire, &mut payloads).unwrap();
-        assert!(payloads.is_empty());
-        assert!(!asm.at_message_boundary());
-
-        // Wrong magic in the stream header poisons the stream.
-        let mut asm = MessageAssembler::new();
-        let err = asm.feed(b"XXXXXX", &mut Vec::new()).unwrap_err();
-        assert!(err.to_string().contains("bad stream magic"), "{err}");
-
-        // A flipped payload byte fails the CRC.
-        let mut wire = Vec::new();
-        write_stream_header(&mut wire).unwrap();
-        write_message(&mut wire, &encode_request(&Request::Ping)).unwrap();
-        let corrupt_at = frame::HEADER_LEN + 4;
-        wire[corrupt_at] ^= 0xff;
-        let mut asm = MessageAssembler::new();
-        let err = asm.feed(&wire, &mut Vec::new()).unwrap_err();
-        assert!(err.to_string().contains("checksum"), "{err}");
+    fn truncated_payloads_never_decode_to_something_else() {
+        // A proper prefix either fails or is itself a canonical message
+        // (a partial-order submit minus its trailing byte is the
+        // total-order one).
+        let (requests, responses) = golden();
+        for payload in &requests {
+            for cut in 0..payload.len() {
+                if let Ok(request) = decode_request(&payload[..cut]) {
+                    assert_eq!(encode_request(&request), payload[..cut], "{request:?}");
+                }
+            }
+        }
+        for payload in &responses {
+            for cut in 0..payload.len() {
+                assert!(decode_response(&payload[..cut]).is_err(), "cut {cut} of {payload:?}");
+            }
+        }
     }
 
     #[test]
-    fn trailing_bytes_are_rejected() {
-        let mut payload = encode_request(&Request::Ping);
-        payload.push(0);
-        assert!(decode_request(&payload).is_err());
+    fn every_decode_check_trips() {
+        let req = |bytes: &[u8]| decode_request(bytes).unwrap_err().to_string();
+        let resp = |bytes: &[u8]| decode_response(bytes).unwrap_err().to_string();
+        let cases = [
+            (req(&[200]), "unknown request tag 200"),
+            (resp(&[200]), "unknown response tag 200"),
+            (req(&[]), "need 1 bytes, 0 remain"),
+            (req(&[5]), "id: "),
+            (req(&[0, 0]), "1 trailing bytes"),
+            (resp(&[8, 2, 0xff, 0xfe]), "message: not utf-8"),
+            (resp(&[8, 9, b'x']), "need 9 bytes, 1 remain"),
+            (resp(&[2, 0x80, 0x80, 0x80, 0x80, 0x10]), "queued: 4294967296 is out of range"),
+            (req(&[1, 0, 0, 1, 9, 0]), "scale: unknown scale tag 9"),
+            (req(&[1, 0, 0, 1, 0, 9]), "encoding: unknown encoding tag 9"),
+            (req(&[1, 0, 0, 1, 0, 0, 7]), "order: unknown order mode 7"),
+            (req(&[11, 0, 2, 4, 1, 9, 0, 0]), "dry_run: unknown flag byte 9"),
+            (resp(&[10, 2, 0]), "cached: unknown flag byte 2"),
+            (resp(&[3, 1, 0, 0, 0, 0, 9, 0]), "state: unknown job state tag 9"),
+            // STATS: 7 globals, one session whose ninth field is not 0/1
+            // (the parent read it as `varint != 0`).
+            (resp(&[4, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 2]), "partial_order: unknown flag byte 2"),
+            // List bounds: 2^20 jobs/sessions, 16 files...
+            (resp(&[3, 0x81, 0x80, 0x40]), "implausible count 1048577 (max 1048576)"),
+            (resp(&[4, 0, 0, 0, 0, 0, 0, 0, 0x81, 0x80, 0x40]), "implausible count 1048577 (max 1048576)"),
+            (resp(&[5, 0, 17]), "implausible count 17 (max 16)"),
+            // ...and never more elements than the payload could hold, so
+            // a 4-byte reply cannot reserve 2^20 rows.
+            (resp(&[3, 0x80, 0x80, 0x40]), "jobs: implausible count 1048576: 0 bytes remain"),
+            (resp(&[4, 0, 0, 0, 0, 0, 0, 0, 0x80, 0x80, 0x40]), "implausible count 1048576: 0 bytes remain"),
+            (resp(&[5, 0, 16, 0, 0]), "implausible count 16: 2 bytes remain"),
+        ];
+        for (error, want) in cases {
+            assert!(error.contains(want), "`{error}` does not name `{want}`");
+        }
     }
 
     #[test]
@@ -1160,29 +876,85 @@ mod tests {
         // The order field must be invisible on the wire for the default
         // mode (old servers and pinned golden requests keep working),
         // and exactly one byte for partial order.
-        let total = Request::SubmitProgram {
+        let submit = |order| Request::SubmitProgram {
             name: "s".into(),
             source: "HALT".into(),
             cores: 1,
             encoding: Encoding::Raw,
-            order: OrderMode::TotalOrder,
+            order,
         };
-        let partial = Request::SubmitProgram {
-            name: "s".into(),
-            source: "HALT".into(),
-            cores: 1,
-            encoding: Encoding::Raw,
-            order: OrderMode::PartialOrder,
-        };
-        let total_bytes = encode_request(&total);
-        let partial_bytes = encode_request(&partial);
-        assert_eq!(partial_bytes.len(), total_bytes.len() + 1);
-        assert_eq!(&partial_bytes[..total_bytes.len()], &total_bytes[..]);
-        assert_eq!(decode_request(&total_bytes).unwrap(), total);
-        assert_eq!(decode_request(&partial_bytes).unwrap(), partial);
-        // An unknown trailing order byte is corrupt, not ignored.
-        let mut bad = total_bytes.clone();
-        bad.push(7);
-        assert!(decode_request(&bad).is_err());
+        let total_bytes = encode_request(&submit(OrderMode::TotalOrder));
+        let partial_bytes = encode_request(&submit(OrderMode::PartialOrder));
+        assert_eq!(partial_bytes, [total_bytes.as_slice(), &[1]].concat());
+        assert_eq!(decode_request(&total_bytes).unwrap(), submit(OrderMode::TotalOrder));
+        assert_eq!(decode_request(&partial_bytes).unwrap(), submit(OrderMode::PartialOrder));
+        // An explicit 0 is accepted on read, never written.
+        let explicit = [total_bytes.as_slice(), &[0]].concat();
+        assert_eq!(decode_request(&explicit).unwrap(), submit(OrderMode::TotalOrder));
+    }
+
+    #[test]
+    fn assembler_reassembles_whole_and_byte_at_a_time() {
+        let (wire, requests) = golden_stream();
+        for step in [1, 7, wire.len()] {
+            let mut asm = MessageAssembler::new();
+            let mut payloads = Vec::new();
+            for piece in wire.chunks(step) {
+                asm.feed(piece, &mut payloads).unwrap();
+            }
+            assert!(asm.header_done());
+            assert!(asm.at_message_boundary(), "stream ends exactly between messages");
+            assert_eq!(payloads, requests, "step {step}");
+        }
+    }
+
+    #[test]
+    fn assembler_tells_clean_closes_from_torn_streams() {
+        // A close is clean only exactly between messages: not inside the
+        // stream header, not 1-3 bytes into a length prefix (that would
+        // silently drop the torn message), not inside a body or trailer.
+        let (wire, requests) = golden_stream();
+        let first_end = frame::HEADER_LEN + requests[0].len() + frame::RECORD_OVERHEAD;
+        for cut in 0..first_end + 6 {
+            let mut asm = MessageAssembler::new();
+            let mut payloads = Vec::new();
+            asm.feed(&wire[..cut], &mut payloads).unwrap();
+            let clean = cut == frame::HEADER_LEN || cut == first_end;
+            assert_eq!(asm.at_message_boundary(), clean, "cut {cut}");
+            assert_eq!(payloads.len(), usize::from(cut >= first_end), "cut {cut}");
+        }
+    }
+
+    #[test]
+    fn assembler_poisons_bad_streams() {
+        let feed = |wire: &[u8]| MessageAssembler::new().feed(wire, &mut Vec::new()).unwrap_err();
+        let (clean, _) = golden_stream();
+
+        let err = feed(b"XXXXXX");
+        assert!(err.to_string().contains("bad-magic"), "{err}");
+
+        let mut future = clean.clone();
+        future[4] = frame::VERSION + 1;
+        let err = feed(&future);
+        assert!(err.to_string().contains("bad-version (found v2"), "{err}");
+
+        let mut wrong_kind = clean.clone();
+        wrong_kind[5] = PayloadKind::ChunkLog.code();
+        let err = feed(&wrong_kind);
+        assert!(err.to_string().contains("chunk log"), "{err}");
+
+        // A hostile length prefix is refused from its four bytes alone,
+        // before anything is buffered for it.
+        let mut oversized = clean[..frame::HEADER_LEN].to_vec();
+        oversized.extend_from_slice(&u32::MAX.to_le_bytes());
+        let err = feed(&oversized);
+        assert!(matches!(err, QrError::Corrupt { .. }), "{err}");
+        assert!(err.to_string().contains("exceeds the wire limit"), "{err}");
+
+        // A flipped payload byte fails the CRC.
+        let mut flipped = clean;
+        flipped[frame::HEADER_LEN + 4] ^= 0xff;
+        let err = feed(&flipped);
+        assert!(err.to_string().contains("checksum"), "{err}");
     }
 }

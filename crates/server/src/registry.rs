@@ -10,8 +10,12 @@
 use crate::proto::{JobInfo, JobState, SessionStats};
 use qr_workloads::Scale;
 use quickrec_core::{Encoding, OrderMode};
-use std::collections::HashMap;
-use std::sync::Mutex;
+use std::collections::{HashMap, VecDeque};
+use std::sync::{Arc, Mutex};
+
+/// QUERY answers remembered per session for idempotent retries; past
+/// it the oldest is evicted and a late retry simply re-executes.
+pub const QUERY_CACHE_CAP: usize = 16;
 
 /// What a session records (enough to rebuild its program for replay
 /// jobs).
@@ -45,6 +49,27 @@ impl SessionSource {
     }
 }
 
+/// What a session's current/last job does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum JobKind {
+    Record,
+    Replay,
+    Verify,
+    Races,
+}
+
+impl JobKind {
+    /// The `kind` column of a JOBS row.
+    fn label(self) -> &'static str {
+        match self {
+            JobKind::Record => "record",
+            JobKind::Replay => "replay",
+            JobKind::Verify => "verify",
+            JobKind::Races => "races",
+        }
+    }
+}
+
 /// One session's registry record.
 #[derive(Debug, Clone)]
 pub struct Session {
@@ -59,8 +84,8 @@ pub struct Session {
     /// Ordering mode the recording job runs under (partial-order jobs
     /// persist an `order.qrp` sidecar alongside the logs).
     pub order: OrderMode,
-    /// Current/last job kind (`record`, `replay`, `verify`, `races`).
-    pub kind: String,
+    /// Current/last job kind.
+    pub(crate) kind: JobKind,
     /// Job lifecycle state.
     pub state: JobState,
     /// Outcome fingerprint (0 until recorded).
@@ -69,10 +94,12 @@ pub struct Session {
     pub store_id: u64,
     /// Per-session operation counters.
     pub stats: SessionStats,
-    /// Idempotence cache for QUERY: replay id → serialized answer. A
-    /// repeated non-zero replay id is served from here without
-    /// re-executing.
-    pub query_cache: HashMap<u64, Vec<u8>>,
+    /// Idempotence cache for QUERY: `(replay id, serialized answer)`,
+    /// oldest first, at most [`QUERY_CACHE_CAP`]. A repeated non-zero
+    /// replay id is served from here without re-executing. Answers sit
+    /// behind an `Arc` so the snapshots [`Registry::get`] clones for
+    /// every FETCH and job share them instead of copying them.
+    pub query_cache: VecDeque<(u64, Arc<[u8]>)>,
 }
 
 /// Sharded id → [`Session`] map.
@@ -144,7 +171,7 @@ impl Registry {
                     OrderMode::PartialOrder => format!("{}+po", s.source.label()),
                     OrderMode::TotalOrder => s.source.label(),
                 },
-                kind: s.kind.clone(),
+                kind: s.kind.label().to_string(),
                 state: s.state.clone(),
                 fingerprint: s.fingerprint,
             }));
@@ -184,12 +211,12 @@ mod tests {
             },
             encoding: Encoding::Delta,
             order: OrderMode::TotalOrder,
-            kind: "record".into(),
+            kind: JobKind::Record,
             state: JobState::Queued,
             fingerprint: 0,
             store_id: 0,
             stats: SessionStats::default(),
-            query_cache: HashMap::new(),
+            query_cache: VecDeque::new(),
         }
     }
 

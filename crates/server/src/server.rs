@@ -21,7 +21,7 @@ use crate::pool::WorkerPool;
 use crate::proto::{
     self, Endpoint, JobState, Request, Response, SessionStats, StatsReport,
 };
-use crate::registry::{Registry, Session, SessionSource};
+use crate::registry::{JobKind, Registry, Session, SessionSource, QUERY_CACHE_CAP};
 use qr_capo::{record, Recording, RecordingConfig};
 use qr_common::{QrError, Result};
 use qr_isa::Program;
@@ -39,10 +39,8 @@ use std::time::Duration;
 /// Tunables for one server instance.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker-pool threads executing jobs.
+    /// Worker-pool threads executing jobs (and session-registry shards).
     pub workers: usize,
-    /// Registry shards (defaults to the worker count).
-    pub shards: usize,
     /// Bounded job-queue capacity; a full queue answers `Busy`.
     pub queue_capacity: usize,
     /// Recording-store root directory.
@@ -55,12 +53,10 @@ pub struct ServerConfig {
 }
 
 impl ServerConfig {
-    /// A config with `workers` workers and matching shard count,
-    /// storing under `store_root`.
+    /// A config with `workers` workers, storing under `store_root`.
     pub fn new(workers: usize, store_root: PathBuf) -> ServerConfig {
         ServerConfig {
             workers,
-            shards: workers,
             queue_capacity: 64,
             store_root,
             event_workers: 2,
@@ -118,7 +114,7 @@ impl Server {
             QrError::Execution { detail: format!("creating event-worker wake pipes: {e}") }
         })?;
         let shared = Arc::new(Shared {
-            registry: Registry::new(cfg.shards.max(1)),
+            registry: Registry::new(cfg.workers),
             store,
             counters: Counters::default(),
             shutdown: AtomicBool::new(false),
@@ -287,14 +283,18 @@ impl Listener {
 /// single nonblocking write of the stream header plus a framed `Busy`,
 /// then the connection drops. The peer sees a structured refusal, not
 /// a silent hangup.
-fn refuse_overloaded(mut stream: Box<dyn NbStream>, queued: usize) {
+fn refuse_overloaded(mut stream: Box<dyn NbStream>, busy: &Response) {
     let mut bytes = Vec::with_capacity(32);
     let _ = proto::write_stream_header(&mut bytes);
-    let _ = proto::write_message(
-        &mut bytes,
-        &proto::encode_response(&Response::Busy { queued: queued as u32 }),
-    );
+    let _ = proto::write_message(&mut bytes, &proto::encode_response(busy));
     let _ = stream.write(&bytes);
+}
+
+/// Counts one backpressure refusal and builds its `Busy` answer.
+pub(crate) fn busy(shared: &Shared, queued: usize) -> Response {
+    shared.counters.rejected_busy.fetch_add(1, Ordering::SeqCst);
+    crate::obs::busy_rejection();
+    Response::Busy { queued: queued as u32 }
 }
 
 fn accept_loop(listener: &Listener, shared: &Arc<Shared>, pool: &Arc<WorkerPool>) {
@@ -310,9 +310,7 @@ fn accept_loop(listener: &Listener, shared: &Arc<Shared>, pool: &Arc<WorkerPool>
                 // Busy instead of dropping silently. The open gauge is
                 // never incremented on this path, so it stays balanced.
                 if shared.open_connections.load(Ordering::SeqCst) >= shared.max_connections {
-                    shared.counters.rejected_busy.fetch_add(1, Ordering::SeqCst);
-                    crate::obs::busy_rejection();
-                    refuse_overloaded(stream, pool.queued());
+                    refuse_overloaded(stream, &busy(shared, pool.queued()));
                     continue;
                 }
                 shared.open_connections.fetch_add(1, Ordering::SeqCst);
@@ -383,9 +381,9 @@ pub(crate) fn handle_request(
             },
             Err(resp) => resp,
         },
-        Request::Replay { id } => submit_followup(shared, pool, id, "replay"),
-        Request::Verify { id } => submit_followup(shared, pool, id, "verify"),
-        Request::Races { id } => submit_followup(shared, pool, id, "races"),
+        Request::Replay { id } => submit_followup(shared, pool, id, JobKind::Replay),
+        Request::Verify { id } => submit_followup(shared, pool, id, JobKind::Verify),
+        Request::Races { id } => submit_followup(shared, pool, id, JobKind::Races),
         Request::Shutdown => Response::ShuttingDown,
         Request::Metrics => Response::Metrics { text: qr_obs::global().render() },
         Request::Query { id, query, dry_run, max_events, replay_id } => {
@@ -418,9 +416,10 @@ fn handle_query(
     // touching the store or re-executing anything. Dry runs execute
     // nothing, so they neither consult nor populate the cache.
     if !dry_run && replay_id != 0 {
-        if let Some(payload) = session.query_cache.get(&replay_id) {
+        let hit = session.query_cache.iter().find(|(key, _)| *key == replay_id);
+        if let Some((_, payload)) = hit {
             crate::obs::query_answered(true);
-            return Response::QueryAnswer { cached: true, payload: payload.clone() };
+            return Response::QueryAnswer { cached: true, payload: payload.to_vec() };
         }
     }
     let outcome = (|| -> Result<Vec<u8>> {
@@ -442,8 +441,13 @@ fn handle_query(
     match outcome {
         Ok(payload) => {
             if !dry_run && replay_id != 0 {
+                // Bounded: past the cap the oldest answer goes, and a
+                // late retry of it simply re-executes.
                 shared.registry.update(id, |s| {
-                    s.query_cache.insert(replay_id, payload.clone());
+                    s.query_cache.push_back((replay_id, payload.as_slice().into()));
+                    if s.query_cache.len() > QUERY_CACHE_CAP {
+                        s.query_cache.pop_front();
+                    }
                 });
             }
             crate::obs::query_answered(false);
@@ -482,15 +486,16 @@ fn submit_record(
         source,
         encoding,
         order,
-        kind: "record".into(),
+        kind: JobKind::Record,
         state: JobState::Queued,
         fingerprint: 0,
         store_id: 0,
         stats: SessionStats::default(),
-        query_cache: std::collections::HashMap::new(),
+        query_cache: std::collections::VecDeque::new(),
     });
     let task_shared = Arc::clone(shared);
-    let submitted = pool.try_submit(Box::new(move || run_record_job(&task_shared, id)));
+    let submitted =
+        pool.try_submit(Box::new(move || run_job(&task_shared, id, JobKind::Record)));
     match submitted {
         Ok(()) => {
             shared.counters.accepted.fetch_add(1, Ordering::SeqCst);
@@ -498,9 +503,7 @@ fn submit_record(
         }
         Err((_task, queued)) => {
             shared.registry.remove(id);
-            shared.counters.rejected_busy.fetch_add(1, Ordering::SeqCst);
-            crate::obs::busy_rejection();
-            Response::Busy { queued: queued as u32 }
+            busy(shared, queued)
         }
     }
 }
@@ -509,7 +512,7 @@ fn submit_followup(
     shared: &Arc<Shared>,
     pool: &Arc<WorkerPool>,
     id: u64,
-    kind: &'static str,
+    kind: JobKind,
 ) -> Response {
     let session = match completed_session(shared, id) {
         Ok(session) => session,
@@ -520,23 +523,20 @@ fn submit_followup(
     }
     // Mark the session queued *before* the worker can pick the job up.
     shared.registry.update(id, |s| {
-        s.kind = kind.into();
+        s.kind = kind;
         s.state = JobState::Queued;
     });
     let task_shared = Arc::clone(shared);
-    let submitted =
-        pool.try_submit(Box::new(move || run_followup_job(&task_shared, id, kind)));
+    let submitted = pool.try_submit(Box::new(move || run_job(&task_shared, id, kind)));
     match submitted {
         Ok(()) => Response::Queued,
         Err((_task, queued)) => {
             // Rejected: restore the session's pre-submission state.
             shared.registry.update(id, |s| {
-                s.kind = session.kind.clone();
+                s.kind = session.kind;
                 s.state = session.state.clone();
             });
-            shared.counters.rejected_busy.fetch_add(1, Ordering::SeqCst);
-            crate::obs::busy_rejection();
-            Response::Busy { queued: queued as u32 }
+            busy(shared, queued)
         }
     }
 }
@@ -559,63 +559,28 @@ fn build_program(source: &SessionSource) -> Result<(Program, usize)> {
     }
 }
 
-fn run_record_job(shared: &Arc<Shared>, id: u64) {
+/// Runs one pool job to completion and folds its outcome — the
+/// instructions it simulated, or its error — into the session and the
+/// server counters.
+fn run_job(shared: &Arc<Shared>, id: u64, kind: JobKind) {
     shared.registry.update(id, |s| s.state = JobState::Running);
     let Some(session) = shared.registry.get(id) else { return };
-    let outcome = (|| -> Result<(u64, u64, u64, u64, u64)> {
-        let (program, cores) = build_program(&session.source)?;
-        let mut cfg = RecordingConfig::with_cores(cores);
-        cfg.order = session.order;
-        let recording = record(program.clone(), cfg)?;
-        if let SessionSource::Workload { workload, threads, scale } = &session.source {
-            // Suite workloads are self-validating: exit code == the
-            // sequential mirror's checksum.
-            if let Some(spec) = qr_workloads::find(workload) {
-                let expected = (spec.expected)(*threads as usize, *scale);
-                if recording.exit_code != expected {
-                    return Err(QrError::Execution {
-                        detail: format!(
-                            "{workload}: recorded checksum {:#x} != expected {expected:#x}",
-                            recording.exit_code
-                        ),
-                    });
-                }
-            }
-        }
-        let mut parts = recording.to_parts(session.encoding);
-        // Persist the time-travel seek index next to the logs. A failed
-        // build degrades to an index-less recording: queries still work,
-        // every seek just replays from scratch.
-        if let Ok(index) =
-            qr_replay::CheckpointIndex::build(&program, &recording, CHECKPOINT_INTERVAL)
-        {
-            parts.attach_checkpoints(index.to_bytes())?;
-        }
-        let store_id = shared.store.put_parts(
-            &session.name,
-            &parts,
-            session.encoding,
-            recording.fingerprint,
-        )?;
-        let manifest = shared.store.manifest(store_id)?;
-        Ok((
-            store_id,
-            recording.fingerprint,
-            manifest.uncompressed_bytes(),
-            manifest.compressed_bytes(),
-            recording.instructions,
-        ))
-    })();
+    let outcome = match kind {
+        JobKind::Record => record_job(shared, &session),
+        JobKind::Replay | JobKind::Races => replay_job(shared, &session, kind),
+        JobKind::Verify => verify_job(shared, &session).map(|()| 0),
+    };
     match outcome {
-        Ok((store_id, fingerprint, raw, stored, instructions)) => {
+        Ok(instructions) => {
             shared.registry.update(id, |s| {
                 s.state = JobState::Done;
-                s.store_id = store_id;
-                s.fingerprint = fingerprint;
-                s.stats.records += 1;
-                s.stats.bytes_raw = raw;
-                s.stats.bytes_stored = stored;
                 s.stats.instructions += instructions;
+                *match kind {
+                    JobKind::Record => &mut s.stats.records,
+                    JobKind::Replay => &mut s.stats.replays,
+                    JobKind::Verify => &mut s.stats.verifies,
+                    JobKind::Races => &mut s.stats.races,
+                } += 1;
             });
             shared.counters.completed.fetch_add(1, Ordering::SeqCst);
         }
@@ -626,64 +591,76 @@ fn run_record_job(shared: &Arc<Shared>, id: u64) {
     }
 }
 
-fn run_followup_job(shared: &Arc<Shared>, id: u64, kind: &'static str) {
-    shared.registry.update(id, |s| s.state = JobState::Running);
-    let Some(session) = shared.registry.get(id) else { return };
-    let outcome = (|| -> Result<u64> {
-        match kind {
-            "verify" => {
-                let report = shared.store.verify(session.store_id)?;
-                if !report.all_ok() {
-                    let first = report
-                        .files
-                        .iter()
-                        .find_map(|f| f.error.as_ref())
-                        .map_or_else(|| "unknown fault".to_string(), |e| e.to_string());
-                    return Err(QrError::Execution {
-                        detail: format!("store entry failed verification: {first}"),
-                    });
-                }
-                Ok(0)
+/// RECORD: simulate, commit the recording to the store and point the
+/// session at the entry.
+fn record_job(shared: &Shared, session: &Session) -> Result<u64> {
+    let (program, cores) = build_program(&session.source)?;
+    let mut cfg = RecordingConfig::with_cores(cores);
+    cfg.order = session.order;
+    let recording = record(program.clone(), cfg)?;
+    if let SessionSource::Workload { workload, threads, scale } = &session.source {
+        // Suite workloads are self-validating: exit code == the
+        // sequential mirror's checksum.
+        if let Some(spec) = qr_workloads::find(workload) {
+            let expected = (spec.expected)(*threads as usize, *scale);
+            if recording.exit_code != expected {
+                return Err(QrError::Execution {
+                    detail: format!(
+                        "{workload}: recorded checksum {:#x} != expected {expected:#x}",
+                        recording.exit_code
+                    ),
+                });
             }
-            "replay" => {
-                let (program, _) = build_program(&session.source)?;
-                let recording = shared.store.fetch(session.store_id)?;
-                // Partial-order recordings replay under their recorded
-                // happens-before edges; total-order ones by timestamp.
-                let outcome = if recording.order.is_some() {
-                    qr_replay::replay_ordered_and_verify(&program, &recording, 1)?
-                } else {
-                    qr_replay::replay_and_verify(&program, &recording)?
-                };
-                Ok(outcome.instructions)
-            }
-            "races" => {
-                let (program, _) = build_program(&session.source)?;
-                let recording = shared.store.fetch(session.store_id)?;
-                let (outcome, _report) =
-                    qr_replay::replay_with_race_detection(&program, &recording)?;
-                Ok(outcome.instructions)
-            }
-            other => Err(QrError::Execution { detail: format!("unknown job kind `{other}`") }),
-        }
-    })();
-    match outcome {
-        Ok(instructions) => {
-            shared.registry.update(id, |s| {
-                s.state = JobState::Done;
-                match kind {
-                    "replay" => s.stats.replays += 1,
-                    "verify" => s.stats.verifies += 1,
-                    "races" => s.stats.races += 1,
-                    _ => {}
-                }
-                s.stats.instructions += instructions;
-            });
-            shared.counters.completed.fetch_add(1, Ordering::SeqCst);
-        }
-        Err(e) => {
-            shared.registry.update(id, |s| s.state = JobState::Failed(e.to_string()));
-            shared.counters.failed.fetch_add(1, Ordering::SeqCst);
         }
     }
+    let mut parts = recording.to_parts(session.encoding);
+    // Persist the time-travel seek index next to the logs. A failed
+    // build degrades to an index-less recording: queries still work,
+    // every seek just replays from scratch.
+    if let Ok(index) = qr_replay::CheckpointIndex::build(&program, &recording, CHECKPOINT_INTERVAL)
+    {
+        parts.attach_checkpoints(index.to_bytes())?;
+    }
+    let store_id =
+        shared.store.put_parts(&session.name, &parts, session.encoding, recording.fingerprint)?;
+    let manifest = shared.store.manifest(store_id)?;
+    shared.registry.update(session.id, |s| {
+        s.store_id = store_id;
+        s.fingerprint = recording.fingerprint;
+        s.stats.bytes_raw = manifest.uncompressed_bytes();
+        s.stats.bytes_stored = manifest.compressed_bytes();
+    });
+    Ok(recording.instructions)
+}
+
+fn verify_job(shared: &Shared, session: &Session) -> Result<()> {
+    let report = shared.store.verify(session.store_id)?;
+    if !report.all_ok() {
+        let first = report
+            .files
+            .iter()
+            .find_map(|f| f.error.as_ref())
+            .map_or_else(|| "unknown fault".to_string(), |e| e.to_string());
+        return Err(QrError::Execution {
+            detail: format!("store entry failed verification: {first}"),
+        });
+    }
+    Ok(())
+}
+
+/// REPLAY and RACES: re-execute the stored recording and check it
+/// against its recorded outcome; returns the instructions replayed.
+fn replay_job(shared: &Shared, session: &Session, kind: JobKind) -> Result<u64> {
+    let (program, _) = build_program(&session.source)?;
+    let recording = shared.store.fetch(session.store_id)?;
+    let outcome = if kind == JobKind::Races {
+        qr_replay::replay_with_race_detection(&program, &recording)?.0
+    } else if recording.order.is_some() {
+        // Partial-order recordings replay under their recorded
+        // happens-before edges; total-order ones by timestamp.
+        qr_replay::replay_ordered_and_verify(&program, &recording, 1)?
+    } else {
+        qr_replay::replay_and_verify(&program, &recording)?
+    };
+    Ok(outcome.instructions)
 }

@@ -25,7 +25,6 @@ fn start(dir: &std::path::Path, workers: usize, queue: usize) -> qr_server::Serv
     let endpoint = Endpoint::Unix(dir.join("qd.sock"));
     let config = ServerConfig {
         workers,
-        shards: workers,
         queue_capacity: queue,
         store_root: dir.join("store"),
         event_workers: 2,

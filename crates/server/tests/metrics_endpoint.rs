@@ -21,7 +21,6 @@ fn start(dir: &std::path::Path) -> qr_server::ServerHandle {
     let endpoint = Endpoint::Unix(dir.join("qd.sock"));
     let config = ServerConfig {
         workers: 2,
-        shards: 2,
         queue_capacity: 8,
         store_root: dir.join("store"),
         event_workers: 2,

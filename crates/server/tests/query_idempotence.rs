@@ -1,10 +1,12 @@
 //! The QUERY wire request: recordings made by the daemon carry a
 //! persisted `checkpoints.qrc` seek index, queries answer over the
-//! wire, and a repeated replay id is served from the idempotence cache
-//! without re-executing — observable through the server's metrics.
+//! wire, and a repeated replay id is served from the (bounded)
+//! idempotence cache without re-executing — observable through the
+//! server's metrics.
 
 use qr_replay::{QueryPlan, QueryResult, ReplayQuery};
 use qr_server::proto::{Endpoint, JobState, Request, Response};
+use qr_server::registry::QUERY_CACHE_CAP;
 use qr_server::{Client, Server, ServerConfig};
 use qr_workloads::Scale;
 use quickrec_core::{Encoding, OrderMode};
@@ -23,7 +25,6 @@ fn start(dir: &std::path::Path) -> qr_server::ServerHandle {
     let config =
         ServerConfig {
             workers: 2,
-            shards: 2,
             queue_capacity: 8,
             store_root: dir.join("store"),
             event_workers: 2,
@@ -110,6 +111,26 @@ fn repeated_replay_ids_answer_from_the_cache_without_reexecuting() {
         .query(id, ReplayQuery::BeforeDivergence { instructions: 16 }, false, 0, 43)
         .expect("other query");
     assert!(!cached);
+
+    // The cache is bounded: one id more than it holds pushes out the
+    // oldest. The newest still hits; the evicted one re-executes — to
+    // the same bytes, since an answer is a function of the recording.
+    let ids: Vec<u64> = (0..=QUERY_CACHE_CAP as u64).map(|i| 1000 + i).collect();
+    let answers: Vec<Vec<u8>> = ids
+        .iter()
+        .map(|&replay_id| {
+            let (cached, payload) = client.query(id, query, false, 0, replay_id).expect("query");
+            assert!(!cached, "replay id {replay_id} is new");
+            payload
+        })
+        .collect();
+    let (newest, oldest) = (ids[QUERY_CACHE_CAP], ids[0]);
+    let (cached, payload) = client.query(id, query, false, 0, newest).expect("newest id");
+    assert!(cached, "the most recent replay id must still be cached");
+    assert_eq!(payload, answers[QUERY_CACHE_CAP]);
+    let (cached, payload) = client.query(id, query, false, 0, oldest).expect("evicted id");
+    assert!(!cached, "replay id {oldest} should have been evicted by {QUERY_CACHE_CAP} newer ones");
+    assert_eq!(payload, answers[0], "re-execution reproduces the evicted answer");
 
     // The safety limit and unknown sessions are structured errors.
     let err = client.query(id, query, false, 1, 0).expect_err("over max-events");

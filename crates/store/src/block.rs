@@ -1,4 +1,4 @@
-//! Block-compressed log container with a random-access index.
+//! Block-compressed log container with a per-block index.
 //!
 //! A compressed log is a framed container ([`PayloadKind::CompressedLog`])
 //! whose record 0 is the **block index** and whose remaining records are
@@ -16,8 +16,8 @@
 //! decoder divergence on the *uncompressed* bytes, and the layer above
 //! (the recording log decoders) re-checks everything semantically. A
 //! block whose frame record is intact decompresses independently of its
-//! neighbours, which is what gives [`read_range`] random access and
-//! [`salvage`] its longest-valid-prefix guarantee.
+//! neighbours, which is what gives [`salvage`] its longest-valid-prefix
+//! guarantee.
 
 use crate::lz;
 use qr_common::frame::{self, PayloadKind};
@@ -59,29 +59,6 @@ pub struct BlockIndex {
     pub total_len: u64,
     /// Per-block metadata, in order.
     pub blocks: Vec<BlockEntry>,
-}
-
-impl BlockIndex {
-    /// Which blocks cover the byte range `[start, start + len)`, along
-    /// with the range's offset inside the first covering block.
-    fn covering(&self, start: u64, len: u64) -> Result<(usize, usize, usize)> {
-        let end = start.checked_add(len).filter(|&e| e <= self.total_len).ok_or_else(|| {
-            QrError::Corrupt {
-                what: "compressed log".into(),
-                offset: 0,
-                detail: format!(
-                    "range {start}+{len} outside the {}-byte log",
-                    self.total_len
-                ),
-            }
-        })?;
-        if self.block_size == 0 {
-            return Ok((0, 0, 0));
-        }
-        let first = (start / self.block_size) as usize;
-        let last = if end == start { first } else { ((end - 1) / self.block_size) as usize };
-        Ok((first, last, (start % self.block_size) as usize))
-    }
 }
 
 fn corrupt(offset: u64, detail: String) -> QrError {
@@ -272,32 +249,6 @@ pub fn decompress(buf: &[u8]) -> Result<Vec<u8>> {
     Ok(out)
 }
 
-/// Random access: decompresses only the blocks covering
-/// `[start, start + len)` and returns those bytes plus the number of
-/// blocks actually decompressed (the cost metric checkpointed replay
-/// cares about).
-///
-/// # Errors
-///
-/// Returns [`QrError::Corrupt`] for container damage or an
-/// out-of-bounds range.
-pub fn read_range(buf: &[u8], start: u64, len: u64) -> Result<(Vec<u8>, usize)> {
-    let (index, blocks) = read_container(buf)?;
-    let (first, last, skip) = index.covering(start, len)?;
-    let mut out = Vec::with_capacity(len as usize);
-    let mut touched = 0usize;
-    if len > 0 {
-        let covering = index.blocks.iter().zip(&blocks).enumerate();
-        for (i, (entry, rec)) in covering.take(last + 1).skip(first) {
-            out.extend_from_slice(&decompress_block(rec, entry, i)?);
-            touched += 1;
-        }
-        out.drain(..skip);
-        out.truncate(len as usize);
-    }
-    Ok((out, touched))
-}
-
 /// What [`salvage`] recovered from a damaged container.
 #[derive(Debug, Clone)]
 pub struct BlockSalvage {
@@ -412,31 +363,6 @@ mod tests {
         assert_eq!(index.total_len, data.len() as u64);
         assert_eq!(index.blocks.len(), 4);
         assert_eq!(index.blocks[3].uncompressed_len, 17);
-    }
-
-    #[test]
-    fn read_range_touches_only_covering_blocks() {
-        let data = sample(4 * BLOCK_SIZE);
-        let packed = compress_with_block_size(&data, BLOCK_SIZE);
-        // A range strictly inside block 2.
-        let start = 2 * BLOCK_SIZE as u64 + 100;
-        let (got, touched) = read_range(&packed, start, 500).unwrap();
-        assert_eq!(got, &data[start as usize..start as usize + 500]);
-        assert_eq!(touched, 1);
-        // A range spanning the block 0/1 boundary.
-        let (got, touched) = read_range(&packed, BLOCK_SIZE as u64 - 10, 20).unwrap();
-        assert_eq!(got, &data[BLOCK_SIZE - 10..BLOCK_SIZE + 10]);
-        assert_eq!(touched, 2);
-        // Whole log.
-        let (got, touched) = read_range(&packed, 0, data.len() as u64).unwrap();
-        assert_eq!(got, data);
-        assert_eq!(touched, 4);
-        // Empty range.
-        let (got, touched) = read_range(&packed, 5, 0).unwrap();
-        assert!(got.is_empty());
-        assert_eq!(touched, 0);
-        // Out of bounds.
-        assert!(read_range(&packed, data.len() as u64, 1).is_err());
     }
 
     #[test]

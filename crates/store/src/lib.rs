@@ -11,10 +11,8 @@
 //! - [`lz`] — a dependency-free LZ77-style codec (greedy hash-chain
 //!   matcher, varint sequence stream), panic-free on arbitrary input,
 //! - [`block`] — a framed block container over [`lz`]: independent
-//!   32 KiB blocks, a per-block CRC-32 of the uncompressed bytes, and a
-//!   block index giving [`block::read_range`] random access without
-//!   decompressing the whole log (checkpointed replay's access
-//!   pattern), plus [`block::salvage`] for longest-valid-prefix
+//!   32 KiB blocks, a per-block CRC-32 of the uncompressed bytes and a
+//!   block index, plus [`block::salvage`] for longest-valid-prefix
 //!   recovery of torn containers,
 //! - [`manifest`] — the versioned per-entry manifest binding an entry's
 //!   compressed files to its identity, encoding and outcome

@@ -12,10 +12,11 @@ echo "== build (release) =="
 cargo build --release --workspace
 
 echo "== tests =="
+# The root package is a workspace member, so this one run already covers
+# the batteries that used to be re-run below: golden conformance (pinned
+# fixtures replay to their pins), parallel replay ≡ serial, indexed ≡
+# scratch time travel, partial order ≡ total order.
 cargo test -q --workspace
-
-echo "== golden conformance: pinned fixtures must replay to their pins =="
-cargo test -q --test golden_conformance
 
 echo "== migrate smoke: v1 golden fixture is refused until migrated, then verifies and replays =="
 migrate_dir=$(mktemp -d)
@@ -78,12 +79,6 @@ trap 'rm -f "$serial" "$parallel"' EXIT
 cmp "$serial" "$parallel"
 echo "repro output identical across modes"
 
-echo "== parallel replay: serial-equivalence battery =="
-cargo test -q --test parallel_replay_equivalence
-
-echo "== time travel: indexed-vs-scratch query equivalence battery =="
-cargo test -q --test time_travel_equivalence
-
 echo "== deterministic gates: E9b parallel replay, E12 observer effects, E14 indexed seeks, E15 ordering drift and growth =="
 # Each experiment fails by exit code on its own gate: a parallel or
 # ordered replay fingerprint off its serial one, a recording that moves
@@ -91,9 +86,6 @@ echo "== deterministic gates: E9b parallel replay, E12 observer effects, E14 ind
 # partial-order bytes growing no slower than total order.
 ./target/release/repro e9b e12 e14 e15 > /dev/null
 echo "parallel, ordered and indexed replay all byte-identical to serial; observability free"
-
-echo "== partial order: total-order equivalence battery =="
-cargo test -q --test order_equivalence
 
 echo "== partial-order smoke: record, verify, ordered replay via the CLI =="
 order_dir=$(mktemp -d)

@@ -194,11 +194,24 @@ fn golden_trace_events() -> Vec<qr_obs::TraceEvent> {
     ]
 }
 
-/// The wire capture committed as `wire/requests.qrw`: one framed Wire
-/// container, one request per record.
-fn golden_wire_requests() -> Vec<qr_server::proto::Request> {
-    use qr_server::proto::Request;
-    vec![
+/// Every wire message shape — each `Request` and `Response` variant,
+/// both order modes, every job state, a non-empty STATS — and the one
+/// hand-written sample list in the repository: `wire/messages.qrw` is
+/// written from it, and the `qr-server` codec tests and the
+/// `fault_surfaces` mutation sweeps read that file rather than keeping
+/// lists of their own.
+fn golden_wire_messages() -> (Vec<qr_server::proto::Request>, Vec<qr_server::proto::Response>) {
+    use qr_server::proto::{JobInfo, JobState, Request, Response, SessionStats, StatsReport};
+    use quickrec::ReplayQuery;
+    let job = |id: u64, workload: &str, kind: &str, state: JobState, fingerprint: u64| JobInfo {
+        id,
+        name: format!("s{id}"),
+        workload: workload.to_string(),
+        kind: kind.to_string(),
+        state,
+        fingerprint,
+    };
+    let requests = vec![
         Request::Ping,
         Request::SubmitWorkload {
             name: "golden".to_string(),
@@ -208,8 +221,136 @@ fn golden_wire_requests() -> Vec<qr_server::proto::Request> {
             encoding: Encoding::Delta,
             order: OrderMode::TotalOrder,
         },
+        Request::SubmitWorkload {
+            name: "golden-po".to_string(),
+            workload: "lu".to_string(),
+            threads: 300,
+            scale: Scale::Reference,
+            encoding: Encoding::Packed,
+            order: OrderMode::PartialOrder,
+        },
+        Request::SubmitProgram {
+            name: "prog".to_string(),
+            source: PROGRAM.to_string(),
+            cores: 2,
+            encoding: Encoding::Raw,
+            order: OrderMode::TotalOrder,
+        },
+        Request::SubmitProgram {
+            name: "prog-po".to_string(),
+            source: "movi r0, 1\nsyscall\n".to_string(),
+            cores: 1,
+            encoding: Encoding::Delta,
+            order: OrderMode::PartialOrder,
+        },
+        Request::Jobs,
+        Request::Stats,
         Request::Fetch { id: 3 },
-    ]
+        Request::Replay { id: 1 },
+        Request::Verify { id: u64::MAX },
+        Request::Races { id: 300 },
+        Request::Shutdown,
+        Request::Metrics,
+        Request::Query {
+            id: 4,
+            query: ReplayQuery::Range { start: 2, end: 9 },
+            dry_run: false,
+            max_events: 0,
+            replay_id: 0,
+        },
+        Request::Query {
+            id: 5,
+            query: ReplayQuery::ReverseStep { events: 3 },
+            dry_run: true,
+            max_events: 1000,
+            replay_id: 0xDEAD_BEEF,
+        },
+    ];
+    let responses = vec![
+        Response::Pong,
+        Response::Submitted { id: 12 },
+        Response::Busy { queued: 7 },
+        Response::JobList(vec![
+            job(1, "fft/2t", "record", JobState::Done, 0xFEED_F00D),
+            job(2, "program/2c", "record", JobState::Failed("boom".to_string()), 0),
+            job(3, "lu/4t+po", "replay", JobState::Running, 0x1234_5678_9ABC_DEF0),
+            job(4, "fft/2t", "verify", JobState::Queued, 7),
+        ]),
+        Response::Stats(StatsReport {
+            accepted: 5,
+            rejected_busy: 1,
+            completed: 4,
+            failed: 1,
+            connections: 900,
+            shards: 4,
+            workers: 2,
+            sessions: vec![
+                SessionStats {
+                    id: 1,
+                    records: 1,
+                    replays: 2,
+                    verifies: 0,
+                    races: 1,
+                    bytes_raw: 4096,
+                    bytes_stored: 1024,
+                    instructions: 1_000_000,
+                    partial_order: true,
+                },
+                SessionStats { id: 2, records: 1, bytes_raw: 77, ..SessionStats::default() },
+            ],
+        }),
+        Response::Fetched {
+            files: vec![("meta.qrm".to_string(), vec![1, 2, 3]), ("chunks.qrl".to_string(), vec![])],
+            fingerprint: 77,
+        },
+        Response::Queued,
+        Response::ShuttingDown,
+        Response::Error { message: "no session 9".to_string() },
+        Response::Metrics {
+            text: "# TYPE qr_server_requests_total counter\nqr_server_requests_total{kind=\"ping\"} 1\n"
+                .to_string(),
+        },
+        Response::QueryAnswer { cached: true, payload: vec![0xAB, 0, 7] },
+        Response::QueryAnswer { cached: false, payload: vec![] },
+    ];
+    (requests, responses)
+}
+
+/// `wire/requests.qrw` predates `wire/messages.qrw` and stays pinned
+/// byte for byte: these three entries of the sample list, bare.
+fn in_requests_capture(request: &qr_server::proto::Request) -> bool {
+    use qr_server::proto::Request;
+    match request {
+        Request::Ping | Request::Fetch { .. } => true,
+        Request::SubmitWorkload { name, .. } => name == "golden",
+        _ => false,
+    }
+}
+
+/// Direction byte opening each record of `wire/messages.qrw` (request
+/// and response tags share one number space, so a capture of both
+/// directions has to say which decoder a record belongs to).
+const WIRE_REQUEST: u8 = 0;
+const WIRE_RESPONSE: u8 = 1;
+
+/// The two committed wire captures, `(requests.qrw, messages.qrw)`:
+/// framed `Wire` containers, one message per record.
+fn golden_wire_captures() -> (Vec<u8>, Vec<u8>) {
+    use qr_server::proto::{encode_request, encode_response};
+    let (requests, responses) = golden_wire_messages();
+    let mut pinned = frame::Writer::new(PayloadKind::Wire);
+    let mut all = frame::Writer::new(PayloadKind::Wire);
+    for request in &requests {
+        let payload = encode_request(request);
+        if in_requests_capture(request) {
+            pinned.record(&payload);
+        }
+        all.record(&[&[WIRE_REQUEST], payload.as_slice()].concat());
+    }
+    for response in &responses {
+        all.record(&[&[WIRE_RESPONSE], encode_response(response).as_slice()].concat());
+    }
+    (pinned.finish(), all.finish())
 }
 
 /// The byte offset at which the salvage pin truncates a chunk log.
@@ -567,18 +708,18 @@ fn regenerate() {
         crc32::checksum(&trace),
     ));
 
-    let mut wire = frame::Writer::new(PayloadKind::Wire);
-    for req in &golden_wire_requests() {
-        wire.record(&qr_server::proto::encode_request(req));
+    let (requests, messages) = golden_wire_captures();
+    for (name, kind, bytes) in
+        [("requests", "wire", &requests), ("messages", "wire-messages", &messages)]
+    {
+        std::fs::write(root.join(format!("wire/{name}.qrw")), bytes).expect("write wire fixture");
+        let records = frame::read(bytes, PayloadKind::Wire, "wire capture").expect("framed").len();
+        manifest.push_str(&format!(
+            "\n[[aux]]\nname = \"wire-{name}\"\npath = \"wire/{name}.qrw\"\nkind = \"{kind}\"\n\
+             records = {records}\ncrc = \"0x{:08x}\"\n",
+            crc32::checksum(bytes),
+        ));
     }
-    let wire = wire.finish();
-    std::fs::write(root.join("wire/requests.qrw"), &wire).expect("write wire fixture");
-    manifest.push_str(&format!(
-        "\n[[aux]]\nname = \"wire-requests\"\npath = \"wire/requests.qrw\"\nkind = \"wire\"\n\
-         records = {}\ncrc = \"0x{:08x}\"\n",
-        golden_wire_requests().len(),
-        crc32::checksum(&wire),
-    ));
 
     let mut failures = String::from(
         "# Shapes the current readers must REFUSE, and how. Each entry is\n\
@@ -971,19 +1112,34 @@ fn trace_and_wire_fixtures_round_trip() {
                 assert_eq!(events, golden_trace_events());
                 assert_eq!(qr_obs::trace::to_bytes(&events), bytes, "trace re-encode drifted");
             }
-            "wire" => {
+            kind @ ("wire" | "wire-messages") => {
+                use qr_server::proto::{decode_request, decode_response};
+                // Today's encoder still writes the committed bytes...
+                let all = kind == "wire-messages";
+                let (pinned_capture, all_capture) = golden_wire_captures();
+                assert_eq!(bytes, if all { all_capture } else { pinned_capture }, "wire encoding drifted");
+                // ...and the decoder inverts them, record by record.
                 let payloads =
                     frame::read(&bytes, PayloadKind::Wire, "wire capture").expect("framed wire");
                 assert_eq!(payloads.len(), records);
-                for (payload, expected) in payloads.iter().zip(golden_wire_requests()) {
-                    let req = qr_server::proto::decode_request(payload).expect("decode request");
-                    assert_eq!(req, expected);
-                    assert_eq!(
-                        qr_server::proto::encode_request(&req).as_slice(),
-                        *payload,
-                        "wire re-encode drifted"
-                    );
+                let (mut requests, mut responses) = (Vec::new(), Vec::new());
+                for record in payloads {
+                    match (all, record) {
+                        (false, payload) | (true, [WIRE_REQUEST, payload @ ..]) => {
+                            requests.push(decode_request(payload).expect("decode request"));
+                        }
+                        (true, [WIRE_RESPONSE, payload @ ..]) => {
+                            responses.push(decode_response(payload).expect("decode response"));
+                        }
+                        (true, other) => panic!("record without a direction byte: {other:?}"),
+                    }
                 }
+                let (mut want_requests, mut want_responses) = golden_wire_messages();
+                if !all {
+                    want_requests.retain(in_requests_capture);
+                    want_responses.clear();
+                }
+                assert_eq!((requests, responses), (want_requests, want_responses));
             }
             other => panic!("unknown aux kind {other:?}"),
         }
