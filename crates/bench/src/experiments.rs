@@ -626,7 +626,9 @@ fn e11() -> Experiment {
 }
 
 /// E12 — observability is free of observer effects: recordings are
-/// byte-identical with metrics on and off.
+/// byte-identical with metrics on and off, and so are the checkpoint
+/// sidecar built from them and a query answered through it (checked,
+/// not tabulated: a difference fails the experiment).
 ///
 /// One job runs every comparison serially because the `qr-obs` enabled
 /// flag is process-global: toggling it from concurrent jobs would only
@@ -662,6 +664,23 @@ fn e12() -> Experiment {
                 if !identical {
                     return Err(QrError::Execution {
                         detail: format!("{name}: serialized chunk log changed with metrics enabled"),
+                    });
+                }
+                // The same rule one layer up: the seek sidecar built from
+                // the recording and an answer served through it.
+                let program = cache.program(&spec, 4, Scale::Small)?;
+                let seek_layer = |observe: bool| -> qr_common::Result<(Vec<u8>, Vec<u8>)> {
+                    use qr_replay::{CheckpointIndex, QueryEngine, ReplayQuery};
+                    qr_obs::set_enabled(observe);
+                    let sidecar = CheckpointIndex::build(&program, &observed, 25)?.to_bytes();
+                    let mut engine = QueryEngine::new(&program, &observed)?;
+                    engine.attach_index_bytes(&sidecar);
+                    let answer = engine.execute(ReplayQuery::ReverseStep { events: 3 }, None)?;
+                    Ok((sidecar, answer.to_bytes()))
+                };
+                if seek_layer(true)? != seek_layer(false)? {
+                    return Err(QrError::Execution {
+                        detail: format!("{name}: checkpoint sidecar or query answer changed with metrics enabled"),
                     });
                 }
                 out.rows.push(vec![

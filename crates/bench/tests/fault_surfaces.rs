@@ -1,8 +1,9 @@
-//! The R1 robustness contract, extended to the two new decode
-//! surfaces this service added: the `quickrecd` wire protocol and the
-//! store's block-compressed logs. Every mutated input must decode to
-//! either a success or a structured [`QrError`] — never a panic — and
-//! block salvage must always hand back a *prefix* of the original
+//! The R1 robustness contract, extended to the decode surfaces this
+//! service added: the `quickrecd` wire protocol, the store's
+//! block-compressed logs and the records of the `checkpoints.qrc`
+//! sidecar it builds. Every mutated input must decode to either a
+//! success or a structured [`QrError`] — never a panic — and block
+//! salvage must always hand back a *prefix* of the original
 //! uncompressed log.
 
 use qr_bench::fault::{job_seed, Mutator};
@@ -139,6 +140,52 @@ fn mutated_compressed_blocks_decode_or_salvage_a_prefix_never_panic() {
                     original.len()
                 );
                 assert!(salvage.blocks_recovered <= salvage.blocks_total);
+            }
+        }
+    }
+}
+
+#[test]
+fn mutated_checkpoint_records_restore_or_refuse_never_panic() {
+    use qr_replay::{CheckpointIndex, QueryEngine};
+    // The container's CRCs stop random damage before a record is ever
+    // decoded (`tests/time_travel_equivalence.rs` sweeps that), so this
+    // sweep damages one record and lets `to_bytes` stamp fresh CRCs
+    // over it: the overlay and state decoders see the hostile bytes.
+    let spec = qr_workloads::suite::find("fft").expect("suite member");
+    let program = (spec.build)(2, qr_workloads::Scale::Test).expect("builds");
+    let recording =
+        qr_capo::record(program.clone(), qr_bench::full_cfg(2)).expect("records");
+    let pristine = CheckpointIndex::build(&program, &recording, 2).expect("index builds");
+    assert!(pristine.keys.len() > 9, "{} checkpoints", pristine.keys.len());
+
+    // A keyframe, a delta mid-chain, the keyframe of the second chain.
+    for which in [0usize, 3, 8] {
+        // Served by the damaged record itself, and by the last record
+        // of its chain (which only walks through its memory overlay).
+        let last_of_chain = (which + 7).min(pristine.keys.len() - 1);
+        let targets = [which, last_of_chain].map(|i| pristine.keys[i].position as usize + 1);
+        for mutator in Mutator::ALL {
+            let mut rng =
+                SplitMix64::new(job_seed(&["checkpoint", &which.to_string(), mutator.name()]));
+            for _ in 0..CASES_PER_SURFACE / Mutator::ALL.len() / 3 {
+                let mut index = pristine.clone();
+                index.snapshots[which] = mutator.apply(&pristine.snapshots[which], &mut rng);
+                let mut engine = QueryEngine::new(&program, &recording).expect("engine");
+                // Refused whole (the kind byte was hit) or attached.
+                engine.attach_index_bytes(&index.to_bytes());
+                for target in targets {
+                    // A refused record falls back to scratch; one that
+                    // decodes to a different state may diverge further
+                    // on. Either way: the position asked for, or a
+                    // structured error.
+                    match engine.seek(target) {
+                        Ok(replayer) => assert_eq!(replayer.position(), target),
+                        Err(e) => {
+                            let _ = e.to_string();
+                        }
+                    }
+                }
             }
         }
     }

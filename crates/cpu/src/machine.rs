@@ -7,7 +7,7 @@ use qr_common::{CoreId, QrError, Result, VirtAddr};
 use qr_isa::instr::{AluOp, Instr};
 use qr_isa::program::{Program, DATA_BASE, INSTR_BYTES};
 use qr_isa::Reg;
-use qr_mem::{Access, MemConfig, MemEvent, MemorySystem};
+use qr_mem::{Access, MemConfig, MemEvent, MemorySystem, PagedMemory};
 
 /// Machine-level configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -177,17 +177,29 @@ impl Machine {
         self.mem.drain_all(core)
     }
 
-    /// Serializes the complete machine state (every core's context and
-    /// counters plus the whole memory hierarchy) for checkpoint
-    /// snapshots. The program and configuration are *not* serialized:
-    /// restore with [`Machine::restore_state`] into a machine built from
-    /// the same program and configuration.
-    pub fn save_state(&self, out: &mut Vec<u8>) {
+    /// Serializes the complete machine state for checkpoint snapshots:
+    /// the whole memory hierarchy first — guest memory as an overlay on
+    /// `base`, see [`MemorySystem::save_state`] — then every core's
+    /// context and counters. The program and configuration are *not*
+    /// serialized: restore with [`Machine::restore_state`] into a machine
+    /// built from the same program and configuration whose memory holds
+    /// `base`.
+    pub fn save_state(&self, base: &PagedMemory, out: &mut Vec<u8>) {
+        self.mem.save_state(base, out);
         qr_common::varint::write_u64(out, self.cores.len() as u64);
         for core in &self.cores {
             core.save_state(out);
         }
-        self.mem.save_state(out);
+    }
+
+    /// Applies only the leading memory overlay of bytes produced by
+    /// [`Machine::save_state`] (one link of a delta-checkpoint chain).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QrError::Corrupt`] like [`Machine::restore_state`].
+    pub fn apply_memory_overlay(&mut self, r: &mut qr_common::cursor::ByteReader<'_>) -> Result<()> {
+        self.mem.apply_memory_overlay(r)
     }
 
     /// Overwrites this machine's state from bytes produced by
@@ -199,6 +211,7 @@ impl Machine {
     /// a core-count mismatch with this machine's configuration; `self`
     /// may be partially overwritten on error and must be discarded.
     pub fn restore_state(&mut self, r: &mut qr_common::cursor::ByteReader<'_>) -> Result<()> {
+        self.mem.restore_state(r)?;
         let cores = r.count(256)?;
         if cores != self.cores.len() {
             return Err(QrError::Corrupt {
@@ -210,7 +223,7 @@ impl Machine {
         for core in &mut self.cores {
             *core = Core::load_state(r)?;
         }
-        self.mem.restore_state(r)
+        Ok(())
     }
 
     /// Memory events the most recent [`Machine::step`] produced, in

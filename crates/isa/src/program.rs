@@ -40,6 +40,9 @@ pub struct Program {
     data: Vec<u8>,
     entry: u32,
     symbols: BTreeMap<String, u32>,
+    /// Digest of code + data + entry, fixed at construction: no method
+    /// takes `&mut self`, and replay checks it on every run and seek.
+    fingerprint: u64,
 }
 
 impl Program {
@@ -74,7 +77,15 @@ impl Program {
                 "entry point {entry:#x} is not an instruction address in [{CODE_BASE:#x}, {code_end:#x})"
             )));
         }
-        Ok(Program { name: name.into(), code, data, entry, symbols })
+        let mut fp = Fingerprint::new();
+        let mut code_bytes = Vec::with_capacity(code.len() * ENCODED_BYTES);
+        for instr in &code {
+            code_bytes.extend_from_slice(&instr.encode());
+        }
+        fp.field("code", &code_bytes);
+        fp.field("data", &data);
+        fp.u32(entry);
+        Ok(Program { name: name.into(), code, data, entry, symbols, fingerprint: fp.digest() })
     }
 
     /// Human-readable program name (used in logs and experiment output).
@@ -139,15 +150,7 @@ impl Program {
     /// Stable digest of the program image (code + data + entry), used to
     /// pair recorded logs with the binary they came from.
     pub fn fingerprint(&self) -> u64 {
-        let mut fp = Fingerprint::new();
-        let mut code_bytes = Vec::with_capacity(self.code.len() * ENCODED_BYTES);
-        for instr in &self.code {
-            code_bytes.extend_from_slice(&instr.encode());
-        }
-        fp.field("code", &code_bytes);
-        fp.field("data", &self.data);
-        fp.u32(self.entry);
-        fp.digest()
+        self.fingerprint
     }
 }
 

@@ -4,11 +4,38 @@
 //! allocated lazily but only inside regions the kernel has explicitly
 //! mapped, so wild accesses fault like they would on hardware with paging.
 
+use qr_common::cursor::ByteReader;
+use qr_common::varint::write_u64;
 use qr_common::{QrError, Result, VirtAddr};
-use std::collections::BTreeMap;
+use std::collections::btree_map::{Entry, VacantEntry};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Size of one backing page (simulator granularity, not the guest ABI).
 pub const PAGE_BYTES: u32 = 64 * 1024;
+
+/// Granularity of a checkpoint overlay. Guest pages are ~95 % zero and
+/// every one of them is dirty between two checkpoints, so page deltas
+/// save nothing; 8-byte words do (DESIGN.md, decision 12).
+const WORD_BYTES: usize = 8;
+const WORDS_PER_PAGE: u64 = PAGE_BYTES as u64 / WORD_BYTES as u64;
+
+/// What an unallocated page reads as.
+static ZERO_PAGE: [u8; PAGE_BYTES as usize] = [0; PAGE_BYTES as usize];
+
+/// Appends to `runs` the `(first word, words)` stretches in which two
+/// pages differ.
+fn differing_runs(page: &[u8], base: &[u8], runs: &mut Vec<(usize, usize)>) {
+    let words = page.chunks_exact(WORD_BYTES).zip(base.chunks_exact(WORD_BYTES));
+    for (w, (a, b)) in words.enumerate() {
+        if a == b {
+            continue;
+        }
+        match runs.last_mut() {
+            Some((start, len)) if *start + *len == w => *len += 1,
+            _ => runs.push((w, 1)),
+        }
+    }
+}
 
 /// Sparse flat memory with explicit region mapping.
 #[derive(Debug, Clone, Default)]
@@ -77,9 +104,17 @@ impl PagedMemory {
     }
 
     fn page(&mut self, page_num: u32) -> &mut [u8] {
-        self.pages
-            .entry(page_num)
-            .or_insert_with(|| vec![0u8; PAGE_BYTES as usize].into_boxed_slice())
+        /// First touch of a page. Out of line so the hit path, which
+        /// `write_bytes` takes once per byte, stays small enough to inline.
+        #[cold]
+        #[inline(never)]
+        fn allocate(slot: VacantEntry<'_, u32, Box<[u8]>>) -> &mut [u8] {
+            slot.insert(vec![0u8; PAGE_BYTES as usize].into_boxed_slice())
+        }
+        match self.pages.entry(page_num) {
+            Entry::Occupied(page) => page.into_mut(),
+            Entry::Vacant(slot) => allocate(slot),
+        }
     }
 
     /// Reads `buf.len()` bytes starting at `addr`.
@@ -142,39 +177,80 @@ impl PagedMemory {
         self.regions.iter().map(|&(s, e)| (VirtAddr(s), e - s))
     }
 
-    /// Serializes regions and allocated pages (checkpoint snapshots).
-    /// Page order is the `BTreeMap` key order, so the bytes are a
-    /// deterministic function of the architectural state.
-    pub(crate) fn save_state(&self, out: &mut Vec<u8>) {
-        qr_common::varint::write_u64(out, self.regions.len() as u64);
+    /// Encodes this memory as an overlay on `base`: the mapped regions in
+    /// full, then for every page that differs the runs of 8-byte words in
+    /// which it does (a page missing on either side counts as zeros).
+    /// [`PagedMemory::apply_overlay`] onto a memory holding `base`'s
+    /// contents reproduces `self`. The bytes depend only on the two
+    /// architectural states (not on which all-zero pages happen to be
+    /// allocated), so equal states encode to equal bytes.
+    ///
+    /// ```text
+    /// overlay := regions pages
+    /// regions := varint n, n x (u32 start, u32 end)
+    /// pages   := varint p, p x (u32 page number, varint r, r x run)
+    /// run     := varint gap, varint len, len x 8 bytes
+    /// ```
+    ///
+    /// `gap` and `len` count words; `gap` is the distance from the end of
+    /// the previous run (the page start for the first).
+    pub(crate) fn encode_overlay(&self, base: &PagedMemory, out: &mut Vec<u8>) {
+        write_u64(out, self.regions.len() as u64);
         for &(s, e) in &self.regions {
             out.extend_from_slice(&s.to_le_bytes());
             out.extend_from_slice(&e.to_le_bytes());
         }
-        qr_common::varint::write_u64(out, self.pages.len() as u64);
-        for (&num, page) in &self.pages {
-            out.extend_from_slice(&num.to_le_bytes());
-            out.extend_from_slice(page);
+        // The page count precedes the pages but is only known after the
+        // compare, so the pages are staged.
+        let mut pages = 0u64;
+        let mut body = Vec::new();
+        let mut runs = Vec::new();
+        let numbers: BTreeSet<u32> = self.pages.keys().chain(base.pages.keys()).copied().collect();
+        for num in numbers {
+            let page = self.pages.get(&num).map_or(&ZERO_PAGE[..], |p| p);
+            let old = base.pages.get(&num).map_or(&ZERO_PAGE[..], |p| p);
+            runs.clear();
+            differing_runs(page, old, &mut runs);
+            if runs.is_empty() {
+                continue;
+            }
+            pages += 1;
+            body.extend_from_slice(&num.to_le_bytes());
+            write_u64(&mut body, runs.len() as u64);
+            let mut at = 0;
+            for &(start, len) in &runs {
+                write_u64(&mut body, (start - at) as u64);
+                write_u64(&mut body, len as u64);
+                body.extend_from_slice(&page[start * WORD_BYTES..(start + len) * WORD_BYTES]);
+                at = start + len;
+            }
         }
+        write_u64(out, pages);
+        out.extend_from_slice(&body);
     }
 
-    /// Inverse of [`PagedMemory::save_state`].
+    /// Applies an overlay written by [`PagedMemory::encode_overlay`]:
+    /// replaces the mapped regions and writes every run into its page.
+    /// `self` must hold the contents the overlay was encoded against.
     ///
     /// # Errors
     ///
-    /// Returns [`QrError::Corrupt`] on truncated or implausible bytes,
-    /// including regions that are empty, inverted, out of order or
-    /// overlapping — `save_state` writes the coalesced, sorted list, and
-    /// everything that walks `regions` computes `end - start`.
-    pub(crate) fn load_state(r: &mut qr_common::cursor::ByteReader<'_>) -> Result<PagedMemory> {
-        let mut mem = PagedMemory::new();
-        let regions = r.count(1 << 20)?;
+    /// Returns [`QrError::Corrupt`] on truncated or implausible bytes:
+    /// regions that are empty, inverted, out of order or overlapping (the
+    /// encoder writes the coalesced, sorted list, and everything that
+    /// walks `regions` computes `end - start`), a page or run count the
+    /// remaining bytes cannot hold, a page outside every mapped region,
+    /// and a run that overflows or ends past its page. `self` may be
+    /// partially overwritten on error and must be discarded.
+    pub(crate) fn apply_overlay(&mut self, r: &mut ByteReader<'_>) -> Result<()> {
+        let regions = r.list_count(1 << 20, 8)?;
+        self.regions.clear();
         for _ in 0..regions {
             let s = r.u32()?;
             let e = r.u32()?;
             let problem = if s >= e {
                 Some("is empty or inverted")
-            } else if mem.regions.last().is_some_and(|&(_, prev_end)| s < prev_end) {
+            } else if self.regions.last().is_some_and(|&(_, prev_end)| s < prev_end) {
                 Some("is out of order or overlaps its predecessor")
             } else {
                 None
@@ -186,15 +262,43 @@ impl PagedMemory {
                     detail: format!("region [{s:#x}, {e:#x}) {problem}"),
                 });
             }
-            mem.regions.push((s, e));
+            self.regions.push((s, e));
         }
-        let pages = r.count(1 << 20)?;
+        // A page is written only when it has a run, and a run holds at
+        // least its two varints and one word.
+        const MIN_RUN: usize = 2 + WORD_BYTES;
+        const PAGE: u64 = PAGE_BYTES as u64;
+        let pages = r.list_count(1 << 20, 4 + 1 + MIN_RUN)?;
         for _ in 0..pages {
             let num = r.u32()?;
-            let bytes = r.bytes(PAGE_BYTES as usize)?;
-            mem.pages.insert(num, bytes.to_vec().into_boxed_slice());
+            // Stores fault outside the mapped regions, so a page touching
+            // none of them never differs from anything; refusing it keeps
+            // what a record can allocate within what its regions map.
+            let (start, end) = (u64::from(num) * PAGE, (u64::from(num) + 1) * PAGE);
+            if !self.regions.iter().any(|&(s, e)| u64::from(s) < end && start < u64::from(e)) {
+                return Err(r.corrupt(format!("page {num} lies outside every mapped region")));
+            }
+            let runs = r.list_count(WORDS_PER_PAGE, MIN_RUN)?;
+            let page = self.page(num);
+            let mut at = 0u64;
+            for _ in 0..runs {
+                let (gap, len) = (r.varint()?, r.varint()?);
+                let end = at
+                    .checked_add(gap)
+                    .and_then(|start| start.checked_add(len))
+                    .ok_or_else(|| r.corrupt(format!("run gap {gap} + length {len} overflows")))?;
+                if end > WORDS_PER_PAGE {
+                    return Err(r.corrupt(format!(
+                        "run ends at word {end}, past the page end ({WORDS_PER_PAGE} words)"
+                    )));
+                }
+                let bytes = r.bytes(len as usize * WORD_BYTES)?;
+                page[(end - len) as usize * WORD_BYTES..end as usize * WORD_BYTES]
+                    .copy_from_slice(bytes);
+                at = end;
+            }
         }
-        Ok(mem)
+        Ok(())
     }
 
     /// Hashes the contents of all mapped regions into a fingerprint field.
@@ -205,14 +309,13 @@ impl PagedMemory {
             // Hash page-by-page, using the zero page for untouched pages.
             let mut remaining = len;
             let mut addr = base;
-            let zero = [0u8; PAGE_BYTES as usize];
             while remaining > 0 {
                 let page_num = addr / PAGE_BYTES;
                 let off = (addr % PAGE_BYTES) as usize;
                 let take = ((PAGE_BYTES - addr % PAGE_BYTES) as usize).min(remaining as usize);
                 match self.pages.get(&page_num) {
                     Some(p) => fp.bytes(&p[off..off + take]),
-                    None => fp.bytes(&zero[..take]),
+                    None => fp.bytes(&ZERO_PAGE[..take]),
                 };
                 addr = addr.wrapping_add(take as u32);
                 remaining -= take as u32;
@@ -290,26 +393,30 @@ mod tests {
         assert!(!m.is_mapped(VirtAddr(0xffff_fff0), 0x20));
     }
 
-    /// A snapshot holding exactly `regions` and no pages.
-    fn snapshot_of(regions: &[(u32, u32)]) -> Vec<u8> {
+    /// An overlay holding exactly `regions` and no pages.
+    fn overlay_of(regions: &[(u32, u32)]) -> Vec<u8> {
         let mut bytes = Vec::new();
-        qr_common::varint::write_u64(&mut bytes, regions.len() as u64);
+        write_u64(&mut bytes, regions.len() as u64);
         for &(s, e) in regions {
             bytes.extend_from_slice(&s.to_le_bytes());
             bytes.extend_from_slice(&e.to_le_bytes());
         }
-        qr_common::varint::write_u64(&mut bytes, 0);
+        write_u64(&mut bytes, 0);
         bytes
     }
 
-    fn load(bytes: &[u8]) -> Result<PagedMemory> {
-        PagedMemory::load_state(&mut qr_common::cursor::ByteReader::new(bytes, "snapshot"))
+    /// Applies `bytes` onto `base` and requires every byte consumed.
+    fn apply(mut base: PagedMemory, bytes: &[u8]) -> Result<PagedMemory> {
+        let mut r = ByteReader::new(bytes, "overlay");
+        base.apply_overlay(&mut r)?;
+        r.finish()?;
+        Ok(base)
     }
 
     /// Asserts a structured rejection whose offset is where the reader
     /// stood after the offending (last) region.
     fn assert_rejected(regions: &[(u32, u32)], needle: &str) {
-        match load(&snapshot_of(regions)) {
+        match apply(PagedMemory::new(), &overlay_of(regions)) {
             Err(QrError::Corrupt { offset, detail, .. }) => {
                 assert_eq!(offset, 1 + 8 * regions.len() as u64, "{detail}");
                 assert!(detail.contains(needle), "{detail}");
@@ -319,36 +426,193 @@ mod tests {
     }
 
     #[test]
-    fn saved_regions_load_back() {
+    fn encoded_regions_apply_back() {
         let mut m = mapped();
         m.map_region(VirtAddr(0x4000), 0x100).unwrap();
         let mut bytes = Vec::new();
-        m.save_state(&mut bytes);
-        let back = load(&bytes).unwrap();
+        m.encode_overlay(&PagedMemory::new(), &mut bytes);
+        let back = apply(PagedMemory::new(), &bytes).unwrap();
         assert_eq!(back.regions().collect::<Vec<_>>(), m.regions().collect::<Vec<_>>());
-        // Adjacent regions are not what `save_state` writes, but harmless.
-        assert!(load(&snapshot_of(&[(0x1000, 0x2000), (0x2000, 0x3000)])).is_ok());
+        // Adjacent regions are not what the encoder writes, but harmless.
+        assert!(apply(PagedMemory::new(), &overlay_of(&[(0x1000, 0x2000), (0x2000, 0x3000)])).is_ok());
     }
 
     #[test]
-    fn inverted_region_in_snapshot_is_rejected() {
+    fn inverted_region_in_overlay_is_rejected() {
         // `end - start` would overflow (debug) or wrap to ~4 GiB (release).
         assert_rejected(&[(0x1000, 0x2000), (0x5000, 0x4000)], "inverted");
     }
 
     #[test]
-    fn empty_region_in_snapshot_is_rejected() {
+    fn empty_region_in_overlay_is_rejected() {
         assert_rejected(&[(0x1000, 0x1000)], "empty");
     }
 
     #[test]
-    fn out_of_order_regions_in_snapshot_are_rejected() {
+    fn out_of_order_regions_in_overlay_are_rejected() {
         assert_rejected(&[(0x4000, 0x5000), (0x1000, 0x2000)], "out of order");
     }
 
     #[test]
-    fn overlapping_regions_in_snapshot_are_rejected() {
+    fn overlapping_regions_in_overlay_are_rejected() {
         assert_rejected(&[(0x1000, 0x3000), (0x2000, 0x4000)], "overlaps");
+    }
+
+    /// Memory contents by value: `m` with its all-zero pages dropped,
+    /// since an allocated-but-zero page equals a missing one everywhere
+    /// else too.
+    fn contents(m: &PagedMemory) -> PagedMemory {
+        let mut m = m.clone();
+        m.pages.retain(|_, p| p[..] != ZERO_PAGE[..]);
+        m
+    }
+
+    impl PartialEq for PagedMemory {
+        fn eq(&self, other: &PagedMemory) -> bool {
+            (&self.regions, &self.pages) == (&other.regions, &other.pages)
+        }
+    }
+
+    fn encoded(m: &PagedMemory, base: &PagedMemory) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        m.encode_overlay(base, &mut bytes);
+        bytes
+    }
+
+    /// The `(gap, len)` headers of every run of every page, in order.
+    fn run_headers(overlay: &[u8]) -> Vec<Vec<(u64, u64)>> {
+        let mut r = ByteReader::new(overlay, "overlay");
+        for _ in 0..r.varint().unwrap() {
+            r.bytes(8).unwrap();
+        }
+        let pages = r.varint().unwrap();
+        let headers = (0..pages).map(|_| {
+            r.u32().unwrap();
+            (0..r.varint().unwrap())
+                .map(|_| {
+                    let (gap, len) = (r.varint().unwrap(), r.varint().unwrap());
+                    r.bytes(len as usize * WORD_BYTES).unwrap();
+                    (gap, len)
+                })
+                .collect()
+        });
+        let headers = headers.collect();
+        r.finish().unwrap();
+        headers
+    }
+
+    #[test]
+    fn overlay_of_random_memory_on_random_base_reproduces_it() {
+        use qr_common::SplitMix64;
+        const SPAN: u32 = 4 * PAGE_BYTES;
+        let mut rng = SplitMix64::new(0x0e7_1a75);
+        for case in 0..40 {
+            let mut base = PagedMemory::new();
+            base.map_region(VirtAddr(0), SPAN).unwrap();
+            // Scattered words and a few dense stretches on three pages;
+            // page 3 stays untouched on the base side.
+            for _ in 0..rng.below(40) {
+                let addr = rng.below(u64::from(3 * PAGE_BYTES) / 4) as u32 * 4;
+                base.write_uint(VirtAddr(addr), 4, rng.next_u64() as u32 | 1).unwrap();
+            }
+            let mut m = base.clone();
+            m.map_region(VirtAddr(SPAN), 0x40 * (case + 1)).unwrap();
+            for _ in 0..rng.below(60) {
+                let addr = rng.below(u64::from(SPAN) - 64) as u32;
+                let len = 1 + rng.below(64) as usize;
+                let bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+                // Page 1 is kept identical on both sides.
+                if addr / PAGE_BYTES != 1 && (addr + 64) / PAGE_BYTES != 1 {
+                    m.write_bytes(VirtAddr(addr), &bytes).unwrap();
+                }
+            }
+            // Always present: the last word of a page, and a page only
+            // `m` has.
+            m.write_uint(VirtAddr(PAGE_BYTES - 4), 4, 0xfeed_f00d).unwrap();
+            m.write_uint(VirtAddr(3 * PAGE_BYTES + 8 * case), 4, 7).unwrap();
+
+            let bytes = encoded(&m, &base);
+            let back = apply(base.clone(), &bytes).unwrap_or_else(|e| panic!("case {case}: {e}"));
+            assert_eq!(contents(&back), contents(&m), "case {case}");
+            assert_eq!(encoded(&back, &base), bytes, "case {case}: equal states, equal bytes");
+            assert_eq!(encoded(&m, &m), overlay_of(&m.regions), "case {case}: no runs against itself");
+        }
+    }
+
+    #[test]
+    fn runs_are_word_granular_merge_when_adjacent_and_skip_equal_pages() {
+        let mut base = PagedMemory::new();
+        base.map_region(VirtAddr(0), 3 * PAGE_BYTES).unwrap();
+        base.write_uint(VirtAddr(PAGE_BYTES + 0x100), 4, 9).unwrap(); // page 1: same on both sides
+        base.write_uint(VirtAddr(2 * PAGE_BYTES), 4, 5).unwrap(); // page 2: only the base has it
+        let mut m = PagedMemory::new();
+        m.map_region(VirtAddr(0), 3 * PAGE_BYTES).unwrap();
+        m.write_uint(VirtAddr(PAGE_BYTES + 0x100), 4, 9).unwrap();
+        for word in [2, 3, 5, 8, WORDS_PER_PAGE as u32 - 1] {
+            m.write_uint(VirtAddr(word * 8 + 1), 1, 0xaa).unwrap(); // one byte dirties its word
+        }
+        let bytes = encoded(&m, &base);
+        // Words 2 and 3 share a run, 5 and 8 stand alone (an equal word
+        // costs more than a run header), the last word ends on the page
+        // boundary; page 1 is absent; page 2 is one run of zeros.
+        assert_eq!(
+            run_headers(&bytes),
+            vec![vec![(2, 2), (1, 1), (2, 1), (WORDS_PER_PAGE - 10, 1)], vec![(0, 1)]]
+        );
+        let back = apply(base, &bytes).unwrap();
+        assert_eq!(contents(&back), contents(&m));
+        assert_eq!(back.read_uint(VirtAddr(2 * PAGE_BYTES), 4).unwrap(), 0);
+    }
+
+    /// An overlay mapping page 7 alone and holding one run header
+    /// `(gap, len)` followed by `data` on it.
+    fn one_run(gap: u64, len: u64, data: &[u8]) -> Vec<u8> {
+        let mut bytes = overlay_of(&[(7 * PAGE_BYTES, 8 * PAGE_BYTES)]);
+        bytes.pop(); // the page count
+        bytes.extend_from_slice(&[1, 7, 0, 0, 0, 1]);
+        write_u64(&mut bytes, gap);
+        write_u64(&mut bytes, len);
+        bytes.extend_from_slice(data);
+        bytes
+    }
+
+    fn assert_overlay_rejected(bytes: &[u8], needle: &str) {
+        match apply(PagedMemory::new(), bytes) {
+            Err(QrError::Corrupt { detail, .. }) => assert!(detail.contains(needle), "{detail}"),
+            other => panic!("expected Corrupt containing {needle:?}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn hostile_runs_and_counts_are_rejected() {
+        // A well-formed run on the last word is fine...
+        assert!(apply(PagedMemory::new(), &one_run(WORDS_PER_PAGE - 1, 1, &[1; 8])).is_ok());
+        // ...one word further is past the page end, however the sum is
+        // split between gap and length.
+        assert_overlay_rejected(&one_run(WORDS_PER_PAGE, 1, &[1; 8]), "past the page end");
+        assert_overlay_rejected(&one_run(WORDS_PER_PAGE - 1, 2, &[1; 16]), "past the page end");
+        assert_overlay_rejected(&one_run(u64::MAX, 2, &[1; 16]), "overflows");
+        assert_overlay_rejected(&one_run(1, u64::MAX, &[1; 16]), "overflows");
+        // Counts larger than the bytes behind them, before any page is
+        // allocated: 2^20 pages, then 8192 runs, with 16 bytes left.
+        let mut pages = vec![0];
+        write_u64(&mut pages, 1 << 20);
+        pages.extend_from_slice(&[0; 16]);
+        assert_overlay_rejected(&pages, "implausible count 1048576");
+        let mut runs = one_run(0, 0, &[]);
+        runs.truncate(runs.len() - 3); // the run count and header
+        write_u64(&mut runs, WORDS_PER_PAGE);
+        runs.extend_from_slice(&[0; 16]);
+        assert_overlay_rejected(&runs, "implausible count 8192");
+        // A page no region maps (here: its neighbours), before it is
+        // allocated — a record allocates no more than its regions span.
+        for page in [6u8, 8] {
+            let mut unmapped = one_run(0, 1, &[1; 8]);
+            unmapped[10] = page;
+            assert_overlay_rejected(&unmapped, "outside every mapped region");
+        }
+        // A run whose data is cut short.
+        assert_overlay_rejected(&one_run(0, 2, &[1; 15]), "need 16 bytes");
     }
 
     #[test]

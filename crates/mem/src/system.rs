@@ -498,13 +498,16 @@ impl MemorySystem {
     // ----- checkpoint state serialization ------------------------------
 
     /// Serializes the complete architectural and micro-architectural
-    /// state (memory contents, cache metadata, store buffers, clock,
-    /// counters). The bytes are a deterministic function of the state,
-    /// and restoring them with [`MemorySystem::restore_state`] into a
-    /// system of the same configuration reproduces execution bit-for-bit
-    /// — including miss/eviction behavior and bus timestamps.
-    pub fn save_state(&self, out: &mut Vec<u8>) {
-        self.mem.save_state(out);
+    /// state: guest memory as an overlay on `base` (the runs of words in
+    /// which it differs, [`PagedMemory`]'s checkpoint encoding), then
+    /// cache metadata, store buffers, clock and counters in full. The
+    /// bytes are a deterministic function of the two states, and
+    /// restoring them with [`MemorySystem::restore_state`] into a system
+    /// of the same configuration whose memory holds `base` reproduces
+    /// execution bit-for-bit — including miss/eviction behavior and bus
+    /// timestamps.
+    pub fn save_state(&self, base: &PagedMemory, out: &mut Vec<u8>) {
+        self.mem.encode_overlay(base, out);
         for cache in &self.caches {
             cache.save_state(out);
         }
@@ -536,8 +539,21 @@ impl MemorySystem {
         }
     }
 
+    /// Applies only the leading memory overlay of bytes produced by
+    /// [`MemorySystem::save_state`], leaving the reader at the state
+    /// that follows it — how a chain of delta checkpoints is walked
+    /// without decoding the caches and buffers of every link.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QrError::Corrupt`] like [`MemorySystem::restore_state`].
+    pub fn apply_memory_overlay(&mut self, r: &mut qr_common::cursor::ByteReader<'_>) -> Result<()> {
+        self.mem.apply_overlay(r)
+    }
+
     /// Overwrites this system's state from bytes produced by
-    /// [`MemorySystem::save_state`]. The configuration (cache geometry,
+    /// [`MemorySystem::save_state`]; the memory must hold the base the
+    /// bytes were saved against. The configuration (cache geometry,
     /// buffer capacity, core count) is taken from `self`, not the bytes —
     /// the caller must have built the system with the same configuration
     /// the snapshot was taken under.
@@ -547,7 +563,7 @@ impl MemorySystem {
     /// Returns [`QrError::Corrupt`] on truncated or implausible bytes;
     /// `self` may be partially overwritten on error and must be discarded.
     pub fn restore_state(&mut self, r: &mut qr_common::cursor::ByteReader<'_>) -> Result<()> {
-        self.mem = PagedMemory::load_state(r)?;
+        self.mem.apply_overlay(r)?;
         for cache in &mut self.caches {
             *cache = Cache::load_state(r, self.cfg.l1_sets, self.cfg.l1_ways)?;
         }
@@ -801,13 +817,15 @@ mod tests {
         s.write(C0, VirtAddr(0x1000), 4, 42).unwrap();
         s.read(C1, VirtAddr(0x1040), 4).unwrap();
         s.write(C1, VirtAddr(0x1080), 2, 7).unwrap();
+        let base = PagedMemory::new();
         let mut snap = Vec::new();
-        s.save_state(&mut snap);
+        s.save_state(&base, &mut snap);
 
         let mut restored = MemorySystem::new(MemConfig::default(), 2).unwrap();
         let mut r = qr_common::cursor::ByteReader::new(&snap, "snapshot");
         restored.restore_state(&mut r).unwrap();
         r.finish().unwrap();
+        assert_eq!(restored.memory().read_uint(VirtAddr(0x1000), 4).unwrap(), 0, "still buffered");
 
         // Same pending stores, same clock, same counters.
         assert_eq!(restored.pending_stores(C0), s.pending_stores(C0));
@@ -823,9 +841,25 @@ mod tests {
         assert_eq!(restored.now(), s.now());
         let mut snap2a = Vec::new();
         let mut snap2b = Vec::new();
-        s.save_state(&mut snap2a);
-        restored.save_state(&mut snap2b);
+        s.save_state(&base, &mut snap2a);
+        restored.save_state(&base, &mut snap2b);
         assert_eq!(snap2a, snap2b, "snapshots of equal states are byte-identical");
+        assert_eq!(restored.memory().read_uint(VirtAddr(0x1000), 4).unwrap(), 42, "drained");
+
+        // The same state as a delta on the first snapshot: smaller, and
+        // walking the chain memory-first lands on the same bytes.
+        let mut first = MemorySystem::new(MemConfig::default(), 2).unwrap();
+        first.restore_state(&mut qr_common::cursor::ByteReader::new(&snap, "snapshot")).unwrap();
+        let mut delta = Vec::new();
+        s.save_state(first.memory(), &mut delta);
+        let mut chained = MemorySystem::new(MemConfig::default(), 2).unwrap();
+        chained
+            .apply_memory_overlay(&mut qr_common::cursor::ByteReader::new(&snap, "snapshot"))
+            .unwrap();
+        chained.restore_state(&mut qr_common::cursor::ByteReader::new(&delta, "delta")).unwrap();
+        let mut snap2c = Vec::new();
+        chained.save_state(&base, &mut snap2c);
+        assert_eq!(snap2c, snap2a, "keyframe + delta restores the state the delta was taken of");
     }
 
     #[test]
@@ -833,7 +867,7 @@ mod tests {
         let mut s = sys(1);
         s.write(C0, VirtAddr(0x1000), 4, 1).unwrap();
         let mut snap = Vec::new();
-        s.save_state(&mut snap);
+        s.save_state(&PagedMemory::new(), &mut snap);
         for cut in [0, 1, snap.len() / 2, snap.len() - 1] {
             let mut fresh = MemorySystem::new(MemConfig::default(), 1).unwrap();
             let mut r = qr_common::cursor::ByteReader::new(&snap[..cut], "snapshot");

@@ -143,6 +143,25 @@ pub(crate) fn seek(used_index: bool) {
     }
 }
 
+/// Observes how many checkpoint records one restored seek applied: the
+/// chosen record plus the chain back to its keyframe. A seek that was
+/// slow without re-executing much sat deep in a chain.
+pub(crate) fn seek_restore_records(records: usize) {
+    static HANDLE: OnceLock<Arc<Histogram>> = OnceLock::new();
+    if qr_obs::enabled() {
+        HANDLE
+            .get_or_init(|| {
+                qr_obs::global().histogram(
+                    "qr_replay_seek_restore_records",
+                    "Checkpoint records applied per restored seek (keyframe through chosen record)",
+                    &[],
+                    &[1, 2, 3, 4, 5, 6, 7, 8],
+                )
+            })
+            .observe(records as u64);
+    }
+}
+
 /// Observes one order-log DAG reconstruction (microsecond resolution,
 /// like the other latency histograms).
 pub(crate) fn order_reconstructed(started: std::time::Instant) {

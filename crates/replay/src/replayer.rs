@@ -7,8 +7,10 @@ use qr_capo::{Recording, TimelineEntry, TimelineEvent};
 use qr_common::{CoreId, Cycle, QrError, Result, ThreadId, VirtAddr};
 use qr_cpu::{CpuConfig, CpuContext, Machine, NondetKind};
 use qr_isa::Program;
+use qr_mem::PagedMemory;
 use quickrec_core::TerminationReason;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Replays `recording` of `program` and verifies the outcome matches.
 ///
@@ -55,28 +57,17 @@ pub fn replay_with_race_detection(
 #[derive(Debug)]
 pub struct Replayer<'a> {
     recording: &'a Recording,
-    machine: Machine,
-    threads: Vec<ReplayThread>,
-    console: Vec<u8>,
-    instructions: u64,
-    chunks_replayed: usize,
-    inputs_injected: usize,
-    timeline_pos: usize,
-    timeline: Vec<TimelineEntry<'a>>,
+    state: ReplayState,
+    /// The merged timeline. Shared, so a query engine merges it once and
+    /// hands it to every seek.
+    timeline: Arc<[TimelineEntry<'a>]>,
     detector: Option<RaceDetector>,
 }
 
-/// A resumable snapshot of an in-progress replay.
-///
-/// Checkpoints bound replay latency: instead of replaying a long
-/// recording from the start to inspect a late event, resume from the
-/// nearest checkpoint (the paper discusses periodic checkpointing as the
-/// way to make replay-based debugging interactive).
-///
-/// A checkpoint is bound to the (program, recording) pair it came from;
-/// [`Replayer::resume`] verifies the binding.
+/// Everything a replay has accumulated by some timeline position: what
+/// a checkpoint snapshots and a resume restores.
 #[derive(Debug, Clone)]
-pub struct ReplayCheckpoint {
+struct ReplayState {
     machine: Machine,
     threads: Vec<ReplayThread>,
     console: Vec<u8>,
@@ -84,40 +75,40 @@ pub struct ReplayCheckpoint {
     chunks_replayed: usize,
     inputs_injected: usize,
     timeline_pos: usize,
-    program_fingerprint: u64,
 }
 
-impl ReplayCheckpoint {
-    /// Position in the merged timeline (events already replayed).
-    pub fn position(&self) -> usize {
-        self.timeline_pos
-    }
+/// First byte of a serialized checkpoint record: what its memory
+/// overlay is relative to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum RecordKind {
+    /// The image [`fresh_machine`] builds — what a restore starts from —
+    /// so the record stands alone.
+    Keyframe = 0,
+    /// The memory of the record before it.
+    Delta = 1,
+}
 
-    /// Instructions replayed up to this checkpoint.
-    pub fn instructions(&self) -> u64 {
-        self.instructions
+impl RecordKind {
+    /// Reads a record's kind byte and refuses any kind but `self`: the
+    /// reader of a record knows from the record's place in its index
+    /// which base the memory it is about to overlay holds.
+    pub(crate) fn expect(self, r: &mut qr_common::cursor::ByteReader<'_>) -> Result<()> {
+        match r.u8()? {
+            byte if byte == self as u8 => Ok(()),
+            byte => Err(r.corrupt_at(0, format!("record kind byte {byte}, expected {} ({self:?})", self as u8))),
+        }
     }
+}
 
-    /// Chunks replayed up to this checkpoint.
-    pub fn chunks_replayed(&self) -> usize {
-        self.chunks_replayed
-    }
-
-    /// Input events injected up to this checkpoint.
-    pub fn inputs_injected(&self) -> usize {
-        self.inputs_injected
-    }
-
-    /// Serializes the snapshot (machine state, per-thread replay state,
-    /// console, counters) so it can be persisted in a `checkpoints.qrc`
-    /// sidecar. The bytes are a deterministic function of the state.
-    pub fn to_bytes(&self) -> Vec<u8> {
+impl ReplayState {
+    /// Serializes one checkpoint record: the kind byte, guest memory as
+    /// an overlay on `base`, then all other state in full (memory
+    /// hierarchy, cores, per-thread replay state, console, counters).
+    /// The bytes are a deterministic function of the two states.
+    fn to_record(&self, kind: RecordKind, base: &PagedMemory, program_fingerprint: u64) -> Vec<u8> {
         use qr_common::varint::write_u64;
-        let mut out = Vec::new();
-        let mut machine = Vec::new();
-        self.machine.save_state(&mut machine);
-        write_u64(&mut out, machine.len() as u64);
-        out.extend_from_slice(&machine);
+        let mut out = vec![kind as u8];
+        self.machine.save_state(base, &mut out);
         write_u64(&mut out, self.threads.len() as u64);
         for t in &self.threads {
             out.push(t.created as u8);
@@ -164,27 +155,19 @@ impl ReplayCheckpoint {
         write_u64(&mut out, self.chunks_replayed as u64);
         write_u64(&mut out, self.inputs_injected as u64);
         write_u64(&mut out, self.timeline_pos as u64);
-        out.extend_from_slice(&self.program_fingerprint.to_le_bytes());
+        out.extend_from_slice(&program_fingerprint.to_le_bytes());
         out
     }
 
-    /// Inverse of [`ReplayCheckpoint::to_bytes`]: rebuilds a snapshot
-    /// for the given (program, recording) pair. The machine is
-    /// reconstructed from the recording's configuration, then overwritten
-    /// with the serialized state, so a resumed replay is bit-for-bit
-    /// identical to one resumed from the in-memory checkpoint.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QrError::Corrupt`] on malformed bytes.
-    pub fn from_bytes(program: &Program, recording: &Recording, buf: &[u8]) -> Result<ReplayCheckpoint> {
-        let mut r = qr_common::cursor::ByteReader::new(buf, "checkpoint snapshot");
-        let machine_len = r.count(buf.len() as u64)?;
-        let machine_bytes = r.bytes(machine_len)?;
-        let mut machine = Machine::new(program.clone(), replay_cpu_config(recording)?)?;
-        let mut mr = qr_common::cursor::ByteReader::new(machine_bytes, "checkpoint machine state");
-        machine.restore_state(&mut mr)?;
-        mr.finish()?;
+    /// Inverse of [`ReplayState::to_record`]: overwrites `machine`, whose
+    /// memory must hold the record's base, with the serialized state, so
+    /// a resumed replay is bit-for-bit identical to one resumed from the
+    /// in-memory checkpoint. Returns the state and the program
+    /// fingerprint the record was written under.
+    fn from_record(mut machine: Machine, kind: RecordKind, record: &[u8]) -> Result<(ReplayState, u64)> {
+        let mut r = qr_common::cursor::ByteReader::new(record, "checkpoint snapshot");
+        kind.expect(&mut r)?;
+        machine.restore_state(&mut r)?;
         let num_threads = r.count(250)?;
         let mut threads = Vec::with_capacity(num_threads);
         for _ in 0..num_threads {
@@ -208,13 +191,7 @@ impl ReplayCheckpoint {
                 let kind = match r.u8()? {
                     0 => NondetKind::Rdtsc,
                     1 => NondetKind::Rdrand,
-                    code => {
-                        return Err(QrError::Corrupt {
-                            what: "checkpoint snapshot".into(),
-                            offset: r.pos() as u64,
-                            detail: format!("unknown nondet kind {code}"),
-                        })
-                    }
+                    code => return Err(r.corrupt(format!("unknown nondet kind {code}"))),
                 };
                 nondet.push_back((kind, r.u32()?));
             }
@@ -222,10 +199,8 @@ impl ReplayCheckpoint {
                 0 => None,
                 _ => {
                     let code = r.u8()?;
-                    Some(TerminationReason::from_code(code).ok_or_else(|| QrError::Corrupt {
-                        what: "checkpoint snapshot".into(),
-                        offset: r.pos() as u64,
-                        detail: format!("unknown termination reason {code}"),
+                    Some(TerminationReason::from_code(code).ok_or_else(|| {
+                        r.corrupt(format!("unknown termination reason {code}"))
                     })?)
                 }
             };
@@ -246,7 +221,7 @@ impl ReplayCheckpoint {
         let timeline_pos = r.varint()? as usize;
         let program_fingerprint = r.u64()?;
         r.finish()?;
-        Ok(ReplayCheckpoint {
+        let state = ReplayState {
             machine,
             threads,
             console,
@@ -254,15 +229,36 @@ impl ReplayCheckpoint {
             chunks_replayed,
             inputs_injected,
             timeline_pos,
-            program_fingerprint,
-        })
+        };
+        Ok((state, program_fingerprint))
+    }
+}
+
+/// A resumable snapshot of an in-progress replay.
+///
+/// Checkpoints bound replay latency: instead of replaying a long
+/// recording from the start to inspect a late event, resume from the
+/// nearest checkpoint (the paper discusses periodic checkpointing as the
+/// way to make replay-based debugging interactive).
+///
+/// A checkpoint is bound to the (program, recording) pair it came from;
+/// [`Replayer::resume`] verifies the binding.
+#[derive(Debug, Clone)]
+pub struct ReplayCheckpoint {
+    state: ReplayState,
+    program_fingerprint: u64,
+}
+
+impl ReplayCheckpoint {
+    /// Position in the merged timeline (events already replayed).
+    pub fn position(&self) -> usize {
+        self.state.timeline_pos
     }
 }
 
 /// The CPU configuration a replay of `recording` runs under: one virtual
 /// core per recorded thread, the recorded drain interval and memory
-/// hierarchy. Shared by [`Replayer::new`] and checkpoint restoration so
-/// a deserialized snapshot resumes on an identically-configured machine.
+/// hierarchy.
 ///
 /// # Errors
 ///
@@ -290,6 +286,14 @@ pub(crate) fn replay_cpu_config(recording: &Recording) -> Result<CpuConfig> {
     })
 }
 
+/// The machine every replay of `recording` starts from and every
+/// checkpoint restore is applied onto: the program image loaded under
+/// [`replay_cpu_config`]. Its memory is the base keyframes are encoded
+/// against.
+pub(crate) fn fresh_machine(program: &Program, recording: &Recording) -> Result<Machine> {
+    Machine::new(program.clone(), replay_cpu_config(recording)?)
+}
+
 impl<'a> Replayer<'a> {
     /// Prepares a replay: builds a machine with one virtual core per
     /// recorded thread (each thread keeps its own store buffer, which is
@@ -302,39 +306,54 @@ impl<'a> Replayer<'a> {
     /// with more than 250 threads.
     pub fn new(program: &Program, recording: &'a Recording) -> Result<Replayer<'a>> {
         exec::check_program(program, recording)?;
-        let cpu = replay_cpu_config(recording)?;
-        let threads =
-            (0..cpu.num_cores).map(|i| ReplayThread::new(recording, ThreadId(i as u32))).collect();
+        Replayer::start(recording, recording.timeline()?.into(), fresh_machine(program, recording)?)
+    }
+
+    /// [`Replayer::new`] for a caller that already matched the program
+    /// to the recording, merged its timeline and built (a copy of) its
+    /// [`fresh_machine`].
+    pub(crate) fn start(
+        recording: &'a Recording,
+        timeline: Arc<[TimelineEntry<'a>]>,
+        machine: Machine,
+    ) -> Result<Replayer<'a>> {
+        let threads = (0..machine.num_cores())
+            .map(|i| ReplayThread::new(recording, ThreadId(i as u32)))
+            .collect();
+        let entry = machine.program().entry();
         let mut replayer = Replayer {
             recording,
-            machine: Machine::new(program.clone(), cpu)?,
-            threads,
-            console: Vec::new(),
-            instructions: 0,
-            chunks_replayed: 0,
-            inputs_injected: 0,
-            timeline_pos: 0,
-            timeline: recording.timeline()?,
+            state: ReplayState {
+                machine,
+                threads,
+                console: Vec::new(),
+                instructions: 0,
+                chunks_replayed: 0,
+                inputs_injected: 0,
+                timeline_pos: 0,
+            },
+            timeline,
             detector: None,
         };
-        replayer.create_thread(ThreadId(0), program.entry(), 0)?;
+        replayer.create_thread(ThreadId(0), entry, 0)?;
         Ok(replayer)
     }
 
     /// Attaches the dynamic race detector for this replay.
     pub fn enable_race_detection(&mut self) {
-        self.detector = Some(RaceDetector::new(self.threads.len()));
+        self.detector = Some(RaceDetector::new(self.state.threads.len()));
     }
 
     /// Creates thread `tid`: context on its core, stack mapped.
     fn create_thread(&mut self, tid: ThreadId, entry: VirtAddr, arg: u32) -> Result<()> {
         let slot = self
+            .state
             .threads
             .get_mut(tid.index())
             .ok_or_else(|| QrError::ReplayDivergence(format!("spawn of unknown thread {tid}")))?;
         let (ctx, (base, len)) = slot.create(self.recording, tid, entry, arg)?;
-        self.machine.mem_mut().map_region(base, len)?;
-        self.machine.core_mut(CoreId(tid.0 as u8)).swap_context(Some(ctx));
+        self.state.machine.mem_mut().map_region(base, len)?;
+        self.state.machine.core_mut(CoreId(tid.0 as u8)).swap_context(Some(ctx));
         Ok(())
     }
 
@@ -356,7 +375,7 @@ impl<'a> Replayer<'a> {
     pub fn run_with_report(mut self) -> Result<(ReplayOutcome, RaceReport)> {
         crate::obs::run_started("serial");
         while self.step_timeline()? {}
-        crate::obs::nodes_executed("serial", self.timeline_pos as u64);
+        crate::obs::nodes_executed("serial", self.state.timeline_pos as u64);
         self.finish()
     }
 
@@ -374,18 +393,18 @@ impl<'a> Replayer<'a> {
     ///
     /// Returns [`QrError::ReplayDivergence`] like a full run would.
     pub fn step_timeline(&mut self) -> Result<bool> {
-        if self.timeline_pos >= self.timeline.len() {
+        let Some(entry) = self.timeline.get(self.state.timeline_pos) else {
             return Ok(false);
-        }
-        let event = self.timeline[self.timeline_pos].event;
-        self.timeline_pos += 1;
+        };
+        let event = entry.event;
+        self.state.timeline_pos += 1;
         self.process_event(&event)?;
         Ok(true)
     }
 
     /// Current position in the merged timeline (events replayed so far).
     pub fn position(&self) -> usize {
-        self.timeline_pos
+        self.state.timeline_pos
     }
 
     /// Total number of timeline events.
@@ -395,7 +414,7 @@ impl<'a> Replayer<'a> {
 
     /// The global timestamp of the next event to replay, if any.
     pub fn next_timestamp(&self) -> Option<Cycle> {
-        self.timeline.get(self.timeline_pos).map(|e| e.event.ts())
+        self.timeline.get(self.state.timeline_pos).map(|e| e.event.ts())
     }
 
     /// Reads replayed guest memory at the current position.
@@ -405,23 +424,28 @@ impl<'a> Replayer<'a> {
     /// Faults on unmapped ranges, like the guest would.
     pub fn inspect_memory(&self, addr: VirtAddr, len: usize) -> Result<Vec<u8>> {
         let mut buf = vec![0u8; len];
-        self.machine.mem().memory().read_bytes(addr, &mut buf)?;
+        self.memory().read_bytes(addr, &mut buf)?;
         Ok(buf)
+    }
+
+    /// The replayed guest memory at the current position.
+    pub(crate) fn memory(&self) -> &PagedMemory {
+        self.state.machine.mem().memory()
     }
 
     /// The registers of a live thread at the current position (`None`
     /// for exited or not-yet-created threads).
     pub fn thread_registers(&self, tid: ThreadId) -> Option<[u32; 16]> {
-        let t = self.threads.get(tid.index())?;
+        let t = self.state.threads.get(tid.index())?;
         if !t.created || t.exit_code.is_some() {
             return None;
         }
-        self.machine.core(CoreId(tid.0 as u8)).context().map(|c| *c.regs())
+        self.state.machine.core(CoreId(tid.0 as u8)).context().map(|c| *c.regs())
     }
 
     /// Console output produced up to the current position.
     pub fn console_so_far(&self) -> &[u8] {
-        &self.console
+        &self.state.console
     }
 
     /// Architectural fingerprint of the replay state at the current
@@ -429,42 +453,43 @@ impl<'a> Replayer<'a> {
     /// *without* requiring every thread to have exited — the
     /// partial-progress view salvage replay reports.
     pub fn partial_fingerprint(&self) -> u64 {
-        let exit_codes: Vec<Option<u32>> = self.threads.iter().map(|t| t.exit_code).collect();
-        qr_os::native::fingerprint_of(&self.machine, &self.console, &exit_codes)
+        let exit_codes: Vec<Option<u32>> = self.state.threads.iter().map(|t| t.exit_code).collect();
+        qr_os::native::fingerprint_of(&self.state.machine, &self.state.console, &exit_codes)
     }
 
     /// Instructions re-executed up to the current position.
     pub fn instructions_so_far(&self) -> u64 {
-        self.instructions
+        self.state.instructions
     }
 
     /// Chunks replayed up to the current position.
     pub fn chunks_replayed_so_far(&self) -> usize {
-        self.chunks_replayed
+        self.state.chunks_replayed
     }
 
     /// Input events injected up to the current position.
     pub fn inputs_injected_so_far(&self) -> usize {
-        self.inputs_injected
+        self.state.inputs_injected
     }
 
     /// Validates terminal state and produces the outcome.
-    fn finish(mut self) -> Result<(ReplayOutcome, RaceReport)> {
-        let exit_codes = exec::final_exit_codes(self.threads.iter())?;
-        let fingerprint = qr_os::native::fingerprint_of(&self.machine, &self.console, &exit_codes);
-        let cycles = (0..self.machine.num_cores())
-            .map(|i| self.machine.core(CoreId(i as u8)).cycles())
+    pub(crate) fn finish(mut self) -> Result<(ReplayOutcome, RaceReport)> {
+        let state = self.state;
+        let exit_codes = exec::final_exit_codes(state.threads.iter())?;
+        let fingerprint = qr_os::native::fingerprint_of(&state.machine, &state.console, &exit_codes);
+        let cycles = (0..state.machine.num_cores())
+            .map(|i| state.machine.core(CoreId(i as u8)).cycles())
             .sum();
         let report = self.detector.take().map(RaceDetector::into_report).unwrap_or_default();
         Ok((
             ReplayOutcome {
-                console: self.console,
+                console: state.console,
                 exit_code: exit_codes.first().copied().flatten().unwrap_or(0),
                 fingerprint,
                 cycles,
-                instructions: self.instructions,
-                chunks_replayed: self.chunks_replayed,
-                inputs_injected: self.inputs_injected,
+                instructions: state.instructions,
+                chunks_replayed: state.chunks_replayed,
+                inputs_injected: state.inputs_injected,
             },
             report,
         ))
@@ -474,24 +499,25 @@ impl<'a> Replayer<'a> {
     /// this replay's one machine.
     fn process_event(&mut self, event: &TimelineEvent) -> Result<()> {
         let tid = event.tid();
+        let state = &mut self.state;
         let effect = exec::exec_event(
-            &mut self.machine,
+            &mut state.machine,
             CoreId(tid.0 as u8),
-            &mut self.threads[tid.index()],
+            &mut state.threads[tid.index()],
             event,
             self.recording.meta.tso_mode,
-            &mut self.instructions,
+            &mut state.instructions,
             self.detector.as_mut(),
         )?;
         match effect {
             Effect::None => {}
             Effect::Spawn { child, entry, arg } => self.create_thread(child, entry, arg)?,
-            Effect::Map { base, len } => self.machine.mem_mut().map_region(base, len)?,
-            Effect::Console(bytes) => self.console.extend_from_slice(&bytes),
+            Effect::Map { base, len } => self.state.machine.mem_mut().map_region(base, len)?,
+            Effect::Console(bytes) => self.state.console.extend_from_slice(&bytes),
         }
         match event {
-            TimelineEvent::Chunk(_) => self.chunks_replayed += 1,
-            TimelineEvent::Input(_) => self.inputs_injected += 1,
+            TimelineEvent::Chunk(_) => self.state.chunks_replayed += 1,
+            TimelineEvent::Input(_) => self.state.inputs_injected += 1,
         }
         Ok(())
     }
@@ -508,6 +534,25 @@ impl<'a> Replayer<'a> {
         mut self,
         every_events: usize,
     ) -> Result<(ReplayOutcome, Vec<ReplayCheckpoint>)> {
+        let mut checkpoints = Vec::new();
+        self.run_checkpointing(every_events, |rp| {
+            checkpoints.push(ReplayCheckpoint {
+                state: rp.state.clone(),
+                program_fingerprint: rp.recording.meta.program_fingerprint,
+            })
+        })?;
+        let (outcome, _) = self.finish()?;
+        Ok((outcome, checkpoints))
+    }
+
+    /// Steps the timeline to its end, calling `checkpoint` at every
+    /// position that is a positive multiple of `every_events` — the
+    /// schedule in-memory checkpoints and the persisted index share.
+    pub(crate) fn run_checkpointing(
+        &mut self,
+        every_events: usize,
+        mut checkpoint: impl FnMut(&Replayer<'a>),
+    ) -> Result<()> {
         if self.detector.is_some() {
             return Err(QrError::Unsupported(
                 "checkpointing cannot be combined with race detection".into(),
@@ -516,31 +561,19 @@ impl<'a> Replayer<'a> {
         if every_events == 0 {
             return Err(QrError::InvalidConfig("checkpoint interval must be nonzero".into()));
         }
-        let mut checkpoints = Vec::new();
-        while self.timeline_pos < self.timeline.len() {
-            if self.timeline_pos > 0 && self.timeline_pos.is_multiple_of(every_events) {
-                checkpoints.push(self.checkpoint());
+        while self.state.timeline_pos < self.timeline.len() {
+            if self.state.timeline_pos > 0 && self.state.timeline_pos.is_multiple_of(every_events) {
+                checkpoint(self);
             }
-            if !self.step_timeline()? {
-                break;
-            }
+            self.step_timeline()?;
         }
-        let (outcome, _) = self.finish()?;
-        Ok((outcome, checkpoints))
+        Ok(())
     }
 
-    /// Snapshots the current replay state.
-    fn checkpoint(&self) -> ReplayCheckpoint {
-        ReplayCheckpoint {
-            machine: self.machine.clone(),
-            threads: self.threads.clone(),
-            console: self.console.clone(),
-            instructions: self.instructions,
-            chunks_replayed: self.chunks_replayed,
-            inputs_injected: self.inputs_injected,
-            timeline_pos: self.timeline_pos,
-            program_fingerprint: self.recording.meta.program_fingerprint,
-        }
+    /// Serializes the current replay state as one checkpoint record
+    /// whose memory overlay is relative to `base`, which `kind` names.
+    pub(crate) fn checkpoint_record(&self, kind: RecordKind, base: &PagedMemory) -> Vec<u8> {
+        self.state.to_record(kind, base, self.recording.meta.program_fingerprint)
     }
 
     /// Resumes a replay from a checkpoint taken on the same
@@ -564,16 +597,32 @@ impl<'a> Replayer<'a> {
         }
         Ok(Replayer {
             recording,
-            machine: checkpoint.machine,
-            threads: checkpoint.threads,
-            console: checkpoint.console,
-            instructions: checkpoint.instructions,
-            chunks_replayed: checkpoint.chunks_replayed,
-            inputs_injected: checkpoint.inputs_injected,
-            timeline_pos: checkpoint.timeline_pos,
-            timeline: recording.timeline()?,
+            state: checkpoint.state,
+            timeline: recording.timeline()?.into(),
             detector: None,
         })
+    }
+
+    /// [`Replayer::resume`] from a serialized checkpoint record, for a
+    /// caller that already matched the program to the recording and
+    /// merged its timeline. `machine` must hold the memory the record's
+    /// overlay is relative to, which `kind` names: a [`fresh_machine`]
+    /// for a keyframe, with the overlays of the chain so far applied for
+    /// a delta.
+    pub(crate) fn restore(
+        recording: &'a Recording,
+        timeline: Arc<[TimelineEntry<'a>]>,
+        machine: Machine,
+        kind: RecordKind,
+        record: &[u8],
+    ) -> Result<Replayer<'a>> {
+        let (state, program_fingerprint) = ReplayState::from_record(machine, kind, record)?;
+        if program_fingerprint != recording.meta.program_fingerprint || state.timeline_pos > timeline.len() {
+            return Err(QrError::ReplayDivergence(
+                "checkpoint does not belong to this program/recording".into(),
+            ));
+        }
+        Ok(Replayer { recording, state, timeline, detector: None })
     }
 }
 
@@ -600,18 +649,33 @@ mod tests {
     fn hostile_nondet_count_is_corrupt_before_anything_is_reserved() {
         let program = racy_program();
         let recording = record(program.clone(), RecordingConfig::with_cores(2)).unwrap();
-        let (_, checkpoints) =
-            Replayer::new(&program, &recording).unwrap().run_with_checkpoints(4).unwrap();
-        let bytes = checkpoints[0].to_bytes();
-        // Keep the machine image; follow it with one thread record that
-        // claims 2^24 nondet entries and ends there.
-        let mut r = qr_common::cursor::ByteReader::new(&bytes, "snapshot");
-        r.prefixed().unwrap();
-        let mut hostile = bytes[..r.pos()].to_vec();
+        let fresh = fresh_machine(&program, &recording).unwrap();
+        let timeline: Arc<[TimelineEntry<'_>]> = recording.timeline().unwrap().into();
+        let restore = |kind, record: &[u8]| {
+            Replayer::restore(&recording, timeline.clone(), fresh.clone(), kind, record)
+        };
+        // The first checkpoint of a run, as the keyframe an index holds.
+        let keyframe = |rp: &Replayer<'_>| rp.checkpoint_record(RecordKind::Keyframe, fresh.mem().memory());
+        let mut records = Vec::new();
+        let mut run = Replayer::start(&recording, timeline.clone(), fresh.clone()).unwrap();
+        run.run_checkpointing(4, |rp| records.push(keyframe(rp))).unwrap();
+        let bytes = &records[0];
+        let restored = restore(RecordKind::Keyframe, bytes).unwrap();
+        assert_eq!(restored.position(), 4);
+        assert_eq!(&keyframe(&restored), bytes, "a clean record round-trips");
+        // Keep the kind byte and the machine image; follow them with one
+        // thread record that claims 2^24 nondet entries and ends there.
+        let mut r = qr_common::cursor::ByteReader::new(&bytes[1..], "snapshot");
+        fresh.clone().restore_state(&mut r).unwrap();
+        let mut hostile = bytes[..1 + r.pos()].to_vec();
         hostile.extend_from_slice(&[1, 1, 0, 0, 0]); // 1 thread: created, no exit/handler/signal
         qr_common::varint::write_u64(&mut hostile, 1 << 24);
-        let err = ReplayCheckpoint::from_bytes(&program, &recording, &hostile).unwrap_err();
+        let err = restore(RecordKind::Keyframe, &hostile).unwrap_err();
         assert!(err.to_string().contains("implausible count 16777216"), "{err}");
+        // Read as a delta the record is refused by kind: `fresh` is not
+        // the base a delta's overlay is relative to.
+        let err = restore(RecordKind::Delta, bytes).unwrap_err();
+        assert!(err.to_string().contains("kind byte 0, expected 1 (Delta)"), "{err}");
     }
 
     #[test]

@@ -5,13 +5,17 @@
 //! interactive when you can jump *into* an execution instead of
 //! replaying it front to back. This module provides that jump:
 //!
-//! - [`CheckpointIndex`] serializes the periodic [`ReplayCheckpoint`]s a
-//!   replay produces into one framed `checkpoints.qrc` sidecar, with a
-//!   binary-searchable key table (timeline position, chunk / input /
-//!   instruction counters, per-thread instruction counts).
+//! - [`CheckpointIndex`] serializes periodic checkpoints of one replay
+//!   into one framed `checkpoints.qrc` sidecar, with a binary-searchable
+//!   key table (timeline position, chunk / input / instruction counters,
+//!   per-thread instruction counts). A checkpoint stores what changed:
+//!   guest memory as the 8-byte-word runs that differ from the freshly
+//!   loaded program image (a keyframe, every [`KEYFRAME_EVERY`]th) or
+//!   from the previous checkpoint (a delta), everything else in full.
 //! - [`QueryEngine::seek`] restores the nearest preceding checkpoint and
 //!   re-executes forward, so reaching timeline position `p` costs
-//!   O(log n) lookup plus at most one checkpoint interval of replay.
+//!   O(log n) lookup, at most [`KEYFRAME_EVERY`] overlays and at most
+//!   one checkpoint interval of replay.
 //! - [`ReplayQuery`] describes a slice of the execution (chunk range,
 //!   one thread's events, an instruction window, the tail before a
 //!   divergence, or `reverse_step`); [`QueryEngine::execute`] answers it
@@ -23,16 +27,39 @@
 //! because the index is a cache of replay state, never a source of
 //! truth.
 
-use crate::replayer::{replay_cpu_config, ReplayCheckpoint, Replayer};
-use qr_capo::{InputEvent, Recording, TimelineEvent};
+use crate::exec::check_program;
+use crate::replayer::{fresh_machine, RecordKind, Replayer};
+use qr_capo::{InputEvent, Recording, TimelineEntry, TimelineEvent};
 use qr_common::cursor::ByteReader;
 use qr_common::frame::{self, PayloadKind};
 use qr_common::varint::write_u64;
 use qr_common::{Cycle, QrError, Result, ThreadId};
+use qr_cpu::Machine;
 use qr_isa::Program;
+use std::sync::Arc;
 
-/// Newest `checkpoints.qrc` index layout this replayer understands.
-pub const CHECKPOINT_INDEX_VERSION: u64 = 1;
+/// The `checkpoints.qrc` index layout this replayer reads and writes.
+/// Version 1 stored every checkpoint as a full machine dump; it is
+/// refused by version, like any other layout that is not this one.
+pub const CHECKPOINT_INDEX_VERSION: u64 = 2;
+
+/// Checkpoint `i` of an index is a keyframe when `i` is a multiple of
+/// this, a delta on checkpoint `i - 1` otherwise, so a seek applies at
+/// most this many records. Measured on lu/radix/fft (DESIGN.md,
+/// decision 12): 8 keeps 87 % of what never writing a second keyframe
+/// would save.
+const KEYFRAME_EVERY: usize = 8;
+
+/// The kind of checkpoint `i` (0-based) of an index. The writer, the
+/// reader and every seek agree on it by position; the byte each record
+/// opens with only has to confirm it.
+fn kind_of_checkpoint(i: usize) -> RecordKind {
+    if i.is_multiple_of(KEYFRAME_EVERY) {
+        RecordKind::Keyframe
+    } else {
+        RecordKind::Delta
+    }
+}
 
 /// What kind of timeline event a descriptor describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,7 +128,11 @@ pub struct EventDescriptor {
 /// Propagates timeline construction errors (duplicate timestamps,
 /// malformed chunk schedules).
 pub fn timeline_descriptors(recording: &Recording) -> Result<Vec<EventDescriptor>> {
-    Ok((recording.timeline()?.iter().enumerate())
+    Ok(describe(&recording.timeline()?))
+}
+
+fn describe(timeline: &[TimelineEntry<'_>]) -> Vec<EventDescriptor> {
+    (timeline.iter().enumerate())
         .map(|(pos, entry)| {
             let (kind, icount, detail) = match entry.event {
                 TimelineEvent::Chunk(p) => (EventKind::Chunk, p.icount, u32::from(p.reason.code())),
@@ -119,7 +150,7 @@ pub fn timeline_descriptors(recording: &Recording) -> Result<Vec<EventDescriptor
                 detail,
             }
         })
-        .collect())
+        .collect()
 }
 
 /// The seek key of one persisted checkpoint: where it sits in the
@@ -143,8 +174,11 @@ pub struct CheckpointKey {
 ///
 /// Record 0 of the framed container is the seek index (version, binding
 /// fingerprints, interval, one [`CheckpointKey`] per checkpoint); each
-/// following record is one serialized [`ReplayCheckpoint`]. Snapshots
-/// stay as raw bytes until a seek actually needs one.
+/// following record is one serialized checkpoint: a kind byte, guest
+/// memory as an overlay — on the freshly loaded program image for a
+/// keyframe, on the previous checkpoint's memory for a delta — and all
+/// other replay state in full. Records stay as raw bytes until a seek
+/// actually needs them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointIndex {
     /// Checkpoint interval, in timeline events.
@@ -157,13 +191,16 @@ pub struct CheckpointIndex {
     pub recording_fingerprint: u64,
     /// Seek keys, strictly increasing by position.
     pub keys: Vec<CheckpointKey>,
-    /// Serialized [`ReplayCheckpoint`]s, parallel to `keys`.
+    /// Serialized checkpoint records, parallel to `keys`.
     pub snapshots: Vec<Vec<u8>>,
 }
 
 impl CheckpointIndex {
     /// Replays `recording` once, checkpointing every `every_events`
     /// timeline events, and packages the checkpoints into an index.
+    /// Each checkpoint is serialized as it is reached, against the
+    /// initial memory image or the one retained copy of the previous
+    /// checkpoint's memory; no machine is ever cloned.
     ///
     /// # Errors
     ///
@@ -174,33 +211,40 @@ impl CheckpointIndex {
         recording: &Recording,
         every_events: usize,
     ) -> Result<CheckpointIndex> {
-        let descriptors = timeline_descriptors(recording)?;
-        let num_threads = replay_cpu_config(recording)?.num_cores;
-        let replayer = Replayer::new(program, recording)?;
-        let (_, checkpoints) = replayer.run_with_checkpoints(every_events)?;
-        let mut keys = Vec::with_capacity(checkpoints.len());
-        let mut snapshots = Vec::with_capacity(checkpoints.len());
-        let mut thread_icounts = vec![0u64; num_threads];
+        check_program(program, recording)?;
+        let timeline: Arc<[TimelineEntry<'_>]> = recording.timeline()?.into();
+        let descriptors = describe(&timeline);
+        let machine = fresh_machine(program, recording)?;
+        let initial = machine.mem().memory().clone();
+        let mut previous = initial.clone();
+        let mut keys = Vec::new();
+        let mut snapshots = Vec::new();
+        let mut thread_icounts = vec![0u64; machine.num_cores()];
         let mut scanned = 0usize;
-        for cp in &checkpoints {
+        let mut replayer = Replayer::start(recording, timeline, machine)?;
+        replayer.run_checkpointing(every_events, |rp| {
             // Keys are sorted by position, so one forward scan over the
             // descriptors prices out all the per-thread counters.
-            while scanned < cp.position() {
-                let d = &descriptors[scanned];
+            for d in &descriptors[scanned..rp.position()] {
                 if d.kind == EventKind::Chunk {
                     thread_icounts[d.tid.index()] += d.icount;
                 }
-                scanned += 1;
             }
+            scanned = rp.position();
             keys.push(CheckpointKey {
-                position: cp.position() as u64,
-                instructions: cp.instructions(),
-                chunks_replayed: cp.chunks_replayed() as u64,
-                inputs_injected: cp.inputs_injected() as u64,
+                position: rp.position() as u64,
+                instructions: rp.instructions_so_far(),
+                chunks_replayed: rp.chunks_replayed_so_far() as u64,
+                inputs_injected: rp.inputs_injected_so_far() as u64,
                 thread_icounts: thread_icounts.clone(),
             });
-            snapshots.push(cp.to_bytes());
-        }
+            let kind = kind_of_checkpoint(snapshots.len());
+            let base = if kind == RecordKind::Keyframe { &initial } else { &previous };
+            snapshots.push(rp.checkpoint_record(kind, base));
+            previous.clone_from(rp.memory());
+        })?;
+        // A recording that does not end cleanly is not indexed.
+        replayer.finish()?;
         Ok(CheckpointIndex {
             interval: every_events as u64,
             timeline_len: descriptors.len() as u64,
@@ -242,9 +286,12 @@ impl CheckpointIndex {
     ///
     /// # Errors
     ///
-    /// Returns [`QrError::Unsupported`] for an index written by a newer
-    /// format version (naming both versions), and [`QrError::Corrupt`]
-    /// for malformed bytes.
+    /// Returns [`QrError::Unsupported`] for an index of any other
+    /// format version, older or newer (naming both versions), and
+    /// [`QrError::Corrupt`] for malformed bytes — including a record
+    /// whose kind byte is not the one its place calls for: an unknown
+    /// byte, a first record that is not a keyframe, a chain of more than
+    /// [`KEYFRAME_EVERY`] records.
     pub fn from_bytes(bytes: &[u8]) -> Result<CheckpointIndex> {
         let corrupt = |offset: u64, detail: String| QrError::Corrupt {
             what: "checkpoint index".into(),
@@ -257,14 +304,15 @@ impl CheckpointIndex {
             .ok_or_else(|| corrupt(0, "missing index header record".into()))?;
         let mut r = ByteReader::new(header, "checkpoint index");
         let version = r.varint()?;
-        if version > CHECKPOINT_INDEX_VERSION {
-            return Err(QrError::Unsupported(format!(
-                "checkpoint index version {version} \
-                 (this replayer supports up to version {CHECKPOINT_INDEX_VERSION})"
-            )));
-        }
         if version == 0 {
             return Err(corrupt(0, "implausible index version 0".into()));
+        }
+        if version != CHECKPOINT_INDEX_VERSION {
+            return Err(QrError::Unsupported(format!(
+                "checkpoint index version {version} \
+                 (this replayer reads only version {CHECKPOINT_INDEX_VERSION}; \
+                 the index is a cache, rebuild it from the recording)"
+            )));
         }
         let program_fingerprint = r.u64()?;
         let recording_fingerprint = r.u64()?;
@@ -314,6 +362,9 @@ impl CheckpointIndex {
             });
         }
         r.finish()?;
+        for (i, record) in records[1..].iter().enumerate() {
+            kind_of_checkpoint(i).expect(&mut ByteReader::new(record, &format!("checkpoint record {i}")))?;
+        }
         let snapshots = records[1..].iter().map(|rec| rec.to_vec()).collect();
         Ok(CheckpointIndex {
             interval,
@@ -642,8 +693,12 @@ impl QueryResult {
 /// accelerated by a [`CheckpointIndex`].
 #[derive(Debug)]
 pub struct QueryEngine<'a> {
-    program: &'a Program,
     recording: &'a Recording,
+    /// The merged timeline, shared with every replayer a seek returns.
+    timeline: Arc<[TimelineEntry<'a>]>,
+    /// The machine every replay of this recording starts from; seeks
+    /// clone it instead of loading the program again.
+    fresh: Machine,
     descriptors: Vec<EventDescriptor>,
     /// `cum_instructions[i]` = instructions replayed by the first `i`
     /// timeline events (length `timeline_len + 1`).
@@ -661,12 +716,9 @@ impl<'a> QueryEngine<'a> {
     /// Returns [`QrError::ReplayDivergence`] if `program` does not match
     /// the recording, plus timeline construction errors.
     pub fn new(program: &'a Program, recording: &'a Recording) -> Result<QueryEngine<'a>> {
-        if program.fingerprint() != recording.meta.program_fingerprint {
-            return Err(QrError::ReplayDivergence(
-                "program image does not match the recording".into(),
-            ));
-        }
-        let descriptors = timeline_descriptors(recording)?;
+        check_program(program, recording)?;
+        let timeline: Arc<[TimelineEntry<'a>]> = recording.timeline()?.into();
+        let descriptors = describe(&timeline);
         let mut cum_instructions = Vec::with_capacity(descriptors.len() + 1);
         cum_instructions.push(0);
         let mut chunk_positions = Vec::new();
@@ -677,8 +729,9 @@ impl<'a> QueryEngine<'a> {
             cum_instructions.push(cum_instructions[pos] + d.icount);
         }
         Ok(QueryEngine {
-            program,
             recording,
+            timeline,
+            fresh: fresh_machine(program, recording)?,
             descriptors,
             cum_instructions,
             chunk_positions,
@@ -696,6 +749,7 @@ impl<'a> QueryEngine<'a> {
         if index.program_fingerprint != self.recording.meta.program_fingerprint
             || index.recording_fingerprint != self.recording.fingerprint
             || index.timeline_len != self.descriptors.len() as u64
+            || index.snapshots.len() != index.keys.len()
         {
             return Err(QrError::ReplayDivergence(
                 "checkpoint index does not belong to this recording".into(),
@@ -736,9 +790,10 @@ impl<'a> QueryEngine<'a> {
 
     /// Returns a replayer positioned exactly at timeline position
     /// `target`: the nearest preceding checkpoint is restored (O(log n)
-    /// binary search) and the remaining interval re-executed; without a
-    /// usable checkpoint the replay runs from scratch. Either way the
-    /// state at `target` is bit-for-bit the same.
+    /// binary search, then its chain of at most [`KEYFRAME_EVERY`]
+    /// records) and the remaining interval re-executed; without a usable
+    /// checkpoint the replay runs from scratch. Either way the state at
+    /// `target` is bit-for-bit the same.
     ///
     /// # Errors
     ///
@@ -751,29 +806,55 @@ impl<'a> QueryEngine<'a> {
                 self.descriptors.len()
             )));
         }
-        let mut restored = None;
-        if let Some(ix) = &self.index {
-            if let Some(i) = ix.best_for(target) {
-                // A snapshot that fails to deserialize or resume is the
-                // same as no snapshot: fall back to from-scratch replay.
-                match ReplayCheckpoint::from_bytes(self.program, self.recording, &ix.snapshots[i])
-                    .and_then(|cp| Replayer::resume(self.program, self.recording, cp))
-                {
-                    Ok(rp) => restored = Some(rp),
-                    Err(_) => crate::obs::index_corrupt(),
-                }
-            }
-        }
+        let restored = self.index.as_ref().and_then(|ix| {
+            // A chain that fails to decode or apply is the same as no
+            // checkpoint: fall back to from-scratch replay.
+            self.restore(ix, ix.best_for(target)?).map_err(|_| crate::obs::index_corrupt()).ok()
+        });
         crate::obs::seek(restored.is_some());
         let mut rp = match restored {
             Some(rp) => rp,
-            None => Replayer::new(self.program, self.recording)?,
+            None => self.replayer_at_start()?,
         };
         while rp.position() < target {
             if !rp.step_timeline()? {
                 break;
             }
         }
+        Ok(rp)
+    }
+
+    /// A replayer at position 0. The program was matched to the
+    /// recording and the timeline merged when the engine was built.
+    fn replayer_at_start(&self) -> Result<Replayer<'a>> {
+        Replayer::start(self.recording, self.timeline.clone(), self.fresh.clone())
+    }
+
+    /// A replayer at checkpoint `i` of `ix`: one fresh machine, the
+    /// memory overlays from the chain's keyframe up to record `i`
+    /// applied in order, and the remaining state of record `i` alone.
+    fn restore(&self, ix: &CheckpointIndex, i: usize) -> Result<Replayer<'a>> {
+        let keyframe = i - i % KEYFRAME_EVERY;
+        let mut machine = self.fresh.clone();
+        for j in keyframe..i {
+            let mut r = ByteReader::new(&ix.snapshots[j], "checkpoint snapshot");
+            kind_of_checkpoint(j).expect(&mut r)?;
+            machine.apply_memory_overlay(&mut r)?;
+        }
+        let (timeline, kind) = (self.timeline.clone(), kind_of_checkpoint(i));
+        let rp = Replayer::restore(self.recording, timeline, machine, kind, &ix.snapshots[i])?;
+        if rp.position() as u64 != ix.keys[i].position {
+            return Err(QrError::Corrupt {
+                what: "checkpoint index".into(),
+                offset: 0,
+                detail: format!(
+                    "checkpoint {i} restores position {}, its key says {}",
+                    rp.position(),
+                    ix.keys[i].position
+                ),
+            });
+        }
+        crate::obs::seek_restore_records(i - keyframe + 1);
         Ok(rp)
     }
 
@@ -928,7 +1009,7 @@ impl<'a> QueryEngine<'a> {
         query: ReplayQuery,
         instructions: u64,
     ) -> Result<QueryResult> {
-        let mut scan = Replayer::new(self.program, self.recording)?;
+        let mut scan = self.replayer_at_start()?;
         let mut diverged = None;
         let stop = loop {
             let pos = scan.position();
@@ -995,7 +1076,7 @@ mod tests {
                     thread_icounts: vec![150, 110],
                 },
             ],
-            snapshots: vec![vec![1, 2, 3], vec![4, 5, 6]],
+            snapshots: vec![vec![0, 2, 3], vec![1, 5, 6]],
         }
     }
 
@@ -1009,22 +1090,64 @@ mod tests {
     }
 
     #[test]
-    fn future_index_version_is_rejected_by_name() {
-        let mut header = Vec::new();
-        write_u64(&mut header, 99);
-        let mut w = frame::Writer::new(PayloadKind::CheckpointIndex);
-        w.record(&header);
-        let err = CheckpointIndex::from_bytes(&w.finish()).unwrap_err();
-        match err {
-            QrError::Unsupported(msg) => {
-                assert!(msg.contains("version 99"), "names the file's version: {msg}");
-                assert!(
-                    msg.contains(&format!("version {CHECKPOINT_INDEX_VERSION}")),
-                    "names the supported version: {msg}"
-                );
+    fn other_index_versions_are_rejected_by_name() {
+        // 1 is the full-dump layout this reader replaced: refused like a
+        // future one, never parsed.
+        for version in [1, 99] {
+            let mut header = Vec::new();
+            write_u64(&mut header, version);
+            let mut w = frame::Writer::new(PayloadKind::CheckpointIndex);
+            w.record(&header);
+            let err = CheckpointIndex::from_bytes(&w.finish()).unwrap_err();
+            match err {
+                QrError::Unsupported(msg) => {
+                    assert!(msg.contains(&format!("version {version} ")), "names the file's version: {msg}");
+                    assert!(
+                        msg.contains(&format!("version {CHECKPOINT_INDEX_VERSION};")),
+                        "names the supported version: {msg}"
+                    );
+                }
+                other => panic!("expected Unsupported, got {other:?}"),
             }
-            other => panic!("expected Unsupported, got {other:?}"),
         }
+    }
+
+    /// `sample_index` with one record per kind byte given.
+    fn index_of_kinds(kinds: &[u8]) -> CheckpointIndex {
+        let mut ix = sample_index();
+        ix.timeline_len = 8 * (kinds.len() as u64 + 1);
+        ix.keys = (1..=kinds.len() as u64)
+            .map(|i| CheckpointKey { position: 8 * i, ..ix.keys[0].clone() })
+            .collect();
+        ix.snapshots = kinds.iter().map(|&kind| vec![kind, 0xee]).collect();
+        ix
+    }
+
+    #[test]
+    fn record_kinds_must_match_their_place_in_the_chain() {
+        let refused = |kinds: &[u8], needle: &str| {
+            match CheckpointIndex::from_bytes(&index_of_kinds(kinds).to_bytes()) {
+                Err(QrError::Corrupt { what, detail, .. }) => {
+                    assert!(format!("{what}: {detail}").contains(needle), "{what}: {detail}")
+                }
+                other => panic!("{kinds:?}: expected Corrupt, got {other:?}"),
+            }
+        };
+        let mut kinds = vec![0];
+        kinds.extend([1; KEYFRAME_EVERY - 1]);
+        kinds.extend([0, 1]);
+        assert!(CheckpointIndex::from_bytes(&index_of_kinds(&kinds).to_bytes()).is_ok(), "full chains");
+        // A delta with nothing before it, an unassigned byte, a chain one
+        // record too long, and a keyframe where a delta belongs.
+        refused(&[1, 0], "record 0: record kind byte 1, expected 0 (Keyframe)");
+        refused(&[0, 1, 2], "record 2: record kind byte 2, expected 1 (Delta)");
+        kinds[KEYFRAME_EVERY] = 1;
+        refused(&kinds, &format!("record {KEYFRAME_EVERY}: record kind byte 1, expected 0 (Keyframe)"));
+        refused(&[0, 0], "record 1: record kind byte 0, expected 1 (Delta)");
+        // An empty record has no kind byte at all.
+        let mut ix = index_of_kinds(&[0, 1]);
+        ix.snapshots[1].clear();
+        assert!(CheckpointIndex::from_bytes(&ix.to_bytes()).is_err());
     }
 
     #[test]

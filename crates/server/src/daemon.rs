@@ -35,12 +35,27 @@ fn parse_count(args: &[String], flag: &str, default: usize) -> Result<usize, Str
     }
 }
 
+/// Every option the daemon takes; each is followed by its value.
+const FLAGS: [&str; 7] =
+    ["--socket", "--tcp", "--store", "--workers", "--queue", "--event-workers", "--max-conns"];
+
 /// Parses daemon arguments into an endpoint + config.
 ///
 /// # Errors
 ///
-/// Returns a usage-style message for unparsable arguments.
+/// Returns a usage-style message for unparsable arguments: an option
+/// that is not in [`USAGE`], an option without its value, a count that
+/// is not a positive integer, no endpoint or two.
 pub fn parse_args(args: &[String]) -> Result<(Endpoint, ServerConfig), String> {
+    let mut rest = args.iter();
+    while let Some(flag) = rest.next() {
+        if !FLAGS.contains(&flag.as_str()) {
+            return Err(format!("unknown option `{flag}`"));
+        }
+        if rest.next().is_none() {
+            return Err(format!("{flag} needs a value"));
+        }
+    }
     let endpoint = match (flag_value(args, "--socket"), flag_value(args, "--tcp")) {
         (Some(path), None) => Endpoint::Unix(PathBuf::from(path)),
         (None, Some(addr)) => Endpoint::Tcp(addr),
@@ -86,4 +101,46 @@ pub fn run(args: &[String]) -> Result<(), String> {
     handle.wait();
     println!("quickrecd: shutdown complete");
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<(Endpoint, ServerConfig), String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn every_documented_option_parses() {
+        let (endpoint, cfg) = parse(&[
+            "--tcp", "127.0.0.1:0", "--store", "s", "--workers", "3", "--queue", "5",
+            "--event-workers", "4", "--max-conns", "9",
+        ])
+        .unwrap();
+        assert_eq!(endpoint, Endpoint::Tcp("127.0.0.1:0".into()));
+        assert_eq!(
+            (cfg.workers, cfg.queue_capacity, cfg.event_workers, cfg.max_connections),
+            (3, 5, 4, 9)
+        );
+        assert_eq!(cfg.store_root, PathBuf::from("s"));
+        for flag in FLAGS {
+            assert!(USAGE.contains(&format!("  {flag} ")), "{flag} is not in the usage text");
+        }
+    }
+
+    #[test]
+    fn unknown_options_and_missing_values_are_usage_errors() {
+        // `--shards` was deleted by PR 19 and used to be swallowed.
+        let err = parse(&["--socket", "s", "--shards", "4"]).unwrap_err();
+        assert_eq!(err, "unknown option `--shards`");
+        assert_eq!(parse(&["--socket", "s", "stray"]).unwrap_err(), "unknown option `stray`");
+        // A known option as the last argument used to fall back to its
+        // default without a word.
+        assert_eq!(parse(&["--socket", "s", "--workers"]).unwrap_err(), "--workers needs a value");
+        assert_eq!(parse(&["--socket"]).unwrap_err(), "--socket needs a value");
+        assert!(parse(&["--socket", "s", "--workers", "0"]).unwrap_err().contains("positive integer"));
+        assert!(parse(&["--socket", "s", "--tcp", "a:1"]).unwrap_err().contains("not both"));
+        assert!(parse(&[]).unwrap_err().contains("an endpoint is required"));
+    }
 }

@@ -394,7 +394,14 @@ pub(crate) fn handle_request(
 
 /// Timeline events between persisted checkpoints for recordings made by
 /// this daemon: small enough that any seek re-executes only a short
-/// tail, large enough that the sidecar stays a fraction of the log.
+/// tail (11.7 events on average, `replay.seek_reexec_events`). The
+/// sidecar it buys is not a fraction of the log — measured, it is 7–26×
+/// the chunk + input log of a Test-scale session (fft 9.8 KB against
+/// 1.3 KB) and 31× at Reference scale (451 against 14.7 B/kinstr) — but
+/// it is no longer the 823× it was when every checkpoint dumped every
+/// guest page (DESIGN.md, decision 12). The benchmark compiles in the
+/// same value (`bench/src/workloads/timetravel.rs`); change both or
+/// neither.
 const CHECKPOINT_INTERVAL: usize = 25;
 
 /// Answers a QUERY: a read over an immutable store entry that replays

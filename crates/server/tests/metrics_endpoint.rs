@@ -57,6 +57,12 @@ fn metrics_request_returns_parseable_exposition_with_all_families() {
         Response::Pong => {}
         other => panic!("ping: {other:?}"),
     }
+    // One time-travel query, so the seek families register too: a step
+    // back from the end restores the last checkpoint of the sidecar the
+    // record job built.
+    client
+        .query(id, qr_replay::ReplayQuery::ReverseStep { events: 1 }, false, 0, 0)
+        .expect("query");
 
     let text = client.metrics().expect("metrics request");
     let exposition = qr_obs::parse_exposition(&text)
@@ -76,6 +82,8 @@ fn metrics_request_returns_parseable_exposition_with_all_families() {
         "qr_recorder_log_bytes_total",
         "qr_store_encode_latency_us",
         "qr_store_bytes_total",
+        "qr_replay_seeks_total",
+        "qr_replay_seek_restore_records",
     ] {
         assert!(
             exposition.has_family(family),
@@ -86,6 +94,11 @@ fn metrics_request_returns_parseable_exposition_with_all_families() {
     assert!(
         text.contains("qr_server_request_latency_us{") && text.contains("quantile=\"0.99\""),
         "latency histogram lacks quantile samples:\n{text}"
+    );
+    // Why a seek was slow: how many checkpoint records it had to apply.
+    assert!(
+        text.contains("qr_replay_seek_restore_records_bucket{le=\"8\"} 1"),
+        "the restored seek did not report its chain depth:\n{text}"
     );
     // The submit and ping we just made are counted by kind.
     assert!(

@@ -2,14 +2,75 @@
 //! the same outcome as a from-scratch replay — checkpoints only bound
 //! latency, never change semantics.
 
-use quickrec::{record, RecordingConfig};
+use quickrec::{record, CheckpointIndex, QueryEngine, RecordingConfig};
 use qr_replay::Replayer;
 
 fn recorded() -> (quickrec::Program, quickrec::Recording) {
-    let spec = quickrec::workloads::find("lu").expect("lu exists");
+    recorded_workload("lu")
+}
+
+fn recorded_workload(name: &str) -> (quickrec::Program, quickrec::Recording) {
+    let spec = quickrec::workloads::find(name).expect("suite workload");
     let program = (spec.build)(3, quickrec::workloads::Scale::Test).expect("builds");
     let recording = record(program.clone(), RecordingConfig::with_cores(3)).expect("records");
     (program, recording)
+}
+
+/// `_count` and `_sum` of the records-applied-per-restored-seek
+/// histogram.
+fn restore_records() -> (f64, f64) {
+    let snapshot = qr_obs::global().snapshot();
+    let value = |name: &str| snapshot.iter().find(|(n, _, _)| n == name).map_or(0.0, |s| s.2);
+    (value("qr_replay_seek_restore_records_count"), value("qr_replay_seek_restore_records_sum"))
+}
+
+#[test]
+fn chain_restored_replayers_equal_the_in_memory_checkpoints() {
+    // A persisted checkpoint is a keyframe (every 8th) or a delta on the
+    // one before it, and restoring it walks the chain from the keyframe.
+    // Wherever in a chain it sits, the replayer it yields is the one the
+    // in-memory checkpoint at that position resumes: same state there,
+    // same outcome at the end. No other test of this binary seeks, so
+    // the histogram deltas below are this test's alone.
+    let was_enabled = qr_obs::enabled();
+    qr_obs::set_enabled(true);
+    for name in ["lu", "fft", "radix"] {
+        let (program, recording) = recorded_workload(name);
+        let (plain, checkpoints) =
+            Replayer::new(&program, &recording).unwrap().run_with_checkpoints(4).unwrap();
+        // Records 7 | 8 and 15 | 16 straddle keyframes.
+        assert!(checkpoints.len() > 17, "{name}: only {} checkpoints", checkpoints.len());
+        let index = CheckpointIndex::build(&program, &recording, 4).unwrap();
+        assert_eq!(index, CheckpointIndex::from_bytes(&index.to_bytes()).unwrap());
+        let mut engine = QueryEngine::new(&program, &recording).unwrap();
+        engine.attach_index(index.clone()).unwrap();
+
+        let (count_before, sum_before) = restore_records();
+        let mut applied = 0;
+        for (i, cp) in checkpoints.into_iter().enumerate() {
+            assert_eq!(index.keys[i].position as usize, cp.position(), "{name}: checkpoint {i}");
+            let restored = engine.seek(cp.position()).unwrap();
+            let resumed = Replayer::resume(&program, &recording, cp).unwrap();
+            assert_eq!(restored.position(), resumed.position(), "{name}: checkpoint {i}");
+            assert_eq!(
+                restored.partial_fingerprint(),
+                resumed.partial_fingerprint(),
+                "{name}: state at checkpoint {i}"
+            );
+            assert_eq!(restored.console_so_far(), resumed.console_so_far());
+            assert_eq!(restored.instructions_so_far(), resumed.instructions_so_far());
+            let outcome = restored.run().unwrap_or_else(|e| panic!("{name}: run on from {i}: {e}"));
+            assert_eq!(outcome, resumed.run().unwrap(), "{name}: outcome from checkpoint {i}");
+            assert_eq!(outcome, plain, "{name}: outcome from checkpoint {i}");
+            applied += i % 8 + 1;
+        }
+        // Every seek was served by its chain, none by a silent fallback
+        // to scratch: record i applies the keyframe through itself.
+        let (count, sum) = restore_records();
+        assert_eq!(count - count_before, index.keys.len() as f64, "{name}: restored seeks");
+        assert_eq!(sum - sum_before, applied as f64, "{name}: records applied");
+    }
+    qr_obs::set_enabled(was_enabled);
 }
 
 #[test]

@@ -79,6 +79,21 @@ fn missing_and_bad_args_exit_nonzero_with_usage() {
 }
 
 #[test]
+fn serve_refuses_unknown_options_and_options_without_a_value() {
+    // Both used to start a daemon with the defaults (and this test to
+    // hang): `--shards` was deleted by PR 19, `--workers` lost its value.
+    for (args, needle) in [
+        (&["serve", "--socket", "never.sock", "--shards", "4"][..], "unknown option `--shards`"),
+        (&["serve", "--socket", "never.sock", "--workers"][..], "--workers needs a value"),
+    ] {
+        let out = quickrec(args);
+        assert!(!out.status.success(), "args {args:?} should fail");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(needle), "args {args:?}: {err}");
+    }
+}
+
+#[test]
 fn verify_passes_fresh_recordings_and_fails_corrupted_ones() {
     let dir = scratch("verify");
     let (_prog, logs) = recorded(&dir);

@@ -397,10 +397,15 @@ fn reject_fixtures() -> Vec<Reject> {
     trace_bad_kind.record(&[0x01]); // count record: 1 committed event
     trace_bad_kind.record(&[0x00, 0x07]); // seq 0, event-kind byte 7
 
-    let mut checkpoints_v99 = frame::Writer::new(PayloadKind::CheckpointIndex);
-    let mut payload = Vec::new();
-    varint::write_u64(&mut payload, 99);
-    checkpoints_v99.record(&payload);
+    // A checkpoint index is read by exactly one version: the header
+    // record need carry nothing past the version to be refused.
+    let checkpoints_of_version = |version: u64| {
+        let mut w = frame::Writer::new(PayloadKind::CheckpointIndex);
+        let mut payload = Vec::new();
+        varint::write_u64(&mut payload, version);
+        w.record(&payload);
+        w.finish()
+    };
 
     // A v4 manifest that does not list the order-log payload: the
     // version/payload cross-check must refuse the contradiction.
@@ -509,7 +514,15 @@ fn reject_fixtures() -> Vec<Reject> {
             decoder: "checkpoint-index",
             error_contains: "checkpoint index version 99".to_string(),
             reason: "checkpoint indexes from a future layout are refused by version, not misread",
-            bytes: checkpoints_v99.finish(),
+            bytes: checkpoints_of_version(99),
+        },
+        Reject {
+            name: "full-dump-checkpoint-index",
+            file: "rejects/checkpoints-v1.qrc",
+            decoder: "checkpoint-index",
+            error_contains: "checkpoint index version 1 (this replayer reads only version 2".to_string(),
+            reason: "v1 indexes (a full machine dump per checkpoint) have no reader left: refused by version, rebuilt from the recording",
+            bytes: checkpoints_of_version(1),
         },
         Reject {
             name: "meta-trailing-bytes",
@@ -1065,6 +1078,38 @@ fn checkpoint_fixtures_seek_to_pinned_fingerprints() {
         Recording::load(&stripped_dir).expect("index-less recording loads");
         std::fs::remove_dir_all(&tmp).ok();
     }
+}
+
+/// The seek index stays proportionate to what it indexes. Format v1
+/// dumped every 64 KiB guest page into every checkpoint (788 737 B for
+/// the three checkpoints of `fft2-raw`, ~330 KB per checkpoint on the
+/// suite); v2 stores the words that changed. Both bounds are several
+/// times today's numbers and an order of magnitude under v1's, so they
+/// trip on a regression to page-granular state, not on a workload that
+/// grows a little.
+#[test]
+fn checkpoint_indexes_stay_proportionate() {
+    maybe_regen();
+    const PER_CHECKPOINT: usize = 16 * 1024;
+    let fixture = golden_root().join("checkpoints/fft2-raw/checkpoints.qrc");
+    let fixture = std::fs::read(fixture).expect("fft2-raw checkpoints.qrc");
+    assert!(fixture.len() <= PER_CHECKPOINT, "fft2-raw/checkpoints.qrc is {} B", fixture.len());
+
+    // The daemon's interval, over every workload of the suite.
+    let (mut bytes, mut checkpoints) = (0, 0);
+    for spec in quickrec::workloads::suite() {
+        let program = (spec.build)(2, Scale::Test).expect("suite workload builds");
+        let rec = record(program.clone(), RecordingConfig::with_cores(2)).expect("records");
+        let index = CheckpointIndex::build(&program, &rec, 25).expect("index builds");
+        bytes += index.to_bytes().len();
+        checkpoints += index.keys.len();
+    }
+    assert!(checkpoints >= 16, "the suite at Test scale takes {checkpoints} checkpoints");
+    assert!(
+        bytes <= checkpoints * PER_CHECKPOINT,
+        "{bytes} B of index for {checkpoints} checkpoints: {} B each",
+        bytes / checkpoints
+    );
 }
 
 #[test]

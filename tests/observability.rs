@@ -5,7 +5,9 @@
 //! same mutators the log fault-injection suite uses.
 
 use quickrec::workloads::{find, Scale};
-use quickrec::{record, Encoding, Recording, RecordingConfig};
+use quickrec::{
+    record, CheckpointIndex, Encoding, QueryEngine, Recording, RecordingConfig, ReplayQuery,
+};
 use std::path::PathBuf;
 
 const THREADS: usize = 2;
@@ -22,6 +24,10 @@ fn record_workload(name: &str) -> Recording {
     let program = (spec.build)(THREADS, Scale::Test).expect("build");
     record(program, RecordingConfig::with_cores(THREADS)).expect("record")
 }
+
+/// Held by every test that flips the process-wide metrics switch, so
+/// one test's "off" half cannot blind another's "on" half.
+static METRICS_SWITCH: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// Reads every file of a saved recording directory, sorted by name.
 fn dir_bytes(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
@@ -41,6 +47,7 @@ fn dir_bytes(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
 #[test]
 fn recordings_are_byte_identical_with_metrics_on_and_off() {
     let dir = scratch("onoff");
+    let _switch = METRICS_SWITCH.lock().unwrap_or_else(|e| e.into_inner());
     let was_enabled = qr_obs::enabled();
 
     qr_obs::set_enabled(true);
@@ -77,6 +84,45 @@ fn recordings_are_byte_identical_with_metrics_on_and_off() {
         }
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn seek_indexes_and_answers_are_byte_identical_with_metrics_on_and_off() {
+    let spec = find("lu").expect("suite workload");
+    let program = (spec.build)(THREADS, Scale::Test).expect("build");
+    let recording = record(program.clone(), RecordingConfig::with_cores(THREADS)).expect("record");
+    let _switch = METRICS_SWITCH.lock().unwrap_or_else(|e| e.into_inner());
+    let was_enabled = qr_obs::enabled();
+
+    // The sidecar, every seek through it and a query answer, once with
+    // the registry counting seeks and restored records and once blind.
+    let run = |observe: bool| {
+        qr_obs::set_enabled(observe);
+        let sidecar = CheckpointIndex::build(&program, &recording, 4).expect("index").to_bytes();
+        let mut engine = QueryEngine::new(&program, &recording).expect("engine");
+        assert!(engine.attach_index_bytes(&sidecar));
+        let landings: Vec<u64> = (0..=engine.timeline_len())
+            .map(|target| engine.seek(target).expect("seek").partial_fingerprint())
+            .collect();
+        let query = ReplayQuery::ReverseStep { events: 5 };
+        (sidecar, landings, engine.execute(query, None).expect("query").to_bytes())
+    };
+    let observed = run(true);
+    let blind = run(false);
+    qr_obs::set_enabled(was_enabled);
+    assert!(observed == blind, "enabling metrics changed a sidecar, a seek or an answer");
+
+    // The observed run explains itself: every restored seek said how
+    // many records it applied, never more than a chain holds.
+    let text = qr_obs::global().render();
+    let sample = |name: &str| -> u64 {
+        let line = text.lines().find(|l| l.starts_with(name)).unwrap_or_else(|| panic!("{name}:\n{text}"));
+        line.rsplit(' ').next().and_then(|v| v.parse().ok()).expect("sample value")
+    };
+    let restored = sample("qr_replay_seek_restore_records_count");
+    assert!(restored > 0, "no restored seek was observed");
+    assert_eq!(sample("qr_replay_seek_restore_records_bucket{le=\"8\"}"), restored);
+    assert!(sample("qr_replay_seek_restore_records_bucket{le=\"1\"}") < restored, "chains were walked");
 }
 
 #[test]

@@ -14,7 +14,7 @@ use qr_common::SplitMix64;
 use quickrec::workloads::{find, suite, Scale};
 use quickrec::{
     record, CheckpointIndex, Encoding, Program, QueryEngine, Recording, RecordingConfig,
-    ReplayCheckpoint, ReplayQuery, ThreadId,
+    ReplayQuery, ThreadId,
 };
 
 const THREADS: usize = 3;
@@ -227,58 +227,85 @@ fn mutated_indexes_are_structured_errors_and_degrade_to_scratch() {
     }
     assert!(degraded >= 40, "the sweep must actually exercise mutations");
 
-    // Damage the framing cannot see: the snapshot the seek lands on has
+    // Damage the framing cannot see: the record the seek lands on has
     // one memory region's start and end swapped, and `to_bytes` stamps
     // fresh CRCs over it. The index decodes and attaches; only the
-    // region check in the restore path can refuse the snapshot, and the
+    // region check in the restore path can refuse the record, and the
     // seek must then replay from scratch to the same answer (an inverted
     // region used to overflow, or hash ~4 GiB, in the state fingerprint).
     let seek_target = scratch.timeline_len() - 3;
     let chosen = pristine.keys.iter().rposition(|k| k.position as usize <= seek_target)
         .expect("a checkpoint precedes the reverse-step target");
     let mut inverted = pristine.clone();
-    inverted.snapshots[chosen] = invert_a_region(&program, &recording, &pristine.snapshots[chosen]);
+    inverted.snapshots[chosen] = invert_a_region(&pristine.snapshots[chosen]);
     let mut engine = QueryEngine::new(&program, &recording).expect("engine");
     assert!(engine.attach_index_bytes(&inverted.to_bytes()), "re-stamped index must attach");
     let before_seek = index_corrupt_count();
     let answer = engine
         .execute(ReplayQuery::ReverseStep { events: 3 }, None)
-        .expect("a refused snapshot falls back to from-scratch replay");
-    assert_eq!(answer.to_bytes(), baseline, "inverted-region snapshot changed the answer");
-    assert!(index_corrupt_count() > before_seek, "the refused snapshot was not counted");
+        .expect("a refused record falls back to from-scratch replay");
+    assert_eq!(answer.to_bytes(), baseline, "inverted-region record changed the answer");
+    assert!(index_corrupt_count() > before_seek, "the refused record was not counted");
 
     let corrupt_after = index_corrupt_count();
-    qr_obs::set_enabled(was_enabled);
     assert!(
         corrupt_after >= corrupt_before + degraded,
         "every rejected attach increments qr_replay_index_corrupt_total \
          ({corrupt_before} -> {corrupt_after}, {degraded} rejects)"
     );
+
+    // Run from here, not as a test of its own: nothing else in this
+    // binary moves the corrupt counter, so its deltas below are exact.
+    damaged_chain_records_degrade_exactly_the_seeks_behind_them();
+    qr_obs::set_enabled(was_enabled);
 }
 
-/// Returns `snapshot` (a serialized `ReplayCheckpoint`) with the start
-/// and end of its first mapped memory region swapped. The region table
-/// is found by trying every occurrence of the data segment's base
-/// address and keeping the swap that the region check itself rejects.
-fn invert_a_region(program: &Program, recording: &Recording, snapshot: &[u8]) -> Vec<u8> {
-    let needle = qr_isa::program::DATA_BASE.to_le_bytes();
-    for at in 0..snapshot.len() - 8 {
-        if snapshot[at..at + 4] != needle {
-            continue;
-        }
-        let mut bad = snapshot.to_vec();
-        bad[at..at + 4].copy_from_slice(&snapshot[at + 4..at + 8]);
-        bad[at + 4..at + 8].copy_from_slice(&snapshot[at..at + 4]);
-        match ReplayCheckpoint::from_bytes(program, recording, &bad) {
-            Err(quickrec::QrError::Corrupt { what, detail, .. })
-                if what == "checkpoint memory regions" && detail.contains("inverted") =>
-            {
-                return bad;
-            }
-            _ => {}
+/// A checkpoint is a keyframe or a delta on the one before it, so one
+/// bad record takes out the rest of its chain and nothing else: a seek
+/// whose chain walks through the record falls back to scratch (counted,
+/// same answer), a seek served by the records before it or by another
+/// keyframe never notices.
+fn damaged_chain_records_degrade_exactly_the_seeks_behind_them() {
+    const CHAIN: usize = 8;
+    let (program, recording) = recorded("lu");
+    let pristine = CheckpointIndex::build(&program, &recording, 4).expect("index builds");
+    assert!(pristine.keys.len() > 2 * CHAIN, "{} checkpoints", pristine.keys.len());
+    let scratch = QueryEngine::new(&program, &recording).expect("engine");
+    // A delta in the middle of the first chain, then the keyframe that
+    // opens the second.
+    for damaged in [3, CHAIN] {
+        let bad = invert_a_region(&pristine.snapshots[damaged]);
+        let mut index = pristine.clone();
+        index.snapshots[damaged] = bad;
+        let mut engine = QueryEngine::new(&program, &recording).expect("engine");
+        assert!(engine.attach_index_bytes(&index.to_bytes()), "re-stamped index must attach");
+        for (i, key) in pristine.keys.iter().enumerate() {
+            let target = key.position as usize + 1;
+            let before = index_corrupt_count();
+            let got = engine.seek(target).unwrap_or_else(|e| panic!("seek {target}: {e}"));
+            let want = scratch.seek(target).expect("scratch seek");
+            assert_eq!(got.position(), target);
+            assert_eq!(got.partial_fingerprint(), want.partial_fingerprint(), "target {target}");
+            assert_eq!(got.console_so_far(), want.console_so_far(), "target {target}");
+            let walks_through = i / CHAIN == damaged / CHAIN && i >= damaged;
+            assert_eq!(
+                index_corrupt_count() - before,
+                u64::from(walks_through),
+                "record {damaged} damaged, seek served by checkpoint {i}"
+            );
         }
     }
-    panic!("no region starting at the data base found in the snapshot");
+}
+
+/// Returns `record` — one serialized checkpoint: the kind byte, the
+/// count of mapped memory regions, then `(u32 start, u32 end)` for each
+/// — with the start and end of its first region swapped.
+fn invert_a_region(record: &[u8]) -> Vec<u8> {
+    assert!((1..0x80).contains(&record[1]), "a nonzero one-byte region count");
+    let mut bad = record.to_vec();
+    bad[2..6].copy_from_slice(&record[6..10]);
+    bad[6..10].copy_from_slice(&record[2..6]);
+    bad
 }
 
 /// Current value of the `qr_replay_index_corrupt_total` counter, read
