@@ -28,12 +28,10 @@
 //! actually happened instead of growing with the chunk count.
 //!
 //! A node is identified as `(tid, seq)` — no timestamp appears anywhere
-//! in the log. Ordered replay schedules the logged edges directly as a
-//! dependency DAG; [`linearize`] reconstructs *a* legal total order
-//! from the log alone with a deterministic, timestamp-free topological
-//! sort (Kahn's algorithm with a `(tid, seq)` min-heap tie-break). Any
-//! legal order is conflict-equivalent to the recorded one and produces
-//! a byte-identical fingerprint, which the equivalence test battery
+//! in the log. Ordered replay (`qr_replay::order`) schedules the logged
+//! edges directly as a dependency DAG. Any legal order of that DAG is
+//! conflict-equivalent to the recorded one and produces a
+//! byte-identical fingerprint, which the equivalence test battery
 //! checks.
 //!
 //! The log serializes to the `order.qrp` sidecar as a framed container
@@ -557,88 +555,6 @@ pub fn derive(events: &[PoEvent]) -> Result<(OrderLog, DeriveStats)> {
     Ok((log, stats))
 }
 
-// ----- reconstruction -------------------------------------------------
-
-/// Reconstructs a legal total order from a partial-order log: Kahn's
-/// algorithm over program order plus the logged edges, breaking ties
-/// with a `(tid, seq)` min-heap — fully deterministic and
-/// timestamp-free. The result lists every node exactly once; feeding it
-/// back through the replayer produces a fingerprint byte-identical to
-/// the recorded execution (any legal order is conflict-equivalent).
-///
-/// # Errors
-///
-/// Returns [`QrError::Corrupt`] when an edge references a node outside
-/// the per-thread counts or the edges form a cycle (a tampered or
-/// internally inconsistent log).
-pub fn linearize(log: &OrderLog) -> Result<Vec<PoNode>> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    let corrupt = |detail: String| QrError::Corrupt {
-        what: "order log".into(),
-        offset: 0,
-        detail,
-    };
-    // Dense node ids: per-thread base offsets in tid order.
-    let mut base: BTreeMap<ThreadId, usize> = BTreeMap::new();
-    let mut total = 0usize;
-    for (&tid, &count) in &log.threads {
-        base.insert(tid, total);
-        total += count as usize;
-    }
-    let id_of = |node: PoNode| -> Result<usize> {
-        match log.threads.get(&node.tid) {
-            Some(&count) if node.seq < count => Ok(base[&node.tid] + node.seq as usize),
-            _ => Err(corrupt(format!("edge endpoint {node} is not a node"))),
-        }
-    };
-    let mut indegree = vec![0usize; total];
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); total];
-    for (&tid, &count) in &log.threads {
-        for seq in 1..count {
-            let b = base[&tid];
-            succs[b + seq as usize - 1].push(b + seq as usize);
-            indegree[b + seq as usize] += 1;
-        }
-    }
-    for edge in &log.edges {
-        let from = id_of(edge.from)?;
-        let to = id_of(edge.to)?;
-        succs[from].push(to);
-        indegree[to] += 1;
-    }
-    // Node id ordering is exactly (tid, seq) ordering, so a min-heap of
-    // ids is the deterministic tie-break.
-    let nodes: Vec<PoNode> = log
-        .threads
-        .iter()
-        .flat_map(|(&tid, &count)| (0..count).map(move |seq| PoNode { tid, seq }))
-        .collect();
-    let mut ready: BinaryHeap<Reverse<usize>> = indegree
-        .iter()
-        .enumerate()
-        .filter(|&(_, &d)| d == 0)
-        .map(|(i, _)| Reverse(i))
-        .collect();
-    let mut order = Vec::with_capacity(total);
-    while let Some(Reverse(id)) = ready.pop() {
-        order.push(nodes[id]);
-        for &succ in &succs[id] {
-            indegree[succ] -= 1;
-            if indegree[succ] == 0 {
-                ready.push(Reverse(succ));
-            }
-        }
-    }
-    if order.len() != total {
-        return Err(corrupt(format!(
-            "happens-before edges form a cycle ({} of {total} nodes orderable)",
-            order.len()
-        )));
-    }
-    Ok(order)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -815,10 +731,13 @@ mod tests {
         ];
         let (log, stats) = derive(&events).unwrap();
         assert_eq!(stats.conflict_edges, 3, "{:?}", log.edges());
-        // Reconstruction must reproduce the recorded interleaving: the
-        // WAW chain forces the exact alternation.
-        let order = linearize(&log).unwrap();
-        assert_eq!(order, vec![node(0, 0), node(1, 0), node(0, 1), node(1, 1)]);
+        // The WAW chain t0#0 -> t1#0 -> t0#1 -> t1#1 forces the exact
+        // alternation (canonical order: by destination).
+        let edge = |from, to| OrderEdge { from, to, kind: EdgeKind::Conflict };
+        assert_eq!(
+            log.edges(),
+            [edge(node(1, 0), node(0, 1)), edge(node(0, 0), node(1, 0)), edge(node(0, 1), node(1, 1))]
+        );
     }
 
     #[test]
@@ -829,11 +748,11 @@ mod tests {
             PoEvent { tid: ThreadId(0), footprint: None, is_input: true, spawns: None },
         ];
         let (log, stats) = derive(&events).unwrap();
-        // t0#0 -> t1#0 (spawn wins over input on the same pair) and
-        // t1#0 -> t0#1 (input chain).
+        // t0#0 -> t1#0 (spawn and input chain on the same pair: the
+        // higher code, input, labels it) and t1#0 -> t0#1 (input chain).
         assert_eq!(stats.input_edges + stats.spawn_edges, log.edges().len() as u64);
-        let order = linearize(&log).unwrap();
-        assert_eq!(order, vec![node(0, 0), node(1, 0), node(0, 1)]);
+        let edge = |from, to| OrderEdge { from, to, kind: EdgeKind::Input };
+        assert_eq!(log.edges(), [edge(node(1, 0), node(0, 1)), edge(node(0, 0), node(1, 0))]);
     }
 
     #[test]
@@ -848,58 +767,6 @@ mod tests {
         ];
         let (log, _) = derive(&events).unwrap();
         assert_eq!(OrderLog::from_bytes(&log.to_bytes()).unwrap(), log);
-    }
-
-    // ----- linearize -------------------------------------------------
-
-    #[test]
-    fn linearize_is_deterministic_and_respects_edges() {
-        let log = sample();
-        let a = linearize(&log).unwrap();
-        let b = linearize(&log).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(a.len() as u64, log.node_count());
-        let pos: BTreeMap<PoNode, usize> = a.iter().enumerate().map(|(i, &n)| (n, i)).collect();
-        for edge in log.edges() {
-            assert!(pos[&edge.from] < pos[&edge.to], "{} -> {}", edge.from, edge.to);
-        }
-        for (&tid, &count) in log.threads() {
-            for seq in 1..count {
-                assert!(pos[&node(tid.0, seq - 1)] < pos[&node(tid.0, seq)]);
-            }
-        }
-    }
-
-    #[test]
-    fn linearize_prefers_lowest_tid_among_ready() {
-        // No edges at all: pure (tid, seq) order.
-        let threads: BTreeMap<ThreadId, u32> =
-            [(ThreadId(0), 2), (ThreadId(1), 2)].into_iter().collect();
-        let log = OrderLog::new(threads, Vec::new());
-        let order = linearize(&log).unwrap();
-        assert_eq!(order, vec![node(0, 0), node(0, 1), node(1, 0), node(1, 1)]);
-    }
-
-    #[test]
-    fn linearize_detects_cycles() {
-        let threads: BTreeMap<ThreadId, u32> =
-            [(ThreadId(0), 1), (ThreadId(1), 1)].into_iter().collect();
-        let edges = vec![
-            OrderEdge { from: node(0, 0), to: node(1, 0), kind: EdgeKind::Conflict },
-            OrderEdge { from: node(1, 0), to: node(0, 0), kind: EdgeKind::Conflict },
-        ];
-        let log = OrderLog::new(threads, edges);
-        let err = linearize(&log).unwrap_err();
-        assert!(err.to_string().contains("cycle"), "{err}");
-    }
-
-    #[test]
-    fn linearize_rejects_dangling_endpoints() {
-        let threads: BTreeMap<ThreadId, u32> = [(ThreadId(0), 1)].into_iter().collect();
-        let edges =
-            vec![OrderEdge { from: node(5, 0), to: node(0, 0), kind: EdgeKind::Conflict }];
-        let log = OrderLog { threads, edges };
-        assert!(linearize(&log).is_err());
     }
 
     #[test]

@@ -311,11 +311,6 @@ fn apply_syscall(
         }
     }
     let effect = match record.number {
-        // The spawner already exists. Refused here rather than when the
-        // effect is applied: a lane applies it holding its own lock.
-        abi::SYS_SPAWN if record.result == tid.0 => {
-            return Err(diverged(format!("{tid} created twice")));
-        }
         abi::SYS_SPAWN if ok => {
             Effect::Spawn { child: ThreadId(record.result), entry: VirtAddr(a1), arg: a2 }
         }

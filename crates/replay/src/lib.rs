@@ -35,8 +35,11 @@
 //! timestamp order on one machine (and is what salvage, checkpoints and
 //! time-travel queries drive); [`ParallelReplayer`] relaxes it to the
 //! conflict DAG that [`quickrec_core::hb::ConflictSweep`] yields and
-//! runs per-thread lanes on a worker pool; [`replay_ordered`] schedules
-//! the same lanes under a recorded `order.qrp` edge set instead.
+//! runs per-thread lanes in the order of a greedy list schedule onto
+//! `jobs` *simulated* workers, whose makespan it reports;
+//! [`replay_ordered`] schedules the same lanes under a recorded
+//! `order.qrp` edge set instead. Every mode replays on the caller's
+//! thread.
 //!
 //! [`replay`] returns a [`ReplayOutcome`]; [`replay_and_verify`] also
 //! checks the fingerprint, console and exit code against the recording

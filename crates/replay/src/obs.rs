@@ -1,7 +1,9 @@
-//! Replay metrics (`qr-obs` hooks): serial vs parallel scheduler
-//! traffic, DAG stalls, ready-queue occupancy, and store-buffer
-//! activity. Observational only — replay outcomes and fingerprints
-//! never read these back (see the determinism rule in `qr-obs`).
+//! Replay metrics (`qr-obs` hooks): runs and timeline events by mode
+//! (serial or the parallel list schedule), lane ↔ canonical line
+//! traffic, seeks and checkpoint restores, order-log reconstruction,
+//! and store-buffer activity. Observational only — replay outcomes and
+//! fingerprints never read these back (see the determinism rule in
+//! `qr-obs`).
 
 use std::sync::{Arc, OnceLock};
 
@@ -40,41 +42,6 @@ pub(crate) fn nodes_executed(mode: &'static str, n: u64) {
             mode,
         )
         .add(n);
-    }
-}
-
-/// Accounts one parallel worker blocking on an empty ready queue.
-pub(crate) fn dag_stall() {
-    static HANDLE: OnceLock<Arc<Counter>> = OnceLock::new();
-    if qr_obs::enabled() {
-        HANDLE
-            .get_or_init(|| {
-                qr_obs::global().counter(
-                    "qr_replay_dag_stalls_total",
-                    "Parallel workers that blocked waiting for a ready DAG node",
-                    &[],
-                )
-            })
-            .inc();
-    }
-}
-
-/// Observes the ready-queue depth at a dispatch — the scheduler's
-/// occupancy signal (deep queue = workers starved for slots, depth 0
-/// after pop = the DAG's critical path is binding).
-pub(crate) fn queue_depth(depth: usize) {
-    static HANDLE: OnceLock<Arc<Histogram>> = OnceLock::new();
-    if qr_obs::enabled() {
-        HANDLE
-            .get_or_init(|| {
-                qr_obs::global().histogram(
-                    "qr_replay_ready_queue_depth",
-                    "Ready-queue depth observed at each parallel dispatch",
-                    &[],
-                    &[1, 2, 4, 8, 16, 32, 64, 128, 256],
-                )
-            })
-            .observe(depth as u64);
     }
 }
 

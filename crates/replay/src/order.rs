@@ -4,8 +4,8 @@
 //! sidecar: per-thread node counts plus the explicit happens-before
 //! edges (conflict, spawn, input causality) the recorder derived at
 //! record time. At replay, the edges are fed straight into the parallel
-//! scheduler's dependency DAG *instead of* re-deriving constraints from
-//! the footprint sidecar — the recorded order is the ordering
+//! list schedule's dependency DAG *instead of* re-deriving constraints
+//! from the footprint sidecar — the recorded order is the ordering
 //! authority, exactly as the total-order path treats the global chunk
 //! timestamps.
 //!
@@ -13,16 +13,17 @@
 //! timeline: walking timeline events in timestamp order, a thread's
 //! `n`-th event is its node `seq = n`. Program order (consecutive nodes
 //! of one thread) is implicit in the log and added here; every logged
-//! edge becomes a DAG edge. The DAG the scheduler is about to run is
-//! then checked once: a corrupt-but-CRC-valid edge set that names a
-//! missing node or forms a cycle is rejected with a structured error
-//! instead of deadlocking the scheduler.
+//! edge becomes a DAG edge. A corrupt-but-CRC-valid edge set is refused
+//! with a structured error: an edge naming a missing node before the
+//! schedule starts, a cycle when the schedule runs dry with nodes left
+//! undispatched ("k of n nodes orderable").
 //!
 //! Any legal execution of this DAG is conflict-equivalent to the
 //! recorded run (every conflicting pair is ordered by a recorded edge),
-//! so serial (`jobs == 1`) and parallel replays both produce
-//! fingerprints byte-identical to a total-order replay of the same
-//! seeded execution — checked by the partial-order equivalence battery.
+//! so every `jobs` count — a number of *simulated* workers; replay runs
+//! on the caller's thread — produces fingerprints byte-identical to a
+//! total-order replay of the same seeded execution, checked by the
+//! partial-order equivalence battery.
 //!
 //! Recordings whose footprint sidecar is missing or incomplete (torn
 //! and salvaged, say) fall back to serial timestamp replay: the chunk
@@ -39,8 +40,9 @@ use qr_isa::Program;
 use quickrec_core::PoNode;
 use std::collections::BTreeMap;
 
-/// Replays `recording` under its recorded partial order on up to `jobs`
-/// workers and verifies the outcome against the recording.
+/// Replays `recording` under its recorded partial order scheduled onto
+/// `jobs` simulated workers and verifies the outcome against the
+/// recording.
 ///
 /// # Errors
 ///
@@ -57,8 +59,8 @@ pub fn replay_ordered_and_verify(
 }
 
 /// Replays `recording` with the recorded `order.qrp` partial order as
-/// the ordering authority, on up to `jobs` workers (`jobs == 1` is the
-/// serial case — the scheduler then executes one legal linearization).
+/// the ordering authority, scheduled onto `jobs` simulated workers (the
+/// nodes execute in that schedule's order on the caller's thread).
 ///
 /// # Errors
 ///
@@ -125,18 +127,10 @@ pub fn replay_ordered(
     for p in &mut preds {
         p.sort_unstable();
     }
-    let dag = Dag::new(nodes, preds);
-    // Recorded edges, unlike derived ones, need not follow timestamp
-    // order: prove the scheduler can finish before committing to them.
-    let orderable = dag.orderable_nodes();
-    if orderable != dag.nodes.len() {
-        return Err(corrupt(format!(
-            "happens-before edges form a cycle ({orderable} of {} nodes orderable)",
-            dag.nodes.len()
-        )));
-    }
     crate::obs::order_reconstructed(started);
-    Runtime::new(program, recording, dag, jobs)?.run()
+    // Recorded edges, unlike derived ones, need not follow timestamp
+    // order: the schedule refuses a cycle as it runs dry.
+    Runtime::new(program, recording, Dag::new(nodes, preds), jobs)?.run()
 }
 
 #[cfg(test)]
@@ -219,11 +213,18 @@ mod tests {
             Some(OrderLog::new(order.threads().clone(), edges))
         };
         let first = order.edges()[0];
-        // Reversing a recorded edge closes a two-node cycle.
+        // Reversing a recorded edge closes a two-node cycle. The count
+        // is the nodes a topological order reaches — any order reaches
+        // the same set, so it does not depend on the worker count.
         recording.order = forged(OrderEdge { from: first.to, to: first.from, ..first });
-        match replay_ordered(&program, &recording, 2) {
-            Err(QrError::Corrupt { detail, .. }) => assert!(detail.contains("cycle"), "{detail}"),
-            other => panic!("{other:?}"),
+        for jobs in [1, 2, 4] {
+            match replay_ordered(&program, &recording, jobs) {
+                Err(QrError::Corrupt { what, detail, .. }) => {
+                    assert_eq!(what, "order log");
+                    assert_eq!(detail, "happens-before edges form a cycle (2 of 233 nodes orderable)");
+                }
+                other => panic!("jobs={jobs}: {other:?}"),
+            }
         }
         let beyond = PoNode { seq: order.threads()[&first.from.tid], ..first.from };
         recording.order = forged(OrderEdge { from: beyond, ..first });

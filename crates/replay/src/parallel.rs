@@ -1,8 +1,8 @@
-//! Parallel chunk-ordered replay with a conflict-dependency scheduler.
+//! Parallel chunk-ordered replay as a conflict-dependency list schedule.
 //!
 //! Serial replay executes the merged timeline strictly in global
-//! timestamp order — one chunk at a time, even on a many-core host. But
-//! the recorded total order is stronger than necessary: two chunks only
+//! timestamp order — one chunk at a time. But the recorded total order
+//! is stronger than necessary: two chunks only
 //! need to stay ordered if the *same thread* issued them (program order)
 //! or their read/write footprints actually conflict (some shared cache
 //! line written by at least one of them). Any execution respecting those
@@ -34,34 +34,41 @@
 //!
 //! # Execution model
 //!
+//! `jobs` is a count of *simulated* workers; replay runs on the
+//! caller's thread. (Host worker threads lost to serial replay on every
+//! measured mix, so the schedule is the product, not a thread pool.)
 //! Every thread gets a private single-core *lane* machine (own store
 //! buffer, so TSO reproduction stays exact) whose memory is fully
-//! mapped. A shared *canonical* machine carries the authoritative memory
+//! mapped. A *canonical* machine carries the authoritative memory
 //! image; the stack and `sbrk` mappings that serial replay applies to
 //! its one machine are applied to it, so its fingerprint hashes the
-//! same region list. A worker executing a node:
+//! same region list. Executing a node:
 //!
 //! 1. **pulls** the node's footprint lines from canonical memory into
 //!    the lane (clipped to canonical's mapped regions),
 //! 2. **executes** the node on the lane through the event executor
 //!    serial replay uses (`exec`: instruction-exact chunk execution,
 //!    boundary drains, RSW checks, input injection), applying the
-//!    effect it returns (spawn, mapping, console bytes) to the shared
-//!    state, and
+//!    effect it returns (spawn, mapping, console bytes) to the
+//!    canonical state, and
 //! 3. **pushes** the node's write-set lines back to canonical memory.
 //!
 //! Because every conflicting predecessor pushed before this node pulls
 //! (there is an edge), the pulled lines hold exactly the bytes serial
-//! replay would have observed; concurrent nodes touch disjoint write
-//! sets by construction. The per-core caches model coherence metadata
-//! only — data lives in the paged memory — so line copies between
-//! machines are architecturally exact.
+//! replay would have observed. The per-core caches model coherence
+//! metadata only — data lives in the paged memory — so line copies
+//! between machines are architecturally exact, and a lane's cycle cost
+//! depends only on its own thread's node sequence.
 //!
-//! The reported [`ReplayOutcome::cycles`] is a *simulated makespan*: a
-//! deterministic greedy list schedule of the DAG onto `jobs` workers
-//! using each node's replayed cycle cost. It depends only on the
-//! recording and `jobs`, never on host scheduling, keeping experiment
-//! output byte-stable.
+//! Nodes run in the order of a greedy event-driven list schedule onto
+//! `jobs` workers: the ready node with the earliest (ready time,
+//! timeline index) dispatches to the earliest-free worker and executes
+//! there and then, its replayed cycle cost setting its finish time. The
+//! reported [`ReplayOutcome::cycles`] is that schedule's makespan: it
+//! depends only on the recording and `jobs`, never on the host, keeping
+//! experiment output byte-stable. The same loop is the DAG's cycle
+//! check — a node never dispatched sits on or behind a cycle, which only
+//! a corrupt recorded order log ([`crate::order`]) can contain.
 
 use crate::exec::{self, Effect, ReplayThread};
 use crate::outcome::ReplayOutcome;
@@ -73,12 +80,11 @@ use qr_cpu::{CpuConfig, Machine};
 use qr_isa::Program;
 use quickrec_core::hb::ConflictSweep;
 use quickrec_core::ChunkFootprint;
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
 
-/// Replays `recording` of `program` on up to `jobs` worker threads and
-/// verifies the outcome against the recording.
+/// Replays `recording` of `program` scheduled onto `jobs` simulated
+/// workers and verifies the outcome against the recording.
 ///
 /// # Errors
 ///
@@ -93,9 +99,9 @@ pub fn replay_parallel_and_verify(
     Ok(outcome)
 }
 
-/// Replays `recording` of `program` on up to `jobs` worker threads,
-/// falling back to serial replay when the recording lacks complete
-/// footprint coverage.
+/// Replays `recording` of `program` scheduled onto `jobs` simulated
+/// workers, falling back to serial replay when the recording lacks
+/// complete footprint coverage.
 ///
 /// # Errors
 ///
@@ -144,31 +150,14 @@ impl<'a> Dag<'a> {
         }
         Dag { nodes, preds, succs }
     }
-
-    /// How many nodes a topological order reaches — all of them exactly
-    /// when the edges are acyclic, i.e. when the scheduler cannot wedge.
-    pub(crate) fn orderable_nodes(&self) -> usize {
-        let mut indegree: Vec<usize> = self.preds.iter().map(Vec::len).collect();
-        let mut ready: Vec<usize> = (0..indegree.len()).filter(|&i| indegree[i] == 0).collect();
-        let mut ordered = 0;
-        while let Some(idx) = ready.pop() {
-            ordered += 1;
-            for &succ in &self.succs[idx] {
-                indegree[succ] -= 1;
-                if indegree[succ] == 0 {
-                    ready.push(succ);
-                }
-            }
-        }
-        ordered
-    }
 }
 
 /// A parallel replay in preparation.
 ///
 /// Construction builds the chunk dependency DAG from the recording's
-/// footprint sidecar; [`ParallelReplayer::run`] executes it on a scoped
-/// worker pool. Recordings without complete footprints (see
+/// footprint sidecar; [`ParallelReplayer::run`] executes it in list-
+/// schedule order onto `jobs` simulated workers. Recordings without
+/// complete footprints (see
 /// [`ParallelReplayer::fallback_reason`]) run through the serial
 /// [`Replayer`] instead and still produce the same verified outcome.
 #[derive(Debug)]
@@ -181,7 +170,7 @@ pub struct ParallelReplayer<'a> {
 }
 
 impl<'a> ParallelReplayer<'a> {
-    /// Prepares a parallel replay with `jobs` workers.
+    /// Prepares a parallel replay scheduled onto `jobs` simulated workers.
     ///
     /// # Errors
     ///
@@ -297,26 +286,22 @@ struct Lane {
     thread: ReplayThread,
 }
 
-/// Shared state of one parallel replay run.
+/// State of one parallel replay run.
 pub(crate) struct Runtime<'a> {
     recording: &'a Recording,
     dag: Dag<'a>,
     jobs: usize,
-    lanes: Vec<Mutex<Lane>>,
+    lanes: Vec<Lane>,
     /// The authoritative memory image; its mapped-region list follows
     /// the serial replayer's mapping operations exactly (fingerprints
     /// hash region metadata as well as contents).
-    canonical: Mutex<Machine>,
-    ready: Mutex<VecDeque<usize>>,
-    wake: Condvar,
-    completed: AtomicUsize,
-    abort: AtomicBool,
-    /// First failure by timeline index, for deterministic error reports.
-    failure: Mutex<Option<(usize, QrError)>>,
-    indegree: Vec<AtomicUsize>,
-    costs: Vec<AtomicU64>,
-    instructions: AtomicU64,
-    consoles: Mutex<BTreeMap<usize, Vec<u8>>>,
+    canonical: Machine,
+    /// `canonical`'s mapped regions as `[start, end)` pairs, refreshed
+    /// whenever a thread's stack or an `sbrk` maps more.
+    mapped: Vec<(u64, u64)>,
+    instructions: u64,
+    /// Console bytes by timeline index (nodes run in schedule order).
+    consoles: BTreeMap<usize, Vec<u8>>,
 }
 
 /// Copies `lines` from `src` to `dst`, clipped to the regions `mapped`
@@ -346,13 +331,6 @@ fn copy_lines(src: &Machine, dst: &mut Machine, mapped: &[(u64, u64)], lines: &[
     unmapped
 }
 
-/// The mapped regions of `machine`'s memory as `[start, end)` pairs.
-fn mapped_regions(machine: &Machine) -> Vec<(u64, u64)> {
-    (machine.mem().memory().regions())
-        .map(|(b, l)| (u64::from(b.0), u64::from(b.0) + u64::from(l)))
-        .collect()
-}
-
 impl<'a> Runtime<'a> {
     pub(crate) fn new(
         program: &Program,
@@ -374,217 +352,138 @@ impl<'a> Runtime<'a> {
             // accesses (they would have faulted during recording).
             machine.mem_mut().map_region(VirtAddr(0), u32::MAX)?;
             let thread = ReplayThread::new(recording, ThreadId(tid as u32));
-            lanes.push(Mutex::new(Lane { machine, thread }));
+            lanes.push(Lane { machine, thread });
         }
         let canonical = Machine::new(program.clone(), lane_cpu)?;
-        let indegree = dag.preds.iter().map(|p| AtomicUsize::new(p.len())).collect();
-        let ready: VecDeque<usize> =
-            dag.preds.iter().enumerate().filter(|(_, p)| p.is_empty()).map(|(i, _)| i).collect();
-        let costs = (0..dag.nodes.len()).map(|_| AtomicU64::new(0)).collect();
-        let runtime = Runtime {
+        let mut runtime = Runtime {
             recording,
             dag,
             jobs,
             lanes,
-            canonical: Mutex::new(canonical),
-            ready: Mutex::new(ready),
-            wake: Condvar::new(),
-            completed: AtomicUsize::new(0),
-            abort: AtomicBool::new(false),
-            failure: Mutex::new(None),
-            indegree,
-            costs,
-            instructions: AtomicU64::new(0),
-            consoles: Mutex::new(BTreeMap::new()),
+            canonical,
+            mapped: Vec::new(),
+            instructions: 0,
+            consoles: BTreeMap::new(),
         };
         runtime.create_thread(ThreadId(0), program.entry(), 0)?;
         Ok(runtime)
     }
 
-    /// Creates thread `tid`: context on its lane, stack region mapped in
-    /// the canonical image.
-    fn create_thread(&self, tid: ThreadId, entry: VirtAddr, arg: u32) -> Result<()> {
-        let mut lane = self
-            .lanes
-            .get(tid.index())
-            .ok_or_else(|| QrError::ReplayDivergence(format!("spawn of unknown thread {tid}")))?
-            .lock()
-            .unwrap();
-        let (ctx, (base, len)) = lane.thread.create(self.recording, tid, entry, arg)?;
-        self.canonical.lock().unwrap().mem_mut().map_region(base, len)?;
-        lane.machine.core_mut(CoreId(0)).swap_context(Some(ctx));
+    /// Maps `[base, base + len)` in the canonical image.
+    fn map_canonical(&mut self, base: VirtAddr, len: u32) -> Result<()> {
+        self.canonical.mem_mut().map_region(base, len)?;
+        self.mapped = (self.canonical.mem().memory().regions())
+            .map(|(b, l)| (u64::from(b.0), u64::from(b.0) + u64::from(l)))
+            .collect();
         Ok(())
     }
 
-    /// Executes one timeline node on its thread's lane: pull, replay
-    /// the event, apply its effect to the canonical image, push.
-    fn exec_node(&self, idx: usize) -> Result<()> {
+    /// Creates thread `tid`: context on its lane, stack region mapped in
+    /// the canonical image.
+    fn create_thread(&mut self, tid: ThreadId, entry: VirtAddr, arg: u32) -> Result<()> {
+        let lane = (self.lanes.get_mut(tid.index()))
+            .ok_or_else(|| QrError::ReplayDivergence(format!("spawn of unknown thread {tid}")))?;
+        let (ctx, (base, len)) = lane.thread.create(self.recording, tid, entry, arg)?;
+        lane.machine.core_mut(CoreId(0)).swap_context(Some(ctx));
+        self.map_canonical(base, len)
+    }
+
+    /// Executes one timeline node on its thread's lane — pull, replay
+    /// the event, apply its effect to the canonical state, push — and
+    /// returns its replayed cycle cost.
+    fn exec_node(&mut self, idx: usize) -> Result<u64> {
         let node = &self.dag.nodes[idx];
         crate::obs::lines_pulled(node.pull.len());
         crate::obs::lines_pushed(node.push().len());
-        let mut guard = self.lanes[node.event.tid().index()].lock().unwrap();
-        let lane = &mut *guard;
-        if !node.pull.is_empty() {
-            let canonical = self.canonical.lock().unwrap();
-            copy_lines(&canonical, &mut lane.machine, &mapped_regions(&canonical), &node.pull);
-        }
+        let tid = node.event.tid().index();
+        let lane = &mut self.lanes[tid];
+        copy_lines(&self.canonical, &mut lane.machine, &self.mapped, &node.pull);
         let before = lane.machine.core(CoreId(0)).cycles();
-        let mut retired = 0;
         let effect = exec::exec_event(
             &mut lane.machine,
             CoreId(0),
             &mut lane.thread,
             &node.event,
             self.recording.meta.tso_mode,
-            &mut retired,
+            &mut self.instructions,
             None,
         )?;
-        self.instructions.fetch_add(retired, Ordering::Relaxed);
+        let cost = lane.machine.core(CoreId(0)).cycles() - before;
         match effect {
             Effect::None => {}
             Effect::Spawn { child, entry, arg } => self.create_thread(child, entry, arg)?,
-            Effect::Map { base, len } => {
-                self.canonical.lock().unwrap().mem_mut().map_region(base, len)?;
-            }
+            Effect::Map { base, len } => self.map_canonical(base, len)?,
             Effect::Console(bytes) => {
-                self.consoles.lock().unwrap().insert(idx, bytes);
+                self.consoles.insert(idx, bytes);
             }
         }
-        let cost = lane.machine.core(CoreId(0)).cycles() - before;
-        if !node.push().is_empty() {
-            let mut canonical = self.canonical.lock().unwrap();
-            let mapped = mapped_regions(&canonical);
-            // Serial replay would have faulted on a store to a line no
-            // region maps.
-            if let Some(line) = copy_lines(&lane.machine, &mut canonical, &mapped, node.push()) {
-                return Err(QrError::ReplayDivergence(format!(
-                    "chunk wrote line {:#x} outside every mapped region",
-                    u64::from(line.0) << CACHE_LINE_SHIFT
-                )));
-            }
+        // Serial replay would have faulted on a store to a line no
+        // region maps.
+        let push = self.dag.nodes[idx].push();
+        if let Some(line) = copy_lines(&self.lanes[tid].machine, &mut self.canonical, &self.mapped, push) {
+            return Err(QrError::ReplayDivergence(format!(
+                "chunk wrote line {:#x} outside every mapped region",
+                u64::from(line.0) << CACHE_LINE_SHIFT
+            )));
         }
-        self.costs[idx].store(cost, Ordering::Relaxed);
-        Ok(())
+        Ok(cost)
     }
 
-    /// One worker: pop ready nodes, execute, release successors.
-    fn worker(&self) {
-        let total = self.dag.nodes.len();
-        loop {
-            let idx = {
-                let mut queue = self.ready.lock().unwrap();
-                loop {
-                    if self.abort.load(Ordering::SeqCst) || self.completed.load(Ordering::SeqCst) == total {
-                        return;
-                    }
-                    if let Some(idx) = queue.pop_front() {
-                        crate::obs::queue_depth(queue.len());
-                        break idx;
-                    }
-                    crate::obs::dag_stall();
-                    queue = self.wake.wait(queue).unwrap();
-                }
-            };
-            match self.exec_node(idx) {
-                Ok(()) => {
-                    let mut newly_ready = Vec::new();
-                    for &succ in &self.dag.succs[idx] {
-                        if self.indegree[succ].fetch_sub(1, Ordering::SeqCst) == 1 {
-                            newly_ready.push(succ);
-                        }
-                    }
-                    self.completed.fetch_add(1, Ordering::SeqCst);
-                    let mut queue = self.ready.lock().unwrap();
-                    queue.extend(newly_ready);
-                    drop(queue);
-                    self.wake.notify_all();
-                }
-                Err(err) => {
-                    let mut slot = self.failure.lock().unwrap();
-                    if slot.as_ref().is_none_or(|(i, _)| idx < *i) {
-                        *slot = Some((idx, err));
-                    }
-                    drop(slot);
-                    self.abort.store(true, Ordering::SeqCst);
-                    self.wake.notify_all();
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Deterministic simulated makespan: an event-driven greedy schedule
-    /// of the DAG onto `jobs` workers using replayed cycle costs — each
-    /// node dispatches to the earliest-free worker once its predecessors
-    /// finish, nodes ordered by (ready time, timeline index). Host
-    /// scheduling never influences the number, so experiment reports
-    /// stay byte-identical run to run.
-    fn simulated_makespan(&self) -> u64 {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-        let n = self.dag.nodes.len();
-        let mut indeg: Vec<usize> = self.dag.preds.iter().map(Vec::len).collect();
-        let mut ready_time = vec![0u64; n];
-        let mut ready: BinaryHeap<Reverse<(u64, usize)>> =
-            (0..n).filter(|&i| indeg[i] == 0).map(|i| Reverse((0, i))).collect();
-        let mut workers: BinaryHeap<Reverse<u64>> = (0..self.jobs).map(|_| Reverse(0)).collect();
-        let mut makespan = 0u64;
-        while let Some(Reverse((ready_at, i))) = ready.pop() {
-            let Reverse(free_at) = workers.pop().expect("jobs >= 1");
-            let finish = ready_at.max(free_at) + self.costs[i].load(Ordering::Relaxed);
-            makespan = makespan.max(finish);
-            workers.push(Reverse(finish));
-            for &succ in &self.dag.succs[i] {
-                ready_time[succ] = ready_time[succ].max(finish);
-                indeg[succ] -= 1;
-                if indeg[succ] == 0 {
-                    ready.push(Reverse((ready_time[succ], succ)));
-                }
-            }
-        }
-        makespan
-    }
-
-    pub(crate) fn run(self) -> Result<ReplayOutcome> {
+    /// Executes the DAG in greedy list-schedule order (module docs) and
+    /// reports its makespan as the outcome's cycles.
+    ///
+    /// # Errors
+    ///
+    /// The first node's divergence in schedule order, or
+    /// [`QrError::Corrupt`] when nodes are left undispatched (a cycle).
+    pub(crate) fn run(mut self) -> Result<ReplayOutcome> {
         crate::obs::run_started("parallel");
-        let workers = self.jobs.min(self.dag.nodes.len()).clamp(1, 32);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| self.worker());
-            }
-        });
-        if let Some((_, err)) = self.failure.lock().unwrap().take() {
-            return Err(err);
-        }
         let total = self.dag.nodes.len();
-        let completed = self.completed.load(Ordering::SeqCst);
-        crate::obs::nodes_executed("parallel", completed as u64);
-        if completed != total {
-            // A dependency cycle is impossible (edges follow timestamp
-            // order); reaching this means the scheduler wedged.
-            return Err(QrError::Execution {
+        let mut indegree: Vec<usize> = self.dag.preds.iter().map(Vec::len).collect();
+        let mut ready_at = vec![0u64; total];
+        let mut ready: BinaryHeap<Reverse<(u64, usize)>> =
+            (0..total).filter(|&i| indegree[i] == 0).map(|i| Reverse((0, i))).collect();
+        // With a worker per node one is always idle: more change nothing.
+        let mut workers: BinaryHeap<Reverse<u64>> =
+            (0..self.jobs.min(total)).map(|_| Reverse(0)).collect();
+        let (mut cycles, mut dispatched) = (0u64, 0usize);
+        while let Some(Reverse((at, idx))) = ready.pop() {
+            let Reverse(free_at) = workers.pop().expect("jobs >= 1");
+            let finish = at.max(free_at) + self.exec_node(idx)?;
+            dispatched += 1;
+            cycles = cycles.max(finish);
+            workers.push(Reverse(finish));
+            for &succ in &self.dag.succs[idx] {
+                ready_at[succ] = ready_at[succ].max(finish);
+                indegree[succ] -= 1;
+                if indegree[succ] == 0 {
+                    ready.push(Reverse((ready_at[succ], succ)));
+                }
+            }
+        }
+        crate::obs::nodes_executed("parallel", dispatched as u64);
+        if dispatched != total {
+            // Derived edges follow timestamp order and cannot close a
+            // cycle; recorded ones can, when the order log is corrupt.
+            return Err(QrError::Corrupt {
+                what: "order log".into(),
+                offset: 0,
                 detail: format!(
-                    "parallel replay stalled: {completed} of {total} timeline events executed"
+                    "happens-before edges form a cycle ({dispatched} of {total} nodes orderable)"
                 ),
             });
         }
         let chunks_replayed =
             self.dag.nodes.iter().filter(|n| matches!(n.event, TimelineEvent::Chunk(_))).count();
-        let lanes: Vec<_> = self.lanes.iter().map(|lane| lane.lock().unwrap()).collect();
-        let exit_codes = exec::final_exit_codes(lanes.iter().map(|lane| &lane.thread))?;
-        let mut console = Vec::new();
-        for fragment in self.consoles.lock().unwrap().values() {
-            console.extend_from_slice(fragment);
-        }
-        let cycles = self.simulated_makespan();
-        let canonical = self.canonical.lock().unwrap();
-        let fingerprint = qr_os::native::fingerprint_of(&canonical, &console, &exit_codes);
+        let exit_codes = exec::final_exit_codes(self.lanes.iter().map(|lane| &lane.thread))?;
+        let console: Vec<u8> = self.consoles.into_values().flatten().collect();
+        let fingerprint = qr_os::native::fingerprint_of(&self.canonical, &console, &exit_codes);
         Ok(ReplayOutcome {
             console,
             exit_code: exit_codes.first().copied().flatten().unwrap_or(0),
             fingerprint,
             cycles,
-            instructions: self.instructions.load(Ordering::Relaxed),
+            instructions: self.instructions,
             chunks_replayed,
             inputs_injected: total - chunks_replayed,
         })

@@ -8,8 +8,18 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== build (release) =="
-cargo build --release --workspace
+echo "== build (release, every target, warnings fail) =="
+# Tests, examples and bins too, so a helper only they orphaned still
+# warns. Capture-then-grep (see below for why not a pipe).
+if ! build_out=$(cargo build --release --workspace --all-targets 2>&1); then
+  echo "$build_out" >&2
+  exit 1
+fi
+if grep -q '^warning' <<< "$build_out"; then
+  grep -A12 '^warning' <<< "$build_out" >&2
+  echo "the build emitted warnings" >&2
+  exit 1
+fi
 
 echo "== tests =="
 # The root package is a workspace member, so this one run already covers

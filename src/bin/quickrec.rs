@@ -43,35 +43,64 @@ fn main() -> ExitCode {
     }
 }
 
+/// A subcommand handler, given all its arguments and the positional ones.
+type Handler = fn(&[String], &[&String]) -> Result<(), String>;
+
+/// Every subcommand but `serve` (which parses its own, in
+/// `qr_server::daemon`): its flags that take a value, its switches, and
+/// its handler.
+const COMMANDS: &[(&str, &[&str], &[&str], Handler)] = &[
+    ("run", &["--cores"], &[], cmd_run),
+    ("record", &["-o", "--cores", "--order", "--trace-out"], &["--hw-only", "--rsw"], cmd_record),
+    ("replay", &["--jobs", "--trace-out"], &["--races", "--salvage"], cmd_replay),
+    ("verify", &[], &[], cmd_verify),
+    ("migrate", &[], &[], cmd_migrate),
+    ("analyze", &[], &[], cmd_analyze),
+    ("timeline", &["--rows"], &[], cmd_timeline),
+    ("dot", &[], &[], cmd_dot),
+    ("disasm", &[], &[], cmd_disasm),
+    ("suite", &["--threads"], &[], cmd_suite),
+    (
+        "submit",
+        &[
+            "--socket", "--tcp", "--workload", "--threads", "--scale", "--cores", "--name",
+            "--encoding", "--order", "--timeout",
+        ],
+        &["--no-wait"],
+        cmd_submit,
+    ),
+    ("fetch", &["--socket", "--tcp", "-o"], &[], cmd_fetch),
+    (
+        "query",
+        &[
+            "--socket", "--tcp", "--range", "--thread", "--window", "--before-divergence",
+            "--reverse-step", "--max-events", "--replay-id",
+        ],
+        &["--dry-run"],
+        cmd_query,
+    ),
+    ("jobs", &["--socket", "--tcp"], &[], cmd_jobs),
+    ("stats", &["--socket", "--tcp"], &["--metrics"], cmd_stats),
+    ("shutdown", &["--socket", "--tcp"], &[], cmd_shutdown),
+];
+
 fn run(args: &[String]) -> Result<(), String> {
     let Some(command) = args.first() else {
         return Err(usage());
     };
     let rest = &args[1..];
     match command.as_str() {
-        "run" => cmd_run(rest),
-        "record" => cmd_record(rest),
-        "replay" => cmd_replay(rest),
-        "verify" => cmd_verify(rest),
-        "migrate" => cmd_migrate(rest),
-        "analyze" => cmd_analyze(rest),
-        "timeline" => cmd_timeline(rest),
-        "dot" => cmd_dot(rest),
-        "disasm" => cmd_disasm(rest),
-        "suite" => cmd_suite(rest),
-        "serve" => qr_server::daemon::run(rest),
-        "submit" => cmd_submit(rest),
-        "fetch" => cmd_fetch(rest),
-        "query" => cmd_query(rest),
-        "jobs" => cmd_jobs(rest),
-        "stats" => cmd_stats(rest),
-        "shutdown" => cmd_shutdown(rest),
+        "serve" => return qr_server::daemon::run(rest),
         "help" | "--help" | "-h" => {
             println!("{}", usage());
-            Ok(())
+            return Ok(());
         }
-        other => Err(format!("unknown command `{other}`\n{}", usage())),
+        _ => {}
     }
+    let Some(&(_, values, switches, handler)) = COMMANDS.iter().find(|c| c.0 == command) else {
+        return Err(format!("unknown command `{command}`\n{}", usage()));
+    };
+    handler(rest, &positional(rest, values, switches)?)
 }
 
 fn usage() -> String {
@@ -103,46 +132,22 @@ fn has_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
 }
 
-fn positional(args: &[String]) -> Vec<&String> {
+/// Checks `args` against one subcommand's options and returns its
+/// positional arguments. An unknown option, or a value flag given last,
+/// is a usage error naming the flag.
+fn positional<'a>(args: &'a [String], values: &[&str], switches: &[&str]) -> Result<Vec<&'a String>, String> {
     let mut out = Vec::new();
-    let mut skip = false;
-    for (i, a) in args.iter().enumerate() {
-        if skip {
-            skip = false;
-            continue;
+    let mut rest = args.iter();
+    while let Some(a) = rest.next() {
+        if values.contains(&a.as_str()) {
+            rest.next().ok_or_else(|| format!("{a} needs a value\n{}", usage()))?;
+        } else if !a.starts_with('-') {
+            out.push(a);
+        } else if !switches.contains(&a.as_str()) {
+            return Err(format!("unknown option `{a}`\n{}", usage()));
         }
-        if a == "-o"
-            || a == "--cores"
-            || a == "--threads"
-            || a == "--rows"
-            || a == "--jobs"
-            || a == "--socket"
-            || a == "--tcp"
-            || a == "--workload"
-            || a == "--scale"
-            || a == "--encoding"
-            || a == "--order"
-            || a == "--name"
-            || a == "--timeout"
-            || a == "--trace-out"
-            || a == "--range"
-            || a == "--thread"
-            || a == "--window"
-            || a == "--before-divergence"
-            || a == "--reverse-step"
-            || a == "--max-events"
-            || a == "--replay-id"
-        {
-            skip = true;
-            continue;
-        }
-        if a.starts_with("--") {
-            continue;
-        }
-        let _ = i;
-        out.push(a);
     }
-    out
+    Ok(out)
 }
 
 /// Parses `--trace-out FILE`, switching the global trace journal on
@@ -190,9 +195,8 @@ fn load_program(path: &str) -> Result<quickrec::Program, String> {
     qr_isa::text::assemble(&name, &source).map_err(|e| e.to_string())
 }
 
-fn cmd_run(args: &[String]) -> Result<(), String> {
-    let pos = positional(args);
-    let [path] = pos.as_slice() else { return Err(usage()) };
+fn cmd_run(args: &[String], pos: &[&String]) -> Result<(), String> {
+    let [path] = pos else { return Err(usage()) };
     let program = load_program(path)?;
     let cores = cores_arg(args)?;
     let out = quickrec::run_baseline(program, cores).map_err(|e| e.to_string())?;
@@ -204,9 +208,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_record(args: &[String]) -> Result<(), String> {
-    let pos = positional(args);
-    let [path] = pos.as_slice() else { return Err(usage()) };
+fn cmd_record(args: &[String], pos: &[&String]) -> Result<(), String> {
+    let [path] = pos else { return Err(usage()) };
     let out_dir = PathBuf::from(flag_value(args, "-o").ok_or("record needs -o <dir>")?);
     let trace_out = trace_out_arg(args);
     let program = load_program(path)?;
@@ -254,9 +257,8 @@ fn cmd_record(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_replay(args: &[String]) -> Result<(), String> {
-    let pos = positional(args);
-    let [path, dir] = pos.as_slice() else { return Err(usage()) };
+fn cmd_replay(args: &[String], pos: &[&String]) -> Result<(), String> {
+    let [path, dir] = pos else { return Err(usage()) };
     let trace_out = trace_out_arg(args);
     let program = load_program(path)?;
     let jobs: Option<usize> = match flag_value(args, "--jobs") {
@@ -322,8 +324,8 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
         }
     } else if recording.order.is_some() {
         // Partial-order recordings replay under their recorded
-        // happens-before edges; `--jobs` picks the worker count and
-        // its absence is the serial (one-worker) schedule.
+        // happens-before edges; `--jobs` picks the simulated worker
+        // count and its absence is the one-worker schedule.
         let jobs = jobs.unwrap_or(1);
         let _span = qr_obs::trace::global().span("replay_ordered", 0);
         let outcome = qr_replay::replay_ordered_and_verify(&program, &recording, jobs)
@@ -375,9 +377,8 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_verify(args: &[String]) -> Result<(), String> {
-    let pos = positional(args);
-    let [dir] = pos.as_slice() else { return Err(usage()) };
+fn cmd_verify(_args: &[String], pos: &[&String]) -> Result<(), String> {
+    let [dir] = pos else { return Err(usage()) };
     let dir_path = Path::new(dir.as_str());
     // A missing directory or a directory with none of the recording
     // files present gets one clear diagnosis instead of a per-file
@@ -403,9 +404,8 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
     }
 }
 
-fn cmd_migrate(args: &[String]) -> Result<(), String> {
-    let pos = positional(args);
-    let [dir] = pos.as_slice() else { return Err(usage()) };
+fn cmd_migrate(_args: &[String], pos: &[&String]) -> Result<(), String> {
+    let [dir] = pos else { return Err(usage()) };
     let dir_path = Path::new(dir.as_str());
     if !dir_path.is_dir() {
         return Err(format!("`{dir}` is not a recording directory: no such directory"));
@@ -415,9 +415,8 @@ fn cmd_migrate(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_analyze(args: &[String]) -> Result<(), String> {
-    let pos = positional(args);
-    let [dir] = pos.as_slice() else { return Err(usage()) };
+fn cmd_analyze(_args: &[String], pos: &[&String]) -> Result<(), String> {
+    let [dir] = pos else { return Err(usage()) };
     let recording = Recording::load(Path::new(dir.as_str())).map_err(|e| e.to_string())?;
     println!(
         "recording: {} instructions, {} cycles, exit {}, fingerprint {:016x}",
@@ -465,9 +464,8 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_timeline(args: &[String]) -> Result<(), String> {
-    let pos = positional(args);
-    let [dir] = pos.as_slice() else { return Err(usage()) };
+fn cmd_timeline(args: &[String], pos: &[&String]) -> Result<(), String> {
+    let [dir] = pos else { return Err(usage()) };
     let rows: usize = match flag_value(args, "--rows") {
         None => 60,
         Some(v) => v.parse().map_err(|_| format!("bad --rows value `{v}`"))?,
@@ -478,18 +476,16 @@ fn cmd_timeline(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_dot(args: &[String]) -> Result<(), String> {
-    let pos = positional(args);
-    let [dir] = pos.as_slice() else { return Err(usage()) };
+fn cmd_dot(_args: &[String], pos: &[&String]) -> Result<(), String> {
+    let [dir] = pos else { return Err(usage()) };
     let recording = Recording::load(Path::new(dir.as_str())).map_err(|e| e.to_string())?;
     println!("// order mode: {}", recording.order_mode().name());
     print!("{}", quickrec_core::viz::to_dot(&recording.chunks, 400));
     Ok(())
 }
 
-fn cmd_disasm(args: &[String]) -> Result<(), String> {
-    let pos = positional(args);
-    let [path] = pos.as_slice() else { return Err(usage()) };
+fn cmd_disasm(_args: &[String], pos: &[&String]) -> Result<(), String> {
+    let [path] = pos else { return Err(usage()) };
     let program = load_program(path)?;
     print!("{}", qr_isa::disasm::disassemble(&program));
     Ok(())
@@ -528,7 +524,7 @@ fn scale_arg(args: &[String]) -> Result<Scale, String> {
     }
 }
 
-fn cmd_submit(args: &[String]) -> Result<(), String> {
+fn cmd_submit(args: &[String], pos: &[&String]) -> Result<(), String> {
     let mut client = connect(args)?;
     let encoding = encoding_arg(args)?;
     let request = if let Some(workload) = flag_value(args, "--workload") {
@@ -545,8 +541,7 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
             order: order_arg(args)?,
         }
     } else {
-        let pos = positional(args);
-        let [path] = pos.as_slice() else {
+        let [path] = pos else {
             return Err("submit needs --workload NAME or a <prog.pasm> path".to_string());
         };
         let source =
@@ -594,9 +589,8 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
     }
 }
 
-fn cmd_fetch(args: &[String]) -> Result<(), String> {
-    let pos = positional(args);
-    let [id] = pos.as_slice() else { return Err(usage()) };
+fn cmd_fetch(args: &[String], pos: &[&String]) -> Result<(), String> {
+    let [id] = pos else { return Err(usage()) };
     let id: u64 = id.parse().map_err(|_| format!("bad session id `{id}`"))?;
     let out_dir = PathBuf::from(flag_value(args, "-o").ok_or("fetch needs -o <dir>")?);
     let mut client = connect(args)?;
@@ -664,9 +658,8 @@ fn query_arg(args: &[String]) -> Result<quickrec::ReplayQuery, String> {
     }
 }
 
-fn cmd_query(args: &[String]) -> Result<(), String> {
-    let pos = positional(args);
-    let [id] = pos.as_slice() else { return Err(usage()) };
+fn cmd_query(args: &[String], pos: &[&String]) -> Result<(), String> {
+    let [id] = pos else { return Err(usage()) };
     let id: u64 = id.parse().map_err(|_| format!("bad session id `{id}`"))?;
     let query = query_arg(args)?;
     let max_events: u64 = match flag_value(args, "--max-events") {
@@ -725,7 +718,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_jobs(args: &[String]) -> Result<(), String> {
+fn cmd_jobs(args: &[String], _pos: &[&String]) -> Result<(), String> {
     let mut client = connect(args)?;
     match client.call(&Request::Jobs).map_err(|e| e.to_string())? {
         Response::JobList(jobs) => {
@@ -749,7 +742,7 @@ fn cmd_jobs(args: &[String]) -> Result<(), String> {
     }
 }
 
-fn cmd_stats(args: &[String]) -> Result<(), String> {
+fn cmd_stats(args: &[String], _pos: &[&String]) -> Result<(), String> {
     let mut client = connect(args)?;
     if has_flag(args, "--metrics") {
         let text = client.metrics().map_err(|e| e.to_string())?;
@@ -798,7 +791,7 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     }
 }
 
-fn cmd_shutdown(args: &[String]) -> Result<(), String> {
+fn cmd_shutdown(args: &[String], _pos: &[&String]) -> Result<(), String> {
     let mut client = connect(args)?;
     match client.call(&Request::Shutdown).map_err(|e| e.to_string())? {
         Response::ShuttingDown => {
@@ -810,7 +803,7 @@ fn cmd_shutdown(args: &[String]) -> Result<(), String> {
     }
 }
 
-fn cmd_suite(args: &[String]) -> Result<(), String> {
+fn cmd_suite(args: &[String], _pos: &[&String]) -> Result<(), String> {
     let threads: usize = match flag_value(args, "--threads") {
         None => 4,
         Some(v) => v.parse().map_err(|_| format!("bad --threads value `{v}`"))?,

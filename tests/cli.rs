@@ -94,6 +94,32 @@ fn serve_refuses_unknown_options_and_options_without_a_value() {
 }
 
 #[test]
+fn misspelt_switches_and_valueless_flags_are_usage_errors() {
+    // Each used to exit 0 doing something else: replaying without the
+    // race detector, recording full-stack, replaying serially, and
+    // recording total order with no order.qrp.
+    let dir = scratch("options");
+    let (prog, logs) = recorded(&dir);
+    let (prog, logs) = (prog.as_str(), logs.as_str());
+    let refused = dir.join("refused");
+    let refused_dir = refused.to_str().unwrap();
+    for (args, needle) in [
+        (&["replay", prog, logs, "--race"][..], "unknown option `--race`"),
+        (&["record", prog, "-o", refused_dir, "--hwonly"][..], "unknown option `--hwonly`"),
+        (&["replay", prog, logs, "--jobs"][..], "--jobs needs a value"),
+        (&["record", prog, "-o", refused_dir, "--order"][..], "--order needs a value"),
+    ] {
+        let out = quickrec(args);
+        assert!(!out.status.success(), "args {args:?} should fail");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(needle), "args {args:?}: {err}");
+    }
+    assert!(!refused.exists(), "a refused record must write nothing");
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn verify_passes_fresh_recordings_and_fails_corrupted_ones() {
     let dir = scratch("verify");
     let (_prog, logs) = recorded(&dir);

@@ -11,6 +11,24 @@
 use quickrec::workloads::{suite, Scale};
 use quickrec::{record, replay, ChunkLog, Encoding, ParallelReplayer, RecordingConfig, ReplayOutcome};
 
+/// Simulated makespans (`outcome.cycles`) at 1, 2 and 4 jobs of each
+/// suite workload (3 threads, Test scale, 4 cores), as the worker-pool
+/// replayer computed them before replay became one sequential list
+/// schedule. The model must not move.
+const MAKESPANS: [(&str, [u64; 3]); 11] = [
+    ("fft", [10468, 10420, 10420]),
+    ("lu", [18355, 17690, 17690]),
+    ("radix", [85150, 84625, 84614]),
+    ("ocean", [23068, 18701, 18701]),
+    ("barnes", [21364, 20571, 20571]),
+    ("water", [14022, 13848, 13848]),
+    ("fmm", [6213, 6152, 6152]),
+    ("raytrace", [16966, 15905, 15905]),
+    ("cholesky", [15520, 14471, 14471]),
+    ("volrend", [102578, 81733, 81733]),
+    ("radiosity", [8547, 8450, 8450]),
+];
+
 /// Asserts the parallel outcome matches serial byte for byte (cycles are
 /// exempt: parallel reports a simulated makespan, not a serialization).
 fn assert_equivalent(parallel: &ReplayOutcome, serial: &ReplayOutcome, context: &str) {
@@ -29,13 +47,15 @@ fn every_workload_encoding_and_job_count_matches_serial() {
         let recording =
             record(program.clone(), RecordingConfig::with_cores(4)).expect("workload records");
         let serial = replay(&program, &recording).expect("serial replay");
+        let pinned = MAKESPANS.iter().find(|(name, _)| *name == spec.name).expect("pinned").1;
+        assert!(pinned[0] >= pinned[1] && pinned[1] >= pinned[2], "{}: {pinned:?}", spec.name);
         for encoding in Encoding::ALL {
             // Round-trip the chunk log through this encoding, as a
             // stored recording would arrive from disk.
             let bytes = recording.chunks.to_bytes(encoding);
             let mut reloaded = recording.clone();
             reloaded.chunks = ChunkLog::from_bytes(&bytes).expect("chunk log decodes");
-            for jobs in [1usize, 2, 4] {
+            for (jobs, makespan) in [1usize, 2, 4].into_iter().zip(pinned) {
                 let context = format!("{} / {encoding:?} / {jobs} jobs", spec.name);
                 let replayer =
                     ParallelReplayer::new(&program, &reloaded, jobs).expect("replayer builds");
@@ -46,6 +66,9 @@ fn every_workload_encoding_and_job_count_matches_serial() {
                 );
                 let outcome = replayer.run().unwrap_or_else(|e| panic!("{context}: {e}"));
                 assert_equivalent(&outcome, &serial, &context);
+                if encoding == Encoding::Delta {
+                    assert_eq!(outcome.cycles, makespan, "makespan moved: {context}");
+                }
                 outcome.verify_against(&recording).expect("verifies against the recording");
             }
         }
