@@ -19,16 +19,12 @@
 //! | v4 | v3 plus the `order.qrp` partial-order sidecar (`--order partial` only) |
 //!
 //! The manifest itself is one CRC-32-protected record in a framed
-//! container of kind [`PayloadKind::FormatManifest`]:
-//!
-//! ```text
-//! record 0: version varint | container u8 | encoding-tag u8
-//!           | payload-count varint | payload-kind-code u8 ...
-//! ```
+//! container of kind [`PayloadKind::FormatManifest`]: the fields of the
+//! [`FormatManifest`] declaration, back to back.
 
-use qr_common::cursor::ByteReader;
 use qr_common::frame::{self, PayloadKind};
-use qr_common::{varint, QrError, Result};
+use qr_common::wire::{self, Le, List, Wire};
+use qr_common::{wire_struct, QrError, Result};
 use quickrec_core::Encoding;
 
 /// The recording-format generation current code writes by default.
@@ -104,20 +100,22 @@ impl std::fmt::Display for RecordingVersion {
     }
 }
 
-/// The decoded contents of `format.qrv`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FormatManifest {
-    /// Recording-format generation ([`RECORDING_FORMAT_VERSION`] when
-    /// written by current code).
-    pub version: u64,
-    /// Frame-container version every framed file in the recording uses
-    /// ([`frame::VERSION`]).
-    pub container: u8,
-    /// Chunk-packet encoding of `chunks.qrl`.
-    pub encoding: Encoding,
-    /// Payload kinds present in the recording directory, in kind-code
-    /// order.
-    pub payloads: Vec<PayloadKind>,
+wire_struct! {
+    /// The decoded contents of `format.qrv`.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct FormatManifest {
+        /// Recording-format generation ([`RECORDING_FORMAT_VERSION`] when
+        /// written by current code).
+        pub version: u64,
+        /// Frame-container version every framed file in the recording
+        /// uses ([`frame::VERSION`]).
+        pub container: u8 as Le,
+        /// Chunk-packet encoding of `chunks.qrl`.
+        pub encoding: Encoding,
+        /// Payload kinds present in the recording directory, in kind-code
+        /// order.
+        pub payloads: Vec<PayloadKind> as List<{ PayloadKind::ALL.len() as u64 }>,
+    }
 }
 
 impl FormatManifest {
@@ -153,17 +151,7 @@ impl FormatManifest {
 
     /// Serializes the manifest as a framed single-record container.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut payload = Vec::with_capacity(8 + self.payloads.len());
-        varint::write_u64(&mut payload, self.version);
-        payload.push(self.container);
-        payload.push(self.encoding.tag());
-        varint::write_u64(&mut payload, self.payloads.len() as u64);
-        for kind in &self.payloads {
-            payload.push(kind.code());
-        }
-        let mut w = frame::Writer::new(PayloadKind::FormatManifest);
-        w.record(&payload);
-        w.finish()
+        frame::single(PayloadKind::FormatManifest, &wire::encode(self))
     }
 
     /// Deserializes a manifest written by [`FormatManifest::to_bytes`].
@@ -175,17 +163,9 @@ impl FormatManifest {
     /// versions), and [`QrError::Corrupt`] with byte-offset context for
     /// anything structurally malformed.
     pub fn from_bytes(buf: &[u8]) -> Result<FormatManifest> {
-        let what = "format manifest";
-        let records = frame::read(buf, PayloadKind::FormatManifest, what)?;
-        let [payload] = records[..] else {
-            return Err(QrError::Corrupt {
-                what: what.into(),
-                offset: frame::HEADER_LEN as u64,
-                detail: format!("expected exactly 1 record, found {}", records.len()),
-            });
-        };
-        let mut r = ByteReader::at(payload, what, frame::HEADER_LEN + 4);
-        let version = r.varint()?;
+        let r = frame::read_single(buf, PayloadKind::FormatManifest, "format manifest")?;
+        // The version says whether the rest of the record is ours to read.
+        let version = u64::get(&mut r.clone())?;
         if version > PARTIAL_ORDER_FORMAT_VERSION {
             return Err(QrError::Unsupported(format!(
                 "recording format version {version} (newest supported {PARTIAL_ORDER_FORMAT_VERSION})"
@@ -194,50 +174,30 @@ impl FormatManifest {
         if version < RECORDING_FORMAT_VERSION {
             // v1/v2 recordings have no format.qrv at all, so a manifest
             // claiming an older generation is self-contradictory.
-            return Err(r.corrupt_at(0, format!("implausible format version {version}")));
+            return Err(r.corrupt(format!("implausible format version {version}")));
         }
-        let container = r.u8().map_err(|_| r.corrupt("truncated manifest"))?;
-        if container != frame::VERSION {
-            return Err(r.corrupt_at(
-                r.pos() - 1,
-                format!("container version {container} does not match frame v{}", frame::VERSION),
-            ));
+        let manifest: FormatManifest = wire::decode(r.clone())?;
+        if manifest.container != frame::VERSION {
+            return Err(r.corrupt(format!(
+                "container version {} does not match frame v{}",
+                manifest.container,
+                frame::VERSION
+            )));
         }
-        let tag = r.u8().map_err(|_| r.corrupt("truncated manifest"))?;
-        let encoding = Encoding::from_tag(tag)
-            .ok_or_else(|| r.corrupt_at(r.pos() - 1, format!("unknown encoding tag {tag}")))?;
-        let count = r.varint()?;
-        if count as usize > PayloadKind::ALL.len() {
-            return Err(r.corrupt(format!("implausible payload count {count}")));
-        }
-        let mut payloads = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            let code = r.u8().map_err(|_| r.corrupt("truncated payload list"))?;
-            let kind = PayloadKind::from_code(code)
-                .ok_or_else(|| r.corrupt_at(r.pos() - 1, format!("unknown payload kind {code}")))?;
-            if payloads.contains(&kind) {
-                return Err(
-                    r.corrupt_at(r.pos() - 1, format!("duplicate payload kind {}", kind.name()))
-                );
-            }
-            payloads.push(kind);
-        }
-        if r.remaining() != 0 {
-            return Err(r.corrupt(format!("{} trailing bytes", r.remaining())));
+        let payloads = &manifest.payloads;
+        if let Some((_, kind)) = payloads.iter().enumerate().find(|&(i, k)| payloads[..i].contains(k)) {
+            return Err(r.corrupt(format!("duplicate payload kind {}", kind.name())));
         }
         // The version and the payload list must agree: v4 is *defined*
         // by the presence of the ordering sidecar.
         let has_order = payloads.contains(&PayloadKind::OrderLog);
         if (version == PARTIAL_ORDER_FORMAT_VERSION) != has_order {
-            return Err(r.corrupt_at(
-                0,
-                format!(
-                    "format version {version} contradicts its payload list ({} order log)",
-                    if has_order { "has" } else { "no" }
-                ),
-            ));
+            return Err(r.corrupt(format!(
+                "format version {version} contradicts its payload list ({} order log)",
+                if has_order { "has" } else { "no" }
+            )));
         }
-        Ok(FormatManifest { version, container, encoding, payloads })
+        Ok(manifest)
     }
 }
 
@@ -299,6 +259,14 @@ mod tests {
         m.version = RECORDING_FORMAT_VERSION;
         let err = FormatManifest::from_bytes(&m.to_bytes()).unwrap_err();
         assert!(matches!(err, QrError::Corrupt { .. }), "{err}");
+    }
+
+    #[test]
+    fn a_payload_kind_listed_twice_is_corrupt() {
+        let mut m = FormatManifest::current(Encoding::Delta, false);
+        m.payloads.push(PayloadKind::Meta);
+        let err = FormatManifest::from_bytes(&m.to_bytes()).unwrap_err();
+        assert!(err.to_string().contains("duplicate payload kind recording meta"), "{err}");
     }
 
     #[test]

@@ -1,20 +1,22 @@
 //! A positional byte reader for fixed layouts.
 //!
-//! The checkpoint snapshots introduced for time-travel replay serialize
+//! Every decoder of untrusted bytes reads through it: the schema
+//! documents of [`crate::wire`] field by field, and checkpoint records'
 //! machine state (register files, cache metadata, store buffers, memory
-//! pages) as flat little-endian fields and LEB128 varints. Every decode
-//! is reachable from untrusted bytes, so each primitive here returns a
-//! structured [`QrError::Corrupt`] carrying the byte offset where the
-//! read failed instead of panicking or silently truncating.
+//! overlays) as flat little-endian fields and LEB128 varints. Each
+//! primitive returns a structured [`QrError::Corrupt`] carrying the byte
+//! offset where the read failed instead of panicking or silently
+//! truncating.
 //!
-//! Writers don't need a mirror type: appending to a `Vec<u8>` with
-//! `to_le_bytes` / [`crate::varint::write_u64`] is already infallible.
+//! The writing half of a schema document is its [`crate::wire::Wire`]
+//! form; machine state appends to a `Vec<u8>` with `to_le_bytes` and
+//! [`crate::varint::write_u64`], which cannot fail.
 
 use crate::error::{QrError, Result};
 use crate::varint;
 
 /// Cursor over a byte buffer with structured out-of-bounds errors.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ByteReader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -127,8 +129,21 @@ impl<'a> ByteReader<'a> {
     /// Returns [`QrError::Corrupt`] if the length is malformed or
     /// exceeds what remains.
     pub fn prefixed(&mut self) -> Result<&'a [u8]> {
+        Ok(self.nested()?.buf)
+    }
+
+    /// Like [`ByteReader::prefixed`], as a reader over just those bytes
+    /// that reports offsets in this reader's coordinates.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QrError::Corrupt`] if the length is malformed or
+    /// exceeds what remains.
+    pub fn nested(&mut self) -> Result<ByteReader<'a>> {
         let len = self.varint()?;
-        self.bytes(usize::try_from(len).unwrap_or(usize::MAX))
+        let start = self.pos;
+        let buf = self.bytes(usize::try_from(len).unwrap_or(usize::MAX))?;
+        Ok(ByteReader { buf, pos: 0, what: self.what, base: self.base + start })
     }
 
     /// Reads a varint and checks it fits a `usize` count bounded by

@@ -26,6 +26,7 @@
 //! header parser and a record decoder handed to it.
 
 use crate::crc32;
+use crate::cursor::ByteReader;
 use crate::error::{QrError, Result};
 
 /// Container magic. Nothing but a framed container is ever decoded: a
@@ -425,6 +426,33 @@ pub fn read<'a>(buf: &'a [u8], expected: PayloadKind, what: &str) -> Result<Vec<
         }),
         None => unreachable!("fault-free scan always has a kind"),
     }
+}
+
+/// A container of `kind` holding one record: `payload`.
+pub fn single(kind: PayloadKind, payload: &[u8]) -> Vec<u8> {
+    let mut w = Writer::new(kind);
+    w.record(payload);
+    w.finish()
+}
+
+/// Strictly decodes a single-record container of the expected kind,
+/// returning a reader over that record that reports offsets in the
+/// container's coordinates.
+///
+/// # Errors
+///
+/// Everything [`read`] refuses, plus a container that does not hold
+/// exactly one record.
+pub fn read_single<'a>(buf: &'a [u8], expected: PayloadKind, what: &'a str) -> Result<ByteReader<'a>> {
+    let records = read(buf, expected, what)?;
+    let [payload] = records[..] else {
+        return Err(QrError::Corrupt {
+            what: what.to_string(),
+            offset: HEADER_LEN as u64,
+            detail: format!("expected exactly 1 record, found {}", records.len()),
+        });
+    };
+    Ok(ByteReader::at(payload, what, HEADER_LEN + 4))
 }
 
 /// Byte ranges of the structurally complete records in `buf` (each

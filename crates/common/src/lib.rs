@@ -16,8 +16,9 @@
 //!   all on-disk logs are written in ([`crc32`], [`frame`]),
 //! - a deterministic, seedable hash / PRNG pair used for state
 //!   fingerprinting and signature hashing ([`fingerprint`], [`rng`]),
-//! - a minimal TOML-subset parser for the golden-conformance registries
-//!   ([`tomlmini`]).
+//! - the one field codec every single-record document is declared with
+//!   ([`wire`], [`wire_struct!`], [`wire_enum!`]) and the byte reader
+//!   every decoder reads through ([`cursor`]).
 //!
 //! # Example
 //!
@@ -36,8 +37,8 @@ pub mod fingerprint;
 pub mod frame;
 pub mod ids;
 pub mod rng;
-pub mod tomlmini;
 pub mod varint;
+pub mod wire;
 
 pub use error::{QrError, Result};
 pub use fingerprint::Fingerprint;

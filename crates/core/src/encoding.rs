@@ -23,40 +23,35 @@
 use crate::chunk::{ChunkPacket, TerminationReason};
 use qr_common::cursor::ByteReader;
 use qr_common::frame::{self, PayloadKind};
-use qr_common::{varint, CoreId, Cycle, QrError, Result, ThreadId};
+use qr_common::{varint, wire_enum, CoreId, Cycle, QrError, Result, ThreadId};
 
 /// Packets per framed record: the salvage granularity of a torn chunk
 /// log. Larger groups amortize the 8-byte record overhead; smaller
 /// groups lose fewer packets to a tear.
 pub const FRAME_GROUP_PACKETS: usize = 64;
 
-/// On-disk chunk-packet format.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Encoding {
-    /// Fixed-size 24-byte packets (the hardware's native format plus the
-    /// software thread tag). The instruction count is a full `u64`: the
-    /// configured `max chunk size` does not bound it (uncapped chunks are
-    /// legal), so a narrower field would silently truncate long chunks.
-    Raw,
-    /// Varint-packed fields.
-    Packed,
-    /// Varint-packed fields with timestamp deltas. The default.
-    #[default]
-    Delta,
+wire_enum! {
+    /// On-disk chunk-packet format. Its tag opens a chunk-log stream and
+    /// is its form in every schema document.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+    pub enum Encoding as "encoding tag" {
+        /// Fixed-size 24-byte packets (the hardware's native format plus
+        /// the software thread tag). The instruction count is a full
+        /// `u64`: the configured `max chunk size` does not bound it
+        /// (uncapped chunks are legal), so a narrower field would
+        /// silently truncate long chunks.
+        0 "raw" Raw,
+        /// Varint-packed fields.
+        1 "packed" Packed,
+        /// Varint-packed fields with timestamp deltas. The default.
+        #[default]
+        2 "delta" Delta,
+    }
 }
 
 impl Encoding {
     /// All encodings.
     pub const ALL: [Encoding; 3] = [Encoding::Raw, Encoding::Packed, Encoding::Delta];
-
-    /// Stable stream tag.
-    pub fn tag(self) -> u8 {
-        match self {
-            Encoding::Raw => 0,
-            Encoding::Packed => 1,
-            Encoding::Delta => 2,
-        }
-    }
 
     /// Inverse of [`Encoding::tag`].
     pub fn from_tag(tag: u8) -> Option<Encoding> {
@@ -65,11 +60,7 @@ impl Encoding {
 
     /// Short name for experiment output.
     pub fn name(self) -> &'static str {
-        match self {
-            Encoding::Raw => "raw",
-            Encoding::Packed => "packed",
-            Encoding::Delta => "delta",
-        }
+        self.label()
     }
 
     /// Encodes one packet, appending to `out`. `prev_ts` is the previous

@@ -44,34 +44,33 @@ use crate::footprint::ChunkFootprint;
 use crate::hb::{ConflictSweep, VectorClock};
 use qr_common::cursor::ByteReader;
 use qr_common::frame::{self, PayloadKind};
-use qr_common::{varint, QrError, Result, ThreadId};
+use qr_common::{varint, wire_enum, QrError, Result, ThreadId};
 use std::collections::{BTreeMap, HashMap};
 
 /// Edges per framed record: the salvage granularity of a torn order log.
 pub const EDGE_GROUP: usize = 128;
 
-/// How chunk ordering is recorded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OrderMode {
-    /// One global timestamp per chunk (the paper's MRR scheme). The
-    /// default, and byte-identical to recordings made before partial
-    /// order existed.
-    #[default]
-    TotalOrder,
-    /// Per-thread sequence numbers plus explicit happens-before edges in
-    /// an `order.qrp` sidecar. The recording proper is unchanged — the
-    /// sidecar carries the ordering information a shard without a global
-    /// clock would have to live on.
-    PartialOrder,
+wire_enum! {
+    /// How chunk ordering is recorded.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub enum OrderMode as "order mode" {
+        /// One global timestamp per chunk (the paper's MRR scheme). The
+        /// default, and byte-identical to recordings made before partial
+        /// order existed.
+        #[default]
+        0 "total" TotalOrder,
+        /// Per-thread sequence numbers plus explicit happens-before edges
+        /// in an `order.qrp` sidecar. The recording proper is unchanged —
+        /// the sidecar carries the ordering information a shard without a
+        /// global clock would have to live on.
+        1 "partial" PartialOrder,
+    }
 }
 
 impl OrderMode {
     /// The CLI / display name (`total` or `partial`).
     pub fn name(self) -> &'static str {
-        match self {
-            OrderMode::TotalOrder => "total",
-            OrderMode::PartialOrder => "partial",
-        }
+        self.label()
     }
 
     /// Parses a CLI flag value.

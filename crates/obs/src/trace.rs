@@ -16,104 +16,42 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
+use qr_common::cursor::ByteReader;
 use qr_common::error::{QrError, Result};
 use qr_common::frame::{self, FrameFault, PayloadKind};
-use qr_common::varint;
+use qr_common::wire::{self, Wire};
+use qr_common::{wire_enum, wire_struct};
 
-/// What a [`TraceEvent`] marks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventKind {
-    /// A span opened.
-    Begin,
-    /// A span closed.
-    End,
-    /// A point event with no duration.
-    Instant,
-}
-
-impl EventKind {
-    fn code(self) -> u8 {
-        match self {
-            EventKind::Begin => 0,
-            EventKind::End => 1,
-            EventKind::Instant => 2,
-        }
-    }
-
-    fn from_code(code: u8) -> Option<EventKind> {
-        match code {
-            0 => Some(EventKind::Begin),
-            1 => Some(EventKind::End),
-            2 => Some(EventKind::Instant),
-            _ => None,
-        }
-    }
-
-    /// Short label for reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            EventKind::Begin => "begin",
-            EventKind::End => "end",
-            EventKind::Instant => "instant",
-        }
+wire_enum! {
+    /// What a [`TraceEvent`] marks.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum EventKind as "event kind" {
+        /// A span opened.
+        0 "begin" Begin,
+        /// A span closed.
+        1 "end" End,
+        /// A point event with no duration.
+        2 "instant" Instant,
     }
 }
 
-/// One journal entry.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Journal-wide sequence number (allocation order, dense from 0).
-    pub seq: u64,
-    /// Begin, end, or instant.
-    pub kind: EventKind,
-    /// Span name, e.g. `record.run` or `store.put`.
-    pub name: String,
-    /// Dense per-journal thread id (assigned on a thread's first event).
-    pub thread: u64,
-    /// Session / recording id, 0 when not applicable.
-    pub session: u64,
-    /// Microseconds since the journal epoch.
-    pub micros: u64,
-}
-
-impl TraceEvent {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        varint::write_u64(buf, self.seq);
-        buf.push(self.kind.code());
-        varint::write_u64(buf, self.thread);
-        varint::write_u64(buf, self.session);
-        varint::write_u64(buf, self.micros);
-        varint::write_u64(buf, self.name.len() as u64);
-        buf.extend_from_slice(self.name.as_bytes());
-    }
-
-    fn decode(payload: &[u8]) -> Result<TraceEvent> {
-        let bad = |detail: &str| QrError::LogDecode(format!("trace event: {detail}"));
-        let mut off = 0usize;
-        let next_u64 = |payload: &[u8], off: &mut usize| -> Result<u64> {
-            let (v, n) = varint::read_u64(&payload[*off..])?;
-            *off += n;
-            Ok(v)
-        };
-        let seq = next_u64(payload, &mut off)?;
-        let kind_code = *payload.get(off).ok_or_else(|| bad("truncated before kind byte"))?;
-        off += 1;
-        let kind = EventKind::from_code(kind_code)
-            .ok_or_else(|| bad(&format!("unknown event kind {kind_code}")))?;
-        let thread = next_u64(payload, &mut off)?;
-        let session = next_u64(payload, &mut off)?;
-        let micros = next_u64(payload, &mut off)?;
-        let name_len = next_u64(payload, &mut off)? as usize;
-        let end = off.checked_add(name_len).filter(|&e| e <= payload.len());
-        let name_bytes = end.map(|e| &payload[off..e]).ok_or_else(|| bad("truncated span name"))?;
-        off = end.expect("checked above");
-        if off != payload.len() {
-            return Err(bad("trailing bytes after event"));
-        }
-        let name = std::str::from_utf8(name_bytes)
-            .map_err(|_| bad("span name is not UTF-8"))?
-            .to_string();
-        Ok(TraceEvent { seq, kind, name, thread, session, micros })
+wire_struct! {
+    /// One journal entry; its record is these fields in declaration
+    /// order.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct TraceEvent {
+        /// Journal-wide sequence number (allocation order, dense from 0).
+        pub seq: u64,
+        /// Begin, end, or instant.
+        pub kind: EventKind,
+        /// Dense per-journal thread id (assigned on a thread's first event).
+        pub thread: u64,
+        /// Session / recording id, 0 when not applicable.
+        pub session: u64,
+        /// Microseconds since the journal epoch.
+        pub micros: u64,
+        /// Span name, e.g. `record.run` or `store.put`.
+        pub name: String,
     }
 }
 
@@ -124,42 +62,39 @@ impl TraceEvent {
 /// event.
 pub fn to_bytes(events: &[TraceEvent]) -> Vec<u8> {
     let mut w = frame::Writer::new(PayloadKind::TraceJournal);
-    let mut buf = Vec::with_capacity(64);
-    varint::write_u64(&mut buf, events.len() as u64);
+    let mut buf = wire::encode(&(events.len() as u64));
     w.record(&buf);
     for event in events {
         buf.clear();
-        event.encode(&mut buf);
+        event.put(&mut buf);
         w.record(&buf);
     }
     w.finish()
 }
 
-/// Reads the count record (record 0): the committed event count.
-fn decode_count(payload: &[u8]) -> Result<u64> {
-    let (count, used) = varint::read_u64(payload)?;
-    if used != payload.len() {
-        return Err(QrError::LogDecode("trace journal: malformed count record".into()));
-    }
-    Ok(count)
+/// Decodes one record of `journal` (a slice of it, as the frame readers
+/// return), with errors located at their offset in the journal.
+fn decode<T: Wire>(journal: &[u8], record: &[u8]) -> Result<T> {
+    let base = record.as_ptr() as usize - journal.as_ptr() as usize;
+    wire::decode(ByteReader::at(record, "trace journal", base))
 }
 
 /// Strictly decodes a trace-journal container.
 ///
 /// # Errors
 ///
-/// Returns [`QrError::Corrupt`] for container faults and
-/// [`QrError::LogDecode`] for malformed event payloads or an event
-/// count that disagrees with the committed count record (a journal
-/// truncated exactly at a record boundary).
+/// Returns [`QrError::Corrupt`] for container faults and malformed
+/// records, and [`QrError::LogDecode`] for a missing count record or an
+/// event count that disagrees with it (a journal truncated exactly at a
+/// record boundary).
 pub fn from_bytes(buf: &[u8]) -> Result<Vec<TraceEvent>> {
     let records = frame::read(buf, PayloadKind::TraceJournal, "trace journal")?;
     let Some((count_record, event_records)) = records.split_first() else {
         return Err(QrError::LogDecode("trace journal: missing count record".into()));
     };
-    let count = decode_count(count_record)?;
+    let count: u64 = decode(buf, count_record)?;
     let events: Vec<TraceEvent> =
-        event_records.iter().map(|r| TraceEvent::decode(r)).collect::<Result<_>>()?;
+        event_records.iter().map(|r| decode(buf, r)).collect::<Result<_>>()?;
     if events.len() as u64 != count {
         return Err(QrError::LogDecode(format!(
             "trace journal: count record commits to {count} event(s), found {} — \
@@ -182,13 +117,7 @@ pub fn salvage(buf: &[u8]) -> (Vec<TraceEvent>, Option<FrameFault>) {
     }
     // Record 0 is the count commitment, not an event; a journal torn
     // before it salvages nothing.
-    let mut events = Vec::with_capacity(scanned.records.len().saturating_sub(1));
-    for record in scanned.records.iter().skip(1) {
-        match TraceEvent::decode(record) {
-            Ok(event) => events.push(event),
-            Err(_) => break,
-        }
-    }
+    let events = scanned.records.iter().skip(1).map_while(|r| decode(buf, r).ok()).collect();
     (events, scanned.fault)
 }
 
@@ -322,6 +251,7 @@ pub fn global() -> &'static Journal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qr_common::varint;
 
     fn sample_events() -> Vec<TraceEvent> {
         vec![
@@ -442,7 +372,10 @@ mod tests {
             let (salvaged, _) = salvage(&bytes);
             assert!(salvaged.is_empty());
         }
-        // Oversized name length.
+        // An oversized name length, behind a valid count record, is a
+        // located `Corrupt`: the event record's payload starts at byte 19
+        // (6-byte header, a 9-byte count record, a length prefix), its
+        // name length at 24, and the missing bytes at 34.
         let mut buf = Vec::new();
         varint::write_u64(&mut buf, 0); // seq
         buf.push(0); // Begin
@@ -451,7 +384,14 @@ mod tests {
         varint::write_u64(&mut buf, 0); // micros
         varint::write_u64(&mut buf, u64::MAX); // absurd name length
         let mut w = frame::Writer::new(PayloadKind::TraceJournal);
+        w.record(&[1]);
         w.record(&buf);
-        assert!(from_bytes(&w.finish()).is_err());
+        match from_bytes(&w.finish()) {
+            Err(QrError::Corrupt { what, offset, detail }) => {
+                assert_eq!((what.as_str(), offset), ("trace journal", 34), "{detail}");
+                assert!(detail.starts_with("name: need"), "{detail}");
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
     }
 }

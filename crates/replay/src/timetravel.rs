@@ -32,8 +32,8 @@ use crate::replayer::{fresh_machine, RecordKind, Replayer};
 use qr_capo::{InputEvent, Recording, TimelineEntry, TimelineEvent};
 use qr_common::cursor::ByteReader;
 use qr_common::frame::{self, PayloadKind};
-use qr_common::varint::write_u64;
-use qr_common::{Cycle, QrError, Result, ThreadId};
+use qr_common::wire::{self, Absent, Le, List, Wire};
+use qr_common::{wire_enum, wire_struct, Cycle, QrError, Result, ThreadId};
 use qr_cpu::Machine;
 use qr_isa::Program;
 use std::sync::Arc;
@@ -61,63 +61,37 @@ fn kind_of_checkpoint(i: usize) -> RecordKind {
     }
 }
 
-/// What kind of timeline event a descriptor describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventKind {
-    /// A chunk of user instructions executed by one thread.
-    Chunk,
-    /// An injected syscall result.
-    Syscall,
-    /// An injected signal delivery.
-    Signal,
-}
-
-impl EventKind {
-    /// Stable wire code.
-    pub fn code(self) -> u8 {
-        match self {
-            EventKind::Chunk => 0,
-            EventKind::Syscall => 1,
-            EventKind::Signal => 2,
-        }
-    }
-
-    /// Inverse of [`EventKind::code`].
-    pub fn from_code(code: u8) -> Option<EventKind> {
-        match code {
-            0 => Some(EventKind::Chunk),
-            1 => Some(EventKind::Syscall),
-            2 => Some(EventKind::Signal),
-            _ => None,
-        }
-    }
-
-    /// Human-readable label.
-    pub fn label(self) -> &'static str {
-        match self {
-            EventKind::Chunk => "chunk",
-            EventKind::Syscall => "syscall",
-            EventKind::Signal => "signal",
-        }
+wire_enum! {
+    /// What kind of timeline event a descriptor describes.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum EventKind as "event kind" {
+        /// A chunk of user instructions executed by one thread.
+        0 "chunk" Chunk,
+        /// An injected syscall result.
+        1 "syscall" Syscall,
+        /// An injected signal delivery.
+        2 "signal" Signal,
     }
 }
 
-/// One merged-timeline event, described without replaying it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EventDescriptor {
-    /// Position in the merged timeline.
-    pub pos: u64,
-    /// Event kind.
-    pub kind: EventKind,
-    /// Thread the event belongs to.
-    pub tid: ThreadId,
-    /// Global timestamp.
-    pub timestamp: Cycle,
-    /// Instructions the event executes (0 for injected inputs).
-    pub icount: u64,
-    /// Kind-specific detail: chunk termination-reason code, syscall
-    /// number, or 0 for signals.
-    pub detail: u32,
+wire_struct! {
+    /// One merged-timeline event, described without replaying it.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct EventDescriptor {
+        /// Position in the merged timeline.
+        pub pos: u64,
+        /// Event kind.
+        pub kind: EventKind,
+        /// Thread the event belongs to.
+        pub tid: ThreadId as Le,
+        /// Global timestamp.
+        pub timestamp: Cycle,
+        /// Instructions the event executes (0 for injected inputs).
+        pub icount: u64,
+        /// Kind-specific detail: chunk termination-reason code, syscall
+        /// number, or 0 for signals.
+        pub detail: u32 as Le,
+    }
 }
 
 /// Describes every event of `recording`'s merged timeline without
@@ -153,46 +127,52 @@ fn describe(timeline: &[TimelineEntry<'_>]) -> Vec<EventDescriptor> {
         .collect()
 }
 
-/// The seek key of one persisted checkpoint: where it sits in the
-/// timeline and how much progress the replay had made when it was taken.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CheckpointKey {
-    /// Timeline events already replayed at this checkpoint.
-    pub position: u64,
-    /// Instructions replayed.
-    pub instructions: u64,
-    /// Chunks replayed.
-    pub chunks_replayed: u64,
-    /// Input events injected.
-    pub inputs_injected: u64,
-    /// Cumulative instructions retired per thread (index = tid).
-    pub thread_icounts: Vec<u64>,
+wire_struct! {
+    /// The seek key of one persisted checkpoint: where it sits in the
+    /// timeline and how much progress the replay had made when it was
+    /// taken.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct CheckpointKey {
+        /// Timeline events already replayed at this checkpoint.
+        pub position: u64,
+        /// Instructions replayed.
+        pub instructions: u64,
+        /// Chunks replayed.
+        pub chunks_replayed: u64,
+        /// Input events injected.
+        pub inputs_injected: u64,
+        /// Cumulative instructions retired per thread (index = tid).
+        pub thread_icounts: Vec<u64> as List<250>,
+    }
 }
 
-/// A persisted, binary-searchable set of replay checkpoints — the
-/// contents of a `checkpoints.qrc` sidecar.
-///
-/// Record 0 of the framed container is the seek index (version, binding
-/// fingerprints, interval, one [`CheckpointKey`] per checkpoint); each
-/// following record is one serialized checkpoint: a kind byte, guest
-/// memory as an overlay — on the freshly loaded program image for a
-/// keyframe, on the previous checkpoint's memory for a delta — and all
-/// other replay state in full. Records stay as raw bytes until a seek
-/// actually needs them.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CheckpointIndex {
-    /// Checkpoint interval, in timeline events.
-    pub interval: u64,
-    /// Total events in the recording's merged timeline.
-    pub timeline_len: u64,
-    /// Fingerprint of the program the checkpoints replay.
-    pub program_fingerprint: u64,
-    /// Final-state fingerprint of the recording (binds the sidecar).
-    pub recording_fingerprint: u64,
-    /// Seek keys, strictly increasing by position.
-    pub keys: Vec<CheckpointKey>,
-    /// Serialized checkpoint records, parallel to `keys`.
-    pub snapshots: Vec<Vec<u8>>,
+wire_struct! {
+    /// A persisted, binary-searchable set of replay checkpoints — the
+    /// contents of a `checkpoints.qrc` sidecar.
+    ///
+    /// Record 0 of the framed container is the seek index: the index
+    /// version, then the fields below up to `keys`, in declaration order.
+    /// Each following record is one serialized checkpoint: a kind byte,
+    /// guest memory as an overlay — on the freshly loaded program image
+    /// for a keyframe, on the previous checkpoint's memory for a delta —
+    /// and all other replay state in full. Records stay as raw bytes
+    /// until a seek actually needs them.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct CheckpointIndex {
+        /// Fingerprint of the program the checkpoints replay.
+        pub program_fingerprint: u64 as Le,
+        /// Final-state fingerprint of the recording (binds the sidecar).
+        pub recording_fingerprint: u64 as Le,
+        /// Checkpoint interval, in timeline events.
+        pub interval: u64,
+        /// Total events in the recording's merged timeline.
+        pub timeline_len: u64,
+        /// Seek keys, strictly increasing by position.
+        pub keys: Vec<CheckpointKey>,
+        /// Serialized checkpoint records, parallel to `keys`: the records
+        /// after the header, not part of it.
+        pub snapshots: Vec<Vec<u8>> as Absent,
+    }
 }
 
 impl CheckpointIndex {
@@ -257,23 +237,8 @@ impl CheckpointIndex {
 
     /// Serializes the index as a framed `checkpoints.qrc` container.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut header = Vec::new();
-        write_u64(&mut header, CHECKPOINT_INDEX_VERSION);
-        header.extend_from_slice(&self.program_fingerprint.to_le_bytes());
-        header.extend_from_slice(&self.recording_fingerprint.to_le_bytes());
-        write_u64(&mut header, self.interval);
-        write_u64(&mut header, self.timeline_len);
-        write_u64(&mut header, self.keys.len() as u64);
-        for key in &self.keys {
-            write_u64(&mut header, key.position);
-            write_u64(&mut header, key.instructions);
-            write_u64(&mut header, key.chunks_replayed);
-            write_u64(&mut header, key.inputs_injected);
-            write_u64(&mut header, key.thread_icounts.len() as u64);
-            for &n in &key.thread_icounts {
-                write_u64(&mut header, n);
-            }
-        }
+        let mut header = wire::encode(&CHECKPOINT_INDEX_VERSION);
+        self.put(&mut header);
         let mut w = frame::Writer::new(PayloadKind::CheckpointIndex);
         w.record(&header);
         for snapshot in &self.snapshots {
@@ -293,19 +258,19 @@ impl CheckpointIndex {
     /// byte, a first record that is not a keyframe, a chain of more than
     /// [`KEYFRAME_EVERY`] records.
     pub fn from_bytes(bytes: &[u8]) -> Result<CheckpointIndex> {
-        let corrupt = |offset: u64, detail: String| QrError::Corrupt {
-            what: "checkpoint index".into(),
-            offset,
-            detail,
+        let what = "checkpoint index";
+        let records = frame::read(bytes, PayloadKind::CheckpointIndex, what)?;
+        let Some((header, snapshots)) = records.split_first() else {
+            return Err(QrError::Corrupt {
+                what: what.into(),
+                offset: frame::HEADER_LEN as u64,
+                detail: "missing index header record".into(),
+            });
         };
-        let records = frame::read(bytes, PayloadKind::CheckpointIndex, "checkpoint index")?;
-        let header = *records
-            .first()
-            .ok_or_else(|| corrupt(0, "missing index header record".into()))?;
-        let mut r = ByteReader::new(header, "checkpoint index");
-        let version = r.varint()?;
+        let mut r = ByteReader::at(header, what, frame::HEADER_LEN + 4);
+        let version = u64::get(&mut r)?;
         if version == 0 {
-            return Err(corrupt(0, "implausible index version 0".into()));
+            return Err(r.corrupt_at(0, "implausible index version 0"));
         }
         if version != CHECKPOINT_INDEX_VERSION {
             return Err(QrError::Unsupported(format!(
@@ -314,66 +279,34 @@ impl CheckpointIndex {
                  the index is a cache, rebuild it from the recording)"
             )));
         }
-        let program_fingerprint = r.u64()?;
-        let recording_fingerprint = r.u64()?;
-        let interval = r.varint()?;
-        if interval == 0 {
-            return Err(corrupt(r.pos() as u64, "checkpoint interval 0".into()));
+        let mut index: CheckpointIndex = wire::decode(r.clone())?;
+        if index.interval == 0 {
+            return Err(r.corrupt("checkpoint interval 0"));
         }
-        let timeline_len = r.varint()?;
-        let num_keys = r.count(records.len() as u64 - 1)?;
-        if num_keys != records.len() - 1 {
-            return Err(corrupt(
-                r.pos() as u64,
-                format!("index lists {num_keys} checkpoints but container has {}", records.len() - 1),
-            ));
+        if index.keys.len() != snapshots.len() {
+            return Err(r.corrupt(format!(
+                "index lists {} checkpoints but container has {}",
+                index.keys.len(),
+                snapshots.len()
+            )));
         }
-        let mut keys = Vec::with_capacity(num_keys);
-        for _ in 0..num_keys {
-            let position = r.varint()?;
-            if position >= timeline_len {
-                return Err(corrupt(
-                    r.pos() as u64,
-                    format!("checkpoint position {position} beyond timeline of {timeline_len}"),
-                ));
-            }
-            if let Some(prev) = keys.last().map(|k: &CheckpointKey| k.position) {
-                if position <= prev {
-                    return Err(corrupt(
-                        r.pos() as u64,
-                        format!("checkpoint positions not increasing ({prev} then {position})"),
-                    ));
-                }
-            }
-            let instructions = r.varint()?;
-            let chunks_replayed = r.varint()?;
-            let inputs_injected = r.varint()?;
-            let num_threads = r.count(250)?;
-            let mut thread_icounts = Vec::with_capacity(num_threads);
-            for _ in 0..num_threads {
-                thread_icounts.push(r.varint()?);
-            }
-            keys.push(CheckpointKey {
-                position,
-                instructions,
-                chunks_replayed,
-                inputs_injected,
-                thread_icounts,
-            });
+        if let Some(key) = index.keys.iter().find(|k| k.position >= index.timeline_len) {
+            return Err(r.corrupt(format!(
+                "checkpoint position {} beyond timeline of {}",
+                key.position, index.timeline_len
+            )));
         }
-        r.finish()?;
-        for (i, record) in records[1..].iter().enumerate() {
+        if let Some(pair) = index.keys.windows(2).find(|w| w[1].position <= w[0].position) {
+            return Err(r.corrupt(format!(
+                "checkpoint positions not increasing ({} then {})",
+                pair[0].position, pair[1].position
+            )));
+        }
+        for (i, record) in snapshots.iter().enumerate() {
             kind_of_checkpoint(i).expect(&mut ByteReader::new(record, &format!("checkpoint record {i}")))?;
         }
-        let snapshots = records[1..].iter().map(|rec| rec.to_vec()).collect();
-        Ok(CheckpointIndex {
-            interval,
-            timeline_len,
-            program_fingerprint,
-            recording_fingerprint,
-            keys,
-            snapshots,
-        })
+        index.snapshots = snapshots.iter().map(|rec| rec.to_vec()).collect();
+        Ok(index)
     }
 
     /// Index of the latest checkpoint at or before timeline position
@@ -385,120 +318,44 @@ impl CheckpointIndex {
     }
 }
 
-/// A slice of a recorded execution to extract.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplayQuery {
-    /// Chunks `start..end` (chunk ordinals, end exclusive) and every
-    /// timeline event between them.
-    Range {
-        /// First chunk ordinal.
-        start: u64,
-        /// One past the last chunk ordinal.
-        end: u64,
-    },
-    /// Every event belonging to one thread (its chunks, syscall results
-    /// and signal deliveries), as the span from its first to its last.
-    Thread {
-        /// The thread.
-        tid: ThreadId,
-    },
-    /// The events covering replayed-instruction counts `start..end`.
-    Window {
-        /// First instruction of interest.
-        start: u64,
-        /// One past the last instruction of interest.
-        end: u64,
-    },
-    /// The last `instructions` instructions before the replay diverges
-    /// (or before the end, for a clean recording).
-    BeforeDivergence {
-        /// Tail length, in instructions.
-        instructions: u64,
-    },
-    /// The machine state `events` timeline events before the end —
-    /// stepping backwards by re-executing forward from a checkpoint.
-    ReverseStep {
-        /// How many events to step back from the end.
-        events: u64,
-    },
-}
-
-impl ReplayQuery {
-    /// Short label for metrics and audit spans.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ReplayQuery::Range { .. } => "range",
-            ReplayQuery::Thread { .. } => "thread",
-            ReplayQuery::Window { .. } => "window",
-            ReplayQuery::BeforeDivergence { .. } => "before-divergence",
-            ReplayQuery::ReverseStep { .. } => "reverse-step",
-        }
-    }
-
-    /// Serializes the query for the wire.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        match *self {
-            ReplayQuery::Range { start, end } => {
-                out.push(0);
-                write_u64(&mut out, start);
-                write_u64(&mut out, end);
-            }
-            ReplayQuery::Thread { tid } => {
-                out.push(1);
-                out.extend_from_slice(&tid.0.to_le_bytes());
-            }
-            ReplayQuery::Window { start, end } => {
-                out.push(2);
-                write_u64(&mut out, start);
-                write_u64(&mut out, end);
-            }
-            ReplayQuery::BeforeDivergence { instructions } => {
-                out.push(3);
-                write_u64(&mut out, instructions);
-            }
-            ReplayQuery::ReverseStep { events } => {
-                out.push(4);
-                write_u64(&mut out, events);
-            }
-        }
-        out
-    }
-
-    /// Inverse of [`ReplayQuery::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QrError::Corrupt`] on malformed bytes.
-    pub fn from_bytes(buf: &[u8]) -> Result<ReplayQuery> {
-        let mut r = ByteReader::new(buf, "replay query");
-        let query = Self::read_from(&mut r)?;
-        r.finish()?;
-        Ok(query)
-    }
-
-    /// Reads one query from an open cursor (for embedding in larger
-    /// wire messages).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QrError::Corrupt`] on malformed bytes.
-    pub fn read_from(r: &mut ByteReader<'_>) -> Result<ReplayQuery> {
-        let tag = r.u8()?;
-        Ok(match tag {
-            0 => ReplayQuery::Range { start: r.varint()?, end: r.varint()? },
-            1 => ReplayQuery::Thread { tid: ThreadId(r.u32()?) },
-            2 => ReplayQuery::Window { start: r.varint()?, end: r.varint()? },
-            3 => ReplayQuery::BeforeDivergence { instructions: r.varint()? },
-            4 => ReplayQuery::ReverseStep { events: r.varint()? },
-            _ => {
-                return Err(QrError::Corrupt {
-                    what: "replay query".into(),
-                    offset: 0,
-                    detail: format!("unknown query tag {tag}"),
-                })
-            }
-        })
+wire_enum! {
+    /// A slice of a recorded execution to extract.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum ReplayQuery as "query tag" {
+        /// Chunks `start..end` (chunk ordinals, end exclusive) and every
+        /// timeline event between them.
+        0 "range" Range {
+            /// First chunk ordinal.
+            start: u64,
+            /// One past the last chunk ordinal.
+            end: u64,
+        },
+        /// Every event belonging to one thread (its chunks, syscall
+        /// results and signal deliveries), as the span from its first to
+        /// its last.
+        1 "thread" Thread {
+            /// The thread.
+            tid: ThreadId as Le,
+        },
+        /// The events covering replayed-instruction counts `start..end`.
+        2 "window" Window {
+            /// First instruction of interest.
+            start: u64,
+            /// One past the last instruction of interest.
+            end: u64,
+        },
+        /// The last `instructions` instructions before the replay
+        /// diverges (or before the end, for a clean recording).
+        3 "before-divergence" BeforeDivergence {
+            /// Tail length, in instructions.
+            instructions: u64,
+        },
+        /// The machine state `events` timeline events before the end —
+        /// stepping backwards by re-executing forward from a checkpoint.
+        4 "reverse-step" ReverseStep {
+            /// How many events to step back from the end.
+            events: u64,
+        },
     }
 }
 
@@ -516,21 +373,23 @@ impl std::fmt::Display for ReplayQuery {
     }
 }
 
-/// What executing a query would cost — the dry-run answer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QueryPlan {
-    /// The query this plan answers.
-    pub query: ReplayQuery,
-    /// First timeline position of the result span.
-    pub start: u64,
-    /// One past the last timeline position of the result span.
-    pub end: u64,
-    /// Position of the checkpoint a seek would restore, if any.
-    pub checkpoint: Option<u64>,
-    /// Timeline events that must be re-executed to answer the query.
-    pub events_to_execute: u64,
-    /// Total events in the recording's timeline.
-    pub timeline_len: u64,
+wire_struct! {
+    /// What executing a query would cost — the dry-run answer.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct QueryPlan {
+        /// The query this plan answers.
+        pub query: ReplayQuery,
+        /// First timeline position of the result span.
+        pub start: u64,
+        /// One past the last timeline position of the result span.
+        pub end: u64,
+        /// Position of the checkpoint a seek would restore, if any.
+        pub checkpoint: Option<u64>,
+        /// Timeline events that must be re-executed to answer the query.
+        pub events_to_execute: u64,
+        /// Total events in the recording's timeline.
+        pub timeline_len: u64,
+    }
 }
 
 impl QueryPlan {
@@ -548,19 +407,7 @@ impl QueryPlan {
 
     /// Serializes the plan for the wire.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = self.query.to_bytes();
-        write_u64(&mut out, self.start);
-        write_u64(&mut out, self.end);
-        match self.checkpoint {
-            Some(pos) => {
-                out.push(1);
-                write_u64(&mut out, pos);
-            }
-            None => out.push(0),
-        }
-        write_u64(&mut out, self.events_to_execute);
-        write_u64(&mut out, self.timeline_len);
-        out
+        wire::encode(self)
     }
 
     /// Inverse of [`QueryPlan::to_bytes`].
@@ -569,44 +416,35 @@ impl QueryPlan {
     ///
     /// Returns [`QrError::Corrupt`] on malformed bytes.
     pub fn from_bytes(buf: &[u8]) -> Result<QueryPlan> {
-        let mut r = ByteReader::new(buf, "query plan");
-        let query = ReplayQuery::read_from(&mut r)?;
-        let start = r.varint()?;
-        let end = r.varint()?;
-        let checkpoint = match r.u8()? {
-            0 => None,
-            _ => Some(r.varint()?),
-        };
-        let events_to_execute = r.varint()?;
-        let timeline_len = r.varint()?;
-        r.finish()?;
-        Ok(QueryPlan { query, start, end, checkpoint, events_to_execute, timeline_len })
+        wire::decode(ByteReader::new(buf, "query plan"))
     }
 }
 
-/// The answer to a [`ReplayQuery`]: the events of the span, the console
-/// output and instruction count produced inside it, and the
-/// architectural fingerprint at its end. Byte-identical whether it was
-/// computed from a checkpoint seek or a from-scratch replay.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QueryResult {
-    /// The query this result answers.
-    pub query: ReplayQuery,
-    /// First timeline position of the span.
-    pub start: u64,
-    /// One past the last timeline position of the span.
-    pub end: u64,
-    /// Descriptors of the events inside the span.
-    pub events: Vec<EventDescriptor>,
-    /// Console bytes produced inside the span.
-    pub console: Vec<u8>,
-    /// Instructions re-executed inside the span.
-    pub instructions: u64,
-    /// Partial architectural fingerprint at the end of the span.
-    pub fingerprint: u64,
-    /// The divergence that ended the replay, for
-    /// [`ReplayQuery::BeforeDivergence`] on a tampered recording.
-    pub diverged: Option<String>,
+wire_struct! {
+    /// The answer to a [`ReplayQuery`]: the events of the span, the
+    /// console output and instruction count produced inside it, and the
+    /// architectural fingerprint at its end. Byte-identical whether it was
+    /// computed from a checkpoint seek or a from-scratch replay.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct QueryResult {
+        /// The query this result answers.
+        pub query: ReplayQuery,
+        /// First timeline position of the span.
+        pub start: u64,
+        /// One past the last timeline position of the span.
+        pub end: u64,
+        /// Descriptors of the events inside the span.
+        pub events: Vec<EventDescriptor> as List<{ 1 << 30 }>,
+        /// Console bytes produced inside the span.
+        pub console: Vec<u8>,
+        /// Instructions re-executed inside the span.
+        pub instructions: u64,
+        /// Partial architectural fingerprint at the end of the span.
+        pub fingerprint: u64 as Le,
+        /// The divergence that ended the replay, for
+        /// [`ReplayQuery::BeforeDivergence`] on a tampered recording.
+        pub diverged: Option<String>,
+    }
 }
 
 impl QueryResult {
@@ -614,31 +452,7 @@ impl QueryResult {
     /// deterministic function of the result, so equivalence tests can
     /// compare results bytewise.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = self.query.to_bytes();
-        write_u64(&mut out, self.start);
-        write_u64(&mut out, self.end);
-        write_u64(&mut out, self.events.len() as u64);
-        for e in &self.events {
-            write_u64(&mut out, e.pos);
-            out.push(e.kind.code());
-            out.extend_from_slice(&e.tid.0.to_le_bytes());
-            write_u64(&mut out, e.timestamp.0);
-            write_u64(&mut out, e.icount);
-            out.extend_from_slice(&e.detail.to_le_bytes());
-        }
-        write_u64(&mut out, self.console.len() as u64);
-        out.extend_from_slice(&self.console);
-        write_u64(&mut out, self.instructions);
-        out.extend_from_slice(&self.fingerprint.to_le_bytes());
-        match &self.diverged {
-            Some(msg) => {
-                out.push(1);
-                write_u64(&mut out, msg.len() as u64);
-                out.extend_from_slice(msg.as_bytes());
-            }
-            None => out.push(0),
-        }
-        out
+        wire::encode(self)
     }
 
     /// Inverse of [`QueryResult::to_bytes`].
@@ -647,45 +461,7 @@ impl QueryResult {
     ///
     /// Returns [`QrError::Corrupt`] on malformed bytes.
     pub fn from_bytes(buf: &[u8]) -> Result<QueryResult> {
-        let corrupt = |offset: u64, detail: String| QrError::Corrupt {
-            what: "query result".into(),
-            offset,
-            detail,
-        };
-        let mut r = ByteReader::new(buf, "query result");
-        let query = ReplayQuery::read_from(&mut r)?;
-        let start = r.varint()?;
-        let end = r.varint()?;
-        // pos, kind, tid, timestamp, icount, detail: 12 bytes at least.
-        let num_events = r.list_count(1 << 30, 12)?;
-        let mut events = Vec::with_capacity(num_events);
-        for _ in 0..num_events {
-            let pos = r.varint()?;
-            let kind_code = r.u8()?;
-            let kind = EventKind::from_code(kind_code)
-                .ok_or_else(|| corrupt(r.pos() as u64, format!("unknown event kind {kind_code}")))?;
-            let tid = ThreadId(r.u32()?);
-            let timestamp = Cycle(r.varint()?);
-            let icount = r.varint()?;
-            let detail = r.u32()?;
-            events.push(EventDescriptor { pos, kind, tid, timestamp, icount, detail });
-        }
-        let console_len = r.count(1 << 30)?;
-        let console = r.bytes(console_len)?.to_vec();
-        let instructions = r.varint()?;
-        let fingerprint = r.u64()?;
-        let diverged = match r.u8()? {
-            0 => None,
-            _ => {
-                let len = r.count(1 << 20)?;
-                let at = r.pos() as u64;
-                let msg = String::from_utf8(r.bytes(len)?.to_vec())
-                    .map_err(|_| corrupt(at, "divergence message is not UTF-8".into()))?;
-                Some(msg)
-            }
-        };
-        r.finish()?;
-        Ok(QueryResult { query, start, end, events, console, instructions, fingerprint, diverged })
+        wire::decode(ByteReader::new(buf, "query result"))
     }
 }
 
@@ -1093,12 +869,9 @@ mod tests {
     fn other_index_versions_are_rejected_by_name() {
         // 1 is the full-dump layout this reader replaced: refused like a
         // future one, never parsed.
-        for version in [1, 99] {
-            let mut header = Vec::new();
-            write_u64(&mut header, version);
-            let mut w = frame::Writer::new(PayloadKind::CheckpointIndex);
-            w.record(&header);
-            let err = CheckpointIndex::from_bytes(&w.finish()).unwrap_err();
+        for version in [1u64, 99] {
+            let bytes = frame::single(PayloadKind::CheckpointIndex, &wire::encode(&version));
+            let err = CheckpointIndex::from_bytes(&bytes).unwrap_err();
             match err {
                 QrError::Unsupported(msg) => {
                     assert!(msg.contains(&format!("version {version} ")), "names the file's version: {msg}");
@@ -1197,7 +970,7 @@ mod tests {
             ReplayQuery::ReverseStep { events: 5 },
         ];
         for q in queries {
-            assert_eq!(ReplayQuery::from_bytes(&q.to_bytes()).unwrap(), q);
+            assert_eq!(wire::decode::<ReplayQuery>(ByteReader::new(&wire::encode(&q), "q")).unwrap(), q);
         }
         let plan = QueryPlan {
             query: queries[0],
@@ -1240,7 +1013,8 @@ mod tests {
 
     #[test]
     fn unknown_query_tag_is_corrupt() {
-        let err = ReplayQuery::from_bytes(&[9]).unwrap_err();
+        let err = wire::decode::<ReplayQuery>(ByteReader::new(&[9], "q")).unwrap_err();
         assert!(matches!(err, QrError::Corrupt { .. }), "{err:?}");
+        assert!(err.to_string().contains("unknown query tag 9"), "{err}");
     }
 }

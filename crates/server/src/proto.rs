@@ -21,21 +21,24 @@
 //! fault-injection suite drives both the stream layer and the payload
 //! decoders through the same mutators as the on-disk logs.
 //!
-//! Every message and nested type is declared exactly once, through
-//! `wire_enum!` / `wire_struct!`: tag, kind label, doc comments and the
-//! fields in wire order. The type, its encoder and decoder, `tag()`,
-//! `label()` and `KINDS` all come from that declaration, and a field's
-//! encoding is its type's `Wire` impl (`docs/TRACE_FORMAT.md` §10 is the
-//! same table in prose). To add a message, append one variant with the
-//! next free tag (the tag space is append-only; an old peer answers an
-//! unknown tag with a framed error), add one sample of it to
+//! Every message and nested type is declared exactly once, with
+//! `qr_common::wire`'s `wire_enum!` / `wire_struct!`: tag, kind label,
+//! doc comments and the fields in wire order. The type, its encoder and
+//! decoder, `tag()`, `label()` and `KINDS` all come from that
+//! declaration, and a field's encoding is its type's `Wire` form or the
+//! codec it names (`order: OrderMode as Trailing`); this module holds no
+//! codec of its own (`docs/TRACE_FORMAT.md` §10 is the same table in
+//! prose). To add a message, append one variant with the next free tag
+//! (the tag space is append-only; an old peer answers an unknown tag
+//! with a framed error), add one sample of it to
 //! `golden_wire_messages()` in `tests/golden_conformance.rs`, regenerate
 //! `tests/golden/wire/messages.qrw` and add its row to §10 — metrics
 //! labels, codec tests and mutation sweeps follow from those two.
 
 use qr_common::cursor::ByteReader;
 use qr_common::frame::{self, PayloadKind};
-use qr_common::{crc32, varint, QrError, Result};
+use qr_common::wire::{self, List, Prefixed, Trailing};
+use qr_common::{crc32, wire_enum, wire_struct, QrError, Result};
 use qr_replay::ReplayQuery;
 use quickrec_core::{Encoding, OrderMode};
 use qr_workloads::Scale;
@@ -202,284 +205,10 @@ impl MessageAssembler {
 
 // ---- the schema ------------------------------------------------------
 
-/// One field type's wire form. The declaration macros below compose
-/// these in field order; nothing else in the crate encodes or decodes a
-/// payload byte.
-trait Wire: Sized {
-    /// Fewest bytes any value encodes to: what a list's claimed length
-    /// is checked against before anything is reserved for it.
-    const MIN: usize = 1;
-    /// Most elements a `Vec<Self>` field may claim.
-    const LIST_MAX: u64 = 1 << 20;
-    fn put(&self, out: &mut Vec<u8>);
-    fn get(r: &mut ByteReader<'_>) -> Result<Self>;
-}
-
-/// Decodes one field, naming it in the error if it is damaged.
-fn field<T: Wire>(r: &mut ByteReader<'_>, name: &str) -> Result<T> {
-    T::get(r).map_err(|e| match e {
-        QrError::Corrupt { what, offset, detail } => {
-            QrError::Corrupt { what, offset, detail: format!("{name}: {detail}") }
-        }
-        other => other,
-    })
-}
-
-/// Reads one tag byte and maps it through `pick`; `None` means the tag
-/// is unassigned.
-fn tag_byte<T>(
-    r: &mut ByteReader<'_>,
-    what: &str,
-    pick: impl FnOnce(u8) -> Option<T>,
-) -> Result<T> {
-    let at = r.pos();
-    let tag = r.u8()?;
-    pick(tag).ok_or_else(|| r.corrupt_at(at, format!("unknown {what} {tag}")))
-}
-
-fn put_prefixed(out: &mut Vec<u8>, bytes: &[u8]) {
-    varint::write_u64(out, bytes.len() as u64);
-    out.extend_from_slice(bytes);
-}
-
-/// Integers are LEB128 varints.
-impl Wire for u64 {
-    fn put(&self, out: &mut Vec<u8>) {
-        varint::write_u64(out, *self);
-    }
-    fn get(r: &mut ByteReader<'_>) -> Result<u64> {
-        r.varint()
-    }
-}
-
-impl Wire for u32 {
-    fn put(&self, out: &mut Vec<u8>) {
-        varint::write_u64(out, u64::from(*self));
-    }
-    fn get(r: &mut ByteReader<'_>) -> Result<u32> {
-        let at = r.pos();
-        let value = r.varint()?;
-        u32::try_from(value).map_err(|_| r.corrupt_at(at, format!("{value} is out of range")))
-    }
-}
-
-/// A flag is one byte, strictly 0 or 1.
-impl Wire for bool {
-    fn put(&self, out: &mut Vec<u8>) {
-        out.push(u8::from(*self));
-    }
-    fn get(r: &mut ByteReader<'_>) -> Result<bool> {
-        tag_byte(r, "flag byte", |tag| [false, true].get(usize::from(tag)).copied())
-    }
-}
-
-/// Strings are length-prefixed UTF-8.
-impl Wire for String {
-    fn put(&self, out: &mut Vec<u8>) {
-        put_prefixed(out, self.as_bytes());
-    }
-    fn get(r: &mut ByteReader<'_>) -> Result<String> {
-        let at = r.pos();
-        String::from_utf8(r.prefixed()?.to_vec()).map_err(|_| r.corrupt_at(at, "not utf-8"))
-    }
-}
-
-/// Blobs are length-prefixed raw bytes.
-impl Wire for Vec<u8> {
-    fn put(&self, out: &mut Vec<u8>) {
-        put_prefixed(out, self);
-    }
-    fn get(r: &mut ByteReader<'_>) -> Result<Vec<u8>> {
-        Ok(r.prefixed()?.to_vec())
-    }
-}
-
-/// One fetched file image, `(name, bytes)`; a recording has a handful.
-impl Wire for (String, Vec<u8>) {
-    const MIN: usize = 2;
-    const LIST_MAX: u64 = 16;
-    fn put(&self, out: &mut Vec<u8>) {
-        self.0.put(out);
-        self.1.put(out);
-    }
-    fn get(r: &mut ByteReader<'_>) -> Result<(String, Vec<u8>)> {
-        Ok((field(r, "file name")?, field(r, "file bytes")?))
-    }
-}
-
-/// Lists are a count bounded by `T::LIST_MAX` and by what the rest of
-/// the payload could possibly hold, then the elements.
-impl<T: Wire> Wire for Vec<T> {
-    fn put(&self, out: &mut Vec<u8>) {
-        varint::write_u64(out, self.len() as u64);
-        self.iter().for_each(|item| item.put(out));
-    }
-    fn get(r: &mut ByteReader<'_>) -> Result<Vec<T>> {
-        let count = r.list_count(T::LIST_MAX, T::MIN)?;
-        let mut items = Vec::with_capacity(count);
-        for _ in 0..count {
-            items.push(T::get(r)?);
-        }
-        Ok(items)
-    }
-}
-
-/// A query travels as its own length-prefixed document.
-impl Wire for ReplayQuery {
-    fn put(&self, out: &mut Vec<u8>) {
-        put_prefixed(out, &self.to_bytes());
-    }
-    fn get(r: &mut ByteReader<'_>) -> Result<ReplayQuery> {
-        ReplayQuery::from_bytes(r.prefixed()?)
-    }
-}
-
-/// Scale tags, by position.
-const SCALES: [Scale; 3] = [Scale::Test, Scale::Small, Scale::Reference];
-
-impl Wire for Scale {
-    fn put(&self, out: &mut Vec<u8>) {
-        let tag = SCALES.iter().position(|s| s == self).expect("every scale has a tag");
-        out.push(tag as u8);
-    }
-    fn get(r: &mut ByteReader<'_>) -> Result<Scale> {
-        tag_byte(r, "scale tag", |tag| SCALES.get(usize::from(tag)).copied())
-    }
-}
-
-impl Wire for Encoding {
-    fn put(&self, out: &mut Vec<u8>) {
-        out.push(self.tag());
-    }
-    fn get(r: &mut ByteReader<'_>) -> Result<Encoding> {
-        tag_byte(r, "encoding tag", Encoding::from_tag)
-    }
-}
-
-/// The order mode is an optional *trailing* byte, so it can only be a
-/// message's last field: absent means total order (submissions stay
-/// byte-identical to the pre-ordering format and old clients keep
-/// working), and only partial order writes its `1`.
-impl Wire for OrderMode {
-    const MIN: usize = 0;
-    fn put(&self, out: &mut Vec<u8>) {
-        if *self == OrderMode::PartialOrder {
-            out.push(1);
-        }
-    }
-    fn get(r: &mut ByteReader<'_>) -> Result<OrderMode> {
-        if r.remaining() == 0 {
-            return Ok(OrderMode::TotalOrder);
-        }
-        let modes = [OrderMode::TotalOrder, OrderMode::PartialOrder];
-        tag_byte(r, "order mode", |tag| modes.get(usize::from(tag)).copied())
-    }
-}
-
-/// Declares a struct whose fields are encoded back to back, in
-/// declaration order.
-macro_rules! wire_struct {
-    (
-        $(#[$meta:meta])*
-        pub struct $name:ident {
-            $( $(#[$fmeta:meta])* pub $field:ident: $fty:ty, )*
-        }
-    ) => {
-        $(#[$meta])*
-        pub struct $name {
-            $( $(#[$fmeta])* pub $field: $fty, )*
-        }
-
-        impl Wire for $name {
-            const MIN: usize = 0 $( + <$fty as Wire>::MIN )*;
-            fn put(&self, out: &mut Vec<u8>) {
-                $( self.$field.put(out); )*
-            }
-            fn get(r: &mut ByteReader<'_>) -> Result<$name> {
-                Ok($name { $( $field: field(r, stringify!($field))?, )* })
-            }
-        }
-    };
-}
-
-/// Declares an enum encoded as one tag byte followed by the variant's
-/// fields in declaration order. Each variant line reads
-/// `tag "label" Name`, then `{ field: Type, .. }` or `(name: Type)` if
-/// it carries data (the name of a tuple payload only labels decode
-/// errors). `$what` names the enum in the unknown-tag error.
-macro_rules! wire_enum {
-    (
-        $(#[$meta:meta])*
-        pub enum $name:ident as $what:literal {
-            $(
-                $(#[$vmeta:meta])*
-                $tag:literal $label:literal $variant:ident
-                $( { $( $(#[$fmeta:meta])* $field:ident: $fty:ty, )* } )?
-                $( ( $inner:ident: $ity:ty ) )?,
-            )*
-        }
-    ) => {
-        $(#[$meta])*
-        pub enum $name {
-            $(
-                $(#[$vmeta])*
-                $variant $( { $( $(#[$fmeta])* $field: $fty, )* } )? $( ( $ity ) )?,
-            )*
-        }
-
-        impl $name {
-            /// Every variant's label, indexed by wire tag (a gap or a
-            /// tag past the end fails to compile).
-            pub const KINDS: [&'static str; [$($tag),*].len()] = {
-                let mut kinds = [""; [$($tag),*].len()];
-                $( kinds[$tag] = $label; )*
-                kinds
-            };
-
-            /// The variant's wire tag: the first byte of its encoding.
-            pub fn tag(&self) -> u8 {
-                match self {
-                    $( $name::$variant { .. } => $tag, )*
-                }
-            }
-
-            /// Short label for tables and metrics.
-            pub fn label(&self) -> &'static str {
-                Self::KINDS[usize::from(self.tag())]
-            }
-        }
-
-        impl Wire for $name {
-            fn put(&self, out: &mut Vec<u8>) {
-                out.push(self.tag());
-                match self {
-                    $(
-                        $name::$variant $( { $($field,)* } )? $( ($inner) )? => {
-                            $( $( $field.put(out); )* )?
-                            $( $inner.put(out); )?
-                        }
-                    )*
-                }
-            }
-            fn get(r: &mut ByteReader<'_>) -> Result<$name> {
-                let at = r.pos();
-                match r.u8()? {
-                    $(
-                        $tag => Ok($name::$variant
-                            $( { $( $field: field(r, stringify!($field))?, )* } )?
-                            $( (field(r, stringify!($inner))?) )?),
-                    )*
-                    tag => Err(r.corrupt_at(at, format!("unknown {} tag {tag}", $what))),
-                }
-            }
-        }
-    };
-}
-
 wire_enum! {
     /// A client-to-server command.
     #[derive(Debug, Clone, PartialEq, Eq)]
-    pub enum Request as "request" {
+    pub enum Request as "request tag" {
         /// Liveness check.
         0 "ping" Ping,
         /// Record a named suite workload; the RECORD job is queued and the
@@ -498,7 +227,7 @@ wire_enum! {
             /// Ordering mode to record under. Encoded as an optional
             /// trailing byte — total-order submissions stay byte-identical
             /// to the pre-ordering wire format.
-            order: OrderMode,
+            order: OrderMode as Trailing,
         },
         /// Record a client-supplied PIA assembly program.
         2 "submit_program" SubmitProgram {
@@ -512,7 +241,7 @@ wire_enum! {
             encoding: Encoding,
             /// Ordering mode to record under (optional trailing byte; see
             /// [`Request::SubmitWorkload`]).
-            order: OrderMode,
+            order: OrderMode as Trailing,
         },
         /// List all sessions.
         3 "jobs" Jobs,
@@ -548,8 +277,9 @@ wire_enum! {
         11 "query" Query {
             /// Session id.
             id: u64,
-            /// What slice of the timeline to materialize.
-            query: ReplayQuery,
+            /// What slice of the timeline to materialize, as its own
+            /// length-prefixed document.
+            query: ReplayQuery as Prefixed,
             /// Plan only: answer with the [`qr_replay::QueryPlan`] bytes
             /// instead of executing the replay.
             dry_run: bool,
@@ -567,7 +297,7 @@ wire_enum! {
 wire_enum! {
     /// Lifecycle of one session's current/last job.
     #[derive(Debug, Clone, PartialEq, Eq)]
-    pub enum JobState as "job state" {
+    pub enum JobState as "job state tag" {
         /// Waiting in the worker pool.
         0 "queued" Queued,
         /// Executing on a worker.
@@ -650,7 +380,7 @@ wire_struct! {
 wire_enum! {
     /// A server-to-client reply.
     #[derive(Debug, Clone, PartialEq, Eq)]
-    pub enum Response as "response" {
+    pub enum Response as "response tag" {
         /// Reply to [`Request::Ping`].
         0 "pong" Pong,
         /// The submission was queued under this session id.
@@ -671,8 +401,9 @@ wire_enum! {
         5 "fetched" Fetched {
             /// The recording's outcome fingerprint.
             fingerprint: u64,
-            /// `(file name, bytes)` in save-layout order.
-            files: Vec<(String, Vec<u8>)>,
+            /// `(file name, bytes)` in save-layout order; a recording has
+            /// a handful.
+            files: Vec<(String, Vec<u8>)> as List<16>,
         },
         /// The requested job was queued.
         6 "queued" Queued,
@@ -700,22 +431,9 @@ wire_enum! {
     }
 }
 
-fn encode<T: Wire>(message: &T) -> Vec<u8> {
-    let mut out = Vec::new();
-    message.put(&mut out);
-    out
-}
-
-fn decode<T: Wire>(payload: &[u8]) -> Result<T> {
-    let mut r = ByteReader::new(payload, "wire message");
-    let message = T::get(&mut r)?;
-    r.finish()?;
-    Ok(message)
-}
-
 /// Serializes a request payload.
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    encode(req)
+    wire::encode(req)
 }
 
 /// Parses a request payload. Panic-free; structural damage is
@@ -726,12 +444,12 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
 /// Returns [`QrError::Corrupt`] for unknown tags, truncation or
 /// trailing bytes.
 pub fn decode_request(payload: &[u8]) -> Result<Request> {
-    decode(payload)
+    wire::decode(ByteReader::new(payload, "wire message"))
 }
 
 /// Serializes a response payload.
 pub fn encode_response(resp: &Response) -> Vec<u8> {
-    encode(resp)
+    wire::encode(resp)
 }
 
 /// Parses a response payload. Panic-free; structural damage is
@@ -742,7 +460,7 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
 /// Returns [`QrError::Corrupt`] for unknown tags, truncation or
 /// trailing bytes.
 pub fn decode_response(payload: &[u8]) -> Result<Response> {
-    decode(payload)
+    wire::decode(ByteReader::new(payload, "wire message"))
 }
 
 #[cfg(test)]
@@ -806,7 +524,13 @@ mod tests {
         let section = section.split("\n## ").next().expect("§10 body");
         let requests = section.split("\n### Requests").nth(1).expect("request table");
         let (requests, responses) = requests.split_once("\n### Responses").expect("response table");
-        for (table, kinds) in [(requests, &Request::KINDS[..]), (responses, &Response::KINDS[..])] {
+        let (responses, queries) = responses.split_once("\n### Queries").expect("query table");
+        let tables = [
+            (requests, &Request::KINDS[..]),
+            (responses, &Response::KINDS[..]),
+            (queries, &ReplayQuery::KINDS[..]),
+        ];
+        for (table, kinds) in tables {
             for (tag, label) in kinds.iter().enumerate() {
                 let row = format!("\n| {tag} | `{label}` |");
                 assert!(table.contains(&row), "§10 lacks {tag} `{label}`");

@@ -347,7 +347,7 @@ fn decompress_impl(input: &[u8], expected_len: usize, wide: bool) -> Result<Vec<
         pos += n;
         let lit_len = usize::try_from(lit_len)
             .ok()
-            .filter(|l| out.len() + l <= expected_len)
+            .filter(|&l| l <= expected_len - out.len())
             .ok_or_else(|| corrupt(lit_field, "literal run overruns the block".into()))?;
         let lits = input
             .get(pos..pos + lit_len)
@@ -374,7 +374,7 @@ fn decompress_impl(input: &[u8], expected_len: usize, wide: bool) -> Result<Vec<
         let match_len = usize::try_from(extra)
             .ok()
             .and_then(|e| e.checked_add(MIN_MATCH))
-            .filter(|&m| out.len() + m <= expected_len)
+            .filter(|&m| m <= expected_len - out.len())
             .ok_or_else(|| corrupt(len_field, "match overruns the block".into()))?;
         let start = out.len() - offset;
         if !wide {
@@ -576,6 +576,30 @@ mod tests {
         assert_eq!(field_offset(decompress(&[2, b'a', b'b', 0x80], 8).unwrap_err()), 3);
         // Truncated literal-length varint at stream start.
         assert_eq!(field_offset(decompress(&[0x80], 8).unwrap_err()), 0);
+    }
+
+    #[test]
+    fn lengths_near_u64_max_overrun_the_block_instead_of_wrapping() {
+        // A literal, then a match (offset 1) of u64::MAX - 4 + MIN_MATCH
+        // bytes. A length near u64::MAX must not wrap the overrun check:
+        // a wrapped sum lets the run copy double `out` until allocation
+        // fails.
+        let mut huge_match = vec![1, 0xAA, 1];
+        varint::write_u64(&mut huge_match, u64::MAX - 4);
+        // A literal and a 4-byte match, then a literal run of u64::MAX.
+        let mut huge_literals = vec![1, 0xAA, 1, 0];
+        varint::write_u64(&mut huge_literals, u64::MAX);
+        for (stream, field) in [(&huge_match, 3), (&huge_literals, 4)] {
+            for decode in [decompress, decompress_scalar] {
+                match decode(stream, 100) {
+                    Err(QrError::Corrupt { offset, detail, .. }) => {
+                        assert_eq!(offset, field, "{stream:02x?}");
+                        assert!(detail.contains("overruns the block"), "{detail}");
+                    }
+                    other => panic!("{stream:02x?}: {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

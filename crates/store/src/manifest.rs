@@ -12,145 +12,70 @@
 //! no-torn-entries guarantee.
 
 use qr_common::frame::{self, PayloadKind};
-use qr_common::{varint, QrError, Result};
+use qr_common::wire::{self, Le, List, Wire};
+use qr_common::{wire_struct, Result};
 use quickrec_core::Encoding;
 
 /// Manifest format version.
 pub const MANIFEST_VERSION: u64 = 1;
 
-/// Geometry and integrity data for one compressed file in an entry.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ManifestFile {
-    /// Logical recording file name (`meta.qrm`, `chunks.qrl`, ...).
-    pub name: String,
-    /// Uncompressed image size in bytes.
-    pub uncompressed: u64,
-    /// Compressed container size in bytes.
-    pub compressed: u64,
-    /// Compression blocks in the container.
-    pub blocks: u64,
-    /// CRC-32 of the uncompressed image.
-    pub crc: u32,
+wire_struct! {
+    /// Geometry and integrity data for one compressed file in an entry.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct ManifestFile {
+        /// Logical recording file name (`meta.qrm`, `chunks.qrl`, ...).
+        pub name: String,
+        /// Uncompressed image size in bytes.
+        pub uncompressed: u64,
+        /// Compressed container size in bytes.
+        pub compressed: u64,
+        /// Compression blocks in the container.
+        pub blocks: u64,
+        /// CRC-32 of the uncompressed image.
+        pub crc: u32 as Le,
+    }
 }
 
-/// One store entry's manifest.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Manifest {
-    /// Store-assigned entry id (sequential, unique within a store root).
-    pub id: u64,
-    /// Client-supplied entry name (workload or submission label).
-    pub name: String,
-    /// Chunk-log encoding the entry was stored with.
-    pub encoding: Encoding,
-    /// The recording's architectural-outcome fingerprint.
-    pub fingerprint: u64,
-    /// Per-file geometry, in save-layout order.
-    pub files: Vec<ManifestFile>,
-}
-
-fn corrupt(offset: u64, detail: String) -> QrError {
-    QrError::Corrupt { what: "store manifest".into(), offset, detail }
+wire_struct! {
+    /// One store entry's manifest. On disk its record is the manifest
+    /// version, then these fields in declaration order.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct Manifest {
+        /// Store-assigned entry id (sequential, unique within a store root).
+        pub id: u64,
+        /// Client-supplied entry name (workload or submission label).
+        pub name: String,
+        /// Chunk-log encoding the entry was stored with.
+        pub encoding: Encoding,
+        /// The recording's architectural-outcome fingerprint.
+        pub fingerprint: u64,
+        /// Per-file geometry, in save-layout order (a recording has a
+        /// handful).
+        pub files: Vec<ManifestFile> as List<16>,
+    }
 }
 
 impl Manifest {
     /// Serializes the manifest as a framed single-record container.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut p = Vec::new();
-        varint::write_u64(&mut p, MANIFEST_VERSION);
-        varint::write_u64(&mut p, self.id);
-        varint::write_u64(&mut p, self.name.len() as u64);
-        p.extend_from_slice(self.name.as_bytes());
-        p.push(self.encoding.tag());
-        varint::write_u64(&mut p, self.fingerprint);
-        varint::write_u64(&mut p, self.files.len() as u64);
-        for f in &self.files {
-            varint::write_u64(&mut p, f.name.len() as u64);
-            p.extend_from_slice(f.name.as_bytes());
-            varint::write_u64(&mut p, f.uncompressed);
-            varint::write_u64(&mut p, f.compressed);
-            varint::write_u64(&mut p, f.blocks);
-            p.extend_from_slice(&f.crc.to_le_bytes());
-        }
-        let mut w = frame::Writer::new(PayloadKind::StoreManifest);
-        w.record(&p);
-        w.finish()
+        let mut payload = wire::encode(&MANIFEST_VERSION);
+        self.put(&mut payload);
+        frame::single(PayloadKind::StoreManifest, &payload)
     }
 
     /// Parses a manifest container.
     ///
     /// # Errors
     ///
-    /// Returns [`QrError::Corrupt`] for any structural damage; never
-    /// panics on arbitrary bytes.
+    /// Returns [`qr_common::QrError::Corrupt`] for any structural damage
+    /// or another manifest version; never panics on arbitrary bytes.
     pub fn from_bytes(buf: &[u8]) -> Result<Manifest> {
-        let records = frame::read(buf, PayloadKind::StoreManifest, "store manifest")?;
-        let [payload] = records[..] else {
-            return Err(corrupt(
-                frame::HEADER_LEN as u64,
-                format!("expected exactly 1 record, found {}", records.len()),
-            ));
-        };
-        let base = (frame::HEADER_LEN + 4) as u64;
-        let mut off = 0usize;
-        let next = |payload: &[u8], off: &mut usize, what: &str| -> Result<u64> {
-            let (v, n) = varint::read_u64(payload.get(*off..).unwrap_or(&[]))
-                .map_err(|e| corrupt(base + *off as u64, format!("{what}: {e}")))?;
-            *off += n;
-            Ok(v)
-        };
-        let string = |payload: &[u8], off: &mut usize, what: &str| -> Result<String> {
-            let len = next(payload, off, what)? as usize;
-            let bytes = payload
-                .get(*off..*off + len)
-                .ok_or_else(|| corrupt(base + *off as u64, format!("truncated {what}")))?;
-            *off += len;
-            String::from_utf8(bytes.to_vec())
-                .map_err(|_| corrupt(base + *off as u64, format!("{what} is not utf-8")))
-        };
-        let version = next(payload, &mut off, "version")?;
+        let mut r = frame::read_single(buf, PayloadKind::StoreManifest, "store manifest")?;
+        let version = u64::get(&mut r)?;
         if version != MANIFEST_VERSION {
-            return Err(corrupt(base, format!("unsupported manifest version {version}")));
+            return Err(r.corrupt_at(0, format!("unsupported manifest version {version}")));
         }
-        let id = next(payload, &mut off, "id")?;
-        let name = string(payload, &mut off, "entry name")?;
-        let encoding = match payload.get(off) {
-            Some(&tag) => Encoding::ALL
-                .into_iter()
-                .find(|e| e.tag() == tag)
-                .ok_or_else(|| corrupt(base + off as u64, format!("unknown encoding tag {tag}")))?,
-            None => return Err(corrupt(base + off as u64, "truncated encoding tag".into())),
-        };
-        off += 1;
-        let fingerprint = next(payload, &mut off, "fingerprint")?;
-        let count = next(payload, &mut off, "file count")?;
-        if count > 16 {
-            return Err(corrupt(base + off as u64, format!("implausible file count {count}")));
-        }
-        let mut files = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            let name = string(payload, &mut off, "file name")?;
-            let uncompressed = next(payload, &mut off, "uncompressed size")?;
-            let compressed = next(payload, &mut off, "compressed size")?;
-            let blocks = next(payload, &mut off, "block count")?;
-            let crc_bytes = payload
-                .get(off..off + 4)
-                .ok_or_else(|| corrupt(base + off as u64, "truncated file crc".into()))?;
-            off += 4;
-            files.push(ManifestFile {
-                name,
-                uncompressed,
-                compressed,
-                blocks,
-                crc: u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes")),
-            });
-        }
-        if off != payload.len() {
-            return Err(corrupt(
-                base + off as u64,
-                format!("{} trailing bytes", payload.len() - off),
-            ));
-        }
-        Ok(Manifest { id, name, encoding, fingerprint, files })
+        wire::decode(r)
     }
 
     /// Total uncompressed bytes across files.
@@ -167,7 +92,7 @@ impl Manifest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qr_common::SplitMix64;
+    use qr_common::{varint, QrError, SplitMix64};
 
     fn sample() -> Manifest {
         Manifest {
@@ -224,6 +149,20 @@ mod tests {
                 Err(other) => panic!("non-structured error: {other}"),
             }
         }
+    }
+
+    #[test]
+    fn a_hostile_name_length_is_corrupt_not_a_panic() {
+        // Version 1, id 1, then an entry name claiming u64::MAX bytes:
+        // the length must be checked against what remains, not added to
+        // the cursor.
+        let mut payload = vec![1, 1];
+        varint::write_u64(&mut payload, u64::MAX);
+        let mut w = frame::Writer::new(PayloadKind::StoreManifest);
+        w.record(&payload);
+        let err = Manifest::from_bytes(&w.finish()).unwrap_err();
+        assert!(matches!(err, QrError::Corrupt { .. }), "{err}");
+        assert!(err.to_string().contains("name: need 18446744073709551615 bytes"), "{err}");
     }
 
     #[test]

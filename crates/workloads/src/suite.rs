@@ -1,29 +1,27 @@
 //! The workload suite: the reproduction's "SPLASH-2 table".
 
-use qr_common::Result;
+use qr_common::{wire_enum, Result};
 use qr_isa::Program;
 
-/// Problem-size scale.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Scale {
-    /// Tiny inputs for unit tests (tens of thousands of instructions).
-    Test,
-    /// Small inputs for quick experiments.
-    #[default]
-    Small,
-    /// Reference inputs for the experiment harness (roughly a million
-    /// instructions per workload).
-    Reference,
+wire_enum! {
+    /// Problem-size scale.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+    pub enum Scale as "scale tag" {
+        /// Tiny inputs for unit tests (tens of thousands of instructions).
+        0 "test" Test,
+        /// Small inputs for quick experiments.
+        #[default]
+        1 "small" Small,
+        /// Reference inputs for the experiment harness (roughly a million
+        /// instructions per workload).
+        2 "reference" Reference,
+    }
 }
 
 impl Scale {
     /// Short name for experiment output.
     pub fn name(self) -> &'static str {
-        match self {
-            Scale::Test => "test",
-            Scale::Small => "small",
-            Scale::Reference => "reference",
-        }
+        self.label()
     }
 }
 
