@@ -942,7 +942,7 @@ fn e15() -> Experiment {
 }
 
 /// E16 — daemon concurrency: one `quickrecd` multiplexing a thousand
-/// live connections on a handful of event workers, with Busy
+/// live connections on one event loop, with Busy
 /// backpressure under saturation and fetch results byte-identical to a
 /// sequential local recording.
 ///
@@ -980,7 +980,6 @@ fn e16() -> Experiment {
                     workers,
                     queue_capacity,
                     store_root: dir.join("store"),
-                    event_workers: 2,
                     // Exactly the fleet size: every connection beyond
                     // the fleet must be refused with Busy at accept.
                     max_connections: conns,
@@ -1215,7 +1214,7 @@ fn e16() -> Experiment {
         header: vec!["metric".into(), "value".into(), "detail".into()],
         jobs: vec![job],
         footer: Footer::Static(
-            "(a fixed crew of event workers multiplexes every connection with poll(2); \
+            "(one event loop multiplexes the listener and every connection with poll(2); \
              the bounded worker pool still runs the CPU-bound jobs, so saturation shows \
              up as clean Busy answers, not stalled connections)",
         ),

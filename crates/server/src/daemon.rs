@@ -14,7 +14,6 @@ options:
   --store DIR        recording-store root           [default: ./qr-store]
   --workers N        job worker threads             [default: 2]
   --queue N          bounded job-queue capacity     [default: 64]
-  --event-workers N  connection event-loop threads  [default: 2]
   --max-conns N      open-connection cap (past it,
                      new connections get Busy)      [default: 4096]
 
@@ -36,8 +35,7 @@ fn parse_count(args: &[String], flag: &str, default: usize) -> Result<usize, Str
 }
 
 /// Every option the daemon takes; each is followed by its value.
-const FLAGS: [&str; 7] =
-    ["--socket", "--tcp", "--store", "--workers", "--queue", "--event-workers", "--max-conns"];
+const FLAGS: [&str; 6] = ["--socket", "--tcp", "--store", "--workers", "--queue", "--max-conns"];
 
 /// Parses daemon arguments into an endpoint + config.
 ///
@@ -46,7 +44,7 @@ const FLAGS: [&str; 7] =
 /// Returns a usage-style message for unparsable arguments: an option
 /// that is not in [`USAGE`], an option without its value, a count that
 /// is not a positive integer, no endpoint or two.
-pub fn parse_args(args: &[String]) -> Result<(Endpoint, ServerConfig), String> {
+fn parse_args(args: &[String]) -> Result<(Endpoint, ServerConfig), String> {
     let mut rest = args.iter();
     while let Some(flag) = rest.next() {
         if !FLAGS.contains(&flag.as_str()) {
@@ -68,7 +66,6 @@ pub fn parse_args(args: &[String]) -> Result<(Endpoint, ServerConfig), String> {
         store_root: PathBuf::from(
             flag_value(args, "--store").unwrap_or_else(|| "qr-store".into()),
         ),
-        event_workers: parse_count(args, "--event-workers", 2)?,
         max_connections: parse_count(args, "--max-conns", 4096)?,
     };
     Ok((endpoint, cfg))
@@ -87,11 +84,10 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let (endpoint, cfg) = parse_args(args)?;
     let handle = Server::start(&endpoint, &cfg).map_err(|e| e.to_string())?;
     println!(
-        "quickrecd listening on {} (workers={} queue={} event-workers={} max-conns={} store={})",
+        "quickrecd listening on {} (workers={} queue={} max-conns={} store={})",
         handle.endpoint().describe(),
         cfg.workers,
         cfg.queue_capacity,
-        cfg.event_workers,
         cfg.max_connections,
         cfg.store_root.display()
     );
@@ -115,14 +111,11 @@ mod tests {
     fn every_documented_option_parses() {
         let (endpoint, cfg) = parse(&[
             "--tcp", "127.0.0.1:0", "--store", "s", "--workers", "3", "--queue", "5",
-            "--event-workers", "4", "--max-conns", "9",
+            "--max-conns", "9",
         ])
         .unwrap();
         assert_eq!(endpoint, Endpoint::Tcp("127.0.0.1:0".into()));
-        assert_eq!(
-            (cfg.workers, cfg.queue_capacity, cfg.event_workers, cfg.max_connections),
-            (3, 5, 4, 9)
-        );
+        assert_eq!((cfg.workers, cfg.queue_capacity, cfg.max_connections), (3, 5, 9));
         assert_eq!(cfg.store_root, PathBuf::from("s"));
         for flag in FLAGS {
             assert!(USAGE.contains(&format!("  {flag} ")), "{flag} is not in the usage text");
@@ -131,9 +124,11 @@ mod tests {
 
     #[test]
     fn unknown_options_and_missing_values_are_usage_errors() {
-        // `--shards` was deleted by PR 19 and used to be swallowed.
-        let err = parse(&["--socket", "s", "--shards", "4"]).unwrap_err();
-        assert_eq!(err, "unknown option `--shards`");
+        // Deleted options are refused by name, not swallowed.
+        for removed in ["--shards", "--event-workers"] {
+            let err = parse(&["--socket", "s", removed, "4"]).unwrap_err();
+            assert_eq!(err, format!("unknown option `{removed}`"));
+        }
         assert_eq!(parse(&["--socket", "s", "stray"]).unwrap_err(), "unknown option `stray`");
         // A known option as the last argument used to fall back to its
         // default without a word.

@@ -1,12 +1,15 @@
-//! The event-driven nonblocking connection layer.
+//! The daemon's one event loop: a single `qr-event` thread owns the
+//! nonblocking listener, every connection and the pool's completions.
 //!
-//! The accept loop hands every accepted socket (switched to
-//! nonblocking mode) to one of N event workers via a [`Router`]
-//! mailbox. Each worker multiplexes its connections over a single
-//! `poll(2)` readiness loop — declared directly against the stable
-//! syscall ABI, so the crate stays dependency-free — and drives one
-//! [`Conn`] state machine per socket:
+//! One `poll(2)` readiness loop — declared directly against the stable
+//! syscall ABI, so the crate stays dependency-free — watches the
+//! [`Mailbox`]'s wake pipe, the listener and every connection, and
+//! drives one [`Conn`] state machine per socket:
 //!
+//! * the listener accepts a bounded batch per readiness event; past
+//!   `max_connections` a new peer gets a framed `Busy` and is dropped,
+//!   and an accept error (EMFILE) leaves the listener out of the poll
+//!   set for a moment rather than sleeping the loop;
 //! * reads feed a [`MessageAssembler`] that incrementally reassembles
 //!   length-prefixed wire messages (no blocking `read_exact`, no
 //!   per-connection thread);
@@ -19,39 +22,54 @@
 //!   itself (reads pause past the high-water mark) without stalling
 //!   anyone else.
 //!
-//! Fairness: each readiness event reads a bounded number of chunks, so
-//! a firehose connection cannot monopolise its worker, and a byte-at-
-//! a-time ("slow loris") peer costs one assembler feed per poll round,
-//! not a parked OS thread.
+//! One loop is enough: what it runs inline takes microseconds, and the
+//! jobs that hold a CPU for milliseconds run on the pool. Its readiness
+//! order is the only interleaving of connection events.
 //!
-//! Shutdown: workers observe the shutdown flag (the accept loop and
-//! [`crate::server::request_shutdown`] wake them through the mailbox),
-//! stop reading, flush pending responses, wait for in-flight offloaded
-//! queries, and exit; a 30s deadline bounds peers that never drain.
+//! Fairness: each readiness event reads a bounded number of chunks and
+//! accepts a bounded number of peers, so neither a firehose connection
+//! nor a connection storm can monopolise the loop, and a byte-at-a-time
+//! ("slow loris") peer costs one assembler feed per poll round, not a
+//! parked OS thread.
+//!
+//! Shutdown: [`crate::server::request_shutdown`] sets the flag and
+//! wakes the loop through the mailbox. The loop drops the listener, so
+//! late clients are refused, stops reading, flushes pending responses,
+//! waits for in-flight offloaded queries, and exits; a 30s deadline
+//! bounds peers that never drain.
 
 use crate::pool::WorkerPool;
-use crate::proto::{self, MessageAssembler, Request, Response};
+use crate::proto::{self, Endpoint, MessageAssembler, Request, Response};
 use crate::server::{busy, handle_request, request_shutdown, Shared};
+use qr_common::{QrError, Result};
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
+use std::net::TcpListener;
 use std::os::fd::{AsRawFd, RawFd};
-use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::os::unix::net::{UnixListener, UnixStream};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Parsed-but-unprocessed requests buffered per connection before the
-/// worker stops reading from it (pipelining depth).
+/// loop stops reading from it (pipelining depth).
 const INBOX_LIMIT: usize = 32;
-/// Unsent response bytes per connection before the worker stops
-/// reading new requests from it (write backpressure).
+/// Unsent response bytes per connection before the loop stops reading
+/// new requests from it (write backpressure).
 const OUTBOX_HIGH_WATER: usize = 1 << 20;
 /// Read size per `read(2)` call.
 const READ_CHUNK: usize = 16 * 1024;
 /// `read(2)` calls per readiness event, bounding how long one noisy
-/// connection can hold its worker.
+/// connection can hold the loop.
 const READ_ROUNDS: usize = 4;
-/// How long a draining worker waits for peers to take their last
+/// `accept(2)` calls per listener readiness event, bounding how long a
+/// connection storm can hold the loop.
+const ACCEPT_ROUNDS: usize = 16;
+/// How long the listener stays out of the poll set after an accept
+/// error, so a persistent one (EMFILE with a peer still queued) neither
+/// spins the loop nor delays the connections it already serves.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(20);
+/// How long the draining loop waits for peers to take their last
 /// responses and offloaded queries to complete.
 const DRAIN_DEADLINE: Duration = Duration::from_secs(30);
 
@@ -119,87 +137,117 @@ impl NbStream for UnixStream {
     }
 }
 
-// ---- router ----------------------------------------------------------
-
-/// What the accept loop / pool workers hand an event worker.
-#[derive(Default)]
-struct Inbound {
-    adopted: Vec<Box<dyn NbStream>>,
-    /// (connection id, encoded response payload) for completed
-    /// offloaded requests.
-    completions: Vec<(u64, Vec<u8>)>,
+/// The daemon's listening socket, in nonblocking mode.
+pub(crate) enum Listener {
+    Unix(UnixListener),
+    Tcp(TcpListener),
 }
 
-struct Mailbox {
-    queue: Mutex<Inbound>,
-    /// Write end of the worker's wake pipe (a nonblocking socketpair;
-    /// the read end sits in the worker's poll set).
+impl Listener {
+    /// Binds `endpoint`. A Unix socket file that refuses connections is
+    /// stale (its server was killed) and is replaced; one that a live
+    /// daemon answers is left to it.
+    pub(crate) fn bind(endpoint: &Endpoint) -> Result<Listener> {
+        let fail = |why: &dyn std::fmt::Display| QrError::Execution {
+            detail: format!("binding {}: {why}", endpoint.describe()),
+        };
+        let io = |e: std::io::Error| fail(&e);
+        match endpoint {
+            Endpoint::Unix(path) => {
+                match UnixStream::connect(path) {
+                    Ok(_) => return Err(fail(&"a running daemon already serves it")),
+                    Err(e) if e.kind() == ErrorKind::ConnectionRefused => {
+                        let _ = std::fs::remove_file(path);
+                    }
+                    Err(_) => {}
+                }
+                let listener = UnixListener::bind(path).map_err(io)?;
+                listener.set_nonblocking(true).map_err(io)?;
+                Ok(Listener::Unix(listener))
+            }
+            Endpoint::Tcp(addr) => {
+                let listener = TcpListener::bind(addr).map_err(io)?;
+                listener.set_nonblocking(true).map_err(io)?;
+                Ok(Listener::Tcp(listener))
+            }
+        }
+    }
+
+    /// The endpoint actually bound (resolves TCP port 0).
+    pub(crate) fn local_endpoint(&self, requested: &Endpoint) -> Endpoint {
+        match self {
+            Listener::Unix(_) => requested.clone(),
+            Listener::Tcp(listener) => match listener.local_addr() {
+                Ok(addr) => Endpoint::Tcp(addr.to_string()),
+                Err(_) => requested.clone(),
+            },
+        }
+    }
+
+    fn fd(&self) -> RawFd {
+        match self {
+            Listener::Unix(listener) => listener.as_raw_fd(),
+            Listener::Tcp(listener) => listener.as_raw_fd(),
+        }
+    }
+
+    /// Takes one waiting peer (`WouldBlock` when there is none), its
+    /// stream switched to nonblocking mode.
+    fn accept(&self) -> std::io::Result<Box<dyn NbStream>> {
+        match self {
+            Listener::Unix(listener) => {
+                let (stream, _) = listener.accept()?;
+                stream.set_nonblocking(true)?;
+                Ok(Box::new(stream))
+            }
+            Listener::Tcp(listener) => {
+                let (stream, _) = listener.accept()?;
+                stream.set_nonblocking(true)?;
+                let _ = stream.set_nodelay(true);
+                Ok(Box::new(stream))
+            }
+        }
+    }
+}
+
+// ---- mailbox ---------------------------------------------------------
+
+/// How other threads reach the loop parked in `poll`: pool workers post
+/// offloaded answers, shutdown just wakes it.
+pub(crate) struct Mailbox {
+    /// (connection id, encoded response payload) for completed
+    /// offloaded requests.
+    completions: Mutex<Vec<(u64, Vec<u8>)>>,
+    /// Write end of the wake pipe (a nonblocking socketpair; the read
+    /// end sits first in the loop's poll set).
     wake_tx: UnixStream,
 }
 
 impl Mailbox {
-    fn wake(&self) {
+    /// A mailbox and the read end of its wake pipe.
+    pub(crate) fn new() -> std::io::Result<(Mailbox, UnixStream)> {
+        let (tx, rx) = UnixStream::pair()?;
+        tx.set_nonblocking(true)?;
+        rx.set_nonblocking(true)?;
+        Ok((Mailbox { completions: Mutex::default(), wake_tx: tx }, rx))
+    }
+
+    /// Wakes the loop.
+    pub(crate) fn wake(&self) {
         // One byte is enough; WouldBlock means a wake is already
         // pending, which is just as good.
         let _ = (&self.wake_tx).write(&[1]);
     }
-}
 
-/// Routes accepted connections and offload completions to the event
-/// workers.
-pub(crate) struct Router {
-    mailboxes: Vec<Mailbox>,
-    next: AtomicUsize,
-}
-
-impl Router {
-    /// Builds a router with `workers` mailboxes; returns the wake-pipe
-    /// read ends, one per worker, in worker order.
-    pub(crate) fn new(workers: usize) -> std::io::Result<(Router, Vec<UnixStream>)> {
-        let mut mailboxes = Vec::new();
-        let mut wake_rxs = Vec::new();
-        for _ in 0..workers.max(1) {
-            let (tx, rx) = UnixStream::pair()?;
-            tx.set_nonblocking(true)?;
-            rx.set_nonblocking(true)?;
-            mailboxes.push(Mailbox { queue: Mutex::new(Inbound::default()), wake_tx: tx });
-            wake_rxs.push(rx);
-        }
-        Ok((Router { mailboxes, next: AtomicUsize::new(0) }, wake_rxs))
+    /// Posts an offloaded request's encoded response for connection
+    /// `conn`.
+    fn complete(&self, conn: u64, payload: Vec<u8>) {
+        self.completions.lock().unwrap_or_else(PoisonError::into_inner).push((conn, payload));
+        self.wake();
     }
 
-    /// Hands an accepted stream to the next worker (round robin).
-    pub(crate) fn adopt(&self, stream: Box<dyn NbStream>) {
-        let idx = self.next.fetch_add(1, Ordering::Relaxed) % self.mailboxes.len();
-        let mailbox = &self.mailboxes[idx];
-        mailbox.queue.lock().unwrap_or_else(PoisonError::into_inner).adopted.push(stream);
-        mailbox.wake();
-    }
-
-    /// Posts an offloaded request's encoded response back to the
-    /// worker owning connection `conn`.
-    fn complete(&self, worker: usize, conn: u64, payload: Vec<u8>) {
-        let mailbox = &self.mailboxes[worker];
-        mailbox
-            .queue
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .completions
-            .push((conn, payload));
-        mailbox.wake();
-    }
-
-    /// Wakes every worker (shutdown).
-    pub(crate) fn wake_all(&self) {
-        for mailbox in &self.mailboxes {
-            mailbox.wake();
-        }
-    }
-
-    fn take_inbound(&self, worker: usize) -> Inbound {
-        let mut queue =
-            self.mailboxes[worker].queue.lock().unwrap_or_else(PoisonError::into_inner);
-        std::mem::take(&mut *queue)
+    fn take(&self) -> Vec<(u64, Vec<u8>)> {
+        std::mem::take(&mut *self.completions.lock().unwrap_or_else(PoisonError::into_inner))
     }
 }
 
@@ -314,7 +362,6 @@ impl Conn {
 struct Ctx<'a> {
     shared: &'a Arc<Shared>,
     pool: &'a Arc<WorkerPool>,
-    worker: usize,
 }
 
 /// Dispatches buffered requests in order until the inbox is empty or
@@ -348,12 +395,11 @@ fn dispatch(conn_id: u64, conn: &mut Conn, request: Request, ctx: &Ctx) {
             // backpressure submissions get.
             let shared = Arc::clone(ctx.shared);
             let pool = Arc::clone(ctx.pool);
-            let worker = ctx.worker;
             let submitted = ctx.pool.try_submit(Box::new(move || {
                 let _span = qr_obs::trace::global().span(label, 0);
                 let response = handle_request(request, &shared, &pool);
                 crate::obs::request_handled(kind, start);
-                shared.router.complete(worker, conn_id, proto::encode_response(&response));
+                shared.mailbox.complete(conn_id, proto::encode_response(&response));
             }));
             match submitted {
                 Ok(()) => conn.in_flight = true,
@@ -362,7 +408,7 @@ fn dispatch(conn_id: u64, conn: &mut Conn, request: Request, ctx: &Ctx) {
         }
         request => {
             // Everything else is a registry/store read or a queue push:
-            // microseconds, handled inline on the event worker.
+            // microseconds, handled inline on the loop.
             let _span = qr_obs::trace::global().span(label, 0);
             let response = handle_request(request, ctx.shared, ctx.pool);
             crate::obs::request_handled(kind, start);
@@ -423,7 +469,7 @@ fn handle_readable(conn_id: u64, conn: &mut Conn, ctx: &Ctx) {
     pump(conn_id, conn, ctx);
 }
 
-// ---- the worker loop -------------------------------------------------
+// ---- the loop --------------------------------------------------------
 
 fn drain_wake_pipe(wake_rx: &UnixStream) {
     let mut buf = [0u8; 64];
@@ -436,39 +482,79 @@ fn close_accounting(shared: &Shared) {
     crate::obs::connection_delta(-1);
 }
 
-/// One event worker: multiplexes its share of the connections until
-/// shutdown drains them.
-pub(crate) fn worker_loop(
-    worker: usize,
+/// Tells an over-limit peer the daemon is saturated: a best-effort
+/// single nonblocking write of the stream header plus a framed `Busy`,
+/// then the connection drops. The peer sees a structured refusal, not
+/// a silent hangup.
+fn refuse_overloaded(mut stream: Box<dyn NbStream>, busy: &Response) {
+    let mut bytes = Vec::with_capacity(32);
+    let _ = proto::write_stream_header(&mut bytes);
+    let _ = proto::write_message(&mut bytes, &proto::encode_response(busy));
+    let _ = stream.write(&bytes);
+}
+
+/// Accepts up to [`ACCEPT_ROUNDS`] waiting peers into `conns`. After an
+/// accept error, returns when the listener may be polled again.
+fn accept_ready(
+    listener: &Listener,
+    conns: &mut HashMap<u64, Conn>,
+    next_id: &mut u64,
+    ctx: &Ctx,
+) -> Option<Instant> {
+    let shared = ctx.shared;
+    for _ in 0..ACCEPT_ROUNDS {
+        let stream = match listener.accept() {
+            Ok(stream) => stream,
+            Err(e) if e.kind() == ErrorKind::WouldBlock => return None,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) => {
+                // Accept failures (EMFILE, transient resets) are
+                // surfaced — counted and logged with the endpoint —
+                // not silently swallowed; the backoff keeps a
+                // persistent error from spinning the loop.
+                crate::obs::accept_error();
+                eprintln!("quickrecd: accept on {} failed: {e}", shared.endpoint.describe());
+                return Some(Instant::now() + ACCEPT_BACKOFF);
+            }
+        };
+        shared.counters.connections.fetch_add(1, Ordering::SeqCst);
+        crate::obs::connection_opened();
+        // Over the connection cap: refuse with a structured Busy
+        // instead of dropping silently. The open gauge is never
+        // incremented on this path, so it stays balanced.
+        if shared.open_connections.load(Ordering::SeqCst) >= shared.max_connections {
+            refuse_overloaded(stream, &busy(shared, ctx.pool.queued()));
+            continue;
+        }
+        shared.open_connections.fetch_add(1, Ordering::SeqCst);
+        crate::obs::connection_delta(1);
+        let mut conn = Conn::new(stream);
+        conn.try_flush(); // start the handshake
+        conns.insert(*next_id, conn);
+        *next_id += 1;
+    }
+    None
+}
+
+/// The event loop: serves the listener, every connection and the
+/// mailbox until shutdown drains them. Returns when draining began.
+pub(crate) fn run(
+    listener: Listener,
     wake_rx: UnixStream,
     shared: Arc<Shared>,
     pool: Arc<WorkerPool>,
-) {
-    let ctx = Ctx { shared: &shared, pool: &pool, worker };
+) -> Instant {
+    let ctx = Ctx { shared: &shared, pool: &pool };
+    let mut listener = Some(listener);
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut next_id: u64 = 0;
     let mut pollfds: Vec<PollFd> = Vec::new();
     let mut slots: Vec<u64> = Vec::new();
-    let mut drain_deadline: Option<Instant> = None;
+    let mut drain_started: Option<Instant> = None;
+    let mut accept_paused_until: Option<Instant> = None;
 
     loop {
-        // New connections and offload completions.
-        let inbound = shared.router.take_inbound(worker);
-        for stream in inbound.adopted {
-            if shared.shutdown.load(Ordering::SeqCst) {
-                // Adopted after shutdown won the race: close, keeping
-                // the accept loop's accounting balanced.
-                close_accounting(&shared);
-                continue;
-            }
-            let id = next_id;
-            next_id += 1;
-            let mut conn = Conn::new(stream);
-            conn.try_flush(); // start the handshake
-            crate::obs::event_adopted();
-            conns.insert(id, conn);
-        }
-        for (id, payload) in inbound.completions {
+        for (id, payload) in shared.mailbox.take() {
             if let Some(conn) = conns.get_mut(&id) {
                 conn.in_flight = false;
                 conn.queue_payload(&payload);
@@ -476,11 +562,13 @@ pub(crate) fn worker_loop(
             }
         }
 
-        let draining = shared.shutdown.load(Ordering::SeqCst);
-        if draining && drain_deadline.is_none() {
-            drain_deadline = Some(Instant::now() + DRAIN_DEADLINE);
+        if drain_started.is_none() && shared.shutdown.load(Ordering::SeqCst) {
+            // Closing the listener refuses late clients.
+            listener = None;
+            drain_started = Some(Instant::now());
         }
-        let drain_expired = drain_deadline.is_some_and(|d| Instant::now() >= d);
+        let draining = drain_started.is_some();
+        let drain_expired = drain_started.is_some_and(|t| t.elapsed() >= DRAIN_DEADLINE);
 
         conns.retain(|_, conn| {
             let done = conn.finished(draining) || drain_expired;
@@ -489,15 +577,24 @@ pub(crate) fn worker_loop(
             }
             !done
         });
-        if draining && conns.is_empty() {
-            return;
+        if let Some(started) = drain_started.filter(|_| conns.is_empty()) {
+            return started;
         }
 
-        // Poll: wake pipe first, then every connection. A connection
-        // with no read/write interest still surfaces ERR/HUP/NVAL.
+        // Poll: wake pipe first, then the listener (unless an accept
+        // error paused it), then every connection. A connection with no
+        // read/write interest still surfaces ERR/HUP/NVAL.
+        if accept_paused_until.is_some_and(|until| until <= Instant::now()) {
+            accept_paused_until = None;
+        }
+        let listening = listener.as_ref().filter(|_| accept_paused_until.is_none());
         pollfds.clear();
         slots.clear();
         pollfds.push(PollFd { fd: wake_rx.as_raw_fd(), events: POLLIN, revents: 0 });
+        if let Some(listener) = listening {
+            pollfds.push(PollFd { fd: listener.fd(), events: POLLIN, revents: 0 });
+        }
+        let first_conn = pollfds.len();
         for (&id, conn) in &conns {
             let mut events = 0i16;
             if conn.wants_read(draining) {
@@ -509,7 +606,11 @@ pub(crate) fn worker_loop(
             pollfds.push(PollFd { fd: conn.stream.fd(), events, revents: 0 });
             slots.push(id);
         }
-        let timeout_ms = if draining { 50 } else { 500 };
+        let mut timeout_ms = if draining { 50 } else { 500 };
+        if let Some(until) = accept_paused_until {
+            let pause_ms = until.saturating_duration_since(Instant::now()).as_millis() + 1;
+            timeout_ms = timeout_ms.min(pause_ms as i32);
+        }
         if poll_fds(&mut pollfds, timeout_ms).is_err() {
             // poll(2) failing outright (ENOMEM) is not actionable
             // per-connection; back off instead of spinning.
@@ -520,9 +621,12 @@ pub(crate) fn worker_loop(
         if pollfds[0].revents != 0 {
             drain_wake_pipe(&wake_rx);
         }
+        if let Some(listener) = listening.filter(|_| pollfds[1].revents != 0) {
+            accept_paused_until = accept_ready(listener, &mut conns, &mut next_id, &ctx);
+        }
         let mut ready = 0usize;
         for (i, &id) in slots.iter().enumerate() {
-            let pfd = pollfds[i + 1];
+            let pfd = pollfds[first_conn + i];
             if pfd.revents == 0 {
                 continue;
             }

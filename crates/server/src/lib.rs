@@ -4,11 +4,10 @@
 //!
 //! The binary and library behind the daemon: a `std::net`
 //! (Unix-socket or TCP) server speaking a length-prefixed binary
-//! protocol built on `qr_common::frame` ([`proto`]) through an
-//! event-driven nonblocking connection layer (`event`: a `poll(2)`
-//! readiness loop multiplexing thousands of connections per worker),
-//! with a sharded session registry ([`registry`]), a bounded worker
-//! pool with backpressure ([`pool`]), and job execution (RECORD /
+//! protocol built on `qr_common::frame` ([`proto`]) through one
+//! event loop (`event`: a `poll(2)` readiness loop owning the listener
+//! and thousands of connections), with a sharded session registry, a
+//! bounded worker pool with backpressure, and job execution (RECORD /
 //! REPLAY / VERIFY / RACES) over the simulator stack, persisting
 //! results into a `qr_store::RecordingStore`. Graceful shutdown drains
 //! in-flight jobs and the store's atomic commit protocol guarantees no
@@ -18,12 +17,12 @@ pub mod client;
 pub mod daemon;
 mod event;
 mod obs;
-pub mod pool;
+mod pool;
 pub mod proto;
-pub mod registry;
+mod registry;
 pub mod server;
 
 pub use client::Client;
-pub use pool::WorkerPool;
 pub use proto::{Endpoint, Request, Response};
+pub use registry::QUERY_CACHE_CAP;
 pub use server::{Server, ServerConfig, ServerHandle};

@@ -89,7 +89,7 @@ fn event_wakeup_counter() -> &'static Arc<Counter> {
     CELL.get_or_init(|| {
         qr_obs::global().counter(
             "qr_server_event_loop_wakeups_total",
-            "Event-worker poll returns (readiness or timeout).",
+            "Event-loop poll returns (readiness or timeout).",
             &[],
         )
     })
@@ -100,18 +100,7 @@ fn event_events_counter() -> &'static Arc<Counter> {
     CELL.get_or_init(|| {
         qr_obs::global().counter(
             "qr_server_event_loop_events_total",
-            "Connection readiness events handled by the event workers.",
-            &[],
-        )
-    })
-}
-
-fn event_adopted_counter() -> &'static Arc<Counter> {
-    static CELL: OnceLock<Arc<Counter>> = OnceLock::new();
-    CELL.get_or_init(|| {
-        qr_obs::global().counter(
-            "qr_server_event_loop_conns_adopted_total",
-            "Connections handed from the accept loop to an event worker.",
+            "Connection readiness events handled by the event loop.",
             &[],
         )
     })
@@ -122,7 +111,7 @@ fn accept_error_counter() -> &'static Arc<Counter> {
     CELL.get_or_init(|| {
         qr_obs::global().counter(
             "qr_server_accept_errors_total",
-            "Accept-loop errors (logged, backed off, and retried).",
+            "Accept errors (logged, backed off, and retried).",
             &[],
         )
     })
@@ -187,7 +176,7 @@ pub(crate) fn connection_opened() {
     }
 }
 
-/// Moves the open-connections gauge by `delta` (+1 on adopt, -1 on
+/// Moves the open-connections gauge by `delta` (+1 on accept, -1 on
 /// close — a delta, not a set, so several in-process servers sharing
 /// the global registry stay additive).
 pub(crate) fn connection_delta(delta: i64) {
@@ -196,7 +185,7 @@ pub(crate) fn connection_delta(delta: i64) {
     }
 }
 
-/// Counts one event-worker poll return.
+/// Counts one event-loop poll return.
 pub(crate) fn event_wakeup() {
     if qr_obs::enabled() {
         event_wakeup_counter().inc();
@@ -210,14 +199,7 @@ pub(crate) fn event_events(n: usize) {
     }
 }
 
-/// Counts one connection adopted by an event worker.
-pub(crate) fn event_adopted() {
-    if qr_obs::enabled() {
-        event_adopted_counter().inc();
-    }
-}
-
-/// Counts one accept-loop error.
+/// Counts one accept error.
 pub(crate) fn accept_error() {
     if qr_obs::enabled() {
         accept_error_counter().inc();
@@ -231,9 +213,10 @@ pub(crate) fn task_panicked() {
     }
 }
 
-/// Records how long shutdown took to drain connections and jobs.
+/// Records how long shutdown took, from `start` (when the event loop
+/// began draining) until connections and jobs have both drained.
 pub(crate) fn drain_finished(start: Option<Instant>) {
-    if let Some(start) = start {
+    if let Some(start) = start.filter(|_| qr_obs::enabled()) {
         drain_histogram().observe_since(start);
     }
 }

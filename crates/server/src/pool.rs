@@ -21,7 +21,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 /// A unit of work.
-pub type Task = Box<dyn FnOnce() + Send + 'static>;
+pub(crate) type Task = Box<dyn FnOnce() + Send + 'static>;
 
 struct State {
     queue: VecDeque<Task>,
@@ -105,12 +105,6 @@ impl WorkerPool {
         self.inner.lock().queue.len()
     }
 
-    /// Tasks that panicked instead of completing (contained; their
-    /// workers kept running).
-    pub fn panicked(&self) -> u64 {
-        self.inner.lock().panicked
-    }
-
     /// Blocks until the queue is empty and every worker is idle.
     pub fn drain(&self) {
         let mut state = self.inner.lock();
@@ -121,10 +115,6 @@ impl WorkerPool {
 
     /// Stops accepting work, drains every queued task, and joins the
     /// workers.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
     fn stop_and_join(&mut self) {
         self.inner.lock().shutting_down = true;
         self.inner.wake.notify_all();
@@ -174,6 +164,20 @@ fn worker_loop(inner: &Inner) {
         if all_idle {
             inner.idle.notify_all();
         }
+    }
+}
+
+#[cfg(test)]
+impl WorkerPool {
+    /// Tasks that panicked instead of completing (contained; their
+    /// workers kept running).
+    fn panicked(&self) -> u64 {
+        self.inner.lock().panicked
+    }
+
+    /// What dropping the pool does, spelled out where tests rely on it.
+    fn shutdown(mut self) {
+        self.stop_and_join();
     }
 }
 

@@ -48,7 +48,7 @@ use std::path::PathBuf;
 /// Upper bound on one message payload (a fetched reference-scale
 /// recording is a few MiB; 64 MiB leaves ample headroom while bounding
 /// a hostile length prefix).
-pub const MAX_MESSAGE: u32 = 64 * 1024 * 1024;
+const MAX_MESSAGE: u32 = 64 * 1024 * 1024;
 
 fn corrupt(offset: u64, detail: String) -> QrError {
     QrError::Corrupt { what: "wire message".into(), offset, detail }

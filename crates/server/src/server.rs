@@ -1,26 +1,24 @@
-//! The `quickrecd` daemon: accept loop, job execution, shutdown.
+//! The `quickrecd` daemon: job execution, shutdown.
 //!
-//! The accept loop hands every connection to the event-driven
-//! nonblocking layer ([`crate::event`]): N event workers each
-//! multiplex thousands of connections over a `poll(2)` readiness loop,
-//! speaking the wire protocol ([`crate::proto`]) through incremental
-//! per-connection state machines. RECORD/REPLAY/VERIFY/RACES jobs (and
-//! offloaded QUERY requests) run on the bounded [`WorkerPool`] (a full
-//! queue answers `Busy` — backpressure instead of unbounded
-//! buffering); sessions live in the sharded [`Registry`]; recordings
-//! land in a `qr_store::RecordingStore`.
+//! One event loop ([`crate::event`]) owns the listener and every
+//! connection: it multiplexes thousands of them over a `poll(2)`
+//! readiness loop, speaking the wire protocol ([`crate::proto`])
+//! through incremental per-connection state machines.
+//! RECORD/REPLAY/VERIFY/RACES jobs (and offloaded QUERY requests) run on
+//! the bounded worker pool (a full queue answers `Busy` — backpressure
+//! instead of unbounded buffering); sessions live in the sharded
+//! registry; recordings land in a `qr_store::RecordingStore`.
 //!
-//! Shutdown (a `SHUTDOWN` message or [`ServerHandle::shutdown`]) stops
-//! the accept loop, drains open connections and every queued job, then
-//! joins the workers. Because the store commits entries by staging +
-//! rename with the manifest written last, there is no instant at which
-//! killing or draining the server can leave a torn entry visible.
+//! Shutdown (a `SHUTDOWN` message or [`ServerHandle::shutdown`]) wakes
+//! the loop through its mailbox; the loop closes the listener and
+//! drains open connections, then the pool drains every queued job.
+//! Because the store commits entries by staging + rename with the
+//! manifest written last, there is no instant at which killing or
+//! draining the server can leave a torn entry visible.
 
-use crate::event::{self, NbStream, Router};
+use crate::event::{self, Listener, Mailbox};
 use crate::pool::WorkerPool;
-use crate::proto::{
-    self, Endpoint, JobState, Request, Response, SessionStats, StatsReport,
-};
+use crate::proto::{Endpoint, JobState, Request, Response, SessionStats, StatsReport};
 use crate::registry::{JobKind, Registry, Session, SessionSource, QUERY_CACHE_CAP};
 use qr_capo::{record, Recording, RecordingConfig};
 use qr_common::{QrError, Result};
@@ -28,13 +26,10 @@ use qr_isa::Program;
 use qr_replay::{QueryEngine, ReplayQuery};
 use qr_store::RecordingStore;
 use quickrec_core::Encoding;
-use std::io::Write;
-use std::net::TcpListener;
-use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::Instant;
 
 /// Tunables for one server instance.
 #[derive(Debug, Clone)]
@@ -45,8 +40,6 @@ pub struct ServerConfig {
     pub queue_capacity: usize,
     /// Recording-store root directory.
     pub store_root: PathBuf,
-    /// Event-loop threads multiplexing connections.
-    pub event_workers: usize,
     /// Open-connection cap; a connection accepted past it is answered
     /// with a best-effort `Busy` and dropped.
     pub max_connections: usize,
@@ -55,13 +48,7 @@ pub struct ServerConfig {
 impl ServerConfig {
     /// A config with `workers` workers, storing under `store_root`.
     pub fn new(workers: usize, store_root: PathBuf) -> ServerConfig {
-        ServerConfig {
-            workers,
-            queue_capacity: 64,
-            store_root,
-            event_workers: 2,
-            max_connections: 4096,
-        }
+        ServerConfig { workers, queue_capacity: 64, store_root, max_connections: 4096 }
     }
 }
 
@@ -81,19 +68,16 @@ pub(crate) struct Shared {
     pub(crate) counters: Counters,
     pub(crate) shutdown: AtomicBool,
     next_session: AtomicU64,
-    /// Connections currently owned by an event worker; the accept loop
-    /// increments on adopt, the owning worker decrements on close, and
-    /// the overload-refusal path touches it not at all — every exit
-    /// path balances.
+    /// Connections currently owned by the event loop; it increments on
+    /// accept and decrements on close, and the overload-refusal path
+    /// touches it not at all — every exit path balances.
     pub(crate) open_connections: AtomicUsize,
-    /// Routes accepted sockets and offload completions to the event
-    /// workers (and wakes them on shutdown).
-    pub(crate) router: Router,
-    /// The bound endpoint; shutdown dials it to wake the blocking
-    /// accept loop.
-    endpoint: Endpoint,
+    /// Carries offloaded answers and shutdown to the event loop.
+    pub(crate) mailbox: Mailbox,
+    /// The bound endpoint, named in accept-error logs.
+    pub(crate) endpoint: Endpoint,
     workers: usize,
-    max_connections: usize,
+    pub(crate) max_connections: usize,
 }
 
 /// Namespace for [`Server::start`].
@@ -105,13 +89,16 @@ impl Server {
     /// # Errors
     ///
     /// Returns [`QrError::Execution`] when the endpoint cannot be bound
-    /// or the store root cannot be opened.
+    /// (a running daemon already serving the Unix socket included) or
+    /// the store root cannot be opened.
     pub fn start(endpoint: &Endpoint, cfg: &ServerConfig) -> Result<ServerHandle> {
-        let store = RecordingStore::open(&cfg.store_root)?;
+        // Bind first: a start refused because a live daemon serves the
+        // socket must not sweep that daemon's store staging directories.
         let listener = Listener::bind(endpoint)?;
+        let store = RecordingStore::open(&cfg.store_root)?;
         let bound = listener.local_endpoint(endpoint);
-        let (router, wake_rxs) = Router::new(cfg.event_workers.max(1)).map_err(|e| {
-            QrError::Execution { detail: format!("creating event-worker wake pipes: {e}") }
+        let (mailbox, wake_rx) = Mailbox::new().map_err(|e| QrError::Execution {
+            detail: format!("creating the event-loop wake pipe: {e}"),
         })?;
         let shared = Arc::new(Shared {
             registry: Registry::new(cfg.workers),
@@ -120,34 +107,22 @@ impl Server {
             shutdown: AtomicBool::new(false),
             next_session: AtomicU64::new(1),
             open_connections: AtomicUsize::new(0),
-            router,
+            mailbox,
             endpoint: bound.clone(),
             workers: cfg.workers.max(1),
             max_connections: cfg.max_connections.max(1),
         });
         let pool = Arc::new(WorkerPool::new(cfg.workers, cfg.queue_capacity));
-        let spawn_err = |what: &str, e: std::io::Error| QrError::Execution {
-            detail: format!("spawning {what} thread: {e}"),
-        };
-        let mut events = Vec::with_capacity(wake_rxs.len());
-        for (worker, wake_rx) in wake_rxs.into_iter().enumerate() {
-            let shared = Arc::clone(&shared);
-            let pool = Arc::clone(&pool);
-            let handle = std::thread::Builder::new()
-                .name(format!("qr-event-{worker}"))
-                .spawn(move || event::worker_loop(worker, wake_rx, shared, pool))
-                .map_err(|e| spawn_err("event-worker", e))?;
-            events.push(handle);
-        }
-        let accept = {
-            let shared = Arc::clone(&shared);
-            let pool = Arc::clone(&pool);
+        let event = {
+            let (shared, pool) = (Arc::clone(&shared), Arc::clone(&pool));
             std::thread::Builder::new()
-                .name("qr-accept".into())
-                .spawn(move || accept_loop(&listener, &shared, &pool))
-                .map_err(|e| spawn_err("accept", e))?
+                .name("qr-event".into())
+                .spawn(move || event::run(listener, wake_rx, shared, pool))
+                .map_err(|e| QrError::Execution {
+                    detail: format!("spawning the event-loop thread: {e}"),
+                })?
         };
-        Ok(ServerHandle { shared, pool, accept: Some(accept), events, endpoint: bound })
+        Ok(ServerHandle { shared, pool, event, endpoint: bound })
     }
 }
 
@@ -157,8 +132,8 @@ impl Server {
 pub struct ServerHandle {
     shared: Arc<Shared>,
     pool: Arc<WorkerPool>,
-    accept: Option<std::thread::JoinHandle<()>>,
-    events: Vec<std::thread::JoinHandle<()>>,
+    /// The event loop; it returns the instant draining began.
+    event: std::thread::JoinHandle<Instant>,
     endpoint: Endpoint,
 }
 
@@ -169,7 +144,7 @@ impl ServerHandle {
         &self.endpoint
     }
 
-    /// Connections currently owned by the event workers (must drain to
+    /// Connections currently owned by the event loop (must drain to
     /// zero once every client hangs up — the regression gate for gauge
     /// drift).
     pub fn open_connections(&self) -> usize {
@@ -181,20 +156,13 @@ impl ServerHandle {
         request_shutdown(&self.shared);
     }
 
-    /// Blocks until the accept loop has stopped, the event workers
-    /// have drained their connections, and every queued job has
-    /// finished.
-    pub fn wait(mut self) {
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-        let drain_start = crate::obs::clock();
-        // Event workers flush pending responses and wait for in-flight
-        // offloaded queries (their own 30s deadline bounds peers stuck
-        // mid-exchange), so they must join before the pool drains.
-        for handle in self.events.drain(..) {
-            let _ = handle.join();
-        }
+    /// Blocks until the event loop has drained its connections and
+    /// every queued job has finished.
+    pub fn wait(self) {
+        // The loop flushes pending responses and waits for in-flight
+        // offloaded queries (its own 30s deadline bounds peers stuck
+        // mid-exchange), so it must finish before the pool drains.
+        let drain_start = self.event.join().ok();
         self.pool.drain();
         crate::obs::drain_finished(drain_start);
         if let Endpoint::Unix(path) = &self.endpoint {
@@ -203,91 +171,11 @@ impl ServerHandle {
     }
 }
 
-/// Sets the shutdown flag and wakes everything that blocks: the accept
-/// loop (blocked in `accept()`, woken by a throwaway connection to our
-/// own endpoint) and the event workers (parked in `poll`, woken through
-/// their mailboxes). Idempotent.
+/// Sets the shutdown flag and wakes the event loop, which may be parked
+/// in `poll`, through its mailbox. Idempotent.
 pub(crate) fn request_shutdown(shared: &Shared) {
-    if shared.shutdown.swap(true, Ordering::SeqCst) {
-        return; // already requested; everyone is already waking
-    }
-    match &shared.endpoint {
-        Endpoint::Unix(path) => {
-            let _ = std::os::unix::net::UnixStream::connect(path);
-        }
-        Endpoint::Tcp(addr) => {
-            let _ = std::net::TcpStream::connect(addr);
-        }
-    }
-    shared.router.wake_all();
-}
-
-// ---- transport -------------------------------------------------------
-
-enum Listener {
-    Unix(UnixListener),
-    Tcp(TcpListener),
-}
-
-impl Listener {
-    fn bind(endpoint: &Endpoint) -> Result<Listener> {
-        let io = |e: std::io::Error| QrError::Execution {
-            detail: format!("binding {}: {e}", endpoint.describe()),
-        };
-        match endpoint {
-            Endpoint::Unix(path) => {
-                // A stale socket file from a killed server blocks bind.
-                let _ = std::fs::remove_file(path);
-                let listener = UnixListener::bind(path).map_err(io)?;
-                Ok(Listener::Unix(listener))
-            }
-            Endpoint::Tcp(addr) => {
-                let listener = TcpListener::bind(addr).map_err(io)?;
-                Ok(Listener::Tcp(listener))
-            }
-        }
-    }
-
-    /// The endpoint actually bound (resolves TCP port 0).
-    fn local_endpoint(&self, requested: &Endpoint) -> Endpoint {
-        match self {
-            Listener::Unix(_) => requested.clone(),
-            Listener::Tcp(listener) => match listener.local_addr() {
-                Ok(addr) => Endpoint::Tcp(addr.to_string()),
-                Err(_) => requested.clone(),
-            },
-        }
-    }
-
-    /// Blocking accept; [`request_shutdown`] unblocks it with a
-    /// throwaway connection. The stream comes back already switched to
-    /// nonblocking mode, ready for an event worker.
-    fn accept(&self) -> std::io::Result<Box<dyn NbStream>> {
-        match self {
-            Listener::Unix(listener) => {
-                let (stream, _) = listener.accept()?;
-                stream.set_nonblocking(true)?;
-                Ok(Box::new(stream))
-            }
-            Listener::Tcp(listener) => {
-                let (stream, _) = listener.accept()?;
-                stream.set_nonblocking(true)?;
-                let _ = stream.set_nodelay(true);
-                Ok(Box::new(stream))
-            }
-        }
-    }
-}
-
-/// Tells an over-limit peer the daemon is saturated: a best-effort
-/// single nonblocking write of the stream header plus a framed `Busy`,
-/// then the connection drops. The peer sees a structured refusal, not
-/// a silent hangup.
-fn refuse_overloaded(mut stream: Box<dyn NbStream>, busy: &Response) {
-    let mut bytes = Vec::with_capacity(32);
-    let _ = proto::write_stream_header(&mut bytes);
-    let _ = proto::write_message(&mut bytes, &proto::encode_response(busy));
-    let _ = stream.write(&bytes);
+    shared.shutdown.store(true, Ordering::SeqCst);
+    shared.mailbox.wake();
 }
 
 /// Counts one backpressure refusal and builds its `Busy` answer.
@@ -295,42 +183,6 @@ pub(crate) fn busy(shared: &Shared, queued: usize) -> Response {
     shared.counters.rejected_busy.fetch_add(1, Ordering::SeqCst);
     crate::obs::busy_rejection();
     Response::Busy { queued: queued as u32 }
-}
-
-fn accept_loop(listener: &Listener, shared: &Arc<Shared>, pool: &Arc<WorkerPool>) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok(stream) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break; // the shutdown wake-up connection (or a raced client)
-                }
-                shared.counters.connections.fetch_add(1, Ordering::SeqCst);
-                crate::obs::connection_opened();
-                // Over the connection cap: refuse with a structured
-                // Busy instead of dropping silently. The open gauge is
-                // never incremented on this path, so it stays balanced.
-                if shared.open_connections.load(Ordering::SeqCst) >= shared.max_connections {
-                    refuse_overloaded(stream, &busy(shared, pool.queued()));
-                    continue;
-                }
-                shared.open_connections.fetch_add(1, Ordering::SeqCst);
-                crate::obs::connection_delta(1);
-                shared.router.adopt(stream);
-            }
-            Err(e) => {
-                // Accept failures (EMFILE, transient resets) are
-                // surfaced — counted and logged with the endpoint —
-                // not silently swallowed; the backoff keeps a
-                // persistent error from spinning the loop.
-                crate::obs::accept_error();
-                eprintln!(
-                    "quickrecd: accept on {} failed: {e}",
-                    shared.endpoint.describe()
-                );
-                std::thread::sleep(Duration::from_millis(20));
-            }
-        }
-    }
 }
 
 // ---- request handling ------------------------------------------------

@@ -27,7 +27,6 @@ fn start(dir: &std::path::Path, workers: usize, queue: usize) -> qr_server::Serv
         workers,
         queue_capacity: queue,
         store_root: dir.join("store"),
-        event_workers: 2,
         max_connections: 256,
     };
     Server::start(&endpoint, &config).expect("start server")

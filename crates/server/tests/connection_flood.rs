@@ -79,7 +79,6 @@ fn connection_flood_gets_responses_without_thread_per_connection() {
         workers: 1,
         queue_capacity: 1,
         store_root: dir.join("store"),
-        event_workers: 2,
         max_connections: CONNS,
     };
     let handle = Server::start(&endpoint, &config).expect("start server");
@@ -169,7 +168,6 @@ fn slow_loris_writers_do_not_starve_other_clients() {
         workers: 1,
         queue_capacity: 4,
         store_root: dir.join("store"),
-        event_workers: 1,
         max_connections: 256,
     };
     let handle = Server::start(&endpoint, &config).expect("start server");

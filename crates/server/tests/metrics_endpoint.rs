@@ -1,7 +1,9 @@
 //! The METRICS wire request: a live daemon renders its `qr-obs`
 //! registry as parseable text exposition covering the recorder, store
-//! and server metric families, and shutdown unblocks the accept loop
-//! promptly (no sleep-polling anywhere on the path).
+//! and server metric families. Beside it, the socket's lifecycle:
+//! shutdown wakes the event loop promptly (no sleep-polling anywhere on
+//! the path) whatever became of the socket file, a second daemon cannot
+//! take a live daemon's socket, and a stale one is reclaimed.
 
 use qr_server::proto::{Endpoint, JobState, Request, Response};
 use qr_server::{Client, Server, ServerConfig};
@@ -23,7 +25,6 @@ fn start(dir: &std::path::Path) -> qr_server::ServerHandle {
         workers: 2,
         queue_capacity: 8,
         store_root: dir.join("store"),
-        event_workers: 2,
         max_connections: 256,
     };
     Server::start(&endpoint, &config).expect("start server")
@@ -76,7 +77,6 @@ fn metrics_request_returns_parseable_exposition_with_all_families() {
         "qr_server_open_connections",
         "qr_server_event_loop_wakeups_total",
         "qr_server_event_loop_events_total",
-        "qr_server_event_loop_conns_adopted_total",
         "qr_recorder_chunks_total",
         "qr_recorder_chunk_size_insns",
         "qr_recorder_log_bytes_total",
@@ -119,22 +119,75 @@ fn metrics_request_returns_parseable_exposition_with_all_families() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn shutdown_unblocks_accept_loop_without_polling_delay() {
-    let dir = scratch("wake");
-    let handle = start(&dir);
-
-    // No client ever connects: the accept loop sits in a blocking
-    // accept(). shutdown() must wake it via the self-connection and
-    // wait() must return promptly — this wedges forever (or until a
-    // connection happens to arrive) if the wake-up is missing.
+/// Shuts `handle` down and fails unless `wait()` returns promptly.
+fn shutdown_promptly(handle: qr_server::ServerHandle, what: &str) {
     let started = Instant::now();
     handle.shutdown();
     handle.wait();
     let elapsed = started.elapsed();
-    assert!(
-        elapsed < Duration::from_secs(5),
-        "shutdown of an idle server took {elapsed:?}"
-    );
+    assert!(elapsed < Duration::from_secs(5), "shutdown of {what} took {elapsed:?}");
+}
+
+#[test]
+fn shutdown_wakes_an_idle_event_loop_promptly() {
+    let dir = scratch("wake");
+    let handle = start(&dir);
+
+    // No client ever connects: the event loop sits in poll(2) with
+    // nothing ready. shutdown() must wake it through its mailbox and
+    // wait() must return promptly — this wedges (or waits out a poll
+    // timeout) if the wake-up is missing.
+    shutdown_promptly(handle, "an idle server");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn shutdown_completes_after_the_socket_file_is_unlinked() {
+    let dir = scratch("unlinked");
+    let handle = start(&dir);
+    // A served ping proves the daemon is up and waiting for the next
+    // peer before its socket file goes. Then nothing can dial the daemon
+    // any more, and shutdown must not need to: the listening fd outlives
+    // its file.
+    Client::connect(handle.endpoint()).and_then(|mut c| c.ping()).expect("ping");
+    std::fs::remove_file(dir.join("qd.sock")).expect("unlink the socket file");
+    shutdown_promptly(handle, "a server whose socket file was unlinked");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_second_daemon_cannot_take_a_live_daemons_socket() {
+    let dir = scratch("second");
+    let handle = start(&dir);
+    let socket = dir.join("qd.sock");
+
+    let second = ServerConfig::new(1, dir.join("store-2"));
+    let err = match Server::start(&Endpoint::Unix(socket.clone()), &second) {
+        Ok(_) => panic!("a second daemon started on a live daemon's socket"),
+        Err(e) => e.to_string(),
+    };
+    assert!(err.contains(&socket.display().to_string()), "error does not name the path: {err}");
+
+    // The first daemon still owns its socket: it answers and shuts down.
+    let mut client = Client::connect(handle.endpoint()).expect("connect to the first daemon");
+    client.ping().expect("the first daemon still answers");
+    drop(client);
+    shutdown_promptly(handle, "the first daemon");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_stale_socket_file_is_reclaimed() {
+    let dir = scratch("stale");
+    let socket = dir.join("qd.sock");
+    // What a killed server leaves behind: a socket file nobody listens on.
+    drop(std::os::unix::net::UnixListener::bind(&socket).expect("bind the stale listener"));
+    assert!(socket.exists(), "dropping a listener leaves its socket file");
+
+    let handle = start(&dir);
+    let mut client = Client::connect(handle.endpoint()).expect("connect over the reclaimed path");
+    client.ping().expect("ping");
+    drop(client);
+    shutdown_promptly(handle, "a server on a reclaimed path");
     std::fs::remove_dir_all(&dir).ok();
 }

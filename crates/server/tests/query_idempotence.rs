@@ -6,8 +6,7 @@
 
 use qr_replay::{QueryPlan, QueryResult, ReplayQuery};
 use qr_server::proto::{Endpoint, JobState, Request, Response};
-use qr_server::registry::QUERY_CACHE_CAP;
-use qr_server::{Client, Server, ServerConfig};
+use qr_server::{Client, Server, ServerConfig, QUERY_CACHE_CAP};
 use qr_workloads::Scale;
 use quickrec_core::{Encoding, OrderMode};
 use std::path::PathBuf;
@@ -27,7 +26,6 @@ fn start(dir: &std::path::Path) -> qr_server::ServerHandle {
             workers: 2,
             queue_capacity: 8,
             store_root: dir.join("store"),
-            event_workers: 2,
             max_connections: 256,
         };
     Server::start(&endpoint, &config).expect("start server")

@@ -250,7 +250,7 @@ echo "== daemon concurrency smoke: E16 quick mode against a live daemon =="
 e16_dir=$(mktemp -d)
 trap 'rm -f "$serial" "$parallel"; rm -rf "$smoke_dir" "$e16_dir"' EXIT
 ./target/release/quickrec serve --socket "$e16_dir/qd.sock" --store "$e16_dir/store" \
-  --workers 2 --event-workers 2 --max-conns 512 > "$e16_dir/serve.log" 2>&1 &
+  --workers 2 --max-conns 512 > "$e16_dir/serve.log" 2>&1 &
 e16_pid=$!
 for _ in $(seq 1 100); do
   [ -S "$e16_dir/qd.sock" ] && break
@@ -269,7 +269,7 @@ QR_BENCH_CONNS=128 QR_BENCH_JOBS=8 QR_E16_SOCKET="$e16_dir/qd.sock" \
 # just exercised.
 ./target/release/quickrec stats --socket "$e16_dir/qd.sock" --metrics > "$e16_dir/metrics.txt"
 for family in qr_server_event_loop_wakeups_total qr_server_event_loop_events_total \
-              qr_server_event_loop_conns_adopted_total qr_server_open_connections; do
+              qr_server_open_connections; do
   if ! grep -q "^$family" "$e16_dir/metrics.txt"; then
     echo "metrics exposition is missing event-loop family $family" >&2
     exit 1

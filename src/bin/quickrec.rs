@@ -114,7 +114,7 @@ fn usage() -> String {
      quickrec dot      <dir>\n  \
      quickrec disasm   <prog.pasm>\n  \
      quickrec suite    [--threads N]\n  \
-     quickrec serve    (--socket PATH | --tcp ADDR) [--store DIR] [--workers N] [--queue N] [--event-workers N] [--max-conns N]\n  \
+     quickrec serve    (--socket PATH | --tcp ADDR) [--store DIR] [--workers N] [--queue N] [--max-conns N]\n  \
      quickrec submit   (--socket PATH | --tcp ADDR) (--workload NAME [--threads N] [--scale S] | <prog.pasm> [--cores N]) [--name LABEL] [--encoding E] [--order total|partial] [--no-wait]\n  \
      quickrec fetch    (--socket PATH | --tcp ADDR) <id> -o <dir>\n  \
      quickrec query    (--socket PATH | --tcp ADDR) <id> (--range A..B | --thread T | --window A..B | --before-divergence K | --reverse-step N) [--dry-run] [--max-events M] [--replay-id R]\n  \

@@ -80,10 +80,15 @@ fn missing_and_bad_args_exit_nonzero_with_usage() {
 
 #[test]
 fn serve_refuses_unknown_options_and_options_without_a_value() {
-    // Both used to start a daemon with the defaults (and this test to
-    // hang): `--shards` was deleted by PR 19, `--workers` lost its value.
+    // Each used to start a daemon with the defaults (and this test to
+    // hang): `--shards` and `--event-workers` are deleted options,
+    // `--workers` lost its value.
     for (args, needle) in [
         (&["serve", "--socket", "never.sock", "--shards", "4"][..], "unknown option `--shards`"),
+        (
+            &["serve", "--socket", "never.sock", "--event-workers", "2"][..],
+            "unknown option `--event-workers`",
+        ),
         (&["serve", "--socket", "never.sock", "--workers"][..], "--workers needs a value"),
     ] {
         let out = quickrec(args);
