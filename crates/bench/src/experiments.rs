@@ -449,7 +449,8 @@ fn e8() -> Experiment {
     }
 }
 
-/// E9 — replay speed relative to recording.
+/// E9 — replay speed relative to recording, priced on the recording's
+/// cache and bus model (`Replayer::modelled`; every other replay is functional).
 fn e9() -> Experiment {
     Experiment {
         id: "e9",
@@ -461,7 +462,7 @@ fn e9() -> Experiment {
             Box::new(move |cache| {
                 let program = cache.program(&spec, 4, Scale::Small)?;
                 let r = record_workload_with(cache, &spec, 4, Scale::Small, full_cfg(4))?;
-                let outcome = qr_replay::replay(&program, &r)?;
+                let outcome = qr_replay::Replayer::modelled(&program, &r)?.run()?;
                 Ok(JobOutput::row([
                     spec.name.to_string(),
                     r.cycles.to_string(),
@@ -474,7 +475,8 @@ fn e9() -> Experiment {
     }
 }
 
-/// E9b — parallel replay speedup from the conflict-dependency scheduler.
+/// E9b — parallel replay speedup from the conflict-dependency scheduler,
+/// both sides on the modelled memory path as in E9.
 fn e9b() -> Experiment {
     Experiment {
         id: "e9b",
@@ -488,8 +490,8 @@ fn e9b() -> Experiment {
             Box::new(move |cache| {
                 let program = cache.program(&spec, 4, Scale::Small)?;
                 let r = record_workload_with(cache, &spec, 4, Scale::Small, full_cfg(4))?;
-                let serial = qr_replay::replay(&program, &r)?;
-                let replayer = qr_replay::ParallelReplayer::new(&program, &r, 4)?;
+                let serial = qr_replay::Replayer::modelled(&program, &r)?.run()?;
+                let replayer = qr_replay::ParallelReplayer::modelled(&program, &r, 4)?;
                 if let Some(reason) = replayer.fallback_reason() {
                     return Err(QrError::Execution {
                         detail: format!("{}: parallel replay fell back to serial: {reason}", spec.name),

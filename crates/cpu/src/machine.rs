@@ -177,10 +177,10 @@ impl Machine {
         self.mem.drain_all(core)
     }
 
-    /// Serializes the complete machine state for checkpoint snapshots:
-    /// the whole memory hierarchy first — guest memory as an overlay on
-    /// `base`, see [`MemorySystem::save_state`] — then every core's
-    /// context and counters. The program and configuration are *not*
+    /// Serializes the machine state for checkpoint snapshots: the memory
+    /// system's first — guest memory as an overlay on `base` and the
+    /// store buffers, see [`MemorySystem::save_state`] — then every
+    /// core's context and counters. The program and configuration are *not*
     /// serialized: restore with [`Machine::restore_state`] into a machine
     /// built from the same program and configuration whose memory holds
     /// `base`.

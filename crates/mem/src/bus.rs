@@ -70,11 +70,6 @@ impl GlobalClock {
     pub fn now(&self) -> Cycle {
         Cycle(self.now)
     }
-
-    /// Reconstructs a clock at an absolute time (checkpoint restore).
-    pub(crate) fn restore(now: u64) -> GlobalClock {
-        GlobalClock { now }
-    }
 }
 
 #[cfg(test)]

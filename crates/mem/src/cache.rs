@@ -186,61 +186,6 @@ impl Cache {
         was_dirty && kind != BusKind::Writeback
     }
 
-    /// Serializes the full metadata state — every way's line, MESI state
-    /// and LRU stamp, plus the use counter — so a restored cache misses
-    /// and evicts identically (checkpoint snapshots).
-    pub(crate) fn save_state(&self, out: &mut Vec<u8>) {
-        qr_common::varint::write_u64(out, self.use_counter);
-        for set in &self.sets {
-            qr_common::varint::write_u64(out, set.len() as u64);
-            for way in set {
-                out.extend_from_slice(&way.line.0.to_le_bytes());
-                out.push(match way.state {
-                    MesiState::Modified => 0,
-                    MesiState::Exclusive => 1,
-                    MesiState::Shared => 2,
-                });
-                qr_common::varint::write_u64(out, way.lru);
-            }
-        }
-    }
-
-    /// Inverse of [`Cache::save_state`] for a cache of the given
-    /// geometry (taken from the machine configuration, not the bytes).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QrError::Corrupt`] on truncated or implausible bytes.
-    pub(crate) fn load_state(
-        r: &mut qr_common::cursor::ByteReader<'_>,
-        num_sets: u32,
-        ways: u32,
-    ) -> qr_common::Result<Cache> {
-        let mut cache = Cache::new(num_sets, ways);
-        cache.use_counter = r.varint()?;
-        for set in &mut cache.sets {
-            let len = r.count(ways as u64)?;
-            for _ in 0..len {
-                let line = LineAddr(r.u32()?);
-                let state = match r.u8()? {
-                    0 => MesiState::Modified,
-                    1 => MesiState::Exclusive,
-                    2 => MesiState::Shared,
-                    code => {
-                        return Err(qr_common::QrError::Corrupt {
-                            what: "checkpoint cache state".into(),
-                            offset: r.pos() as u64,
-                            detail: format!("unknown MESI code {code}"),
-                        })
-                    }
-                };
-                let lru = r.varint()?;
-                set.push(Way { line, state, lru });
-            }
-        }
-        Ok(cache)
-    }
-
     /// Number of lines currently resident.
     pub fn resident_lines(&self) -> usize {
         self.sets.iter().map(Vec::len).sum()
@@ -347,28 +292,6 @@ mod tests {
         // Line 2 collides with line 0 (same parity).
         let ev = c.fill(line(2), MesiState::Exclusive).unwrap();
         assert_eq!(ev.line, line(0));
-    }
-
-    #[test]
-    fn unknown_mesi_code_in_snapshot_reports_its_offset() {
-        let mut c = Cache::new(2, 1);
-        c.fill(line(0), MesiState::Modified);
-        c.fill(line(1), MesiState::Shared);
-        let mut bytes = Vec::new();
-        c.save_state(&mut bytes);
-        // use_counter, then per set: len, line (4 bytes), MESI code, lru.
-        // The second set's code byte sits at 1 + 7 + 1 + 4.
-        let code_at = 13;
-        assert_eq!(bytes[code_at], 2, "Shared");
-        bytes[code_at] = 9;
-        let mut r = qr_common::cursor::ByteReader::new(&bytes, "snapshot");
-        match Cache::load_state(&mut r, 2, 1) {
-            Err(qr_common::QrError::Corrupt { offset, detail, .. }) => {
-                assert_eq!(offset, code_at as u64 + 1, "{detail}");
-                assert!(detail.contains("unknown MESI code 9"), "{detail}");
-            }
-            other => panic!("expected Corrupt, got {other:?}"),
-        }
     }
 
     #[test]

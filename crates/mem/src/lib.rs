@@ -23,7 +23,8 @@
 //! store *drains* from its store buffer; caches carry coherence metadata
 //! and timing. This split keeps the simulator fast while preserving every
 //! event the recorder cares about (bus transactions, evictions, pending
-//! store counts).
+//! store counts). Replay needs none of the timing, so it drops the caches
+//! altogether ([`system::MemorySystem::make_functional`]).
 
 pub mod bus;
 pub mod cache;

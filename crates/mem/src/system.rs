@@ -20,6 +20,16 @@
 //! remote cached copies and therefore *snoop remote recorder signatures*
 //! — but they do not allocate into the local L1 and do not grow the local
 //! core's chunk signatures, matching QuickRec's user-space-only recording.
+//!
+//! # Functional path
+//!
+//! Replay needs the data, not the timing. [`MemorySystem::make_functional`]
+//! drops the L1s: accesses then read and write the flat memory through
+//! the same store buffers, with no lookup, fill, eviction, snoop, bus
+//! transaction or clock tick, and every access costs an L1 hit. The
+//! `LocalRead`/`LocalWrite` events are unchanged. Because caches only
+//! ever decide timing, a functional system computes the same memory
+//! image, forwards and pending-store counts as a modelled one.
 
 use crate::bus::{BusKind, GlobalClock};
 use crate::cache::{Cache, LookupResult, MesiState};
@@ -63,6 +73,7 @@ impl Access {
 pub struct MemorySystem {
     cfg: MemConfig,
     mem: PagedMemory,
+    /// One L1 per core; none on the functional path.
     caches: Vec<Cache>,
     buffers: Vec<StoreBuffer>,
     clock: GlobalClock,
@@ -93,7 +104,13 @@ impl MemorySystem {
 
     /// Number of cores this system serves.
     pub fn num_cores(&self) -> usize {
-        self.caches.len()
+        self.buffers.len()
+    }
+
+    /// Switches to the functional path (module docs) by dropping the
+    /// L1s. There is no way back; call it before execution starts.
+    pub fn make_functional(&mut self) {
+        self.caches = Vec::new();
     }
 
     /// The configuration in effect.
@@ -365,7 +382,7 @@ impl MemorySystem {
 
     /// The local cache side of an access: classifies hit/upgrade/miss,
     /// performs the bus transaction and snoops, updates stats and timing.
-    /// Returns the extra cycles.
+    /// Returns the extra cycles: a hit's on the functional path.
     fn cached_access(
         &mut self,
         core: CoreId,
@@ -373,6 +390,9 @@ impl MemorySystem {
         is_write: bool,
         events: &mut Vec<MemEvent>,
     ) -> u64 {
+        if self.caches.is_empty() {
+            return self.cfg.hit_cycles;
+        }
         match self.caches[core.index()].lookup(line, is_write) {
             LookupResult::Hit => {
                 self.caches[core.index()].touch(line, is_write);
@@ -421,7 +441,8 @@ impl MemorySystem {
     }
 
     /// Puts a transaction on the bus: advances global time, snoops every
-    /// other cache, records stats. Returns the intervention latency.
+    /// other cache, records stats. Returns the intervention latency. The
+    /// functional path has no bus: nothing happens.
     fn bus_transaction(
         &mut self,
         from: CoreId,
@@ -429,6 +450,9 @@ impl MemorySystem {
         kind: BusKind,
         events: &mut Vec<MemEvent>,
     ) -> u64 {
+        if self.caches.is_empty() {
+            return 0;
+        }
         self.clock.tick();
         self.stats.bus_txns[MemStats::bus_slot(kind)] += 1;
         let mut cycles = 0;
@@ -479,7 +503,9 @@ impl MemorySystem {
         for line in lines_touched(addr, data.len() as u32) {
             // Invalidate the writer's own cached copy as well: kernel
             // writes are uncached in this model.
-            self.caches[core.index()].snoop(line, BusKind::BusRdX);
+            if let Some(cache) = self.caches.get_mut(core.index()) {
+                cache.snoop(line, BusKind::BusRdX);
+            }
             access.cycles += self.bus_transaction(core, line, BusKind::BusRdX, &mut access.events);
         }
         self.mem.write_bytes(addr, data)?;
@@ -497,52 +523,26 @@ impl MemorySystem {
 
     // ----- checkpoint state serialization ------------------------------
 
-    /// Serializes the complete architectural and micro-architectural
-    /// state: guest memory as an overlay on `base` (the runs of words in
-    /// which it differs, [`PagedMemory`]'s checkpoint encoding), then
-    /// cache metadata, store buffers, clock and counters in full. The
-    /// bytes are a deterministic function of the two states, and
-    /// restoring them with [`MemorySystem::restore_state`] into a system
-    /// of the same configuration whose memory holds `base` reproduces
-    /// execution bit-for-bit — including miss/eviction behavior and bus
-    /// timestamps.
+    /// Serializes the state a checkpoint record holds: guest memory as
+    /// an overlay on `base` (the runs of words in which it differs,
+    /// [`PagedMemory`]'s checkpoint encoding), then the store buffers.
+    /// Cache metadata, the clock and the counters are not saved: they
+    /// only ever decide timing, and replay runs functional. The bytes are
+    /// a deterministic function of the two states, and restoring them
+    /// with [`MemorySystem::restore_state`] into a system of the same
+    /// configuration whose memory holds `base` reproduces every load,
+    /// forward, drain and pending-store count bit-for-bit.
     pub fn save_state(&self, base: &PagedMemory, out: &mut Vec<u8>) {
         self.mem.encode_overlay(base, out);
-        for cache in &self.caches {
-            cache.save_state(out);
-        }
         for buffer in &self.buffers {
             buffer.save_state(out);
-        }
-        qr_common::varint::write_u64(out, self.clock.now().0);
-        qr_common::varint::write_u64(out, self.stats.cores.len() as u64);
-        for core in &self.stats.cores {
-            for field in [
-                core.loads,
-                core.load_forwards,
-                core.stores,
-                core.drains,
-                core.load_misses,
-                core.store_misses,
-                core.upgrades,
-                core.evictions,
-                core.writebacks,
-                core.atomics,
-                core.interventions,
-                core.forced_drains,
-            ] {
-                qr_common::varint::write_u64(out, field);
-            }
-        }
-        for txns in self.stats.bus_txns {
-            qr_common::varint::write_u64(out, txns);
         }
     }
 
     /// Applies only the leading memory overlay of bytes produced by
     /// [`MemorySystem::save_state`], leaving the reader at the state
     /// that follows it — how a chain of delta checkpoints is walked
-    /// without decoding the caches and buffers of every link.
+    /// without decoding the store buffers of every link.
     ///
     /// # Errors
     ///
@@ -551,12 +551,12 @@ impl MemorySystem {
         self.mem.apply_overlay(r)
     }
 
-    /// Overwrites this system's state from bytes produced by
-    /// [`MemorySystem::save_state`]; the memory must hold the base the
-    /// bytes were saved against. The configuration (cache geometry,
-    /// buffer capacity, core count) is taken from `self`, not the bytes —
-    /// the caller must have built the system with the same configuration
-    /// the snapshot was taken under.
+    /// Overwrites this system's memory and store buffers from bytes
+    /// produced by [`MemorySystem::save_state`]; the memory must hold the
+    /// base the bytes were saved against. Caches, clock and counters keep
+    /// whatever they held. The buffer capacity and core count are taken
+    /// from `self`, not the bytes — the caller must have built the system
+    /// with the same configuration the snapshot was taken under.
     ///
     /// # Errors
     ///
@@ -564,40 +564,8 @@ impl MemorySystem {
     /// `self` may be partially overwritten on error and must be discarded.
     pub fn restore_state(&mut self, r: &mut qr_common::cursor::ByteReader<'_>) -> Result<()> {
         self.mem.apply_overlay(r)?;
-        for cache in &mut self.caches {
-            *cache = Cache::load_state(r, self.cfg.l1_sets, self.cfg.l1_ways)?;
-        }
         for buffer in &mut self.buffers {
             *buffer = StoreBuffer::load_state(r, self.cfg.store_buffer_entries)?;
-        }
-        self.clock = GlobalClock::restore(r.varint()?);
-        let cores = r.count(256)?;
-        if cores != self.stats.cores.len() {
-            return Err(QrError::Corrupt {
-                what: "checkpoint memory state".into(),
-                offset: r.pos() as u64,
-                detail: format!(
-                    "snapshot has {cores} cores, machine has {}",
-                    self.stats.cores.len()
-                ),
-            });
-        }
-        for core in &mut self.stats.cores {
-            core.loads = r.varint()?;
-            core.load_forwards = r.varint()?;
-            core.stores = r.varint()?;
-            core.drains = r.varint()?;
-            core.load_misses = r.varint()?;
-            core.store_misses = r.varint()?;
-            core.upgrades = r.varint()?;
-            core.evictions = r.varint()?;
-            core.writebacks = r.varint()?;
-            core.atomics = r.varint()?;
-            core.interventions = r.varint()?;
-            core.forced_drains = r.varint()?;
-        }
-        for txns in &mut self.stats.bus_txns {
-            *txns = r.varint()?;
         }
         Ok(())
     }
@@ -827,18 +795,14 @@ mod tests {
         r.finish().unwrap();
         assert_eq!(restored.memory().read_uint(VirtAddr(0x1000), 4).unwrap(), 0, "still buffered");
 
-        // Same pending stores, same clock, same counters.
+        // Same pending stores; the futures load the same values.
         assert_eq!(restored.pending_stores(C0), s.pending_stores(C0));
         assert_eq!(restored.pending_stores(C1), s.pending_stores(C1));
-        assert_eq!(restored.now(), s.now());
-        assert_eq!(restored.stats(), s.stats());
-        // Divergent futures stay identical: run the same accesses on both.
         for m in [&mut s, &mut restored] {
+            assert_eq!(m.read(C0, VirtAddr(0x1000), 4).unwrap().value, 42, "forwarded");
             m.drain_all(C0).unwrap();
             m.read(C1, VirtAddr(0x1000), 4).unwrap();
         }
-        assert_eq!(restored.stats(), s.stats());
-        assert_eq!(restored.now(), s.now());
         let mut snap2a = Vec::new();
         let mut snap2b = Vec::new();
         s.save_state(&base, &mut snap2a);
@@ -860,6 +824,50 @@ mod tests {
         let mut snap2c = Vec::new();
         chained.save_state(&base, &mut snap2c);
         assert_eq!(snap2c, snap2a, "keyframe + delta restores the state the delta was taken of");
+    }
+
+    #[test]
+    fn functional_path_keeps_the_data_and_drops_the_bus() {
+        let tiny = MemConfig { l1_sets: 1, l1_ways: 1, ..MemConfig::default() };
+        let mut modelled = MemorySystem::new(tiny, 2).unwrap();
+        modelled.map_region(VirtAddr(0x1000), 0x10000).unwrap();
+        let mut functional = modelled.clone();
+        functional.make_functional();
+        let run = |s: &mut MemorySystem| {
+            let (mut events, mut values) = (Vec::new(), Vec::new());
+            let at = |i: u32| VirtAddr(0x1000 + i * 0x40);
+            for i in 0..4 {
+                s.write_into(C0, at(i), 4, i + 1, &mut events).unwrap();
+                values.push(s.read_into(C1, at(i), 4, &mut events).unwrap().0);
+            }
+            s.drain_all_into(C0, &mut events).unwrap();
+            values.push(s.atomic_rmw_into(C1, at(3), |v| v + 7, &mut events).unwrap().0);
+            s.drain_one_into(C1, &mut events).unwrap();
+            events.extend(s.kernel_write_bytes(C1, at(0), &[9; 4]).unwrap().events);
+            events.extend(s.kernel_read_bytes(C0, at(1), 4).unwrap().1.events);
+            values.extend((0..5).map(|i| s.read(C1, at(i), 4).unwrap().value));
+            (values, events)
+        };
+        let (want_values, want_events) = run(&mut modelled);
+        let (values, events) = run(&mut functional);
+        let evicts = |e: &MemEvent| matches!(e, MemEvent::Eviction { .. });
+        assert!(want_events.iter().any(evicts), "the modelled twin evicts");
+        let bus_or_evicts = |e: &MemEvent| evicts(e) || matches!(e, MemEvent::BusTxn { .. });
+        assert!(!events.iter().any(bus_or_evicts), "{events:?}");
+        assert_eq!(functional.now(), Cycle(0), "no bus, no clock tick");
+        assert!(modelled.now() > Cycle(0));
+        let local = |events: &[MemEvent]| -> Vec<MemEvent> {
+            let keep = |e: &&MemEvent| {
+                matches!(e, MemEvent::LocalRead { .. } | MemEvent::LocalWrite { .. })
+            };
+            events.iter().filter(keep).copied().collect()
+        };
+        assert_eq!(local(&events), local(&want_events), "the race detector's stream is unchanged");
+        assert_eq!(values, want_values);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        modelled.save_state(&PagedMemory::new(), &mut a);
+        functional.save_state(&PagedMemory::new(), &mut b);
+        assert_eq!(a, b, "the checkpoint record holds nothing the two paths disagree on");
     }
 
     #[test]

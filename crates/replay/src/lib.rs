@@ -39,7 +39,10 @@
 //! `jobs` *simulated* workers, whose makespan it reports;
 //! [`replay_ordered`] schedules the same lanes under a recorded
 //! `order.qrp` edge set instead. Every mode replays on the caller's
-//! thread.
+//! thread, on the functional memory path (flat memory and per-thread
+//! store buffers, no L1s or bus: caches never decide data). Only
+//! [`Replayer::modelled`] and [`ParallelReplayer::modelled`] keep the
+//! recording's cache and bus model, for the cycles E9 and E9b report.
 //!
 //! [`replay`] returns a [`ReplayOutcome`]; [`replay_and_verify`] also
 //! checks the fingerprint, console and exit code against the recording

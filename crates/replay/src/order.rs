@@ -130,7 +130,7 @@ pub fn replay_ordered(
     crate::obs::order_reconstructed(started);
     // Recorded edges, unlike derived ones, need not follow timestamp
     // order: the schedule refuses a cycle as it runs dry.
-    Runtime::new(program, recording, Dag::new(nodes, preds), jobs)?.run()
+    Runtime::new(program, recording, Dag::new(nodes, preds), jobs, false)?.run()
 }
 
 #[cfg(test)]

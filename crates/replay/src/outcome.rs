@@ -13,8 +13,12 @@ pub struct ReplayOutcome {
     /// Architectural-outcome digest, computed with the same function the
     /// recorder used.
     pub fingerprint: u64,
-    /// Replay makespan in cycles (chunk serialization makes this larger
-    /// than the recording's — experiment E9 measures the ratio).
+    /// Replay makespan in cycles. On the functional memory path every
+    /// replay runs on, each access costs an L1 hit. Only
+    /// [`crate::Replayer::modelled`] and [`crate::ParallelReplayer::modelled`]
+    /// price misses and bus transactions on the recording's cache model
+    /// (chunk serialization makes that larger than the recording's —
+    /// experiment E9 measures the ratio).
     pub cycles: u64,
     /// Instructions re-executed.
     pub instructions: u64,

@@ -38,11 +38,11 @@
 //! caller's thread. (Host worker threads lost to serial replay on every
 //! measured mix, so the schedule is the product, not a thread pool.)
 //! Every thread gets a private single-core *lane* machine (own store
-//! buffer, so TSO reproduction stays exact) whose memory is fully
-//! mapped. A *canonical* machine carries the authoritative memory
-//! image; the stack and `sbrk` mappings that serial replay applies to
-//! its one machine are applied to it, so its fingerprint hashes the
-//! same region list. Executing a node:
+//! buffer, so TSO reproduction stays exact) on the functional memory
+//! path, whose memory is fully mapped. A *canonical* machine carries
+//! the authoritative memory image; the stack and `sbrk` mappings that
+//! serial replay applies to its one machine are applied to it, so its
+//! fingerprint hashes the same region list. Executing a node:
 //!
 //! 1. **pulls** the node's footprint lines from canonical memory into
 //!    the lane (clipped to canonical's mapped regions),
@@ -55,10 +55,12 @@
 //!
 //! Because every conflicting predecessor pushed before this node pulls
 //! (there is an edge), the pulled lines hold exactly the bytes serial
-//! replay would have observed. The per-core caches model coherence
-//! metadata only — data lives in the paged memory — so line copies
-//! between machines are architecturally exact, and a lane's cycle cost
-//! depends only on its own thread's node sequence.
+//! replay would have observed. Data lives in the paged memory, never in
+//! a cache, so line copies between machines are architecturally exact.
+//! A lane's cycle cost depends only on its own thread's node sequence:
+//! every access costs an L1 hit, or, under
+//! [`ParallelReplayer::modelled`], whatever the lane's own L1 and bus
+//! make of that sequence.
 //!
 //! Nodes run in the order of a greedy event-driven list schedule onto
 //! `jobs` workers: the ready node with the earliest (ready time,
@@ -167,6 +169,7 @@ pub struct ParallelReplayer<'a> {
     jobs: usize,
     dag: Option<Dag<'a>>,
     fallback: Option<String>,
+    modelled: bool,
 }
 
 impl<'a> ParallelReplayer<'a> {
@@ -186,7 +189,18 @@ impl<'a> ParallelReplayer<'a> {
             Ok(nodes) => (Some(build_dag(nodes)), None),
             Err(reason) => (None, Some(reason)),
         };
-        Ok(ParallelReplayer { program, recording, jobs, dag, fallback })
+        Ok(ParallelReplayer { program, recording, jobs, dag, fallback, modelled: false })
+    }
+
+    /// [`ParallelReplayer::new`] with every lane (and the serial
+    /// fallback) on the recording's cache and bus model, as
+    /// [`Replayer::modelled`] is: the makespan E9b reports.
+    ///
+    /// # Errors
+    ///
+    /// See [`ParallelReplayer::new`].
+    pub fn modelled(program: &'a Program, recording: &'a Recording, jobs: usize) -> Result<ParallelReplayer<'a>> {
+        Ok(ParallelReplayer { modelled: true, ..ParallelReplayer::new(program, recording, jobs)? })
     }
 
     /// Why this replay will take the serial path (`None` when the
@@ -212,10 +226,13 @@ impl<'a> ParallelReplayer<'a> {
     /// Returns [`QrError::ReplayDivergence`] on any mismatch, like the
     /// serial replayer.
     pub fn run(self) -> Result<ReplayOutcome> {
-        let Some(dag) = self.dag else {
-            return Replayer::new(self.program, self.recording)?.run();
-        };
-        Runtime::new(self.program, self.recording, dag, self.jobs)?.run()
+        match self.dag {
+            Some(dag) => {
+                Runtime::new(self.program, self.recording, dag, self.jobs, self.modelled)?.run()
+            }
+            None if self.modelled => Replayer::modelled(self.program, self.recording)?.run(),
+            None => Replayer::new(self.program, self.recording)?.run(),
+        }
     }
 }
 
@@ -332,11 +349,14 @@ fn copy_lines(src: &Machine, dst: &mut Machine, mapped: &[(u64, u64)], lines: &[
 }
 
 impl<'a> Runtime<'a> {
+    /// Builds the lanes and the canonical image; lanes run the
+    /// recording's cache model when `modelled`, functional otherwise.
     pub(crate) fn new(
         program: &Program,
         recording: &'a Recording,
         dag: Dag<'a>,
         jobs: usize,
+        modelled: bool,
     ) -> Result<Runtime<'a>> {
         let num_threads = replay_cpu_config(recording)?.num_cores;
         let lane_cpu = CpuConfig {
@@ -347,6 +367,9 @@ impl<'a> Runtime<'a> {
         let mut lanes = Vec::with_capacity(num_threads);
         for tid in 0..num_threads {
             let mut machine = Machine::new(program.clone(), lane_cpu.clone())?;
+            if !modelled {
+                machine.mem_mut().make_functional();
+            }
             // Lanes never fault on mapping: pulled lines are clipped to
             // canonical's regions, and recorded programs contain no wild
             // accesses (they would have faulted during recording).
@@ -354,7 +377,9 @@ impl<'a> Runtime<'a> {
             let thread = ReplayThread::new(recording, ThreadId(tid as u32));
             lanes.push(Lane { machine, thread });
         }
-        let canonical = Machine::new(program.clone(), lane_cpu)?;
+        // The canonical image never executes: it needs no L1.
+        let mut canonical = Machine::new(program.clone(), lane_cpu)?;
+        canonical.mem_mut().make_functional();
         let mut runtime = Runtime {
             recording,
             dag,

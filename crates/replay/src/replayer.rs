@@ -102,8 +102,8 @@ impl RecordKind {
 
 impl ReplayState {
     /// Serializes one checkpoint record: the kind byte, guest memory as
-    /// an overlay on `base`, then all other state in full (memory
-    /// hierarchy, cores, per-thread replay state, console, counters).
+    /// an overlay on `base`, then all other state in full (store
+    /// buffers, cores, per-thread replay state, console, counters).
     /// The bytes are a deterministic function of the two states.
     fn to_record(&self, kind: RecordKind, base: &PagedMemory, program_fingerprint: u64) -> Vec<u8> {
         use qr_common::varint::write_u64;
@@ -288,10 +288,12 @@ pub(crate) fn replay_cpu_config(recording: &Recording) -> Result<CpuConfig> {
 
 /// The machine every replay of `recording` starts from and every
 /// checkpoint restore is applied onto: the program image loaded under
-/// [`replay_cpu_config`]. Its memory is the base keyframes are encoded
-/// against.
+/// [`replay_cpu_config`], on the functional memory path. Its memory is
+/// the base keyframes are encoded against.
 pub(crate) fn fresh_machine(program: &Program, recording: &Recording) -> Result<Machine> {
-    Machine::new(program.clone(), replay_cpu_config(recording)?)
+    let mut machine = Machine::new(program.clone(), replay_cpu_config(recording)?)?;
+    machine.mem_mut().make_functional();
+    Ok(machine)
 }
 
 impl<'a> Replayer<'a> {
@@ -307,6 +309,21 @@ impl<'a> Replayer<'a> {
     pub fn new(program: &Program, recording: &'a Recording) -> Result<Replayer<'a>> {
         exec::check_program(program, recording)?;
         Replayer::start(recording, recording.timeline()?.into(), fresh_machine(program, recording)?)
+    }
+
+    /// [`Replayer::new`] on the recording machine's L1s and snoopy bus
+    /// instead of the functional memory path every other replay runs on.
+    /// The outcome is identical but for [`ReplayOutcome::cycles`], which
+    /// this path alone prices with cache misses and bus transactions
+    /// (experiments E9 and E9b report it).
+    ///
+    /// # Errors
+    ///
+    /// See [`Replayer::new`].
+    pub fn modelled(program: &Program, recording: &'a Recording) -> Result<Replayer<'a>> {
+        exec::check_program(program, recording)?;
+        let machine = Machine::new(program.clone(), replay_cpu_config(recording)?)?;
+        Replayer::start(recording, recording.timeline()?.into(), machine)
     }
 
     /// [`Replayer::new`] for a caller that already matched the program

@@ -11,7 +11,9 @@
 //!   per-thread instruction counts). A checkpoint stores what changed:
 //!   guest memory as the 8-byte-word runs that differ from the freshly
 //!   loaded program image (a keyframe, every [`KEYFRAME_EVERY`]th) or
-//!   from the previous checkpoint (a delta), everything else in full.
+//!   from the previous checkpoint (a delta), the rest of the replay
+//!   state in full. Replay runs on the functional memory path, so a
+//!   checkpoint holds no cache metadata, bus clock or memory counters.
 //! - [`QueryEngine::seek`] restores the nearest preceding checkpoint and
 //!   re-executes forward, so reaching timeline position `p` costs
 //!   O(log n) lookup, at most [`KEYFRAME_EVERY`] overlays and at most
@@ -39,9 +41,11 @@ use qr_isa::Program;
 use std::sync::Arc;
 
 /// The `checkpoints.qrc` index layout this replayer reads and writes.
-/// Version 1 stored every checkpoint as a full machine dump; it is
-/// refused by version, like any other layout that is not this one.
-pub const CHECKPOINT_INDEX_VERSION: u64 = 2;
+/// Version 1 stored every checkpoint as a full machine dump, version 2
+/// also the caches, bus clock and memory counters of the modelled path;
+/// both are refused by version, like any other layout that is not this
+/// one.
+pub const CHECKPOINT_INDEX_VERSION: u64 = 3;
 
 /// Checkpoint `i` of an index is a keyframe when `i` is a multiple of
 /// this, a delta on checkpoint `i - 1` otherwise, so a seek applies at
@@ -155,8 +159,8 @@ wire_struct! {
     /// Each following record is one serialized checkpoint: a kind byte,
     /// guest memory as an overlay — on the freshly loaded program image
     /// for a keyframe, on the previous checkpoint's memory for a delta —
-    /// and all other replay state in full. Records stay as raw bytes
-    /// until a seek actually needs them.
+    /// and all other replay state in full (no cache state: replay is
+    /// functional). Records stay as raw bytes until a seek needs them.
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub struct CheckpointIndex {
         /// Fingerprint of the program the checkpoints replay.
@@ -184,8 +188,9 @@ impl CheckpointIndex {
     ///
     /// # Errors
     ///
-    /// Propagates replay errors; a recording that cannot be replayed
-    /// cleanly cannot be indexed.
+    /// Propagates replay errors, and returns
+    /// [`QrError::ReplayDivergence`] when the replay does not end on the
+    /// recorded outcome: only a verified replay is indexed.
     pub fn build(
         program: &Program,
         recording: &Recording,
@@ -223,8 +228,7 @@ impl CheckpointIndex {
             snapshots.push(rp.checkpoint_record(kind, base));
             previous.clone_from(rp.memory());
         })?;
-        // A recording that does not end cleanly is not indexed.
-        replayer.finish()?;
+        replayer.finish()?.0.verify_against(recording)?;
         Ok(CheckpointIndex {
             interval: every_events as u64,
             timeline_len: descriptors.len() as u64,
@@ -867,9 +871,10 @@ mod tests {
 
     #[test]
     fn other_index_versions_are_rejected_by_name() {
-        // 1 is the full-dump layout this reader replaced: refused like a
-        // future one, never parsed.
-        for version in [1u64, 99] {
+        // 1 (full dumps) and 2 (cache state in every record) are the
+        // layouts this reader replaced: refused like a future one, never
+        // parsed.
+        for version in [1u64, 2, 99] {
             let bytes = frame::single(PayloadKind::CheckpointIndex, &wire::encode(&version));
             let err = CheckpointIndex::from_bytes(&bytes).unwrap_err();
             match err {
@@ -882,6 +887,19 @@ mod tests {
                 }
                 other => panic!("expected Unsupported, got {other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn an_unverified_replay_is_not_indexed() {
+        let program = crate::testutil::racy_program();
+        let mut recording =
+            qr_capo::record(program.clone(), qr_capo::RecordingConfig::with_cores(2)).unwrap();
+        assert!(CheckpointIndex::build(&program, &recording, 4).is_ok());
+        recording.fingerprint ^= 1;
+        match CheckpointIndex::build(&program, &recording, 4) {
+            Err(QrError::ReplayDivergence(msg)) => assert!(msg.contains("fingerprint"), "{msg}"),
+            other => panic!("expected ReplayDivergence, got {other:?}"),
         }
     }
 

@@ -473,13 +473,11 @@ fn record_job(shared: &Shared, session: &Session) -> Result<u64> {
         }
     }
     let mut parts = recording.to_parts(session.encoding);
-    // Persist the time-travel seek index next to the logs. A failed
-    // build degrades to an index-less recording: queries still work,
-    // every seek just replays from scratch.
-    if let Ok(index) = qr_replay::CheckpointIndex::build(&program, &recording, CHECKPOINT_INTERVAL)
-    {
-        parts.attach_checkpoints(index.to_bytes())?;
-    }
+    // Persist the time-travel seek index next to the logs. Building it
+    // replays and verifies the recording, so one that does not replay
+    // fails the session instead of being stored.
+    let index = qr_replay::CheckpointIndex::build(&program, &recording, CHECKPOINT_INTERVAL)?;
+    parts.attach_checkpoints(index.to_bytes())?;
     let store_id =
         shared.store.put_parts(&session.name, &parts, session.encoding, recording.fingerprint)?;
     let manifest = shared.store.manifest(store_id)?;

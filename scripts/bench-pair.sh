@@ -12,8 +12,10 @@
 # pairs the change won (ties count for neither side), and whether a gain
 # may be claimed under /opt/skills/guides/choosing-metrics section 8: the
 # change wins at least nine tenths of the pairs AND the medians differ by
-# more than the parent's interquartile range. Nothing is written outside
-# .bench_build/pair/.
+# more than the parent's interquartile range. Under that table it prints
+# the raw, uncalibrated `sweep (wall)` median of every run the same way
+# (medians and quartiles across runs, pairs won), read from the run logs.
+# Nothing is written outside .bench_build/pair/.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
@@ -78,10 +80,10 @@ for i in $(seq 1 "$pairs"); do
   echo "pair $i/$pairs done ($order)"
 done
 
-python3 - "$root/BENCHMARK.json" "$runs/parent.jsonl" "$runs/change.jsonl" "$workload" <<'PY'
-import json, statistics, sys
+python3 - "$root/BENCHMARK.json" "$runs/parent.jsonl" "$runs/change.jsonl" "$workload" "$runs" <<'PY'
+import json, os, statistics, sys
 
-spec_path, parent_path, change_path, workload = sys.argv[1:5]
+spec_path, parent_path, change_path, workload, runs_dir = sys.argv[1:6]
 spec = json.load(open(spec_path))
 load = lambda path: [json.loads(line) for line in open(path) if line.strip()]
 parent, change = load(parent_path), load(change_path)
@@ -127,4 +129,23 @@ for metric in spec["end_to_end"]:
     ratio = cmed / pmed if pmed else float("nan")
     fmt = lambda med, q1, q3: f"{med:.4f} [{q1:.4f}..{q3:.4f}]"
     print(f"{name:<26}{fmt(pmed, pq1, pq3):>36}{fmt(cmed, cq1, cq3):>36}{ratio:>8.3f}{won:>4}/{pairs:<2}  {verdict}")
+
+# The raw wall time of a sweep, before the host-slowdown calibration the
+# metrics above apply: each run log's `sweep (wall)` median, lower wins.
+def sweep_wall(side, i):
+    for line in open(os.path.join(runs_dir, f"{side}-{i}.log")):
+        if line.strip().startswith("sweep (wall)"):
+            return float(line.split()[2])
+    return None
+
+p = [sweep_wall("parent", i) for i in range(1, pairs + 1)]
+c = [sweep_wall("change", i) for i in range(1, pairs + 1)]
+if None in p + c:
+    print("raw sweep (wall): not every run log of this workload has the line")
+else:
+    (pq1, pmed, pq3), (cq1, cmed, cq3) = quartiles(p), quartiles(c)
+    won = sum(ci < pi for pi, ci in zip(p, c))
+    fmt = lambda med, q1, q3: f"{med:.4f} [{q1:.4f}..{q3:.4f}]"
+    label = "raw sweep (wall) s"
+    print(f"{label:<26}{fmt(pmed, pq1, pq3):>36}{fmt(cmed, cq1, cq3):>36}{cmed / pmed:>8.3f}{won:>4}/{pairs:<2}  uncalibrated")
 PY

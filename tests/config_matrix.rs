@@ -1,9 +1,12 @@
 //! Record/replay across the machine-configuration matrix: every
 //! combination must stay self-validating and replay-exact, because none
 //! of these knobs is allowed to affect *correctness* — only logs and
-//! timing.
+//! timing. Every recording is replayed twice, on the functional memory
+//! path and on the recording's cache and bus model, and the two must
+//! agree on everything but cycles: caches never decide data.
 
-use quickrec::{record, replay_and_verify, RecordingConfig, TsoMode};
+use qr_replay::replay_with_race_detection;
+use quickrec::{record, Program, Recording, RecordingConfig, Replayer, TsoMode};
 
 fn workload() -> quickrec::Program {
     let spec = quickrec::workloads::find("radix").expect("radix exists");
@@ -15,17 +18,39 @@ fn expected() -> u32 {
     (spec.expected)(4, quickrec::workloads::Scale::Test)
 }
 
-fn check(cfg: RecordingConfig, label: &str) {
-    let program = workload();
+/// Records `program` under `cfg` and replays it both ways with the race
+/// detector attached; the functional replay must verify and the modelled
+/// one must match it.
+fn check(program: &Program, cfg: RecordingConfig, label: &str) -> Recording {
     let recording = record(program.clone(), cfg).unwrap_or_else(|e| panic!("{label}: {e}"));
+    let (functional, races) =
+        replay_with_race_detection(program, &recording).unwrap_or_else(|e| panic!("{label}: {e}"));
+    let mut modelled =
+        Replayer::modelled(program, &recording).unwrap_or_else(|e| panic!("{label}: {e}"));
+    modelled.enable_race_detection();
+    let (modelled, modelled_races) =
+        modelled.run_with_report().unwrap_or_else(|e| panic!("{label}: {e}"));
+    assert_eq!(functional.fingerprint, modelled.fingerprint, "{label}: fingerprint");
+    assert_eq!(functional.console, modelled.console, "{label}: console");
+    assert_eq!(functional.exit_code, modelled.exit_code, "{label}: exit code");
+    assert_eq!(functional.instructions, modelled.instructions, "{label}: instructions");
+    assert_eq!(functional.chunks_replayed, modelled.chunks_replayed, "{label}: chunks");
+    assert_eq!(functional.inputs_injected, modelled.inputs_injected, "{label}: inputs");
+    assert_eq!(races, modelled_races, "{label}: race report");
+    recording
+}
+
+/// [`check`] on radix, which must also compute its checksum.
+fn check_radix(cfg: RecordingConfig, label: &str) -> Recording {
+    let recording = check(&workload(), cfg, label);
     assert_eq!(recording.exit_code, expected(), "{label}: wrong checksum");
-    replay_and_verify(&program, &recording).unwrap_or_else(|e| panic!("{label}: {e}"));
+    recording
 }
 
 #[test]
 fn core_counts() {
     for cores in 1..=4 {
-        check(RecordingConfig::with_cores(cores), &format!("cores={cores}"));
+        check_radix(RecordingConfig::with_cores(cores), &format!("cores={cores}"));
     }
 }
 
@@ -36,7 +61,7 @@ fn tso_modes_and_drain_intervals() {
             let mut cfg = RecordingConfig::with_cores(2);
             cfg.cpu.mem.tso_mode = mode;
             cfg.cpu.drain_interval = interval;
-            check(cfg, &format!("{mode:?}/interval={interval}"));
+            check_radix(cfg, &format!("{mode:?}/interval={interval}"));
         }
     }
 }
@@ -46,7 +71,7 @@ fn store_buffer_sizes() {
     for entries in [1usize, 2, 16] {
         let mut cfg = RecordingConfig::with_cores(2);
         cfg.cpu.mem.store_buffer_entries = entries;
-        check(cfg, &format!("sb={entries}"));
+        check_radix(cfg, &format!("sb={entries}"));
     }
 }
 
@@ -55,7 +80,7 @@ fn tiny_caches_force_evictions() {
     let mut cfg = RecordingConfig::with_cores(2);
     cfg.cpu.mem.l1_sets = 2;
     cfg.cpu.mem.l1_ways = 1;
-    check(cfg, "l1=2x1");
+    check_radix(cfg, "l1=2x1");
 }
 
 #[test]
@@ -64,24 +89,20 @@ fn tiny_signatures_force_saturation_terminations() {
     cfg.mrr.read_sig_bits = 64;
     cfg.mrr.write_sig_bits = 64;
     cfg.mrr.sig_saturation_permille = 300;
-    let program = workload();
-    let recording = record(program.clone(), cfg).unwrap();
+    let recording = check_radix(cfg, "sig=64");
     let sat = recording.recorder_stats.chunks_by_reason
         [quickrec::TerminationReason::SigSaturation.code() as usize];
     assert!(sat > 0, "64-bit signatures must saturate");
-    replay_and_verify(&program, &recording).unwrap();
 }
 
 #[test]
 fn tiny_chunk_limit_forces_ic_overflow() {
     let mut cfg = RecordingConfig::with_cores(2);
     cfg.mrr.max_chunk_icount = 50;
-    let program = workload();
-    let recording = record(program.clone(), cfg).unwrap();
+    let recording = check_radix(cfg, "max_chunk_icount=50");
     let ovf = recording.recorder_stats.chunks_by_reason
         [quickrec::TerminationReason::IcOverflow.code() as usize];
     assert!(ovf > 0, "a 50-instruction cap must overflow");
-    replay_and_verify(&program, &recording).unwrap();
 }
 
 #[test]
@@ -89,7 +110,7 @@ fn aggressive_preemption() {
     for quantum in [500u64, 2_000, 10_000] {
         let mut cfg = RecordingConfig::with_cores(2);
         cfg.os.quantum_cycles = quantum;
-        check(cfg, &format!("quantum={quantum}"));
+        check_radix(cfg, &format!("quantum={quantum}"));
     }
 }
 
@@ -100,10 +121,23 @@ fn tiny_cbuf_and_cmem_still_record_correctly() {
     cfg.mrr.cbuf_drain_cycles = 256;
     cfg.mrr.cmem_capacity = 256;
     cfg.mrr.cmem_interrupt_threshold = 64;
-    let program = workload();
-    let recording = record(program.clone(), cfg).unwrap();
+    let recording = check_radix(cfg, "cbuf=1");
     assert!(recording.overhead.hw_stall_cycles > 0, "a 1-entry CBUF must stall");
-    replay_and_verify(&program, &recording).unwrap();
+}
+
+#[test]
+fn every_suite_workload_under_both_tso_modes() {
+    for spec in quickrec::workloads::suite() {
+        let program = (spec.build)(3, quickrec::workloads::Scale::Test).expect("builds");
+        for mode in [TsoMode::DrainAtChunk, TsoMode::Rsw] {
+            let mut cfg = RecordingConfig::with_cores(4);
+            cfg.cpu.mem.tso_mode = mode;
+            let label = format!("{}/{mode:?}", spec.name);
+            let recording = check(&program, cfg, &label);
+            let expected = (spec.expected)(3, quickrec::workloads::Scale::Test);
+            assert_eq!(recording.exit_code, expected, "{label}");
+        }
+    }
 }
 
 #[test]

@@ -578,9 +578,17 @@ fn reject_fixtures() -> Vec<Reject> {
             name: "full-dump-checkpoint-index",
             file: "rejects/checkpoints-v1.qrc",
             decoder: "checkpoint-index",
-            error_contains: "checkpoint index version 1 (this replayer reads only version 2".to_string(),
+            error_contains: "checkpoint index version 1 (this replayer reads only version 3".to_string(),
             reason: "v1 indexes (a full machine dump per checkpoint) have no reader left: refused by version, rebuilt from the recording",
             bytes: checkpoints_of_version(1),
+        },
+        Reject {
+            name: "cache-state-checkpoint-index",
+            file: "rejects/checkpoints-v2.qrc",
+            decoder: "checkpoint-index",
+            error_contains: "checkpoint index version 2 (this replayer reads only version 3".to_string(),
+            reason: "v2 indexes (cache metadata, bus clock and memory counters in every record) have no reader left: refused by version, rebuilt from the recording",
+            bytes: checkpoints_of_version(2),
         },
         Reject {
             name: "meta-trailing-bytes",
@@ -1141,7 +1149,7 @@ fn checkpoint_fixtures_seek_to_pinned_fingerprints() {
 /// The seek index stays proportionate to what it indexes. Format v1
 /// dumped every 64 KiB guest page into every checkpoint (788 737 B for
 /// the three checkpoints of `fft2-raw`, ~330 KB per checkpoint on the
-/// suite); v2 stores the words that changed. Both bounds are several
+/// suite); v2 onward stores the words that changed. Both bounds are several
 /// times today's numbers and an order of magnitude under v1's, so they
 /// trip on a regression to page-granular state, not on a workload that
 /// grows a little.

@@ -9,12 +9,15 @@
 //! encoding round-trip and several worker counts.
 
 use quickrec::workloads::{suite, Scale};
-use quickrec::{record, replay, ChunkLog, Encoding, ParallelReplayer, RecordingConfig, ReplayOutcome};
+use quickrec::{
+    record, replay, ChunkLog, Encoding, ParallelReplayer, RecordingConfig, ReplayOutcome, Replayer,
+};
 
 /// Simulated makespans (`outcome.cycles`) at 1, 2 and 4 jobs of each
-/// suite workload (3 threads, Test scale, 4 cores), as the worker-pool
-/// replayer computed them before replay became one sequential list
-/// schedule. The model must not move.
+/// suite workload (3 threads, Test scale, 4 cores) on the modelled memory
+/// path ([`ParallelReplayer::modelled`], E9b's "parallel cycles"), as the
+/// worker-pool replayer computed them before replay became one sequential
+/// list schedule. The model must not move.
 const MAKESPANS: [(&str, [u64; 3]); 11] = [
     ("fft", [10468, 10420, 10420]),
     ("lu", [18355, 17690, 17690]),
@@ -27,6 +30,24 @@ const MAKESPANS: [(&str, [u64; 3]); 11] = [
     ("cholesky", [15520, 14471, 14471]),
     ("volrend", [102578, 81733, 81733]),
     ("radiosity", [8547, 8450, 8450]),
+];
+
+/// Serial replay cycles of the same recordings on the modelled path
+/// ([`Replayer::modelled`], E9's "replay cycles" and E9b's "serial
+/// cycles"), as every replay computed them before replay became
+/// functional.
+const SERIAL_CYCLES: [(&str, u64); 11] = [
+    ("fft", 14540),
+    ("lu", 23547),
+    ("radix", 101302),
+    ("ocean", 26700),
+    ("barnes", 22596),
+    ("water", 20014),
+    ("fmm", 9997),
+    ("raytrace", 17558),
+    ("cholesky", 26464),
+    ("volrend", 103234),
+    ("radiosity", 10659),
 ];
 
 /// Asserts the parallel outcome matches serial byte for byte (cycles are
@@ -47,6 +68,13 @@ fn every_workload_encoding_and_job_count_matches_serial() {
         let recording =
             record(program.clone(), RecordingConfig::with_cores(4)).expect("workload records");
         let serial = replay(&program, &recording).expect("serial replay");
+        let modelled = Replayer::modelled(&program, &recording)
+            .and_then(Replayer::run)
+            .expect("modelled replay");
+        assert_equivalent(&modelled, &serial, &format!("{} modelled serial", spec.name));
+        let pinned_serial =
+            SERIAL_CYCLES.iter().find(|(name, _)| *name == spec.name).expect("pinned").1;
+        assert_eq!(modelled.cycles, pinned_serial, "{}: modelled serial cycles moved", spec.name);
         let pinned = MAKESPANS.iter().find(|(name, _)| *name == spec.name).expect("pinned").1;
         assert!(pinned[0] >= pinned[1] && pinned[1] >= pinned[2], "{}: {pinned:?}", spec.name);
         for encoding in Encoding::ALL {
@@ -57,8 +85,14 @@ fn every_workload_encoding_and_job_count_matches_serial() {
             reloaded.chunks = ChunkLog::from_bytes(&bytes).expect("chunk log decodes");
             for (jobs, makespan) in [1usize, 2, 4].into_iter().zip(pinned) {
                 let context = format!("{} / {encoding:?} / {jobs} jobs", spec.name);
-                let replayer =
-                    ParallelReplayer::new(&program, &reloaded, jobs).expect("replayer builds");
+                // The Delta pass runs the modelled lanes whose makespans
+                // are pinned; the others run functional ones.
+                let replayer = if encoding == Encoding::Delta {
+                    ParallelReplayer::modelled(&program, &reloaded, jobs)
+                } else {
+                    ParallelReplayer::new(&program, &reloaded, jobs)
+                }
+                .expect("replayer builds");
                 assert_eq!(
                     replayer.fallback_reason(),
                     None,
