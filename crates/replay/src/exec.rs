@@ -1,13 +1,12 @@
 //! The event executor: how one timeline event is replayed on one
 //! thread's core.
 //!
-//! Serial replay runs every thread on its own core of one machine;
-//! `--jobs N` and ordered replay give each thread a private single-core
-//! lane machine. Both replay events through the functions here, over
+//! Every replay mode runs every thread on its own core of one machine
+//! and replays events through the functions here, over
 //! `(machine, core, &mut ReplayThread)`. What an event does beyond its
 //! own thread's core and memory — creating a thread, growing the heap,
-//! emitting console bytes — is returned as an [`Effect`] for the caller
-//! to apply to whatever holds its authoritative image.
+//! emitting console bytes — is returned as an [`Effect`] for the
+//! replayer to apply.
 
 use crate::races::RaceDetector;
 use qr_capo::{InputEvent, Recording, TimelineEvent};

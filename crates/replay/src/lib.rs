@@ -30,14 +30,16 @@
 //!
 //! Those three rules are written once, in the crate's event executor
 //! (chunk execution, syscall injection and signal delivery over a
-//! machine, a core and one thread's replay state). Every mode is a
-//! schedule of the one timeline through it: [`Replayer`] runs it in
-//! timestamp order on one machine (and is what salvage, checkpoints and
-//! time-travel queries drive); [`ParallelReplayer`] relaxes it to the
-//! conflict DAG that [`quickrec_core::hb::ConflictSweep`] yields and
-//! runs per-thread lanes in the order of a greedy list schedule onto
+//! machine, a core and one thread's replay state), and [`Replayer`] is
+//! the one host that drives it: every thread on its own core of one
+//! machine. Every mode is an order of the one timeline through it:
+//! [`Replayer`] runs it in timestamp order (and is what salvage,
+//! checkpoints and time-travel queries drive); [`ParallelReplayer`]
+//! relaxes it to the conflict DAG that
+//! [`quickrec_core::hb::ConflictSweep`] yields and dispatches its nodes
+//! to the same replayer in the order of a greedy list schedule onto
 //! `jobs` *simulated* workers, whose makespan it reports;
-//! [`replay_ordered`] schedules the same lanes under a recorded
+//! [`replay_ordered`] schedules the same way under a recorded
 //! `order.qrp` edge set instead. Every mode replays on the caller's
 //! thread, on the functional memory path (flat memory and per-thread
 //! store buffers, no L1s or bus: caches never decide data). Only

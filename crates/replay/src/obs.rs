@@ -1,9 +1,8 @@
 //! Replay metrics (`qr-obs` hooks): runs and timeline events by mode
-//! (serial or the parallel list schedule), lane ↔ canonical line
-//! traffic, seeks and checkpoint restores, order-log reconstruction,
-//! and store-buffer activity. Observational only — replay outcomes and
-//! fingerprints never read these back (see the determinism rule in
-//! `qr-obs`).
+//! (serial or the parallel list schedule), seeks and checkpoint
+//! restores, order-log reconstruction, and store-buffer activity.
+//! Observational only — replay outcomes and fingerprints never read
+//! these back (see the determinism rule in `qr-obs`).
 
 use std::sync::{Arc, OnceLock};
 
@@ -42,35 +41,6 @@ pub(crate) fn nodes_executed(mode: &'static str, n: u64) {
             mode,
         )
         .add(n);
-    }
-}
-
-fn line_counter(
-    cell: &'static OnceLock<Arc<Counter>>,
-    direction: &'static str,
-) -> &'static Arc<Counter> {
-    cell.get_or_init(|| {
-        qr_obs::global().counter(
-            "qr_replay_lines_total",
-            "Cache lines copied between lanes and canonical memory",
-            &[("direction", direction)],
-        )
-    })
-}
-
-/// Accounts lines pulled canonical → lane before a node executes.
-pub(crate) fn lines_pulled(n: usize) {
-    static HANDLE: OnceLock<Arc<Counter>> = OnceLock::new();
-    if qr_obs::enabled() && n > 0 {
-        line_counter(&HANDLE, "pulled").add(n as u64);
-    }
-}
-
-/// Accounts lines pushed lane → canonical after a node executes.
-pub(crate) fn lines_pushed(n: usize) {
-    static HANDLE: OnceLock<Arc<Counter>> = OnceLock::new();
-    if qr_obs::enabled() && n > 0 {
-        line_counter(&HANDLE, "pushed").add(n as u64);
     }
 }
 

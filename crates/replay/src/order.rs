@@ -20,24 +20,26 @@
 //!
 //! Any legal execution of this DAG is conflict-equivalent to the
 //! recorded run (every conflicting pair is ordered by a recorded edge),
-//! so every `jobs` count — a number of *simulated* workers; replay runs
-//! on the caller's thread — produces fingerprints byte-identical to a
-//! total-order replay of the same seeded execution, checked by the
-//! partial-order equivalence battery.
+//! so every `jobs` count — a number of *simulated* workers; the nodes
+//! execute in the list schedule's order on the serial replayer's one
+//! machine, on the caller's thread ([`crate::parallel`]) — produces
+//! fingerprints byte-identical to a total-order replay of the same
+//! seeded execution, checked by the partial-order equivalence battery.
+//! The log does not carry the mapping rule
+//! ([`crate::parallel::add_mapping_edges`]); it is added here as for
+//! the `--jobs N` DAG.
 //!
-//! Recordings whose footprint sidecar is missing or incomplete (torn
-//! and salvaged, say) fall back to serial timestamp replay: the chunk
-//! log still carries its global timestamps, which remain a legal total
-//! order. Missing data costs parallelism, never correctness.
+//! Ordered replay reads no footprints: the log is its only ordering
+//! input, so a missing or torn footprint sidecar changes nothing, and
+//! a corrupt log is refused rather than replaced by timestamp order.
 
-use crate::exec::check_program;
 use crate::outcome::ReplayOutcome;
-use crate::parallel::{timeline_nodes, Dag, Runtime};
+use crate::parallel::{add_mapping_edges, check_jobs, Dag};
 use crate::replayer::Replayer;
-use qr_capo::Recording;
+use qr_capo::{Recording, TimelineEntry};
 use qr_common::{QrError, Result, ThreadId};
 use qr_isa::Program;
-use quickrec_core::PoNode;
+use quickrec_core::{OrderLog, PoNode};
 use std::collections::BTreeMap;
 
 /// Replays `recording` under its recorded partial order scheduled onto
@@ -74,29 +76,31 @@ pub fn replay_ordered(
     recording: &Recording,
     jobs: usize,
 ) -> Result<ReplayOutcome> {
-    if jobs == 0 {
-        return Err(QrError::InvalidConfig("replay needs at least one job".into()));
-    }
-    check_program(program, recording)?;
+    check_jobs(jobs)?;
+    let replayer = Replayer::new(program, recording)?;
     let Some(order) = &recording.order else {
         return Err(QrError::InvalidConfig(
             "recording has no order.qrp sidecar (recorded in total-order mode?)".into(),
         ));
     };
     let started = std::time::Instant::now();
-    let nodes = match timeline_nodes(recording)? {
-        Ok(nodes) => nodes,
-        // Incomplete footprint coverage: the chunk timestamps are still
-        // present and remain a legal total order.
-        Err(_reason) => return Replayer::new(program, recording)?.run(),
-    };
+    let dag = order_dag(order, replayer.timeline())?;
+    crate::obs::order_reconstructed(started);
+    // Recorded edges, unlike derived ones, need not follow timestamp
+    // order: the schedule refuses a cycle as it runs dry.
+    dag.schedule(replayer, jobs)
+}
+
+/// Maps the order log onto `timeline`: program order, every recorded
+/// edge, and the mapping rule.
+fn order_dag(order: &OrderLog, timeline: &[TimelineEntry<'_>]) -> Result<Dag> {
     // Node identity: a thread's n-th timeline event is its (tid, seq=n)
     // order-log node. Program order is implicit in the log; materialize
     // it here.
     let mut of_thread: BTreeMap<ThreadId, Vec<usize>> = BTreeMap::new();
-    let mut preds: Vec<Vec<usize>> = Vec::with_capacity(nodes.len());
-    for (idx, node) in nodes.iter().enumerate() {
-        let events = of_thread.entry(node.event.tid()).or_default();
+    let mut preds: Vec<Vec<usize>> = Vec::with_capacity(timeline.len());
+    for (idx, entry) in timeline.iter().enumerate() {
+        let events = of_thread.entry(entry.event.tid()).or_default();
         preds.push(events.last().copied().into_iter().collect());
         events.push(idx);
     }
@@ -108,7 +112,7 @@ pub fn replay_ordered(
             "order log covers {} nodes across {} threads but the timeline has {} events across {} threads",
             order.node_count(),
             order.threads().len(),
-            nodes.len(),
+            timeline.len(),
             of_thread.len()
         )));
     }
@@ -120,17 +124,12 @@ pub fn replay_ordered(
     // Every recorded happens-before edge becomes a scheduler edge.
     for edge in order.edges() {
         let (from, to) = (index_of(edge.from)?, index_of(edge.to)?);
-        if from != to && !preds[to].contains(&from) {
+        if from != to {
             preds[to].push(from);
         }
     }
-    for p in &mut preds {
-        p.sort_unstable();
-    }
-    crate::obs::order_reconstructed(started);
-    // Recorded edges, unlike derived ones, need not follow timestamp
-    // order: the schedule refuses a cycle as it runs dry.
-    Runtime::new(program, recording, Dag::new(nodes, preds), jobs, false)?.run()
+    add_mapping_edges(timeline, &mut preds);
+    Ok(Dag::new(preds))
 }
 
 #[cfg(test)]
@@ -217,8 +216,13 @@ mod tests {
         // is the nodes a topological order reaches — any order reaches
         // the same set, so it does not depend on the worker count.
         recording.order = forged(OrderEdge { from: first.to, to: first.from, ..first });
-        for jobs in [1, 2, 4] {
-            match replay_ordered(&program, &recording, jobs) {
+        // Without the footprint sidecar the log is still the ordering
+        // authority, and still refused.
+        let mut without_footprints = recording.clone();
+        without_footprints.footprints = None;
+        let passes = [(&recording, 1), (&recording, 2), (&recording, 4), (&without_footprints, 2)];
+        for (recording, jobs) in passes {
+            match replay_ordered(&program, recording, jobs) {
                 Err(QrError::Corrupt { what, detail, .. }) => {
                     assert_eq!(what, "order log");
                     assert_eq!(detail, "happens-before edges form a cycle (2 of 233 nodes orderable)");
@@ -235,7 +239,7 @@ mod tests {
     }
 
     #[test]
-    fn missing_footprints_fall_back_to_serial_timestamp_replay() {
+    fn ordered_replay_needs_no_footprint_sidecar() {
         let program = racy_program();
         let mut recording = record(program.clone(), partial_config(2)).unwrap();
         let fingerprint = replay(&program, &recording).unwrap().fingerprint;

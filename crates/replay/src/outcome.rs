@@ -13,8 +13,11 @@ pub struct ReplayOutcome {
     /// Architectural-outcome digest, computed with the same function the
     /// recorder used.
     pub fingerprint: u64,
-    /// Replay makespan in cycles. On the functional memory path every
-    /// replay runs on, each access costs an L1 hit. Only
+    /// Replay cycles: the sum of every core's cycles for a serial
+    /// replay, the list schedule's makespan for a scheduled one
+    /// ([`crate::ParallelReplayer`], [`crate::replay_ordered`]), which
+    /// at one job equals the serial sum. On the functional memory path
+    /// every replay runs on, each access costs an L1 hit. Only
     /// [`crate::Replayer::modelled`] and [`crate::ParallelReplayer::modelled`]
     /// price misses and bus transactions on the recording's cache model
     /// (chunk serialization makes that larger than the recording's —

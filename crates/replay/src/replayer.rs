@@ -512,6 +512,34 @@ impl<'a> Replayer<'a> {
         ))
     }
 
+    /// The merged timeline this replay executes.
+    pub(crate) fn timeline(&self) -> &[TimelineEntry<'a>] {
+        &self.timeline
+    }
+
+    /// Replays timeline entry `idx` where a schedule over the timeline
+    /// ([`crate::parallel`]) dispatches it, out of timestamp order.
+    /// Returns its cost (the cycles its thread's core spent on it) and
+    /// the console bytes it wrote, which the schedule reassembles in
+    /// timeline order.
+    pub(crate) fn exec_scheduled(&mut self, idx: usize) -> Result<(u64, Vec<u8>)> {
+        let event = self.timeline[idx].event;
+        let core = CoreId(event.tid().0 as u8);
+        let (before, written) = (self.state.machine.core(core).cycles(), self.state.console.len());
+        self.process_event(&event)?;
+        let cost = self.state.machine.core(core).cycles() - before;
+        Ok((cost, self.state.console.split_off(written)))
+    }
+
+    /// [`Replayer::finish`] for a scheduled run: `console` is its output
+    /// in timeline order, and the outcome reports the schedule's
+    /// `makespan` as its cycles.
+    pub(crate) fn finish_scheduled(mut self, console: Vec<u8>, makespan: u64) -> Result<ReplayOutcome> {
+        self.state.console = console;
+        let (outcome, _) = self.finish()?;
+        Ok(ReplayOutcome { cycles: makespan, ..outcome })
+    }
+
     /// Replays one event on its thread's core and applies its effect to
     /// this replay's one machine.
     fn process_event(&mut self, event: &TimelineEvent) -> Result<()> {

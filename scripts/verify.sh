@@ -170,12 +170,20 @@ grep -q 'ordering log: partial order' <<< "$record_out" || {
 }
 ./target/release/quickrec verify "$order_dir/rec" > /dev/null
 replay_out=$(./target/release/quickrec replay "$order_dir/pingpong.pasm" "$order_dir/rec" --jobs 2)
-grep -q 'partial-order replay' <<< "$replay_out" || {
+order_line=$(grep 'partial-order replay: .* recorded edges' <<< "$replay_out") || {
   echo "replay did not reconstruct from the recorded partial order" >&2
   exit 1
 }
+# Ordered replay reads no footprints: without the sidecar it must still
+# replay under the same recorded edges and verify.
+rm "$order_dir/rec/footprints.qrl"
+replay_out=$(./target/release/quickrec replay "$order_dir/pingpong.pasm" "$order_dir/rec" --jobs 2)
+grep -qxF "$order_line" <<< "$replay_out" && grep -q 'verified exact' <<< "$replay_out" || {
+  echo "replay without footprints.qrl did not replay under the recorded partial order" >&2
+  exit 1
+}
 rm -rf "$order_dir"
-echo "partial-order recording round-trips through disk and replays under its edges"
+echo "partial-order recording round-trips through disk and replays under its edges, with or without footprints"
 
 echo "== fault-injection smoke: bounded mutated-recording campaign =="
 ./target/release/repro r1 --fuzz-iters 200 > /dev/null
