@@ -1,5 +1,5 @@
 //! The daemon's one event loop: a single `qr-event` thread owns the
-//! nonblocking listener, every connection and the pool's completions.
+//! nonblocking listener, every connection and the daemon's state.
 //!
 //! One `poll(2)` readiness loop — declared directly against the stable
 //! syscall ABI, so the crate stays dependency-free — watches the
@@ -13,10 +13,13 @@
 //! * reads feed a [`MessageAssembler`] that incrementally reassembles
 //!   length-prefixed wire messages (no blocking `read_exact`, no
 //!   per-connection thread);
-//! * complete requests are handled inline (they are registry/store
-//!   reads and queue pushes, all microsecond-scale) except QUERY,
-//!   which replays instructions and is offloaded to the job
-//!   [`WorkerPool`], its response posted back through the mailbox;
+//! * complete requests are handled inline (registry/store reads and
+//!   queue pushes, all microsecond-scale) except a QUERY its cache
+//!   cannot answer, which replays instructions on the job pool;
+//! * the mailbox carries that answer back, and every pool job's
+//!   transitions (`Running`, `Completed`, `Failed`), which the loop
+//!   applies to the [`LoopState`] it owns: no other thread touches
+//!   session state or the STATS counters;
 //! * responses are queued in a per-connection outbox and flushed as
 //!   the socket accepts them, so a slow reader exerts backpressure on
 //!   itself (reads pause past the high-water mark) without stalling
@@ -38,9 +41,9 @@
 //! waits for in-flight offloaded queries, and exits; a 30s deadline
 //! bounds peers that never drain.
 
-use crate::pool::WorkerPool;
 use crate::proto::{self, Endpoint, MessageAssembler, Request, Response};
-use crate::server::{busy, handle_request, request_shutdown, Shared};
+use crate::registry::Transition;
+use crate::server::{request_shutdown, LoopState, Shared};
 use qr_common::{QrError, Result};
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
@@ -48,7 +51,7 @@ use std::net::TcpListener;
 use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Parsed-but-unprocessed requests buffered per connection before the
@@ -212,12 +215,20 @@ impl Listener {
 
 // ---- mailbox ---------------------------------------------------------
 
+/// What another thread tells the loop.
+pub(crate) enum Post {
+    /// A pool job's transition for session `id`.
+    Job { id: u64, transition: Transition },
+    /// An offloaded QUERY's outcome for connection `conn`, cached under
+    /// session `id`'s `replay_id`.
+    Answer { conn: u64, id: u64, replay_id: u64, outcome: Result<Vec<u8>> },
+}
+
 /// How other threads reach the loop parked in `poll`: pool workers post
-/// offloaded answers, shutdown just wakes it.
+/// job transitions and offloaded answers, shutdown just wakes it.
 pub(crate) struct Mailbox {
-    /// (connection id, encoded response payload) for completed
-    /// offloaded requests.
-    completions: Mutex<Vec<(u64, Vec<u8>)>>,
+    /// Posts the loop has not taken yet, in arrival order.
+    posts: Mutex<Vec<Post>>,
     /// Write end of the wake pipe (a nonblocking socketpair; the read
     /// end sits first in the loop's poll set).
     wake_tx: UnixStream,
@@ -229,7 +240,7 @@ impl Mailbox {
         let (tx, rx) = UnixStream::pair()?;
         tx.set_nonblocking(true)?;
         rx.set_nonblocking(true)?;
-        Ok((Mailbox { completions: Mutex::default(), wake_tx: tx }, rx))
+        Ok((Mailbox { posts: Mutex::default(), wake_tx: tx }, rx))
     }
 
     /// Wakes the loop.
@@ -239,15 +250,14 @@ impl Mailbox {
         let _ = (&self.wake_tx).write(&[1]);
     }
 
-    /// Posts an offloaded request's encoded response for connection
-    /// `conn`.
-    fn complete(&self, conn: u64, payload: Vec<u8>) {
-        self.completions.lock().unwrap_or_else(PoisonError::into_inner).push((conn, payload));
+    /// Queues `post` for the loop and wakes it.
+    pub(crate) fn post(&self, post: Post) {
+        self.posts.lock().unwrap_or_else(PoisonError::into_inner).push(post);
         self.wake();
     }
 
-    fn take(&self) -> Vec<(u64, Vec<u8>)> {
-        std::mem::take(&mut *self.completions.lock().unwrap_or_else(PoisonError::into_inner))
+    fn take(&self) -> Vec<Post> {
+        std::mem::take(&mut *self.posts.lock().unwrap_or_else(PoisonError::into_inner))
     }
 }
 
@@ -261,9 +271,10 @@ struct Conn {
     /// Queued response bytes; `out_pos..` is still unsent.
     outbox: Vec<u8>,
     out_pos: usize,
-    /// An offloaded request is running on the pool; its response must
-    /// precede any later request's, so dispatch pauses.
-    in_flight: bool,
+    /// An offloaded request is running on the pool (its wire tag and
+    /// start, for the latency recorded when its answer arrives); its
+    /// response must precede any later request's, so dispatch pauses.
+    in_flight: Option<(u8, Option<Instant>)>,
     close_after_flush: bool,
     peer_gone: bool,
     read_eof: bool,
@@ -279,7 +290,7 @@ impl Conn {
             inbox: VecDeque::new(),
             outbox,
             out_pos: 0,
-            in_flight: false,
+            in_flight: None,
             close_after_flush: false,
             peer_gone: false,
             read_eof: false,
@@ -290,18 +301,14 @@ impl Conn {
         self.outbox.len() - self.out_pos
     }
 
-    fn queue_payload(&mut self, payload: &[u8]) {
+    fn queue_response(&mut self, response: &Response) {
         // Writing into a Vec cannot fail; the only error path is the
         // oversize guard, answered structurally instead of hanging up
         // unframed.
-        if proto::write_message(&mut self.outbox, payload).is_err() {
+        if proto::write_message(&mut self.outbox, &proto::encode_response(response)).is_err() {
             let err = Response::Error { message: "response exceeds the wire limit".into() };
             let _ = proto::write_message(&mut self.outbox, &proto::encode_response(&err));
         }
-    }
-
-    fn queue_response(&mut self, response: &Response) {
-        self.queue_payload(&proto::encode_response(response));
     }
 
     /// Writes as much of the outbox as the socket takes right now.
@@ -350,7 +357,7 @@ impl Conn {
         if self.peer_gone {
             return true;
         }
-        if self.in_flight || self.pending_out() > 0 {
+        if self.in_flight.is_some() || self.pending_out() > 0 {
             return false;
         }
         self.close_after_flush || draining || (self.read_eof && self.inbox.is_empty())
@@ -359,67 +366,41 @@ impl Conn {
 
 // ---- dispatch --------------------------------------------------------
 
-struct Ctx<'a> {
-    shared: &'a Arc<Shared>,
-    pool: &'a Arc<WorkerPool>,
-}
-
 /// Dispatches buffered requests in order until the inbox is empty or
 /// an offloaded request blocks the pipeline, then flushes.
-fn pump(conn_id: u64, conn: &mut Conn, ctx: &Ctx) {
-    while !conn.in_flight && !conn.close_after_flush {
+fn pump(conn_id: u64, conn: &mut Conn, state: &mut LoopState) {
+    while conn.in_flight.is_none() && !conn.close_after_flush {
         let Some(payload) = conn.inbox.pop_front() else { break };
         match proto::decode_request(&payload) {
-            Ok(request) => dispatch(conn_id, conn, request, ctx),
+            Ok(request) => dispatch(conn_id, conn, request, state),
             Err(e) => conn.queue_response(&Response::Error { message: e.to_string() }),
         }
     }
     conn.try_flush();
 }
 
-fn dispatch(conn_id: u64, conn: &mut Conn, request: Request, ctx: &Ctx) {
+fn dispatch(conn_id: u64, conn: &mut Conn, request: Request, state: &mut LoopState) {
     let (kind, label) = (request.tag(), request.label());
     let start = crate::obs::clock();
-    match request {
-        Request::Shutdown => {
-            let _span = qr_obs::trace::global().span(label, 0);
-            conn.queue_response(&Response::ShuttingDown);
-            crate::obs::request_handled(kind, start);
-            conn.close_after_flush = true;
-            request_shutdown(ctx.shared);
-        }
-        request @ Request::Query { .. } => {
-            // QUERY replays instructions — far too slow for the event
-            // loop. Offload it to the job pool; the response comes back
-            // through the mailbox. A full queue answers Busy, the same
-            // backpressure submissions get.
-            let shared = Arc::clone(ctx.shared);
-            let pool = Arc::clone(ctx.pool);
-            let submitted = ctx.pool.try_submit(Box::new(move || {
-                let _span = qr_obs::trace::global().span(label, 0);
-                let response = handle_request(request, &shared, &pool);
-                crate::obs::request_handled(kind, start);
-                shared.mailbox.complete(conn_id, proto::encode_response(&response));
-            }));
-            match submitted {
-                Ok(()) => conn.in_flight = true,
-                Err((_task, queued)) => conn.queue_response(&busy(ctx.shared, queued)),
-            }
-        }
-        request => {
-            // Everything else is a registry/store read or a queue push:
-            // microseconds, handled inline on the loop.
-            let _span = qr_obs::trace::global().span(label, 0);
-            let response = handle_request(request, ctx.shared, ctx.pool);
-            crate::obs::request_handled(kind, start);
-            conn.queue_response(&response);
-        }
+    let shutdown = matches!(request, Request::Shutdown);
+    let _span = qr_obs::trace::global().span(label, 0);
+    let Some(response) = state.handle_request(conn_id, request) else {
+        // A QUERY cache miss went to the pool; its answer comes back
+        // through the mailbox.
+        conn.in_flight = Some((kind, start));
+        return;
+    };
+    crate::obs::request_handled(kind, start);
+    conn.queue_response(&response);
+    if shutdown {
+        conn.close_after_flush = true;
+        request_shutdown(&state.shared);
     }
 }
 
 /// Reads up to [`READ_ROUNDS`] chunks, feeding the assembler and
 /// dispatching completed requests.
-fn handle_readable(conn_id: u64, conn: &mut Conn, ctx: &Ctx) {
+fn handle_readable(conn_id: u64, conn: &mut Conn, state: &mut LoopState) {
     let mut scratch = [0u8; READ_CHUNK];
     for _ in 0..READ_ROUNDS {
         if conn.inbox.len() >= INBOX_LIMIT || conn.pending_out() >= OUTBOX_HIGH_WATER {
@@ -466,7 +447,7 @@ fn handle_readable(conn_id: u64, conn: &mut Conn, ctx: &Ctx) {
             }
         }
     }
-    pump(conn_id, conn, ctx);
+    pump(conn_id, conn, state);
 }
 
 // ---- the loop --------------------------------------------------------
@@ -499,9 +480,8 @@ fn accept_ready(
     listener: &Listener,
     conns: &mut HashMap<u64, Conn>,
     next_id: &mut u64,
-    ctx: &Ctx,
+    state: &mut LoopState,
 ) -> Option<Instant> {
-    let shared = ctx.shared;
     for _ in 0..ACCEPT_ROUNDS {
         let stream = match listener.accept() {
             Ok(stream) => stream,
@@ -513,20 +493,20 @@ fn accept_ready(
                 // not silently swallowed; the backoff keeps a
                 // persistent error from spinning the loop.
                 crate::obs::accept_error();
-                eprintln!("quickrecd: accept on {} failed: {e}", shared.endpoint.describe());
+                eprintln!("quickrecd: accept on {} failed: {e}", state.endpoint.describe());
                 return Some(Instant::now() + ACCEPT_BACKOFF);
             }
         };
-        shared.counters.connections.fetch_add(1, Ordering::SeqCst);
+        state.registry.counters.connections += 1;
         crate::obs::connection_opened();
         // Over the connection cap: refuse with a structured Busy
         // instead of dropping silently. The open gauge is never
         // incremented on this path, so it stays balanced.
-        if shared.open_connections.load(Ordering::SeqCst) >= shared.max_connections {
-            refuse_overloaded(stream, &busy(shared, ctx.pool.queued()));
+        if state.shared.open_connections.load(Ordering::SeqCst) >= state.max_connections {
+            refuse_overloaded(stream, &state.busy(state.pool.queued()));
             continue;
         }
-        shared.open_connections.fetch_add(1, Ordering::SeqCst);
+        state.shared.open_connections.fetch_add(1, Ordering::SeqCst);
         crate::obs::connection_delta(1);
         let mut conn = Conn::new(stream);
         conn.try_flush(); // start the handshake
@@ -538,13 +518,7 @@ fn accept_ready(
 
 /// The event loop: serves the listener, every connection and the
 /// mailbox until shutdown drains them. Returns when draining began.
-pub(crate) fn run(
-    listener: Listener,
-    wake_rx: UnixStream,
-    shared: Arc<Shared>,
-    pool: Arc<WorkerPool>,
-) -> Instant {
-    let ctx = Ctx { shared: &shared, pool: &pool };
+pub(crate) fn run(listener: Listener, wake_rx: UnixStream, mut state: LoopState) -> Instant {
     let mut listener = Some(listener);
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut next_id: u64 = 0;
@@ -554,15 +528,7 @@ pub(crate) fn run(
     let mut accept_paused_until: Option<Instant> = None;
 
     loop {
-        for (id, payload) in shared.mailbox.take() {
-            if let Some(conn) = conns.get_mut(&id) {
-                conn.in_flight = false;
-                conn.queue_payload(&payload);
-                pump(id, conn, &ctx);
-            }
-        }
-
-        if drain_started.is_none() && shared.shutdown.load(Ordering::SeqCst) {
+        if drain_started.is_none() && state.shared.shutdown.load(Ordering::SeqCst) {
             // Closing the listener refuses late clients.
             listener = None;
             drain_started = Some(Instant::now());
@@ -573,7 +539,7 @@ pub(crate) fn run(
         conns.retain(|_, conn| {
             let done = conn.finished(draining) || drain_expired;
             if done {
-                close_accounting(&shared);
+                close_accounting(&state.shared);
             }
             !done
         });
@@ -620,9 +586,26 @@ pub(crate) fn run(
         crate::obs::event_wakeup();
         if pollfds[0].revents != 0 {
             drain_wake_pipe(&wake_rx);
+            // Apply the pool's posts before reading requests, so a JOBS
+            // answered this round shows every job that finished before it.
+            for post in state.shared.mailbox.take() {
+                match post {
+                    Post::Job { id, transition } => state.registry.apply(id, transition),
+                    Post::Answer { conn: conn_id, id, replay_id, outcome } => {
+                        let response = state.answered(id, replay_id, outcome);
+                        if let Some(conn) = conns.get_mut(&conn_id) {
+                            if let Some((kind, start)) = conn.in_flight.take() {
+                                crate::obs::request_handled(kind, start);
+                            }
+                            conn.queue_response(&response);
+                            pump(conn_id, conn, &mut state);
+                        }
+                    }
+                }
+            }
         }
         if let Some(listener) = listening.filter(|_| pollfds[1].revents != 0) {
-            accept_paused_until = accept_ready(listener, &mut conns, &mut next_id, &ctx);
+            accept_paused_until = accept_ready(listener, &mut conns, &mut next_id, &mut state);
         }
         let mut ready = 0usize;
         for (i, &id) in slots.iter().enumerate() {
@@ -637,7 +620,7 @@ pub(crate) fn run(
                 continue;
             }
             if pfd.revents & POLLIN != 0 {
-                handle_readable(id, conn, &ctx);
+                handle_readable(id, conn, &mut state);
             } else if pfd.revents & POLLHUP != 0 && conn.pending_out() == 0 {
                 // Hung up with nothing left to read or flush.
                 conn.peer_gone = true;
@@ -674,9 +657,9 @@ mod tests {
         let mut conn = Conn::new(Box::new(ours));
         // Queue well past the socket buffer; flush must stop at
         // WouldBlock without losing bytes or marking the peer gone.
-        let payload = vec![0xabu8; 256 * 1024];
+        let answer = Response::QueryAnswer { cached: false, payload: vec![0xab; 256 * 1024] };
         for _ in 0..8 {
-            conn.queue_payload(&payload);
+            conn.queue_response(&answer);
         }
         let total = conn.outbox.len();
         conn.try_flush();

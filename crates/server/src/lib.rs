@@ -5,13 +5,13 @@
 //! The binary and library behind the daemon: a `std::net`
 //! (Unix-socket or TCP) server speaking a length-prefixed binary
 //! protocol built on `qr_common::frame` ([`proto`]) through one
-//! event loop (`event`: a `poll(2)` readiness loop owning the listener
-//! and thousands of connections), with a sharded session registry, a
-//! bounded worker pool with backpressure, and job execution (RECORD /
-//! REPLAY / VERIFY / RACES) over the simulator stack, persisting
-//! results into a `qr_store::RecordingStore`. Graceful shutdown drains
-//! in-flight jobs and the store's atomic commit protocol guarantees no
-//! torn entry is ever visible.
+//! event loop (`event`: a `poll(2)` readiness loop owning the listener,
+//! thousands of connections and the session registry), a bounded worker
+//! pool with backpressure, and job execution (RECORD / REPLAY / VERIFY
+//! / RACES) over the simulator stack, persisting results into a
+//! `qr_store::RecordingStore`; jobs post their transitions back to the
+//! loop. Graceful shutdown drains in-flight jobs and the store's atomic
+//! commit protocol guarantees no torn entry is ever visible.
 
 pub mod client;
 pub mod daemon;

@@ -368,7 +368,7 @@ wire_struct! {
         pub failed: u64,
         /// Connections served.
         pub connections: u64,
-        /// Registry shard count.
+        /// Always 1 (one loop-owned registry); kept for wire compatibility.
         pub shards: u32,
         /// Worker-pool size.
         pub workers: u32,

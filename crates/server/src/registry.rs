@@ -1,17 +1,16 @@
-//! The sharded session registry.
+//! The session registry: plain data that only the event loop touches.
 //!
-//! Sessions (one per submission) live in `shards` independent
-//! mutex-protected maps; a session with id `i` lives in shard
-//! `i % shards`, so concurrent job updates on different sessions
-//! contend only when they hash to the same shard. Registry snapshots
-//! (JOBS/STATS) lock shards one at a time and sort by id, so readers
-//! never hold more than one shard lock.
+//! The `qr-event` thread owns the [`Registry`] — every session in one
+//! id-ordered map, the STATS counters and the next session id — and is
+//! the only code that reads or writes it. Pool jobs never see it: each
+//! is handed what it needs at submission and posts its [`Transition`]s
+//! through the loop's mailbox, and the loop applies a transition and
+//! its counter in one step, so JOBS and STATS always agree.
 
-use crate::proto::{JobInfo, JobState, SessionStats};
+use crate::proto::{JobInfo, JobState, Response, SessionStats};
 use qr_workloads::Scale;
-use quickrec_core::{Encoding, OrderMode};
-use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Mutex};
+use quickrec_core::OrderMode;
+use std::collections::{BTreeMap, VecDeque};
 
 /// QUERY answers remembered per session for idempotent retries; past
 /// it the oldest is evicted and a late retry simply re-executes.
@@ -70,8 +69,38 @@ impl JobKind {
     }
 }
 
+/// One step of a job's lifecycle, posted by the pool worker running it
+/// and applied by the loop ([`Registry::apply`]).
+pub(crate) enum Transition {
+    /// A worker picked the job up.
+    Running,
+    /// The job finished, having simulated `instructions`; a record job
+    /// also names the store entry it committed.
+    Completed { instructions: u64, recorded: Option<Recorded> },
+    /// The job failed.
+    Failed { reason: String },
+}
+
+/// The store entry a record job committed.
+pub(crate) struct Recorded {
+    pub(crate) store_id: u64,
+    pub(crate) fingerprint: u64,
+    pub(crate) bytes_raw: u64,
+    pub(crate) bytes_stored: u64,
+}
+
+/// Server-wide monotonic counters (the STATS globals).
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct Counters {
+    pub(crate) accepted: u64,
+    pub(crate) rejected_busy: u64,
+    pub(crate) completed: u64,
+    pub(crate) failed: u64,
+    pub(crate) connections: u64,
+}
+
 /// One session's registry record.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Session {
     /// Session id (also the store entry id once recorded).
     pub id: u64,
@@ -79,8 +108,6 @@ pub struct Session {
     pub name: String,
     /// What to run.
     pub source: SessionSource,
-    /// Chunk-log encoding for the stored recording.
-    pub encoding: Encoding,
     /// Ordering mode the recording job runs under (partial-order jobs
     /// persist an `order.qrp` sidecar alongside the logs).
     pub order: OrderMode,
@@ -96,109 +123,111 @@ pub struct Session {
     pub stats: SessionStats,
     /// Idempotence cache for QUERY: `(replay id, serialized answer)`,
     /// oldest first, at most [`QUERY_CACHE_CAP`]. A repeated non-zero
-    /// replay id is served from here without re-executing. Answers sit
-    /// behind an `Arc` so the snapshots [`Registry::get`] clones for
-    /// every FETCH and job share them instead of copying them.
-    pub query_cache: VecDeque<(u64, Arc<[u8]>)>,
+    /// replay id is served from here without re-executing.
+    pub query_cache: VecDeque<(u64, Vec<u8>)>,
 }
 
-/// Sharded id → [`Session`] map.
-pub struct Registry {
-    shards: Vec<Mutex<HashMap<u64, Session>>>,
+/// Every session by id, the STATS counters and the next session id.
+pub(crate) struct Registry {
+    sessions: BTreeMap<u64, Session>,
+    pub(crate) counters: Counters,
+    /// The id the next submission takes.
+    pub(crate) next_id: u64,
 }
 
 impl Registry {
-    /// Creates a registry with `shards` shards (at least 1).
-    pub fn new(shards: usize) -> Registry {
-        Registry {
-            shards: (0..shards.max(1)).map(|_| Mutex::new(HashMap::new())).collect(),
-        }
-    }
-
-    /// Shard count.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The sharding rule: session `id` lives in shard `id % shards`.
-    fn shard(&self, id: u64) -> &Mutex<HashMap<u64, Session>> {
-        &self.shards[(id % self.shards.len() as u64) as usize]
+    /// An empty registry; the first session gets id 1.
+    pub(crate) fn new() -> Registry {
+        Registry { sessions: BTreeMap::new(), counters: Counters::default(), next_id: 1 }
     }
 
     /// Inserts a fresh session.
-    pub fn insert(&self, session: Session) {
-        let mut stats = session.stats;
-        stats.id = session.id;
-        let mut shard = self.shard(session.id).lock().expect("registry shard");
-        shard.insert(session.id, Session { stats, ..session });
+    pub(crate) fn insert(&mut self, session: Session) {
+        self.sessions.insert(session.id, session);
     }
 
-    /// Clones session `id`, if present.
-    pub fn get(&self, id: u64) -> Option<Session> {
-        self.shard(id).lock().expect("registry shard").get(&id).cloned()
-    }
-
-    /// Removes session `id` (a submission rejected by backpressure
-    /// leaves no trace).
-    pub fn remove(&self, id: u64) {
-        self.shard(id).lock().expect("registry shard").remove(&id);
-    }
-
-    /// Applies `update` to session `id` under its shard lock; returns
-    /// false when the session does not exist.
-    pub fn update(&self, id: u64, update: impl FnOnce(&mut Session)) -> bool {
-        let mut shard = self.shard(id).lock().expect("registry shard");
-        match shard.get_mut(&id) {
-            Some(session) => {
-                update(session);
-                true
+    /// Session `id` once its recording has completed, or the error
+    /// answer naming why not.
+    pub(crate) fn completed(&mut self, id: u64) -> Result<&mut Session, Response> {
+        match self.sessions.get_mut(&id) {
+            None => Err(Response::Error { message: format!("no session {id}") }),
+            Some(s) if s.store_id == 0 => {
+                let state = s.state.label();
+                let message = format!("session {id} has no stored recording (state: {state})");
+                Err(Response::Error { message })
             }
-            None => false,
+            Some(s) => Ok(s),
+        }
+    }
+
+    /// Applies a job's transition to session `id` and, for a finished
+    /// job, its STATS counter. A transition for an unknown id is
+    /// ignored.
+    pub(crate) fn apply(&mut self, id: u64, transition: Transition) {
+        let Some(s) = self.sessions.get_mut(&id) else { return };
+        match transition {
+            Transition::Running => s.state = JobState::Running,
+            Transition::Completed { instructions, recorded } => {
+                s.state = JobState::Done;
+                s.stats.instructions += instructions;
+                *match s.kind {
+                    JobKind::Record => &mut s.stats.records,
+                    JobKind::Replay => &mut s.stats.replays,
+                    JobKind::Verify => &mut s.stats.verifies,
+                    JobKind::Races => &mut s.stats.races,
+                } += 1;
+                if let Some(entry) = recorded {
+                    s.store_id = entry.store_id;
+                    s.fingerprint = entry.fingerprint;
+                    s.stats.bytes_raw = entry.bytes_raw;
+                    s.stats.bytes_stored = entry.bytes_stored;
+                }
+                self.counters.completed += 1;
+            }
+            Transition::Failed { reason } => {
+                s.state = JobState::Failed(reason);
+                self.counters.failed += 1;
+            }
         }
     }
 
     /// All sessions as JOBS rows, ordered by id.
-    pub fn jobs(&self) -> Vec<JobInfo> {
-        let mut out: Vec<JobInfo> = Vec::new();
-        for shard in &self.shards {
-            let shard = shard.lock().expect("registry shard");
-            out.extend(shard.values().map(|s| JobInfo {
-                id: s.id,
-                name: s.name.clone(),
-                // Partial-order sessions are tagged so mixed-mode job
-                // lists are distinguishable at a glance.
-                workload: match s.order {
-                    OrderMode::PartialOrder => format!("{}+po", s.source.label()),
-                    OrderMode::TotalOrder => s.source.label(),
-                },
-                kind: s.kind.label().to_string(),
-                state: s.state.clone(),
-                fingerprint: s.fingerprint,
-            }));
-        }
-        out.sort_by_key(|j| j.id);
-        out
+    pub(crate) fn jobs(&self) -> Vec<JobInfo> {
+        let row = |s: &Session| JobInfo {
+            id: s.id,
+            name: s.name.clone(),
+            // Partial-order sessions are tagged so mixed-mode job lists
+            // are distinguishable at a glance.
+            workload: match s.order {
+                OrderMode::PartialOrder => format!("{}+po", s.source.label()),
+                OrderMode::TotalOrder => s.source.label(),
+            },
+            kind: s.kind.label().to_string(),
+            state: s.state.clone(),
+            fingerprint: s.fingerprint,
+        };
+        self.sessions.values().map(row).collect()
     }
 
     /// All per-session counters, ordered by id.
-    pub fn session_stats(&self) -> Vec<SessionStats> {
-        let mut out: Vec<SessionStats> = Vec::new();
-        for shard in &self.shards {
-            let shard = shard.lock().expect("registry shard");
-            out.extend(shard.values().map(|s| {
-                let mut stats = s.stats;
-                stats.partial_order = matches!(s.order, OrderMode::PartialOrder);
-                stats
-            }));
-        }
-        out.sort_by_key(|s| s.id);
-        out
+    pub(crate) fn session_stats(&self) -> Vec<SessionStats> {
+        let stats = |s: &Session| SessionStats {
+            partial_order: matches!(s.order, OrderMode::PartialOrder),
+            ..s.stats
+        };
+        self.sessions.values().map(stats).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Registry {
+        fn get(&self, id: u64) -> Option<&Session> {
+            self.sessions.get(&id)
+        }
+    }
 
     fn session(id: u64) -> Session {
         Session {
@@ -209,20 +238,19 @@ mod tests {
                 threads: 2,
                 scale: Scale::Test,
             },
-            encoding: Encoding::Delta,
             order: OrderMode::TotalOrder,
             kind: JobKind::Record,
             state: JobState::Queued,
             fingerprint: 0,
             store_id: 0,
-            stats: SessionStats::default(),
+            stats: SessionStats { id, ..SessionStats::default() },
             query_cache: VecDeque::new(),
         }
     }
 
     #[test]
-    fn sessions_distribute_across_shards_and_snapshot_sorted() {
-        let reg = Registry::new(4);
+    fn sessions_snapshot_in_id_order() {
+        let mut reg = Registry::new();
         for id in (1..=12).rev() {
             reg.insert(session(id));
         }
@@ -234,36 +262,28 @@ mod tests {
     }
 
     #[test]
-    fn update_mutates_under_the_shard_lock() {
-        let reg = Registry::new(2);
+    fn a_transition_updates_state_stats_and_counters_in_one_call() {
+        let mut reg = Registry::new();
         reg.insert(session(5));
-        assert!(reg.update(5, |s| {
-            s.state = JobState::Done;
-            s.stats.records += 1;
-        }));
-        assert_eq!(reg.get(5).unwrap().state, JobState::Done);
-        assert_eq!(reg.session_stats()[0].records, 1);
-        assert!(!reg.update(6, |_| {}));
-    }
+        reg.apply(5, Transition::Running);
+        assert_eq!(reg.get(5).unwrap().state, JobState::Running);
+        assert_eq!(reg.counters.completed, 0);
 
-    #[test]
-    fn concurrent_updates_do_not_lose_counts() {
-        let reg = std::sync::Arc::new(Registry::new(4));
-        for id in 1..=8 {
-            reg.insert(session(id));
-        }
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let reg = std::sync::Arc::clone(&reg);
-                scope.spawn(move || {
-                    for round in 0..100 {
-                        let id = round % 8 + 1;
-                        reg.update(id, |s| s.stats.replays += 1);
-                    }
-                });
-            }
-        });
-        let total: u64 = reg.session_stats().iter().map(|s| s.replays).sum();
-        assert_eq!(total, 400);
+        let recorded =
+            Recorded { store_id: 5, fingerprint: 0xfeed, bytes_raw: 900, bytes_stored: 300 };
+        reg.apply(5, Transition::Completed { instructions: 1234, recorded: Some(recorded) });
+        let s = reg.get(5).unwrap();
+        assert_eq!(s.state, JobState::Done);
+        assert_eq!((s.store_id, s.fingerprint), (5, 0xfeed));
+        let stats = reg.session_stats()[0];
+        assert_eq!((stats.records, stats.instructions), (1, 1234));
+        assert_eq!((stats.bytes_raw, stats.bytes_stored), (900, 300));
+        assert_eq!((reg.counters.completed, reg.counters.failed), (1, 0));
+
+        // An unknown id changes nothing, counters included.
+        reg.apply(6, Transition::Failed { reason: "gone".into() });
+        reg.apply(6, Transition::Completed { instructions: 1, recorded: None });
+        assert!(reg.get(6).is_none());
+        assert_eq!((reg.counters.completed, reg.counters.failed), (1, 0));
     }
 }

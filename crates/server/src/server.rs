@@ -1,13 +1,14 @@
-//! The `quickrecd` daemon: job execution, shutdown.
+//! The `quickrecd` daemon: the event loop's state, job execution, shutdown.
 //!
-//! One event loop ([`crate::event`]) owns the listener and every
-//! connection: it multiplexes thousands of them over a `poll(2)`
-//! readiness loop, speaking the wire protocol ([`crate::proto`])
-//! through incremental per-connection state machines.
-//! RECORD/REPLAY/VERIFY/RACES jobs (and offloaded QUERY requests) run on
-//! the bounded worker pool (a full queue answers `Busy` — backpressure
-//! instead of unbounded buffering); sessions live in the sharded
-//! registry; recordings land in a `qr_store::RecordingStore`.
+//! One event loop ([`crate::event`]) owns the listener, every
+//! connection and the [`LoopState`]: the session registry and the STATS
+//! counters, which no other thread touches. It speaks the wire protocol
+//! ([`crate::proto`]) through incremental per-connection state machines.
+//! RECORD/REPLAY/VERIFY/RACES jobs (and QUERY cache misses) run on the
+//! bounded worker pool (a full queue answers `Busy` — backpressure
+//! instead of unbounded buffering). A job is handed what it needs at
+//! submission and posts its transitions back through the loop's
+//! mailbox; recordings land in a `qr_store::RecordingStore`.
 //!
 //! Shutdown (a `SHUTDOWN` message or [`ServerHandle::shutdown`]) wakes
 //! the loop through its mailbox; the loop closes the listener and
@@ -16,25 +17,28 @@
 //! manifest written last, there is no instant at which killing or
 //! draining the server can leave a torn entry visible.
 
-use crate::event::{self, Listener, Mailbox};
+use crate::event::{self, Listener, Mailbox, Post};
 use crate::pool::WorkerPool;
 use crate::proto::{Endpoint, JobState, Request, Response, SessionStats, StatsReport};
-use crate::registry::{JobKind, Registry, Session, SessionSource, QUERY_CACHE_CAP};
+use crate::registry::{
+    JobKind, Recorded, Registry, Session, SessionSource, Transition, QUERY_CACHE_CAP,
+};
 use qr_capo::{record, Recording, RecordingConfig};
 use qr_common::{QrError, Result};
 use qr_isa::Program;
 use qr_replay::{QueryEngine, ReplayQuery};
 use qr_store::RecordingStore;
-use quickrec_core::Encoding;
+use quickrec_core::{Encoding, OrderMode};
+use std::collections::VecDeque;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Tunables for one server instance.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker-pool threads executing jobs (and session-registry shards).
+    /// Worker-pool threads executing jobs.
     pub workers: usize,
     /// Bounded job-queue capacity; a full queue answers `Busy`.
     pub queue_capacity: usize,
@@ -52,28 +56,26 @@ impl ServerConfig {
     }
 }
 
-/// Server-wide monotonic counters (the STATS globals).
-#[derive(Debug, Default)]
-pub(crate) struct Counters {
-    pub(crate) accepted: AtomicU64,
-    pub(crate) rejected_busy: AtomicU64,
-    pub(crate) completed: AtomicU64,
-    pub(crate) failed: AtomicU64,
-    pub(crate) connections: AtomicU64,
-}
-
+/// What crosses threads: pool jobs use the store and the mailbox, and
+/// [`ServerHandle`] the shutdown flag and the open-connection gauge.
 pub(crate) struct Shared {
-    pub(crate) registry: Registry,
     pub(crate) store: RecordingStore,
-    pub(crate) counters: Counters,
     pub(crate) shutdown: AtomicBool,
-    next_session: AtomicU64,
     /// Connections currently owned by the event loop; it increments on
     /// accept and decrements on close, and the overload-refusal path
     /// touches it not at all — every exit path balances.
     pub(crate) open_connections: AtomicUsize,
-    /// Carries offloaded answers and shutdown to the event loop.
+    /// Carries job transitions, offloaded answers and shutdown to the loop.
     pub(crate) mailbox: Mailbox,
+}
+
+/// Everything the event loop owns besides its sockets. Only the
+/// `qr-event` thread holds it, so handling a request and applying a
+/// job's transition are each one step, with no lock.
+pub(crate) struct LoopState {
+    pub(crate) shared: Arc<Shared>,
+    pub(crate) pool: Arc<WorkerPool>,
+    pub(crate) registry: Registry,
     /// The bound endpoint, named in accept-error logs.
     pub(crate) endpoint: Endpoint,
     workers: usize,
@@ -101,27 +103,26 @@ impl Server {
             detail: format!("creating the event-loop wake pipe: {e}"),
         })?;
         let shared = Arc::new(Shared {
-            registry: Registry::new(cfg.workers),
             store,
-            counters: Counters::default(),
             shutdown: AtomicBool::new(false),
-            next_session: AtomicU64::new(1),
             open_connections: AtomicUsize::new(0),
             mailbox,
+        });
+        let pool = Arc::new(WorkerPool::new(cfg.workers, cfg.queue_capacity));
+        let state = LoopState {
+            shared: Arc::clone(&shared),
+            pool: Arc::clone(&pool),
+            registry: Registry::new(),
             endpoint: bound.clone(),
             workers: cfg.workers.max(1),
             max_connections: cfg.max_connections.max(1),
-        });
-        let pool = Arc::new(WorkerPool::new(cfg.workers, cfg.queue_capacity));
-        let event = {
-            let (shared, pool) = (Arc::clone(&shared), Arc::clone(&pool));
-            std::thread::Builder::new()
-                .name("qr-event".into())
-                .spawn(move || event::run(listener, wake_rx, shared, pool))
-                .map_err(|e| QrError::Execution {
-                    detail: format!("spawning the event-loop thread: {e}"),
-                })?
         };
+        let event = std::thread::Builder::new()
+            .name("qr-event".into())
+            .spawn(move || event::run(listener, wake_rx, state))
+            .map_err(|e| QrError::Execution {
+                detail: format!("spawning the event-loop thread: {e}"),
+            })?;
         Ok(ServerHandle { shared, pool, event, endpoint: bound })
     }
 }
@@ -178,70 +179,232 @@ pub(crate) fn request_shutdown(shared: &Shared) {
     shared.mailbox.wake();
 }
 
-/// Counts one backpressure refusal and builds its `Busy` answer.
-pub(crate) fn busy(shared: &Shared, queued: usize) -> Response {
-    shared.counters.rejected_busy.fetch_add(1, Ordering::SeqCst);
-    crate::obs::busy_rejection();
-    Response::Busy { queued: queued as u32 }
-}
-
 // ---- request handling ------------------------------------------------
 
-pub(crate) fn handle_request(
-    request: Request,
-    shared: &Arc<Shared>,
-    pool: &Arc<WorkerPool>,
-) -> Response {
-    match request {
-        Request::Ping => Response::Pong,
-        Request::SubmitWorkload { name, workload, threads, scale, encoding, order } => {
-            if qr_workloads::find(&workload).is_none() {
-                return Response::Error { message: format!("unknown workload `{workload}`") };
+impl LoopState {
+    /// Answers a request from connection `conn`, or returns `None` when
+    /// it went to the pool (a QUERY cache miss) and its answer will come
+    /// back through the mailbox.
+    pub(crate) fn handle_request(&mut self, conn: u64, request: Request) -> Option<Response> {
+        Some(match request {
+            Request::Ping => Response::Pong,
+            Request::SubmitWorkload { name, workload, threads, scale, encoding, order } => {
+                if qr_workloads::find(&workload).is_none() {
+                    let message = format!("unknown workload `{workload}`");
+                    return Some(Response::Error { message });
+                }
+                let source = SessionSource::Workload { workload, threads, scale };
+                self.submit_record(name, source, encoding, order)
             }
-            let source = SessionSource::Workload { workload, threads, scale };
-            submit_record(shared, pool, name, source, encoding, order)
-        }
-        Request::SubmitProgram { name, source, cores, encoding, order } => {
-            let source = SessionSource::Program { source, cores };
-            submit_record(shared, pool, name, source, encoding, order)
-        }
-        Request::Jobs => Response::JobList(shared.registry.jobs()),
-        Request::Stats => {
-            let c = &shared.counters;
-            Response::Stats(StatsReport {
-                accepted: c.accepted.load(Ordering::SeqCst),
-                rejected_busy: c.rejected_busy.load(Ordering::SeqCst),
-                completed: c.completed.load(Ordering::SeqCst),
-                failed: c.failed.load(Ordering::SeqCst),
-                connections: c.connections.load(Ordering::SeqCst),
-                shards: shared.registry.shards() as u32,
-                workers: shared.workers as u32,
-                sessions: shared.registry.session_stats(),
-            })
-        }
-        Request::Fetch { id } => match completed_session(shared, id) {
-            Ok(session) => match shared.store.fetch_parts(session.store_id) {
-                Ok((manifest, parts)) => Response::Fetched {
-                    files: parts
-                        .files()
-                        .into_iter()
-                        .map(|(name, bytes)| (name.to_string(), bytes.to_vec()))
-                        .collect(),
-                    fingerprint: manifest.fingerprint,
+            Request::SubmitProgram { name, source, cores, encoding, order } => {
+                let source = SessionSource::Program { source, cores };
+                self.submit_record(name, source, encoding, order)
+            }
+            Request::Jobs => Response::JobList(self.registry.jobs()),
+            Request::Stats => {
+                let c = self.registry.counters;
+                Response::Stats(StatsReport {
+                    accepted: c.accepted,
+                    rejected_busy: c.rejected_busy,
+                    completed: c.completed,
+                    failed: c.failed,
+                    connections: c.connections,
+                    // One registry; the field stays for wire compatibility.
+                    shards: 1,
+                    workers: self.workers as u32,
+                    sessions: self.registry.session_stats(),
+                })
+            }
+            Request::Fetch { id } => match self.registry.completed(id) {
+                Ok(session) => match self.shared.store.fetch_parts(session.store_id) {
+                    Ok((manifest, parts)) => Response::Fetched {
+                        files: parts
+                            .files()
+                            .into_iter()
+                            .map(|(name, bytes)| (name.to_string(), bytes.to_vec()))
+                            .collect(),
+                        fingerprint: manifest.fingerprint,
+                    },
+                    Err(e) => Response::Error { message: e.to_string() },
                 },
-                Err(e) => Response::Error { message: e.to_string() },
+                Err(resp) => resp,
             },
-            Err(resp) => resp,
-        },
-        Request::Replay { id } => submit_followup(shared, pool, id, JobKind::Replay),
-        Request::Verify { id } => submit_followup(shared, pool, id, JobKind::Verify),
-        Request::Races { id } => submit_followup(shared, pool, id, JobKind::Races),
-        Request::Shutdown => Response::ShuttingDown,
-        Request::Metrics => Response::Metrics { text: qr_obs::global().render() },
-        Request::Query { id, query, dry_run, max_events, replay_id } => {
-            handle_query(shared, id, query, dry_run, max_events, replay_id)
+            Request::Replay { id } => self.submit_followup(id, JobKind::Replay),
+            Request::Verify { id } => self.submit_followup(id, JobKind::Verify),
+            Request::Races { id } => self.submit_followup(id, JobKind::Races),
+            Request::Shutdown => Response::ShuttingDown,
+            Request::Metrics => Response::Metrics { text: qr_obs::global().render() },
+            Request::Query { id, query, dry_run, max_events, replay_id } => {
+                return self.query(conn, id, query, dry_run, max_events, replay_id)
+            }
+        })
+    }
+
+    /// Counts one backpressure refusal and builds its `Busy` answer.
+    pub(crate) fn busy(&mut self, queued: usize) -> Response {
+        self.registry.counters.rejected_busy += 1;
+        crate::obs::busy_rejection();
+        Response::Busy { queued: queued as u32 }
+    }
+
+    /// Answers a QUERY from the session's idempotence cache, or offloads
+    /// the replay that answers it: that re-executes instructions, far
+    /// too slow for the loop. A full queue answers Busy, the same
+    /// backpressure submissions get.
+    fn query(
+        &mut self,
+        conn: u64,
+        id: u64,
+        query: ReplayQuery,
+        dry_run: bool,
+        max_events: u64,
+        replay_id: u64,
+    ) -> Option<Response> {
+        let session = match self.registry.completed(id) {
+            Ok(session) => session,
+            Err(resp) => return Some(resp),
+        };
+        // Idempotence: a repeated replay id answers from the cache
+        // without touching the store or re-executing anything. Dry runs
+        // execute nothing, so they neither consult nor populate it (the
+        // cache never holds id 0).
+        let replay_id = if dry_run { 0 } else { replay_id };
+        if let Some((_, payload)) = session.query_cache.iter().find(|(key, _)| *key == replay_id) {
+            crate::obs::query_answered(true);
+            return Some(Response::QueryAnswer { cached: true, payload: payload.clone() });
+        }
+        let (source, store_id) = (session.source.clone(), session.store_id);
+        let shared = Arc::clone(&self.shared);
+        let task = move || {
+            let outcome = (|| -> Result<Vec<u8>> {
+                let (program, _) = build_program(&source)?;
+                let (_, parts) = shared.store.fetch_parts(store_id)?;
+                let recording = Recording::from_parts(&parts)?;
+                let mut engine = QueryEngine::new(&program, &recording)?;
+                if let Some(bytes) = parts.checkpoints.as_deref() {
+                    // A torn sidecar silently degrades to from-scratch seeks.
+                    engine.attach_index_bytes(bytes);
+                }
+                if dry_run {
+                    Ok(engine.plan(query)?.to_bytes())
+                } else {
+                    let limit = (max_events != 0).then_some(max_events);
+                    Ok(engine.execute(query, limit)?.to_bytes())
+                }
+            })();
+            shared.mailbox.post(Post::Answer { conn, id, replay_id, outcome });
+        };
+        match self.pool.try_submit(Box::new(task)) {
+            Ok(()) => None,
+            Err((_task, queued)) => Some(self.busy(queued)),
         }
     }
+
+    /// The response to an offloaded QUERY of session `id`; a successful
+    /// answer is remembered under its replay id.
+    pub(crate) fn answered(&mut self, id: u64, replay_id: u64, out: Result<Vec<u8>>) -> Response {
+        let payload = match out {
+            Ok(payload) => payload,
+            Err(e) => return Response::Error { message: e.to_string() },
+        };
+        if replay_id != 0 {
+            if let Ok(s) = self.registry.completed(id) {
+                // Bounded: past the cap the oldest answer goes, and a
+                // late retry of it simply re-executes.
+                s.query_cache.push_back((replay_id, payload.clone()));
+                if s.query_cache.len() > QUERY_CACHE_CAP {
+                    s.query_cache.pop_front();
+                }
+            }
+        }
+        crate::obs::query_answered(false);
+        Response::QueryAnswer { cached: false, payload }
+    }
+
+    /// Queues a record job and registers its session; a submission the
+    /// pool refuses leaves no session behind.
+    fn submit_record(
+        &mut self,
+        name: String,
+        source: SessionSource,
+        encoding: Encoding,
+        order: OrderMode,
+    ) -> Response {
+        if self.shared.shutdown.load(Ordering::SeqCst) {
+            return Response::Error { message: "server is shutting down".into() };
+        }
+        // A submission refused `Busy` uses its id up too, so the ids a
+        // client sees do not depend on load.
+        let id = self.registry.next_id;
+        self.registry.next_id += 1;
+        let (job_name, job_source) = (name.clone(), source.clone());
+        let job = move |store: &_| record_job(store, &job_name, &job_source, encoding, order);
+        if let Err(queued) = submit(&self.shared, &self.pool, id, job) {
+            return self.busy(queued);
+        }
+        self.registry.insert(Session {
+            id,
+            name,
+            source,
+            order,
+            kind: JobKind::Record,
+            state: JobState::Queued,
+            fingerprint: 0,
+            store_id: 0,
+            stats: SessionStats { id, ..SessionStats::default() },
+            query_cache: VecDeque::new(),
+        });
+        self.registry.counters.accepted += 1;
+        Response::Submitted { id }
+    }
+
+    /// Queues a REPLAY/VERIFY/RACES job against a recorded session.
+    fn submit_followup(&mut self, id: u64, kind: JobKind) -> Response {
+        let session = match self.registry.completed(id) {
+            Ok(session) => session,
+            Err(resp) => return resp,
+        };
+        if matches!(session.state, JobState::Queued | JobState::Running) {
+            return Response::Error { message: format!("session {id} already has a job in flight") };
+        }
+        let (source, store_id) = (session.source.clone(), session.store_id);
+        let job = move |store: &_| followup_job(store, &source, store_id, kind);
+        if let Err(queued) = submit(&self.shared, &self.pool, id, job) {
+            return self.busy(queued);
+        }
+        // The job's `Running` is applied in a later loop step.
+        session.kind = kind;
+        session.state = JobState::Queued;
+        Response::Queued
+    }
+}
+
+// ---- job execution ---------------------------------------------------
+
+/// What a job returns: the instructions it simulated and, for a record
+/// job, the store entry it committed.
+type JobOutcome = Result<(u64, Option<Recorded>)>;
+
+/// Queues `job` for session `id` on the pool; a full queue hands back
+/// its length. The job gets only what it captured at submission: it
+/// posts `Running` and then its outcome through the mailbox, and never
+/// touches the registry.
+fn submit(
+    shared: &Arc<Shared>,
+    pool: &WorkerPool,
+    id: u64,
+    job: impl FnOnce(&RecordingStore) -> JobOutcome + Send + 'static,
+) -> std::result::Result<(), usize> {
+    let shared = Arc::clone(shared);
+    let task = move || {
+        let post = |transition| shared.mailbox.post(Post::Job { id, transition });
+        post(Transition::Running);
+        post(match job(&shared.store) {
+            Ok((instructions, recorded)) => Transition::Completed { instructions, recorded },
+            Err(e) => Transition::Failed { reason: e.to_string() },
+        });
+    };
+    pool.try_submit(Box::new(task)).map_err(|(_task, queued)| queued)
 }
 
 /// Timeline events between persisted checkpoints for recordings made by
@@ -255,152 +418,6 @@ pub(crate) fn handle_request(
 /// same value (`bench/src/workloads/timetravel.rs`); change both or
 /// neither.
 const CHECKPOINT_INTERVAL: usize = 25;
-
-/// Answers a QUERY: a read over an immutable store entry that replays
-/// instructions, so the event layer offloads it to the worker pool
-/// rather than stalling a multiplexed connection.
-fn handle_query(
-    shared: &Arc<Shared>,
-    id: u64,
-    query: ReplayQuery,
-    dry_run: bool,
-    max_events: u64,
-    replay_id: u64,
-) -> Response {
-    let session = match completed_session(shared, id) {
-        Ok(session) => session,
-        Err(resp) => return resp,
-    };
-    // Idempotence: a repeated replay id answers from the cache without
-    // touching the store or re-executing anything. Dry runs execute
-    // nothing, so they neither consult nor populate the cache.
-    if !dry_run && replay_id != 0 {
-        let hit = session.query_cache.iter().find(|(key, _)| *key == replay_id);
-        if let Some((_, payload)) = hit {
-            crate::obs::query_answered(true);
-            return Response::QueryAnswer { cached: true, payload: payload.to_vec() };
-        }
-    }
-    let outcome = (|| -> Result<Vec<u8>> {
-        let (program, _) = build_program(&session.source)?;
-        let (_, parts) = shared.store.fetch_parts(session.store_id)?;
-        let recording = Recording::from_parts(&parts)?;
-        let mut engine = QueryEngine::new(&program, &recording)?;
-        if let Some(bytes) = parts.checkpoints.as_deref() {
-            // A torn sidecar silently degrades to from-scratch seeks.
-            engine.attach_index_bytes(bytes);
-        }
-        if dry_run {
-            Ok(engine.plan(query)?.to_bytes())
-        } else {
-            let limit = (max_events != 0).then_some(max_events);
-            Ok(engine.execute(query, limit)?.to_bytes())
-        }
-    })();
-    match outcome {
-        Ok(payload) => {
-            if !dry_run && replay_id != 0 {
-                // Bounded: past the cap the oldest answer goes, and a
-                // late retry of it simply re-executes.
-                shared.registry.update(id, |s| {
-                    s.query_cache.push_back((replay_id, payload.as_slice().into()));
-                    if s.query_cache.len() > QUERY_CACHE_CAP {
-                        s.query_cache.pop_front();
-                    }
-                });
-            }
-            crate::obs::query_answered(false);
-            Response::QueryAnswer { cached: false, payload }
-        }
-        Err(e) => Response::Error { message: e.to_string() },
-    }
-}
-
-/// Looks up a session whose recording has completed.
-fn completed_session(shared: &Arc<Shared>, id: u64) -> std::result::Result<Session, Response> {
-    match shared.registry.get(id) {
-        None => Err(Response::Error { message: format!("no session {id}") }),
-        Some(s) if s.store_id == 0 => Err(Response::Error {
-            message: format!("session {id} has no stored recording (state: {})", s.state.label()),
-        }),
-        Some(s) => Ok(s),
-    }
-}
-
-fn submit_record(
-    shared: &Arc<Shared>,
-    pool: &Arc<WorkerPool>,
-    name: String,
-    source: SessionSource,
-    encoding: Encoding,
-    order: quickrec_core::OrderMode,
-) -> Response {
-    if shared.shutdown.load(Ordering::SeqCst) {
-        return Response::Error { message: "server is shutting down".into() };
-    }
-    let id = shared.next_session.fetch_add(1, Ordering::SeqCst);
-    shared.registry.insert(Session {
-        id,
-        name,
-        source,
-        encoding,
-        order,
-        kind: JobKind::Record,
-        state: JobState::Queued,
-        fingerprint: 0,
-        store_id: 0,
-        stats: SessionStats::default(),
-        query_cache: std::collections::VecDeque::new(),
-    });
-    let task_shared = Arc::clone(shared);
-    let submitted =
-        pool.try_submit(Box::new(move || run_job(&task_shared, id, JobKind::Record)));
-    match submitted {
-        Ok(()) => {
-            shared.counters.accepted.fetch_add(1, Ordering::SeqCst);
-            Response::Submitted { id }
-        }
-        Err((_task, queued)) => {
-            shared.registry.remove(id);
-            busy(shared, queued)
-        }
-    }
-}
-
-fn submit_followup(
-    shared: &Arc<Shared>,
-    pool: &Arc<WorkerPool>,
-    id: u64,
-    kind: JobKind,
-) -> Response {
-    let session = match completed_session(shared, id) {
-        Ok(session) => session,
-        Err(resp) => return resp,
-    };
-    if matches!(session.state, JobState::Queued | JobState::Running) {
-        return Response::Error { message: format!("session {id} already has a job in flight") };
-    }
-    // Mark the session queued *before* the worker can pick the job up.
-    shared.registry.update(id, |s| {
-        s.kind = kind;
-        s.state = JobState::Queued;
-    });
-    let task_shared = Arc::clone(shared);
-    let submitted = pool.try_submit(Box::new(move || run_job(&task_shared, id, kind)));
-    match submitted {
-        Ok(()) => Response::Queued,
-        Err((_task, queued)) => {
-            // Rejected: restore the session's pre-submission state.
-            shared.registry.update(id, |s| {
-                s.kind = session.kind;
-                s.state = session.state.clone();
-            });
-            busy(shared, queued)
-        }
-    }
-}
-
-// ---- job execution ---------------------------------------------------
 
 /// Rebuilds a session's program (and its core count).
 fn build_program(source: &SessionSource) -> Result<(Program, usize)> {
@@ -418,46 +435,19 @@ fn build_program(source: &SessionSource) -> Result<(Program, usize)> {
     }
 }
 
-/// Runs one pool job to completion and folds its outcome — the
-/// instructions it simulated, or its error — into the session and the
-/// server counters.
-fn run_job(shared: &Arc<Shared>, id: u64, kind: JobKind) {
-    shared.registry.update(id, |s| s.state = JobState::Running);
-    let Some(session) = shared.registry.get(id) else { return };
-    let outcome = match kind {
-        JobKind::Record => record_job(shared, &session),
-        JobKind::Replay | JobKind::Races => replay_job(shared, &session, kind),
-        JobKind::Verify => verify_job(shared, &session).map(|()| 0),
-    };
-    match outcome {
-        Ok(instructions) => {
-            shared.registry.update(id, |s| {
-                s.state = JobState::Done;
-                s.stats.instructions += instructions;
-                *match kind {
-                    JobKind::Record => &mut s.stats.records,
-                    JobKind::Replay => &mut s.stats.replays,
-                    JobKind::Verify => &mut s.stats.verifies,
-                    JobKind::Races => &mut s.stats.races,
-                } += 1;
-            });
-            shared.counters.completed.fetch_add(1, Ordering::SeqCst);
-        }
-        Err(e) => {
-            shared.registry.update(id, |s| s.state = JobState::Failed(e.to_string()));
-            shared.counters.failed.fetch_add(1, Ordering::SeqCst);
-        }
-    }
-}
-
-/// RECORD: simulate, commit the recording to the store and point the
-/// session at the entry.
-fn record_job(shared: &Shared, session: &Session) -> Result<u64> {
-    let (program, cores) = build_program(&session.source)?;
+/// RECORD: simulate and commit the recording to the store.
+fn record_job(
+    store: &RecordingStore,
+    name: &str,
+    source: &SessionSource,
+    encoding: Encoding,
+    order: OrderMode,
+) -> JobOutcome {
+    let (program, cores) = build_program(source)?;
     let mut cfg = RecordingConfig::with_cores(cores);
-    cfg.order = session.order;
+    cfg.order = order;
     let recording = record(program.clone(), cfg)?;
-    if let SessionSource::Workload { workload, threads, scale } = &session.source {
+    if let SessionSource::Workload { workload, threads, scale } = source {
         // Suite workloads are self-validating: exit code == the
         // sequential mirror's checksum.
         if let Some(spec) = qr_workloads::find(workload) {
@@ -472,44 +462,47 @@ fn record_job(shared: &Shared, session: &Session) -> Result<u64> {
             }
         }
     }
-    let mut parts = recording.to_parts(session.encoding);
+    let mut parts = recording.to_parts(encoding);
     // Persist the time-travel seek index next to the logs. Building it
     // replays and verifies the recording, so one that does not replay
     // fails the session instead of being stored.
     let index = qr_replay::CheckpointIndex::build(&program, &recording, CHECKPOINT_INTERVAL)?;
     parts.attach_checkpoints(index.to_bytes())?;
-    let store_id =
-        shared.store.put_parts(&session.name, &parts, session.encoding, recording.fingerprint)?;
-    let manifest = shared.store.manifest(store_id)?;
-    shared.registry.update(session.id, |s| {
-        s.store_id = store_id;
-        s.fingerprint = recording.fingerprint;
-        s.stats.bytes_raw = manifest.uncompressed_bytes();
-        s.stats.bytes_stored = manifest.compressed_bytes();
-    });
-    Ok(recording.instructions)
+    let store_id = store.put_parts(name, &parts, encoding, recording.fingerprint)?;
+    let manifest = store.manifest(store_id)?;
+    let entry = Recorded {
+        store_id,
+        fingerprint: recording.fingerprint,
+        bytes_raw: manifest.uncompressed_bytes(),
+        bytes_stored: manifest.compressed_bytes(),
+    };
+    Ok((recording.instructions, Some(entry)))
 }
 
-fn verify_job(shared: &Shared, session: &Session) -> Result<()> {
-    let report = shared.store.verify(session.store_id)?;
-    if !report.all_ok() {
-        let first = report
-            .files
-            .iter()
-            .find_map(|f| f.error.as_ref())
-            .map_or_else(|| "unknown fault".to_string(), |e| e.to_string());
-        return Err(QrError::Execution {
-            detail: format!("store entry failed verification: {first}"),
-        });
+/// VERIFY checks the stored entry's bytes; REPLAY and RACES re-execute
+/// the stored recording and check it against its recorded outcome.
+fn followup_job(
+    store: &RecordingStore,
+    source: &SessionSource,
+    store_id: u64,
+    kind: JobKind,
+) -> JobOutcome {
+    if kind == JobKind::Verify {
+        let report = store.verify(store_id)?;
+        if !report.all_ok() {
+            let first = report
+                .files
+                .iter()
+                .find_map(|f| f.error.as_ref())
+                .map_or_else(|| "unknown fault".to_string(), |e| e.to_string());
+            return Err(QrError::Execution {
+                detail: format!("store entry failed verification: {first}"),
+            });
+        }
+        return Ok((0, None));
     }
-    Ok(())
-}
-
-/// REPLAY and RACES: re-execute the stored recording and check it
-/// against its recorded outcome; returns the instructions replayed.
-fn replay_job(shared: &Shared, session: &Session, kind: JobKind) -> Result<u64> {
-    let (program, _) = build_program(&session.source)?;
-    let recording = shared.store.fetch(session.store_id)?;
+    let (program, _) = build_program(source)?;
+    let recording = store.fetch(store_id)?;
     let outcome = if kind == JobKind::Races {
         qr_replay::replay_with_race_detection(&program, &recording)?.0
     } else if recording.order.is_some() {
@@ -519,5 +512,5 @@ fn replay_job(shared: &Shared, session: &Session, kind: JobKind) -> Result<u64> 
     } else {
         qr_replay::replay_and_verify(&program, &recording)?
     };
-    Ok(outcome.instructions)
+    Ok((outcome.instructions, None))
 }

@@ -8,7 +8,9 @@ use qr_server::proto::{Endpoint, JobState, Request, Response};
 use qr_server::{Client, Server, ServerConfig};
 use qr_workloads::Scale;
 use quickrec_core::{Encoding, OrderMode};
+use std::collections::HashSet;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 const WORKLOADS: [&str; 4] = ["fft", "lu", "radix", "ocean"];
@@ -236,5 +238,100 @@ fn shutdown_drains_queued_jobs_and_leaves_every_session_terminal() {
         store.fetch(manifest.id).expect("entry fetches cleanly");
     }
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn jobs_and_stats_agree_on_every_sample() {
+    let dir = scratch("agree");
+    let handle = start(&dir, 2, 16);
+    let endpoint = handle.endpoint().clone();
+    let finished = AtomicBool::new(false);
+
+    let samples = std::thread::scope(|scope| {
+        // A second client reads JOBS then STATS in a tight loop while
+        // the jobs run. The loop applies a job's transition and its
+        // counter in one step, so STATS never counts fewer finished jobs
+        // than the sessions JOBS just showed finished, and a session
+        // shown done after its record job fetches at once.
+        let poller = scope.spawn(|| {
+            let mut client = Client::connect(&endpoint).expect("connect poller");
+            let mut fetched = HashSet::new();
+            let mut samples = 0u64;
+            while !finished.load(Ordering::SeqCst) {
+                let Response::JobList(jobs) = client.call(&Request::Jobs).expect("jobs") else {
+                    panic!("jobs refused");
+                };
+                let Response::Stats(stats) = client.call(&Request::Stats).expect("stats") else {
+                    panic!("stats refused");
+                };
+                let shown = jobs
+                    .iter()
+                    .filter(|j| matches!(j.state, JobState::Done | JobState::Failed(_)))
+                    .count() as u64;
+                assert!(
+                    stats.completed + stats.failed >= shown,
+                    "STATS counts {} + {} finished jobs after JOBS showed {shown} finished \
+                     sessions",
+                    stats.completed,
+                    stats.failed
+                );
+                for job in jobs.iter().filter(|j| j.kind == "record" && j.state == JobState::Done) {
+                    if fetched.insert(job.id) {
+                        match client.call(&Request::Fetch { id: job.id }).expect("fetch") {
+                            Response::Fetched { .. } => {}
+                            other => panic!("session {} shown done: {other:?}", job.id),
+                        }
+                    }
+                }
+                samples += 1;
+            }
+            samples
+        });
+
+        // Four record jobs, then a follow-up job on each: eight in all.
+        let mut client = Client::connect(&endpoint).expect("connect");
+        let ids: Vec<u64> = WORKLOADS
+            .iter()
+            .map(|w| match client.call(&submit(w)).expect("submit") {
+                Response::Submitted { id } => id,
+                other => panic!("{w}: {other:?}"),
+            })
+            .collect();
+        let wait_all = |client: &mut Client| {
+            for &id in &ids {
+                let job = client.wait_for(id, Duration::from_secs(120)).expect("wait");
+                assert_eq!(job.state, JobState::Done, "session {id}: {:?}", job.state);
+            }
+        };
+        wait_all(&mut client);
+        let followups = [Request::Replay { id: ids[0] }, Request::Verify { id: ids[1] }];
+        let followups = followups.into_iter().chain([
+            Request::Races { id: ids[2] },
+            Request::Replay { id: ids[3] },
+        ]);
+        for req in followups {
+            match client.call(&req).expect("follow-up") {
+                Response::Queued => {}
+                other => panic!("follow-up {req:?}: {other:?}"),
+            }
+        }
+        wait_all(&mut client);
+        finished.store(true, Ordering::SeqCst);
+        poller.join().expect("poller")
+    });
+    assert!(samples > 0, "the poller took no sample");
+
+    let mut client = Client::connect(&endpoint).expect("connect");
+    let Response::Stats(stats) = client.call(&Request::Stats).expect("stats") else {
+        panic!("stats refused");
+    };
+    assert_eq!((stats.completed, stats.failed), (2 * WORKLOADS.len() as u64, 0));
+    match client.call(&Request::Shutdown).expect("shutdown") {
+        Response::ShuttingDown => {}
+        other => panic!("shutdown: {other:?}"),
+    }
+    drop(client);
+    handle.wait();
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -224,6 +224,14 @@ grep -q 'idempotence cache' <<< "$repeat_out" || {
   echo "repeated replay id was not served from the cache" >&2
   exit 1
 }
+# The event loop applies each job's transition and its STATS counter in
+# one step: after the one record job, STATS counts exactly it.
+stats_out=$(./target/release/quickrec stats --socket "$smoke_dir/qd.sock")
+grep -qx 'jobs: 1 accepted, 0 rejected busy, 1 completed, 0 failed' <<< "$stats_out" || {
+  echo "stats does not count exactly the one completed record job:" >&2
+  echo "$stats_out" >&2
+  exit 1
+}
 # Scrape the live daemon's metrics. `stats --metrics` runs the text
 # through qr_obs::parse_exposition before printing, so a zero exit means
 # the exposition is well-formed; still assert the families that the

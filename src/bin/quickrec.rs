@@ -757,8 +757,8 @@ fn cmd_stats(args: &[String], _pos: &[&String]) -> Result<(), String> {
     match client.call(&Request::Stats).map_err(|e| e.to_string())? {
         Response::Stats(stats) => {
             println!(
-                "server: {} worker(s), {} shard(s), {} connection(s) served",
-                stats.workers, stats.shards, stats.connections
+                "server: {} worker(s), {} connection(s) served",
+                stats.workers, stats.connections
             );
             println!(
                 "jobs: {} accepted, {} rejected busy, {} completed, {} failed",
