@@ -8,11 +8,11 @@
 //! average. This crate is that stack for the simulated platform:
 //!
 //! - [`sphere::ReplaySphere`] groups the threads being recorded,
-//! - [`session::RecordingSession`] runs a program under the kernel while
-//!   driving the recorder bank: it terminates chunks at syscalls, traps,
-//!   context switches and conflicts; virtualizes the per-core recorder
-//!   units as threads migrate; services the CMEM drain interrupt; and
-//!   assembles the chunk log,
+//! - [`session::RecordingSession`] runs a program on the kernel's run
+//!   loop with the recorder as its [`qr_os::Monitor`], whose hooks
+//!   terminate chunks at syscalls, traps, context switches and conflicts;
+//!   virtualize the per-core recorder units as threads migrate; service
+//!   the CMEM drain interrupt; and assemble the chunk log,
 //! - [`input_log::InputLog`] captures every nondeterministic input —
 //!   syscall results, copy_to_user payloads, signal delivery points,
 //!   `rdtsc`/`rdrand` values — with global timestamps where ordering

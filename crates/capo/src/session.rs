@@ -1,4 +1,6 @@
-//! The recording session: machine + kernel + recorder, orchestrated.
+//! The recording session: the kernel's run loop ([`qr_os::run`]), the
+//! one native runs use, with the MRR hardware and Capo3 state attached
+//! as its [`Monitor`].
 //!
 //! # Event-ordering protocol (the soundness core)
 //!
@@ -7,48 +9,58 @@
 //! For that to reproduce the recorded execution, the session maintains
 //! one invariant: **every cross-thread dependency's source chunk (or
 //! syscall record) receives its timestamp before the dependent access's
-//! chunk does.** Concretely:
+//! chunk does.** Concretely, with the hook that upholds each rule:
 //!
 //! 1. An instruction's retirement is counted into its chunk *before* its
 //!    memory events are processed, so signatures always describe a
-//!    nonempty chunk.
+//!    nonempty chunk ([`Monitor::stepped`]).
 //! 2. A remote transaction that hits a core's signature terminates that
 //!    core's chunk *at detection time* — before any core steps again —
 //!    so the victim's timestamp precedes the accessor's (which
-//!    terminates later).
+//!    terminates later). Every hook that is handed memory events
+//!    processes them before it returns ([`Monitor::stepped`],
+//!    [`Monitor::boundary`], [`Monitor::kernel_outcome`]).
 //! 3. Conflict-victim terminations do **not** drain the victim's store
 //!    buffer (pending stores drain later, attributed to the chunk open
 //!    at drain time — the visibility-time attribution that makes TSO
 //!    replayable and avoids ordering cycles). Self-initiated boundary
 //!    terminations (syscall, trap, context switch, thread end) always
-//!    drain; hardware chunk closings (IC overflow, signature
+//!    drain, in [`Monitor::boundary`], which the loop calls before the
+//!    kernel acts; hardware chunk closings (IC overflow, signature
 //!    saturation) drain only in `DrainAtChunk` mode, and the reason code
 //!    in the packet tells the replayer which rule applied.
 //! 4. Syscall records are stamped *after* the kernel's memory effects
 //!    (whose coherence transactions have already terminated any
 //!    conflicting chunks), so `ts(victim) < ts(record) < ts(any chunk
-//!    that observes the effects)`.
+//!    that observes the effects)` ([`Monitor::kernel_outcome`]).
 
 use crate::input_log::{InputEvent, InputLog};
 use crate::overhead::OverheadBreakdown;
 use crate::recording::{Recording, RecordingConfig, RecordingMeta, RecordingMode};
 use crate::sphere::ReplaySphere;
-use qr_common::{CoreId, LineAddr, QrError, Result};
-use qr_cpu::{Machine, StepOutcome};
+use qr_common::{CoreId, LineAddr, Result, ThreadId};
+use qr_cpu::{Machine, NondetKind, StepOutcome, StepResult};
 use qr_isa::Program;
-use qr_mem::{BusKind, MemEvent};
-use qr_os::{Kernel, SchedEvent, SyscallOutcome};
+use qr_mem::{Access, BusKind, MemEvent};
+use qr_os::{Boundary, Kernel, Monitor, SchedEvent, SyscallOutcome};
 use quickrec_core::{ChunkFootprint, FootprintLog, RecorderBank, TerminationReason};
 use std::collections::BTreeSet;
 
 /// An in-progress recording of one program execution.
 #[derive(Debug)]
 pub struct RecordingSession {
-    cfg: RecordingConfig,
     machine: Machine,
     kernel: Kernel,
-    bank: RecorderBank,
+    recorder: Recorder,
+}
+
+/// The MRR hardware and Capo3 state of one replay sphere: the
+/// session's [`Monitor`].
+#[derive(Debug)]
+struct Recorder {
+    cfg: RecordingConfig,
     sphere: ReplaySphere,
+    bank: RecorderBank,
     chunks: quickrec_core::ChunkLog,
     inputs: InputLog,
     footprints: FootprintLog,
@@ -56,15 +68,15 @@ pub struct RecordingSession {
     /// that core, flushed into `footprints` when the chunk terminates.
     fp_sets: Vec<(BTreeSet<LineAddr>, BTreeSet<LineAddr>)>,
     overhead: OverheadBreakdown,
-    instructions: u64,
 }
 
 /// Records `program` under `cfg`, running it to completion.
 ///
 /// # Errors
 ///
-/// Returns configuration errors, [`QrError::BudgetExceeded`] on runaway
-/// programs, or [`QrError::Execution`] on kernel-level deadlock.
+/// Returns configuration errors, [`qr_common::QrError::BudgetExceeded`]
+/// on runaway programs, or [`qr_common::QrError::Execution`] on
+/// kernel-level deadlock.
 ///
 /// # Example
 ///
@@ -96,23 +108,17 @@ impl RecordingSession {
         let mut machine = Machine::new(program, cfg.cpu.clone())?;
         let kernel = Kernel::new(cfg.os.clone(), &mut machine)?;
         let bank = RecorderBank::new(cfg.mrr.clone(), cfg.cpu.num_cores)?;
-        Ok(RecordingSession {
-            machine,
-            kernel,
-            bank,
+        let recorder = Recorder {
             sphere: ReplaySphere::new(0),
+            bank,
             chunks: quickrec_core::ChunkLog::new(),
             inputs: InputLog::new(),
             footprints: FootprintLog::new(),
             fp_sets: vec![Default::default(); cfg.cpu.num_cores],
             overhead: OverheadBreakdown::default(),
-            instructions: 0,
             cfg,
-        })
-    }
-
-    fn full_stack(&self) -> bool {
-        self.cfg.mode == RecordingMode::Full
+        };
+        Ok(RecordingSession { machine, kernel, recorder })
     }
 
     /// Runs the program to completion and returns the recording.
@@ -121,249 +127,54 @@ impl RecordingSession {
     ///
     /// See [`record`].
     pub fn run(mut self) -> Result<Recording> {
-        let sched = self.kernel.place_runnable(&mut self.machine);
-        self.apply_sched(&sched);
-        let budget = self.kernel.config().max_instructions;
-        while !self.kernel.all_done() {
-            let Some(core) = self.machine.least_advanced_busy_core() else {
-                let sched = self.kernel.place_runnable(&mut self.machine);
-                self.apply_sched(&sched);
-                if self.machine.least_advanced_busy_core().is_none() {
-                    return Err(QrError::Execution {
-                        detail: format!(
-                            "deadlock: {} threads blocked forever",
-                            self.kernel.live_threads()
-                        ),
-                    });
-                }
-                continue;
-            };
-            let step = self.machine.step(core);
-            let mut overflow = false;
-            if step.instruction_retired() {
-                self.instructions += 1;
-                if self.instructions > budget {
-                    return Err(QrError::BudgetExceeded { executed: self.instructions });
-                }
-                // Invariant 1: count retirement before processing events.
-                overflow = self.bank.unit_mut(core).note_retired();
-            }
-            // Processing re-enters the machine (terminate drains store
-            // buffers), so borrow the step's events by moving the buffer
-            // out and back rather than copying them.
-            let events = self.machine.take_events();
-            self.note_footprint(&events);
-            self.process_mem_events(&events)?;
-            self.machine.restore_events(events);
-            // An overflow that coincides with a syscall or halt yields to
-            // that boundary's own termination (reason Syscall/SphereEnd),
-            // so the packet's reason always tells the replayer what the
-            // chunk's final instruction did.
-            if overflow
-                && matches!(step.outcome, StepOutcome::Retired | StepOutcome::Nondet { .. })
-            {
-                self.terminate(core, TerminationReason::IcOverflow)?;
-            }
-            self.bank.advance(core, step.cycles);
-            match step.outcome {
-                StepOutcome::Retired => {
-                    if self.kernel.quantum_expired(&self.machine, core) {
-                        self.terminate(core, TerminationReason::ContextSwitch)?;
-                        let out = self.kernel.preempt(&mut self.machine, core);
-                        self.apply_outcome(core, out)?;
-                    }
-                    if self.kernel.signal_ready(core) {
-                        self.terminate(core, TerminationReason::Trap)?;
-                        let tid = self.kernel.deliver_signal(&mut self.machine, core);
-                        if self.full_stack() {
-                            let cost = self.cfg.overhead.signal_intercept_cycles;
-                            self.overhead.signal_cycles += cost;
-                            self.machine.core_mut(core).add_cycles(cost);
-                        }
-                        let ts = self.machine.mem_mut().tick_clock();
-                        self.inputs.push_event(InputEvent::Signal { ts, tid });
-                    }
-                }
-                StepOutcome::Syscall => {
-                    let drain = self.machine.drain_store_buffer(core)?;
-                    self.note_footprint(&drain.events);
-                    self.process_mem_events(&drain.events)?;
-                    self.terminate(core, TerminationReason::Syscall)?;
-                    if self.full_stack() {
-                        let cost = self.cfg.overhead.syscall_intercept_cycles;
-                        self.overhead.syscall_cycles += cost;
-                        self.machine.core_mut(core).add_cycles(cost);
-                    }
-                    let out = self.kernel.handle_syscall(&mut self.machine, core)?;
-                    self.apply_outcome(core, out)?;
-                    let sched = self.kernel.place_runnable(&mut self.machine);
-                    self.apply_sched(&sched);
-                }
-                StepOutcome::Nondet { kind, rd } => {
-                    let tid = self.kernel.thread_on(core).expect("nondet from a running thread");
-                    let value = self.kernel.nondet_value(&self.machine, kind);
-                    self.machine.write_reg(core, rd, value);
-                    self.inputs.push_nondet(tid, kind, value);
-                }
-                StepOutcome::Halt => {
-                    let drain = self.machine.drain_store_buffer(core)?;
-                    self.note_footprint(&drain.events);
-                    self.process_mem_events(&drain.events)?;
-                    self.terminate(core, TerminationReason::SphereEnd)?;
-                    let out = self.kernel.handle_halt(&mut self.machine, core);
-                    self.apply_outcome(core, out)?;
-                }
-                StepOutcome::Fault(err) => {
-                    let drain = self.machine.drain_store_buffer(core)?;
-                    self.note_footprint(&drain.events);
-                    self.process_mem_events(&drain.events)?;
-                    self.terminate(core, TerminationReason::SphereEnd)?;
-                    let out = self.kernel.handle_fault(&mut self.machine, core, &err);
-                    self.apply_outcome(core, out)?;
-                }
-                StepOutcome::Idle => {}
-            }
-            self.service_cmem_interrupt(core);
-        }
-        self.finish()
+        let instructions = qr_os::run(&mut self.machine, &mut self.kernel, &mut self.recorder)?;
+        self.finish(instructions)
     }
 
-    fn finish(mut self) -> Result<Recording> {
-        self.bank.flush_all();
-        let (packets, _) = self.bank.drain_cmem();
-        self.chunks.extend(packets);
-        self.sphere.close();
-        let cycles = (0..self.machine.num_cores())
-            .map(|i| self.machine.core(CoreId(i as u8)).cycles())
-            .max()
-            .unwrap_or(0);
-        self.overhead.hw_stall_cycles = (0..self.machine.num_cores())
-            .map(|i| self.bank.stall_cycles(CoreId(i as u8)))
-            .sum();
+    fn finish(self, instructions: u64) -> Result<Recording> {
+        let RecordingSession { machine, kernel, recorder: mut rec } = self;
+        rec.bank.flush_all();
+        let (packets, _) = rec.bank.drain_cmem();
+        rec.chunks.extend(packets);
+        rec.sphere.close();
+        rec.overhead.hw_stall_cycles =
+            (0..machine.num_cores()).map(|i| rec.bank.stall_cycles(CoreId(i as u8))).sum();
         let mut recording = Recording {
             meta: RecordingMeta {
-                program_fingerprint: self.machine.program().fingerprint(),
-                tso_mode: self.cfg.cpu.mem.tso_mode,
-                cpu: self.cfg.cpu.clone(),
-                os: self.cfg.os.clone(),
+                program_fingerprint: machine.program().fingerprint(),
+                tso_mode: rec.cfg.cpu.mem.tso_mode,
+                cpu: rec.cfg.cpu.clone(),
+                os: rec.cfg.os.clone(),
             },
-            cycles,
-            instructions: self.instructions,
-            console: self.kernel.console().to_vec(),
-            exit_code: self.kernel.exit_code(),
-            fingerprint: qr_os::native::state_fingerprint(&self.machine, &self.kernel),
-            recorder_stats: self.bank.stats().clone(),
-            overhead: self.overhead,
-            chunks: self.chunks,
-            inputs: self.inputs,
-            footprints: Some(self.footprints),
+            cycles: machine.makespan(),
+            instructions,
+            console: kernel.console().to_vec(),
+            exit_code: kernel.exit_code(),
+            fingerprint: qr_os::native::state_fingerprint(&machine, &kernel),
+            recorder_stats: rec.bank.stats().clone(),
+            overhead: rec.overhead,
+            chunks: rec.chunks,
+            inputs: rec.inputs,
+            footprints: Some(rec.footprints),
             order: None,
         };
         recording.check_consistency()?;
-        if self.cfg.order == quickrec_core::OrderMode::PartialOrder {
+        if rec.cfg.order == quickrec_core::OrderMode::PartialOrder {
             let (log, _) = recording.derive_order()?;
             recording.order = Some(log);
         }
         Ok(recording)
     }
+}
 
-    /// Invariant 2: conflicts terminate victims at detection time.
-    fn process_mem_events(&mut self, events: &[MemEvent]) -> Result<()> {
+impl Monitor for Recorder {
+    fn scheduled(&mut self, machine: &mut Machine, events: &[SchedEvent]) {
         for event in events {
-            match *event {
-                MemEvent::LocalRead { core, line, .. } => {
-                    if self.bank.unit(core).is_recording()
-                        && self.bank.unit_mut(core).note_local_read(line)
-                        && self.bank.unit(core).chunk_icount() > 0
-                    {
-                        self.terminate(core, TerminationReason::SigSaturation)?;
-                    }
-                }
-                MemEvent::LocalWrite { core, line, .. } => {
-                    if self.bank.unit(core).is_recording()
-                        && self.bank.unit_mut(core).note_local_write(line)
-                        && self.bank.unit(core).chunk_icount() > 0
-                    {
-                        self.terminate(core, TerminationReason::SigSaturation)?;
-                    }
-                }
-                MemEvent::BusTxn { from, line, kind } => {
-                    if kind.is_read() || kind.is_write() {
-                        let victims = self.bank.conflicting_cores(from, line, kind.is_write());
-                        for (victim, reason) in victims {
-                            self.terminate(victim, reason)?;
-                        }
-                    }
-                    debug_assert!(
-                        kind != BusKind::Writeback || !kind.is_read(),
-                        "writebacks are not snooped for conflicts"
-                    );
-                }
-                MemEvent::Eviction { .. } => {}
-            }
-        }
-        Ok(())
-    }
-
-    /// Invariant 3: boundary drains, then the timestamp.
-    fn terminate(&mut self, core: CoreId, reason: TerminationReason) -> Result<()> {
-        if !self.bank.unit(core).is_recording() || self.bank.unit(core).chunk_icount() == 0 {
-            return Ok(());
-        }
-        if reason.drains_store_buffer(self.cfg.cpu.mem.tso_mode) {
-            let drain = self.machine.drain_store_buffer(core)?;
-            self.note_footprint(&drain.events);
-            self.process_mem_events(&drain.events)?;
-        }
-        let rsw = self.machine.mem().pending_stores(core).min(u8::MAX as usize) as u8;
-        let ts = self.machine.mem_mut().tick_clock();
-        let (packet, stall) = self.bank.terminate_chunk(core, reason, ts, rsw);
-        if packet.is_some() {
-            let (reads, writes) = std::mem::take(&mut self.fp_sets[core.index()]);
-            self.footprints.push(ChunkFootprint::new(
-                ts,
-                reads.into_iter().collect(),
-                writes.into_iter().collect(),
-            ));
-        }
-        if stall > 0 {
-            self.machine.core_mut(core).add_cycles(stall);
-        }
-        Ok(())
-    }
-
-    /// Attributes a step's local memory events to the footprint of the
-    /// chunk open on each event's core. Called on a whole event batch
-    /// *before* [`RecordingSession::process_mem_events`], because
-    /// processing may terminate the chunk mid-batch (signature
-    /// saturation) while the remaining events still belong to the
-    /// just-closed chunk — replay executes every access of a chunk's
-    /// instructions, including post-saturation drains, inside that chunk.
-    fn note_footprint(&mut self, events: &[MemEvent]) {
-        for event in events {
-            match *event {
-                MemEvent::LocalRead { core, line, .. } => {
-                    self.fp_sets[core.index()].0.insert(line);
-                }
-                MemEvent::LocalWrite { core, line, .. } => {
-                    self.fp_sets[core.index()].1.insert(line);
-                }
-                MemEvent::BusTxn { .. } | MemEvent::Eviction { .. } => {}
-            }
-        }
-    }
-
-    fn apply_sched(&mut self, events: &[SchedEvent]) {
-        for event in events {
-            match *event {
+            let core = match *event {
                 SchedEvent::ScheduledOn { core, tid } => {
                     self.bank.unit_mut(core).start(tid);
                     self.sphere.add_thread(tid);
-                    if self.full_stack() {
-                        let cost = self.cfg.overhead.mrr_switch_cycles;
-                        self.overhead.switch_cycles += cost;
-                        self.machine.core_mut(core).add_cycles(cost);
-                    }
+                    core
                 }
                 SchedEvent::DescheduledFrom { core, tid } => {
                     debug_assert_eq!(
@@ -373,19 +184,61 @@ impl RecordingSession {
                     );
                     let owner = self.bank.unit_mut(core).stop();
                     debug_assert_eq!(owner, Some(tid));
-                    if self.full_stack() {
-                        let cost = self.cfg.overhead.mrr_switch_cycles;
-                        self.overhead.switch_cycles += cost;
-                        self.machine.core_mut(core).add_cycles(cost);
-                    }
+                    core
                 }
-            }
+            };
+            let cost = self.cfg.overhead.mrr_switch_cycles;
+            self.charge(machine, core, |o| &mut o.switch_cycles, cost);
         }
+    }
+
+    /// Invariants 1 and 2: the retirement is counted, then the step's
+    /// events are processed. Runs every step, so it is inlined into the
+    /// loop like the rest of the per-step path.
+    #[inline]
+    fn stepped(&mut self, machine: &mut Machine, core: CoreId, step: &StepResult) -> Result<()> {
+        let overflow = step.instruction_retired() && self.bank.unit_mut(core).note_retired();
+        // Processing re-enters the machine (terminate drains store
+        // buffers), so borrow the step's events by moving the buffer
+        // out and back rather than copying them.
+        let events = machine.take_events();
+        self.note_footprint(&events);
+        self.process_mem_events(machine, &events)?;
+        machine.restore_events(events);
+        // An overflow that coincides with a syscall or halt yields to
+        // that boundary's own termination (reason Syscall/SphereEnd),
+        // so the packet's reason always tells the replayer what the
+        // chunk's final instruction did.
+        if overflow && matches!(step.outcome, StepOutcome::Retired | StepOutcome::Nondet { .. }) {
+            self.terminate(machine, core, TerminationReason::IcOverflow)?;
+        }
+        self.bank.advance(core, step.cycles);
+        Ok(())
+    }
+
+    /// Invariant 3: a boundary closes the chunk before the kernel acts.
+    fn boundary(&mut self, machine: &mut Machine, core: CoreId, b: Boundary, drain: Option<&Access>) -> Result<()> {
+        if let Some(drain) = drain {
+            self.note_footprint(&drain.events);
+            self.process_mem_events(machine, &drain.events)?;
+        }
+        let reason = match b {
+            Boundary::Preempt => TerminationReason::ContextSwitch,
+            Boundary::Signal => TerminationReason::Trap,
+            Boundary::Syscall => TerminationReason::Syscall,
+            Boundary::Exit => TerminationReason::SphereEnd,
+        };
+        self.terminate(machine, core, reason)?;
+        if b == Boundary::Syscall {
+            let cost = self.cfg.overhead.syscall_intercept_cycles;
+            self.charge(machine, core, |o| &mut o.syscall_cycles, cost);
+        }
+        Ok(())
     }
 
     /// Invariant 4: kernel memory effects, then scheduling, then stamped
     /// records.
-    fn apply_outcome(&mut self, core: CoreId, out: SyscallOutcome) -> Result<()> {
+    fn kernel_outcome(&mut self, machine: &mut Machine, core: CoreId, out: SyscallOutcome) -> Result<()> {
         // Kernel-side memory activity becomes the footprint of every
         // record this outcome stamps: replay re-reads console payloads
         // and re-applies `record.writes`, so the lines the kernel
@@ -402,16 +255,12 @@ impl RecordingSession {
                 }
             }
         }
-        self.process_mem_events(&out.mem_events)?;
-        self.apply_sched(&out.sched);
+        self.process_mem_events(machine, &out.mem_events)?;
+        self.scheduled(machine, &out.sched);
         for record in out.records {
-            if self.full_stack() {
-                let bytes: usize =
-                    16 + record.writes.iter().map(|(_, data)| data.len()).sum::<usize>();
-                let cost = self.cfg.overhead.input_copy_cycles_per_byte * bytes as u64;
-                self.overhead.copy_cycles += cost;
-                self.machine.core_mut(core).add_cycles(cost);
-            }
+            let bytes: usize = 16 + record.writes.iter().map(|(_, data)| data.len()).sum::<usize>();
+            let cost = self.cfg.overhead.input_copy_cycles_per_byte * bytes as u64;
+            self.charge(machine, core, |o| &mut o.copy_cycles, cost);
             let mut writes = kernel_writes.clone();
             for (addr, data) in &record.writes {
                 let first = addr.line().0;
@@ -422,24 +271,138 @@ impl RecordingSession {
                 };
                 writes.extend((first..=last).map(LineAddr));
             }
-            let ts = self.machine.mem_mut().tick_clock();
+            let ts = machine.mem_mut().tick_clock();
             self.footprints.push(ChunkFootprint::new(ts, kernel_reads.clone(), writes));
             self.inputs.push_event(InputEvent::Syscall { ts, record });
         }
         Ok(())
     }
 
-    fn service_cmem_interrupt(&mut self, core: CoreId) {
+    fn signal_delivered(&mut self, machine: &mut Machine, core: CoreId, tid: ThreadId) {
+        let cost = self.cfg.overhead.signal_intercept_cycles;
+        self.charge(machine, core, |o| &mut o.signal_cycles, cost);
+        let ts = machine.mem_mut().tick_clock();
+        self.inputs.push_event(InputEvent::Signal { ts, tid });
+    }
+
+    fn nondet(&mut self, tid: ThreadId, kind: NondetKind, value: u32) {
+        self.inputs.push_nondet(tid, kind, value);
+    }
+
+    /// The CMEM drain interrupt, serviced on the core that just stepped.
+    #[inline]
+    fn iteration_end(&mut self, machine: &mut Machine, core: CoreId) {
         if !self.bank.cmem_interrupt_pending() {
             return;
         }
         let (packets, bytes) = self.bank.drain_cmem();
         self.chunks.extend(packets);
-        if self.full_stack() {
-            let cost = self.cfg.overhead.drain_base_cycles
-                + self.cfg.overhead.drain_cycles_per_byte * bytes as u64;
-            self.overhead.drain_cycles += cost;
-            self.machine.core_mut(core).add_cycles(cost);
+        let cost = self.cfg.overhead.drain_base_cycles
+            + self.cfg.overhead.drain_cycles_per_byte * bytes as u64;
+        self.charge(machine, core, |o| &mut o.drain_cycles, cost);
+    }
+}
+
+impl Recorder {
+    /// Charges `cost` software cycles to `core` and books them in the
+    /// overhead `bucket`; only the full stack has software costs.
+    fn charge(
+        &mut self,
+        machine: &mut Machine,
+        core: CoreId,
+        bucket: fn(&mut OverheadBreakdown) -> &mut u64,
+        cost: u64,
+    ) {
+        if self.cfg.mode == RecordingMode::Full {
+            *bucket(&mut self.overhead) += cost;
+            machine.core_mut(core).add_cycles(cost);
+        }
+    }
+
+    /// Invariant 2: conflicts terminate victims at detection time.
+    fn process_mem_events(&mut self, machine: &mut Machine, events: &[MemEvent]) -> Result<()> {
+        for event in events {
+            match *event {
+                MemEvent::LocalRead { core, line, .. } => {
+                    if self.bank.unit(core).is_recording()
+                        && self.bank.unit_mut(core).note_local_read(line)
+                        && self.bank.unit(core).chunk_icount() > 0
+                    {
+                        self.terminate(machine, core, TerminationReason::SigSaturation)?;
+                    }
+                }
+                MemEvent::LocalWrite { core, line, .. } => {
+                    if self.bank.unit(core).is_recording()
+                        && self.bank.unit_mut(core).note_local_write(line)
+                        && self.bank.unit(core).chunk_icount() > 0
+                    {
+                        self.terminate(machine, core, TerminationReason::SigSaturation)?;
+                    }
+                }
+                MemEvent::BusTxn { from, line, kind } => {
+                    if kind.is_read() || kind.is_write() {
+                        let victims = self.bank.conflicting_cores(from, line, kind.is_write());
+                        for (victim, reason) in victims {
+                            self.terminate(machine, victim, reason)?;
+                        }
+                    }
+                    debug_assert!(
+                        kind != BusKind::Writeback || !kind.is_read(),
+                        "writebacks are not snooped for conflicts"
+                    );
+                }
+                MemEvent::Eviction { .. } => {}
+            }
+        }
+        Ok(())
+    }
+
+    /// Invariant 3: boundary drains, then the timestamp.
+    fn terminate(&mut self, machine: &mut Machine, core: CoreId, reason: TerminationReason) -> Result<()> {
+        if !self.bank.unit(core).is_recording() || self.bank.unit(core).chunk_icount() == 0 {
+            return Ok(());
+        }
+        if reason.drains_store_buffer(self.cfg.cpu.mem.tso_mode) {
+            let drain = machine.drain_store_buffer(core)?;
+            self.note_footprint(&drain.events);
+            self.process_mem_events(machine, &drain.events)?;
+        }
+        let rsw = machine.mem().pending_stores(core).min(u8::MAX as usize) as u8;
+        let ts = machine.mem_mut().tick_clock();
+        let (packet, stall) = self.bank.terminate_chunk(core, reason, ts, rsw);
+        if packet.is_some() {
+            let (reads, writes) = std::mem::take(&mut self.fp_sets[core.index()]);
+            self.footprints.push(ChunkFootprint::new(
+                ts,
+                reads.into_iter().collect(),
+                writes.into_iter().collect(),
+            ));
+        }
+        if stall > 0 {
+            machine.core_mut(core).add_cycles(stall);
+        }
+        Ok(())
+    }
+
+    /// Attributes a step's local memory events to the footprint of the
+    /// chunk open on each event's core. Called on a whole event batch
+    /// *before* [`Recorder::process_mem_events`], because
+    /// processing may terminate the chunk mid-batch (signature
+    /// saturation) while the remaining events still belong to the
+    /// just-closed chunk — replay executes every access of a chunk's
+    /// instructions, including post-saturation drains, inside that chunk.
+    #[inline]
+    fn note_footprint(&mut self, events: &[MemEvent]) {
+        for event in events {
+            match *event {
+                MemEvent::LocalRead { core, line, .. } => {
+                    self.fp_sets[core.index()].0.insert(line);
+                }
+                MemEvent::LocalWrite { core, line, .. } => {
+                    self.fp_sets[core.index()].1.insert(line);
+                }
+                MemEvent::BusTxn { .. } | MemEvent::Eviction { .. } => {}
+            }
         }
     }
 }

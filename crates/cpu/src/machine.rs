@@ -288,6 +288,12 @@ impl Machine {
         core.add_cycles(result.cycles);
         result
     }
+
+    /// The makespan so far: the largest per-core cycle count (0 with no
+    /// cores).
+    pub fn makespan(&self) -> u64 {
+        self.cores.iter().map(Core::cycles).max().unwrap_or(0)
+    }
 }
 
 /// Executes one decoded instruction on the context `ctx` running on

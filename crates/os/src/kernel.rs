@@ -36,8 +36,8 @@ pub struct Kernel {
 
 impl Kernel {
     /// Creates the kernel and the main thread (tid 0) for the loaded
-    /// program; call [`Kernel::place_runnable`] (or [`crate::native::run_native`])
-    /// to start executing.
+    /// program; call [`Kernel::place_runnable`] (or run it with
+    /// [`crate::run_loop::run`]) to start executing.
     ///
     /// # Errors
     ///
@@ -130,8 +130,7 @@ impl Kernel {
     /// actions taken.
     pub fn place_runnable(&mut self, machine: &mut Machine) -> Vec<SchedEvent> {
         let mut events = Vec::new();
-        let max_cycles =
-            (0..machine.num_cores()).map(|i| machine.core(CoreId(i as u8)).cycles()).max().unwrap_or(0);
+        let max_cycles = machine.makespan();
         for i in 0..machine.num_cores() {
             let core = CoreId(i as u8);
             if self.core_thread[i].is_some() {

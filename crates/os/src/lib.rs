@@ -15,23 +15,26 @@
 //!   barriers use), console write, a synthetic input device, `sbrk`,
 //!   time/random reads, and user signals with handler/sigreturn
 //!   semantics,
-//! - a deterministic native run loop ([`native::run_native`]) used as the
-//!   no-recording baseline in the overhead experiments.
+//! - one run loop ([`run_loop::run`]) generic over a [`run_loop::Monitor`]:
+//!   the native baseline ([`native::run_native`]) runs it with `()`.
 //!
 //! The kernel reports every scheduling action and every syscall's
-//! user-visible effects as data ([`events`]), which is what lets the
-//! Capo3 analog in `qr-capo` wrap it: terminate chunks at the right
-//! boundaries, log inputs, and charge recording overhead — without the
-//! kernel knowing whether recording is on.
+//! user-visible effects as data ([`events`]), which the loop hands to
+//! the monitor's hooks. That is what lets the Capo3 analog in `qr-capo`
+//! be a monitor: terminate chunks at the right boundaries, log inputs,
+//! and charge recording overhead — without the kernel knowing whether
+//! recording is on.
 
 pub mod config;
 pub mod events;
 pub mod kernel;
 pub mod native;
+pub mod run_loop;
 pub mod thread;
 
 pub use config::OsConfig;
 pub use events::{SchedEvent, SyscallOutcome, SyscallRecord};
 pub use kernel::Kernel;
 pub use native::{run_native, RunOutcome};
+pub use run_loop::{run, Boundary, Monitor};
 pub use thread::{Thread, ThreadState};

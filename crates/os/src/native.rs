@@ -1,10 +1,11 @@
-//! The native (recording-off) run loop — the baseline of the overhead
-//! experiments.
+//! The native (recording-off) run — the baseline of the overhead
+//! experiments — and the architectural-outcome fingerprint.
 
 use crate::kernel::Kernel;
+use crate::run_loop::run;
 use crate::OsConfig;
-use qr_common::{Fingerprint, QrError, Result};
-use qr_cpu::{Machine, StepOutcome};
+use qr_common::{Fingerprint, Result};
+use qr_cpu::Machine;
 
 /// Result of running a program to completion.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,72 +43,18 @@ pub fn state_fingerprint(machine: &Machine, kernel: &Kernel) -> u64 {
     fingerprint_of(machine, kernel.console(), &kernel.exit_codes())
 }
 
-/// Runs the loaded program natively (no recording) to completion.
+/// Runs the loaded program natively (no recording) to completion: the
+/// kernel's [`run`] loop with the `()` monitor.
 ///
 /// # Errors
 ///
-/// Returns [`QrError::BudgetExceeded`] if the instruction budget runs
-/// out, or [`QrError::Execution`] on a scheduling deadlock (every thread
-/// blocked).
+/// Those of [`run`]: the instruction budget runs out, or every thread
+/// blocks forever.
 pub fn run_native(machine: &mut Machine, os_cfg: OsConfig) -> Result<RunOutcome> {
     let mut kernel = Kernel::new(os_cfg, machine)?;
-    kernel.place_runnable(machine);
-    let mut instructions = 0u64;
-    let budget = kernel.config().max_instructions;
-    while !kernel.all_done() {
-        let Some(core) = machine.least_advanced_busy_core() else {
-            kernel.place_runnable(machine);
-            if machine.least_advanced_busy_core().is_none() {
-                return Err(QrError::Execution {
-                    detail: format!("deadlock: {} threads blocked forever", kernel.live_threads()),
-                });
-            }
-            continue;
-        };
-        let step = machine.step(core);
-        if step.instruction_retired() {
-            instructions += 1;
-            if instructions > budget {
-                return Err(QrError::BudgetExceeded { executed: instructions });
-            }
-        }
-        match step.outcome {
-            StepOutcome::Retired => {
-                if kernel.quantum_expired(machine, core) {
-                    kernel.preempt(machine, core);
-                }
-                if kernel.signal_ready(core) {
-                    kernel.deliver_signal(machine, core);
-                }
-            }
-            StepOutcome::Syscall => {
-                machine.drain_store_buffer(core)?;
-                kernel.handle_syscall(machine, core)?;
-                kernel.place_runnable(machine);
-            }
-            StepOutcome::Nondet { kind, rd } => {
-                let value = kernel.nondet_value(machine, kind);
-                machine.write_reg(core, rd, value);
-            }
-            StepOutcome::Halt => {
-                machine.drain_store_buffer(core)?;
-                kernel.handle_halt(machine, core);
-                kernel.place_runnable(machine);
-            }
-            StepOutcome::Fault(ref err) => {
-                machine.drain_store_buffer(core)?;
-                kernel.handle_fault(machine, core, err);
-                kernel.place_runnable(machine);
-            }
-            StepOutcome::Idle => {}
-        }
-    }
-    let cycles = (0..machine.num_cores())
-        .map(|i| machine.core(qr_common::CoreId(i as u8)).cycles())
-        .max()
-        .unwrap_or(0);
+    let instructions = run(machine, &mut kernel, &mut ())?;
     Ok(RunOutcome {
-        cycles,
+        cycles: machine.makespan(),
         instructions,
         console: kernel.console().to_vec(),
         exit_code: kernel.exit_code(),
@@ -118,6 +65,7 @@ pub fn run_native(machine: &mut Machine, os_cfg: OsConfig) -> Result<RunOutcome>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qr_common::QrError;
     use qr_cpu::CpuConfig;
     use qr_isa::abi;
     use qr_isa::{Asm, Reg};

@@ -21,6 +21,17 @@ if grep -q '^warning' <<< "$build_out"; then
   exit 1
 fi
 
+echo "== one run loop: core selection lives only in qr_os::run and the machine =="
+# Native and recorded runs share one scheduler loop; a second copy of
+# it would call the machine's core selection from a second file.
+selection=$(grep -rln least_advanced_busy_core crates/*/src src tests bench/src examples | sort)
+if [ "$selection" != $'crates/cpu/src/machine.rs\ncrates/os/src/run_loop.rs' ]; then
+  echo "least_advanced_busy_core is used outside crates/os/src/run_loop.rs:" >&2
+  grep -rn least_advanced_busy_core crates/*/src src tests bench/src examples >&2
+  exit 1
+fi
+echo "one run loop"
+
 echo "== tests =="
 # The root package is a workspace member, so this one run already covers
 # the batteries that used to be re-run below: golden conformance (pinned

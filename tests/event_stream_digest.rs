@@ -8,12 +8,14 @@
 //! events…)` — and every boundary drain's events — into one digest per
 //! workload, for a private (fft), a shared (radix) and a snoop-heavy
 //! (raytrace) program, so a change to how events are reported cannot
-//! silently reorder, drop or duplicate one.
+//! silently reorder, drop or duplicate one. The digest is a monitor on
+//! the kernel's own run loop (`qr_os::run`), the loop native and
+//! recorded runs share, so it pins that loop and not a copy of it.
 
 use qr_common::{CoreId, Fingerprint};
-use qr_cpu::{CpuConfig, Machine, NondetKind, StepOutcome};
-use qr_mem::{BusKind, MemConfig, MemEvent};
-use qr_os::{Kernel, OsConfig};
+use qr_cpu::{CpuConfig, Machine, NondetKind, StepOutcome, StepResult};
+use qr_mem::{Access, BusKind, MemConfig, MemEvent};
+use qr_os::{Boundary, Kernel, Monitor, OsConfig};
 
 /// Evictions, dirty evictions and atomic halves folded so far: the
 /// event kinds no other pinned artifact covers must actually occur.
@@ -71,8 +73,41 @@ fn fold_outcome(fp: &mut Fingerprint, outcome: &StepOutcome) {
     };
 }
 
-/// `qr_os::run_native`'s loop, with every step and boundary drain
-/// folded into a digest. Returns `(digest, steps)`.
+/// Folds every step and every boundary drain of the kernel's run loop.
+#[derive(Default)]
+struct Digest {
+    fp: Fingerprint,
+    rare: Rare,
+    steps: u64,
+}
+
+impl Monitor for Digest {
+    fn stepped(&mut self, machine: &mut Machine, core: CoreId, step: &StepResult) -> qr_common::Result<()> {
+        self.steps += 1;
+        self.fp.bytes(&[core.0]);
+        fold_outcome(&mut self.fp, &step.outcome);
+        self.fp.u64(step.cycles);
+        fold_events(&mut self.fp, &mut self.rare, machine.events());
+        Ok(())
+    }
+
+    fn boundary(
+        &mut self,
+        _machine: &mut Machine,
+        _core: CoreId,
+        _boundary: Boundary,
+        drain: Option<&Access>,
+    ) -> qr_common::Result<()> {
+        if let Some(drain) = drain {
+            self.fp.u64(drain.cycles);
+            fold_events(&mut self.fp, &mut self.rare, &drain.events);
+        }
+        Ok(())
+    }
+}
+
+/// Runs `workload` under `qr_os::run` with a [`Digest`] attached.
+/// Returns `(digest, steps)`.
 fn event_stream_digest(workload: &str) -> (u64, u64) {
     let spec = quickrec::workloads::find(workload).expect("suite workload");
     let program = (spec.build)(4, quickrec::workloads::Scale::Test).expect("builds");
@@ -81,58 +116,9 @@ fn event_stream_digest(workload: &str) -> (u64, u64) {
     let cfg = CpuConfig { num_cores: 4, mem, ..CpuConfig::default() };
     let mut machine = Machine::new(program, cfg).expect("machine");
     let mut kernel = Kernel::new(OsConfig::default(), &mut machine).expect("kernel");
-    kernel.place_runnable(&mut machine);
-    let mut fp = Fingerprint::new();
-    let mut rare = Rare::default();
-    let mut steps = 0u64;
-    let drain = |machine: &mut Machine, core: CoreId, fp: &mut Fingerprint, rare: &mut Rare| {
-        let access = machine.drain_store_buffer(core).expect("boundary drain");
-        fp.u64(access.cycles);
-        fold_events(fp, rare, &access.events);
-    };
-    while !kernel.all_done() {
-        let Some(core) = machine.least_advanced_busy_core() else {
-            kernel.place_runnable(&mut machine);
-            assert!(machine.least_advanced_busy_core().is_some(), "{workload}: deadlock");
-            continue;
-        };
-        let step = machine.step(core);
-        steps += 1;
-        fp.bytes(&[core.0]);
-        fold_outcome(&mut fp, &step.outcome);
-        fp.u64(step.cycles);
-        fold_events(&mut fp, &mut rare, machine.events());
-        match step.outcome {
-            StepOutcome::Retired => {
-                if kernel.quantum_expired(&machine, core) {
-                    kernel.preempt(&mut machine, core);
-                }
-                if kernel.signal_ready(core) {
-                    kernel.deliver_signal(&mut machine, core);
-                }
-            }
-            StepOutcome::Syscall => {
-                drain(&mut machine, core, &mut fp, &mut rare);
-                kernel.handle_syscall(&mut machine, core).expect("syscall");
-                kernel.place_runnable(&mut machine);
-            }
-            StepOutcome::Nondet { kind, rd } => {
-                let value = kernel.nondet_value(&machine, kind);
-                machine.write_reg(core, rd, value);
-            }
-            StepOutcome::Halt => {
-                drain(&mut machine, core, &mut fp, &mut rare);
-                kernel.handle_halt(&mut machine, core);
-                kernel.place_runnable(&mut machine);
-            }
-            StepOutcome::Fault(ref err) => {
-                drain(&mut machine, core, &mut fp, &mut rare);
-                kernel.handle_fault(&mut machine, core, err);
-                kernel.place_runnable(&mut machine);
-            }
-            StepOutcome::Idle => {}
-        }
-    }
+    let mut digest = Digest::default();
+    qr_os::run(&mut machine, &mut kernel, &mut digest).unwrap_or_else(|e| panic!("{workload}: {e}"));
+    let Digest { fp, rare, steps } = digest;
     assert_eq!(kernel.exit_code(), (spec.expected)(4, quickrec::workloads::Scale::Test));
     assert!(
         rare.evictions > 0 && rare.writebacks > 0 && rare.atomics > 0,
