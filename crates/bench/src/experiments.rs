@@ -627,83 +627,87 @@ fn e11() -> Experiment {
     }
 }
 
-/// E12 — observability is free of observer effects: recordings are
-/// byte-identical with metrics on and off, and so are the checkpoint
-/// sidecar built from them and a query answered through it (checked,
-/// not tabulated: a difference fails the experiment).
-///
-/// One job runs every comparison serially because the `qr-obs` enabled
-/// flag is process-global: toggling it from concurrent jobs would only
-/// perturb *metric contents* (never outputs), but serializing keeps the
-/// flag state simple to reason about. The flag is restored afterwards.
+/// E12 — observability is free of observer effects: libraries keep no
+/// metrics and return what they counted, so a caller that folds those
+/// counts into a registry it owns (as the daemon's loop does) records,
+/// serializes, builds a seek sidecar and answers a query byte for byte
+/// like one that never looks (checked, not tabulated: a difference
+/// fails the experiment).
 fn e12() -> Experiment {
     let job: Job = Box::new(|cache: &BuildCache| {
-        let workloads = ["fft", "lu", "radix", "water"];
+        use qr_replay::{CheckpointIndex, QueryEngine, ReplayQuery};
         let mut out = JobOutput::default();
-        let was_enabled = qr_obs::enabled();
-        let result = (|| {
-            for name in workloads {
-                let spec = qr_workloads::suite::find(name).expect("suite member");
-                qr_obs::set_enabled(true);
-                let observed = record_workload_with(cache, &spec, 4, Scale::Small, full_cfg(4))?;
-                qr_obs::set_enabled(false);
-                let blind = record_workload_with(cache, &spec, 4, Scale::Small, full_cfg(4))?;
-                if observed.fingerprint != blind.fingerprint {
-                    return Err(QrError::Execution {
-                        detail: format!("{name}: fingerprint changed with metrics enabled"),
-                    });
-                }
-                let mut identical = true;
-                let mut log_bytes = 0usize;
-                for encoding in Encoding::ALL {
-                    let on = observed.chunks.to_bytes(encoding);
-                    let off = blind.chunks.to_bytes(encoding);
-                    identical &= on == off;
-                    if encoding == Encoding::Delta {
-                        log_bytes = on.len();
-                    }
-                }
-                if !identical {
-                    return Err(QrError::Execution {
-                        detail: format!("{name}: serialized chunk log changed with metrics enabled"),
-                    });
-                }
-                // The same rule one layer up: the seek sidecar built from
-                // the recording and an answer served through it.
-                let program = cache.program(&spec, 4, Scale::Small)?;
-                let seek_layer = |observe: bool| -> qr_common::Result<(Vec<u8>, Vec<u8>)> {
-                    use qr_replay::{CheckpointIndex, QueryEngine, ReplayQuery};
-                    qr_obs::set_enabled(observe);
-                    let sidecar = CheckpointIndex::build(&program, &observed, 25)?.to_bytes();
-                    let mut engine = QueryEngine::new(&program, &observed)?;
-                    engine.attach_index_bytes(&sidecar);
-                    let answer = engine.execute(ReplayQuery::ReverseStep { events: 3 }, None)?;
-                    Ok((sidecar, answer.to_bytes()))
-                };
-                if seek_layer(true)? != seek_layer(false)? {
-                    return Err(QrError::Execution {
-                        detail: format!("{name}: checkpoint sidecar or query answer changed with metrics enabled"),
-                    });
-                }
-                out.rows.push(vec![
-                    name.to_string(),
-                    observed.chunks.len().to_string(),
-                    log_bytes.to_string(),
-                    format!("{:016x}", observed.fingerprint),
-                    "identical".to_string(),
-                ]);
+        for name in ["fft", "lu", "radix", "water"] {
+            let spec = qr_workloads::suite::find(name).expect("suite member");
+            let mut counted = qr_obs::Registry::new();
+            let observed = record_workload_with(cache, &spec, 4, Scale::Small, full_cfg(4))?;
+            let by_reason = &observed.recorder_stats.chunks_by_reason;
+            for reason in TerminationReason::ALL {
+                counted
+                    .counter("chunks_total", "chunks by reason", &[("reason", reason.label())])
+                    .add(by_reason[reason.code() as usize]);
             }
-            Ok(())
-        })();
-        qr_obs::set_enabled(was_enabled);
-        result?;
+            let blind = record_workload_with(cache, &spec, 4, Scale::Small, full_cfg(4))?;
+            if observed.fingerprint != blind.fingerprint {
+                return Err(QrError::Execution {
+                    detail: format!("{name}: fingerprint changed with metrics enabled"),
+                });
+            }
+            let mut identical = true;
+            let mut log_bytes = 0usize;
+            for encoding in Encoding::ALL {
+                let on = observed.chunks.to_bytes(encoding);
+                let off = blind.chunks.to_bytes(encoding);
+                counted
+                    .counter("log_bytes_total", "chunk-log bytes", &[("encoding", encoding.name())])
+                    .add(on.len() as u64);
+                identical &= on == off;
+                if encoding == Encoding::Delta {
+                    log_bytes = on.len();
+                }
+            }
+            if !identical {
+                return Err(QrError::Execution {
+                    detail: format!("{name}: serialized chunk log changed with metrics enabled"),
+                });
+            }
+            // The same rule one layer up: the seek sidecar built from
+            // the recording and an answer served through it, with and
+            // without the engine's seek counts folded in.
+            let program = cache.program(&spec, 4, Scale::Small)?;
+            let seek_layer = |observe: Option<&mut qr_obs::Registry>| {
+                let sidecar = CheckpointIndex::build(&program, &observed, 25)?.to_bytes();
+                let mut engine = QueryEngine::new(&program, &observed)?;
+                engine.attach_index_bytes(&sidecar);
+                let answer = engine.execute(ReplayQuery::ReverseStep { events: 3 }, None)?;
+                if let Some(counted) = observe {
+                    let seeks = engine.seek_stats();
+                    counted.counter("seeks_total", "seeks", &[("source", "index")]).add(seeks.from_index());
+                    counted.counter("seeks_total", "seeks", &[("source", "scratch")]).add(seeks.from_scratch);
+                }
+                qr_common::Result::Ok((sidecar, answer.to_bytes()))
+            };
+            if seek_layer(Some(&mut counted))? != seek_layer(None)? {
+                return Err(QrError::Execution {
+                    detail: format!("{name}: checkpoint sidecar or query answer changed with metrics enabled"),
+                });
+            }
+            out.rows.push(vec![
+                name.to_string(),
+                observed.chunks.len().to_string(),
+                log_bytes.to_string(),
+                format!("{:016x}", observed.fingerprint),
+                "identical".to_string(),
+            ]);
+        }
         Ok(out)
     });
     Experiment {
         id: "e12",
-        title: "observability overhead accounting: metrics on vs off",
-        note: "qr-obs is observational only — fingerprints and serialized logs must be \
-         byte-identical with the metrics registry enabled and disabled",
+        title: "observability overhead accounting: caller-owned metrics on vs off",
+        note: "libraries keep no metrics and return what they count — fingerprints, serialized \
+         logs, the seek sidecar and a query answer must be byte-identical whether or not the \
+         caller folds those counts into a registry it owns",
         header: vec!["workload".into(), "chunks".into(), "delta log B".into(),
             "fingerprint".into(), "on vs off".into()],
         jobs: vec![job],

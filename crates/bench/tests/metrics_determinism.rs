@@ -1,7 +1,8 @@
 //! `qr-obs` is observational only: the experiment harness must render
-//! byte-identical reports whether or not the metrics registry and the
-//! trace journal are recording. A report that shifts when observability
-//! is on would poison every cross-run comparison in the paper tables.
+//! byte-identical reports whether or not its caller traces the run in a
+//! journal it owns (the libraries keep no metrics of their own to turn
+//! on). A report that shifts when observability is on would poison
+//! every cross-run comparison in the paper tables.
 
 use qr_bench::experiments::render_experiments;
 use qr_bench::runner::ExecMode;
@@ -21,17 +22,16 @@ fn harness_output_is_byte_identical_with_observability_on_and_off() {
     // one that drives real recordings through the instrumented recorder
     // and chunk-log paths — cheap enough for a debug-mode test.
     let ids = ["t1", "a2"];
-    let was_enabled = qr_obs::enabled();
-    let journal = qr_obs::trace::global();
+    let journal = qr_obs::Journal::new();
 
-    qr_obs::set_enabled(true);
     journal.set_enabled(true);
-    let observed = render(&ids);
+    let observed = {
+        let _span = journal.span("render", 0);
+        render(&ids)
+    };
     journal.set_enabled(false);
-    journal.drain();
-    qr_obs::set_enabled(false);
+    assert_eq!(journal.drain().len(), 2, "the observed render was traced");
     let blind = render(&ids);
-    qr_obs::set_enabled(was_enabled);
 
     assert_eq!(
         observed, blind,

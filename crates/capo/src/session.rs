@@ -577,4 +577,114 @@ pub(crate) mod tests {
         assert_eq!(read_event.writes.len(), 1);
         assert_eq!(read_event.writes[0].1.len(), 32);
     }
+
+    /// Main spawns two workers, so three threads share two cores, and
+    /// every thread yields `YIELDS` times in a register-only loop: each
+    /// yield finds a thread waiting and switches.
+    fn yield_loop() -> Program {
+        let mut a = Asm::new();
+        for saved in [Reg::R6, Reg::R7] {
+            sys(&mut a, abi::SYS_SPAWN, |a| {
+                a.movi_sym(Reg::R1, "worker");
+                a.movi(Reg::R2, 0);
+            });
+            a.mov(saved, Reg::R0);
+        }
+        a.call("yields");
+        for saved in [Reg::R6, Reg::R7] {
+            sys(&mut a, abi::SYS_JOIN, |a| {
+                a.mov(Reg::R1, saved);
+            });
+        }
+        sys(&mut a, abi::SYS_EXIT, |a| {
+            a.movi(Reg::R1, 0);
+        });
+        a.label("worker");
+        a.call("yields");
+        sys(&mut a, abi::SYS_EXIT, |a| {
+            a.movi(Reg::R1, 0);
+        });
+        a.label("yields");
+        a.movi(Reg::R8, 20);
+        a.label("again");
+        sys(&mut a, abi::SYS_YIELD, |_| {});
+        a.addi(Reg::R8, Reg::R8, -1);
+        a.bnez(Reg::R8, "again");
+        a.ret();
+        a.finish().unwrap()
+    }
+
+    /// Passes every hook on to `inner` and measures each yield that
+    /// switched threads: the cycles its core gained from the end of the
+    /// syscall boundary hook to the start of the outcome hook (the
+    /// kernel's work alone), the `kernel_cycles` it reported, and how far
+    /// the most advanced core was ahead of it at the boundary.
+    struct YieldProbe<'m, M> {
+        inner: &'m mut M,
+        at_boundary: (u64, u64),
+        yields: Vec<(u64, u64, u64)>,
+    }
+
+    impl<M: Monitor> Monitor for YieldProbe<'_, M> {
+        fn scheduled(&mut self, machine: &mut Machine, events: &[SchedEvent]) {
+            self.inner.scheduled(machine, events);
+        }
+        fn stepped(&mut self, machine: &mut Machine, core: CoreId, step: &StepResult) -> Result<()> {
+            self.inner.stepped(machine, core, step)
+        }
+        fn boundary(&mut self, machine: &mut Machine, core: CoreId, b: Boundary, drain: Option<&Access>) -> Result<()> {
+            self.inner.boundary(machine, core, b, drain)?;
+            self.at_boundary = (machine.core(core).cycles(), machine.makespan());
+            Ok(())
+        }
+        fn kernel_outcome(&mut self, machine: &mut Machine, core: CoreId, out: SyscallOutcome) -> Result<()> {
+            let yielded = out.records.first().is_some_and(|r| r.number == abi::SYS_YIELD);
+            let switched = out.sched.iter().any(|e| matches!(e, SchedEvent::DescheduledFrom { .. }));
+            if yielded && switched {
+                let (before, makespan) = self.at_boundary;
+                self.yields.push((machine.core(core).cycles() - before, out.kernel_cycles, makespan - before));
+            }
+            self.inner.kernel_outcome(machine, core, out)
+        }
+        fn signal_delivered(&mut self, machine: &mut Machine, core: CoreId, tid: ThreadId) {
+            self.inner.signal_delivered(machine, core, tid);
+        }
+        fn nondet(&mut self, tid: ThreadId, kind: NondetKind, value: u32) {
+            self.inner.nondet(tid, kind, value);
+        }
+        fn iteration_end(&mut self, machine: &mut Machine, core: CoreId) {
+            self.inner.iteration_end(machine, core);
+        }
+    }
+
+    /// The switch `preempt` charges used to be charged again with the
+    /// syscall. Placing the next thread also lifts the core to the most
+    /// advanced core's clock (`place_runnable`) when that is further
+    /// ahead than the switch: a resync, not a charge, taken out below.
+    #[test]
+    fn an_oversubscribed_yield_charges_its_switch_once() {
+        let cfg = RecordingConfig::with_cores(2);
+        let switch = cfg.os.context_switch_cycles;
+        let once = cfg.os.syscall_base_cycles + switch;
+
+        let mut machine = Machine::new(yield_loop(), cfg.cpu.clone()).unwrap();
+        let mut kernel = Kernel::new(cfg.os.clone(), &mut machine).unwrap();
+        let mut native = YieldProbe { inner: &mut (), at_boundary: (0, 0), yields: Vec::new() };
+        qr_os::run(&mut machine, &mut kernel, &mut native).unwrap();
+        let native = native.yields;
+
+        let mut session = RecordingSession::new(yield_loop(), cfg).unwrap();
+        let mut recorded =
+            YieldProbe { inner: &mut session.recorder, at_boundary: (0, 0), yields: Vec::new() };
+        qr_os::run(&mut session.machine, &mut session.kernel, &mut recorded).unwrap();
+        let recorded = recorded.yields;
+
+        for (run, yields) in [("native", native), ("recorded", recorded)] {
+            assert!(yields.len() >= 20, "{run}: only {} switching yields", yields.len());
+            for (gained, reported, lag) in yields {
+                let resync = lag.saturating_sub(switch);
+                assert_eq!((gained - resync, reported), (once, once), "{run}: charged and reported");
+            }
+        }
+    }
 }

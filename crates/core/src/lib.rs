@@ -40,7 +40,6 @@ pub mod footprint;
 pub mod hb;
 pub mod log;
 pub mod mrr;
-mod obs;
 pub mod po;
 pub mod signature;
 pub mod stats;

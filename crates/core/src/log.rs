@@ -102,9 +102,7 @@ impl ChunkLog {
     /// Serializes the log with the given encoding, in the crash-consistent
     /// framed container format (see [`qr_common::frame`]).
     pub fn to_bytes(&self, encoding: Encoding) -> Vec<u8> {
-        let bytes = encoding.encode_framed_stream(&self.packets);
-        crate::obs::log_serialized(encoding, bytes.len());
-        bytes
+        encoding.encode_framed_stream(&self.packets)
     }
 
     /// Deserializes a log produced by [`ChunkLog::to_bytes`], strictly:

@@ -242,9 +242,7 @@ impl OrderLog {
             }
             w.record(&payload);
         }
-        let bytes = w.finish();
-        crate::obs::order_serialized(bytes.len());
-        bytes
+        w.finish()
     }
 
     /// Deserializes a log written by [`OrderLog::to_bytes`], strictly:
@@ -288,9 +286,6 @@ impl OrderLog {
                 detail: format!("header commits {count} edges but records hold {held}"),
             })
         });
-        if corruption.is_some() {
-            crate::obs::order_rejected();
-        }
         let log = OrderLog { threads: threads.unwrap_or_default(), edges };
         (log, OrderSalvage { expected_edges, bytes_dropped: walked.bytes_dropped, corruption })
     }
@@ -550,7 +545,6 @@ pub fn derive(events: &[PoEvent]) -> Result<(OrderLog, DeriveStats)> {
         dense.iter().map(|(&tid, &d)| (tid, counts[d])).collect();
     let log = OrderLog::new(threads, edges);
     stats.program_edges = log.program_edge_count();
-    crate::obs::order_derived(&stats);
     Ok((log, stats))
 }
 

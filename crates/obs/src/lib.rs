@@ -6,34 +6,29 @@
 //! time and bytes go. This crate provides, with no dependencies beyond
 //! `qr-common`:
 //!
-//! - [`metrics`]: a registry of atomic counters, gauges, and
-//!   fixed-bucket histograms (p50/p95/p99 readout), rendered as a
-//!   Prometheus-style text exposition and validated by
-//!   [`metrics::parse_exposition`].
+//! - [`metrics`]: a registry of counters, gauges, and fixed-bucket
+//!   histograms (p50/p95/p99 readout), rendered as a Prometheus-style
+//!   text exposition and validated by [`metrics::parse_exposition`].
 //! - [`trace`]: a span journal (begin/end/instant events with dense
 //!   thread ids and session ids) serialized through the
 //!   `qr_common::frame` container, so traces are CRC-verified and
 //!   salvageable like every other QuickRec log.
 //!
-//! # The determinism rule
+//! # Determinism by construction
 //!
-//! Instrumentation is strictly *observational*. Recorder, replayer,
-//! store, and server code may write metrics and spans, but nothing on a
-//! deterministic path — recording fingerprints, replay outcomes, or
-//! `repro` report bytes — may ever read them back. Wall-clock-derived
-//! values (latencies, drain times, trace timestamps) therefore never
-//! reach deterministic output, and flipping [`metrics::set_enabled`]
-//! cannot change any fingerprint. The observability test battery
-//! enforces this by recording with metrics on and off and comparing
-//! bytes.
+//! Nothing here is process-wide. A registry or a journal belongs to the
+//! code that created it — the daemon's event loop, a CLI command, the
+//! benchmark — and the recorder, replayer and store never see one: they
+//! return what they counted in the values they already return
+//! (`RecorderStats`, the chunk log, the store `Manifest`,
+//! `ReplayOutcome`, `QueryEngine::seek_stats`), and their caller
+//! decides what to fold into its own registry. No deterministic path
+//! can read an observation back, because none holds one.
 
 #![warn(missing_docs)]
 
 pub mod metrics;
 pub mod trace;
 
-pub use metrics::{
-    enabled, global, parse_exposition, set_enabled, Counter, Exposition, Gauge, Histogram,
-    Registry, LATENCY_US, SIZE_BYTES,
-};
+pub use metrics::{parse_exposition, Counter, Exposition, Gauge, Histogram, Registry, LATENCY_US};
 pub use trace::{EventKind, Journal, Span, TraceEvent};

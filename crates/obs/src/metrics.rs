@@ -1,88 +1,54 @@
-//! The metrics registry: atomic counters, gauges, and fixed-bucket
-//! histograms with quantile readout, rendered as a Prometheus-style
-//! text exposition.
+//! The metrics registry: counters, gauges and fixed-bucket histograms
+//! with quantile readout, rendered as a Prometheus-style text
+//! exposition.
 //!
-//! Handles ([`Counter`], [`Gauge`], [`Histogram`]) are `Arc`s detached
-//! from the registry: instrumentation sites resolve them once (usually
-//! into a `OnceLock`) and then update lock-free. The registry itself is
-//! only locked on registration and on render, never on the hot path.
-//!
-//! **Determinism rule** (enforced by the observability test battery):
-//! metric values are *observations* — nothing in the deterministic
-//! pipeline (recording fingerprints, replay outcomes, `repro` report
-//! bytes) may read them back. Wall-clock-derived families (latency
-//! histograms, drain times) therefore never leak into deterministic
-//! output, and flipping [`set_enabled`] cannot change any fingerprint.
+//! A [`Registry`] is plain data with one owner. Whoever counts holds it
+//! by `&mut` and updates a series in place; a second thread that counts
+//! fills its own registry and hands it over, and the owner folds it in
+//! with [`Registry::merge`]. No series is shared, so no value can be
+//! read back by code that did not count it.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Globally enables or disables metric mutation (rendering still works).
-///
-/// Disabling is the determinism-battery switch: recordings taken with
-/// metrics on and off must be byte-identical.
-pub fn set_enabled(enabled: bool) {
-    ENABLED.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether metric mutation is currently enabled.
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
 /// A monotonically increasing counter.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct Counter {
-    value: AtomicU64,
+    value: u64,
 }
 
 impl Counter {
     /// Adds 1.
-    pub fn inc(&self) {
+    pub fn inc(&mut self) {
         self.add(1);
     }
 
     /// Adds `n`.
-    pub fn add(&self, n: u64) {
-        if enabled() {
-            self.value.fetch_add(n, Ordering::Relaxed);
-        }
+    pub fn add(&mut self, n: u64) {
+        self.value += n;
     }
 
     /// Current value.
     pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
+        self.value
     }
 }
 
 /// A value that can go up and down.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct Gauge {
-    value: AtomicI64,
+    value: i64,
 }
 
 impl Gauge {
     /// Sets the value.
-    pub fn set(&self, v: i64) {
-        if enabled() {
-            self.value.store(v, Ordering::Relaxed);
-        }
-    }
-
-    /// Adds `delta` (may be negative).
-    pub fn add(&self, delta: i64) {
-        if enabled() {
-            self.value.fetch_add(delta, Ordering::Relaxed);
-        }
+    pub fn set(&mut self, v: i64) {
+        self.value = v;
     }
 
     /// Current value.
     pub fn get(&self) -> i64 {
-        self.value.load(Ordering::Relaxed)
+        self.value
     }
 }
 
@@ -91,115 +57,100 @@ pub const LATENCY_US: &[u64] =
     &[10, 25, 50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000,
         500_000, 1_000_000, 2_500_000, 10_000_000];
 
-/// Default buckets for byte-size histograms: 64 B to 64 MiB.
-pub const SIZE_BYTES: &[u64] = &[
-    64, 256, 1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20, 16 << 20, 64 << 20,
-];
-
 /// A fixed-bucket histogram over `u64` observations.
 ///
 /// Buckets are cumulative at render time (Prometheus `le` semantics);
-/// internally each atomic slot counts one bucket, with a final implicit
-/// `+Inf` slot. Quantiles are estimated by linear interpolation inside
-/// the bucket where the rank falls.
-#[derive(Debug)]
+/// internally each slot counts one bucket, with a final implicit `+Inf`
+/// slot. Quantiles are estimated by linear interpolation inside the
+/// bucket where the rank falls.
+#[derive(Debug, Clone)]
 pub struct Histogram {
     bounds: Vec<u64>,
-    buckets: Vec<AtomicU64>, // bounds.len() + 1 slots; last is +Inf
-    sum: AtomicU64,
-    count: AtomicU64,
+    buckets: Vec<u64>, // bounds.len() + 1 slots; last is +Inf
+    sum: u64,
+    count: u64,
 }
 
 impl Histogram {
     fn new(bounds: &[u64]) -> Histogram {
         assert!(!bounds.is_empty(), "histogram needs at least one bucket bound");
         assert!(bounds.windows(2).all(|w| w[0] < w[1]), "bucket bounds must strictly increase");
-        Histogram {
-            bounds: bounds.to_vec(),
-            buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
-            sum: AtomicU64::new(0),
-            count: AtomicU64::new(0),
-        }
+        Histogram { bounds: bounds.to_vec(), buckets: vec![0; bounds.len() + 1], sum: 0, count: 0 }
     }
 
     /// Records one observation.
-    pub fn observe(&self, v: u64) {
-        if !enabled() {
-            return;
-        }
+    pub fn observe(&mut self, v: u64) {
+        self.observe_n(v, 1);
+    }
+
+    /// Records `n` observations of `v`.
+    pub fn observe_n(&mut self, v: u64, n: u64) {
         let slot = self.bounds.partition_point(|&b| b < v);
-        self.buckets[slot].fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
+        self.buckets[slot] += n;
+        self.sum += v * n;
+        self.count += n;
     }
 
     /// Records the microseconds elapsed since `start`.
-    pub fn observe_since(&self, start: Instant) {
-        if enabled() {
-            self.observe(start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
-        }
+    pub fn observe_since(&mut self, start: Instant) {
+        self.observe(start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
     }
 
     /// Total observations.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.count
     }
 
     /// Sum of all observed values.
     pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
+        self.sum
     }
 
     /// Estimates quantile `q` in `[0, 1]` by linear interpolation inside
     /// the covering bucket (0 when empty). The top (`+Inf`) bucket
     /// reports its lower bound — the largest finite boundary.
     pub fn quantile(&self, q: f64) -> f64 {
-        let counts: Vec<u64> = self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect();
-        let total: u64 = counts.iter().sum();
-        if total == 0 {
+        if self.count == 0 {
             return 0.0;
         }
-        let rank = q.clamp(0.0, 1.0) * total as f64;
+        let top = *self.bounds.last().expect("nonempty bounds") as f64;
+        let rank = q.clamp(0.0, 1.0) * self.count as f64;
         let mut cumulative = 0u64;
-        for (i, &c) in counts.iter().enumerate() {
+        for (i, &c) in self.buckets.iter().enumerate() {
             let next = cumulative + c;
             if (next as f64) >= rank && c > 0 {
                 let lower = if i == 0 { 0 } else { self.bounds[i - 1] };
-                let Some(&upper) = self.bounds.get(i) else {
-                    return *self.bounds.last().expect("nonempty bounds") as f64;
-                };
+                let Some(&upper) = self.bounds.get(i) else { return top };
                 let into = (rank - cumulative as f64) / c as f64;
                 return lower as f64 + into * (upper - lower) as f64;
             }
             cumulative = next;
         }
-        *self.bounds.last().expect("nonempty bounds") as f64
+        top
     }
 
     /// Cumulative `(le_bound, count)` pairs, ending with the `+Inf`
     /// bucket (`None` bound).
-    fn cumulative(&self) -> Vec<(Option<u64>, u64)> {
-        let mut running = 0u64;
-        let mut out = Vec::with_capacity(self.buckets.len());
-        for (i, slot) in self.buckets.iter().enumerate() {
-            running += slot.load(Ordering::Relaxed);
-            out.push((self.bounds.get(i).copied(), running));
-        }
-        out
+    fn cumulative(&self) -> impl Iterator<Item = (Option<u64>, u64)> + '_ {
+        self.buckets.iter().enumerate().scan(0u64, |running, (i, &slot)| {
+            *running += slot;
+            Some((self.bounds.get(i).copied(), *running))
+        })
     }
 }
 
-/// Label pairs attached to one series, normalized and sorted by key.
+/// Label pairs attached to one series, sorted by key.
 type LabelSet = Vec<(String, String)>;
 
+#[derive(Debug, Clone)]
 enum Series {
-    Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
-    Histogram(Arc<Histogram>),
+    Counter(Counter),
+    Gauge(Gauge),
+    Histogram(Histogram),
 }
 
 impl Series {
-    fn kind(&self) -> &'static str {
+    fn kind(&self) -> &str {
         match self {
             Series::Counter(_) => "counter",
             Series::Gauge(_) => "gauge",
@@ -208,25 +159,21 @@ impl Series {
     }
 }
 
+#[derive(Debug, Clone)]
 struct Family {
     help: String,
     series: BTreeMap<LabelSet, Series>,
 }
 
 /// A named collection of metric families.
-///
-/// Most code uses the process-wide [`global`] registry; tests can build
-/// private ones.
-#[derive(Default)]
+#[derive(Debug, Default, Clone)]
 pub struct Registry {
-    families: Mutex<BTreeMap<String, Family>>,
+    families: BTreeMap<String, Family>,
 }
 
-fn normalize(labels: &[(&str, &str)]) -> LabelSet {
-    let mut set: LabelSet =
-        labels.iter().map(|(k, v)| (String::from(*k), String::from(*v))).collect();
-    set.sort();
-    set
+/// Whether `set` holds exactly the pairs of `labels`, in any order.
+fn same_labels(set: &LabelSet, labels: &[(&str, &str)]) -> bool {
+    set.len() == labels.len() && labels.iter().all(|&(k, v)| set.iter().any(|(sk, sv)| sk == k && sv == v))
 }
 
 impl Registry {
@@ -235,22 +182,27 @@ impl Registry {
         Registry::default()
     }
 
-    fn series<T>(
-        &self,
+    /// The series `name{labels}`, made by `make` on first use.
+    fn series(
+        &mut self,
         name: &str,
         help: &str,
         labels: &[(&str, &str)],
         make: impl FnOnce() -> Series,
-        get: impl FnOnce(&Series) -> Option<Arc<T>>,
-    ) -> Arc<T> {
-        let mut families = self.families.lock().unwrap_or_else(PoisonError::into_inner);
-        let family = families
-            .entry(name.to_string())
-            .or_insert_with(|| Family { help: help.to_string(), series: BTreeMap::new() });
-        let series = family.series.entry(normalize(labels)).or_insert_with(make);
-        get(series).unwrap_or_else(|| {
-            panic!("metric `{name}` already registered as a {}", series.kind())
-        })
+    ) -> &mut Series {
+        if !self.families.contains_key(name) {
+            let family = Family { help: help.to_string(), series: BTreeMap::new() };
+            self.families.insert(name.to_string(), family);
+        }
+        let family = self.families.get_mut(name).expect("inserted above");
+        if !family.series.keys().any(|set| same_labels(set, labels)) {
+            let mut key: LabelSet =
+                labels.iter().map(|&(k, v)| (k.to_string(), v.to_string())).collect();
+            key.sort();
+            family.series.insert(key, make());
+        }
+        let found = family.series.iter_mut().find(|(set, _)| same_labels(set, labels));
+        found.map(|(_, series)| series).expect("inserted above")
     }
 
     /// Registers (or finds) a counter series.
@@ -258,18 +210,12 @@ impl Registry {
     /// # Panics
     ///
     /// Panics if `name` is already registered with a different type — a
-    /// static naming bug, caught by any test touching the family.
-    pub fn counter(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
-        self.series(
-            name,
-            help,
-            labels,
-            || Series::Counter(Arc::new(Counter::default())),
-            |s| match s {
-                Series::Counter(c) => Some(Arc::clone(c)),
-                _ => None,
-            },
-        )
+    /// naming bug, caught by any test touching the family.
+    pub fn counter(&mut self, name: &str, help: &str, labels: &[(&str, &str)]) -> &mut Counter {
+        match self.series(name, help, labels, || Series::Counter(Counter::default())) {
+            Series::Counter(c) => c,
+            other => panic!("metric `{name}` already registered as a {}", other.kind()),
+        }
     }
 
     /// Registers (or finds) a gauge series.
@@ -277,17 +223,11 @@ impl Registry {
     /// # Panics
     ///
     /// Panics if `name` is already registered with a different type.
-    pub fn gauge(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
-        self.series(
-            name,
-            help,
-            labels,
-            || Series::Gauge(Arc::new(Gauge::default())),
-            |s| match s {
-                Series::Gauge(g) => Some(Arc::clone(g)),
-                _ => None,
-            },
-        )
+    pub fn gauge(&mut self, name: &str, help: &str, labels: &[(&str, &str)]) -> &mut Gauge {
+        match self.series(name, help, labels, || Series::Gauge(Gauge::default())) {
+            Series::Gauge(g) => g,
+            other => panic!("metric `{name}` already registered as a {}", other.kind()),
+        }
     }
 
     /// Registers (or finds) a histogram series with the given bucket
@@ -298,42 +238,53 @@ impl Registry {
     /// Panics if `name` is already registered with a different type, or
     /// if `bounds` is empty or not strictly increasing.
     pub fn histogram(
-        &self,
+        &mut self,
         name: &str,
         help: &str,
         labels: &[(&str, &str)],
         bounds: &[u64],
-    ) -> Arc<Histogram> {
-        self.series(
-            name,
-            help,
-            labels,
-            || Series::Histogram(Arc::new(Histogram::new(bounds))),
-            |s| match s {
-                Series::Histogram(h) => Some(Arc::clone(h)),
-                _ => None,
-            },
-        )
+    ) -> &mut Histogram {
+        match self.series(name, help, labels, || Series::Histogram(Histogram::new(bounds))) {
+            Series::Histogram(h) => h,
+            other => panic!("metric `{name}` already registered as a {}", other.kind()),
+        }
     }
 
-    /// Flat `(name, labels, value)` snapshot of every counter and gauge,
-    /// plus histogram `_count`/`_sum` totals — for tests and tools.
-    pub fn snapshot(&self) -> Vec<(String, LabelSet, f64)> {
-        let families = self.families.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut out = Vec::new();
-        for (name, family) in families.iter() {
-            for (labels, series) in &family.series {
-                match series {
-                    Series::Counter(c) => out.push((name.clone(), labels.clone(), c.get() as f64)),
-                    Series::Gauge(g) => out.push((name.clone(), labels.clone(), g.get() as f64)),
-                    Series::Histogram(h) => {
-                        out.push((format!("{name}_count"), labels.clone(), h.count() as f64));
-                        out.push((format!("{name}_sum"), labels.clone(), h.sum() as f64));
+    /// Folds `other` into this registry: counters and histogram buckets
+    /// add, a gauge takes `other`'s value, and a series only `other` has
+    /// is adopted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a family has different types in the two registries, or
+    /// a histogram different bounds.
+    pub fn merge(&mut self, other: Registry) {
+        for (name, family) in other.families {
+            let mine = self
+                .families
+                .entry(name)
+                .or_insert_with(|| Family { help: family.help, series: BTreeMap::new() });
+            for (labels, theirs) in family.series {
+                let Some(ours) = mine.series.get_mut(&labels) else {
+                    mine.series.insert(labels, theirs);
+                    continue;
+                };
+                match (ours, theirs) {
+                    (Series::Counter(a), Series::Counter(b)) => a.add(b.get()),
+                    (Series::Gauge(a), Series::Gauge(b)) => a.set(b.get()),
+                    (Series::Histogram(a), Series::Histogram(b)) if a.bounds == b.bounds => {
+                        a.buckets.iter_mut().zip(&b.buckets).for_each(|(x, y)| *x += y);
+                        a.sum += b.sum;
+                        a.count += b.count;
                     }
+                    (ours, theirs) => panic!(
+                        "cannot merge a {} into a {} series",
+                        theirs.kind(),
+                        ours.kind()
+                    ),
                 }
             }
         }
-        out
     }
 
     /// Renders the Prometheus-style text exposition: `# HELP`/`# TYPE`
@@ -344,40 +295,26 @@ impl Registry {
     /// Output ordering is deterministic (families and label sets are
     /// B-tree sorted); *values* of wall-clock families are not.
     pub fn render(&self) -> String {
-        let families = self.families.lock().unwrap_or_else(PoisonError::into_inner);
         let mut out = String::new();
-        for (name, family) in families.iter() {
-            let kind =
-                family.series.values().next().map_or("counter", Series::kind);
+        for (name, family) in &self.families {
+            let kind = family.series.values().next().map_or("counter", Series::kind);
             out.push_str(&format!("# HELP {name} {}\n", family.help));
             out.push_str(&format!("# TYPE {name} {kind}\n"));
             for (labels, series) in &family.series {
                 match series {
-                    Series::Counter(c) => {
-                        out.push_str(&sample(name, labels, &[], &format!("{}", c.get())));
-                    }
-                    Series::Gauge(g) => {
-                        out.push_str(&sample(name, labels, &[], &format!("{}", g.get())));
-                    }
+                    Series::Counter(c) => out.push_str(&sample(name, labels, &[], c.get())),
+                    Series::Gauge(g) => out.push_str(&sample(name, labels, &[], g.get())),
                     Series::Histogram(h) => {
                         for (bound, cum) in h.cumulative() {
                             let le = bound.map_or_else(|| "+Inf".to_string(), |b| b.to_string());
-                            out.push_str(&sample(
-                                &format!("{name}_bucket"),
-                                labels,
-                                &[("le", &le)],
-                                &format!("{cum}"),
-                            ));
+                            let bucket = format!("{name}_bucket");
+                            out.push_str(&sample(&bucket, labels, &[("le", &le)], cum));
                         }
-                        out.push_str(&sample(&format!("{name}_sum"), labels, &[], &format!("{}", h.sum())));
-                        out.push_str(&sample(&format!("{name}_count"), labels, &[], &format!("{}", h.count())));
+                        out.push_str(&sample(&format!("{name}_sum"), labels, &[], h.sum()));
+                        out.push_str(&sample(&format!("{name}_count"), labels, &[], h.count()));
                         for (q, tag) in [(0.5, "0.5"), (0.95, "0.95"), (0.99, "0.99")] {
-                            out.push_str(&sample(
-                                name,
-                                labels,
-                                &[("quantile", tag)],
-                                &format!("{:.1}", h.quantile(q)),
-                            ));
+                            let value = format!("{:.1}", h.quantile(q));
+                            out.push_str(&sample(name, labels, &[("quantile", tag)], value));
                         }
                     }
                 }
@@ -387,7 +324,12 @@ impl Registry {
     }
 }
 
-fn sample(name: &str, labels: &LabelSet, extra: &[(&str, &str)], value: &str) -> String {
+fn sample(
+    name: &str,
+    labels: &LabelSet,
+    extra: &[(&str, &str)],
+    value: impl std::fmt::Display,
+) -> String {
     let mut pairs: Vec<String> = labels
         .iter()
         .map(|(k, v)| format!("{k}=\"{}\"", v.replace('\\', "\\\\").replace('"', "\\\"")))
@@ -398,12 +340,6 @@ fn sample(name: &str, labels: &LabelSet, extra: &[(&str, &str)], value: &str) ->
     } else {
         format!("{name}{{{}}} {value}\n", pairs.join(","))
     }
-}
-
-/// The process-wide registry every instrumented crate reports into.
-pub fn global() -> &'static Registry {
-    static GLOBAL: OnceLock<Registry> = OnceLock::new();
-    GLOBAL.get_or_init(Registry::new)
 }
 
 /// Summary of a parsed exposition (see [`parse_exposition`]).
@@ -495,32 +431,33 @@ pub fn parse_exposition(text: &str) -> Result<Exposition, String> {
 mod tests {
     use super::*;
 
-    /// `ENABLED` is process-global: tests that toggle it hold this
-    /// write-side lock, tests that count under the default hold the
-    /// read side, so parallel test threads never observe a flip.
-    static FLAG: std::sync::RwLock<()> = std::sync::RwLock::new(());
-
     #[test]
     fn counters_and_gauges_accumulate() {
-        let _on = FLAG.read().unwrap_or_else(PoisonError::into_inner);
-        let reg = Registry::new();
+        let mut reg = Registry::new();
         let c = reg.counter("t_jobs_total", "jobs", &[("kind", "record")]);
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
         // Same (name, labels) resolves to the same series.
         reg.counter("t_jobs_total", "jobs", &[("kind", "record")]).inc();
-        assert_eq!(c.get(), 6);
+        assert_eq!(reg.counter("t_jobs_total", "jobs", &[("kind", "record")]).get(), 6);
         let g = reg.gauge("t_queue_depth", "depth", &[]);
         g.set(7);
-        g.add(-3);
+        g.set(4);
         assert_eq!(g.get(), 4);
     }
 
     #[test]
+    fn label_order_does_not_split_a_series() {
+        let mut reg = Registry::new();
+        reg.counter("t_pairs_total", "x", &[("a", "1"), ("b", "2")]).inc();
+        reg.counter("t_pairs_total", "x", &[("b", "2"), ("a", "1")]).inc();
+        assert!(reg.render().contains("t_pairs_total{a=\"1\",b=\"2\"} 2"));
+    }
+
+    #[test]
     fn histogram_quantiles_bracket_observations() {
-        let _on = FLAG.read().unwrap_or_else(PoisonError::into_inner);
-        let reg = Registry::new();
+        let mut reg = Registry::new();
         let h = reg.histogram("t_lat_us", "latency", &[], &[10, 100, 1000, 10_000]);
         for v in [5u64, 50, 50, 50, 500, 500, 5000, 20_000] {
             h.observe(v);
@@ -537,37 +474,51 @@ mod tests {
 
     #[test]
     fn empty_histogram_quantile_is_zero() {
-        let reg = Registry::new();
+        let mut reg = Registry::new();
         let h = reg.histogram("t_empty", "x", &[], LATENCY_US);
         assert_eq!(h.quantile(0.5), 0.0);
     }
 
     #[test]
-    fn disabled_metrics_do_not_mutate() {
-        let _off = FLAG.write().unwrap_or_else(PoisonError::into_inner);
-        let reg = Registry::new();
-        let c = reg.counter("t_gated_total", "x", &[]);
-        let h = reg.histogram("t_gated_us", "x", &[], &[10, 100]);
-        set_enabled(false);
-        c.inc();
-        h.observe(50);
-        set_enabled(true);
-        assert_eq!(c.get(), 0);
-        assert_eq!(h.count(), 0);
-    }
-
-    #[test]
     #[should_panic(expected = "already registered")]
     fn kind_collision_panics() {
-        let reg = Registry::new();
+        let mut reg = Registry::new();
         reg.counter("t_collide", "x", &[]);
         reg.gauge("t_collide", "x", &[]);
     }
 
     #[test]
+    fn merge_adds_counts_and_adopts_new_series() {
+        let mut loop_owned = Registry::new();
+        loop_owned.counter("t_done_total", "x", &[("kind", "a")]).add(2);
+        loop_owned.histogram("t_size", "x", &[], &[10, 100]).observe(5);
+        let mut job = Registry::new();
+        job.counter("t_done_total", "x", &[("kind", "a")]).add(3);
+        job.counter("t_done_total", "x", &[("kind", "b")]).inc();
+        job.histogram("t_size", "x", &[], &[10, 100]).observe_n(50, 2);
+        job.gauge("t_depth", "x", &[]).set(9);
+        loop_owned.merge(job);
+        assert_eq!(loop_owned.counter("t_done_total", "x", &[("kind", "a")]).get(), 5);
+        assert_eq!(loop_owned.counter("t_done_total", "x", &[("kind", "b")]).get(), 1);
+        assert_eq!(loop_owned.gauge("t_depth", "x", &[]).get(), 9);
+        let h = loop_owned.histogram("t_size", "x", &[], &[10, 100]);
+        assert_eq!((h.count(), h.sum()), (3, 105));
+        assert!(loop_owned.render().contains("t_size_bucket{le=\"10\"} 1"));
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot merge")]
+    fn merging_a_kind_collision_panics() {
+        let mut a = Registry::new();
+        a.counter("t_collide", "x", &[]);
+        let mut b = Registry::new();
+        b.gauge("t_collide", "x", &[]);
+        a.merge(b);
+    }
+
+    #[test]
     fn render_parses_and_orders_deterministically() {
-        let _on = FLAG.read().unwrap_or_else(PoisonError::into_inner);
-        let reg = Registry::new();
+        let mut reg = Registry::new();
         reg.counter("t_b_total", "second", &[("enc", "delta")]).add(3);
         reg.counter("t_b_total", "second", &[("enc", "raw")]).add(1);
         reg.counter("t_a_total", "first", &[]).inc();
@@ -598,26 +549,5 @@ mod tests {
         assert!(parse_exposition("# TYPE x widget\nx 1").is_err(), "unknown type");
         assert!(parse_exposition("# TYPE x counter\nx{le=\"5\" 1").is_err(), "broken labels");
         assert!(parse_exposition("").unwrap().samples == 0);
-    }
-
-    #[test]
-    fn concurrent_updates_do_not_lose_counts() {
-        let _on = FLAG.read().unwrap_or_else(PoisonError::into_inner);
-        let reg = Registry::new();
-        let c = reg.counter("t_mt_total", "x", &[]);
-        let h = reg.histogram("t_mt_us", "x", &[], &[100]);
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let (c, h) = (Arc::clone(&c), Arc::clone(&h));
-                scope.spawn(move || {
-                    for i in 0..1000u64 {
-                        c.inc();
-                        h.observe(i % 200);
-                    }
-                });
-            }
-        });
-        assert_eq!(c.get(), 4000);
-        assert_eq!(h.count(), 4000);
     }
 }

@@ -9,11 +9,11 @@
 //! exactly like chunk and input logs: a process that dies mid-trace
 //! leaves a journal whose valid prefix is still readable.
 //!
-//! The journal is wall-clock-derived and therefore *observational
-//! only*: nothing deterministic may read it back (see the crate docs).
+//! The journal is wall-clock-derived; its owner alone reads it (see
+//! the crate docs).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 use qr_common::cursor::ByteReader;
@@ -121,11 +121,9 @@ pub fn salvage(buf: &[u8]) -> (Vec<TraceEvent>, Option<FrameFault>) {
     (events, scanned.fault)
 }
 
-/// An in-memory trace journal.
-///
-/// Most code records into the process-wide [`global`] journal, which is
-/// disabled (zero-cost fast path) unless `--trace-out` or a test turns
-/// it on.
+/// An in-memory trace journal, owned by whoever traces: it starts
+/// disabled (zero-cost fast path) until its owner turns it on, as
+/// `quickrec --trace-out` does.
 pub struct Journal {
     enabled: AtomicBool,
     epoch: Instant,
@@ -239,13 +237,6 @@ impl Drop for Span<'_> {
             }
         }
     }
-}
-
-/// The process-wide journal, disabled until `--trace-out` (or a test)
-/// enables it.
-pub fn global() -> &'static Journal {
-    static GLOBAL: OnceLock<Journal> = OnceLock::new();
-    GLOBAL.get_or_init(Journal::new)
 }
 
 #[cfg(test)]

@@ -366,11 +366,13 @@ impl Kernel {
             abi::SYS_YIELD => {
                 machine.write_reg(core, Reg::R0, 0);
                 out.records.push(SyscallRecord { tid, number, result: 0, writes: Vec::new() });
-                if !self.runq.is_empty() {
-                    let preempt_out = self.preempt(machine, core);
-                    out.merge(preempt_out);
-                }
+                // `preempt` charges the switch it reports, so only the
+                // syscall's own cost is charged here.
+                let switched = (!self.runq.is_empty()).then(|| self.preempt(machine, core));
                 self.charge(machine, core, &out);
+                if let Some(switched) = switched {
+                    out.merge(switched);
+                }
                 return Ok(out);
             }
             abi::SYS_TIME => machine.mem().now().0 as u32,

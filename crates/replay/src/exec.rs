@@ -200,7 +200,6 @@ fn exec_chunk(
         }
     }
     if packet.reason.drains_store_buffer(tso_mode) {
-        crate::obs::store_buffer_drain();
         let access = machine.drain_store_buffer(core)?;
         if let Some(detector) = detector {
             for event in &access.events {

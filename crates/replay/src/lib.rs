@@ -52,7 +52,6 @@
 //! does not make them each other's oracle.
 
 mod exec;
-mod obs;
 pub mod order;
 pub mod outcome;
 pub mod parallel;
@@ -71,5 +70,5 @@ pub use replayer::{replay, replay_and_verify, replay_with_race_detection, Replay
 pub use salvage::{salvage_replay, salvage_replay_dir, SalvageReport};
 pub use timetravel::{
     timeline_descriptors, CheckpointIndex, CheckpointKey, EventDescriptor, EventKind, QueryEngine,
-    QueryPlan, QueryResult, ReplayQuery, CHECKPOINT_INDEX_VERSION,
+    QueryPlan, QueryResult, ReplayQuery, SeekStats, CHECKPOINT_INDEX_VERSION,
 };

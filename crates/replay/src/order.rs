@@ -83,9 +83,7 @@ pub fn replay_ordered(
             "recording has no order.qrp sidecar (recorded in total-order mode?)".into(),
         ));
     };
-    let started = std::time::Instant::now();
     let dag = order_dag(order, replayer.timeline())?;
-    crate::obs::order_reconstructed(started);
     // Recorded edges, unlike derived ones, need not follow timestamp
     // order: the schedule refuses a cycle as it runs dry.
     dag.schedule(replayer, jobs)

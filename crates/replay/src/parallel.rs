@@ -144,7 +144,6 @@ impl Dag {
     /// The first node's divergence in schedule order, or
     /// [`QrError::Corrupt`] when nodes are left undispatched (a cycle).
     pub(crate) fn schedule(&self, mut replayer: Replayer<'_>, jobs: usize) -> Result<ReplayOutcome> {
-        crate::obs::run_started("parallel");
         let total = self.preds.len();
         let mut indegree: Vec<usize> = self.preds.iter().map(Vec::len).collect();
         let mut ready_at = vec![0u64; total];
@@ -172,7 +171,6 @@ impl Dag {
                 }
             }
         }
-        crate::obs::nodes_executed("parallel", dispatched as u64);
         if dispatched != total {
             // Derived edges follow timestamp order and cannot close a
             // cycle; recorded ones can, when the order log is corrupt.

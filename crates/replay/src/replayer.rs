@@ -390,9 +390,7 @@ impl<'a> Replayer<'a> {
     ///
     /// See [`replay_and_verify`].
     pub fn run_with_report(mut self) -> Result<(ReplayOutcome, RaceReport)> {
-        crate::obs::run_started("serial");
         while self.step_timeline()? {}
-        crate::obs::nodes_executed("serial", self.state.timeline_pos as u64);
         self.finish()
     }
 

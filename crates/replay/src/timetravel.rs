@@ -25,9 +25,9 @@
 //!   extracted from a from-scratch serial replay.
 //!
 //! A corrupt or mismatched index never fails a query: the engine
-//! degrades to from-scratch replay (counting the event via `qr-obs`)
-//! because the index is a cache of replay state, never a source of
-//! truth.
+//! degrades to from-scratch replay (counting the refusal in its
+//! [`SeekStats`]) because the index is a cache of replay state, never a
+//! source of truth.
 
 use crate::exec::check_program;
 use crate::replayer::{fresh_machine, RecordKind, Replayer};
@@ -38,6 +38,7 @@ use qr_common::wire::{self, Absent, Le, List, Wire};
 use qr_common::{wire_enum, wire_struct, Cycle, QrError, Result, ThreadId};
 use qr_cpu::Machine;
 use qr_isa::Program;
+use std::cell::Cell;
 use std::sync::Arc;
 
 /// The `checkpoints.qrc` index layout this replayer reads and writes.
@@ -469,6 +470,29 @@ impl QueryResult {
     }
 }
 
+/// How the seeks of one [`QueryEngine`] were served
+/// ([`QueryEngine::seek_stats`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SeekStats {
+    /// Seeks that replayed from the start: no index, no checkpoint at
+    /// or before the target, or a refused one.
+    pub from_scratch: u64,
+    /// Seeks that restored a checkpoint, by the records the restore
+    /// applied (its keyframe through the chosen record): slot `d - 1`
+    /// counts the seeks that applied `d`.
+    pub restored: [u64; KEYFRAME_EVERY],
+    /// Checkpoint chains that failed to decode or apply; each such seek
+    /// fell back to scratch.
+    pub refused: u64,
+}
+
+impl SeekStats {
+    /// Seeks served by a restored checkpoint.
+    pub fn from_index(&self) -> u64 {
+        self.restored.iter().sum()
+    }
+}
+
 /// A query engine over one (program, recording) pair, optionally
 /// accelerated by a [`CheckpointIndex`].
 #[derive(Debug)]
@@ -486,6 +510,8 @@ pub struct QueryEngine<'a> {
     /// Timeline position of each chunk, by chunk ordinal.
     chunk_positions: Vec<usize>,
     index: Option<CheckpointIndex>,
+    /// How the seeks so far were served; seeks take `&self`.
+    seeks: Cell<SeekStats>,
 }
 
 impl<'a> QueryEngine<'a> {
@@ -516,6 +542,7 @@ impl<'a> QueryEngine<'a> {
             cum_instructions,
             chunk_positions,
             index: None,
+            seeks: Cell::default(),
         })
     }
 
@@ -541,16 +568,11 @@ impl<'a> QueryEngine<'a> {
 
     /// Attaches a persisted `checkpoints.qrc`, tolerantly: corrupt,
     /// unsupported or mismatched bytes degrade the engine to
-    /// from-scratch seeks (counted by `qr-obs`) instead of failing.
-    /// Returns whether the index was attached.
+    /// from-scratch seeks instead of failing. Returns whether the index
+    /// was attached; a refusal is invisible in results, so a caller
+    /// that wants to see it counts the `false`.
     pub fn attach_index_bytes(&mut self, bytes: &[u8]) -> bool {
-        match CheckpointIndex::from_bytes(bytes).and_then(|ix| self.attach_index(ix)) {
-            Ok(()) => true,
-            Err(_) => {
-                crate::obs::index_corrupt();
-                false
-            }
-        }
+        CheckpointIndex::from_bytes(bytes).and_then(|ix| self.attach_index(ix)).is_ok()
     }
 
     /// Whether an index is attached.
@@ -566,6 +588,12 @@ impl<'a> QueryEngine<'a> {
     /// The timeline's event descriptors.
     pub fn descriptors(&self) -> &[EventDescriptor] {
         &self.descriptors
+    }
+
+    /// How this engine's seeks so far were served, [`QueryEngine::execute`]'s
+    /// included.
+    pub fn seek_stats(&self) -> SeekStats {
+        self.seeks.get()
     }
 
     /// Returns a replayer positioned exactly at timeline position
@@ -586,12 +614,17 @@ impl<'a> QueryEngine<'a> {
                 self.descriptors.len()
             )));
         }
+        let mut stats = self.seeks.get();
         let restored = self.index.as_ref().and_then(|ix| {
+            let i = ix.best_for(target)?;
             // A chain that fails to decode or apply is the same as no
             // checkpoint: fall back to from-scratch replay.
-            self.restore(ix, ix.best_for(target)?).map_err(|_| crate::obs::index_corrupt()).ok()
+            let rp = self.restore(ix, i).map_err(|_| stats.refused += 1).ok()?;
+            stats.restored[i % KEYFRAME_EVERY] += 1;
+            Some(rp)
         });
-        crate::obs::seek(restored.is_some());
+        stats.from_scratch += u64::from(restored.is_none());
+        self.seeks.set(stats);
         let mut rp = match restored {
             Some(rp) => rp,
             None => self.replayer_at_start()?,
@@ -634,7 +667,6 @@ impl<'a> QueryEngine<'a> {
                 ),
             });
         }
-        crate::obs::seek_restore_records(i - keyframe + 1);
         Ok(rp)
     }
 

@@ -18,8 +18,9 @@
 //!   cannot answer, which replays instructions on the job pool;
 //! * the mailbox carries that answer back, and every pool job's
 //!   transitions (`Running`, `Completed`, `Failed`), which the loop
-//!   applies to the [`LoopState`] it owns: no other thread touches
-//!   session state or the STATS counters;
+//!   applies to the [`LoopState`] it owns, folding in what the job
+//!   counted: no other thread touches session state, the STATS counters
+//!   or the metrics registry;
 //! * responses are queued in a per-connection outbox and flushed as
 //!   the socket accepts them, so a slow reader exerts backpressure on
 //!   itself (reads pause past the high-water mark) without stalling
@@ -41,9 +42,10 @@
 //! waits for in-flight offloaded queries, and exits; a 30s deadline
 //! bounds peers that never drain.
 
+use crate::obs;
 use crate::proto::{self, Endpoint, MessageAssembler, Request, Response};
 use crate::registry::Transition;
-use crate::server::{request_shutdown, LoopState, Shared};
+use crate::server::{request_shutdown, LoopState};
 use qr_common::{QrError, Result};
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
@@ -220,8 +222,8 @@ pub(crate) enum Post {
     /// A pool job's transition for session `id`.
     Job { id: u64, transition: Transition },
     /// An offloaded QUERY's outcome for connection `conn`, cached under
-    /// session `id`'s `replay_id`.
-    Answer { conn: u64, id: u64, replay_id: u64, outcome: Result<Vec<u8>> },
+    /// session `id`'s `replay_id`, and what the query counted.
+    Answer { conn: u64, id: u64, replay_id: u64, outcome: Result<Vec<u8>>, counted: qr_obs::Registry },
 }
 
 /// How other threads reach the loop parked in `poll`: pool workers post
@@ -256,7 +258,7 @@ impl Mailbox {
         self.wake();
     }
 
-    fn take(&self) -> Vec<Post> {
+    pub(crate) fn take(&self) -> Vec<Post> {
         std::mem::take(&mut *self.posts.lock().unwrap_or_else(PoisonError::into_inner))
     }
 }
@@ -274,7 +276,7 @@ struct Conn {
     /// An offloaded request is running on the pool (its wire tag and
     /// start, for the latency recorded when its answer arrives); its
     /// response must precede any later request's, so dispatch pauses.
-    in_flight: Option<(u8, Option<Instant>)>,
+    in_flight: Option<(u8, Instant)>,
     close_after_flush: bool,
     peer_gone: bool,
     read_eof: bool,
@@ -380,17 +382,15 @@ fn pump(conn_id: u64, conn: &mut Conn, state: &mut LoopState) {
 }
 
 fn dispatch(conn_id: u64, conn: &mut Conn, request: Request, state: &mut LoopState) {
-    let (kind, label) = (request.tag(), request.label());
-    let start = crate::obs::clock();
+    let (kind, start) = (request.tag(), Instant::now());
     let shutdown = matches!(request, Request::Shutdown);
-    let _span = qr_obs::trace::global().span(label, 0);
     let Some(response) = state.handle_request(conn_id, request) else {
         // A QUERY cache miss went to the pool; its answer comes back
         // through the mailbox.
         conn.in_flight = Some((kind, start));
         return;
     };
-    crate::obs::request_handled(kind, start);
+    obs::request_handled(&mut state.metrics, kind, start);
     conn.queue_response(&response);
     if shutdown {
         conn.close_after_flush = true;
@@ -458,11 +458,6 @@ fn drain_wake_pipe(wake_rx: &UnixStream) {
     while matches!(rx.read(&mut buf), Ok(n) if n > 0) {}
 }
 
-fn close_accounting(shared: &Shared) {
-    shared.open_connections.fetch_sub(1, Ordering::SeqCst);
-    crate::obs::connection_delta(-1);
-}
-
 /// Tells an over-limit peer the daemon is saturated: a best-effort
 /// single nonblocking write of the stream header plus a framed `Busy`,
 /// then the connection drops. The peer sees a structured refusal, not
@@ -492,13 +487,12 @@ fn accept_ready(
                 // surfaced — counted and logged with the endpoint —
                 // not silently swallowed; the backoff keeps a
                 // persistent error from spinning the loop.
-                crate::obs::accept_error();
+                obs::accept_error(&mut state.metrics);
                 eprintln!("quickrecd: accept on {} failed: {e}", state.endpoint.describe());
                 return Some(Instant::now() + ACCEPT_BACKOFF);
             }
         };
-        state.registry.counters.connections += 1;
-        crate::obs::connection_opened();
+        obs::connections(&mut state.metrics).inc();
         // Over the connection cap: refuse with a structured Busy
         // instead of dropping silently. The open gauge is never
         // incremented on this path, so it stays balanced.
@@ -507,7 +501,6 @@ fn accept_ready(
             continue;
         }
         state.shared.open_connections.fetch_add(1, Ordering::SeqCst);
-        crate::obs::connection_delta(1);
         let mut conn = Conn::new(stream);
         conn.try_flush(); // start the handshake
         conns.insert(*next_id, conn);
@@ -517,8 +510,8 @@ fn accept_ready(
 }
 
 /// The event loop: serves the listener, every connection and the
-/// mailbox until shutdown drains them. Returns when draining began.
-pub(crate) fn run(listener: Listener, wake_rx: UnixStream, mut state: LoopState) -> Instant {
+/// mailbox until shutdown drains them.
+pub(crate) fn run(listener: Listener, wake_rx: UnixStream, mut state: LoopState) {
     let mut listener = Some(listener);
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut next_id: u64 = 0;
@@ -539,12 +532,12 @@ pub(crate) fn run(listener: Listener, wake_rx: UnixStream, mut state: LoopState)
         conns.retain(|_, conn| {
             let done = conn.finished(draining) || drain_expired;
             if done {
-                close_accounting(&state.shared);
+                state.shared.open_connections.fetch_sub(1, Ordering::SeqCst);
             }
             !done
         });
-        if let Some(started) = drain_started.filter(|_| conns.is_empty()) {
-            return started;
+        if draining && conns.is_empty() {
+            return;
         }
 
         // Poll: wake pipe first, then the listener (unless an accept
@@ -583,19 +576,20 @@ pub(crate) fn run(listener: Listener, wake_rx: UnixStream, mut state: LoopState)
             std::thread::sleep(Duration::from_millis(5));
             continue;
         }
-        crate::obs::event_wakeup();
         if pollfds[0].revents != 0 {
             drain_wake_pipe(&wake_rx);
             // Apply the pool's posts before reading requests, so a JOBS
             // answered this round shows every job that finished before it.
             for post in state.shared.mailbox.take() {
                 match post {
-                    Post::Job { id, transition } => state.registry.apply(id, transition),
-                    Post::Answer { conn: conn_id, id, replay_id, outcome } => {
-                        let response = state.answered(id, replay_id, outcome);
+                    Post::Job { id, transition } => {
+                        state.registry.apply(id, transition, &mut state.metrics)
+                    }
+                    Post::Answer { conn: conn_id, id, replay_id, outcome, counted } => {
+                        let response = state.answered(id, replay_id, outcome, counted);
                         if let Some(conn) = conns.get_mut(&conn_id) {
                             if let Some((kind, start)) = conn.in_flight.take() {
-                                crate::obs::request_handled(kind, start);
+                                obs::request_handled(&mut state.metrics, kind, start);
                             }
                             conn.queue_response(&response);
                             pump(conn_id, conn, &mut state);
@@ -629,7 +623,7 @@ pub(crate) fn run(listener: Listener, wake_rx: UnixStream, mut state: LoopState)
                 conn.try_flush();
             }
         }
-        crate::obs::event_events(ready);
+        obs::event_wakeup(&mut state.metrics, ready);
     }
 }
 

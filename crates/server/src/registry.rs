@@ -4,10 +4,12 @@
 //! id-ordered map, the STATS counters and the next session id — and is
 //! the only code that reads or writes it. Pool jobs never see it: each
 //! is handed what it needs at submission and posts its [`Transition`]s
-//! through the loop's mailbox, and the loop applies a transition and
-//! its counter in one step, so JOBS and STATS always agree.
+//! through the loop's mailbox, and the loop applies a transition, its
+//! counter and what the job counted in one step, so JOBS, STATS and
+//! METRICS always agree.
 
 use crate::proto::{JobInfo, JobState, Response, SessionStats};
+use qr_obs::Registry as Metrics;
 use qr_workloads::Scale;
 use quickrec_core::OrderMode;
 use std::collections::{BTreeMap, VecDeque};
@@ -70,15 +72,16 @@ impl JobKind {
 }
 
 /// One step of a job's lifecycle, posted by the pool worker running it
-/// and applied by the loop ([`Registry::apply`]).
+/// and applied by the loop ([`Registry::apply`]). A job that ended
+/// posts what it counted on the way.
 pub(crate) enum Transition {
     /// A worker picked the job up.
     Running,
     /// The job finished, having simulated `instructions`; a record job
     /// also names the store entry it committed.
-    Completed { instructions: u64, recorded: Option<Recorded> },
-    /// The job failed.
-    Failed { reason: String },
+    Completed { instructions: u64, recorded: Option<Recorded>, counted: Metrics },
+    /// The job failed (or panicked).
+    Failed { reason: String, counted: Metrics },
 }
 
 /// The store entry a record job committed.
@@ -89,14 +92,13 @@ pub(crate) struct Recorded {
     pub(crate) bytes_stored: u64,
 }
 
-/// Server-wide monotonic counters (the STATS globals).
+/// Server-wide job counters for STATS; its busy refusals and
+/// connections are the metrics registry's counters.
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct Counters {
     pub(crate) accepted: u64,
-    pub(crate) rejected_busy: u64,
     pub(crate) completed: u64,
     pub(crate) failed: u64,
-    pub(crate) connections: u64,
 }
 
 /// One session's registry record.
@@ -161,13 +163,14 @@ impl Registry {
     }
 
     /// Applies a job's transition to session `id` and, for a finished
-    /// job, its STATS counter. A transition for an unknown id is
-    /// ignored.
-    pub(crate) fn apply(&mut self, id: u64, transition: Transition) {
+    /// job, its STATS counter, folding what the job counted into
+    /// `metrics`. A transition for an unknown id is ignored.
+    pub(crate) fn apply(&mut self, id: u64, transition: Transition, metrics: &mut Metrics) {
         let Some(s) = self.sessions.get_mut(&id) else { return };
         match transition {
             Transition::Running => s.state = JobState::Running,
-            Transition::Completed { instructions, recorded } => {
+            Transition::Completed { instructions, recorded, counted } => {
+                metrics.merge(counted);
                 s.state = JobState::Done;
                 s.stats.instructions += instructions;
                 *match s.kind {
@@ -184,7 +187,8 @@ impl Registry {
                 }
                 self.counters.completed += 1;
             }
-            Transition::Failed { reason } => {
+            Transition::Failed { reason, counted } => {
+                metrics.merge(counted);
                 s.state = JobState::Failed(reason);
                 self.counters.failed += 1;
             }
@@ -264,14 +268,19 @@ mod tests {
     #[test]
     fn a_transition_updates_state_stats_and_counters_in_one_call() {
         let mut reg = Registry::new();
+        let mut metrics = Metrics::new();
         reg.insert(session(5));
-        reg.apply(5, Transition::Running);
+        reg.apply(5, Transition::Running, &mut metrics);
         assert_eq!(reg.get(5).unwrap().state, JobState::Running);
         assert_eq!(reg.counters.completed, 0);
 
         let recorded =
             Recorded { store_id: 5, fingerprint: 0xfeed, bytes_raw: 900, bytes_stored: 300 };
-        reg.apply(5, Transition::Completed { instructions: 1234, recorded: Some(recorded) });
+        let mut counted = Metrics::new();
+        counted.counter("t_jobs_total", "x", &[]).inc();
+        let completed =
+            Transition::Completed { instructions: 1234, recorded: Some(recorded), counted };
+        reg.apply(5, completed, &mut metrics);
         let s = reg.get(5).unwrap();
         assert_eq!(s.state, JobState::Done);
         assert_eq!((s.store_id, s.fingerprint), (5, 0xfeed));
@@ -279,10 +288,13 @@ mod tests {
         assert_eq!((stats.records, stats.instructions), (1, 1234));
         assert_eq!((stats.bytes_raw, stats.bytes_stored), (900, 300));
         assert_eq!((reg.counters.completed, reg.counters.failed), (1, 0));
+        assert_eq!(metrics.counter("t_jobs_total", "x", &[]).get(), 1, "the job's count is folded");
 
         // An unknown id changes nothing, counters included.
-        reg.apply(6, Transition::Failed { reason: "gone".into() });
-        reg.apply(6, Transition::Completed { instructions: 1, recorded: None });
+        let counted = Metrics::new();
+        reg.apply(6, Transition::Failed { reason: "gone".into(), counted }, &mut metrics);
+        let counted = Metrics::new();
+        reg.apply(6, Transition::Completed { instructions: 1, recorded: None, counted }, &mut metrics);
         assert!(reg.get(6).is_none());
         assert_eq!((reg.counters.completed, reg.counters.failed), (1, 0));
     }

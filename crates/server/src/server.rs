@@ -1,14 +1,17 @@
 //! The `quickrecd` daemon: the event loop's state, job execution, shutdown.
 //!
 //! One event loop ([`crate::event`]) owns the listener, every
-//! connection and the [`LoopState`]: the session registry and the STATS
-//! counters, which no other thread touches. It speaks the wire protocol
+//! connection and the [`LoopState`]: the session registry, the STATS
+//! counters and the metrics registry METRICS renders, which no other
+//! thread touches. It speaks the wire protocol
 //! ([`crate::proto`]) through incremental per-connection state machines.
 //! RECORD/REPLAY/VERIFY/RACES jobs (and QUERY cache misses) run on the
 //! bounded worker pool (a full queue answers `Busy` — backpressure
 //! instead of unbounded buffering). A job is handed what it needs at
 //! submission and posts its transitions back through the loop's
-//! mailbox; recordings land in a `qr_store::RecordingStore`.
+//! mailbox, a finished one with what it counted; recordings land in a
+//! `qr_store::RecordingStore`. A job or query that panics is answered
+//! like one that failed.
 //!
 //! Shutdown (a `SHUTDOWN` message or [`ServerHandle::shutdown`]) wakes
 //! the loop through its mailbox; the loop closes the listener and
@@ -18,6 +21,7 @@
 //! draining the server can leave a torn entry visible.
 
 use crate::event::{self, Listener, Mailbox, Post};
+use crate::obs;
 use crate::pool::WorkerPool;
 use crate::proto::{Endpoint, JobState, Request, Response, SessionStats, StatsReport};
 use crate::registry::{
@@ -26,10 +30,12 @@ use crate::registry::{
 use qr_capo::{record, Recording, RecordingConfig};
 use qr_common::{QrError, Result};
 use qr_isa::Program;
+use qr_obs::Registry as Metrics;
 use qr_replay::{QueryEngine, ReplayQuery};
 use qr_store::RecordingStore;
 use quickrec_core::{Encoding, OrderMode};
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -76,6 +82,9 @@ pub(crate) struct LoopState {
     pub(crate) shared: Arc<Shared>,
     pub(crate) pool: Arc<WorkerPool>,
     pub(crate) registry: Registry,
+    /// What METRICS renders: the loop's own counts and those its jobs
+    /// posted.
+    pub(crate) metrics: Metrics,
     /// The bound endpoint, named in accept-error logs.
     pub(crate) endpoint: Endpoint,
     workers: usize,
@@ -113,6 +122,7 @@ impl Server {
             shared: Arc::clone(&shared),
             pool: Arc::clone(&pool),
             registry: Registry::new(),
+            metrics: Metrics::new(),
             endpoint: bound.clone(),
             workers: cfg.workers.max(1),
             max_connections: cfg.max_connections.max(1),
@@ -133,8 +143,7 @@ impl Server {
 pub struct ServerHandle {
     shared: Arc<Shared>,
     pool: Arc<WorkerPool>,
-    /// The event loop; it returns the instant draining began.
-    event: std::thread::JoinHandle<Instant>,
+    event: std::thread::JoinHandle<()>,
     endpoint: Endpoint,
 }
 
@@ -163,9 +172,8 @@ impl ServerHandle {
         // The loop flushes pending responses and waits for in-flight
         // offloaded queries (its own 30s deadline bounds peers stuck
         // mid-exchange), so it must finish before the pool drains.
-        let drain_start = self.event.join().ok();
+        let _ = self.event.join();
         self.pool.drain();
-        crate::obs::drain_finished(drain_start);
         if let Endpoint::Unix(path) = &self.endpoint {
             let _ = std::fs::remove_file(path);
         }
@@ -205,10 +213,10 @@ impl LoopState {
                 let c = self.registry.counters;
                 Response::Stats(StatsReport {
                     accepted: c.accepted,
-                    rejected_busy: c.rejected_busy,
+                    rejected_busy: obs::busy_rejections(&mut self.metrics).get(),
                     completed: c.completed,
                     failed: c.failed,
-                    connections: c.connections,
+                    connections: obs::connections(&mut self.metrics).get(),
                     // One registry; the field stays for wire compatibility.
                     shards: 1,
                     workers: self.workers as u32,
@@ -216,24 +224,33 @@ impl LoopState {
                 })
             }
             Request::Fetch { id } => match self.registry.completed(id) {
-                Ok(session) => match self.shared.store.fetch_parts(session.store_id) {
-                    Ok((manifest, parts)) => Response::Fetched {
-                        files: parts
-                            .files()
-                            .into_iter()
-                            .map(|(name, bytes)| (name.to_string(), bytes.to_vec()))
-                            .collect(),
-                        fingerprint: manifest.fingerprint,
-                    },
-                    Err(e) => Response::Error { message: e.to_string() },
-                },
+                Ok(session) => {
+                    let fetching = Instant::now();
+                    match self.shared.store.fetch_parts(session.store_id) {
+                        Ok((manifest, parts)) => {
+                            obs::fetched(&mut self.metrics, fetching);
+                            Response::Fetched {
+                                files: parts
+                                    .files()
+                                    .into_iter()
+                                    .map(|(name, bytes)| (name.to_string(), bytes.to_vec()))
+                                    .collect(),
+                                fingerprint: manifest.fingerprint,
+                            }
+                        }
+                        Err(e) => Response::Error { message: e.to_string() },
+                    }
+                }
                 Err(resp) => resp,
             },
             Request::Replay { id } => self.submit_followup(id, JobKind::Replay),
             Request::Verify { id } => self.submit_followup(id, JobKind::Verify),
             Request::Races { id } => self.submit_followup(id, JobKind::Races),
             Request::Shutdown => Response::ShuttingDown,
-            Request::Metrics => Response::Metrics { text: qr_obs::global().render() },
+            Request::Metrics => {
+                let open = self.shared.open_connections.load(Ordering::SeqCst);
+                Response::Metrics { text: obs::render(&mut self.metrics, self.pool.queued(), open) }
+            }
             Request::Query { id, query, dry_run, max_events, replay_id } => {
                 return self.query(conn, id, query, dry_run, max_events, replay_id)
             }
@@ -242,8 +259,7 @@ impl LoopState {
 
     /// Counts one backpressure refusal and builds its `Busy` answer.
     pub(crate) fn busy(&mut self, queued: usize) -> Response {
-        self.registry.counters.rejected_busy += 1;
-        crate::obs::busy_rejection();
+        obs::busy_rejections(&mut self.metrics).inc();
         Response::Busy { queued: queued as u32 }
     }
 
@@ -270,29 +286,32 @@ impl LoopState {
         // cache never holds id 0).
         let replay_id = if dry_run { 0 } else { replay_id };
         if let Some((_, payload)) = session.query_cache.iter().find(|(key, _)| *key == replay_id) {
-            crate::obs::query_answered(true);
+            obs::query_answered(&mut self.metrics, true);
             return Some(Response::QueryAnswer { cached: true, payload: payload.clone() });
         }
         let (source, store_id) = (session.source.clone(), session.store_id);
         let shared = Arc::clone(&self.shared);
         let task = move || {
-            let outcome = (|| -> Result<Vec<u8>> {
+            let (outcome, counted) = contained(|counted| {
                 let (program, _) = build_program(&source)?;
+                let fetching = Instant::now();
                 let (_, parts) = shared.store.fetch_parts(store_id)?;
+                obs::fetched(counted, fetching);
                 let recording = Recording::from_parts(&parts)?;
                 let mut engine = QueryEngine::new(&program, &recording)?;
-                if let Some(bytes) = parts.checkpoints.as_deref() {
-                    // A torn sidecar silently degrades to from-scratch seeks.
-                    engine.attach_index_bytes(bytes);
-                }
-                if dry_run {
-                    Ok(engine.plan(query)?.to_bytes())
+                // A torn sidecar silently degrades to from-scratch seeks.
+                let attached =
+                    parts.checkpoints.as_deref().is_none_or(|bytes| engine.attach_index_bytes(bytes));
+                let answer = if dry_run {
+                    engine.plan(query).map(|plan| plan.to_bytes())
                 } else {
                     let limit = (max_events != 0).then_some(max_events);
-                    Ok(engine.execute(query, limit)?.to_bytes())
-                }
-            })();
-            shared.mailbox.post(Post::Answer { conn, id, replay_id, outcome });
+                    engine.execute(query, limit).map(|result| result.to_bytes())
+                };
+                obs::sought(counted, attached, &engine.seek_stats());
+                answer
+            });
+            shared.mailbox.post(Post::Answer { conn, id, replay_id, outcome, counted });
         };
         match self.pool.try_submit(Box::new(task)) {
             Ok(()) => None,
@@ -301,8 +320,16 @@ impl LoopState {
     }
 
     /// The response to an offloaded QUERY of session `id`; a successful
-    /// answer is remembered under its replay id.
-    pub(crate) fn answered(&mut self, id: u64, replay_id: u64, out: Result<Vec<u8>>) -> Response {
+    /// answer is remembered under its replay id, and what the query
+    /// counted is folded into the loop's metrics.
+    pub(crate) fn answered(
+        &mut self,
+        id: u64,
+        replay_id: u64,
+        out: Result<Vec<u8>>,
+        counted: Metrics,
+    ) -> Response {
+        self.metrics.merge(counted);
         let payload = match out {
             Ok(payload) => payload,
             Err(e) => return Response::Error { message: e.to_string() },
@@ -317,7 +344,7 @@ impl LoopState {
                 }
             }
         }
-        crate::obs::query_answered(false);
+        obs::query_answered(&mut self.metrics, false);
         Response::QueryAnswer { cached: false, payload }
     }
 
@@ -338,7 +365,9 @@ impl LoopState {
         let id = self.registry.next_id;
         self.registry.next_id += 1;
         let (job_name, job_source) = (name.clone(), source.clone());
-        let job = move |store: &_| record_job(store, &job_name, &job_source, encoding, order);
+        let job = move |store: &_, counted: &mut _| {
+            record_job(store, counted, &job_name, &job_source, encoding, order)
+        };
         if let Err(queued) = submit(&self.shared, &self.pool, id, job) {
             return self.busy(queued);
         }
@@ -368,7 +397,7 @@ impl LoopState {
             return Response::Error { message: format!("session {id} already has a job in flight") };
         }
         let (source, store_id) = (session.source.clone(), session.store_id);
-        let job = move |store: &_| followup_job(store, &source, store_id, kind);
+        let job = move |store: &_, counted: &mut _| followup_job(store, counted, &source, store_id, kind);
         if let Err(queued) = submit(&self.shared, &self.pool, id, job) {
             return self.busy(queued);
         }
@@ -387,24 +416,44 @@ type JobOutcome = Result<(u64, Option<Recorded>)>;
 
 /// Queues `job` for session `id` on the pool; a full queue hands back
 /// its length. The job gets only what it captured at submission: it
-/// posts `Running` and then its outcome through the mailbox, and never
-/// touches the registry.
+/// posts `Running` and then its outcome and what it counted through the
+/// mailbox, and never touches the registry.
 fn submit(
     shared: &Arc<Shared>,
     pool: &WorkerPool,
     id: u64,
-    job: impl FnOnce(&RecordingStore) -> JobOutcome + Send + 'static,
+    job: impl FnOnce(&RecordingStore, &mut Metrics) -> JobOutcome + Send + 'static,
 ) -> std::result::Result<(), usize> {
     let shared = Arc::clone(shared);
     let task = move || {
         let post = |transition| shared.mailbox.post(Post::Job { id, transition });
         post(Transition::Running);
-        post(match job(&shared.store) {
-            Ok((instructions, recorded)) => Transition::Completed { instructions, recorded },
-            Err(e) => Transition::Failed { reason: e.to_string() },
+        let (outcome, counted) = contained(|counted| job(&shared.store, counted));
+        post(match outcome {
+            Ok((instructions, recorded)) => Transition::Completed { instructions, recorded, counted },
+            Err(e) => Transition::Failed { reason: e.to_string(), counted },
         });
     };
     pool.try_submit(Box::new(task)).map_err(|(_task, queued)| queued)
+}
+
+/// Runs a pool task's `work` with a fresh registry for what it counts.
+/// A panic is contained here and becomes the task's error (and a
+/// counted worker panic), so the task still posts its answer: a job
+/// that panicked fails its session instead of leaving it `Running`, and
+/// a query's connection gets an error instead of waiting forever.
+fn contained<T>(work: impl FnOnce(&mut Metrics) -> Result<T>) -> (Result<T>, Metrics) {
+    let mut counted = Metrics::new();
+    let outcome = catch_unwind(AssertUnwindSafe(|| work(&mut counted))).unwrap_or_else(|panic| {
+        obs::worker_panic(&mut counted);
+        let what = panic
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| panic.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "a non-string payload".into());
+        Err(QrError::Execution { detail: format!("the job panicked: {what}") })
+    });
+    (outcome, counted)
 }
 
 /// Timeline events between persisted checkpoints for recordings made by
@@ -438,6 +487,7 @@ fn build_program(source: &SessionSource) -> Result<(Program, usize)> {
 /// RECORD: simulate and commit the recording to the store.
 fn record_job(
     store: &RecordingStore,
+    counted: &mut Metrics,
     name: &str,
     source: &SessionSource,
     encoding: Encoding,
@@ -468,8 +518,11 @@ fn record_job(
     // fails the session instead of being stored.
     let index = qr_replay::CheckpointIndex::build(&program, &recording, CHECKPOINT_INTERVAL)?;
     parts.attach_checkpoints(index.to_bytes())?;
+    obs::recorded(counted, &recording, &parts, encoding);
+    let putting = Instant::now();
     let store_id = store.put_parts(name, &parts, encoding, recording.fingerprint)?;
     let manifest = store.manifest(store_id)?;
+    obs::stored(counted, &manifest, putting);
     let entry = Recorded {
         store_id,
         fingerprint: recording.fingerprint,
@@ -483,6 +536,7 @@ fn record_job(
 /// the stored recording and check it against its recorded outcome.
 fn followup_job(
     store: &RecordingStore,
+    counted: &mut Metrics,
     source: &SessionSource,
     store_id: u64,
     kind: JobKind,
@@ -502,15 +556,69 @@ fn followup_job(
         return Ok((0, None));
     }
     let (program, _) = build_program(source)?;
+    let fetching = Instant::now();
     let recording = store.fetch(store_id)?;
-    let outcome = if kind == JobKind::Races {
-        qr_replay::replay_with_race_detection(&program, &recording)?.0
+    obs::fetched(counted, fetching);
+    let (mode, outcome) = if kind == JobKind::Races {
+        ("serial", qr_replay::replay_with_race_detection(&program, &recording)?.0)
     } else if recording.order.is_some() {
         // Partial-order recordings replay under their recorded
         // happens-before edges; total-order ones by timestamp.
-        qr_replay::replay_ordered_and_verify(&program, &recording, 1)?
+        ("parallel", qr_replay::replay_ordered_and_verify(&program, &recording, 1)?)
     } else {
-        qr_replay::replay_and_verify(&program, &recording)?
+        ("serial", qr_replay::replay_and_verify(&program, &recording)?)
     };
+    obs::replayed(counted, mode, &outcome);
     Ok((outcome.instructions, None))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_job_that_panics_fails_its_session_and_is_counted() {
+        let dir = std::env::temp_dir().join(format!("qr-server-panic-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let (mailbox, _wake_rx) = Mailbox::new().expect("mailbox");
+        let shared = Arc::new(Shared {
+            store: RecordingStore::open(&dir).expect("store"),
+            shutdown: AtomicBool::new(false),
+            open_connections: AtomicUsize::new(0),
+            mailbox,
+        });
+        let pool = WorkerPool::new(1, 4);
+        let mut registry = Registry::new();
+        let source = SessionSource::Program { source: String::new(), cores: 1 };
+        registry.insert(Session {
+            id: 1,
+            name: "boom".into(),
+            source,
+            order: OrderMode::TotalOrder,
+            kind: JobKind::Record,
+            state: JobState::Queued,
+            fingerprint: 0,
+            store_id: 0,
+            stats: SessionStats { id: 1, ..SessionStats::default() },
+            query_cache: VecDeque::new(),
+        });
+
+        submit(&shared, &pool, 1, |_, _| panic!("job blew up")).expect("queued");
+        pool.drain();
+        let mut metrics = Metrics::new();
+        for post in shared.mailbox.take() {
+            let Post::Job { id, transition } = post else { panic!("a job posts transitions") };
+            registry.apply(id, transition, &mut metrics);
+        }
+
+        let jobs = registry.jobs();
+        assert!(
+            matches!(&jobs[0].state, JobState::Failed(reason) if reason.contains("job blew up")),
+            "{:?}",
+            jobs[0].state
+        );
+        assert_eq!((registry.counters.completed, registry.counters.failed), (0, 1));
+        assert_eq!(metrics.counter("qr_server_worker_panics_total", "", &[]).get(), 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

@@ -43,12 +43,12 @@ fn set_nofile_limit(lim: Rlimit) {
     assert_eq!(unsafe { setrlimit(RLIMIT_NOFILE, &lim) }, 0, "setrlimit");
 }
 
-fn accept_errors() -> f64 {
-    qr_obs::global()
-        .snapshot()
-        .into_iter()
-        .find(|(name, _, _)| name == "qr_server_accept_errors_total")
-        .map_or(0.0, |(_, _, value)| value)
+/// The daemon's `qr_server_accept_errors_total`, read over `client`.
+fn accept_errors(client: &mut Client) -> f64 {
+    let text = client.metrics().expect("metrics");
+    text.lines()
+        .find_map(|line| line.strip_prefix("qr_server_accept_errors_total "))
+        .map_or(0.0, |value| value.parse().expect("sample value"))
 }
 
 #[test]
@@ -92,7 +92,7 @@ fn failing_accepts_do_not_slow_open_connections() {
     }
     // Queue a peer the daemon has no descriptor to accept.
     let deadline = Instant::now() + Duration::from_secs(5);
-    while accept_errors() == 0.0 {
+    while accept_errors(&mut client) == 0.0 {
         assert!(Instant::now() < deadline, "the daemon never failed an accept");
         if let Some(file) = reserve.pop() {
             drop(file);
@@ -105,14 +105,14 @@ fn failing_accepts_do_not_slow_open_connections() {
 
     // Accepts keep failing while the open connection is served. A loop
     // that slept through each failure would answer one ping per backoff.
-    let errors_before = accept_errors();
+    let errors_before = accept_errors(&mut client);
     let started = Instant::now();
     let mut pings = 0u32;
     while started.elapsed() < Duration::from_millis(300) {
         client.ping().expect("ping while accepts fail");
         pings += 1;
     }
-    assert!(accept_errors() > errors_before, "accepts stopped failing during the pings");
+    assert!(accept_errors(&mut client) > errors_before, "accepts stopped failing during the pings");
     assert!(pings >= 100, "only {pings} pings in 300 ms while accepts failed");
 
     // With descriptors available again the daemon accepts new peers.

@@ -197,6 +197,13 @@ fn backpressure_rejects_overload_and_reports_busy() {
     };
     assert_eq!(stats.rejected_busy, u64::from(busy));
     assert_eq!(stats.accepted, accepted.len() as u64);
+    // STATS and METRICS read one counter, so they cannot disagree.
+    let metrics = client.metrics().expect("metrics");
+    let busy_metric = metrics
+        .lines()
+        .find_map(|l| l.strip_prefix("qr_server_busy_rejections_total "))
+        .and_then(|v| v.parse::<u64>().ok());
+    assert_eq!(busy_metric, Some(stats.rejected_busy), "STATS and METRICS disagree:\n{metrics}");
 
     match client.call(&Request::Shutdown).expect("shutdown") {
         Response::ShuttingDown => {}

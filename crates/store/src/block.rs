@@ -78,7 +78,6 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
 pub fn compress_with_block_size(data: &[u8], block_size: usize) -> Vec<u8> {
     assert!(block_size > 0, "block size must be positive");
     assert!(block_size <= lz::MAX_INPUT, "block size exceeds the LZ u32 offset bound");
-    let start = crate::obs::clock();
     let blocks: Vec<&[u8]> = data.chunks(block_size).collect();
     let mut payloads = Vec::with_capacity(blocks.len());
     let mut index = Vec::new();
@@ -106,9 +105,7 @@ pub fn compress_with_block_size(data: &[u8], block_size: usize) -> Vec<u8> {
     for payload in &payloads {
         w.record(payload);
     }
-    let out = w.finish();
-    crate::obs::encoded(start, data.len(), out.len());
-    out
+    w.finish()
 }
 
 /// Parses record 0 of `payload` (the index record's bytes).
@@ -239,13 +236,11 @@ fn decompress_block(payload: &[u8], entry: &BlockEntry, i: usize) -> Result<Vec<
 ///
 /// Returns [`QrError::Corrupt`] for any frame, index or block damage.
 pub fn decompress(buf: &[u8]) -> Result<Vec<u8>> {
-    let start = crate::obs::clock();
     let (index, blocks) = read_container(buf)?;
     let mut out = Vec::with_capacity(index.total_len as usize);
     for (i, (entry, rec)) in index.blocks.iter().zip(&blocks).enumerate() {
         out.extend_from_slice(&decompress_block(rec, entry, i)?);
     }
-    crate::obs::decoded(start);
     Ok(out)
 }
 
@@ -271,12 +266,6 @@ pub struct BlockSalvage {
 /// `bytes` is a prefix of the original log unless CRC-32 itself was
 /// defeated.
 pub fn salvage(buf: &[u8]) -> BlockSalvage {
-    let s = salvage_inner(buf);
-    crate::obs::salvaged(s.fault.is_some(), s.blocks_recovered, s.blocks_total);
-    s
-}
-
-fn salvage_inner(buf: &[u8]) -> BlockSalvage {
     let scanned = frame::scan(buf);
     let mut fault: Option<QrError> =
         scanned.fault.map(|f| f.to_error("compressed log"));

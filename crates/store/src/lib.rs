@@ -26,7 +26,6 @@
 pub mod block;
 pub mod lz;
 pub mod manifest;
-mod obs;
 pub mod store;
 
 pub use block::{BlockIndex, BlockSalvage, BLOCK_SIZE};

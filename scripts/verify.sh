@@ -32,6 +32,27 @@ if [ "$selection" != $'crates/cpu/src/machine.rs\ncrates/os/src/run_loop.rs' ]; 
 fi
 echo "one run loop"
 
+echo "== one owner for metrics: no process-wide registry, journal or switch =="
+# Metrics and trace journals belong to whoever creates them; libraries
+# return what they counted. (`Journal::set_enabled` on an owned journal
+# stays legal.)
+if globals=$(grep -rnE 'qr_obs::(global|enabled|set_enabled)\b|trace::global\b' crates/*/src src); then
+  echo "a process-wide metrics registry, journal or switch is back:" >&2
+  echo "$globals" >&2
+  exit 1
+fi
+if libs=$(grep -rn qr_obs crates/core/src crates/replay/src crates/store/src); then
+  echo "a library crate names qr_obs; it should return its counts instead:" >&2
+  echo "$libs" >&2
+  exit 1
+fi
+if shared=$(grep -nE '\bstatic\b|\bArc\b|Mutex|Atomic|OnceLock' crates/obs/src/metrics.rs); then
+  echo "the metrics registry must stay plain data with one owner:" >&2
+  echo "$shared" >&2
+  exit 1
+fi
+echo "one owner for metrics"
+
 echo "== tests =="
 # The root package is a workspace member, so this one run already covers
 # the batteries that used to be re-run below: golden conformance (pinned
@@ -103,7 +124,8 @@ echo "repro output identical across modes"
 echo "== deterministic gates: E9b parallel replay, E12 observer effects, E14 indexed seeks, E15 ordering drift and growth =="
 # Each experiment fails by exit code on its own gate: a parallel or
 # ordered replay fingerprint off its serial one, a recording that moves
-# with metrics on, an indexed seek or query off the from-scratch answer,
+# when its caller folds the counts it returned into a registry, an
+# indexed seek or query off the from-scratch answer,
 # partial-order bytes growing no slower than total order.
 ./target/release/repro e9b e12 e14 e15 > /dev/null
 echo "parallel, ordered and indexed replay all byte-identical to serial; observability free"

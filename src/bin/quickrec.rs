@@ -25,6 +25,7 @@
 //! `Recording::save`. The server commands talk to a running `quickrecd`
 //! (or `quickrec serve`) over its Unix-socket or TCP endpoint.
 
+use qr_obs::{Journal, Span};
 use qr_server::proto::{Endpoint, Request, Response};
 use quickrec::workloads::Scale;
 use quickrec::{record, Encoding, OrderMode, Recording, RecordingConfig, RecordingMode, TsoMode};
@@ -150,24 +151,35 @@ fn positional<'a>(args: &'a [String], values: &[&str], switches: &[&str]) -> Res
     Ok(out)
 }
 
-/// Parses `--trace-out FILE`, switching the global trace journal on
-/// when present (it is off by default so untraced runs pay nothing).
-fn trace_out_arg(args: &[String]) -> Option<PathBuf> {
-    let path = flag_value(args, "--trace-out").map(PathBuf::from);
-    if path.is_some() {
-        qr_obs::trace::global().set_enabled(true);
-    }
-    path
+/// `--trace-out FILE`: the command's own trace journal, recording only
+/// when the flag is given (untraced runs pay nothing).
+struct TraceOut {
+    path: Option<PathBuf>,
+    journal: Journal,
 }
 
-/// Drains the global trace journal into a framed `.qrt` file.
-fn write_trace(path: &Path) -> Result<(), String> {
-    let events = qr_obs::trace::global().drain();
-    let bytes = qr_obs::trace::to_bytes(&events);
-    std::fs::write(path, bytes)
-        .map_err(|e| format!("writing trace journal {}: {e}", path.display()))?;
-    println!("trace journal: {} event(s) -> {}", events.len(), path.display());
-    Ok(())
+impl TraceOut {
+    fn from_args(args: &[String]) -> TraceOut {
+        let path = flag_value(args, "--trace-out").map(PathBuf::from);
+        let journal = Journal::new();
+        journal.set_enabled(path.is_some());
+        TraceOut { path, journal }
+    }
+
+    fn span(&self, name: &'static str) -> Span<'_> {
+        self.journal.span(name, 0)
+    }
+
+    /// Drains the journal into a framed `.qrt` file, if one was asked for.
+    fn write(&self) -> Result<(), String> {
+        let Some(path) = &self.path else { return Ok(()) };
+        let events = self.journal.drain();
+        let bytes = qr_obs::trace::to_bytes(&events);
+        std::fs::write(path, bytes)
+            .map_err(|e| format!("writing trace journal {}: {e}", path.display()))?;
+        println!("trace journal: {} event(s) -> {}", events.len(), path.display());
+        Ok(())
+    }
 }
 
 fn order_arg(args: &[String]) -> Result<OrderMode, String> {
@@ -211,7 +223,7 @@ fn cmd_run(args: &[String], pos: &[&String]) -> Result<(), String> {
 fn cmd_record(args: &[String], pos: &[&String]) -> Result<(), String> {
     let [path] = pos else { return Err(usage()) };
     let out_dir = PathBuf::from(flag_value(args, "-o").ok_or("record needs -o <dir>")?);
-    let trace_out = trace_out_arg(args);
+    let trace = TraceOut::from_args(args);
     let program = load_program(path)?;
     let mut cfg = RecordingConfig::with_cores(cores_arg(args)?);
     cfg.order = order_arg(args)?;
@@ -222,16 +234,14 @@ fn cmd_record(args: &[String], pos: &[&String]) -> Result<(), String> {
         cfg.cpu.mem.tso_mode = TsoMode::Rsw;
     }
     let recording = {
-        let _span = qr_obs::trace::global().span("record", 0);
+        let _span = trace.span("record");
         record(program, cfg).map_err(|e| e.to_string())?
     };
     {
-        let _span = qr_obs::trace::global().span("save", 0);
+        let _span = trace.span("save");
         recording.save(&out_dir, Encoding::Delta).map_err(|e| e.to_string())?;
     }
-    if let Some(trace_path) = &trace_out {
-        write_trace(trace_path)?;
-    }
+    trace.write()?;
     print!("{}", String::from_utf8_lossy(&recording.console));
     println!(
         "recorded {} instructions into {} chunks (exit {}); logs in {}",
@@ -259,7 +269,7 @@ fn cmd_record(args: &[String], pos: &[&String]) -> Result<(), String> {
 
 fn cmd_replay(args: &[String], pos: &[&String]) -> Result<(), String> {
     let [path, dir] = pos else { return Err(usage()) };
-    let trace_out = trace_out_arg(args);
+    let trace = TraceOut::from_args(args);
     let program = load_program(path)?;
     let jobs: Option<usize> = match flag_value(args, "--jobs") {
         None => None,
@@ -296,17 +306,15 @@ fn cmd_replay(args: &[String], pos: &[&String]) -> Result<(), String> {
         } else {
             println!("salvaged a consistent execution prefix");
         }
-        if let Some(trace_path) = &trace_out {
-            write_trace(trace_path)?;
-        }
+        trace.write()?;
         return Ok(());
     }
     let recording = {
-        let _span = qr_obs::trace::global().span("load_recording", 0);
+        let _span = trace.span("load_recording");
         Recording::load(Path::new(dir.as_str())).map_err(|e| e.to_string())?
     };
     if has_flag(args, "--races") {
-        let _span = qr_obs::trace::global().span("replay_races", 0);
+        let _span = trace.span("replay_races");
         let (outcome, report) =
             qr_replay::replay_with_race_detection(&program, &recording).map_err(|e| e.to_string())?;
         print!("{}", String::from_utf8_lossy(&outcome.console));
@@ -327,7 +335,7 @@ fn cmd_replay(args: &[String], pos: &[&String]) -> Result<(), String> {
         // happens-before edges; `--jobs` picks the simulated worker
         // count and its absence is the one-worker schedule.
         let jobs = jobs.unwrap_or(1);
-        let _span = qr_obs::trace::global().span("replay_ordered", 0);
+        let _span = trace.span("replay_ordered");
         let outcome = qr_replay::replay_ordered_and_verify(&program, &recording, jobs)
             .map_err(|e| e.to_string())?;
         print!("{}", String::from_utf8_lossy(&outcome.console));
@@ -342,7 +350,7 @@ fn cmd_replay(args: &[String], pos: &[&String]) -> Result<(), String> {
             order.node_count()
         );
     } else if let Some(jobs) = jobs {
-        let _span = qr_obs::trace::global().span("replay_parallel", 0);
+        let _span = trace.span("replay_parallel");
         let replayer =
             qr_replay::ParallelReplayer::new(&program, &recording, jobs).map_err(|e| e.to_string())?;
         let fallback = replayer.fallback_reason().map(str::to_string);
@@ -362,7 +370,7 @@ fn cmd_replay(args: &[String], pos: &[&String]) -> Result<(), String> {
             ),
         }
     } else {
-        let _span = qr_obs::trace::global().span("replay_serial", 0);
+        let _span = trace.span("replay_serial");
         let outcome =
             quickrec::replay_and_verify(&program, &recording).map_err(|e| e.to_string())?;
         print!("{}", String::from_utf8_lossy(&outcome.console));
@@ -371,9 +379,7 @@ fn cmd_replay(args: &[String], pos: &[&String]) -> Result<(), String> {
             outcome.chunks_replayed, outcome.inputs_injected, outcome.exit_code
         );
     }
-    if let Some(trace_path) = &trace_out {
-        write_trace(trace_path)?;
-    }
+    trace.write()?;
     Ok(())
 }
 

@@ -16,12 +16,11 @@ fn recorded_workload(name: &str) -> (quickrec::Program, quickrec::Recording) {
     (program, recording)
 }
 
-/// `_count` and `_sum` of the records-applied-per-restored-seek
-/// histogram.
-fn restore_records() -> (f64, f64) {
-    let snapshot = qr_obs::global().snapshot();
-    let value = |name: &str| snapshot.iter().find(|(n, _, _)| n == name).map_or(0.0, |s| s.2);
-    (value("qr_replay_seek_restore_records_count"), value("qr_replay_seek_restore_records_sum"))
+/// Restored seeks and the records they applied, from `engine`'s seek
+/// stats.
+fn restore_records(engine: &QueryEngine) -> (u64, u64) {
+    let restored = engine.seek_stats().restored;
+    (restored.iter().sum(), (1..).zip(restored).map(|(records, seeks)| records * seeks).sum())
 }
 
 #[test]
@@ -30,10 +29,7 @@ fn chain_restored_replayers_equal_the_in_memory_checkpoints() {
     // one before it, and restoring it walks the chain from the keyframe.
     // Wherever in a chain it sits, the replayer it yields is the one the
     // in-memory checkpoint at that position resumes: same state there,
-    // same outcome at the end. No other test of this binary seeks, so
-    // the histogram deltas below are this test's alone.
-    let was_enabled = qr_obs::enabled();
-    qr_obs::set_enabled(true);
+    // same outcome at the end.
     for name in ["lu", "fft", "radix"] {
         let (program, recording) = recorded_workload(name);
         let (plain, checkpoints) =
@@ -45,7 +41,7 @@ fn chain_restored_replayers_equal_the_in_memory_checkpoints() {
         let mut engine = QueryEngine::new(&program, &recording).unwrap();
         engine.attach_index(index.clone()).unwrap();
 
-        let (count_before, sum_before) = restore_records();
+        let (count_before, sum_before) = restore_records(&engine);
         let mut applied = 0;
         for (i, cp) in checkpoints.into_iter().enumerate() {
             assert_eq!(index.keys[i].position as usize, cp.position(), "{name}: checkpoint {i}");
@@ -66,11 +62,10 @@ fn chain_restored_replayers_equal_the_in_memory_checkpoints() {
         }
         // Every seek was served by its chain, none by a silent fallback
         // to scratch: record i applies the keyframe through itself.
-        let (count, sum) = restore_records();
-        assert_eq!(count - count_before, index.keys.len() as f64, "{name}: restored seeks");
-        assert_eq!(sum - sum_before, applied as f64, "{name}: records applied");
+        let (count, sum) = restore_records(&engine);
+        assert_eq!(count - count_before, index.keys.len() as u64, "{name}: restored seeks");
+        assert_eq!(sum - sum_before, applied as u64, "{name}: records applied");
     }
-    qr_obs::set_enabled(was_enabled);
 }
 
 #[test]

@@ -1,6 +1,7 @@
 //! The observability determinism battery: `qr-obs` is observational
-//! only. Recordings must be byte-identical with the metrics registry
-//! enabled and disabled, and the trace journal's framed format must
+//! only. Recordings must be byte-identical whether or not their caller
+//! folds the counts the libraries return into a registry it owns, and
+//! the trace journal's framed format must
 //! round-trip exactly and degrade gracefully (never panic) under the
 //! same mutators the log fault-injection suite uses.
 
@@ -25,10 +26,6 @@ fn record_workload(name: &str) -> Recording {
     record(program, RecordingConfig::with_cores(THREADS)).expect("record")
 }
 
-/// Held by every test that flips the process-wide metrics switch, so
-/// one test's "off" half cannot blind another's "on" half.
-static METRICS_SWITCH: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 /// Reads every file of a saved recording directory, sorted by name.
 fn dir_bytes(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
     let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
@@ -47,14 +44,12 @@ fn dir_bytes(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
 #[test]
 fn recordings_are_byte_identical_with_metrics_on_and_off() {
     let dir = scratch("onoff");
-    let _switch = METRICS_SWITCH.lock().unwrap_or_else(|e| e.into_inner());
-    let was_enabled = qr_obs::enabled();
+    let mut counted = qr_obs::Registry::new();
 
-    qr_obs::set_enabled(true);
     let observed = record_workload("fft");
-    qr_obs::set_enabled(false);
+    let chunks = observed.recorder_stats.chunks_by_reason.iter().sum();
+    counted.counter("qr_recorder_chunks_total", "chunks", &[]).add(chunks);
     let blind = record_workload("fft");
-    qr_obs::set_enabled(was_enabled);
 
     assert_eq!(
         observed.fingerprint, blind.fingerprint,
@@ -91,13 +86,11 @@ fn seek_indexes_and_answers_are_byte_identical_with_metrics_on_and_off() {
     let spec = find("lu").expect("suite workload");
     let program = (spec.build)(THREADS, Scale::Test).expect("build");
     let recording = record(program.clone(), RecordingConfig::with_cores(THREADS)).expect("record");
-    let _switch = METRICS_SWITCH.lock().unwrap_or_else(|e| e.into_inner());
-    let was_enabled = qr_obs::enabled();
+    let mut counted = qr_obs::Registry::new();
 
     // The sidecar, every seek through it and a query answer, once with
     // the registry counting seeks and restored records and once blind.
-    let run = |observe: bool| {
-        qr_obs::set_enabled(observe);
+    let mut run = |observe: bool| {
         let sidecar = CheckpointIndex::build(&program, &recording, 4).expect("index").to_bytes();
         let mut engine = QueryEngine::new(&program, &recording).expect("engine");
         assert!(engine.attach_index_bytes(&sidecar));
@@ -105,16 +98,27 @@ fn seek_indexes_and_answers_are_byte_identical_with_metrics_on_and_off() {
             .map(|target| engine.seek(target).expect("seek").partial_fingerprint())
             .collect();
         let query = ReplayQuery::ReverseStep { events: 5 };
-        (sidecar, landings, engine.execute(query, None).expect("query").to_bytes())
+        let answer = engine.execute(query, None).expect("query").to_bytes();
+        if observe {
+            let depth = counted.histogram(
+                "qr_replay_seek_restore_records",
+                "records applied per restored seek",
+                &[],
+                &[1, 2, 3, 4, 5, 6, 7, 8],
+            );
+            for (records, &seeks) in (1..).zip(&engine.seek_stats().restored) {
+                depth.observe_n(records, seeks);
+            }
+        }
+        (sidecar, landings, answer)
     };
     let observed = run(true);
     let blind = run(false);
-    qr_obs::set_enabled(was_enabled);
     assert!(observed == blind, "enabling metrics changed a sidecar, a seek or an answer");
 
     // The observed run explains itself: every restored seek said how
     // many records it applied, never more than a chain holds.
-    let text = qr_obs::global().render();
+    let text = counted.render();
     let sample = |name: &str| -> u64 {
         let line = text.lines().find(|l| l.starts_with(name)).unwrap_or_else(|| panic!("{name}:\n{text}"));
         line.rsplit(' ').next().and_then(|v| v.parse().ok()).expect("sample value")

@@ -121,15 +121,14 @@ fn partial_order_recordings_round_trip_through_disk() {
 fn ordering_metrics_do_not_change_recorded_bytes() {
     let spec = quickrec::workloads::find("fft").expect("fft exists");
     let program = (spec.build)(THREADS, Scale::Test).expect("workload builds");
-    let was_enabled = qr_obs::enabled();
+    let mut counted = qr_obs::Registry::new();
 
-    qr_obs::set_enabled(true);
     let observed = record(program.clone(), config(OrderMode::PartialOrder)).expect("record");
+    let order = observed.order.as_ref().expect("a partial-order recording has an order log");
+    counted.counter("qr_core_po_edges_total", "edges", &[]).add(order.edges().len() as u64);
     let observed_replay = replay_ordered(&program, &observed, 2).expect("ordered replay");
-    qr_obs::set_enabled(false);
     let blind = record(program.clone(), config(OrderMode::PartialOrder)).expect("record");
     let blind_replay = replay_ordered(&program, &blind, 2).expect("ordered replay");
-    qr_obs::set_enabled(was_enabled);
 
     assert_eq!(observed_replay.fingerprint, blind_replay.fingerprint);
     for encoding in Encoding::ALL {

@@ -188,8 +188,6 @@ fn mutate(bytes: &[u8], rng: &mut SplitMix64) -> Vec<u8> {
 
 #[test]
 fn mutated_indexes_are_structured_errors_and_degrade_to_scratch() {
-    let was_enabled = qr_obs::enabled();
-    qr_obs::set_enabled(true);
     let (program, recording) = recorded("fft");
     let pristine = CheckpointIndex::build(&program, &recording, 8).expect("index builds");
     let bytes = pristine.to_bytes();
@@ -199,7 +197,7 @@ fn mutated_indexes_are_structured_errors_and_degrade_to_scratch() {
         .expect("baseline query")
         .to_bytes();
 
-    let corrupt_before = index_corrupt_count();
+    let mut rejected = 0u64;
     let mut rng = SplitMix64::new(0xBAD_1DE5);
     let mut degraded = 0u64;
     for round in 0..48 {
@@ -215,7 +213,9 @@ fn mutated_indexes_are_structured_errors_and_degrade_to_scratch() {
         // Attaching the damaged sidecar silently degrades: the engine
         // reports no index and answers queries bit-for-bit like scratch.
         let mut engine = QueryEngine::new(&program, &recording).expect("engine");
-        assert!(!engine.attach_index_bytes(&mutated), "round {round}: damaged index attached");
+        let attached = engine.attach_index_bytes(&mutated);
+        rejected += u64::from(!attached);
+        assert!(!attached, "round {round}: damaged index attached");
         assert!(!engine.has_index());
         degraded += 1;
         if round % 12 == 0 {
@@ -240,24 +240,13 @@ fn mutated_indexes_are_structured_errors_and_degrade_to_scratch() {
     inverted.snapshots[chosen] = invert_a_region(&pristine.snapshots[chosen]);
     let mut engine = QueryEngine::new(&program, &recording).expect("engine");
     assert!(engine.attach_index_bytes(&inverted.to_bytes()), "re-stamped index must attach");
-    let before_seek = index_corrupt_count();
     let answer = engine
         .execute(ReplayQuery::ReverseStep { events: 3 }, None)
         .expect("a refused record falls back to from-scratch replay");
     assert_eq!(answer.to_bytes(), baseline, "inverted-region record changed the answer");
-    assert!(index_corrupt_count() > before_seek, "the refused record was not counted");
+    assert_eq!(engine.seek_stats().refused, 1, "the refused record was not counted");
 
-    let corrupt_after = index_corrupt_count();
-    assert!(
-        corrupt_after >= corrupt_before + degraded,
-        "every rejected attach increments qr_replay_index_corrupt_total \
-         ({corrupt_before} -> {corrupt_after}, {degraded} rejects)"
-    );
-
-    // Run from here, not as a test of its own: nothing else in this
-    // binary moves the corrupt counter, so its deltas below are exact.
-    damaged_chain_records_degrade_exactly_the_seeks_behind_them();
-    qr_obs::set_enabled(was_enabled);
+    assert_eq!(rejected, degraded, "every rejected attach is reported");
 }
 
 /// A checkpoint is a keyframe or a delta on the one before it, so one
@@ -265,6 +254,7 @@ fn mutated_indexes_are_structured_errors_and_degrade_to_scratch() {
 /// whose chain walks through the record falls back to scratch (counted,
 /// same answer), a seek served by the records before it or by another
 /// keyframe never notices.
+#[test]
 fn damaged_chain_records_degrade_exactly_the_seeks_behind_them() {
     const CHAIN: usize = 8;
     let (program, recording) = recorded("lu");
@@ -281,7 +271,7 @@ fn damaged_chain_records_degrade_exactly_the_seeks_behind_them() {
         assert!(engine.attach_index_bytes(&index.to_bytes()), "re-stamped index must attach");
         for (i, key) in pristine.keys.iter().enumerate() {
             let target = key.position as usize + 1;
-            let before = index_corrupt_count();
+            let before = engine.seek_stats().refused;
             let got = engine.seek(target).unwrap_or_else(|e| panic!("seek {target}: {e}"));
             let want = scratch.seek(target).expect("scratch seek");
             assert_eq!(got.position(), target);
@@ -289,7 +279,7 @@ fn damaged_chain_records_degrade_exactly_the_seeks_behind_them() {
             assert_eq!(got.console_so_far(), want.console_so_far(), "target {target}");
             let walks_through = i / CHAIN == damaged / CHAIN && i >= damaged;
             assert_eq!(
-                index_corrupt_count() - before,
+                engine.seek_stats().refused - before,
                 u64::from(walks_through),
                 "record {damaged} damaged, seek served by checkpoint {i}"
             );
@@ -306,15 +296,4 @@ fn invert_a_region(record: &[u8]) -> Vec<u8> {
     bad[2..6].copy_from_slice(&record[6..10]);
     bad[6..10].copy_from_slice(&record[2..6]);
     bad
-}
-
-/// Current value of the `qr_replay_index_corrupt_total` counter, read
-/// from the registry's text exposition.
-fn index_corrupt_count() -> u64 {
-    qr_obs::global()
-        .render()
-        .lines()
-        .find(|l| l.starts_with("qr_replay_index_corrupt_total"))
-        .and_then(|l| l.rsplit(' ').next()?.parse().ok())
-        .unwrap_or(0)
 }
