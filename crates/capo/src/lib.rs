@@ -7,12 +7,13 @@
 //! (Capo3, built into a modified Linux kernel) costs about 13% on
 //! average. This crate is that stack for the simulated platform:
 //!
-//! - [`sphere::ReplaySphere`] groups the threads being recorded,
-//! - [`session::RecordingSession`] runs a program on the kernel's run
-//!   loop with the recorder as its [`qr_os::Monitor`], whose hooks
-//!   terminate chunks at syscalls, traps, context switches and conflicts;
-//!   virtualize the per-core recorder units as threads migrate; service
-//!   the CMEM drain interrupt; and assemble the chunk log,
+//! - [`session::RecordingSession`] is the replay sphere (one program per
+//!   machine, every thread it spawns recorded). It runs the program on
+//!   the kernel's run loop with the recorder as its [`qr_os::Monitor`],
+//!   whose hooks terminate chunks at syscalls, traps, context switches
+//!   and conflicts; virtualize the per-core recorder units as threads
+//!   migrate; service the CMEM drain interrupt; and assemble the chunk
+//!   log,
 //! - [`input_log::InputLog`] captures every nondeterministic input —
 //!   syscall results, copy_to_user payloads, signal delivery points,
 //!   `rdtsc`/`rdrand` values — with global timestamps where ordering
@@ -30,7 +31,6 @@ pub mod migrate;
 pub mod overhead;
 pub mod recording;
 pub mod session;
-pub mod sphere;
 pub mod timeline;
 
 pub use format::{FormatManifest, RecordingVersion, PARTIAL_ORDER_FORMAT_VERSION, RECORDING_FORMAT_VERSION};
@@ -42,5 +42,4 @@ pub use recording::{
     VerifyReport,
 };
 pub use session::{record, RecordingSession};
-pub use sphere::ReplaySphere;
 pub use timeline::{TimelineEntry, TimelineEvent};

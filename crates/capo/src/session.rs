@@ -37,7 +37,6 @@
 use crate::input_log::{InputEvent, InputLog};
 use crate::overhead::OverheadBreakdown;
 use crate::recording::{Recording, RecordingConfig, RecordingMeta, RecordingMode};
-use crate::sphere::ReplaySphere;
 use qr_common::{CoreId, LineAddr, Result, ThreadId};
 use qr_cpu::{Machine, NondetKind, StepOutcome, StepResult};
 use qr_isa::Program;
@@ -59,7 +58,6 @@ pub struct RecordingSession {
 #[derive(Debug)]
 struct Recorder {
     cfg: RecordingConfig,
-    sphere: ReplaySphere,
     bank: RecorderBank,
     chunks: quickrec_core::ChunkLog,
     inputs: InputLog,
@@ -109,7 +107,6 @@ impl RecordingSession {
         let kernel = Kernel::new(cfg.os.clone(), &mut machine)?;
         let bank = RecorderBank::new(cfg.mrr.clone(), cfg.cpu.num_cores)?;
         let recorder = Recorder {
-            sphere: ReplaySphere::new(0),
             bank,
             chunks: quickrec_core::ChunkLog::new(),
             inputs: InputLog::new(),
@@ -136,7 +133,6 @@ impl RecordingSession {
         rec.bank.flush_all();
         let (packets, _) = rec.bank.drain_cmem();
         rec.chunks.extend(packets);
-        rec.sphere.close();
         rec.overhead.hw_stall_cycles =
             (0..machine.num_cores()).map(|i| rec.bank.stall_cycles(CoreId(i as u8))).sum();
         let mut recording = Recording {
@@ -173,7 +169,6 @@ impl Monitor for Recorder {
             let core = match *event {
                 SchedEvent::ScheduledOn { core, tid } => {
                     self.bank.unit_mut(core).start(tid);
-                    self.sphere.add_thread(tid);
                     core
                 }
                 SchedEvent::DescheduledFrom { core, tid } => {

@@ -88,16 +88,6 @@ impl Kernel {
         self.threads.first().and_then(Thread::exit_code).unwrap_or(0)
     }
 
-    /// Thread lookup.
-    pub fn thread(&self, tid: ThreadId) -> Option<&Thread> {
-        self.threads.get(tid.index())
-    }
-
-    /// All threads ever created (exited included).
-    pub fn threads(&self) -> &[Thread] {
-        &self.threads
-    }
-
     /// The thread currently running on `core`.
     pub fn thread_on(&self, core: CoreId) -> Option<ThreadId> {
         self.core_thread[core.index()]
@@ -128,6 +118,12 @@ impl Kernel {
 
     /// Fills idle cores from the run queue. Returns the scheduling
     /// actions taken.
+    ///
+    /// Every core it fills is lifted to the makespan (the most advanced
+    /// core's clock): a core that sat idle, and equally a core that only
+    /// switches threads after a preempt, block or exit, whose clock can
+    /// trail the makespan. No outcome reports the lift: it is the fifth
+    /// cycle-charging convention of the ledger ROADMAP item 18(b) plans.
     pub fn place_runnable(&mut self, machine: &mut Machine) -> Vec<SchedEvent> {
         let mut events = Vec::new();
         let max_cycles = machine.makespan();
@@ -141,7 +137,7 @@ impl Kernel {
             let ctx = thread.saved.take().expect("runnable thread has a saved context");
             thread.state = ThreadState::Running(core);
             machine.core_mut(core).swap_context(Some(ctx));
-            // A core that sat idle re-enters time at "now", not in the past.
+            // Every filled core, idle or switching, resumes at the makespan.
             machine.core_mut(core).advance_to(max_cycles);
             self.core_thread[i] = Some(tid);
             self.core_sched_cycle[i] = machine.core(core).cycles();

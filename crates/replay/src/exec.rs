@@ -33,7 +33,7 @@ pub(crate) fn check_program(program: &Program, recording: &Recording) -> Result<
 }
 
 /// Per-thread replay state, beside the thread's core.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct ReplayThread {
     pub(crate) created: bool,
     pub(crate) exit_code: Option<u32>,

@@ -33,8 +33,8 @@
 //! machine, a core and one thread's replay state), and [`Replayer`] is
 //! the one host that drives it: every thread on its own core of one
 //! machine. Every mode is an order of the one timeline through it:
-//! [`Replayer`] runs it in timestamp order (and is what salvage,
-//! checkpoints and time-travel queries drive); [`ParallelReplayer`]
+//! [`Replayer`] runs it in timestamp order (and is what salvage, the
+//! checkpoint index and time-travel queries drive); [`ParallelReplayer`]
 //! relaxes it to the conflict DAG that
 //! [`quickrec_core::hb::ConflictSweep`] yields and dispatches its nodes
 //! to the same replayer in the order of a greedy list schedule onto
@@ -66,7 +66,7 @@ pub use order::{replay_ordered, replay_ordered_and_verify};
 pub use outcome::ReplayOutcome;
 pub use parallel::{replay_parallel, replay_parallel_and_verify, ParallelReplayer};
 pub use races::{Race, RaceDetector, RaceReport};
-pub use replayer::{replay, replay_and_verify, replay_with_race_detection, ReplayCheckpoint, Replayer};
+pub use replayer::{replay, replay_and_verify, replay_with_race_detection, Replayer};
 pub use salvage::{salvage_replay, salvage_replay_dir, SalvageReport};
 pub use timetravel::{
     timeline_descriptors, CheckpointIndex, CheckpointKey, EventDescriptor, EventKind, QueryEngine,

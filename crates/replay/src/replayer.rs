@@ -65,8 +65,8 @@ pub struct Replayer<'a> {
 }
 
 /// Everything a replay has accumulated by some timeline position: what
-/// a checkpoint snapshots and a resume restores.
-#[derive(Debug, Clone)]
+/// a checkpoint record serializes and a restore reads back.
+#[derive(Debug)]
 struct ReplayState {
     machine: Machine,
     threads: Vec<ReplayThread>,
@@ -161,9 +161,9 @@ impl ReplayState {
 
     /// Inverse of [`ReplayState::to_record`]: overwrites `machine`, whose
     /// memory must hold the record's base, with the serialized state, so
-    /// a resumed replay is bit-for-bit identical to one resumed from the
-    /// in-memory checkpoint. Returns the state and the program
-    /// fingerprint the record was written under.
+    /// a restored replay is bit-for-bit the one that wrote the record.
+    /// Returns the state and the program fingerprint the record was
+    /// written under.
     fn from_record(mut machine: Machine, kind: RecordKind, record: &[u8]) -> Result<(ReplayState, u64)> {
         let mut r = qr_common::cursor::ByteReader::new(record, "checkpoint snapshot");
         kind.expect(&mut r)?;
@@ -231,28 +231,6 @@ impl ReplayState {
             timeline_pos,
         };
         Ok((state, program_fingerprint))
-    }
-}
-
-/// A resumable snapshot of an in-progress replay.
-///
-/// Checkpoints bound replay latency: instead of replaying a long
-/// recording from the start to inspect a late event, resume from the
-/// nearest checkpoint (the paper discusses periodic checkpointing as the
-/// way to make replay-based debugging interactive).
-///
-/// A checkpoint is bound to the (program, recording) pair it came from;
-/// [`Replayer::resume`] verifies the binding.
-#[derive(Debug, Clone)]
-pub struct ReplayCheckpoint {
-    state: ReplayState,
-    program_fingerprint: u64,
-}
-
-impl ReplayCheckpoint {
-    /// Position in the merged timeline (events already replayed).
-    pub fn position(&self) -> usize {
-        self.state.timeline_pos
     }
 }
 
@@ -565,88 +543,13 @@ impl<'a> Replayer<'a> {
         Ok(())
     }
 
-    /// Runs to completion, taking a [`ReplayCheckpoint`] every
-    /// `every_events` timeline events.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`qr_common::QrError::Unsupported`] when the race detector
-    /// is attached (its analysis state is not checkpointable), plus the
-    /// usual replay errors.
-    pub fn run_with_checkpoints(
-        mut self,
-        every_events: usize,
-    ) -> Result<(ReplayOutcome, Vec<ReplayCheckpoint>)> {
-        let mut checkpoints = Vec::new();
-        self.run_checkpointing(every_events, |rp| {
-            checkpoints.push(ReplayCheckpoint {
-                state: rp.state.clone(),
-                program_fingerprint: rp.recording.meta.program_fingerprint,
-            })
-        })?;
-        let (outcome, _) = self.finish()?;
-        Ok((outcome, checkpoints))
-    }
-
-    /// Steps the timeline to its end, calling `checkpoint` at every
-    /// position that is a positive multiple of `every_events` — the
-    /// schedule in-memory checkpoints and the persisted index share.
-    pub(crate) fn run_checkpointing(
-        &mut self,
-        every_events: usize,
-        mut checkpoint: impl FnMut(&Replayer<'a>),
-    ) -> Result<()> {
-        if self.detector.is_some() {
-            return Err(QrError::Unsupported(
-                "checkpointing cannot be combined with race detection".into(),
-            ));
-        }
-        if every_events == 0 {
-            return Err(QrError::InvalidConfig("checkpoint interval must be nonzero".into()));
-        }
-        while self.state.timeline_pos < self.timeline.len() {
-            if self.state.timeline_pos > 0 && self.state.timeline_pos.is_multiple_of(every_events) {
-                checkpoint(self);
-            }
-            self.step_timeline()?;
-        }
-        Ok(())
-    }
-
     /// Serializes the current replay state as one checkpoint record
     /// whose memory overlay is relative to `base`, which `kind` names.
     pub(crate) fn checkpoint_record(&self, kind: RecordKind, base: &PagedMemory) -> Vec<u8> {
         self.state.to_record(kind, base, self.recording.meta.program_fingerprint)
     }
 
-    /// Resumes a replay from a checkpoint taken on the same
-    /// (program, recording) pair.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QrError::ReplayDivergence`] if the checkpoint does not
-    /// belong to this program/recording.
-    pub fn resume(
-        program: &Program,
-        recording: &'a Recording,
-        checkpoint: ReplayCheckpoint,
-    ) -> Result<Replayer<'a>> {
-        if program.fingerprint() != recording.meta.program_fingerprint
-            || checkpoint.program_fingerprint != recording.meta.program_fingerprint
-        {
-            return Err(QrError::ReplayDivergence(
-                "checkpoint does not belong to this program/recording".into(),
-            ));
-        }
-        Ok(Replayer {
-            recording,
-            state: checkpoint.state,
-            timeline: recording.timeline()?.into(),
-            detector: None,
-        })
-    }
-
-    /// [`Replayer::resume`] from a serialized checkpoint record, for a
+    /// Resumes a replay from a serialized checkpoint record, for a
     /// caller that already matched the program to the recording and
     /// merged its timeline. `machine` must hold the memory the record's
     /// overlay is relative to, which `kind` names: a [`fresh_machine`]
@@ -699,10 +602,11 @@ mod tests {
         };
         // The first checkpoint of a run, as the keyframe an index holds.
         let keyframe = |rp: &Replayer<'_>| rp.checkpoint_record(RecordKind::Keyframe, fresh.mem().memory());
-        let mut records = Vec::new();
         let mut run = Replayer::start(&recording, timeline.clone(), fresh.clone()).unwrap();
-        run.run_checkpointing(4, |rp| records.push(keyframe(rp))).unwrap();
-        let bytes = &records[0];
+        while run.position() < 4 {
+            run.step_timeline().unwrap();
+        }
+        let bytes = &keyframe(&run);
         let restored = restore(RecordKind::Keyframe, bytes).unwrap();
         assert_eq!(restored.position(), 4);
         assert_eq!(&keyframe(&restored), bytes, "a clean record round-trips");

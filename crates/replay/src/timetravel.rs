@@ -189,7 +189,8 @@ impl CheckpointIndex {
     ///
     /// # Errors
     ///
-    /// Propagates replay errors, and returns
+    /// Returns [`QrError::InvalidConfig`] for an interval of 0,
+    /// propagates replay errors, and returns
     /// [`QrError::ReplayDivergence`] when the replay does not end on the
     /// recorded outcome: only a verified replay is indexed.
     pub fn build(
@@ -197,6 +198,9 @@ impl CheckpointIndex {
         recording: &Recording,
         every_events: usize,
     ) -> Result<CheckpointIndex> {
+        if every_events == 0 {
+            return Err(QrError::InvalidConfig("checkpoint interval must be nonzero".into()));
+        }
         check_program(program, recording)?;
         let timeline: Arc<[TimelineEntry<'_>]> = recording.timeline()?.into();
         let descriptors = describe(&timeline);
@@ -207,18 +211,24 @@ impl CheckpointIndex {
         let mut snapshots = Vec::new();
         let mut thread_icounts = vec![0u64; machine.num_cores()];
         let mut scanned = 0usize;
-        let mut replayer = Replayer::start(recording, timeline, machine)?;
-        replayer.run_checkpointing(every_events, |rp| {
+        let mut rp = Replayer::start(recording, timeline, machine)?;
+        // A checkpoint at every positive multiple of the interval short
+        // of the end, taken before the event at that position replays.
+        while rp.step_timeline()? {
+            let pos = rp.position();
+            if pos == descriptors.len() || !pos.is_multiple_of(every_events) {
+                continue;
+            }
             // Keys are sorted by position, so one forward scan over the
             // descriptors prices out all the per-thread counters.
-            for d in &descriptors[scanned..rp.position()] {
+            for d in &descriptors[scanned..pos] {
                 if d.kind == EventKind::Chunk {
                     thread_icounts[d.tid.index()] += d.icount;
                 }
             }
-            scanned = rp.position();
+            scanned = pos;
             keys.push(CheckpointKey {
-                position: rp.position() as u64,
+                position: pos as u64,
                 instructions: rp.instructions_so_far(),
                 chunks_replayed: rp.chunks_replayed_so_far() as u64,
                 inputs_injected: rp.inputs_injected_so_far() as u64,
@@ -228,8 +238,8 @@ impl CheckpointIndex {
             let base = if kind == RecordKind::Keyframe { &initial } else { &previous };
             snapshots.push(rp.checkpoint_record(kind, base));
             previous.clone_from(rp.memory());
-        })?;
-        replayer.finish()?.0.verify_against(recording)?;
+        }
+        rp.finish()?.0.verify_against(recording)?;
         Ok(CheckpointIndex {
             interval: every_events as u64,
             timeline_len: descriptors.len() as u64,

@@ -32,6 +32,18 @@ if [ "$selection" != $'crates/cpu/src/machine.rs\ncrates/os/src/run_loop.rs' ]; 
 fi
 echo "one run loop"
 
+echo "== pub-items ratchet: test-only public surface only shrinks =="
+# scripts/pub-items.sh lists `pub` items no non-test code outside their
+# file names. A change that shrinks the list lowers this bound with it.
+max_pub_items=71
+pub_items=$(scripts/pub-items.sh)
+if [ "$(wc -l <<< "$pub_items")" -gt "$max_pub_items" ]; then
+  echo "scripts/pub-items.sh lists more than $max_pub_items items:" >&2
+  echo "$pub_items" >&2
+  exit 1
+fi
+echo "pub items within $max_pub_items"
+
 echo "== one owner for metrics: no process-wide registry, journal or switch =="
 # Metrics and trace journals belong to whoever creates them; libraries
 # return what they counted. (`Journal::set_enabled` on an owned journal
@@ -120,6 +132,19 @@ trap 'rm -f "$serial" "$parallel"' EXIT
 ./target/release/repro a6 --jobs 4 > "$parallel"
 cmp "$serial" "$parallel"
 echo "repro output identical across modes"
+
+echo "== repro pin: every experiment table byte-identical to tests/golden/repro/ =="
+# A table that moves shows up here as a diff naming its file and rows;
+# a change that moves one on purpose regenerates the pin
+# (scripts/repro-pin.sh tests/golden/repro) so the rows are in its diff.
+pin_dir=$(mktemp -d)
+scripts/repro-pin.sh "$pin_dir"
+diff -r tests/golden/repro "$pin_dir" || {
+  echo "repro output moved from the pin in tests/golden/repro/ (diff above)" >&2
+  exit 1
+}
+rm -rf "$pin_dir"
+echo "repro output identical to the pin"
 
 echo "== deterministic gates: E9b parallel replay, E12 observer effects, E14 indexed seeks, E15 ordering drift and growth =="
 # Each experiment fails by exit code on its own gate: a parallel or

@@ -16,7 +16,7 @@
 //! | multicore machine (cores, MESI caches, snoopy bus, TSO) | [`qr_cpu`], [`qr_mem`] |
 //! | PIA instruction set + assemblers | [`qr_isa`] |
 //! | kernel (threads, scheduler, futex, signals) | [`qr_os`] |
-//! | Capo3 software stack (spheres, input log, overhead model) | [`qr_capo`] |
+//! | Capo3 software stack (recording session, input log, overhead model) | [`qr_capo`] |
 //! | deterministic replayer | [`qr_replay`] |
 //! | SPLASH-2-style workloads | [`qr_workloads`] |
 //!
@@ -56,7 +56,7 @@
 pub use qr_capo::{
     migrate, record, FormatManifest, InputEvent, InputLog, OverheadBreakdown, OverheadModel,
     Recording, RecordingConfig, RecordingMode, RecordingParts, RecordingSession, RecordingVersion,
-    ReplaySphere, PARTIAL_ORDER_FORMAT_VERSION, RECORDING_FORMAT_VERSION,
+    PARTIAL_ORDER_FORMAT_VERSION, RECORDING_FORMAT_VERSION,
 };
 pub use qr_common::{CoreId, Cycle, QrError, Result, ThreadId, VirtAddr};
 pub use qr_cpu::{CpuConfig, Machine};
@@ -66,7 +66,7 @@ pub use qr_os::{run_native, OsConfig, RunOutcome};
 pub use qr_replay::{replay, replay_and_verify, replay_ordered, replay_ordered_and_verify,
     replay_parallel, replay_parallel_and_verify,
     timeline_descriptors, CheckpointIndex, EventDescriptor, EventKind, ParallelReplayer,
-    QueryEngine, QueryPlan, QueryResult, ReplayCheckpoint, ReplayOutcome, ReplayQuery, Replayer,
+    QueryEngine, QueryPlan, QueryResult, ReplayOutcome, ReplayQuery, Replayer,
     CHECKPOINT_INDEX_VERSION};
 pub use quickrec_core::{ChunkLog, ChunkPacket, Encoding, MrrConfig, OrderLog, OrderMode,
     TerminationReason};

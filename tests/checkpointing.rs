@@ -1,9 +1,14 @@
-//! Replay checkpointing: resuming from any checkpoint must reach exactly
-//! the same outcome as a from-scratch replay — checkpoints only bound
-//! latency, never change semantics.
+//! Replay checkpointing through the persisted index: a seek to any
+//! checkpoint must hold exactly the state a plain replay stepped to the
+//! same position holds, and resuming from it must reach the same outcome
+//! as a from-scratch replay — checkpoints only bound latency, never
+//! change semantics.
 
-use quickrec::{record, CheckpointIndex, QueryEngine, RecordingConfig};
-use qr_replay::Replayer;
+#[path = "support/seek.rs"]
+mod seek;
+
+use quickrec::{record, CheckpointIndex, QrError, QueryEngine, RecordingConfig, Replayer};
+use seek::seek_every_checkpoint;
 
 fn recorded() -> (quickrec::Program, quickrec::Recording) {
     recorded_workload("lu")
@@ -16,55 +21,23 @@ fn recorded_workload(name: &str) -> (quickrec::Program, quickrec::Recording) {
     (program, recording)
 }
 
-/// Restored seeks and the records they applied, from `engine`'s seek
-/// stats.
-fn restore_records(engine: &QueryEngine) -> (u64, u64) {
-    let restored = engine.seek_stats().restored;
-    (restored.iter().sum(), (1..).zip(restored).map(|(records, seeks)| records * seeks).sum())
-}
-
 #[test]
-fn chain_restored_replayers_equal_the_in_memory_checkpoints() {
+fn chain_restored_replayers_equal_a_stepped_plain_replay() {
     // A persisted checkpoint is a keyframe (every 8th) or a delta on the
     // one before it, and restoring it walks the chain from the keyframe.
-    // Wherever in a chain it sits, the replayer it yields is the one the
-    // in-memory checkpoint at that position resumes: same state there,
-    // same outcome at the end.
+    // Wherever in a chain it sits, the replayer it yields is the plain
+    // replay at that position: same state there, same outcome at the end.
     for name in ["lu", "fft", "radix"] {
         let (program, recording) = recorded_workload(name);
-        let (plain, checkpoints) =
-            Replayer::new(&program, &recording).unwrap().run_with_checkpoints(4).unwrap();
-        // Records 7 | 8 and 15 | 16 straddle keyframes.
-        assert!(checkpoints.len() > 17, "{name}: only {} checkpoints", checkpoints.len());
+        let plain = qr_replay::replay_and_verify(&program, &recording).unwrap();
         let index = CheckpointIndex::build(&program, &recording, 4).unwrap();
+        // Records 7 | 8 and 15 | 16 straddle keyframes.
+        assert!(index.keys.len() > 17, "{name}: only {} checkpoints", index.keys.len());
         assert_eq!(index, CheckpointIndex::from_bytes(&index.to_bytes()).unwrap());
-        let mut engine = QueryEngine::new(&program, &recording).unwrap();
-        engine.attach_index(index.clone()).unwrap();
-
-        let (count_before, sum_before) = restore_records(&engine);
-        let mut applied = 0;
-        for (i, cp) in checkpoints.into_iter().enumerate() {
-            assert_eq!(index.keys[i].position as usize, cp.position(), "{name}: checkpoint {i}");
-            let restored = engine.seek(cp.position()).unwrap();
-            let resumed = Replayer::resume(&program, &recording, cp).unwrap();
-            assert_eq!(restored.position(), resumed.position(), "{name}: checkpoint {i}");
-            assert_eq!(
-                restored.partial_fingerprint(),
-                resumed.partial_fingerprint(),
-                "{name}: state at checkpoint {i}"
-            );
-            assert_eq!(restored.console_so_far(), resumed.console_so_far());
-            assert_eq!(restored.instructions_so_far(), resumed.instructions_so_far());
+        seek_every_checkpoint(&program, &recording, &index, |i, restored| {
             let outcome = restored.run().unwrap_or_else(|e| panic!("{name}: run on from {i}: {e}"));
-            assert_eq!(outcome, resumed.run().unwrap(), "{name}: outcome from checkpoint {i}");
             assert_eq!(outcome, plain, "{name}: outcome from checkpoint {i}");
-            applied += i % 8 + 1;
-        }
-        // Every seek was served by its chain, none by a silent fallback
-        // to scratch: record i applies the keyframe through itself.
-        let (count, sum) = restore_records(&engine);
-        assert_eq!(count - count_before, index.keys.len() as u64, "{name}: restored seeks");
-        assert_eq!(sum - sum_before, applied as u64, "{name}: records applied");
+        });
     }
 }
 
@@ -72,37 +45,34 @@ fn chain_restored_replayers_equal_the_in_memory_checkpoints() {
 fn checkpointed_run_matches_plain_replay() {
     let (program, recording) = recorded();
     let plain = qr_replay::replay_and_verify(&program, &recording).unwrap();
-    let (with_cp, checkpoints) = Replayer::new(&program, &recording)
-        .unwrap()
-        .run_with_checkpoints(25)
-        .unwrap();
-    assert_eq!(with_cp, plain, "checkpoint collection must not perturb replay");
-    assert!(!checkpoints.is_empty(), "a multi-chunk recording yields checkpoints");
-    // Positions are strictly increasing multiples of the interval.
-    for (i, cp) in checkpoints.iter().enumerate() {
-        assert_eq!(cp.position(), (i + 1) * 25);
-    }
+    // Building the index replays the recording and verifies the outcome,
+    // so collecting checkpoints does not perturb the replay.
+    let index = CheckpointIndex::build(&program, &recording, 25).unwrap();
+    assert!(!index.keys.is_empty(), "a multi-chunk recording yields checkpoints");
+    // Positions are every positive multiple of the interval short of the
+    // end, in order.
+    let positions: Vec<u64> = index.keys.iter().map(|k| k.position).collect();
+    let multiples: Vec<u64> = (1..).map(|i| i * 25).take_while(|&p| p < index.timeline_len).collect();
+    assert_eq!(positions, multiples);
+    let mut engine = QueryEngine::new(&program, &recording).unwrap();
+    engine.attach_index(index.clone()).unwrap();
+    let last = *positions.last().unwrap() as usize;
+    assert_eq!(engine.seek(last).unwrap().run().unwrap(), plain);
 }
 
 #[test]
 fn resuming_from_every_checkpoint_reaches_the_same_outcome() {
     let (program, recording) = recorded();
     let plain = qr_replay::replay_and_verify(&program, &recording).unwrap();
-    let (_, checkpoints) = Replayer::new(&program, &recording)
-        .unwrap()
-        .run_with_checkpoints(40)
-        .unwrap();
-    assert!(checkpoints.len() >= 2, "want several checkpoints to resume from");
-    for (i, cp) in checkpoints.into_iter().enumerate() {
-        let resumed = Replayer::resume(&program, &recording, cp)
-            .unwrap()
-            .run()
-            .unwrap_or_else(|e| panic!("resume from checkpoint {i}: {e}"));
+    let index = CheckpointIndex::build(&program, &recording, 40).unwrap();
+    assert!(index.keys.len() >= 2, "want several checkpoints to resume from");
+    seek_every_checkpoint(&program, &recording, &index, |i, resumed| {
+        let resumed = resumed.run().unwrap_or_else(|e| panic!("resume from checkpoint {i}: {e}"));
         assert_eq!(resumed.fingerprint, plain.fingerprint, "checkpoint {i}");
         assert_eq!(resumed.exit_code, plain.exit_code);
         assert_eq!(resumed.instructions, plain.instructions, "instruction totals include the prefix");
         resumed.verify_against(&recording).unwrap();
-    }
+    });
 }
 
 #[test]
@@ -110,41 +80,35 @@ fn checkpoints_are_reusable() {
     // The same checkpoint can seed multiple independent resumes (e.g. a
     // debugger stepping forward repeatedly from one snapshot).
     let (program, recording) = recorded();
-    let (_, checkpoints) = Replayer::new(&program, &recording)
-        .unwrap()
-        .run_with_checkpoints(50)
-        .unwrap();
-    let cp = checkpoints.into_iter().next().expect("at least one checkpoint");
-    let a = Replayer::resume(&program, &recording, cp.clone()).unwrap().run().unwrap();
-    let b = Replayer::resume(&program, &recording, cp).unwrap().run().unwrap();
+    let index = CheckpointIndex::build(&program, &recording, 50).unwrap();
+    let first = index.keys.first().expect("at least one checkpoint").position as usize;
+    let mut engine = QueryEngine::new(&program, &recording).unwrap();
+    engine.attach_index(index).unwrap();
+    let a = engine.seek(first).unwrap().run().unwrap();
+    let b = engine.seek(first).unwrap().run().unwrap();
     assert_eq!(a, b);
+    assert_eq!(engine.seek_stats().restored[0], 2, "both seeks restored the checkpoint");
 }
 
 #[test]
 fn foreign_checkpoints_are_rejected() {
     let (program, recording) = recorded();
-    let (_, checkpoints) = Replayer::new(&program, &recording)
-        .unwrap()
-        .run_with_checkpoints(50)
-        .unwrap();
-    let cp = checkpoints.into_iter().next().expect("checkpoint");
-    // A different program/recording pair must refuse the checkpoint.
+    let index = CheckpointIndex::build(&program, &recording, 50).unwrap();
+    assert!(!index.keys.is_empty(), "checkpoint");
+    // A different program/recording pair must refuse the index.
     let spec = quickrec::workloads::find("fft").unwrap();
     let other_program = (spec.build)(3, quickrec::workloads::Scale::Test).unwrap();
     let other_recording = record(other_program.clone(), RecordingConfig::with_cores(3)).unwrap();
-    assert!(Replayer::resume(&other_program, &other_recording, cp).is_err());
+    let mut engine = QueryEngine::new(&other_program, &other_recording).unwrap();
+    assert!(engine.attach_index(index.clone()).is_err());
+    assert!(!engine.attach_index_bytes(&index.to_bytes()));
+    assert!(!engine.has_index());
 }
 
 #[test]
-fn zero_interval_is_rejected_and_race_detection_excluded() {
+fn zero_interval_is_rejected() {
     let (program, recording) = recorded();
-    assert!(Replayer::new(&program, &recording)
-        .unwrap()
-        .run_with_checkpoints(0)
-        .is_err());
-    let mut replayer = Replayer::new(&program, &recording).unwrap();
-    replayer.enable_race_detection();
-    assert!(replayer.run_with_checkpoints(10).is_err());
+    assert!(matches!(CheckpointIndex::build(&program, &recording, 0), Err(QrError::InvalidConfig(_))));
 }
 
 #[test]

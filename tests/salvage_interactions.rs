@@ -1,11 +1,14 @@
 //! Interplay of crash salvage with checkpointed and parallel replay: a
 //! recording that survives salvage is a first-class recording, so every
 //! replay mode built on top of the serial replayer must work on it —
-//! checkpoint collection, checkpoint resume, and the parallel
+//! checkpoint index build, seek and resume, and the parallel
 //! conflict-dependency scheduler (which must instead *fall back* to
 //! serial when the footprint sidecar itself lost its tail).
 
-use qr_replay::{salvage_replay_dir, CheckpointIndex, ParallelReplayer, QueryEngine, ReplayQuery, Replayer};
+#[path = "support/seek.rs"]
+mod seek;
+
+use qr_replay::{salvage_replay_dir, CheckpointIndex, ParallelReplayer, QueryEngine, ReplayQuery};
 use quickrec::workloads::{find, Scale};
 use quickrec::{record, Encoding, Program, Recording, RecordingConfig, RecordingParts};
 
@@ -47,22 +50,20 @@ fn a_salvage_survivor_supports_checkpointed_resume() {
     assert!(report.prefix_ok(), "{}", report.summary());
     assert_eq!(report.events_replayed, report.timeline_len, "full timeline survived");
 
-    // The survivor then replays with checkpoints like any recording.
+    // The survivor then builds an index and resumes from every key like
+    // any recording.
     let (salvaged, recovery) = Recording::load_salvaged(&dir).unwrap();
     assert!(!recovery.is_clean());
-    let (outcome, checkpoints) =
-        Replayer::new(&program, &salvaged).unwrap().run_with_checkpoints(25).unwrap();
+    let outcome = qr_replay::replay(&program, &salvaged).unwrap();
     assert_eq!(Some(outcome.fingerprint), report.fingerprint);
     assert_eq!(outcome.console, report.console);
-    assert!(!checkpoints.is_empty(), "multi-chunk survivor yields checkpoints");
-    for (i, cp) in checkpoints.into_iter().enumerate() {
-        let resumed = Replayer::resume(&program, &salvaged, cp)
-            .unwrap()
-            .run()
-            .unwrap_or_else(|e| panic!("resume from checkpoint {i}: {e}"));
+    let index = CheckpointIndex::build(&program, &salvaged, 25).unwrap();
+    assert!(!index.keys.is_empty(), "multi-chunk survivor yields checkpoints");
+    seek::seek_every_checkpoint(&program, &salvaged, &index, |i, resumed| {
+        let resumed = resumed.run().unwrap_or_else(|e| panic!("resume from checkpoint {i}: {e}"));
         assert_eq!(resumed.fingerprint, outcome.fingerprint, "checkpoint {i}");
         resumed.verify_against(&salvaged).unwrap();
-    }
+    });
     std::fs::remove_dir_all(&dir).ok();
 }
 
