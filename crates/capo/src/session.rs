@@ -167,7 +167,7 @@ impl Monitor for Recorder {
     fn scheduled(&mut self, machine: &mut Machine, events: &[SchedEvent]) {
         for event in events {
             let core = match *event {
-                SchedEvent::ScheduledOn { core, tid } => {
+                SchedEvent::ScheduledOn { core, tid, .. } => {
                     self.bank.unit_mut(core).start(tid);
                     core
                 }
@@ -609,77 +609,166 @@ pub(crate) mod tests {
         a.finish().unwrap()
     }
 
-    /// Passes every hook on to `inner` and measures each yield that
-    /// switched threads: the cycles its core gained from the end of the
-    /// syscall boundary hook to the start of the outcome hook (the
-    /// kernel's work alone), the `kernel_cycles` it reported, and how far
-    /// the most advanced core was ahead of it at the boundary.
-    struct YieldProbe<'m, M> {
+    /// Passes every hook on to `inner` and books every cycle each core
+    /// gains under one of three heads: its steps (`StepResult::cycles`),
+    /// the ledger (each lift and `kernel_cycles` the kernel reported, and
+    /// a signal delivery's half switch) and what `inner`'s hooks added to
+    /// any core. It also measures each yield that switched threads: the
+    /// cycles its core gained from the end of the syscall boundary hook to
+    /// the start of the outcome hook (the kernel's work alone), the lift
+    /// onto that core and the `kernel_cycles` the outcome reported.
+    struct Audit<'m, M> {
         inner: &'m mut M,
-        at_boundary: (u64, u64),
+        signal_cycles: u64,
+        steps: Vec<u64>,
+        ledger: Vec<u64>,
+        hooks: Vec<u64>,
+        clocks: Vec<u64>,
+        at_boundary: u64,
         yields: Vec<(u64, u64, u64)>,
     }
 
-    impl<M: Monitor> Monitor for YieldProbe<'_, M> {
+    impl<'m, M: Monitor> Audit<'m, M> {
+        fn new(inner: &'m mut M, cfg: &RecordingConfig) -> Self {
+            let cores = vec![0; cfg.cpu.num_cores];
+            Audit {
+                inner,
+                signal_cycles: cfg.os.context_switch_cycles / 2,
+                steps: cores.clone(),
+                ledger: cores.clone(),
+                hooks: cores.clone(),
+                clocks: cores,
+                at_boundary: 0,
+                yields: Vec::new(),
+            }
+        }
+
+        /// Runs one of `inner`'s hooks, booking what it added to each core.
+        fn hook<R>(&mut self, machine: &mut Machine, hook: impl FnOnce(&mut M, &mut Machine) -> R) -> R {
+            for (i, clock) in self.clocks.iter_mut().enumerate() {
+                *clock = machine.core(CoreId(i as u8)).cycles();
+            }
+            let result = hook(self.inner, machine);
+            for (i, clock) in self.clocks.iter().enumerate() {
+                self.hooks[i] += machine.core(CoreId(i as u8)).cycles() - clock;
+            }
+            result
+        }
+
+        /// Books the lifts in `sched`; returns the one onto `core`.
+        fn book_lifts(&mut self, core: CoreId, sched: &[SchedEvent]) -> u64 {
+            let mut onto_core = 0;
+            for event in sched {
+                if let SchedEvent::ScheduledOn { core: placed, lift, .. } = *event {
+                    self.ledger[placed.index()] += lift;
+                    if placed == core {
+                        onto_core += lift;
+                    }
+                }
+            }
+            onto_core
+        }
+
+        /// Asserts every core's clock is exactly its booked cycles and
+        /// returns what the hooks added over all cores.
+        fn balance(&self, machine: &Machine, run: &str) -> u64 {
+            for (i, ((steps, ledger), hooks)) in self.steps.iter().zip(&self.ledger).zip(&self.hooks).enumerate() {
+                let cycles = machine.core(CoreId(i as u8)).cycles();
+                let booked = steps + ledger + hooks;
+                assert_eq!(cycles, booked, "{run}: core {i}: steps {steps} + ledger {ledger} + hooks {hooks}");
+            }
+            self.hooks.iter().sum()
+        }
+    }
+
+    impl<M: Monitor> Monitor for Audit<'_, M> {
         fn scheduled(&mut self, machine: &mut Machine, events: &[SchedEvent]) {
-            self.inner.scheduled(machine, events);
+            self.book_lifts(CoreId(0), events);
+            self.hook(machine, |inner, machine| inner.scheduled(machine, events));
         }
         fn stepped(&mut self, machine: &mut Machine, core: CoreId, step: &StepResult) -> Result<()> {
-            self.inner.stepped(machine, core, step)
+            self.steps[core.index()] += step.cycles;
+            self.hook(machine, |inner, machine| inner.stepped(machine, core, step))
         }
         fn boundary(&mut self, machine: &mut Machine, core: CoreId, b: Boundary, drain: Option<&Access>) -> Result<()> {
-            self.inner.boundary(machine, core, b, drain)?;
-            self.at_boundary = (machine.core(core).cycles(), machine.makespan());
+            self.hook(machine, |inner, machine| inner.boundary(machine, core, b, drain))?;
+            self.at_boundary = machine.core(core).cycles();
             Ok(())
         }
         fn kernel_outcome(&mut self, machine: &mut Machine, core: CoreId, out: SyscallOutcome) -> Result<()> {
+            let lift = self.book_lifts(core, &out.sched);
+            self.ledger[core.index()] += out.kernel_cycles;
             let yielded = out.records.first().is_some_and(|r| r.number == abi::SYS_YIELD);
             let switched = out.sched.iter().any(|e| matches!(e, SchedEvent::DescheduledFrom { .. }));
             if yielded && switched {
-                let (before, makespan) = self.at_boundary;
-                self.yields.push((machine.core(core).cycles() - before, out.kernel_cycles, makespan - before));
+                let gained = machine.core(core).cycles() - self.at_boundary;
+                self.yields.push((gained, lift, out.kernel_cycles));
             }
-            self.inner.kernel_outcome(machine, core, out)
+            self.hook(machine, |inner, machine| inner.kernel_outcome(machine, core, out))
         }
         fn signal_delivered(&mut self, machine: &mut Machine, core: CoreId, tid: ThreadId) {
-            self.inner.signal_delivered(machine, core, tid);
+            self.ledger[core.index()] += self.signal_cycles;
+            self.hook(machine, |inner, machine| inner.signal_delivered(machine, core, tid));
         }
         fn nondet(&mut self, tid: ThreadId, kind: NondetKind, value: u32) {
             self.inner.nondet(tid, kind, value);
         }
         fn iteration_end(&mut self, machine: &mut Machine, core: CoreId) {
-            self.inner.iteration_end(machine, core);
+            self.hook(machine, |inner, machine| inner.iteration_end(machine, core));
         }
     }
 
-    /// The switch `preempt` charges used to be charged again with the
-    /// syscall. Placing the next thread also lifts the core to the most
-    /// advanced core's clock (`place_runnable`) when that is further
-    /// ahead than the switch: a resync, not a charge, taken out below.
+    /// A yield that switches threads charges its syscall and its switch
+    /// once each, on top of the lift to the makespan it reported, also
+    /// when its core trailed the makespan by more than that charge.
     #[test]
     fn an_oversubscribed_yield_charges_its_switch_once() {
         let cfg = RecordingConfig::with_cores(2);
-        let switch = cfg.os.context_switch_cycles;
-        let once = cfg.os.syscall_base_cycles + switch;
+        let once = cfg.os.syscall_base_cycles + cfg.os.context_switch_cycles;
 
         let mut machine = Machine::new(yield_loop(), cfg.cpu.clone()).unwrap();
         let mut kernel = Kernel::new(cfg.os.clone(), &mut machine).unwrap();
-        let mut native = YieldProbe { inner: &mut (), at_boundary: (0, 0), yields: Vec::new() };
+        let mut native_run = ();
+        let mut native = Audit::new(&mut native_run, &cfg);
         qr_os::run(&mut machine, &mut kernel, &mut native).unwrap();
         let native = native.yields;
 
-        let mut session = RecordingSession::new(yield_loop(), cfg).unwrap();
-        let mut recorded =
-            YieldProbe { inner: &mut session.recorder, at_boundary: (0, 0), yields: Vec::new() };
+        let mut session = RecordingSession::new(yield_loop(), cfg.clone()).unwrap();
+        let mut recorded = Audit::new(&mut session.recorder, &cfg);
         qr_os::run(&mut session.machine, &mut session.kernel, &mut recorded).unwrap();
         let recorded = recorded.yields;
 
         for (run, yields) in [("native", native), ("recorded", recorded)] {
             assert!(yields.len() >= 20, "{run}: only {} switching yields", yields.len());
-            for (gained, reported, lag) in yields {
-                let resync = lag.saturating_sub(switch);
-                assert_eq!((gained - resync, reported), (once, once), "{run}: charged and reported");
+            assert!(yields.iter().any(|&(_, lift, _)| lift > 0), "{run}: no switching core trailed the makespan");
+            for (gained, lift, reported) in yields {
+                assert_eq!((gained, reported), (lift + once, once), "{run}: charged and reported");
             }
+        }
+    }
+
+    /// Over the suite, oversubscribed, every cycle a core gains is a
+    /// step's, a ledger entry's or a monitor hook's; the hooks add
+    /// exactly the overhead the recording reports, and nothing natively.
+    #[test]
+    fn every_core_cycle_is_a_step_a_ledger_entry_or_a_hook_charge() {
+        let cfg = RecordingConfig::with_cores(2);
+        for spec in qr_workloads::suite() {
+            let program = (spec.build)(3, qr_workloads::Scale::Test).unwrap();
+
+            let mut machine = Machine::new(program.clone(), cfg.cpu.clone()).unwrap();
+            let mut kernel = Kernel::new(cfg.os.clone(), &mut machine).unwrap();
+            let mut native_run = ();
+            let mut native = Audit::new(&mut native_run, &cfg);
+            qr_os::run(&mut machine, &mut kernel, &mut native).unwrap();
+            assert_eq!(native.balance(&machine, spec.name), 0, "{}: a native hook charged", spec.name);
+
+            let mut session = RecordingSession::new(program, cfg.clone()).unwrap();
+            let mut audit = Audit::new(&mut session.recorder, &cfg);
+            let instructions = qr_os::run(&mut session.machine, &mut session.kernel, &mut audit).unwrap();
+            let hooks = audit.balance(&session.machine, spec.name);
+            let overhead = session.finish(instructions).unwrap().overhead;
+            assert_eq!(hooks, overhead.software_total() + overhead.hw_stall_cycles, "{}", spec.name);
         }
     }
 }

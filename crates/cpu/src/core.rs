@@ -50,12 +50,6 @@ impl Core {
         self.cycles += n;
     }
 
-    /// Raises the local cycle count to at least `n` (a core leaving the
-    /// idle pool re-enters time at "now", not in the past).
-    pub fn advance_to(&mut self, n: u64) {
-        self.cycles = self.cycles.max(n);
-    }
-
     /// Instructions retired on this core.
     pub fn retired(&self) -> u64 {
         self.retired

@@ -255,7 +255,7 @@ impl MemorySystem {
     /// # Errors
     ///
     /// Propagates memory faults.
-    pub fn drain_all_into(&mut self, core: CoreId, events: &mut Vec<MemEvent>) -> Result<u64> {
+    fn drain_all_into(&mut self, core: CoreId, events: &mut Vec<MemEvent>) -> Result<u64> {
         let mut cycles = 0;
         while let Some(store) = self.buffers[core.index()].pop_oldest() {
             cycles += self.commit_store(core, store, events)?;

@@ -18,6 +18,9 @@ pub enum SchedEvent {
         core: CoreId,
         /// The thread.
         tid: ThreadId,
+        /// How far the core's clock trailed the makespan: the run loop
+        /// lifts the core by this much before charging `kernel_cycles`.
+        lift: u64,
     },
     /// `tid` stopped running on `core` (preempted, blocked or exited).
     DescheduledFrom {
@@ -61,7 +64,8 @@ pub struct SyscallOutcome {
     /// Coherence events from kernel copies in and out of user memory
     /// (the recorder checks them against open chunks).
     pub mem_events: Vec<MemEvent>,
-    /// Kernel time charged to the interacting core.
+    /// Kernel time the run loop charges to the interacting core, after
+    /// the lifts in `sched`.
     pub kernel_cycles: u64,
 }
 
@@ -83,7 +87,7 @@ mod tests {
     fn merge_concatenates_in_order() {
         let mut a = SyscallOutcome {
             records: vec![SyscallRecord { tid: ThreadId(0), number: 1, result: 0, writes: vec![] }],
-            sched: vec![SchedEvent::ScheduledOn { core: CoreId(0), tid: ThreadId(0) }],
+            sched: vec![SchedEvent::ScheduledOn { core: CoreId(0), tid: ThreadId(0), lift: 0 }],
             mem_events: vec![],
             kernel_cycles: 10,
         };

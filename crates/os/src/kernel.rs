@@ -119,14 +119,15 @@ impl Kernel {
     /// Fills idle cores from the run queue. Returns the scheduling
     /// actions taken.
     ///
-    /// Every core it fills is lifted to the makespan (the most advanced
+    /// Every core it fills resumes at the makespan (the most advanced
     /// core's clock): a core that sat idle, and equally a core that only
     /// switches threads after a preempt, block or exit, whose clock can
-    /// trail the makespan. No outcome reports the lift: it is the fifth
-    /// cycle-charging convention of the ledger ROADMAP item 18(b) plans.
+    /// trail the makespan. Each [`SchedEvent::ScheduledOn`] reports that
+    /// lift; the run loop applies it, like every kernel cost, and the
+    /// kernel touches no clock.
     pub fn place_runnable(&mut self, machine: &mut Machine) -> Vec<SchedEvent> {
         let mut events = Vec::new();
-        let max_cycles = machine.makespan();
+        let makespan = machine.makespan();
         for i in 0..machine.num_cores() {
             let core = CoreId(i as u8);
             if self.core_thread[i].is_some() {
@@ -137,11 +138,9 @@ impl Kernel {
             let ctx = thread.saved.take().expect("runnable thread has a saved context");
             thread.state = ThreadState::Running(core);
             machine.core_mut(core).swap_context(Some(ctx));
-            // Every filled core, idle or switching, resumes at the makespan.
-            machine.core_mut(core).advance_to(max_cycles);
             self.core_thread[i] = Some(tid);
-            self.core_sched_cycle[i] = machine.core(core).cycles();
-            events.push(SchedEvent::ScheduledOn { core, tid });
+            self.core_sched_cycle[i] = makespan;
+            events.push(SchedEvent::ScheduledOn { core, tid, lift: makespan - machine.core(core).cycles() });
         }
         events
     }
@@ -180,7 +179,6 @@ impl Kernel {
         out.sched.push(self.deschedule(machine, core, ThreadState::Runnable));
         self.runq.push_back(tid);
         out.kernel_cycles += self.cfg.context_switch_cycles;
-        machine.core_mut(core).add_cycles(self.cfg.context_switch_cycles);
         out.sched.extend(self.place_runnable(machine));
         out
     }
@@ -218,7 +216,6 @@ impl Kernel {
             self.complete_blocked(j, code, &mut out);
         }
         out.kernel_cycles += self.cfg.syscall_base_cycles;
-        machine.core_mut(core).add_cycles(self.cfg.syscall_base_cycles);
         out.sched.extend(self.place_runnable(machine));
         out
     }
@@ -303,7 +300,6 @@ impl Kernel {
                             );
                             self.threads[target.index()].joiners.push(tid);
                             out.sched.extend(self.place_runnable(machine));
-                            self.charge(machine, core, &out);
                             return Ok(out);
                         }
                     },
@@ -328,7 +324,6 @@ impl Kernel {
                             );
                             self.futex_waiters.entry(a1).or_default().push_back(tid);
                             out.sched.extend(self.place_runnable(machine));
-                            self.charge(machine, core, &out);
                             return Ok(out);
                         }
                     }
@@ -356,18 +351,13 @@ impl Kernel {
                     self.complete_blocked(w, 0, &mut out);
                 }
                 out.sched.extend(self.place_runnable(machine));
-                self.charge(machine, core, &out);
                 return Ok(out);
             }
             abi::SYS_YIELD => {
                 machine.write_reg(core, Reg::R0, 0);
                 out.records.push(SyscallRecord { tid, number, result: 0, writes: Vec::new() });
-                // `preempt` charges the switch it reports, so only the
-                // syscall's own cost is charged here.
-                let switched = (!self.runq.is_empty()).then(|| self.preempt(machine, core));
-                self.charge(machine, core, &out);
-                if let Some(switched) = switched {
-                    out.merge(switched);
+                if !self.runq.is_empty() {
+                    out.merge(self.preempt(machine, core));
                 }
                 return Ok(out);
             }
@@ -375,21 +365,12 @@ impl Kernel {
             abi::SYS_SBRK => {
                 let grow = align_up(a1, 64);
                 let old = self.brk;
-                if grow > 0 {
-                    if machine.mem_mut().map_region(old, grow).is_err() {
-                        machine.write_reg(core, Reg::R0, EFAULT);
-                        out.records.push(SyscallRecord {
-                            tid,
-                            number,
-                            result: EFAULT,
-                            writes: Vec::new(),
-                        });
-                        self.charge(machine, core, &out);
-                        return Ok(out);
-                    }
+                if grow > 0 && machine.mem_mut().map_region(old, grow).is_err() {
+                    EFAULT
+                } else {
                     self.brk = VirtAddr(old.0 + grow);
+                    old.0
                 }
-                old.0
             }
             abi::SYS_GETTID => tid.0,
             abi::SYS_READ => {
@@ -410,7 +391,6 @@ impl Kernel {
                             writes: vec![(VirtAddr(a1), bytes)],
                         });
                         machine.write_reg(core, Reg::R0, len);
-                        self.charge(machine, core, &out);
                         return Ok(out);
                     }
                     Err(_) => EFAULT,
@@ -445,7 +425,6 @@ impl Kernel {
                             result: 0,
                             writes: Vec::new(),
                         });
-                        self.charge(machine, core, &out);
                         return Ok(out);
                     }
                     None => EFAULT,
@@ -456,12 +435,7 @@ impl Kernel {
 
         machine.write_reg(core, Reg::R0, result);
         out.records.push(SyscallRecord { tid, number, result, writes: Vec::new() });
-        self.charge(machine, core, &out);
         Ok(out)
-    }
-
-    fn charge(&self, machine: &mut Machine, core: CoreId, out: &SyscallOutcome) {
-        machine.core_mut(core).add_cycles(out.kernel_cycles);
     }
 
     fn block_current(
@@ -491,13 +465,14 @@ impl Kernel {
 
     /// Delivers one pending SIGUSR to the thread on `core`: saves the
     /// interrupted context and redirects execution to the handler with
-    /// the signal number in `R1`. Returns the target tid.
+    /// the signal number in `R1`. Returns the target tid and the outcome
+    /// carrying the delivery's half context switch.
     ///
     /// # Panics
     ///
     /// Panics if no signal is deliverable — check [`Kernel::signal_ready`]
     /// first.
-    pub fn deliver_signal(&mut self, machine: &mut Machine, core: CoreId) -> ThreadId {
+    pub fn deliver_signal(&mut self, machine: &mut Machine, core: CoreId) -> (ThreadId, SyscallOutcome) {
         let tid = self.core_thread[core.index()].expect("signal to an idle core");
         let thread = &mut self.threads[tid.index()];
         assert!(thread.signal_deliverable(), "deliver_signal without a deliverable signal");
@@ -512,8 +487,7 @@ impl Kernel {
         frame.set_pc(handler);
         frame.set_reg(Reg::R1, 1); // signal number
         machine.core_mut(core).swap_context(Some(frame));
-        machine.core_mut(core).add_cycles(self.cfg.context_switch_cycles / 2);
-        tid
+        (tid, SyscallOutcome { kernel_cycles: self.cfg.context_switch_cycles / 2, ..SyscallOutcome::default() })
     }
 }
 
@@ -539,7 +513,7 @@ mod tests {
         let mut m = machine(a, 2);
         let mut k = Kernel::new(OsConfig::default(), &mut m).unwrap();
         let events = k.place_runnable(&mut m);
-        assert_eq!(events, vec![SchedEvent::ScheduledOn { core: CoreId(0), tid: ThreadId(0) }]);
+        assert_eq!(events, vec![SchedEvent::ScheduledOn { core: CoreId(0), tid: ThreadId(0), lift: 0 }]);
         assert_eq!(k.live_threads(), 1);
         assert_eq!(m.read_reg(CoreId(0), Reg::SP), STACK_TOP);
         assert!(m.mem().memory().is_mapped(VirtAddr(STACK_TOP - 4), 4));

@@ -18,12 +18,13 @@
 //! - one run loop ([`run_loop::run`]) generic over a [`run_loop::Monitor`]:
 //!   the native baseline ([`native::run_native`]) runs it with `()`.
 //!
-//! The kernel reports every scheduling action and every syscall's
-//! user-visible effects as data ([`events`]), which the loop hands to
-//! the monitor's hooks. That is what lets the Capo3 analog in `qr-capo`
-//! be a monitor: terminate chunks at the right boundaries, log inputs,
-//! and charge recording overhead — without the kernel knowing whether
-//! recording is on.
+//! The kernel reports every scheduling action, every syscall's
+//! user-visible effects and every cycle it costs as data ([`events`]);
+//! the loop charges the cycles and hands the rest to the monitor's
+//! hooks. That is what lets the Capo3 analog in `qr-capo` be a monitor:
+//! terminate chunks at the right boundaries, log inputs, and charge
+//! recording overhead — without the kernel knowing whether recording
+//! is on.
 
 pub mod config;
 pub mod events;

@@ -23,6 +23,7 @@ pub enum Boundary {
 /// Hooks into [`run`], each at one fixed point of the loop and a no-op
 /// by default. A hook may drain `machine` or charge it cycles; a monitor
 /// that charges nothing cannot change the run. A hook's error ends it.
+/// The hooks that follow a kernel action see its cycles already charged.
 pub trait Monitor {
     /// The scheduling actions of the loop's first [`Kernel::place_runnable`];
     /// later ones arrive in [`Monitor::kernel_outcome`].
@@ -66,8 +67,9 @@ impl Monitor for () {}
 /// [`QrError::Execution`] when every thread is blocked, or the first
 /// error of a drain, the kernel or a hook.
 pub fn run<M: Monitor>(machine: &mut Machine, kernel: &mut Kernel, monitor: &mut M) -> Result<u64> {
-    let sched = kernel.place_runnable(machine);
-    monitor.scheduled(machine, &sched);
+    let first = SyscallOutcome { sched: kernel.place_runnable(machine), ..SyscallOutcome::default() };
+    ledger(machine, CoreId(0), &first);
+    monitor.scheduled(machine, &first.sched);
     let budget = kernel.config().max_instructions;
     let mut instructions = 0u64;
     while !kernel.all_done() {
@@ -89,11 +91,13 @@ pub fn run<M: Monitor>(machine: &mut Machine, kernel: &mut Kernel, monitor: &mut
                 if kernel.quantum_expired(machine, core) {
                     monitor.boundary(machine, core, Boundary::Preempt, None)?;
                     let out = kernel.preempt(machine, core);
+                    ledger(machine, core, &out);
                     monitor.kernel_outcome(machine, core, out)?;
                 }
                 if kernel.signal_ready(core) {
                     monitor.boundary(machine, core, Boundary::Signal, None)?;
-                    let tid = kernel.deliver_signal(machine, core);
+                    let (tid, out) = kernel.deliver_signal(machine, core);
+                    ledger(machine, core, &out);
                     monitor.signal_delivered(machine, core, tid);
                 }
             }
@@ -101,6 +105,7 @@ pub fn run<M: Monitor>(machine: &mut Machine, kernel: &mut Kernel, monitor: &mut
                 let drain = machine.drain_store_buffer(core)?;
                 monitor.boundary(machine, core, Boundary::Syscall, Some(&drain))?;
                 let out = kernel.handle_syscall(machine, core)?;
+                ledger(machine, core, &out);
                 monitor.kernel_outcome(machine, core, out)?;
             }
             StepOutcome::Nondet { kind, rd } => {
@@ -113,6 +118,7 @@ pub fn run<M: Monitor>(machine: &mut Machine, kernel: &mut Kernel, monitor: &mut
                 let drain = machine.drain_store_buffer(core)?;
                 monitor.boundary(machine, core, Boundary::Exit, Some(&drain))?;
                 let out = kernel.handle_halt(machine, core);
+                ledger(machine, core, &out);
                 monitor.kernel_outcome(machine, core, out)?;
             }
             // Binding the error by value (not `ref`) moves it out here, so
@@ -122,6 +128,7 @@ pub fn run<M: Monitor>(machine: &mut Machine, kernel: &mut Kernel, monitor: &mut
                 let drain = machine.drain_store_buffer(core)?;
                 monitor.boundary(machine, core, Boundary::Exit, Some(&drain))?;
                 let out = kernel.handle_fault(machine, core, &err);
+                ledger(machine, core, &out);
                 monitor.kernel_outcome(machine, core, out)?;
             }
             StepOutcome::Idle => {}
@@ -129,6 +136,19 @@ pub fn run<M: Monitor>(machine: &mut Machine, kernel: &mut Kernel, monitor: &mut
         monitor.iteration_end(machine, core);
     }
     Ok(instructions)
+}
+
+/// The one place kernel time reaches a clock: every core the action
+/// placed is lifted to the makespan it reported, then the acting `core`
+/// is charged the action's own `kernel_cycles`. A switching core that
+/// trails the makespan thus pays its switch on top of the lift.
+fn ledger(machine: &mut Machine, core: CoreId, out: &SyscallOutcome) {
+    for event in &out.sched {
+        if let SchedEvent::ScheduledOn { core, lift, .. } = *event {
+            machine.core_mut(core).add_cycles(lift);
+        }
+    }
+    machine.core_mut(core).add_cycles(out.kernel_cycles);
 }
 
 #[cold]
@@ -152,8 +172,8 @@ mod tests {
     use qr_isa::{abi, Asm, Program, Reg};
 
     /// One hook call, as the logging monitor saw it. The `u64`s are the
-    /// core's cycle count when the hook ran: the kernel charges cycles
-    /// for every action, so they tell a hook before it from one after.
+    /// core's cycle count when the hook ran, so a boundary and the hook
+    /// after it bracket exactly what the ledger charged for the action.
     #[derive(Debug)]
     enum Hook {
         Scheduled,
@@ -267,7 +287,7 @@ mod tests {
             fingerprint: state_fingerprint(&machine, &kernel),
         };
         let mut native_machine = Machine::new(every_boundary(), cpu).unwrap();
-        assert_eq!(logged, run_native(&mut native_machine, os).unwrap());
+        assert_eq!(logged, run_native(&mut native_machine, os.clone()).unwrap());
 
         let hooks = log.0;
         let mut seen = Vec::new();
@@ -276,17 +296,36 @@ mod tests {
             seen.push(boundary);
             assert_eq!(drained, matches!(boundary, Boundary::Syscall | Boundary::Exit), "{boundary:?}");
             let next = &hooks[i + 1];
+            // What the ledger owes `core` for an outcome: its lifts onto
+            // `core`, then the action's own kernel cycles.
+            let owed = |out: &SyscallOutcome| {
+                let lifts: u64 = out
+                    .sched
+                    .iter()
+                    .map(|e| match *e {
+                        SchedEvent::ScheduledOn { core: c, lift, .. } if c == core => lift,
+                        _ => 0,
+                    })
+                    .sum();
+                before + lifts + out.kernel_cycles
+            };
             let ok = match (boundary, next) {
                 (Boundary::Preempt, Hook::Outcome(c, out, after)) => {
                     *c == core
-                        && *after > before
+                        && *after == owed(out)
+                        && out.kernel_cycles == os.context_switch_cycles
                         && matches!(out.sched.first(), Some(SchedEvent::DescheduledFrom { core: d, .. }) if *d == core)
                 }
-                (Boundary::Signal, Hook::Signal(c, after)) => *c == core && *after > before,
-                (Boundary::Syscall, Hook::Outcome(c, _, after)) => *c == core && *after > before,
+                (Boundary::Signal, Hook::Signal(c, after)) => {
+                    *c == core && *after == before + os.context_switch_cycles / 2
+                }
+                (Boundary::Syscall, Hook::Outcome(c, out, after)) => {
+                    *c == core && *after == owed(out) && out.kernel_cycles >= os.syscall_base_cycles
+                }
                 (Boundary::Exit, Hook::Outcome(c, out, after)) => {
                     *c == core
-                        && *after > before
+                        && *after == owed(out)
+                        && out.kernel_cycles == os.syscall_base_cycles
                         && out.records.first().is_some_and(|r| r.number == abi::SYS_EXIT)
                 }
                 _ => false,

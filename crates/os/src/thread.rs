@@ -81,7 +81,7 @@ impl Thread {
     }
 
     /// Whether the thread is currently inside a signal handler.
-    pub fn in_signal_handler(&self) -> bool {
+    fn in_signal_handler(&self) -> bool {
         self.signal_saved.is_some()
     }
 

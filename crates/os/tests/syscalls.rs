@@ -127,6 +127,22 @@ fn sbrk_twice_is_contiguous() {
 }
 
 #[test]
+fn sbrk_that_wraps_the_address_space_is_efault_and_keeps_the_break() {
+    let (mut machine, mut kernel) = at_syscall(abi::SYS_SBRK, 0, 0);
+    kernel.handle_syscall(&mut machine, C0).unwrap();
+    let brk = result_of(&machine);
+    machine.write_reg(C0, Reg::R0, abi::SYS_SBRK);
+    machine.write_reg(C0, Reg::R1, 0xffff_ff00);
+    let out = kernel.handle_syscall(&mut machine, C0).unwrap();
+    assert_eq!(result_of(&machine), EFAULT);
+    assert_eq!(out.records.iter().map(|r| r.result).collect::<Vec<_>>(), vec![EFAULT]);
+    machine.write_reg(C0, Reg::R0, abi::SYS_SBRK);
+    machine.write_reg(C0, Reg::R1, 0);
+    kernel.handle_syscall(&mut machine, C0).unwrap();
+    assert_eq!(result_of(&machine), brk, "a failed sbrk leaves the break where it was");
+}
+
+#[test]
 fn gettid_and_ncores_report_identity() {
     let (mut machine, mut kernel) = at_syscall(abi::SYS_GETTID, 0, 0);
     kernel.handle_syscall(&mut machine, C0).unwrap();
@@ -187,7 +203,11 @@ fn spawn_schedules_onto_the_idle_core() {
     machine.write_reg(C0, Reg::R1, qr_isa::program::CODE_BASE + 5 * 8);
     let out = kernel.handle_syscall(&mut machine, C0).unwrap();
     assert_eq!(result_of(&machine), 1, "new tid");
-    assert!(out.sched.contains(&SchedEvent::ScheduledOn { core: CoreId(1), tid: ThreadId(1) }));
+    // The idle core resumes at the makespan, core 0's clock: the kernel
+    // reports that lift and leaves both clocks to the run loop.
+    let lift = machine.core(C0).cycles();
+    assert!(out.sched.contains(&SchedEvent::ScheduledOn { core: CoreId(1), tid: ThreadId(1), lift }));
+    assert_eq!(machine.core(CoreId(1)).cycles(), 0);
     assert_eq!(kernel.live_threads(), 2);
 }
 
