@@ -546,7 +546,7 @@ fn e10() -> Experiment {
                     ));
                 }
                 // Whole-entry ratio as the store would commit it
-                // (meta + chunks + inputs + footprints, delta chunks).
+                // (meta + chunks + inputs + format manifest, delta chunks).
                 let parts = r.to_parts(Encoding::Delta);
                 let (mut raw, mut stored) = (0usize, 0usize);
                 for (_, bytes) in parts.files() {

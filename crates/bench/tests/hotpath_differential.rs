@@ -16,7 +16,7 @@ use quickrec_core::Encoding;
 
 /// Records every suite workload once and serializes it under every
 /// encoding, yielding one labelled byte corpus per recording artifact
-/// (metadata container, chunk log, input log, footprint sidecar).
+/// (metadata container, chunk log, input log, format manifest).
 fn suite_artifacts() -> Vec<(String, Vec<u8>)> {
     let cache = BuildCache::new();
     let threads = 2;

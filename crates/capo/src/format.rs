@@ -14,7 +14,7 @@
 //! | Version | Shape |
 //! |---|---|
 //! | v1 | bare `QRM1` meta blob, unframed tag-prefixed logs, no footprints ([`crate::migrate`] input only) |
-//! | v2 | all files framed (`QRCF`), optional footprint sidecar, no `format.qrv` |
+//! | v2 | all files framed (`QRCF`), no `format.qrv` |
 //! | v3 | v2 plus this manifest (the default generation) |
 //! | v4 | v3 plus the `order.qrp` partial-order sidecar (`--order partial` only) |
 //!
@@ -120,15 +120,16 @@ wire_struct! {
 
 impl FormatManifest {
     /// The manifest current code writes for a recording saved with
-    /// `encoding`, with (`with_footprints`) or without a footprint
-    /// sidecar.
-    pub fn current(encoding: Encoding, with_footprints: bool) -> FormatManifest {
-        let mut payloads = vec![PayloadKind::ChunkLog, PayloadKind::InputLog, PayloadKind::Meta];
-        if with_footprints {
-            payloads.push(PayloadKind::FootprintLog);
-        }
-        payloads.push(PayloadKind::FormatManifest);
-        payloads.sort_by_key(|k| k.code());
+    /// `encoding`. Recordings written while footprints were persisted
+    /// also list [`PayloadKind::FootprintLog`]; readers accept and
+    /// ignore it.
+    pub fn current(encoding: Encoding) -> FormatManifest {
+        let payloads = vec![
+            PayloadKind::ChunkLog,
+            PayloadKind::InputLog,
+            PayloadKind::Meta,
+            PayloadKind::FormatManifest,
+        ];
         FormatManifest {
             version: RECORDING_FORMAT_VERSION,
             container: frame::VERSION,
@@ -208,22 +209,23 @@ mod tests {
     #[test]
     fn current_manifest_round_trips_for_every_encoding() {
         for encoding in Encoding::ALL {
-            for with_footprints in [false, true] {
-                let m = FormatManifest::current(encoding, with_footprints);
-                assert_eq!(m.version, RECORDING_FORMAT_VERSION);
-                let back = FormatManifest::from_bytes(&m.to_bytes()).unwrap();
-                assert_eq!(back, m);
-                assert_eq!(
-                    back.payloads.contains(&PayloadKind::FootprintLog),
-                    with_footprints
-                );
-            }
+            let m = FormatManifest::current(encoding);
+            assert_eq!(m.version, RECORDING_FORMAT_VERSION);
+            let codes: Vec<u8> = m.payloads.iter().map(|k| k.code()).collect();
+            assert!(codes.windows(2).all(|w| w[0] < w[1]), "payloads sorted: {codes:?}");
+            assert!(!m.payloads.contains(&PayloadKind::FootprintLog));
+            assert_eq!(FormatManifest::from_bytes(&m.to_bytes()).unwrap(), m);
+            // A manifest written while footprints were persisted lists
+            // them, and still decodes.
+            let mut older = m.clone();
+            older.payloads.insert(3, PayloadKind::FootprintLog);
+            assert_eq!(FormatManifest::from_bytes(&older.to_bytes()).unwrap(), older);
         }
     }
 
     #[test]
     fn newer_format_version_is_refused_with_both_versions_named() {
-        let mut m = FormatManifest::current(Encoding::Delta, true);
+        let mut m = FormatManifest::current(Encoding::Delta);
         m.version = 99;
         let err = FormatManifest::from_bytes(&m.to_bytes()).unwrap_err();
         let QrError::Unsupported(msg) = &err else {
@@ -236,7 +238,7 @@ mod tests {
     #[test]
     fn with_order_bumps_to_v4_and_round_trips() {
         for encoding in Encoding::ALL {
-            let m = FormatManifest::current(encoding, true).with_order();
+            let m = FormatManifest::current(encoding).with_order();
             assert_eq!(m.version, PARTIAL_ORDER_FORMAT_VERSION);
             assert!(m.payloads.contains(&PayloadKind::OrderLog));
             let codes: Vec<u8> = m.payloads.iter().map(|k| k.code()).collect();
@@ -250,12 +252,12 @@ mod tests {
     #[test]
     fn version_payload_contradictions_are_corrupt() {
         // v4 without the order payload.
-        let mut m = FormatManifest::current(Encoding::Delta, true);
+        let mut m = FormatManifest::current(Encoding::Delta);
         m.version = PARTIAL_ORDER_FORMAT_VERSION;
         let err = FormatManifest::from_bytes(&m.to_bytes()).unwrap_err();
         assert!(matches!(err, QrError::Corrupt { .. }), "{err}");
         // v3 claiming the order payload.
-        let mut m = FormatManifest::current(Encoding::Delta, true).with_order();
+        let mut m = FormatManifest::current(Encoding::Delta).with_order();
         m.version = RECORDING_FORMAT_VERSION;
         let err = FormatManifest::from_bytes(&m.to_bytes()).unwrap_err();
         assert!(matches!(err, QrError::Corrupt { .. }), "{err}");
@@ -263,7 +265,7 @@ mod tests {
 
     #[test]
     fn a_payload_kind_listed_twice_is_corrupt() {
-        let mut m = FormatManifest::current(Encoding::Delta, false);
+        let mut m = FormatManifest::current(Encoding::Delta);
         m.payloads.push(PayloadKind::Meta);
         let err = FormatManifest::from_bytes(&m.to_bytes()).unwrap_err();
         assert!(err.to_string().contains("duplicate payload kind recording meta"), "{err}");
@@ -271,14 +273,14 @@ mod tests {
 
     #[test]
     fn older_format_version_in_a_manifest_is_contradictory() {
-        let mut m = FormatManifest::current(Encoding::Delta, false);
+        let mut m = FormatManifest::current(Encoding::Delta);
         m.version = 2;
         assert!(FormatManifest::from_bytes(&m.to_bytes()).is_err());
     }
 
     #[test]
     fn structural_faults_are_corrupt_errors() {
-        let good = FormatManifest::current(Encoding::Raw, true).to_bytes();
+        let good = FormatManifest::current(Encoding::Raw).to_bytes();
         // Truncations.
         for cut in 0..good.len() {
             let err = FormatManifest::from_bytes(&good[..cut]).unwrap_err();

@@ -26,7 +26,6 @@ pub(super) fn read(parts: &RecordingParts) -> Result<(Recording, Encoding)> {
         chunks,
         input_log(&parts.inputs)?,
         None,
-        None,
     );
     recording.check_consistency()?;
     Ok((recording, encoding))

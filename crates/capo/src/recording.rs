@@ -92,10 +92,11 @@ pub struct Recording {
     pub chunks: ChunkLog,
     /// The input log.
     pub inputs: InputLog,
-    /// Per-chunk read/write footprints (parallel replay's dependency
-    /// evidence). `None` for recordings migrated from v1 and
-    /// unsalvageable sidecars; parallel replay then falls back to the
-    /// serial path.
+    /// Per-chunk read/write footprints: record-time evidence for
+    /// partial-order derivation and the modelled parallel-replay
+    /// schedule. Only a fresh recording has them; nothing persists them,
+    /// so a loaded recording carries `None` and parallel replay falls
+    /// back to the serial path.
     pub footprints: Option<FootprintLog>,
     /// Provenance and platform metadata.
     pub meta: RecordingMeta,
@@ -265,8 +266,6 @@ impl Recording {
     pub const CHUNKS_FILE: &'static str = "chunks.qrl";
     /// Input-log file name.
     pub const INPUTS_FILE: &'static str = "inputs.qrl";
-    /// Footprint-log file name (an optional sidecar).
-    pub const FOOTPRINTS_FILE: &'static str = "footprints.qrl";
     /// Format-manifest file name (absent in v1/v2 recordings; see
     /// [`crate::format`]).
     pub const FORMAT_FILE: &'static str = "format.qrv";
@@ -292,14 +291,15 @@ impl Recording {
     ///
     /// # Errors
     ///
-    /// Returns [`QrError::InvalidConfig`] when the footprint sidecar is
-    /// missing (there is no conflict evidence to derive edges from) and
+    /// Returns [`QrError::InvalidConfig`] when the recording has no
+    /// footprints (a loaded one: there is no conflict evidence to derive
+    /// edges from) and
     /// [`QrError::LogDecode`] for an ambiguous timeline (duplicate
     /// timestamps).
     pub fn derive_order(&self) -> Result<(OrderLog, DeriveStats)> {
         if self.footprints.is_none() {
             return Err(QrError::InvalidConfig(
-                "partial-order derivation needs the footprint sidecar".into(),
+                "partial-order derivation needs the footprints of a fresh recording".into(),
             ));
         }
         let events: Vec<PoEvent> = (self.timeline()?.iter())
@@ -325,8 +325,7 @@ impl Recording {
             fingerprint: self.fingerprint,
             console: self.console.clone(),
         };
-        let mut manifest =
-            crate::format::FormatManifest::current(encoding, self.footprints.is_some());
+        let mut manifest = crate::format::FormatManifest::current(encoding);
         if self.order.is_some() {
             manifest = manifest.with_order();
         }
@@ -334,7 +333,6 @@ impl Recording {
             meta: self.meta.to_bytes(&outcome),
             chunks: self.chunks.to_bytes(encoding),
             inputs: self.inputs.to_bytes(),
-            footprints: self.footprints.as_ref().map(|f| f.to_bytes()),
             format: Some(manifest.to_bytes()),
             checkpoints: None,
             order: self.order.as_ref().map(|o| o.to_bytes()),
@@ -342,19 +340,19 @@ impl Recording {
     }
 
     /// Puts a recording together from its decoded files. Recorder
-    /// statistics and the overhead breakdown are measurement artifacts
-    /// that are never persisted, so they come back zeroed.
+    /// statistics, the overhead breakdown and the footprints are
+    /// record-time artifacts that are never persisted, so they come back
+    /// zeroed or absent.
     pub(crate) fn assemble(
         (meta, outcome): (RecordingMeta, RecordingOutcomeFields),
         chunks: ChunkLog,
         inputs: InputLog,
-        footprints: Option<FootprintLog>,
         order: Option<OrderLog>,
     ) -> Recording {
         Recording {
             chunks,
             inputs,
-            footprints,
+            footprints: None,
             meta,
             cycles: outcome.cycles,
             instructions: outcome.instructions,
@@ -407,20 +405,19 @@ impl Recording {
             RecordingMeta::from_bytes(&parts.meta)?,
             ChunkLog::from_bytes(&parts.chunks)?,
             InputLog::from_bytes(&parts.inputs)?,
-            parts.footprints.as_deref().map(FootprintLog::from_bytes).transpose()?,
             parts.order.as_deref().map(OrderLog::from_bytes).transpose()?,
         );
         recording.check_consistency()?;
         Ok(recording)
     }
 
-    /// Persists the recording into `dir` (created if missing) as three
-    /// files — metadata, the chunk log (in the encoding of `encoding`)
-    /// and the input log — plus the footprint sidecar when present.
+    /// Persists the recording into `dir` (created if missing): metadata,
+    /// the chunk log (in the encoding of `encoding`), the input log, the
+    /// format manifest and, for a partial-order recording, `order.qrp`.
     ///
-    /// Recorder statistics and the overhead breakdown are measurement
-    /// artifacts and are not persisted; [`Recording::load`] returns them
-    /// zeroed.
+    /// Recorder statistics, the overhead breakdown and the footprints
+    /// are record-time artifacts and are not persisted;
+    /// [`Recording::load`] returns them zeroed or absent.
     ///
     /// # Errors
     ///
@@ -435,7 +432,8 @@ impl Recording {
     ///
     /// Returns [`QrError::Execution`] naming the file for I/O failures
     /// (a missing `chunks.qrl` and a missing `meta.qrm` are distinct
-    /// errors) and [`QrError::Corrupt`] with byte-offset context for
+    /// errors, and so is an optional file that exists but cannot be
+    /// read) and [`QrError::Corrupt`] with byte-offset context for
     /// malformed or version-mismatched files.
     pub fn load(dir: &std::path::Path) -> Result<Recording> {
         Self::from_parts(&RecordingParts::read(dir)?)
@@ -473,15 +471,12 @@ impl Recording {
         let meta = RecordingMeta::from_bytes(&parts.meta)?;
         let (chunks, chunk_salvage) = ChunkLog::salvage_from_bytes(&parts.chunks);
         let (inputs, input_salvage) = InputLog::salvage_from_bytes(&parts.inputs);
-        // A torn footprint sidecar salvages to a (possibly partial)
-        // prefix; parallel replay checks coverage before relying on it.
-        let footprints = parts.footprints.as_deref().map(FootprintLog::salvage_from_bytes);
         // A torn ordering sidecar degrades to its longest clean edge
         // prefix — replay still honours every edge that survived.
         let (order, order_salvage) =
             parts.order.as_deref().map(OrderLog::salvage_from_bytes).unzip();
         Ok((
-            Recording::assemble(meta, chunks, inputs, footprints, order),
+            Recording::assemble(meta, chunks, inputs, order),
             RecoveryInfo { chunks: chunk_salvage, inputs: input_salvage, order: order_salvage },
         ))
     }
@@ -503,20 +498,25 @@ impl Recording {
     }
 
     /// [`Recording::verify_parts`] over a saved recording. A missing
-    /// required file is one failed entry of the report, not an error for
-    /// the directory as a whole.
+    /// required file, or an optional one that exists but cannot be read,
+    /// is one failed entry of the report, not an error for the directory
+    /// as a whole.
     pub fn verify_dir(dir: &std::path::Path) -> VerifyReport {
         match RecordingParts::read(dir) {
             Ok(parts) => Self::verify_parts(&parts),
-            Err(_) => VerifyReport {
-                files: [Self::META_FILE, Self::CHUNKS_FILE, Self::INPUTS_FILE]
-                    .into_iter()
-                    .map(|name| match read_file(dir, name) {
-                        Ok(buf) => FileCheck::run(name, &buf),
-                        Err(e) => FileCheck::unreadable(name, e),
+            Err(_) => {
+                let required = [Self::META_FILE, Self::CHUNKS_FILE, Self::INPUTS_FILE]
+                    .map(|name| (name, read_file(dir, name).map(Some)));
+                let optional = [Self::FORMAT_FILE, Self::CHECKPOINTS_FILE, Self::ORDER_FILE]
+                    .map(|name| (name, read_optional(dir, name)));
+                let files = (required.into_iter().chain(optional))
+                    .filter_map(|(name, read)| match read {
+                        Ok(buf) => buf.map(|buf| FileCheck::run(name, &buf)),
+                        Err(e) => Some(FileCheck::unreadable(name, e)),
                     })
-                    .collect(),
-            },
+                    .collect();
+                VerifyReport { files }
+            }
         }
     }
 
@@ -541,14 +541,27 @@ impl Recording {
 
 /// Reads one recording file, naming it in the error on failure.
 fn read_file(dir: &std::path::Path, name: &str) -> Result<Vec<u8>> {
-    std::fs::read(dir.join(name))
-        .map_err(|e| QrError::Execution { detail: format!("reading {name}: {e}") })
+    std::fs::read(dir.join(name)).map_err(|e| read_error(name, e))
+}
+
+/// Reads an optional recording file: absent only when it does not
+/// exist. Any other I/O error (a directory in its place, no permission)
+/// names the file like a required one's.
+fn read_optional(dir: &std::path::Path, name: &str) -> Result<Option<Vec<u8>>> {
+    match std::fs::read(dir.join(name)) {
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        read => read.map(Some).map_err(|e| read_error(name, e)),
+    }
+}
+
+fn read_error(name: &str, e: std::io::Error) -> QrError {
+    QrError::Execution { detail: format!("reading {name}: {e}") }
 }
 
 /// The per-file byte images of a saved recording — `meta.qrm`,
-/// `chunks.qrl`, `inputs.qrl`, the optional `footprints.qrl` sidecar,
-/// the optional `format.qrv` manifest and the optional
-/// `checkpoints.qrc` index, exactly as they appear on disk.
+/// `chunks.qrl`, `inputs.qrl`, the optional `format.qrv` manifest, the
+/// optional `checkpoints.qrc` index and the optional `order.qrp`
+/// sidecar, exactly as they appear on disk.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecordingParts {
     /// `meta.qrm` image.
@@ -557,8 +570,6 @@ pub struct RecordingParts {
     pub chunks: Vec<u8>,
     /// `inputs.qrl` image.
     pub inputs: Vec<u8>,
-    /// `footprints.qrl` image (an optional sidecar).
-    pub footprints: Option<Vec<u8>>,
     /// `format.qrv` image (`None` for v2 recordings; see
     /// [`crate::format`]).
     pub format: Option<Vec<u8>>,
@@ -578,9 +589,6 @@ impl RecordingParts {
             (Recording::CHUNKS_FILE, self.chunks.as_slice()),
             (Recording::INPUTS_FILE, self.inputs.as_slice()),
         ];
-        if let Some(fp) = &self.footprints {
-            out.push((Recording::FOOTPRINTS_FILE, fp.as_slice()));
-        }
         if let Some(fm) = &self.format {
             out.push((Recording::FORMAT_FILE, fm.as_slice()));
         }
@@ -625,7 +633,6 @@ impl RecordingParts {
         let mut meta = None;
         let mut chunks = None;
         let mut inputs = None;
-        let mut footprints = None;
         let mut format = None;
         let mut checkpoints = None;
         let mut order = None;
@@ -634,7 +641,9 @@ impl RecordingParts {
                 n if n == Recording::META_FILE => meta = Some(bytes.clone()),
                 n if n == Recording::CHUNKS_FILE => chunks = Some(bytes.clone()),
                 n if n == Recording::INPUTS_FILE => inputs = Some(bytes.clone()),
-                n if n == Recording::FOOTPRINTS_FILE => footprints = Some(bytes.clone()),
+                // Recordings written before footprints stopped being
+                // persisted carry their sidecar; nothing reads it.
+                "footprints.qrl" => {}
                 n if n == Recording::FORMAT_FILE => format = Some(bytes.clone()),
                 n if n == Recording::CHECKPOINTS_FILE => checkpoints = Some(bytes.clone()),
                 n if n == Recording::ORDER_FILE => order = Some(bytes.clone()),
@@ -658,7 +667,6 @@ impl RecordingParts {
             meta: require(meta, Recording::META_FILE)?,
             chunks: require(chunks, Recording::CHUNKS_FILE)?,
             inputs: require(inputs, Recording::INPUTS_FILE)?,
-            footprints,
             format,
             checkpoints,
             order,
@@ -679,22 +687,22 @@ impl RecordingParts {
         Ok(())
     }
 
-    /// Reads the parts of a recording saved in `dir` (a missing
-    /// footprint sidecar is legal; the three core files are not).
+    /// Reads the parts of a recording saved in `dir`. The three core
+    /// files are required; `format.qrv`, `checkpoints.qrc` and
+    /// `order.qrp` are absent only when they do not exist.
     ///
     /// # Errors
     ///
-    /// Returns [`QrError::Execution`] naming the first unreadable
-    /// required file.
+    /// Returns [`QrError::Execution`] naming the first file that is
+    /// required and missing, or present and unreadable.
     pub fn read(dir: &std::path::Path) -> Result<RecordingParts> {
         Ok(RecordingParts {
             meta: read_file(dir, Recording::META_FILE)?,
             chunks: read_file(dir, Recording::CHUNKS_FILE)?,
             inputs: read_file(dir, Recording::INPUTS_FILE)?,
-            footprints: std::fs::read(dir.join(Recording::FOOTPRINTS_FILE)).ok(),
-            format: std::fs::read(dir.join(Recording::FORMAT_FILE)).ok(),
-            checkpoints: std::fs::read(dir.join(Recording::CHECKPOINTS_FILE)).ok(),
-            order: std::fs::read(dir.join(Recording::ORDER_FILE)).ok(),
+            format: read_optional(dir, Recording::FORMAT_FILE)?,
+            checkpoints: read_optional(dir, Recording::CHECKPOINTS_FILE)?,
+            order: read_optional(dir, Recording::ORDER_FILE)?,
         })
     }
 }
@@ -758,7 +766,6 @@ impl FileCheck {
             Recording::META_FILE => RecordingMeta::from_bytes(buf).map(drop),
             Recording::CHUNKS_FILE => ChunkLog::from_bytes(buf).map(drop),
             Recording::INPUTS_FILE => InputLog::from_bytes(buf).map(drop),
-            Recording::FOOTPRINTS_FILE => FootprintLog::from_bytes(buf).map(drop),
             Recording::FORMAT_FILE => FormatManifest::from_bytes(buf).map(drop),
             Recording::ORDER_FILE => OrderLog::from_bytes(buf).map(drop),
             // The checkpoint index is a replay cache, checked here at

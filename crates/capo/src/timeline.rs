@@ -3,7 +3,7 @@
 //! Chunk packets and timestamped input events are stamped by the same
 //! strictly monotonic clock, so sorting them together by timestamp
 //! yields the one event sequence every consumer steps through: serial,
-//! checkpointed and seeked replay, the `--jobs N` dependency DAG,
+//! checkpointed and seeked replay, the parallel-replay dependency DAG,
 //! ordered replay, time-travel descriptors and partial-order
 //! derivation.
 
@@ -55,14 +55,14 @@ impl TimelineEvent<'_> {
 }
 
 /// One entry of the merged timeline: the event plus its cache-line
-/// footprint, when the recording's footprint sidecar has one.
+/// footprint, when the recording has one (only a fresh recording does).
 #[derive(Debug, Clone, Copy)]
 pub struct TimelineEntry<'a> {
     /// What to replay at this position.
     pub event: TimelineEvent<'a>,
-    /// Lines the event read and wrote (`None` without a sidecar, past
-    /// the end of a torn one, and for signal deliveries, which touch
-    /// registers only).
+    /// Lines the event read and wrote (`None` for a loaded recording,
+    /// past the end of a partial footprint log, and for signal
+    /// deliveries, which touch registers only).
     pub footprint: Option<&'a ChunkFootprint>,
 }
 
@@ -120,7 +120,7 @@ mod tests {
         assert!(timeline.iter().all(|e| e.footprint.is_some_and(|fp| fp.ts == e.event.ts())));
         let spawns: Vec<ThreadId> = timeline.iter().filter_map(|e| e.event.spawned_child()).collect();
         assert_eq!(spawns, [ThreadId(1)]);
-        // A torn sidecar attaches the footprints it still has; none, none.
+        // A partial footprint log attaches the footprints it has; none, none.
         let full = recording.footprints.take().unwrap();
         assert!(recording.timeline().unwrap().iter().all(|e| e.footprint.is_none()));
         let mut prefix = quickrec_core::FootprintLog::new();

@@ -51,7 +51,9 @@ pub enum PayloadKind {
     InputLog,
     /// Recording metadata.
     Meta,
-    /// A chunk footprint log (read/write line sets per chunk).
+    /// A chunk footprint log (read/write line sets per chunk). Only
+    /// recordings written while footprints were persisted hold one;
+    /// nothing writes or reads it now, and the code stays reserved.
     FootprintLog,
     /// One direction of a `quickrecd` wire-protocol connection (each
     /// message is one record).

@@ -13,7 +13,7 @@ use std::fmt;
 pub const CACHE_LINE_BYTES: u32 = 64;
 
 /// Log2 of [`CACHE_LINE_BYTES`].
-pub const CACHE_LINE_SHIFT: u32 = CACHE_LINE_BYTES.trailing_zeros();
+const CACHE_LINE_SHIFT: u32 = CACHE_LINE_BYTES.trailing_zeros();
 
 /// Identifier of a physical core in the simulated machine (0-based).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]

@@ -12,13 +12,15 @@
 //! actually conflict (write/write or read/write on a shared line) — the
 //! conflict-equivalence relaxation of the recorded total order.
 //!
-//! The footprint log is an *optional* sidecar: recordings migrated from
-//! v1 and salvaged prefixes may lack it (or hold only a prefix), in which
-//! case parallel replay falls back to the serial path. Missing footprints
-//! never affect correctness, only replay-time parallelism.
+//! Footprints are record-time evidence, not part of the recording: the
+//! recorder keeps them in memory ([`FootprintLog`]) for the consumers that
+//! work on a fresh recording — partial-order derivation ([`crate::po`])
+//! and the modelled parallel-replay schedule — and nothing persists them.
+//! A recording loaded from disk or a store carries none, and parallel
+//! replay then runs the serial path. Missing footprints never affect
+//! correctness, only the modelled replay-time parallelism.
 
-use qr_common::frame::{self, PayloadKind};
-use qr_common::{varint, Cycle, LineAddr, QrError, Result};
+use qr_common::{Cycle, LineAddr};
 use std::collections::BTreeMap;
 
 /// The read/write cache-line sets of one chunk (or one input event's
@@ -67,8 +69,9 @@ fn sorted_intersects(a: &[LineAddr], b: &[LineAddr]) -> bool {
     false
 }
 
-/// The footprint sidecar log of a recording: one [`ChunkFootprint`] per
-/// chunk packet and per input event, indexed by global timestamp.
+/// The in-memory footprint log of a fresh recording: one
+/// [`ChunkFootprint`] per chunk packet and per input event, indexed by
+/// global timestamp.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FootprintLog {
     entries: BTreeMap<u64, ChunkFootprint>,
@@ -117,116 +120,6 @@ impl FootprintLog {
     pub fn iter(&self) -> impl Iterator<Item = &ChunkFootprint> {
         self.entries.values()
     }
-
-    /// Serializes the log as a framed container (one record per
-    /// footprint: varint timestamp, set sizes, then delta-coded sorted
-    /// line numbers).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = frame::Writer::new(PayloadKind::FootprintLog);
-        let mut payload = Vec::new();
-        for fp in self.entries.values() {
-            payload.clear();
-            varint::write_u64(&mut payload, fp.ts.0);
-            varint::write_u64(&mut payload, fp.reads.len() as u64);
-            varint::write_u64(&mut payload, fp.writes.len() as u64);
-            write_lines(&mut payload, &fp.reads);
-            write_lines(&mut payload, &fp.writes);
-            w.record(&payload);
-        }
-        w.finish()
-    }
-
-    /// Strictly decodes a framed footprint log.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QrError::Corrupt`] for framing faults or malformed
-    /// footprint payloads.
-    pub fn from_bytes(buf: &[u8]) -> Result<FootprintLog> {
-        let mut log = FootprintLog::new();
-        for record in frame::read(buf, PayloadKind::FootprintLog, "footprint log")? {
-            log.push(decode_entry(record)?);
-        }
-        Ok(log)
-    }
-
-    /// Tolerantly decodes the longest valid prefix of a (possibly torn)
-    /// footprint log. The result may cover only part of the recording;
-    /// parallel replay checks coverage and falls back to serial replay
-    /// when footprints are missing.
-    pub fn salvage_from_bytes(buf: &[u8]) -> FootprintLog {
-        let mut log = FootprintLog::new();
-        for record in frame::scan(buf).records {
-            match decode_entry(record) {
-                Ok(fp) => log.push(fp),
-                Err(_) => break,
-            }
-        }
-        log
-    }
-}
-
-/// Appends a sorted, deduplicated line set as first-absolute-then-delta
-/// varints.
-fn write_lines(buf: &mut Vec<u8>, lines: &[LineAddr]) {
-    let mut prev = 0u32;
-    for (i, line) in lines.iter().enumerate() {
-        if i == 0 {
-            varint::write_u64(buf, u64::from(line.0));
-        } else {
-            varint::write_u64(buf, u64::from(line.0 - prev));
-        }
-        prev = line.0;
-    }
-}
-
-/// Decodes one footprint record.
-fn decode_entry(buf: &[u8]) -> Result<ChunkFootprint> {
-    let corrupt = |detail: &str, offset: usize| QrError::Corrupt {
-        what: "footprint log".to_string(),
-        offset: offset as u64,
-        detail: detail.to_string(),
-    };
-    let mut off = 0usize;
-    let next = |buf: &[u8], off: &mut usize| -> Result<u64> {
-        let (v, n) = varint::read_u64(&buf[*off..])?;
-        *off += n;
-        Ok(v)
-    };
-    let ts = next(buf, &mut off)?;
-    let n_reads = next(buf, &mut off)?;
-    let n_writes = next(buf, &mut off)?;
-    let max_lines = 1u64 << 26; // the whole 32-bit space has 2^26 lines
-    if n_reads > max_lines || n_writes > max_lines {
-        return Err(corrupt("absurd footprint set size", off));
-    }
-    let read_lines = |count: u64, off: &mut usize| -> Result<Vec<LineAddr>> {
-        let mut lines = Vec::with_capacity(count as usize);
-        let mut prev: Option<u32> = None;
-        for _ in 0..count {
-            let raw = next(buf, off)?;
-            let value = match prev {
-                None => raw,
-                // Strictly ascending: a zero delta means a duplicate.
-                Some(_) if raw == 0 => {
-                    return Err(corrupt("non-ascending footprint line", *off));
-                }
-                Some(p) => u64::from(p) + raw,
-            };
-            if value > u64::from(u32::MAX >> qr_common::ids::CACHE_LINE_SHIFT) {
-                return Err(corrupt("footprint line out of range", *off));
-            }
-            prev = Some(value as u32);
-            lines.push(LineAddr(value as u32));
-        }
-        Ok(lines)
-    };
-    let reads = read_lines(n_reads, &mut off)?;
-    let writes = read_lines(n_writes, &mut off)?;
-    if off != buf.len() {
-        return Err(corrupt("trailing bytes in footprint record", off));
-    }
-    Ok(ChunkFootprint { ts: Cycle(ts), reads, writes })
 }
 
 #[cfg(test)]
@@ -239,22 +132,6 @@ mod tests {
             reads.iter().map(|&l| LineAddr(l)).collect(),
             writes.iter().map(|&l| LineAddr(l)).collect(),
         )
-    }
-
-    fn sample_log() -> FootprintLog {
-        let mut log = FootprintLog::new();
-        log.push(fp(10, &[1, 2, 3], &[3]));
-        log.push(fp(25, &[], &[0x100, 0x101]));
-        log.push(fp(26, &[7], &[]));
-        log.push(fp(1000, &[0x03ff_ffff], &[0, 0x03ff_ffff]));
-        log
-    }
-
-    #[test]
-    fn round_trips_through_bytes() {
-        let log = sample_log();
-        let bytes = log.to_bytes();
-        assert_eq!(FootprintLog::from_bytes(&bytes).unwrap(), log);
     }
 
     #[test]
@@ -284,37 +161,5 @@ mod tests {
         let merged = log.get(Cycle(5)).unwrap();
         assert_eq!(merged.reads, vec![LineAddr(1), LineAddr(3)]);
         assert_eq!(merged.writes, vec![LineAddr(2), LineAddr(4)]);
-    }
-
-    #[test]
-    fn truncation_salvages_an_entry_prefix() {
-        let log = sample_log();
-        let bytes = log.to_bytes();
-        let cut = bytes.len() - 3;
-        assert!(FootprintLog::from_bytes(&bytes[..cut]).is_err());
-        let salvaged = FootprintLog::salvage_from_bytes(&bytes[..cut]);
-        assert_eq!(salvaged.len(), log.len() - 1);
-        assert_eq!(salvaged.get(Cycle(26)), log.get(Cycle(26)));
-        assert_eq!(salvaged.get(Cycle(1000)), None);
-    }
-
-    #[test]
-    fn bit_flips_never_panic() {
-        let bytes = sample_log().to_bytes();
-        for pos in 0..bytes.len() {
-            for bit in 0..8 {
-                let mut bad = bytes.clone();
-                bad[pos] ^= 1 << bit;
-                let _ = FootprintLog::from_bytes(&bad);
-                let _ = FootprintLog::salvage_from_bytes(&bad);
-            }
-        }
-    }
-
-    #[test]
-    fn wrong_kind_is_rejected() {
-        let mut w = frame::Writer::new(PayloadKind::ChunkLog);
-        w.record(b"\x01\x00\x00");
-        assert!(FootprintLog::from_bytes(&w.finish()).is_err());
     }
 }

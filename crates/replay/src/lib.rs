@@ -64,7 +64,7 @@ pub mod timetravel;
 
 pub use order::{replay_ordered, replay_ordered_and_verify};
 pub use outcome::ReplayOutcome;
-pub use parallel::{replay_parallel, replay_parallel_and_verify, ParallelReplayer};
+pub use parallel::{replay_parallel_and_verify, ParallelReplayer};
 pub use races::{Race, RaceDetector, RaceReport};
 pub use replayer::{replay, replay_and_verify, replay_with_race_detection, Replayer};
 pub use salvage::{salvage_replay, salvage_replay_dir, SalvageReport};

@@ -5,7 +5,7 @@
 //! edges (conflict, spawn, input causality) the recorder derived at
 //! record time. At replay, the edges are fed straight into the parallel
 //! list schedule's dependency DAG *instead of* re-deriving constraints
-//! from the footprint sidecar — the recorded order is the ordering
+//! from footprints — the recorded order is the ordering
 //! authority, exactly as the total-order path treats the global chunk
 //! timestamps.
 //!
@@ -27,11 +27,12 @@
 //! seeded execution, checked by the partial-order equivalence battery.
 //! The log does not carry the mapping rule
 //! ([`crate::parallel::add_mapping_edges`]); it is added here as for
-//! the `--jobs N` DAG.
+//! the conflict DAG.
 //!
 //! Ordered replay reads no footprints: the log is its only ordering
-//! input, so a missing or torn footprint sidecar changes nothing, and
-//! a corrupt log is refused rather than replaced by timestamp order.
+//! input, so a loaded recording (which carries none) replays under it
+//! exactly as a fresh one does, and a corrupt log is refused rather
+//! than replaced by timestamp order.
 
 use crate::outcome::ReplayOutcome;
 use crate::parallel::{add_mapping_edges, check_jobs, Dag};
@@ -214,8 +215,8 @@ mod tests {
         // is the nodes a topological order reaches — any order reaches
         // the same set, so it does not depend on the worker count.
         recording.order = forged(OrderEdge { from: first.to, to: first.from, ..first });
-        // Without the footprint sidecar the log is still the ordering
-        // authority, and still refused.
+        // Without footprints the log is still the ordering authority,
+        // and still refused.
         let mut without_footprints = recording.clone();
         without_footprints.footprints = None;
         let passes = [(&recording, 1), (&recording, 2), (&recording, 4), (&without_footprints, 2)];
@@ -237,7 +238,7 @@ mod tests {
     }
 
     #[test]
-    fn ordered_replay_needs_no_footprint_sidecar() {
+    fn ordered_replay_needs_no_footprints() {
         let program = racy_program();
         let mut recording = record(program.clone(), partial_config(2)).unwrap();
         let fingerprint = replay(&program, &recording).unwrap().fingerprint;

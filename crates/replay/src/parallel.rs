@@ -30,11 +30,11 @@
 //!   before the page exists. A spawned child's first node is one of
 //!   these.
 //!
-//! Footprints come from the recording's optional
-//! [`quickrec_core::FootprintLog`] sidecar. Recordings without complete
-//! footprint coverage (recordings migrated from v1, salvaged prefixes)
-//! fall back to serial replay — missing footprints cost parallelism,
-//! never correctness.
+//! Footprints are record-time evidence: only a fresh recording carries
+//! its [`quickrec_core::FootprintLog`], and nothing persists it. A
+//! recording without complete footprint coverage (any loaded, fetched,
+//! migrated or salvaged one) falls back to serial replay — missing
+//! footprints cost the modelled parallelism, never correctness.
 //!
 //! # Execution model
 //!
@@ -71,31 +71,22 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 
 /// Replays `recording` of `program` scheduled onto `jobs` simulated
-/// workers and verifies the outcome against the recording.
+/// workers and verifies the outcome against the recording, falling back
+/// to serial replay when the recording lacks complete footprint
+/// coverage.
 ///
 /// # Errors
 ///
-/// See [`replay_parallel`].
+/// Returns [`QrError::InvalidConfig`] for `jobs == 0`, otherwise the
+/// same errors as serial [`crate::replay_and_verify`].
 pub fn replay_parallel_and_verify(
     program: &Program,
     recording: &Recording,
     jobs: usize,
 ) -> Result<ReplayOutcome> {
-    let outcome = replay_parallel(program, recording, jobs)?;
+    let outcome = ParallelReplayer::new(program, recording, jobs)?.run()?;
     outcome.verify_against(recording)?;
     Ok(outcome)
-}
-
-/// Replays `recording` of `program` scheduled onto `jobs` simulated
-/// workers, falling back to serial replay when the recording lacks
-/// complete footprint coverage.
-///
-/// # Errors
-///
-/// Returns [`QrError::InvalidConfig`] for `jobs == 0`, otherwise the
-/// same errors as serial [`crate::replay`].
-pub fn replay_parallel(program: &Program, recording: &Recording, jobs: usize) -> Result<ReplayOutcome> {
-    ParallelReplayer::new(program, recording, jobs)?.run()
 }
 
 /// Refuses a schedule onto no workers.
@@ -189,7 +180,7 @@ impl Dag {
 /// A parallel replay in preparation.
 ///
 /// Construction builds the chunk dependency DAG from the recording's
-/// footprint sidecar; [`ParallelReplayer::run`] executes the timeline
+/// footprints; [`ParallelReplayer::run`] executes the timeline
 /// in that DAG's list-schedule order onto `jobs` simulated workers.
 /// Recordings without complete footprints (see
 /// [`ParallelReplayer::fallback_reason`]) replay serially instead and
@@ -229,7 +220,7 @@ impl<'a> ParallelReplayer<'a> {
     fn over(recording: &Recording, replayer: Replayer<'a>, jobs: usize) -> ParallelReplayer<'a> {
         let dag = match recording.footprints {
             Some(_) => conflict_dag(replayer.timeline()),
-            None => Err("recording carries no footprint sidecar".into()),
+            None => Err("recording carries no footprints".into()),
         };
         ParallelReplayer { replayer, jobs, dag }
     }
@@ -266,8 +257,8 @@ impl<'a> ParallelReplayer<'a> {
 
 /// Builds the dependency DAG: per-thread program order, every
 /// conflicting pair the shared sweep reports, and the mapping rule. Or
-/// names the first event the footprint sidecar does not cover, which
-/// forces serial fallback.
+/// names the first event the footprint log does not cover, which forces
+/// serial fallback.
 fn conflict_dag(timeline: &[TimelineEntry<'_>]) -> std::result::Result<Dag, String> {
     let mut preds: Vec<Vec<usize>> = Vec::with_capacity(timeline.len());
     let mut sweep = ConflictSweep::new();
@@ -355,7 +346,7 @@ mod tests {
         let mut recording = record(program.clone(), RecordingConfig::with_cores(2)).unwrap();
         recording.footprints = None;
         let replayer = ParallelReplayer::new(&program, &recording, 4).unwrap();
-        assert!(replayer.fallback_reason().unwrap().contains("no footprint sidecar"));
+        assert!(replayer.fallback_reason().unwrap().contains("no footprints"));
         let outcome = replayer.run().unwrap();
         outcome.verify_against(&recording).unwrap();
     }
@@ -364,7 +355,7 @@ mod tests {
     fn partial_footprints_fall_back_to_serial() {
         let program = racy_program();
         let mut recording = record(program.clone(), RecordingConfig::with_cores(2)).unwrap();
-        // Keep a strict prefix of the footprints, as a torn sidecar would.
+        // Keep a strict prefix of the footprints.
         let full = recording.footprints.take().unwrap();
         let mut prefix = quickrec_core::FootprintLog::new();
         for fp in full.iter().take(full.len() / 2) {
@@ -415,9 +406,9 @@ mod tests {
     fn makespan_is_deterministic_and_bounded() {
         let program = racy_program();
         let recording = record(program.clone(), RecordingConfig::with_cores(4)).unwrap();
-        let one = replay_parallel(&program, &recording, 1).unwrap();
-        let four_a = replay_parallel(&program, &recording, 4).unwrap();
-        let four_b = replay_parallel(&program, &recording, 4).unwrap();
+        let one = replay_parallel_and_verify(&program, &recording, 1).unwrap();
+        let four_a = replay_parallel_and_verify(&program, &recording, 4).unwrap();
+        let four_b = replay_parallel_and_verify(&program, &recording, 4).unwrap();
         assert_eq!(four_a.cycles, four_b.cycles, "makespan must not depend on host scheduling");
         assert!(four_a.cycles <= one.cycles, "more workers can only shorten the schedule");
         assert_eq!(four_a.fingerprint, one.fingerprint);

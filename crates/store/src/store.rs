@@ -9,7 +9,8 @@
 //!     meta.qrm.z        block-compressed meta image
 //!     chunks.qrl.z      block-compressed chunk log
 //!     inputs.qrl.z      block-compressed input log
-//!     footprints.qrl.z  (when the recording has the sidecar)
+//!     format.qrv.z      block-compressed format manifest
+//!     order.qrp.z       (partial-order recordings only)
 //! ```
 //!
 //! Entries are committed atomically: files are written into a
@@ -330,7 +331,6 @@ mod tests {
             meta: b"meta-bytes".to_vec(),
             chunks: vec![7u8; 100_000],
             inputs: (0u32..5000).flat_map(|i| i.to_le_bytes()).collect(),
-            footprints: None,
             format: None,
             checkpoints: None,
             order: None,

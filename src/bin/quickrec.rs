@@ -3,7 +3,7 @@
 //! ```text
 //! quickrec run      prog.pasm [--cores N]          run natively
 //! quickrec record   prog.pasm -o DIR [--cores N] [--order M] [--hw-only] [--rsw] [--trace-out F]
-//! quickrec replay   prog.pasm DIR [--races] [--salvage] [--jobs N] [--trace-out F]
+//! quickrec replay   prog.pasm DIR [--races] [--salvage] [--trace-out F]
 //! quickrec verify   DIR                            log integrity check
 //! quickrec migrate  DIR                            upgrade to the current format
 //! quickrec analyze  DIR                            chunk-log forensics
@@ -53,7 +53,7 @@ type Handler = fn(&[String], &[&String]) -> Result<(), String>;
 const COMMANDS: &[(&str, &[&str], &[&str], Handler)] = &[
     ("run", &["--cores"], &[], cmd_run),
     ("record", &["-o", "--cores", "--order", "--trace-out"], &["--hw-only", "--rsw"], cmd_record),
-    ("replay", &["--jobs", "--trace-out"], &["--races", "--salvage"], cmd_replay),
+    ("replay", &["--trace-out"], &["--races", "--salvage"], cmd_replay),
     ("verify", &[], &[], cmd_verify),
     ("migrate", &[], &[], cmd_migrate),
     ("analyze", &[], &[], cmd_analyze),
@@ -107,7 +107,7 @@ fn run(args: &[String]) -> Result<(), String> {
 fn usage() -> String {
     "usage:\n  quickrec run      <prog.pasm> [--cores N]\n  \
      quickrec record   <prog.pasm> -o <dir> [--cores N] [--order total|partial] [--hw-only] [--rsw] [--trace-out FILE]\n  \
-     quickrec replay   <prog.pasm> <dir> [--races] [--salvage] [--jobs N] [--trace-out FILE]\n  \
+     quickrec replay   <prog.pasm> <dir> [--races] [--salvage] [--trace-out FILE]\n  \
      quickrec verify   <dir>\n  \
      quickrec migrate  <dir>                         upgrade a recording to the current format\n  \
      quickrec analyze  <dir>\n  \
@@ -271,25 +271,6 @@ fn cmd_replay(args: &[String], pos: &[&String]) -> Result<(), String> {
     let [path, dir] = pos else { return Err(usage()) };
     let trace = TraceOut::from_args(args);
     let program = load_program(path)?;
-    let jobs: Option<usize> = match flag_value(args, "--jobs") {
-        None => None,
-        Some(v) => Some(
-            v.parse()
-                .ok()
-                .filter(|&n| n >= 1)
-                .ok_or(format!("bad --jobs value `{v}` (need an integer >= 1)"))?,
-        ),
-    };
-    if jobs.is_some() && has_flag(args, "--races") {
-        return Err("--jobs cannot be combined with --races: the race detector \
-                    needs the serial timestamp-ordered replay"
-            .to_string());
-    }
-    if jobs.is_some() && has_flag(args, "--salvage") {
-        return Err("--jobs cannot be combined with --salvage: salvage replays \
-                    the longest valid prefix serially"
-            .to_string());
-    }
     if has_flag(args, "--salvage") {
         // Best-effort mode for damaged logs: replay the longest valid
         // prefix and report what was lost. Fails only when the metadata
@@ -332,11 +313,9 @@ fn cmd_replay(args: &[String], pos: &[&String]) -> Result<(), String> {
         }
     } else if recording.order.is_some() {
         // Partial-order recordings replay under their recorded
-        // happens-before edges; `--jobs` picks the simulated worker
-        // count and its absence is the one-worker schedule.
-        let jobs = jobs.unwrap_or(1);
+        // happens-before edges, on the one-worker schedule.
         let _span = trace.span("replay_ordered");
-        let outcome = qr_replay::replay_ordered_and_verify(&program, &recording, jobs)
+        let outcome = qr_replay::replay_ordered_and_verify(&program, &recording, 1)
             .map_err(|e| e.to_string())?;
         print!("{}", String::from_utf8_lossy(&outcome.console));
         println!(
@@ -345,30 +324,10 @@ fn cmd_replay(args: &[String], pos: &[&String]) -> Result<(), String> {
         );
         let order = recording.order.as_ref().expect("checked above");
         println!(
-            "partial-order replay: {jobs} job(s) under {} recorded edges over {} nodes",
+            "partial-order replay: {} recorded edges over {} nodes",
             order.edges().len(),
             order.node_count()
         );
-    } else if let Some(jobs) = jobs {
-        let _span = trace.span("replay_parallel");
-        let replayer =
-            qr_replay::ParallelReplayer::new(&program, &recording, jobs).map_err(|e| e.to_string())?;
-        let fallback = replayer.fallback_reason().map(str::to_string);
-        let nodes = replayer.node_count();
-        let edges = replayer.edge_count();
-        let outcome = replayer.run().map_err(|e| e.to_string())?;
-        outcome.verify_against(&recording).map_err(|e| e.to_string())?;
-        print!("{}", String::from_utf8_lossy(&outcome.console));
-        println!(
-            "replayed {} chunks, {} inputs; exit {} — verified exact",
-            outcome.chunks_replayed, outcome.inputs_injected, outcome.exit_code
-        );
-        match fallback {
-            Some(reason) => println!("parallel replay fell back to serial: {reason}"),
-            None => println!(
-                "parallel replay: {jobs} jobs over {nodes} timeline nodes, {edges} dependency edges"
-            ),
-        }
     } else {
         let _span = trace.span("replay_serial");
         let outcome =

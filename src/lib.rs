@@ -64,7 +64,7 @@ pub use qr_isa::{Asm, Program};
 pub use qr_mem::{MemConfig, TsoMode};
 pub use qr_os::{run_native, OsConfig, RunOutcome};
 pub use qr_replay::{replay, replay_and_verify, replay_ordered, replay_ordered_and_verify,
-    replay_parallel, replay_parallel_and_verify,
+    replay_parallel_and_verify,
     timeline_descriptors, CheckpointIndex, EventDescriptor, EventKind, ParallelReplayer,
     QueryEngine, QueryPlan, QueryResult, ReplayOutcome, ReplayQuery, Replayer,
     CHECKPOINT_INDEX_VERSION};

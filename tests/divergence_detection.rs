@@ -24,12 +24,12 @@ const PATHS: [Path; 3] = [
         replay: |p, r| qr_replay::replay_and_verify(p, r),
     },
     Path {
-        name: "--jobs 2",
+        name: "parallel, 2 workers",
         order: OrderMode::TotalOrder,
         replay: |p, r| qr_replay::replay_parallel_and_verify(p, r, 2),
     },
     Path {
-        name: "ordered --jobs 2",
+        name: "ordered, 2 workers",
         order: OrderMode::PartialOrder,
         replay: |p, r| qr_replay::replay_ordered_and_verify(p, r, 2),
     },

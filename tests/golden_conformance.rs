@@ -974,8 +974,9 @@ fn version_matrix_migrates_every_generation_to_current() {
 
         // What `migrate` read through the one v1 reader loads, replays to
         // the pin, and re-encodes to the very bytes the v3 fixture pins
-        // for the same execution; v1 never had the footprint sidecar, so
-        // the upgrade has none and its manifest says so.
+        // for the same execution; no generation current code writes has
+        // a footprint sidecar, so the upgrade has none and its manifest
+        // says so.
         let rec = Recording::load(&dir).expect("load migrated v1");
         let program = generator_program(fx.require_str("generator").unwrap());
         let outcome = replay_and_verify(&program, &rec).expect("replay migrated v1");
@@ -1330,9 +1331,9 @@ fn encodings_are_differentially_equivalent() {
 #[test]
 fn mutated_fixtures_fail_structurally_never_panic() {
     maybe_regen();
-    // The order fixture carries every recording part the format has —
-    // meta, chunks, inputs, footprints, format manifest AND order.qrp —
-    // so one campaign covers them all.
+    // The order fixture carries every recording part the format writes —
+    // meta, chunks, inputs, format manifest AND order.qrp — so one
+    // campaign covers them all.
     for dir in ["v3/hello-packed", "order/fft2-packed"] {
         let dir = golden_root().join(dir);
         let clean = RecordingParts::read(&dir).expect("read fixture");
@@ -1348,7 +1349,6 @@ fn mutated_fixtures_fail_structurally_never_panic() {
                     "meta.qrm" => &mut parts.meta,
                     "chunks.qrl" => &mut parts.chunks,
                     "inputs.qrl" => &mut parts.inputs,
-                    "footprints.qrl" => parts.footprints.as_mut().expect("fixture has footprints"),
                     "format.qrv" => parts.format.as_mut().expect("fixture has format manifest"),
                     "order.qrp" => parts.order.as_mut().expect("fixture has order log"),
                     other => panic!("unexpected part {other:?}"),
@@ -1437,6 +1437,74 @@ fn order_fixtures_replay_to_pinned_fingerprints() {
     }
 }
 
+/// Recordings written while footprints were persisted: a v3 directory
+/// (`hello`, raw) and a store entry (`hello`, delta) that still carry
+/// `footprints.qrl`, kept verbatim where `regenerate()` never writes.
+const FOOTPRINT_SIDECAR: &str = "footprint-sidecar";
+
+/// The replay fingerprint of both `FOOTPRINT_SIDECAR` recordings.
+const FOOTPRINT_SIDECAR_FINGERPRINT: u64 = 0xe806_56d6_4147_7956;
+
+#[test]
+fn recordings_with_a_footprint_sidecar_load_verify_and_replay() {
+    maybe_regen();
+    let root = golden_root().join(FOOTPRINT_SIDECAR);
+    let program = generator_program("hello");
+    let tmp = scratch("footprint-sidecar");
+
+    // The directory: the sidecar, and the manifest entry listing it, are
+    // inert. Every reader skips them and the rest is what current code
+    // writes for the same execution.
+    let dir = root.join("v3-hello-raw");
+    assert!(dir.join("footprints.qrl").is_file(), "the kept fixture carries its sidecar");
+    let parts = RecordingParts::read(&dir).expect("read sidecar-era directory");
+    assert_eq!(RecordingVersion::detect(&parts), RecordingVersion::V3);
+    let manifest = FormatManifest::from_bytes(parts.format.as_ref().expect("format.qrv"))
+        .expect("decode sidecar-era manifest");
+    assert!(manifest.payloads.contains(&PayloadKind::FootprintLog));
+    let current = recording_for("hello").to_parts(Encoding::Raw);
+    assert_eq!(
+        (&parts.meta, &parts.chunks, &parts.inputs),
+        (&current.meta, &current.chunks, &current.inputs)
+    );
+    let report = Recording::verify_dir(&dir);
+    assert!(report.all_ok(), "{:?}", report.files);
+    assert!(report.files.iter().all(|f| f.name != "footprints.qrl"), "verify reads no sidecar");
+    let rec = Recording::load(&dir).expect("load sidecar-era directory");
+    assert!(rec.footprints.is_none(), "a loaded recording carries no footprints");
+    let outcome = replay_and_verify(&program, &rec).expect("replay sidecar-era directory");
+    assert_eq!(outcome.fingerprint, FOOTPRINT_SIDECAR_FINGERPRINT);
+    let (salvaged, recovery) = Recording::load_salvaged(&dir).expect("salvage-load");
+    assert!(recovery.is_clean());
+    let outcome = replay_and_verify(&program, &salvaged).expect("replay salvage-loaded");
+    assert_eq!(outcome.fingerprint, FOOTPRINT_SIDECAR_FINGERPRINT);
+    // `quickrec migrate` verifies it as current and leaves every byte,
+    // the inert sidecar included, where it is.
+    let copy = tmp.join("dir");
+    copy_dir(&dir, &copy);
+    let report = quickrec::migrate::migrate(&copy).expect("migrate sidecar-era directory");
+    assert!(!report.changed && report.from == RecordingVersion::V3);
+    assert_eq!(report.fingerprint, FOOTPRINT_SIDECAR_FINGERPRINT);
+    assert_eq!(dir_snapshot(&copy), dir_snapshot(&dir), "migrate changed bytes");
+
+    // The store entry: its manifest lists the sidecar, fetch skips it.
+    copy_dir(&root.join("store"), &tmp.join("store"));
+    let store = qr_store::RecordingStore::open(&tmp.join("store")).expect("open sidecar-era store");
+    let listed = store.manifest(1).expect("store manifest");
+    assert!(listed.files.iter().any(|f| f.name == "footprints.qrl"));
+    let (_, parts) = store.fetch_parts(1).expect("fetch sidecar-era entry");
+    assert!(parts.files().iter().all(|(name, _)| *name != "footprints.qrl"));
+    assert!(store.verify(1).expect("verify sidecar-era entry").all_ok());
+    let rec = store.fetch(1).expect("decode sidecar-era entry");
+    let outcome = replay_and_verify(&program, &rec).expect("replay sidecar-era entry");
+    assert_eq!(outcome.fingerprint, FOOTPRINT_SIDECAR_FINGERPRINT);
+    let (salvaged, recovery) = store.fetch_salvaged(1).expect("salvage-fetch");
+    assert!(recovery.is_clean());
+    let outcome = replay_and_verify(&program, &salvaged).expect("replay salvage-fetched entry");
+    assert_eq!(outcome.fingerprint, FOOTPRINT_SIDECAR_FINGERPRINT);
+    std::fs::remove_dir_all(&tmp).ok();
+}
+
 #[test]
 fn every_payload_kind_is_covered_by_a_fixture() {
     maybe_regen();
@@ -1448,7 +1516,9 @@ fn every_payload_kind_is_covered_by_a_fixture() {
             PayloadKind::ChunkLog => root.join("v3/hello-raw/chunks.qrl"),
             PayloadKind::InputLog => root.join("v3/hello-raw/inputs.qrl"),
             PayloadKind::Meta => root.join("v3/hello-raw/meta.qrm"),
-            PayloadKind::FootprintLog => root.join("v3/hello-raw/footprints.qrl"),
+            PayloadKind::FootprintLog => {
+                root.join(FOOTPRINT_SIDECAR).join("v3-hello-raw/footprints.qrl")
+            }
             PayloadKind::Wire => root.join("wire/requests.qrw"),
             PayloadKind::CompressedLog => root.join("store/rec-00000001/chunks.qrl.z"),
             PayloadKind::StoreManifest => root.join("store/rec-00000001/manifest.qrs"),

@@ -108,3 +108,30 @@ fn corrupted_stored_logs_are_rejected_not_misreplayed() {
         }
     }
 }
+
+#[test]
+fn an_unreadable_optional_file_fails_load_verify_and_migrate_naming_it() {
+    use quickrec::Recording;
+    let (_, recording) = recorded();
+    for name in [Recording::FORMAT_FILE, Recording::ORDER_FILE, Recording::CHECKPOINTS_FILE] {
+        let dir = std::env::temp_dir()
+            .join(format!("quickrec-unreadable-{name}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        recording.save(&dir, Encoding::Delta).expect("saves");
+        // The file exists but cannot be read: a directory in its place.
+        // Only a file that does not exist is an absent optional one.
+        std::fs::remove_file(dir.join(name)).ok();
+        std::fs::create_dir(dir.join(name)).unwrap();
+
+        let err = Recording::load(&dir).expect_err("load must not take the file as absent");
+        assert!(err.to_string().contains(name), "{name}: load: {err}");
+        let report = Recording::verify_dir(&dir);
+        assert!(!report.all_ok(), "{name}: verify passed");
+        let listed = report.files.iter().find(|f| f.name == name);
+        assert!(listed.is_some_and(|f| f.error.is_some()), "{name}: {:?}", report.files);
+        let err = quickrec::migrate::migrate(&dir).expect_err("migrate must refuse");
+        assert!(err.to_string().contains(name), "{name}: migrate: {err}");
+        assert!(dir.join(name).is_dir(), "{name}: refused migrate rewrote the directory");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}

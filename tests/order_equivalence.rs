@@ -10,14 +10,15 @@
 //!    outcome a total-order recording of the same seeded execution
 //!    replays to, for every chunk-log encoding round-trip.
 //! 2. **Differential discipline.** Turning partial-order recording on
-//!    changes nothing about the other logs: meta, chunks, inputs and
-//!    footprints stay byte-identical to the total-order recording;
-//!    default-mode recordings never grow an `order.qrp`.
+//!    changes nothing about the other logs: meta, chunks and inputs
+//!    stay byte-identical to the total-order recording, the in-memory
+//!    footprints equal; default-mode recordings never grow an
+//!    `order.qrp`.
 //! 3. **Observability neutrality.** The new ordering metrics follow the
 //!    metrics-on/off byte-identity gate like every other counter.
 //! 4. **Edge-set equivalence.** The reduced edge set `po::derive` logs
 //!    orders exactly the pairs the full conflict sweep orders — the
-//!    recorded-order DAG and the `--jobs N` DAG differ only by the
+//!    recorded-order DAG and the conflict DAG differ only by the
 //!    input-injection chain — over seeded random footprint timelines.
 
 use quickrec::workloads::{suite, Scale};
@@ -87,11 +88,7 @@ fn partial_order_recording_changes_only_the_sidecar_and_manifest() {
         assert_eq!(total_parts.meta, partial_parts.meta, "{}: meta drifted", spec.name);
         assert_eq!(total_parts.chunks, partial_parts.chunks, "{}: chunks drifted", spec.name);
         assert_eq!(total_parts.inputs, partial_parts.inputs, "{}: inputs drifted", spec.name);
-        assert_eq!(
-            total_parts.footprints, partial_parts.footprints,
-            "{}: footprints drifted",
-            spec.name
-        );
+        assert_eq!(total.footprints, partial.footprints, "{}: footprints drifted", spec.name);
         assert!(total_parts.order.is_none(), "{}: total order grew order.qrp", spec.name);
         assert!(partial_parts.order.is_some(), "{}: partial order lost order.qrp", spec.name);
         assert_ne!(total_parts.format, partial_parts.format, "{}: same format version", spec.name);

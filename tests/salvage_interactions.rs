@@ -2,8 +2,9 @@
 //! recording that survives salvage is a first-class recording, so every
 //! replay mode built on top of the serial replayer must work on it —
 //! checkpoint index build, seek and resume, and the parallel
-//! conflict-dependency scheduler (which must instead *fall back* to
-//! serial when the footprint sidecar itself lost its tail).
+//! conflict-dependency scheduler (which, like on any recording read
+//! back from disk, has no footprints to schedule by and *falls back* to
+//! serial replay unless the recorder's in-memory footprints are at hand).
 
 #[path = "support/seek.rs"]
 mod seek;
@@ -68,29 +69,6 @@ fn a_salvage_survivor_supports_checkpointed_resume() {
 }
 
 #[test]
-fn a_salvage_survivor_replays_in_parallel_when_footprints_survive() {
-    let (program, recording) = recorded();
-    let dir = saved(&recording, "parallel");
-    append_garbage(&dir);
-
-    let (salvaged, recovery) = Recording::load_salvaged(&dir).unwrap();
-    assert!(recovery.chunks.corruption.is_some());
-    let serial = qr_replay::replay(&program, &salvaged).unwrap();
-
-    // The footprint sidecar is intact, so the conflict-dependency
-    // scheduler accepts the survivor outright.
-    let replayer = ParallelReplayer::new(&program, &salvaged, 4).unwrap();
-    assert_eq!(replayer.fallback_reason(), None);
-    let parallel = replayer.run().unwrap();
-    assert_eq!(parallel.fingerprint, serial.fingerprint);
-    assert_eq!(parallel.console, serial.console);
-    assert_eq!(parallel.exit_code, serial.exit_code);
-    assert_eq!(parallel.instructions, serial.instructions);
-    parallel.verify_against(&salvaged).unwrap();
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn a_salvage_survivor_keeps_its_seek_index_and_a_torn_one_degrades() {
     let (program, recording) = recorded();
     let index = CheckpointIndex::build(&program, &recording, 8).unwrap();
@@ -124,25 +102,59 @@ fn a_salvage_survivor_keeps_its_seek_index_and_a_torn_one_degrades() {
 }
 
 #[test]
+fn a_salvage_survivor_replays_in_parallel_when_footprints_survive() {
+    let (program, recording) = recorded();
+    assert!(recording.footprints.is_some(), "a fresh recording keeps its footprints");
+    let dir = saved(&recording, "parallel");
+    append_garbage(&dir);
+    let (mut salvaged, recovery) = Recording::load_salvaged(&dir).unwrap();
+    assert!(recovery.chunks.corruption.is_some());
+    let serial = qr_replay::replay_and_verify(&program, &salvaged).unwrap();
+
+    // Footprints are record-time evidence: nothing on disk carries them,
+    // so the survivor alone takes the serial fallback, bit for bit.
+    assert!(salvaged.footprints.is_none(), "a salvaged recording carries no footprints");
+    let replayer = ParallelReplayer::new(&program, &salvaged, 4).unwrap();
+    assert_eq!(replayer.fallback_reason(), Some("recording carries no footprints"));
+    assert_eq!(replayer.run().unwrap(), serial);
+
+    // Where the recorder's in-memory footprints survive alongside it,
+    // the conflict-dependency scheduler accepts the survivor outright.
+    salvaged.footprints = recording.footprints.clone();
+    let replayer = ParallelReplayer::new(&program, &salvaged, 4).unwrap();
+    assert_eq!(replayer.fallback_reason(), None);
+    let parallel = replayer.run().unwrap();
+    assert_eq!(parallel.fingerprint, serial.fingerprint);
+    assert_eq!(parallel.console, serial.console);
+    assert_eq!(parallel.exit_code, serial.exit_code);
+    assert_eq!(parallel.instructions, serial.instructions);
+    parallel.verify_against(&salvaged).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn a_torn_footprint_sidecar_forces_the_serial_fallback() {
     let (program, recording) = recorded();
     let dir = saved(&recording, "fallback");
-    // Tear the *footprint* log instead: chunks and inputs stay intact,
-    // but the dependency DAG can no longer be trusted for every chunk.
-    let path = dir.join(Recording::FOOTPRINTS_FILE);
-    let bytes = std::fs::read(&path).unwrap();
-    std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
+    // A directory written while footprints were persisted may carry a
+    // torn `footprints.qrl`: here the kept fixture's sidecar, cut in
+    // half. Readers skip it, so chunk and input logs load clean and the
+    // recording carries no footprints to schedule by.
+    let kept = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden/footprint-sidecar/v3-hello-raw/footprints.qrl");
+    let bytes = std::fs::read(kept).unwrap();
+    std::fs::write(dir.join("footprints.qrl"), &bytes[..bytes.len() / 2]).unwrap();
 
+    let loaded = Recording::load(&dir).unwrap();
     let (salvaged, recovery) = Recording::load_salvaged(&dir).unwrap();
     assert!(recovery.is_clean(), "chunk and input logs are untouched");
-    let serial = qr_replay::replay_and_verify(&program, &salvaged).unwrap();
-
-    let replayer = ParallelReplayer::new(&program, &salvaged, 4).unwrap();
-    assert!(
-        replayer.fallback_reason().is_some(),
-        "partial footprint coverage must not be scheduled in parallel"
-    );
-    let outcome = replayer.run().unwrap();
-    assert_eq!(outcome, serial, "the fallback is the serial replayer, bit for bit");
+    for (what, rec) in [("loaded", &loaded), ("salvaged", &salvaged)] {
+        assert!(rec.footprints.is_none(), "{what} recording carries footprints");
+        let serial = qr_replay::replay_and_verify(&program, rec).unwrap();
+        let replayer = ParallelReplayer::new(&program, rec, 4).unwrap();
+        assert_eq!(replayer.fallback_reason(), Some("recording carries no footprints"), "{what}");
+        let outcome = replayer.run().unwrap();
+        assert_eq!(outcome, serial, "the fallback is the serial replayer, bit for bit ({what})");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
