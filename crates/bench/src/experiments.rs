@@ -19,9 +19,9 @@ use quickrec_core::{Encoding, MrrConfig, OrderMode, TerminationReason};
 /// Every experiment `repro all` runs, in report order. Each prints only
 /// seed-deterministic numbers, so the whole report is byte-identical
 /// run to run and across execution modes.
-pub const ALL_IDS: [&str; 24] = [
-    "t1", "t2", "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e9b", "e10", "e11", "e12",
-    "e14", "e15", "a1", "a2", "a3", "a5", "a6", "r1", "v1",
+pub const ALL_IDS: [&str; 23] = [
+    "t1", "t2", "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e9b", "e10", "e11", "e14",
+    "e15", "a1", "a2", "a3", "a5", "a6", "r1", "v1",
 ];
 
 /// Experiments that must be named explicitly. E16 prints deterministic
@@ -74,7 +74,6 @@ pub fn plan(id: &str) -> Option<Experiment> {
         "e9b" => e9b(),
         "e10" => e10(),
         "e11" => e11(),
-        "e12" => e12(),
         "e14" => e14(),
         "e15" => e15(),
         "e16" => e16(),
@@ -492,11 +491,6 @@ fn e9b() -> Experiment {
                 let r = record_workload_with(cache, &spec, 4, Scale::Small, full_cfg(4))?;
                 let serial = qr_replay::Replayer::modelled(&program, &r)?.run()?;
                 let replayer = qr_replay::ParallelReplayer::modelled(&program, &r, 4)?;
-                if let Some(reason) = replayer.fallback_reason() {
-                    return Err(QrError::Execution {
-                        detail: format!("{}: parallel replay fell back to serial: {reason}", spec.name),
-                    });
-                }
                 let (nodes, edges) = (replayer.node_count(), replayer.edge_count());
                 let parallel = replayer.run()?;
                 parallel.verify_against(&r)?;
@@ -624,97 +618,6 @@ fn e11() -> Experiment {
             })
         }),
         footer: Footer::Static("(the input log is far smaller than the memory log for compute-bound workloads)"),
-    }
-}
-
-/// E12 — observability is free of observer effects: libraries keep no
-/// metrics and return what they counted, so a caller that folds those
-/// counts into a registry it owns (as the daemon's loop does) records,
-/// serializes, builds a seek sidecar and answers a query byte for byte
-/// like one that never looks (checked, not tabulated: a difference
-/// fails the experiment).
-fn e12() -> Experiment {
-    let job: Job = Box::new(|cache: &BuildCache| {
-        use qr_replay::{CheckpointIndex, QueryEngine, ReplayQuery};
-        let mut out = JobOutput::default();
-        for name in ["fft", "lu", "radix", "water"] {
-            let spec = qr_workloads::suite::find(name).expect("suite member");
-            let mut counted = qr_obs::Registry::new();
-            let observed = record_workload_with(cache, &spec, 4, Scale::Small, full_cfg(4))?;
-            let by_reason = &observed.recorder_stats.chunks_by_reason;
-            for reason in TerminationReason::ALL {
-                counted
-                    .counter("chunks_total", "chunks by reason", &[("reason", reason.label())])
-                    .add(by_reason[reason.code() as usize]);
-            }
-            let blind = record_workload_with(cache, &spec, 4, Scale::Small, full_cfg(4))?;
-            if observed.fingerprint != blind.fingerprint {
-                return Err(QrError::Execution {
-                    detail: format!("{name}: fingerprint changed with metrics enabled"),
-                });
-            }
-            let mut identical = true;
-            let mut log_bytes = 0usize;
-            for encoding in Encoding::ALL {
-                let on = observed.chunks.to_bytes(encoding);
-                let off = blind.chunks.to_bytes(encoding);
-                counted
-                    .counter("log_bytes_total", "chunk-log bytes", &[("encoding", encoding.name())])
-                    .add(on.len() as u64);
-                identical &= on == off;
-                if encoding == Encoding::Delta {
-                    log_bytes = on.len();
-                }
-            }
-            if !identical {
-                return Err(QrError::Execution {
-                    detail: format!("{name}: serialized chunk log changed with metrics enabled"),
-                });
-            }
-            // The same rule one layer up: the seek sidecar built from
-            // the recording and an answer served through it, with and
-            // without the engine's seek counts folded in.
-            let program = cache.program(&spec, 4, Scale::Small)?;
-            let seek_layer = |observe: Option<&mut qr_obs::Registry>| {
-                let sidecar = CheckpointIndex::build(&program, &observed, 25)?.to_bytes();
-                let mut engine = QueryEngine::new(&program, &observed)?;
-                engine.attach_index_bytes(&sidecar);
-                let answer = engine.execute(ReplayQuery::ReverseStep { events: 3 }, None)?;
-                if let Some(counted) = observe {
-                    let seeks = engine.seek_stats();
-                    counted.counter("seeks_total", "seeks", &[("source", "index")]).add(seeks.from_index());
-                    counted.counter("seeks_total", "seeks", &[("source", "scratch")]).add(seeks.from_scratch);
-                }
-                qr_common::Result::Ok((sidecar, answer.to_bytes()))
-            };
-            if seek_layer(Some(&mut counted))? != seek_layer(None)? {
-                return Err(QrError::Execution {
-                    detail: format!("{name}: checkpoint sidecar or query answer changed with metrics enabled"),
-                });
-            }
-            out.rows.push(vec![
-                name.to_string(),
-                observed.chunks.len().to_string(),
-                log_bytes.to_string(),
-                format!("{:016x}", observed.fingerprint),
-                "identical".to_string(),
-            ]);
-        }
-        Ok(out)
-    });
-    Experiment {
-        id: "e12",
-        title: "observability overhead accounting: caller-owned metrics on vs off",
-        note: "libraries keep no metrics and return what they count — fingerprints, serialized \
-         logs, the seek sidecar and a query answer must be byte-identical whether or not the \
-         caller folds those counts into a registry it owns",
-        header: vec!["workload".into(), "chunks".into(), "delta log B".into(),
-            "fingerprint".into(), "on vs off".into()],
-        jobs: vec![job],
-        footer: Footer::Static(
-            "(wall-clock metric values are excluded from every deterministic report; \
-             only their absence of side effects is asserted here)",
-        ),
     }
 }
 

@@ -33,8 +33,9 @@
 //! Footprints are record-time evidence: only a fresh recording carries
 //! its [`quickrec_core::FootprintLog`], and nothing persists it. A
 //! recording without complete footprint coverage (any loaded, fetched,
-//! migrated or salvaged one) falls back to serial replay — missing
-//! footprints cost the modelled parallelism, never correctness.
+//! migrated or salvaged one) is refused with
+//! [`QrError::InvalidConfig`], as [`Recording::derive_order`] refuses
+//! it; replay it with the serial [`Replayer`] instead.
 //!
 //! # Execution model
 //!
@@ -71,14 +72,12 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 
 /// Replays `recording` of `program` scheduled onto `jobs` simulated
-/// workers and verifies the outcome against the recording, falling back
-/// to serial replay when the recording lacks complete footprint
-/// coverage.
+/// workers and verifies the outcome against the recording.
 ///
 /// # Errors
 ///
-/// Returns [`QrError::InvalidConfig`] for `jobs == 0`, otherwise the
-/// same errors as serial [`crate::replay_and_verify`].
+/// See [`ParallelReplayer::new`]; otherwise the same errors as serial
+/// [`crate::replay_and_verify`].
 pub fn replay_parallel_and_verify(
     program: &Program,
     recording: &Recording,
@@ -180,17 +179,14 @@ impl Dag {
 /// A parallel replay in preparation.
 ///
 /// Construction builds the chunk dependency DAG from the recording's
-/// footprints; [`ParallelReplayer::run`] executes the timeline
+/// footprints, and refuses a recording whose footprints do not cover
+/// its whole timeline; [`ParallelReplayer::run`] executes the timeline
 /// in that DAG's list-schedule order onto `jobs` simulated workers.
-/// Recordings without complete footprints (see
-/// [`ParallelReplayer::fallback_reason`]) replay serially instead and
-/// still produce the same verified outcome.
 #[derive(Debug)]
 pub struct ParallelReplayer<'a> {
     replayer: Replayer<'a>,
     jobs: usize,
-    /// The DAG, or why serial fallback is needed.
-    dag: std::result::Result<Dag, String>,
+    dag: Dag,
 }
 
 impl<'a> ParallelReplayer<'a> {
@@ -198,12 +194,13 @@ impl<'a> ParallelReplayer<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`QrError::InvalidConfig`] for `jobs == 0`,
-    /// [`QrError::ReplayDivergence`] if the program does not match the
-    /// recording, and log-format errors for malformed chunk logs.
+    /// Returns [`QrError::InvalidConfig`] for `jobs == 0` or a recording
+    /// without the footprints of a fresh recording for every timeline
+    /// event, [`QrError::ReplayDivergence`] if the program does not match
+    /// the recording, and log-format errors for malformed chunk logs.
     pub fn new(program: &'a Program, recording: &'a Recording, jobs: usize) -> Result<ParallelReplayer<'a>> {
         check_jobs(jobs)?;
-        Ok(ParallelReplayer::over(recording, Replayer::new(program, recording)?, jobs))
+        ParallelReplayer::over(recording, Replayer::new(program, recording)?, jobs)
     }
 
     /// [`ParallelReplayer::new`] on the recording's cache and bus model,
@@ -214,31 +211,25 @@ impl<'a> ParallelReplayer<'a> {
     /// See [`ParallelReplayer::new`].
     pub fn modelled(program: &'a Program, recording: &'a Recording, jobs: usize) -> Result<ParallelReplayer<'a>> {
         check_jobs(jobs)?;
-        Ok(ParallelReplayer::over(recording, Replayer::modelled(program, recording)?, jobs))
+        ParallelReplayer::over(recording, Replayer::modelled(program, recording)?, jobs)
     }
 
-    fn over(recording: &Recording, replayer: Replayer<'a>, jobs: usize) -> ParallelReplayer<'a> {
-        let dag = match recording.footprints {
-            Some(_) => conflict_dag(replayer.timeline()),
-            None => Err("recording carries no footprints".into()),
-        };
-        ParallelReplayer { replayer, jobs, dag }
+    fn over(recording: &Recording, replayer: Replayer<'a>, jobs: usize) -> Result<ParallelReplayer<'a>> {
+        if recording.footprints.is_none() {
+            return Err(needs_footprints("the recording carries none"));
+        }
+        let dag = conflict_dag(replayer.timeline())?;
+        Ok(ParallelReplayer { replayer, jobs, dag })
     }
 
-    /// Why this replay will take the serial path (`None` when the
-    /// dependency scheduler can run).
-    pub fn fallback_reason(&self) -> Option<&str> {
-        self.dag.as_ref().err().map(String::as_str)
-    }
-
-    /// Number of timeline nodes in the dependency DAG (0 on fallback).
+    /// Number of timeline nodes in the dependency DAG.
     pub fn node_count(&self) -> usize {
-        self.dag.as_ref().map_or(0, |d| d.preds.len())
+        self.dag.preds.len()
     }
 
-    /// Number of dependency edges in the DAG (0 on fallback).
+    /// Number of dependency edges in the DAG.
     pub fn edge_count(&self) -> usize {
-        self.dag.as_ref().map_or(0, Dag::edge_count)
+        self.dag.edge_count()
     }
 
     /// Runs the replay to completion.
@@ -248,18 +239,25 @@ impl<'a> ParallelReplayer<'a> {
     /// Returns [`QrError::ReplayDivergence`] on any mismatch, like the
     /// serial replayer.
     pub fn run(self) -> Result<ReplayOutcome> {
-        match self.dag {
-            Ok(dag) => dag.schedule(self.replayer, self.jobs),
-            Err(_) => self.replayer.run(),
-        }
+        self.dag.schedule(self.replayer, self.jobs)
     }
 }
 
+/// The refusal of a recording without complete footprints.
+fn needs_footprints(why: &str) -> QrError {
+    QrError::InvalidConfig(format!(
+        "the conflict schedule needs the footprints of a fresh recording ({why})"
+    ))
+}
+
 /// Builds the dependency DAG: per-thread program order, every
-/// conflicting pair the shared sweep reports, and the mapping rule. Or
-/// names the first event the footprint log does not cover, which forces
-/// serial fallback.
-fn conflict_dag(timeline: &[TimelineEntry<'_>]) -> std::result::Result<Dag, String> {
+/// conflicting pair the shared sweep reports, and the mapping rule.
+///
+/// # Errors
+///
+/// [`QrError::InvalidConfig`] naming the first event the footprint log
+/// does not cover.
+fn conflict_dag(timeline: &[TimelineEntry<'_>]) -> Result<Dag> {
     let mut preds: Vec<Vec<usize>> = Vec::with_capacity(timeline.len());
     let mut sweep = ConflictSweep::new();
     let mut last_of_tid: HashMap<ThreadId, usize> = HashMap::new();
@@ -268,7 +266,8 @@ fn conflict_dag(timeline: &[TimelineEntry<'_>]) -> std::result::Result<Dag, Stri
         // Signal deliveries touch registers only: program order suffices.
         if !matches!(entry.event, TimelineEvent::Input(InputEvent::Signal { .. })) {
             let Some(fp) = entry.footprint else {
-                return Err(format!("no footprint for timeline timestamp {}", entry.event.ts().0));
+                let ts = entry.event.ts().0;
+                return Err(needs_footprints(&format!("none for timeline timestamp {ts}")));
             };
             sweep.visit(idx, fp, |pred| p.push(pred));
         }
@@ -327,7 +326,6 @@ mod tests {
         let serial = replay(&program, &recording).unwrap();
         for jobs in [1, 2, 4] {
             let replayer = ParallelReplayer::new(&program, &recording, jobs).unwrap();
-            assert_eq!(replayer.fallback_reason(), None);
             assert!(replayer.node_count() > 0);
             let outcome = replayer.run().unwrap();
             assert_eq!(outcome.fingerprint, serial.fingerprint, "jobs={jobs}");
@@ -340,19 +338,32 @@ mod tests {
         }
     }
 
-    #[test]
-    fn missing_footprints_fall_back_to_serial() {
-        let program = racy_program();
-        let mut recording = record(program.clone(), RecordingConfig::with_cores(2)).unwrap();
-        recording.footprints = None;
-        let replayer = ParallelReplayer::new(&program, &recording, 4).unwrap();
-        assert!(replayer.fallback_reason().unwrap().contains("no footprints"));
-        let outcome = replayer.run().unwrap();
-        outcome.verify_against(&recording).unwrap();
+    /// Asserts that both constructors refuse `recording` by name.
+    fn assert_refused(program: &Program, recording: &Recording, detail: &str) {
+        for refused in [
+            ParallelReplayer::new(program, recording, 2).map(drop),
+            ParallelReplayer::modelled(program, recording, 2).map(drop),
+        ] {
+            match refused {
+                Err(QrError::InvalidConfig(why)) => {
+                    assert!(why.contains("needs the footprints of a fresh recording"), "{why}");
+                    assert!(why.contains(detail), "{why}");
+                }
+                other => panic!("expected a refusal naming the footprints, got {other:?}"),
+            }
+        }
     }
 
     #[test]
-    fn partial_footprints_fall_back_to_serial() {
+    fn missing_footprints_are_refused() {
+        let program = racy_program();
+        let mut recording = record(program.clone(), RecordingConfig::with_cores(2)).unwrap();
+        recording.footprints = None;
+        assert_refused(&program, &recording, "the recording carries none");
+    }
+
+    #[test]
+    fn partial_footprints_are_refused() {
         let program = racy_program();
         let mut recording = record(program.clone(), RecordingConfig::with_cores(2)).unwrap();
         // Keep a strict prefix of the footprints.
@@ -362,9 +373,7 @@ mod tests {
             prefix.push(fp.clone());
         }
         recording.footprints = Some(prefix);
-        let replayer = ParallelReplayer::new(&program, &recording, 2).unwrap();
-        assert!(replayer.fallback_reason().unwrap().contains("no footprint for"));
-        replayer.run().unwrap().verify_against(&recording).unwrap();
+        assert_refused(&program, &recording, "none for timeline timestamp");
     }
 
     #[test]
@@ -494,9 +503,9 @@ mod tests {
                 let recording = record(program.clone(), cfg).unwrap();
                 for jobs in [1, 2] {
                     let context = format!("{shape} / {order:?} / {jobs} jobs");
-                    let replayer = ParallelReplayer::new(&program, &recording, jobs).unwrap();
-                    assert_eq!(replayer.fallback_reason(), None, "{context}");
-                    let outcome = replayer.run().unwrap_or_else(|e| panic!("{context}: {e}"));
+                    let outcome = ParallelReplayer::new(&program, &recording, jobs)
+                        .and_then(ParallelReplayer::run)
+                        .unwrap_or_else(|e| panic!("{context}: {e}"));
                     outcome.verify_against(&recording).unwrap_or_else(|e| panic!("{context}: {e}"));
                     if order == OrderMode::PartialOrder {
                         replay_ordered_and_verify(&program, &recording, jobs)

@@ -178,7 +178,7 @@ pub(crate) fn fetched(reg: &mut Registry, start: Instant) {
 }
 
 /// Counts one replay run and the timeline events it executed; `mode`
-/// is `serial` or `parallel` (the list schedule).
+/// is `serial` or `ordered` (under a recorded partial order).
 pub(crate) fn replayed(reg: &mut Registry, mode: &str, outcome: &ReplayOutcome) {
     let mode = [("mode", mode)];
     reg.counter("qr_replay_runs_total", "Replay runs, by scheduler mode", &mode).inc();

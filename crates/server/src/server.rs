@@ -564,7 +564,7 @@ fn followup_job(
     } else if recording.order.is_some() {
         // Partial-order recordings replay under their recorded
         // happens-before edges; total-order ones by timestamp.
-        ("parallel", qr_replay::replay_ordered_and_verify(&program, &recording, 1)?)
+        ("ordered", qr_replay::replay_ordered_and_verify(&program, &recording, 1)?)
     } else {
         ("serial", qr_replay::replay_and_verify(&program, &recording)?)
     };

@@ -39,6 +39,7 @@ fn metrics_request_returns_parseable_exposition_with_all_families() {
     let mut client = Client::connect(&endpoint).expect("connect");
     // Drive one real RECORD job through the daemon so the recorder and
     // store families register in-process, not just the server's own.
+    // Partial order, so its REPLAY below runs under the recorded edges.
     let Response::Submitted { id } = client
         .call(&Request::SubmitWorkload {
             name: "m".into(),
@@ -46,13 +47,19 @@ fn metrics_request_returns_parseable_exposition_with_all_families() {
             threads: 2,
             scale: Scale::Test,
             encoding: Encoding::Delta,
-            order: OrderMode::TotalOrder,
+            order: OrderMode::PartialOrder,
         })
         .expect("submit")
     else {
         panic!("submission not accepted");
     };
     let job = client.wait_for(id, Duration::from_secs(120)).expect("wait");
+    assert_eq!(job.state, JobState::Done, "{:?}", job.state);
+    match client.call(&Request::Replay { id }).expect("replay") {
+        Response::Queued => {}
+        other => panic!("replay: {other:?}"),
+    }
+    let job = client.wait_for(id, Duration::from_secs(120)).expect("replay wait");
     assert_eq!(job.state, JobState::Done, "{:?}", job.state);
     match client.call(&Request::Ping).expect("ping") {
         Response::Pong => {}
@@ -82,6 +89,7 @@ fn metrics_request_returns_parseable_exposition_with_all_families() {
         "qr_recorder_log_bytes_total",
         "qr_store_encode_latency_us",
         "qr_store_bytes_total",
+        "qr_replay_runs_total",
         "qr_replay_seeks_total",
         "qr_replay_seek_restore_records",
     ] {
@@ -100,6 +108,13 @@ fn metrics_request_returns_parseable_exposition_with_all_families() {
         text.contains("qr_replay_seek_restore_records_bucket{le=\"8\"} 1"),
         "the restored seek did not report its chain depth:\n{text}"
     );
+    // The daemon replays a partial-order session under its recorded
+    // edges on one worker: ordered replay, not the conflict schedule.
+    assert!(
+        text.lines().any(|l| l == "qr_replay_runs_total{mode=\"ordered\"} 1"),
+        "the replay is not counted as ordered:\n{text}"
+    );
+    assert!(!text.contains("mode=\"parallel\""), "a replay is counted as parallel:\n{text}");
     // The submit and ping we just made are counted by kind.
     assert!(
         text.contains("qr_server_requests_total{kind=\"ping\"}"),

@@ -97,12 +97,7 @@ fn every_workload_encoding_and_job_count_matches_serial() {
                 } else {
                     ParallelReplayer::new(&program, &reloaded, jobs)
                 }
-                .expect("replayer builds");
-                assert_eq!(
-                    replayer.fallback_reason(),
-                    None,
-                    "fresh recordings must carry full footprints: {context}"
-                );
+                .unwrap_or_else(|e| panic!("a fresh recording must schedule: {context}: {e}"));
                 let outcome = replayer.run().unwrap_or_else(|e| panic!("{context}: {e}"));
                 assert_equivalent(&outcome, &serial, &context);
                 if encoding == Encoding::Delta {

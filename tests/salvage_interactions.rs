@@ -3,15 +3,15 @@
 //! replay mode built on top of the serial replayer must work on it —
 //! checkpoint index build, seek and resume, and the parallel
 //! conflict-dependency scheduler (which, like on any recording read
-//! back from disk, has no footprints to schedule by and *falls back* to
-//! serial replay unless the recorder's in-memory footprints are at hand).
+//! back from disk, has no footprints to schedule by and *refuses* it by
+//! name unless the recorder's in-memory footprints are at hand).
 
 #[path = "support/seek.rs"]
 mod seek;
 
 use qr_replay::{salvage_replay_dir, CheckpointIndex, ParallelReplayer, QueryEngine, ReplayQuery};
 use quickrec::workloads::{find, Scale};
-use quickrec::{record, Encoding, Program, Recording, RecordingConfig, RecordingParts};
+use quickrec::{record, Encoding, Program, QrError, Recording, RecordingConfig, RecordingParts};
 
 fn recorded() -> (Program, Recording) {
     let spec = find("lu").expect("lu exists");
@@ -26,6 +26,17 @@ fn saved(recording: &Recording, tag: &str) -> std::path::PathBuf {
     std::fs::remove_dir_all(&dir).ok();
     recording.save(&dir, Encoding::Delta).unwrap();
     dir
+}
+
+/// Asserts that the conflict schedule refuses `recording`, which has no
+/// footprints, naming what it lacks.
+fn assert_refused(program: &Program, recording: &Recording, what: &str) {
+    match ParallelReplayer::new(program, recording, 4) {
+        Err(QrError::InvalidConfig(why)) => {
+            assert!(why.contains("needs the footprints of a fresh recording"), "{what}: {why}");
+        }
+        other => panic!("{what}: expected a refusal naming the footprints, got {:?}", other.map(drop)),
+    }
 }
 
 /// Appends garbage to the chunk log, as a crash mid-append would leave
@@ -112,18 +123,14 @@ fn a_salvage_survivor_replays_in_parallel_when_footprints_survive() {
     let serial = qr_replay::replay_and_verify(&program, &salvaged).unwrap();
 
     // Footprints are record-time evidence: nothing on disk carries them,
-    // so the survivor alone takes the serial fallback, bit for bit.
+    // so the conflict schedule refuses the survivor alone by name.
     assert!(salvaged.footprints.is_none(), "a salvaged recording carries no footprints");
-    let replayer = ParallelReplayer::new(&program, &salvaged, 4).unwrap();
-    assert_eq!(replayer.fallback_reason(), Some("recording carries no footprints"));
-    assert_eq!(replayer.run().unwrap(), serial);
+    assert_refused(&program, &salvaged, "salvaged");
 
     // Where the recorder's in-memory footprints survive alongside it,
     // the conflict-dependency scheduler accepts the survivor outright.
     salvaged.footprints = recording.footprints.clone();
-    let replayer = ParallelReplayer::new(&program, &salvaged, 4).unwrap();
-    assert_eq!(replayer.fallback_reason(), None);
-    let parallel = replayer.run().unwrap();
+    let parallel = ParallelReplayer::new(&program, &salvaged, 4).unwrap().run().unwrap();
     assert_eq!(parallel.fingerprint, serial.fingerprint);
     assert_eq!(parallel.console, serial.console);
     assert_eq!(parallel.exit_code, serial.exit_code);
@@ -133,9 +140,9 @@ fn a_salvage_survivor_replays_in_parallel_when_footprints_survive() {
 }
 
 #[test]
-fn a_torn_footprint_sidecar_forces_the_serial_fallback() {
+fn a_torn_footprint_sidecar_is_refused_by_the_conflict_schedule() {
     let (program, recording) = recorded();
-    let dir = saved(&recording, "fallback");
+    let dir = saved(&recording, "torn");
     // A directory written while footprints were persisted may carry a
     // torn `footprints.qrl`: here the kept fixture's sidecar, cut in
     // half. Readers skip it, so chunk and input logs load clean and the
@@ -150,11 +157,8 @@ fn a_torn_footprint_sidecar_forces_the_serial_fallback() {
     assert!(recovery.is_clean(), "chunk and input logs are untouched");
     for (what, rec) in [("loaded", &loaded), ("salvaged", &salvaged)] {
         assert!(rec.footprints.is_none(), "{what} recording carries footprints");
-        let serial = qr_replay::replay_and_verify(&program, rec).unwrap();
-        let replayer = ParallelReplayer::new(&program, rec, 4).unwrap();
-        assert_eq!(replayer.fallback_reason(), Some("recording carries no footprints"), "{what}");
-        let outcome = replayer.run().unwrap();
-        assert_eq!(outcome, serial, "the fallback is the serial replayer, bit for bit ({what})");
+        assert_refused(&program, rec, what);
+        qr_replay::replay_and_verify(&program, rec).unwrap();
     }
     std::fs::remove_dir_all(&dir).ok();
 }
